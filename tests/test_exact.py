@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mflab.errors import QuadratureError, ResourceLimitError, ValidationError
+from mflab.errors import ResourceLimitError, ValidationError
 from mflab.operators import (
     DensityMatrix,
     Operator,
@@ -11,7 +13,7 @@ from mflab.operators import (
     permute_factors,
     trace_norm,
 )
-from mflab.model import SiteModel, SystemModel
+from mflab.model import SiteModel, SystemModel, assemble_total
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -310,8 +312,7 @@ class TestSeriesOracle:
         res = ProductState(tilted_mixed_site())
         t = 0.3
         sys, site = qubit_sys(), qubit_site()
-        got = dyson_truncated(sys, site, res, 1, PLUS, order=1, t=t,
-                              tol=1e-12)
+        got = dyson_truncated(sys, site, res, 1, PLUS, order=1, t=t)
         h0 = np.kron(SZ.data, I2) + np.kron(I2, 0.7 * SZ.data)
         v = np.kron(SX.data, SX.data)
         rho0 = np.kron(PLUS.data, tilted_mixed_site().data)
@@ -334,9 +335,10 @@ class TestSeriesOracle:
         sys, site = qubit_sys(), qubit_site()
 
         def err(order, t):
-            # quadrature noise 1e-8 is well under the 1.9e-6 smallest error
+            # the oracle is exact to rounding, far under the 1.9e-6
+            # smallest truncation error
             approx = dyson_truncated(sys, site, res, 2, PLUS, order=order,
-                                     t=t, tol=1e-8)
+                                     t=t)
             ex = propagate_exact(FiniteMRun(sys, site, 2, res, PLUS,
                                             np.array([t]))).states[0]
             return trace_norm(approx.data - ex.data)
@@ -349,11 +351,35 @@ class TestSeriesOracle:
         assert 45.0 < r4 < 80.0
         assert e4 < 1e-5 < e2
 
-    def test_quadrature_cap_raises(self):
+    def test_commuting_coupling_matches_closed_form_terms(self):
+        # V commutes with H0, so S_k = exp(-i H0 t) (-i V t)^k / k!
+        sys = SystemModel.single(SZ, [(SZ, 0)])
+        site = SiteModel(h=Operator(0.7 * SZ.data, (2,), hermitian=True),
+                         interactions=(SZ,))
         res = ProductState(tilted_mixed_site())
-        with pytest.raises(QuadratureError, match="nodes"):
-            dyson_truncated(qubit_sys(), qubit_site(), res, 1, PLUS,
-                            order=3, t=2.5, tol=1e-14, max_nodes=16)
+        m, t = 2, 0.7
+        free = assemble_total(SystemModel(local_h=sys.local_h, couplings=()),
+                              site, m, form="dense").data
+        v = assemble_total(sys, site, m, form="dense").data - free
+        assert np.allclose(free @ v, v @ free)
+        u0 = expm(-1j * t * free)
+        rho0 = np.kron(PLUS.data, materialize(res, m).data)
+        for order in range(5):
+            terms = [u0 @ np.linalg.matrix_power(-1j * t * v, k)
+                     / math.factorial(k) for k in range(order + 1)]
+            joint = sum(terms[k] @ rho0 @ terms[l].conj().T
+                        for k in range(order + 1)
+                        for l in range(order + 1 - k))
+            want = joint.reshape(2, 4, 2, 4).trace(axis1=1, axis2=3)
+            got = dyson_truncated(sys, site, res, m, PLUS, order, t)
+            assert trace_norm(got.data - want) < 1e-12
+
+    def test_block_dimension_guard(self):
+        # joint dimension 1024 is dense-sized, the order-4 block is not
+        res = ProductState(tilted_mixed_site())
+        with pytest.raises(ResourceLimitError, match="block dimension 5120"):
+            dyson_truncated(qubit_sys(), qubit_site(), res, 9, PLUS,
+                            order=4, t=0.1)
 
     def test_input_validation(self):
         res = ProductState(tilted_mixed_site())
