@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -104,13 +104,16 @@ class SweepRow:
     m_count: int
     gap: float
     ratio: float
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
 
 def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
             rho0: DensityMatrix, grid, m_list, threads: int = 1,
             step_target: float = 1e-7) -> list[SweepRow]:
     """Convergence table: per reservoir size, the max-over-grid trace
-    distance to the limit trajectory, plus the ratio to the previous row."""
+    distance to the limit trajectory, plus the ratio to the previous row.
+    Each row also keeps the finite-size solver's path, sector count and
+    size, mass defect and norm drift."""
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise ValidationError("M list is empty")
@@ -124,22 +127,26 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
     limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
                                  step_target=step_target)
 
-    def gap_for(m: int) -> float:
+    def gap_for(m: int):
         run = FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
         finite = propagate_exact(run)
-        return max(trace_distance(a, b)
-                   for a, b in zip(finite.states, limit.states))
+        gap = max(trace_distance(a, b)
+                  for a, b in zip(finite.states, limit.states))
+        keep = ("path", "sectors", "max_sector_dim", "branch_mass_defect",
+                "max_norm_drift")
+        return gap, {k: finite.diagnostics[k] for k in keep}
 
     if threads == 1:
-        gaps = [gap_for(m) for m in m_list]
+        results = [gap_for(m) for m in m_list]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            gaps = list(pool.map(gap_for, m_list))
+            results = list(pool.map(gap_for, m_list))
     rows = []
     prev = None
-    for m, g in zip(m_list, gaps):
+    for m, (g, diag) in zip(m_list, results):
         ratio = math.nan if prev is None else g / prev
-        rows.append(SweepRow(m_count=m, gap=float(g), ratio=float(ratio)))
+        rows.append(SweepRow(m_count=m, gap=float(g), ratio=float(ratio),
+                             diagnostics=diag))
         prev = g
     return rows
 

@@ -86,6 +86,8 @@ def _run_convergence(cfg: ExperimentConfig, threads: int, seed):
                                              zip(gaps, gaps[1:]))),
         "final_gap": gaps[-1],
     }
+    if cfg.cluster is None:
+        notes["finite_m"] = {str(r.m_count): r.diagnostics for r in rows_src}
     return header, rows, notes
 
 

@@ -1,15 +1,23 @@
-"""Finite-size reference dynamics on the full system-reservoir space.
+"""Finite-size reference dynamics in permutation-symmetric sectors.
 
-The joint state is decomposed into pure branches matching the structure of
-the reservoir ensemble (a pure site state gives one branch, mixtures one per
-atom choice, channel placements one per position), so propagation acts on
-vectors. Below the dense cutoff a single eigendecomposition of the joint
-Hamiltonian drives every branch at every time; if the branch count there
-would exceed a small limit the density matrix is conjugated directly
-instead, so the dense path never truncates. Above the cutoff the
-Hamiltonian stays in term-list form and branches advance by Krylov
-matrix-exponential action, with the branch count capped and the dropped
-weight renormalized away but recorded.
+The joint Hamiltonian is invariant under permutations of the reservoir
+sites (free sites plus couplings to the site average), and so is the
+partial trace over the reservoir. Every reservoir ensemble is therefore
+split into pure branches, each given by part counts (n_1..n_k) summing to M
+and a ket in Sym^{n_1}(C^d) x ... x Sym^{n_k}(C^d), written in the
+occupation basis. A product state of rank r gives one branch per
+composition of M over its eigenvectors, weighted by the composition's
+multiplicity; mixtures, blocks of sites and the channel block combine such
+branches, and an explicit reservoir density matrix is the sector of counts
+(1,...,1), the full space. On a sector the sum of a site operator x over
+all sites acts as sum_p B_{n_p}(x), where B_n(x) = sum_ij x_ij a_i^dag a_j
+is the one-body operator on Sym^n, so a part of n sites has dimension
+C(n+d-1, d-1) instead of d^n (Shammah et al., PRA 98, 063815 (2018); Gegg
+and Richter, NJP 18, 043037 (2016)). Branches with the same counts share
+one dense eigendecomposition, and the reduced state is the weighted sum of
+their partial traces. Nothing is truncated except eigenvalues below
+EIGVAL_CUT in the state decompositions; a sector too large for the dense
+cutoff is refused.
 
 A truncated interaction-picture commutator series serves as an independent
 short-time oracle. Its Dyson terms come exactly from one exponential of a
@@ -18,39 +26,33 @@ block upper-bidiagonal matrix (Van Loan 1978), with no quadrature.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .errors import ResourceLimitError, ValidationError
-from .model import (
-    ITERATIVE_CUTOFF,
-    SiteModel,
-    SystemModel,
-    TermListOperator,
-    assemble_total,
-)
+from .model import SiteModel, SystemModel, assemble_total
 from .operators import DENSE_CUTOFF, DensityMatrix, trace_norm
 from .reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
     MacroscopicParts,
     ProductState,
+    apply_kraus,
     largest_remainder_counts,
     materialize,
 )
 from .effective import effective_trajectory
 from .results import PropagationResult
 
-BRANCH_CAP = 16
-BRANCH_FLOOR = 1e-8
 EIGVAL_CUT = 1e-12
-DENSE_BRANCH_LIMIT = 64
 JOINT_TRAJECTORY_LIMIT = 512
+# Complex entries per block of (sector dim x times x branches) amplitudes.
+AMPLITUDE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,6 @@ class FiniteMRun:
     reservoir_state: object
     rho_s0: DensityMatrix
     grid: np.ndarray
-    branch_cap: int = BRANCH_CAP
-    branch_floor: float = BRANCH_FLOOR
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -78,8 +78,11 @@ class FiniteMRun:
             raise ValidationError(
                 f"system state dim {self.rho_s0.dim} does not match model "
                 f"dim {self.sys.dim}")
-        if self.branch_cap < 1:
-            raise ValidationError("branch cap must be >= 1")
+        for c in self.sys.couplings:
+            if not 0 <= c.v_index < len(self.site.interactions):
+                raise ValidationError(
+                    f"coupling references site interaction {c.v_index}, "
+                    f"site has {len(self.site.interactions)}")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -93,181 +96,169 @@ def _pure_branches(rho: DensityMatrix):
     return [(float(p), vecs[:, k]) for k, p in enumerate(evals) if p > EIGVAL_CUT]
 
 
-def _kron_vec(*vecs: np.ndarray) -> np.ndarray:
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = np.kron(out, v)
-    return out
+# Symmetric sectors.
 
+def _occupations(n: int, d: int) -> list[tuple[int, ...]]:
+    """All (k_1..k_d) of nonnegative integers summing to n, in
+    lexicographically descending order.
 
-def _distinct_permutations(items):
-    """Multiset permutations, generated lazily via next-permutation steps."""
-    pool = sorted(items)
-    n = len(pool)
-    while True:
-        yield tuple(pool)
-        i = n - 2
-        while i >= 0 and pool[i] >= pool[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while pool[j] <= pool[i]:
-            j -= 1
-        pool[i], pool[j] = pool[j], pool[i]
-        pool[i + 1:] = reversed(pool[i + 1:])
-
-
-def _product_branches_exact(site_state: DensityMatrix, m_count: int, cap: int):
-    """Every pure branch of the m_count-fold product, or None past cap."""
-    local = _pure_branches(site_state)
-    if len(local) ** m_count > cap:
-        return None
-    out = []
-    for combo in itertools.product(local, repeat=m_count):
-        w = math.prod(p for p, _ in combo)
-        out.append((w, _kron_vec(*(v for _, v in combo))))
-    return out
-
-
-def _product_branches_top(site_state: DensityMatrix, m_count: int, cap: int):
-    """Heaviest cap branches of the m_count-fold product.
-
-    All site orderings of one eigenvector multiset share a weight, so
-    sorting multisets by weight and expanding their orderings lazily walks
-    the branches in globally nonincreasing weight order.
+    They label the occupation basis of Sym^n(C^d); for n = 1 that is the
+    standard basis of C^d, so a part of one site is a plain tensor factor.
+    Read as compositions they also list the ways n sites split over d
+    labels.
     """
-    local = _pure_branches(site_state)
-    if len(local) == 1:
-        p, vec = local[0]
-        return [(p ** m_count, _kron_vec(*([vec] * m_count)))]
-    probs = [p for p, _ in local]
-    vecs = [v for _, v in local]
-    multisets = []
-    for combo in itertools.combinations_with_replacement(range(len(local)), m_count):
-        multisets.append((math.prod(probs[i] for i in combo), combo))
-    multisets.sort(key=lambda t: -t[0])
-    out = []
-    for w, combo in multisets:
-        for perm in _distinct_permutations(combo):
-            out.append((w, _kron_vec(*(vecs[i] for i in perm))))
-            if len(out) >= cap:
-                return out
-    return out
+    if d == 1:
+        return [(n,)]
+    return [(k,) + rest for k in range(n, -1, -1)
+            for rest in _occupations(n - k, d - 1)]
 
 
-def _channel_branches(state: ChannelCorrelated, m_count: int):
-    """Branches of the placement-averaged channel ensemble (pure site only)."""
-    local = _pure_branches(state.site_state)
-    if len(local) != 1:
-        return None
-    _, phi = local[0]
-    L = state.corr_length
-    if m_count < L:
+def _sector_dim(counts, d: int) -> int:
+    return math.prod(math.comb(n + d - 1, d - 1) for n in counts)
+
+
+def _check_sector(counts, d: int, d_sys: int) -> None:
+    dim = _sector_dim(counts, d)
+    if d_sys * dim > DENSE_CUTOFF:
+        raise ResourceLimitError(
+            f"symmetric sector with part counts {tuple(counts)} has dimension "
+            f"{dim} on site dimension {d}; with system dimension {d_sys} "
+            f"that is {d_sys * dim} > dense cutoff {DENSE_CUTOFF}")
+
+
+def _power_ket(psi: np.ndarray, n: int) -> np.ndarray:
+    """psi^{(x)n} in the occupation basis of Sym^n, with coefficients
+    sqrt(n!/prod k_i!) prod psi_i^{k_i}, evaluated in log space."""
+    occ = np.array(_occupations(n, len(psi)))
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = np.where(occ > 0, occ * np.log(np.abs(psi)), 0.0).sum(axis=1)
+    log_abs += 0.5 * (log_fact[n] - log_fact[occ].sum(axis=1))
+    return np.exp(log_abs + 1j * (occ @ np.angle(psi)))
+
+
+def _one_body(n: int, d: int):
+    """The map x -> B_n(x) = sum_ij x_ij a_i^dag a_j on Sym^n(C^d).
+
+    B_n(x) is the sum of x over n sites restricted to their symmetric
+    subspace. The hopping pattern depends on n and d only, so it is built
+    once and reused for every x.
+    """
+    occ = np.array(_occupations(n, d)).reshape(-1, d)
+    index = {row: k for k, row in enumerate(map(tuple, occ.tolist()))}
+    hops = []
+    for i, j in itertools.permutations(range(d), 2):
+        src = np.flatnonzero(occ[:, j])
+        dst = occ[src]
+        dst[:, i] += 1
+        dst[:, j] -= 1
+        tgt = np.array([index[row] for row in map(tuple, dst.tolist())],
+                       dtype=int)
+        hops.append((i, j, src, tgt,
+                     np.sqrt(occ[src, j] * (occ[src, i] + 1.0))))
+
+    def build(x: np.ndarray) -> np.ndarray:
+        out = np.diag((occ @ np.diagonal(x)).astype(complex))
+        for i, j, src, tgt, amp in hops:
+            out[tgt, src] += x[i, j] * amp
+        return out
+    return build
+
+
+def _sector_hamiltonian(run: FiniteMRun, counts) -> np.ndarray:
+    """Joint Hamiltonian on system x Sym^{n_1} x ... x Sym^{n_k}."""
+    d = run.site.dim
+    dims = [_sector_dim((n,), d) for n in counts]
+    one_body = {n: _one_body(n, d) for n in set(counts)}
+
+    def collective(x: np.ndarray) -> np.ndarray:
+        out = 0
+        for p, n in enumerate(counts):
+            left, right = math.prod(dims[:p]), math.prod(dims[p + 1:])
+            out = out + np.kron(np.kron(np.eye(left), one_body[n](x)),
+                                np.eye(right))
+        return out
+
+    sys = run.sys
+    h = (np.kron(sys.h_full(), np.eye(math.prod(dims)))
+         + np.kron(np.eye(sys.dim), collective(run.site.h.data)))
+    for c in sys.couplings:
+        v = run.site.interactions[c.v_index].data
+        h += np.kron(sys.coupling_full(c), collective(v)) / run.m_count
+    return h
+
+
+# Reservoir branches: (weight, part counts, factors whose kron is the ket).
+
+def _explicit_branches(rho: DensityMatrix):
+    return [(p, (1,) * len(rho.dims), [v]) for p, v in _pure_branches(rho)]
+
+
+def _product_branches(site_state: DensityMatrix, m: int, d: int, d_sys: int):
+    """site_state^{(x)m}: one branch per composition n of m over its
+    eigenvectors v_i, of weight multinomial(m; n) prod p_i^{n_i} and ket
+    (x)_i v_i^{(x)n_i}."""
+    if site_state.dim != d:
         raise ValidationError(
-            f"need at least {L} sites for correlation length {L}")
-    block_in = _kron_vec(*([phi] * L))
-    placements = m_count - L + 1
+            f"reservoir site state dim {site_state.dim} does not match "
+            f"site dim {d}")
+    local = _pure_branches(site_state)
+    r = len(local)
+    # the most even composition has the largest sector
+    _check_sector([m // r + (i < m % r) for i in range(r)], d, d_sys)
+    log_fact = [math.lgamma(k + 1) for k in range(m + 1)]
     out = []
-    for j in range(placements):
-        for k in state.kraus:
-            mapped = k @ block_in
-            w = float(np.vdot(mapped, mapped).real) / placements
-            if w <= EIGVAL_CUT:
-                continue
-            pieces = ([phi] * j) + [mapped / np.linalg.norm(mapped)] \
-                + ([phi] * (m_count - L - j))
-            out.append((w, _kron_vec(*pieces)))
+    for comp in _occupations(m, r):
+        log_w = log_fact[m] + sum(k * math.log(p) - log_fact[k]
+                                  for k, (p, _) in zip(comp, local))
+        parts = [(k, v) for k, (_, v) in zip(comp, local) if k]
+        out.append((math.exp(log_w), tuple(k for k, _ in parts),
+                    [_power_ket(v, k) for k, v in parts]))
     return out
 
 
-def _reservoir_branches(state, m_count: int, cap: int, exact: bool):
-    """(weight, vector) branches of the reservoir ensemble.
+def _combine(*branch_lists):
+    """Branches of the tensor product of ensembles on consecutive sites."""
+    return [(math.prod(w for w, _, _ in combo),
+             sum((c for _, c, _ in combo), ()),
+             [f for _, _, fs in combo for f in fs])
+            for combo in itertools.product(*branch_lists)]
 
-    exact=True refuses to truncate: the full decomposition is returned, or
-    None when its size would exceed cap (or no pure decomposition exists).
-    exact=False returns the heaviest cap branches.
-    """
+
+def _reservoir_branches(state, m: int, d: int, d_sys: int):
     if isinstance(state, ProductState):
-        if exact:
-            return _product_branches_exact(state.site_state, m_count, cap)
-        return _product_branches_top(state.site_state, m_count, cap)
+        return _product_branches(state.site_state, m, d, d_sys)
     if isinstance(state, DeFinettiMixture):
-        out = []
-        for w, atom in state.atoms:
-            sub = _reservoir_branches(ProductState(atom), m_count, cap, exact)
-            if sub is None:
-                return None
-            out.extend((w * p, vec) for p, vec in sub)
-        if exact:
-            return out if len(out) <= cap else None
-        out.sort(key=lambda t: -t[0])
-        return out[:cap]
+        return [(w * p, c, f) for w, atom in state.atoms
+                for p, c, f in _product_branches(atom, m, d, d_sys)]
     if isinstance(state, MacroscopicParts):
-        counts = largest_remainder_counts([f for f, _ in state.parts], m_count)
-        per_part = []
-        for (_, sigma), c in zip(state.parts, counts):
-            if c == 0:
-                continue
-            sub = _reservoir_branches(ProductState(sigma), int(c), cap, exact)
-            if sub is None:
-                return None
-            per_part.append(sub)
-        out = []
-        for combo in itertools.product(*per_part):
-            w = math.prod(p for p, _ in combo)
-            out.append((w, _kron_vec(*(v for _, v in combo))))
-            if len(out) > cap and exact:
-                return None
-        if exact:
-            return out
-        out.sort(key=lambda t: -t[0])
-        return out[:cap]
+        counts = largest_remainder_counts([f for f, _ in state.parts], m)
+        return _combine(*(_product_branches(s, int(c), d, d_sys)
+                          for (_, s), c in zip(state.parts, counts) if c))
     if isinstance(state, ChannelCorrelated):
-        out = _channel_branches(state, m_count)
-        if out is None:
-            return None
-        if exact:
-            return out if len(out) <= cap else None
-        out.sort(key=lambda t: -t[0])
-        return out[:cap]
+        # every placement of the channel gives the same reduced trajectory,
+        # so it acts on the first L sites only
+        L = state.corr_length
+        if m < L:
+            raise ValidationError(
+                f"need at least {L} sites for correlation length {L}")
+        block = apply_kraus(state.kraus,
+                            materialize(ProductState(state.site_state), L).data)
+        return _combine(
+            _explicit_branches(DensityMatrix(block, (d,) * L, validate=False)),
+            _product_branches(state.site_state, m - L, d, d_sys))
     if isinstance(state, DensityMatrix):
-        if len(state.dims) != m_count:
+        if len(state.dims) != m:
             raise ValidationError(
                 f"explicit reservoir state has {len(state.dims)} factors, "
-                f"expected {m_count}")
-        branches = _pure_branches(state)
-        if exact:
-            return branches if len(branches) <= cap else None
-        branches.sort(key=lambda t: -t[0])
-        return branches[:cap]
+                f"expected {m}")
+        if state.dims != (d,) * m:
+            raise ValidationError(
+                f"explicit reservoir factors {state.dims} do not match site "
+                f"dim {d}")
+        return _explicit_branches(state)
     raise ValidationError(
         f"unsupported reservoir ensemble {type(state).__name__}")
-
-
-def _joint_branches(run: FiniteMRun, cap: int, exact: bool):
-    """Joint pure branches with kept-mass renormalization.
-
-    Returns (branches, mass_defect) or (None, None). In exact mode the
-    defect is only the spectral cut of near-zero eigenvalues; otherwise it
-    also counts branches dropped by the cap and the relative floor.
-    """
-    res = _reservoir_branches(run.reservoir_state, run.m_count, cap, exact)
-    if res is None:
-        return None, None
-    sys_branches = _pure_branches(run.rho_s0)
-    joint = [(ws * wr, vs, vr) for ws, vs in sys_branches for wr, vr in res]
-    if exact and len(joint) > cap:
-        return None, None
-    joint.sort(key=lambda t: -t[0])
-    if not exact:
-        top = sum(w for w, _, _ in joint[:cap])
-        joint = [b for b in joint[:cap] if b[0] >= run.branch_floor * top]
-    kept_mass = sum(w for w, _, _ in joint)
-    if kept_mass <= 0:
-        raise ValidationError("initial joint state has no weight left")
-    branches = [(w / kept_mass, _kron_vec(vs, vr)) for w, vs, vr in joint]
-    return branches, max(0.0, float(1.0 - kept_mass))
 
 
 def _reservoir_matrix(state, m_count: int) -> DensityMatrix:
@@ -280,114 +271,60 @@ def _reservoir_matrix(state, m_count: int) -> DensityMatrix:
     return materialize(state, m_count)
 
 
-def _reduce_columns(a: np.ndarray, d_sys: int, d_res: int) -> np.ndarray:
-    a3 = a.reshape(d_sys, d_res, -1)
-    return np.einsum("irb,krb->ik", a3, a3.conj())
-
-
 def propagate_exact(run: FiniteMRun) -> PropagationResult:
-    """Reduced system trajectory of the full finite-size dynamics."""
-    d_total = run.joint_dim
-    d_sys = run.sys.dim
-    d_res = run.site.dim ** run.m_count
-    if d_total <= DENSE_CUTOFF:
-        return _propagate_dense(run, d_sys, d_res)
-    if d_total > ITERATIVE_CUTOFF:
-        raise ResourceLimitError(
-            f"joint dimension {d_total} beyond both dense and iterative paths")
-    return _propagate_krylov(run, d_sys, d_res)
+    """Reduced system trajectory of the full finite-size dynamics.
 
-
-def _propagate_dense(run: FiniteMRun, d_sys: int, d_res: int) -> PropagationResult:
-    h = assemble_total(run.sys, run.site, run.m_count, form="dense")
-    evals, emat = np.linalg.eigh(h.data)
-    branches, defect = _joint_branches(run, cap=DENSE_BRANCH_LIMIT, exact=True)
-    if branches is not None:
-        cols = np.stack([math.sqrt(w) * v for w, v in branches], axis=1)
-        phi = emat.conj().T @ cols
-        energy = float(np.sum((np.abs(phi) ** 2) * evals[:, None]).real)
-        states, drifts = [], []
-        for t in run.grid:
-            a = emat @ (np.exp(-1j * evals * t)[:, None] * phi)
-            states.append(DensityMatrix(_reduce_columns(a, d_sys, d_res),
-                                        run.rho_s0.dims))
-            drifts.append(abs(float(np.sum(np.abs(a) ** 2)) - 1.0))
-        diag = {"path": "dense-branch", "branches": len(branches),
-                "branch_mass_defect": defect, "energy": energy,
-                "max_norm_drift": max(drifts)}
-        return PropagationResult(run.grid, tuple(states), diag)
-    # too many branches for an exact decomposition: conjugate the matrix
-    rho_r = _reservoir_matrix(run.reservoir_state, run.m_count)
-    rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
-    energy = float(np.sum(np.diag(rho_e).real * evals))
-    states, tr_drift, en_drift = [], [], []
-    for t in run.grid:
-        ph = np.exp(-1j * evals * t)
-        rt = (ph[:, None] * rho_e) * ph.conj()[None, :]
-        joint_t = emat @ rt @ emat.conj().T
-        red = joint_t.reshape(d_sys, d_res, d_sys, d_res)
-        states.append(DensityMatrix(np.einsum("irkr->ik", red),
-                                    run.rho_s0.dims))
-        tr_drift.append(abs(complex(np.trace(joint_t)) - 1.0))
-        en_drift.append(abs(float(np.sum(np.diag(rt).real * evals)) - energy))
-    diag = {"path": "dense-conjugation", "branches": None,
-            "branch_mass_defect": 0.0, "energy": energy,
-            "max_norm_drift": max(tr_drift),
-            "max_energy_drift": max(en_drift)}
-    return PropagationResult(run.grid, tuple(states), diag)
-
-
-def _term_list_trace(op: TermListOperator) -> complex:
-    total = 0.0 + 0.0j
-    for coeff, factors in op.terms:
-        val = complex(coeff)
-        for i, dim in enumerate(op.dims):
-            val *= complex(np.trace(factors[i])) if i in factors else dim
-        total += val
-    return total
-
-
-def _propagate_krylov(run: FiniteMRun, d_sys: int, d_res: int) -> PropagationResult:
-    h = assemble_total(run.sys, run.site, run.m_count, form="terms")
-    branches, defect = _joint_branches(run, cap=run.branch_cap, exact=False)
-    if branches is None:
-        raise ResourceLimitError(
-            "reservoir ensemble has no pure branch decomposition and the "
-            "joint dimension is too large for the dense fallback")
+    Diagnostics: path, branches (joint pure branches), sectors (distinct
+    part counts), max_sector_dim (largest reservoir sector dimension),
+    branch_mass_defect (weight cut with near-zero eigenvalues) and
+    max_norm_drift.
+    """
+    d, d_sys = run.site.dim, run.sys.dim
+    res = _reservoir_branches(run.reservoir_state, run.m_count, d, d_sys)
+    sys_branches = _pure_branches(run.rho_s0)
+    kept = sum(w for w, _ in sys_branches) * sum(w for w, _, _ in res)
+    if kept <= 0:
+        raise ValidationError("initial joint state has no weight left")
+    sectors = {}
+    for w, counts, factors in res:
+        # parts are interchangeable, so order them by count: branches that
+        # differ only in part order then share a sector
+        order = sorted(range(len(counts)), key=lambda p: -counts[p])
+        key = tuple(counts[p] for p in order)
+        sectors.setdefault(key, []).append((w, counts, order, factors))
+    for counts in sectors:
+        _check_sector(counts, d, d_sys)
     grid = run.grid
-    d_total = h.dim
-    linop = LinearOperator((d_total, d_total),
-                           matvec=lambda x: -1j * h.matvec(x),
-                           rmatvec=lambda x: 1j * h.matvec(x),
-                           dtype=complex)
-    trace_a = -1j * _term_list_trace(h)
-    uniform = grid.size > 1 and np.allclose(
-        np.diff(grid), grid[1] - grid[0], rtol=0.0, atol=1e-12)
-    acc = [np.zeros((d_sys, d_sys), dtype=complex) for _ in grid]
-    norm_drift = 0.0
-    for w, vec in branches:
-        if uniform:
-            frames = expm_multiply(linop, vec.astype(complex),
-                                   start=grid[0], stop=grid[-1],
-                                   num=grid.size, endpoint=True,
-                                   traceA=trace_a)
-        else:
-            frames = [vec.astype(complex)]
-            if abs(grid[0]) > 0:
-                frames[0] = expm_multiply(grid[0] * linop, frames[0],
-                                          traceA=grid[0] * trace_a)
-            for dt in np.diff(grid):
-                frames.append(expm_multiply(dt * linop, frames[-1],
-                                            traceA=dt * trace_a))
-        for k in range(grid.size):
-            psi = frames[k]
-            norm_drift = max(norm_drift,
-                             abs(float(np.vdot(psi, psi).real) - 1.0))
-            p2 = psi.reshape(d_sys, d_res)
-            acc[k] += w * (p2 @ p2.conj().T)
+    acc = np.zeros((grid.size, d_sys, d_sys), dtype=complex)
+    norms = np.zeros(grid.size)
+    n_branches = 0
+    for counts, members in sectors.items():
+        cols = []
+        for w, part_counts, order, factors in members:
+            ket = functools.reduce(np.kron, factors)
+            ket = ket.reshape([_sector_dim((n,), d) for n in part_counts])
+            ket = ket.transpose(order).reshape(-1)
+            cols += [math.sqrt(ws * w / kept) * np.kron(vs, ket)
+                     for ws, vs in sys_branches]
+        n_branches += len(cols)
+        evals, emat = np.linalg.eigh(_sector_hamiltonian(run, counts))
+        phi = emat.conj().T @ np.stack(cols, axis=1)
+        dim, n_cols = phi.shape
+        step = max(1, AMPLITUDE_CHUNK // phi.size)
+        for lo in range(0, grid.size, step):
+            ts = grid[lo:lo + step]
+            ph = np.exp(-1j * np.multiply.outer(evals, ts))
+            a = emat @ (ph[:, :, None] * phi[:, None, :]).reshape(dim, -1)
+            a = a.reshape(d_sys, -1, ts.size, n_cols).transpose(2, 0, 1, 3)
+            a = a.reshape(ts.size, d_sys, -1)
+            acc[lo:lo + step] += a @ a.conj().transpose(0, 2, 1)
+            norms[lo:lo + step] += np.sum(np.abs(a) ** 2, axis=(1, 2))
     states = tuple(DensityMatrix(a, run.rho_s0.dims) for a in acc)
-    diag = {"path": "krylov-branch", "branches": len(branches),
-            "branch_mass_defect": defect, "max_norm_drift": norm_drift}
+    diag = {"path": "symmetric-sector", "branches": n_branches,
+            "sectors": len(sectors),
+            "max_sector_dim": max(_sector_dim(c, d) for c in sectors),
+            "branch_mass_defect": max(0.0, float(1.0 - kept)),
+            "max_norm_drift": float(np.max(np.abs(norms - 1.0)))}
     return PropagationResult(grid, states, diag)
 
 
@@ -398,7 +335,7 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
         raise ResourceLimitError(
             f"joint trajectory capped at dimension {JOINT_TRAJECTORY_LIMIT}, "
             f"got {d_total}")
-    h = assemble_total(run.sys, run.site, run.m_count, form="dense")
+    h = assemble_total(run.sys, run.site, run.m_count)
     evals, emat = np.linalg.eigh(h.data)
     rho_r = _reservoir_matrix(run.reservoir_state, run.m_count)
     rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
@@ -461,8 +398,8 @@ def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
             f"series oracle is dense only; block dimension {d_block} = "
             f"(order {order} + 1) x {d_total} > {DENSE_CUTOFF}")
     free = assemble_total(SystemModel(local_h=sys.local_h, couplings=()),
-                          site, m_count, form="dense").data
-    v_mat = assemble_total(sys, site, m_count, form="dense").data - free
+                          site, m_count).data
+    v_mat = assemble_total(sys, site, m_count).data - free
     block = -1j * t * (np.kron(np.eye(order + 1), free)
                        + np.kron(np.eye(order + 1, k=1), v_mat))
     row = expm(block)[:d_total]

@@ -1,9 +1,7 @@
 """System and reservoir-site models and Hamiltonian assembly.
 
 The joint Hamiltonian acts on (system) x (site)^M with the system factor
-first. Below the dense cutoff everything is one matrix; above it, assembly
-returns a term list of site-embedded factors that supports matrix-vector
-products without materializing the full operator.
+first and is assembled as one dense matrix, refused above the dense cutoff.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from .operators import (
     hermitian_defect,
     permute_factors,
 )
-
-# Krylov path upper limit on the joint dimension.
-ITERATIVE_CUTOFF = 200_000
 
 DEFAULT_FOCK_LEVELS = 8
 
@@ -165,111 +160,7 @@ class ClusterInteraction:
         _require_hermitian(self.v_cluster.data, "cluster interaction")
 
 
-@dataclass(frozen=True)
-class TermListOperator:
-    """Hamiltonian stored as sum of coeff * (small factors on named axes).
-
-    dims lists the joint tensor factors (system first). Each term carries a
-    dict axis -> small matrix; absent axes act as the identity.
-    """
-
-    dims: tuple[int, ...]
-    terms: tuple[tuple[float, dict[int, np.ndarray]], ...]
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        x = np.asarray(vec, dtype=complex).reshape(self.dims)
-        out = np.zeros_like(x)
-        for coeff, factors in self.terms:
-            y = x
-            for axis, mat in factors.items():
-                y = np.moveaxis(np.tensordot(mat, y, axes=(1, axis)), 0, axis)
-            out += coeff * y
-        return out.reshape(-1)
-
-    def expectation(self, vec: np.ndarray) -> float:
-        return float(np.vdot(vec, self.matvec(vec)).real)
-
-    def to_dense(self) -> np.ndarray:
-        d = self.dim
-        if d > DENSE_CUTOFF:
-            raise ResourceLimitError(f"refusing to densify dimension {d}")
-        out = np.zeros((d, d), dtype=complex)
-        for coeff, factors in self.terms:
-            blocks = [factors.get(i, np.eye(dim, dtype=complex))
-                      for i, dim in enumerate(self.dims)]
-            acc = blocks[0]
-            for b in blocks[1:]:
-                acc = np.kron(acc, b)
-            out += coeff * acc
-        return out
-
-
-def _joint_dim(sys_dim: int, site_dim: int, m_count: int) -> int:
-    return sys_dim * site_dim ** m_count
-
-
-def _check_feasible(d_total: int) -> None:
-    if d_total > ITERATIVE_CUTOFF:
-        raise ResourceLimitError(
-            f"joint dimension {d_total} beyond both dense and iterative paths")
-
-
-def assemble_mean_field_interaction(g: Operator, v: Operator, m_count: int,
-                                    form: str = "auto"):
-    """G tensor the site average of v over m_count reservoir factors.
-
-    Returns a dense Operator when the joint dimension fits the dense
-    cutoff, otherwise a TermListOperator. form forces one representation
-    ("dense" or "terms") regardless of size.
-    """
-    if m_count < 1:
-        raise ValidationError("need at least one reservoir site")
-    if len(v.dims) != 1:
-        raise ValidationError("site interaction must be a single-factor operator")
-    _require_hermitian(g.data, "system coupling")
-    _require_hermitian(v.data, "site interaction")
-    d_total = _joint_dim(g.dim, v.dims[0], m_count)
-    _check_feasible(d_total)
-    dense = _pick_form(form, d_total)
-    if dense:
-        avg = sum(embed_at_site(v, m, m_count).data for m in range(1, m_count + 1))
-        data = np.kron(g.data, avg) / m_count
-        return Operator(data, g.dims + (v.dims[0],) * m_count, hermitian=True)
-    terms = tuple((1.0 / m_count, {0: g.data, m: v.data})
-                  for m in range(1, m_count + 1))
-    return TermListOperator(dims=(g.dim,) + (v.dims[0],) * m_count, terms=terms)
-
-
-def _pick_form(form: str, d_total: int) -> bool:
-    if form == "dense":
-        if d_total > DENSE_CUTOFF:
-            raise ResourceLimitError(f"dense form refused at dimension {d_total}")
-        return True
-    if form == "terms":
-        return False
-    if form != "auto":
-        raise ValidationError(f"unknown assembly form {form!r}")
-    return d_total <= DENSE_CUTOFF
-
-
-def _total_terms(sys: SystemModel, site: SiteModel, m_count: int):
-    terms = [(1.0, {0: sys.h_full()})]
-    for m in range(1, m_count + 1):
-        terms.append((1.0, {m: site.h.data}))
-    for c in sys.couplings:
-        g_full = sys.coupling_full(c)
-        v = site.interactions[c.v_index]
-        for m in range(1, m_count + 1):
-            terms.append((1.0 / m_count, {0: g_full, m: v.data}))
-    return terms
-
-
-def assemble_total(sys: SystemModel, site: SiteModel, m_count: int,
-                   form: str = "auto"):
+def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
     """Joint Hamiltonian: system + free sites + mean-field couplings."""
     if m_count < 1:
         raise ValidationError("need at least one reservoir site")
@@ -278,11 +169,11 @@ def assemble_total(sys: SystemModel, site: SiteModel, m_count: int,
             raise ValidationError(
                 f"coupling references site interaction {c.v_index}, "
                 f"site has {len(site.interactions)}")
-    d_total = _joint_dim(sys.dim, site.dim, m_count)
-    _check_feasible(d_total)
-    if not _pick_form(form, d_total):
-        flat_dims = (sys.dim,) + (site.dim,) * m_count
-        return TermListOperator(dims=flat_dims, terms=tuple(_total_terms(sys, site, m_count)))
+    d_total = sys.dim * site.dim ** m_count
+    if d_total > DENSE_CUTOFF:
+        raise ResourceLimitError(
+            f"dense assembly refused at joint dimension {d_total} > "
+            f"{DENSE_CUTOFF}")
     d_r = site.dim ** m_count
     h_res = np.zeros((d_r, d_r), dtype=complex)
     for m in range(1, m_count + 1):
@@ -297,8 +188,7 @@ def assemble_total(sys: SystemModel, site: SiteModel, m_count: int,
     return Operator(out, dims, hermitian=True)
 
 
-def assemble_multisystem(sys: SystemModel, site: SiteModel, m_count: int,
-                         form: str = "auto"):
+def assemble_multisystem(sys: SystemModel, site: SiteModel, m_count: int):
     """Joint Hamiltonian for several subsystems sharing one reservoir.
 
     Same assembly as assemble_total; this entry point additionally insists
@@ -307,7 +197,7 @@ def assemble_multisystem(sys: SystemModel, site: SiteModel, m_count: int,
     """
     if sys.n_subsystems < 1:
         raise ValidationError("no subsystem factors declared")
-    return assemble_total(sys, site, m_count, form=form)
+    return assemble_total(sys, site, m_count)
 
 
 def embed_cluster(x: Operator, sites: Sequence[int], m_count: int) -> np.ndarray:
@@ -340,7 +230,7 @@ def assemble_cluster_interaction(g: Operator, cluster: ClusterInteraction,
     if nu > m_count:
         raise ValidationError(f"cluster size {nu} exceeds site count {m_count}")
     d = cluster.v_cluster.dims[0]
-    d_total = _joint_dim(g.dim, d, m_count)
+    d_total = g.dim * d ** m_count
     if d_total > DENSE_CUTOFF:
         raise ResourceLimitError(
             f"cluster assembly is dense only; dimension {d_total} > {DENSE_CUTOFF}")

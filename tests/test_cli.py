@@ -199,6 +199,13 @@ class TestRunVerb:
         assert summary["kind"] == "convergence"
         assert summary["rows"] == 2
         assert summary["notes"]["gaps_strictly_decreasing"] is True
+        finite = summary["notes"]["finite_m"]
+        assert len(finite) == 2
+        for diag in finite.values():
+            assert diag["path"] == "symmetric-sector"
+            assert diag["sectors"] >= 1 and diag["max_sector_dim"] >= 1
+            assert diag["branch_mass_defect"] < 1e-12
+            assert diag["max_norm_drift"] < 1e-10
 
     def test_csv_cells_roundtrip_full_precision(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONVERGENCE)
@@ -282,14 +289,17 @@ model:
   site: {hamiltonian: pauli_z, interaction: pauli_x}
 reservoir: {kind: product, site_state: {matrix: [[0.8, 0], [0, 0.2]]}}
 initial_state: zero
-run: {m_list: [40], t_max: 1.0, n_times: 5}
+run: {m_list: [200], t_max: 1.0, n_times: 5}
 outputs: {table: g.csv}
 """
+        # the even split of 200 sites over the two eigenvectors needs a
+        # sector of dimension 101^2, times 2 > 4096
         cfg = write_config(tmp_path, text)
         code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 4
         assert "exact." in err
+        assert "(100, 100)" in err
 
     def test_unknown_reference_exits_2(self, capsys):
         code = cli.main(["run", "no_such_experiment"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
 from mflab.errors import ResourceLimitError, ValidationError
@@ -22,10 +23,12 @@ from mflab.reservoir import (
     bell_channel_kraus,
     materialize,
 )
+from mflab.analysis import m_sweep
+from mflab.cli import resolve_config
+from mflab.config import load_config
 from mflab.effective import effective_potential
 from mflab.exact import (
     FiniteMRun,
-    _propagate_krylov,
     convergence_gap,
     dyson_truncated,
     joint_trajectory,
@@ -54,6 +57,39 @@ def tilted_mixed_site(theta=0.3, p=0.8):
 PLUS = DensityMatrix.pure(ket("+"), (2,))
 
 
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def random_state(rng, dims, rank):
+    d = math.prod(dims)
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, dims)
+
+
+def random_ensemble(rng, kind, d, m):
+    def site_state():
+        return random_state(rng, (d,), int(rng.integers(1, d + 1)))
+
+    w = float(rng.uniform(0.1, 0.9))
+    if kind == "product":
+        return ProductState(site_state())
+    if kind == "definetti":
+        return DeFinettiMixture(((w, site_state()), (1 - w, site_state())))
+    if kind == "macroscopic":
+        return MacroscopicParts(((w, site_state()), (1 - w, site_state())))
+    if kind == "channel":
+        L = int(rng.integers(1, min(m, 2) + 1))
+        unitaries = [np.linalg.qr(rng.normal(size=(d ** L, d ** L))
+                                  + 1j * rng.normal(size=(d ** L, d ** L)))[0]
+                     for _ in range(2)]
+        kraus = (np.sqrt(w) * unitaries[0], np.sqrt(1 - w) * unitaries[1])
+        return ChannelCorrelated(site_state(), L, kraus)
+    return random_state(rng, (d,) * m, 3)
+
+
 class TestDensePaths:
     def test_single_site_matches_direct_oracle(self):
         # M=1 joint Hamiltonian is a plain 4x4; build it by hand
@@ -61,7 +97,6 @@ class TestDensePaths:
         grid = np.linspace(0.0, 2.0, 9)
         run = FiniteMRun(qubit_sys(), qubit_site(), 1, res, PLUS, grid)
         out = propagate_exact(run)
-        assert out.diagnostics["path"] == "dense-branch"
         h4 = (np.kron(SZ.data, I2) + np.kron(I2, 0.7 * SZ.data)
               + np.kron(SX.data, SX.data))
         rho_joint = np.kron(PLUS.data, tilted_mixed_site().data)
@@ -85,18 +120,12 @@ class TestDensePaths:
         run = FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS,
                          np.array([0.0, 1.0]))
         out = propagate_exact(run)
-        assert out.diagnostics["path"] == "dense-branch"
-        assert out.diagnostics["branches"] == 4
+        # compositions (2, 0), (1, 1), (0, 2); the first and last share the
+        # one-part sector
+        assert out.diagnostics["path"] == "symmetric-sector"
+        assert out.diagnostics["branches"] == 3
+        assert out.diagnostics["sectors"] == 2
         assert out.diagnostics["branch_mass_defect"] < 1e-12
-
-    def test_many_branch_mixed_state_falls_back_to_conjugation(self):
-        # 2^8 = 256 product branches exceed the exact-enumeration limit
-        res = ProductState(tilted_mixed_site())
-        run = FiniteMRun(qubit_sys(), qubit_site(), 8, res, PLUS,
-                         np.array([0.0, 0.5]))
-        out = propagate_exact(run)
-        assert out.diagnostics["path"] == "dense-conjugation"
-        assert out.diagnostics["max_energy_drift"] < 1e-9
 
     def test_branch_and_conjugation_paths_agree(self):
         res = ProductState(tilted_mixed_site())
@@ -127,8 +156,9 @@ class TestEnsembleForms:
         grid = np.linspace(0.0, 1.5, 5)
         a = propagate_exact(FiniteMRun(qubit_sys(), qubit_site(), 3, chan,
                                        PLUS, grid))
-        assert a.diagnostics["path"] == "dense-branch"
-        assert a.diagnostics["branches"] == 2
+        # |00> maps to one Bell pair, and every placement of it gives the
+        # same reduced trajectory
+        assert a.diagnostics["branches"] == 1
         b = propagate_exact(FiniteMRun(qubit_sys(), qubit_site(), 3,
                                        materialize(chan, 3), PLUS, grid))
         for x, y in zip(a.states, b.states):
@@ -249,54 +279,75 @@ class TestConvergenceGap:
         assert gap[1] > 1e-3
 
 
-class TestKrylovPath:
-    def test_krylov_matches_dense_for_pure_product(self):
-        res = ProductState(DensityMatrix.pure(
-            np.array([np.cos(0.3), np.sin(0.3)], dtype=complex), (2,)))
-        grid = np.linspace(0.0, 1.0, 4)
-        run = FiniteMRun(qubit_sys(), qubit_site(), 9, res, PLUS, grid)
-        dense = propagate_exact(run)
-        assert dense.diagnostics["path"] == "dense-branch"
-        kry = _propagate_krylov(run, 2, 2 ** 9)
-        assert kry.diagnostics["branch_mass_defect"] < 1e-12
-        for a, b in zip(kry.states, dense.states):
-            assert trace_norm(a.data - b.data) < 1e-9
+class TestSectorEngine:
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from((2, 3)),
+           m=st.integers(1, 5),
+           kind=st.sampled_from(("product", "definetti", "macroscopic",
+                                 "channel", "explicit")))
+    def test_matches_full_space_oracle(self, seed, d, m, kind):
+        assume(d ** m <= 81)
+        rng = np.random.default_rng(seed)
 
-    def test_krylov_matches_dense_for_two_atom_mixture(self):
-        mix = DeFinettiMixture(((0.6, DensityMatrix.pure(ket("0"), (2,))),
-                                (0.4, DensityMatrix.pure(ket("+"), (2,)))))
-        grid = np.linspace(0.0, 1.0, 3)
-        run = FiniteMRun(qubit_sys(), qubit_site(), 9, mix, PLUS, grid)
-        dense = propagate_exact(run)
-        kry = _propagate_krylov(run, 2, 2 ** 9)
-        assert kry.diagnostics["branches"] == 2
-        for a, b in zip(kry.states, dense.states):
-            assert trace_norm(a.data - b.data) < 1e-9
+        def herm(dim):
+            return Operator(random_hermitian(rng, dim), (dim,), hermitian=True)
 
-    def test_large_problem_selects_krylov_automatically(self):
+        site = SiteModel(h=herm(d), interactions=(herm(d), herm(d)))
+        sys = SystemModel.single(herm(2), [(herm(2), 0), (herm(2), 1)])
+        rho0 = random_state(rng, (2,), int(rng.integers(1, 3)))
+        res = random_ensemble(rng, kind, d, m)
+        run = FiniteMRun(sys, site, m, res, rho0, np.array([0.0, 0.4, 1.3]))
+        got = propagate_exact(run)
+        assert got.diagnostics["path"] == "symmetric-sector"
+        assert got.diagnostics["branch_mass_defect"] < 1e-9
+        assert got.diagnostics["max_norm_drift"] < 1e-10
+        d_res = d ** m
+        for a, b in zip(got.states, joint_trajectory(run).states):
+            want = b.data.reshape(2, d_res, 2, d_res).trace(axis1=1, axis2=3)
+            assert trace_norm(a.data - want) < 1e-10
+
+    def test_rank_two_at_m12_is_exact(self):
+        # 13 compositions over the two eigenvectors in 7 sectors; nothing
+        # is dropped or renormalized
+        res = ProductState(tilted_mixed_site())
+        run = FiniteMRun(qubit_sys(), qubit_site(), 12, res, PLUS,
+                         np.array([0.0, 0.4]))
+        out = propagate_exact(run)
+        assert out.diagnostics["branches"] == 13
+        assert out.diagnostics["sectors"] == 7
+        assert out.diagnostics["branch_mass_defect"] < 1e-12
+        assert out.diagnostics["max_norm_drift"] < 1e-10
+        for state in out.states:
+            assert abs(complex(np.trace(state.data)) - 1.0) < 1e-12
+
+    def test_large_pure_product_uses_one_sector(self):
         res = ProductState(DensityMatrix.pure(ket("0"), (2,)))
         run = FiniteMRun(qubit_sys(), qubit_site(), 12, res, PLUS,
                          np.array([0.0, 0.5]))
         out = propagate_exact(run)
-        assert out.diagnostics["path"] == "krylov-branch"
+        assert out.diagnostics["sectors"] == 1
+        assert out.diagnostics["max_sector_dim"] == 13
         assert out.diagnostics["max_norm_drift"] < 1e-10
         assert abs(complex(np.trace(out.states[-1].data)) - 1.0) < 1e-10
 
-    def test_branch_cap_truncation_is_recorded_and_renormalized(self):
+    def test_sector_beyond_dense_cutoff_is_refused(self):
+        # the even split (100, 100) has dimension 101^2, times 2 > 4096
         res = ProductState(tilted_mixed_site())
-        grid = np.array([0.0, 0.4])
-        run4 = FiniteMRun(qubit_sys(), qubit_site(), 12, res, PLUS, grid,
-                          branch_cap=4)
-        out4 = propagate_exact(run4)
-        assert out4.diagnostics["path"] == "krylov-branch"
-        d4 = out4.diagnostics["branch_mass_defect"]
-        assert 0.0 < d4 < 1.0
-        # kept weights are renormalized, so the state stays unit trace
-        assert abs(complex(np.trace(out4.states[-1].data)) - 1.0) < 1e-10
-        run16 = FiniteMRun(qubit_sys(), qubit_site(), 12, res, PLUS, grid,
-                           branch_cap=16)
-        d16 = propagate_exact(run16).diagnostics["branch_mass_defect"]
-        assert d16 < d4
+        run = FiniteMRun(qubit_sys(), qubit_site(), 200, res, PLUS,
+                         np.array([0.0, 0.5]))
+        with pytest.raises(ResourceLimitError,
+                           match=r"part counts \(100, 100\) has dimension 10201"):
+            propagate_exact(run)
+
+    def test_gap_falls_as_one_over_m(self):
+        cfg = load_config(resolve_config("qubit_convergence"))
+        rows = m_sweep(cfg.system, cfg.site, cfg.reservoir, cfg.initial_state,
+                       cfg.grid, [16, 32, 64, 128, 256],
+                       step_target=cfg.step_target)
+        gaps = [r.gap for r in rows]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert all(0.5 < r.ratio < 0.6 for r in rows[1:])
 
 
 class TestSeriesOracle:
@@ -359,8 +410,8 @@ class TestSeriesOracle:
         res = ProductState(tilted_mixed_site())
         m, t = 2, 0.7
         free = assemble_total(SystemModel(local_h=sys.local_h, couplings=()),
-                              site, m, form="dense").data
-        v = assemble_total(sys, site, m, form="dense").data - free
+                              site, m).data
+        v = assemble_total(sys, site, m).data - free
         assert np.allclose(free @ v, v @ free)
         u0 = expm(-1j * t * free)
         rho0 = np.kron(PLUS.data, materialize(res, m).data)

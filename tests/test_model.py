@@ -9,9 +9,7 @@ from mflab.model import (
     Coupling,
     SiteModel,
     SystemModel,
-    TermListOperator,
     assemble_cluster_interaction,
-    assemble_mean_field_interaction,
     assemble_multisystem,
     assemble_total,
     coherent_ket,
@@ -40,14 +38,22 @@ def qubit_site(v_mat):
                      interactions=(Operator(v_mat, (2,), hermitian=True),))
 
 
+def interaction(g, v, m_count):
+    """The coupling part of assemble_total: zero system and site
+    Hamiltonians leave G tensor the site average of v."""
+    zero = Operator(np.zeros((2, 2), dtype=complex), (2,), hermitian=True)
+    return assemble_total(SystemModel.single(zero, [(g, 0)]),
+                          SiteModel(h=zero, interactions=(v,)), m_count)
+
+
 def test_single_site_interaction_is_plain_tensor_product():
-    out = assemble_mean_field_interaction(SX, SZ, 1)
+    out = interaction(SX, SZ, 1)
     assert np.allclose(out.data, np.kron(SX.data, SZ.data))
     assert out.dims == (2, 2)
 
 
 def test_two_site_interaction_matches_hand_expansion():
-    out = assemble_mean_field_interaction(SX, SZ, 2)
+    out = interaction(SX, SZ, 2)
     expected = 0.5 * np.kron(SX.data, np.kron(SZ.data, I2) + np.kron(I2, SZ.data))
     assert np.allclose(out.data, expected)
 
@@ -73,7 +79,7 @@ def test_interaction_norm_never_exceeds_factor_norms():
     for m in range(1, 5):
         g = Operator(random_hermitian(rng, 2), (2,), hermitian=True)
         v = Operator(random_hermitian(rng, 2), (2,), hermitian=True)
-        vm = assemble_mean_field_interaction(g, v, m)
+        vm = interaction(g, v, m)
         bound = operator_norm(g.data) * operator_norm(v.data)
         assert operator_norm(vm.data) <= bound + 1e-12
 
@@ -81,8 +87,8 @@ def test_interaction_norm_never_exceeds_factor_norms():
 def test_interaction_linear_in_coupling_strength():
     # scaling by 2.0 is exact in floating point
     g2 = Operator(2.0 * SX.data, (2,), hermitian=True)
-    a = assemble_mean_field_interaction(g2, SZ, 3)
-    b = assemble_mean_field_interaction(SX, SZ, 3)
+    a = interaction(g2, SZ, 3)
+    b = interaction(SX, SZ, 3)
     assert np.array_equal(a.data, 2.0 * b.data)
 
 
@@ -201,7 +207,7 @@ def embed_pair_oracle(v4, sites, m):
 def test_cluster_size_one_reduces_to_mean_field():
     cluster = ClusterInteraction(nu=1, v_cluster=SZ)
     a = assemble_cluster_interaction(SX, cluster, 3)
-    b = assemble_mean_field_interaction(SX, SZ, 3)
+    b = interaction(SX, SZ, 3)
     assert np.allclose(a.data, b.data)
 
 
@@ -250,58 +256,20 @@ def test_embed_cluster_order_matters():
     assert np.allclose(embed_cluster(x, (2, 1), 3), embed_cluster(xs, (1, 2), 3))
 
 
-# Term-list representation.
-
-def test_forced_term_list_matches_dense_assembly():
-    sys = SystemModel.single(SZ, [Coupling(g=SX)])
-    site = qubit_site(SX.data)
-    dense = assemble_total(sys, site, 3)
-    terms = assemble_total(sys, site, 3, form="terms")
-    assert isinstance(terms, TermListOperator)
-    assert np.allclose(terms.to_dense(), dense.data, atol=1e-12)
-
-
-def test_term_list_matvec_agrees_with_dense():
-    rng = np.random.default_rng(43)
-    sys = SystemModel.single(Operator(random_hermitian(rng, 2), (2,), hermitian=True),
-                             [Coupling(g=SX)])
-    site = qubit_site(random_hermitian(rng, 2))
-    dense = assemble_total(sys, site, 4)
-    terms = assemble_total(sys, site, 4, form="terms")
-    for _ in range(5):
-        vec = rng.normal(size=dense.dim) + 1j * rng.normal(size=dense.dim)
-        assert np.allclose(terms.matvec(vec), dense.data @ vec, atol=1e-10)
-        e1 = terms.expectation(vec / np.linalg.norm(vec))
-        v = vec / np.linalg.norm(vec)
-        assert abs(e1 - np.vdot(v, dense.data @ v).real) < 1e-10
-
-
-def test_auto_form_switches_to_terms_above_cutoff():
-    sys = SystemModel.single(SZ, [Coupling(g=SX)])
-    site = qubit_site(SX.data)
-    out = assemble_total(sys, site, 12)  # joint dim 8192
-    assert isinstance(out, TermListOperator)
-    assert out.dim == 2 ** 13
-
-
-def test_interaction_term_list_matches_dense():
-    out = assemble_mean_field_interaction(SX, SZ, 2, form="terms")
-    dense = assemble_mean_field_interaction(SX, SZ, 2, form="dense")
-    assert np.allclose(out.to_dense(), dense.data)
-
+# Dense size limit.
 
 def test_oversize_dense_request_rejected():
     sys = SystemModel.single(SZ, [Coupling(g=SX)])
     site = qubit_site(SX.data)
     with pytest.raises(ResourceLimitError):
-        assemble_total(sys, site, 12, form="dense")
+        assemble_total(sys, site, 12)  # joint dim 8192
 
 
 def test_joint_dimension_hard_limit():
     sys = SystemModel.single(SZ, [Coupling(g=SX)])
     site = qubit_site(SX.data)
     with pytest.raises(ResourceLimitError):
-        assemble_total(sys, site, 17)  # 2^18 > iterative cutoff
+        assemble_total(sys, site, 17)  # joint dim 2^18
 
 
 # Bosonic helpers.
