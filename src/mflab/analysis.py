@@ -21,7 +21,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import QuadratureError, ToleranceError, ValidationError
 from .exact import FiniteMRun, propagate_exact
-from .effective import (EffectivePotential, QuasiPeriodicSignal, evolve_state,
+from .effective import (DEFAULT_STEP_TARGET, EffectivePotential,
+                        QuasiPeriodicSignal, evolve_state,
                         effective_trajectory, propagate_effective)
 from .matio import atomic_write_text
 from .model import (ClusterInteraction, SiteModel, SystemModel,
@@ -109,7 +110,7 @@ class SweepRow:
 
 def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
             rho0: DensityMatrix, grid, m_list, threads: int = 1,
-            step_target: float = 1e-7) -> list[SweepRow]:
+            step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table: per reservoir size, the max-over-grid trace
     distance to the limit trajectory, plus the ratio to the previous row.
     Each row also keeps the finite-size solver's path, sector count and
@@ -157,7 +158,7 @@ def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:
 
 def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction,
                   reservoir_state, rho0: DensityMatrix, grid, m_list,
-                  step_target: float = 1e-7) -> list[SweepRow]:
+                  step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table when the coupling averages a joint operator over
     every ordered subset of cluster.nu reservoir sites.
 

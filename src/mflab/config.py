@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
+from .effective import DEFAULT_STEP_TARGET
 from .errors import ConfigError
 from .model import (ClusterInteraction, Coupling, SiteModel, SystemModel,
                     coherent_ket, oscillator_site)
@@ -385,7 +386,7 @@ def _build_run(block: _Block):
     t_max = _as_positive(block.get("t_max"), f"{block.where}.t_max")
     n_times = _as_int(block.get("n_times"), f"{block.where}.n_times",
                       minimum=2)
-    step_target = _as_positive(block.get("step_target", 1e-7),
+    step_target = _as_positive(block.get("step_target", DEFAULT_STEP_TARGET),
                                f"{block.where}.step_target")
     block.done()
     return m_list, np.linspace(0.0, t_max, n_times), step_target
@@ -546,7 +547,7 @@ class ExperimentConfig:
     initial_state: DensityMatrix | None = None
     grid: np.ndarray | None = None
     m_list: tuple[int, ...] = ()
-    step_target: float = 1e-7
+    step_target: float = DEFAULT_STEP_TARGET
     cluster: ClusterInteraction | None = None
     audit: dict | None = None
     checks: tuple[dict, ...] = ()

@@ -7,7 +7,8 @@ This module builds those scalar signals in closed quasi-periodic form,
 integrates the resulting time-dependent Schrodinger equation with a
 midpoint-exponential scheme (order 2, unitary by construction per step), and
 evolves density matrices along the result, including convex mixtures of
-propagations for exchangeable reservoir ensembles.
+propagations for exchangeable reservoir ensembles and tensor products of
+per-factor propagations for systems with local couplings.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ToleranceError, ValidationError
 from .model import Coupling, SiteModel, SystemModel
@@ -85,49 +85,6 @@ class QuasiPeriodicSignal:
 
 
 @dataclass(frozen=True)
-class SampledSignal:
-    """Real signal known on a grid, evaluated by cubic interpolation.
-
-    Interpolation error is O(h^4 max|w''''|) on the sample spacing h;
-    evaluation outside the sampled window is refused.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        values = np.asarray(self.values).ravel()
-        if grid.size < 4:
-            raise ValidationError("need at least 4 samples for cubic interpolation")
-        if grid.shape != values.shape:
-            raise ValidationError("grid and value counts differ")
-        if np.any(np.diff(grid) <= 0):
-            raise ValidationError("sample grid must be strictly increasing")
-        if np.iscomplexobj(values):
-            if np.max(np.abs(values.imag)) > SIGNAL_IMAG_ATOL:
-                raise ValidationError("sampled signal has imaginary content")
-            values = values.real
-        values = values.astype(float)
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spline", CubicSpline(grid, values))
-
-    def evaluate(self, t):
-        tarr = np.atleast_1d(np.asarray(t, dtype=float))
-        if tarr.min() < self.grid[0] - 1e-12 or tarr.max() > self.grid[-1] + 1e-12:
-            raise ValidationError(
-                f"evaluation at t in [{tarr.min()}, {tarr.max()}] outside "
-                f"sampled window [{self.grid[0]}, {self.grid[-1]}]")
-        vals = self._spline(tarr)
-        if np.asarray(t).ndim == 0:
-            return float(vals[0])
-        return vals
-
-
-@dataclass(frozen=True)
 class EffectivePotential:
     """One scalar signal per site interaction operator, by index."""
 
@@ -137,9 +94,6 @@ class EffectivePotential:
         object.__setattr__(self, "signals", tuple(self.signals))
         if not self.signals:
             raise ValidationError("potential needs at least one signal")
-
-    def value(self, index: int, t):
-        return self.signals[index].evaluate(t)
 
     @classmethod
     def zero(cls, n_interactions: int = 1) -> "EffectivePotential":
@@ -242,15 +196,6 @@ def _step_unitary(h: np.ndarray, dt: float) -> np.ndarray:
              [-1j * sr * (vx + 1j * vy), cr + 1j * sr * vz]])
     evals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * dt * evals)) @ vecs.conj().T
-
-
-def effective_hamiltonian(sys: SystemModel, potential: EffectivePotential,
-                          t: float) -> np.ndarray:
-    """System Hamiltonian plus potential-weighted coupling operators at time t."""
-    h = sys.h_full()
-    for c in sys.couplings:
-        h = h + potential.value(c.v_index, t) * sys.coupling_full(c)
-    return h
 
 
 def _run_grid(sys: SystemModel, potential: EffectivePotential,

@@ -46,7 +46,7 @@ from .reservoir import (
     largest_remainder_counts,
     materialize,
 )
-from .effective import effective_trajectory
+from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .results import PropagationResult
 
 EIGVAL_CUT = 1e-12
@@ -345,14 +345,12 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
         ph = np.exp(-1j * evals * t)
         rt = (ph[:, None] * rho_e) * ph.conj()[None, :]
         states.append(DensityMatrix(emat @ rt @ emat.conj().T, dims))
-    energy = float(np.sum(np.diag(rho_e).real * evals))
-    return PropagationResult(run.grid, tuple(states),
-                             {"path": "dense-joint", "energy": energy})
+    return PropagationResult(run.grid, tuple(states), {"path": "dense-joint"})
 
 
 def convergence_gap(sys: SystemModel, site: SiteModel, reservoir_state,
                     m_count: int, rho0: DensityMatrix, grid,
-                    step_target: float = 1e-7,
+                    step_target: float = DEFAULT_STEP_TARGET,
                     n_substeps: int | None = None) -> np.ndarray:
     """Half trace-norm distance between the finite-size reduced trajectory
     and the limit trajectory, per grid point."""

@@ -1,38 +1,13 @@
-"""Matrix and trajectory serialization.
+"""Atomic file writes.
 
-Binary operator layout (little-endian throughout):
-
-    bytes 0..3   magic b"MFOP"
-    u32          format version (1)
-    u8           flags bit0 = hermitian, bit1 = unitary
-    u32          number of tensor factors n
-    u32 * n      factor dimensions
-    f64 * 2*d*d  matrix entries in column-major order, each as (re, im)
-
-Trajectory files use magic b"MFTJ" and store a shared dims header, the time
-grid and then one column-major complex-pair frame per grid point.
-
-The text format is one header line "dims: d1 d2 ..." followed by d rows of
-d whitespace-separated entries, each formatted re+imj with 17 significant
-digits so float64 values round-trip exactly.
+Output files are written to a temp file in the target directory and then
+renamed over the target, so a reader never sees a partly written file.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import struct
 import tempfile
-from typing import Sequence
-
-import numpy as np
-
-from .errors import ValidationError
-from .operators import DensityMatrix, Operator
-
-_OP_MAGIC = b"MFOP"
-_TRAJ_MAGIC = b"MFTJ"
-_VERSION = 1
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -52,120 +27,3 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def _pack_matrix(data: np.ndarray) -> bytes:
-    flat = np.asarray(data, dtype=complex).flatten(order="F")
-    buf = np.empty(2 * flat.size, dtype="<f8")
-    buf[0::2] = flat.real
-    buf[1::2] = flat.imag
-    return buf.tobytes()
-
-
-def _unpack_matrix(payload: bytes, d: int) -> np.ndarray:
-    buf = np.frombuffer(payload, dtype="<f8")
-    if buf.size != 2 * d * d:
-        raise ValidationError(f"matrix payload holds {buf.size} floats, expected {2 * d * d}")
-    flat = buf[0::2] + 1j * buf[1::2]
-    return flat.reshape(d, d, order="F")
-
-
-def save_operator(path: str, op: Operator | DensityMatrix) -> None:
-    hermitian = getattr(op, "hermitian", True)
-    unitary = getattr(op, "unitary", False)
-    flags = (1 if hermitian else 0) | (2 if unitary else 0)
-    head = _OP_MAGIC + struct.pack("<IBI", _VERSION, flags, len(op.dims))
-    head += struct.pack(f"<{len(op.dims)}I", *op.dims)
-    atomic_write_bytes(path, head + _pack_matrix(op.data))
-
-
-def load_operator(path: str) -> Operator:
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    if raw[:4] != _OP_MAGIC:
-        raise ValidationError(f"{path} is not an operator file")
-    version, flags, n = struct.unpack_from("<IBI", raw, 4)
-    if version != _VERSION:
-        raise ValidationError(f"unsupported operator format version {version}")
-    offset = 4 + struct.calcsize("<IBI")
-    dims = struct.unpack_from(f"<{n}I", raw, offset)
-    offset += 4 * n
-    d = math.prod(dims)
-    data = _unpack_matrix(raw[offset:], d)
-    return Operator(data, dims, hermitian=bool(flags & 1), unitary=bool(flags & 2))
-
-
-def operator_to_text(op: Operator | DensityMatrix) -> str:
-    lines = ["dims: " + " ".join(str(d) for d in op.dims)]
-    for row in op.data:
-        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def operator_from_text(text: str) -> Operator:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dims:"):
-        raise ValidationError("text matrix must start with a 'dims:' header")
-    dims = tuple(int(tok) for tok in lines[0].split(":", 1)[1].split())
-    d = math.prod(dims)
-    if len(lines) != d + 1:
-        raise ValidationError(f"expected {d} matrix rows, found {len(lines) - 1}")
-    data = np.empty((d, d), dtype=complex)
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
-        if len(tokens) != d:
-            raise ValidationError(f"row {i} has {len(tokens)} entries, expected {d}")
-        data[i] = [complex(tok) for tok in tokens]
-    return Operator(data, dims)
-
-
-def save_operator_text(path: str, op: Operator | DensityMatrix) -> None:
-    atomic_write_text(path, operator_to_text(op))
-
-
-def load_operator_text(path: str) -> Operator:
-    with open(path, "r", encoding="utf-8") as handle:
-        return operator_from_text(handle.read())
-
-
-def save_trajectory(path: str, times: np.ndarray, frames: np.ndarray,
-                    dims: Sequence[int]) -> None:
-    times = np.asarray(times, dtype=float)
-    frames = np.asarray(frames, dtype=complex)
-    if frames.ndim != 3 or frames.shape[0] != times.size:
-        raise ValidationError(
-            f"frames shape {frames.shape} does not match {times.size} grid points")
-    d = math.prod(dims)
-    if frames.shape[1:] != (d, d):
-        raise ValidationError(f"frame size {frames.shape[1:]} does not match dims {tuple(dims)}")
-    head = _TRAJ_MAGIC + struct.pack("<II", _VERSION, len(dims))
-    head += struct.pack(f"<{len(dims)}I", *dims)
-    head += struct.pack("<Q", times.size)
-    body = times.astype("<f8").tobytes()
-    body += b"".join(_pack_matrix(frame) for frame in frames)
-    atomic_write_bytes(path, head + body)
-
-
-def load_trajectory(path: str):
-    """Returns (times, frames, dims)."""
-    with open(path, "rb") as handle:
-        raw = handle.read()
-    if raw[:4] != _TRAJ_MAGIC:
-        raise ValidationError(f"{path} is not a trajectory file")
-    version, n = struct.unpack_from("<II", raw, 4)
-    if version != _VERSION:
-        raise ValidationError(f"unsupported trajectory format version {version}")
-    offset = 4 + 8
-    dims = struct.unpack_from(f"<{n}I", raw, offset)
-    offset += 4 * n
-    (n_t,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    times = np.frombuffer(raw, dtype="<f8", count=n_t, offset=offset).copy()
-    offset += 8 * n_t
-    d = math.prod(dims)
-    frame_bytes = 16 * d * d
-    frames = np.empty((n_t, d, d), dtype=complex)
-    for k in range(n_t):
-        frames[k] = _unpack_matrix(raw[offset:offset + frame_bytes], d)
-        offset += frame_bytes
-    return times, frames, tuple(dims)

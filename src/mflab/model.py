@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -188,18 +188,6 @@ def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
     return Operator(out, dims, hermitian=True)
 
 
-def assemble_multisystem(sys: SystemModel, site: SiteModel, m_count: int):
-    """Joint Hamiltonian for several subsystems sharing one reservoir.
-
-    Same assembly as assemble_total; this entry point additionally insists
-    that the model really is in multi-subsystem form, i.e. every coupling is
-    local to a declared factor (guaranteed by SystemModel construction).
-    """
-    if sys.n_subsystems < 1:
-        raise ValidationError("no subsystem factors declared")
-    return assemble_total(sys, site, m_count)
-
-
 def embed_cluster(x: Operator, sites: Sequence[int], m_count: int) -> np.ndarray:
     """Embed a multi-factor site operator at the given 1-based site positions."""
     nu = len(x.dims)
@@ -252,10 +240,6 @@ def destroy(n_levels: int) -> Operator:
     return Operator(data, (n_levels,))
 
 
-def create(n_levels: int) -> Operator:
-    return destroy(n_levels).dagger()
-
-
 def number_op(n_levels: int) -> Operator:
     return Operator(np.diag(np.arange(n_levels, dtype=float)).astype(complex),
                     (n_levels,), hermitian=True)
@@ -289,15 +273,3 @@ def oscillator_site(n_levels: int = DEFAULT_FOCK_LEVELS, omega: float = 1.0,
         raise ValidationError(f"unknown oscillator interaction {interaction!r}")
     return SiteModel(h=h, interactions=(v,), fock_truncation=n_levels)
 
-
-def fock_truncation_check(value_fn: Callable[[int], float], n_levels: int,
-                          tol: float = 1e-6):
-    """Compare an observable at n_levels and 2*n_levels.
-
-    Returns (converged, change). The doubling criterion is the documented
-    adequacy test for truncated-oscillator models.
-    """
-    base = value_fn(n_levels)
-    doubled = value_fn(2 * n_levels)
-    change = abs(doubled - base)
-    return change < tol, change

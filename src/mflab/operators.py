@@ -2,7 +2,7 @@
 
 Everything downstream (model assembly, moments, propagation) is built on the
 small set of primitives here: Kronecker products, single-site embeddings,
-partial traces, Hermitian matrix exponentials and trace norms.
+partial traces and trace norms.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ DENSE_CUTOFF = 4096
 
 HERMITIAN_RTOL = 1e-9     # flagged-Hermitian deviation, relative to the norm scale
 UNITARY_FLAG_ATOL = 1e-9  # flagged-unitary deviation, max-abs entry of A†A - I
-EXPM_UNITARY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PTRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
@@ -86,10 +85,6 @@ class Operator:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def dagger(self) -> "Operator":
-        return Operator(self.data.conj().T, self.dims,
-                        hermitian=self.hermitian, unitary=self.unitary)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
@@ -108,13 +103,6 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(np.kron(a.data, b.data), a.dims + b.dims,
                     hermitian=a.hermitian and b.hermitian,
                     unitary=a.unitary and b.unitary)
-
-
-def kron_all(*ops: Operator) -> Operator:
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
 
 
 def embed_at_site(x: Operator, m: int, n_sites: int,
@@ -180,35 +168,10 @@ def partial_trace(state: "DensityMatrix | Operator | np.ndarray",
     return _ptrace_array(np.asarray(state, dtype=complex), dims, keep)
 
 
-def expm_hermitian(h: "Operator | np.ndarray", t: float,
-                   dims: Sequence[int] | None = None) -> Operator:
-    """Unitary e^{-i t h} of a Hermitian generator, via eigendecomposition."""
-    if isinstance(h, Operator):
-        data, dims = h.data, h.dims
-    else:
-        data = _as_square_complex(h)
-        dims = tuple(dims) if dims is not None else (data.shape[0],)
-    if hermitian_defect(data) > HERMITIAN_RTOL:
-        raise ValidationError(
-            f"expm_hermitian needs a Hermitian generator, defect {hermitian_defect(data):.2e}")
-    lam, vec = np.linalg.eigh(data)
-    u = (vec * np.exp(-1j * t * lam)) @ vec.conj().T
-    defect = unitary_defect(u)
-    if defect > EXPM_UNITARY_ATOL:
-        raise ToleranceError(f"matrix exponential lost unitarity: defect {defect:.2e}")
-    return Operator(u, dims, unitary=True)
-
-
 def trace_norm(x: "Operator | np.ndarray") -> float:
     """Tr sqrt(X†X), the sum of singular values."""
     arr = x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex)
     return float(np.linalg.svd(arr, compute_uv=False).sum())
-
-
-def operator_norm(x: "Operator | np.ndarray") -> float:
-    """Largest singular value."""
-    arr = x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex)
-    return float(np.linalg.svd(arr, compute_uv=False)[0])
 
 
 def permute_factors(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]):

@@ -1,9 +1,7 @@
 """Trajectory container shared by the effective and finite-size solvers.
 
 Both solvers emit the same shape of data: a time grid, one reduced density
-matrix per grid point, and run diagnostics. CSV export writes every float
-with 17 significant digits and a '.' decimal separator so repeated runs are
-byte-identical.
+matrix per grid point, and run diagnostics.
 """
 
 from __future__ import annotations
@@ -13,10 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .matio import atomic_write_text, save_trajectory
 from .operators import DensityMatrix, Operator
-
-CSV_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -39,10 +34,6 @@ class PropagationResult:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.states[0].dims
-
     def purities(self) -> np.ndarray:
         return np.array([s.purity() for s in self.states])
 
@@ -58,22 +49,3 @@ class PropagationResult:
 
     def final_state(self) -> DensityMatrix:
         return self.states[-1]
-
-    def to_csv(self, path: str, observables: dict | None = None) -> None:
-        """Columns: t, one per named observable, purity, trace_drift."""
-        observables = observables or {}
-        cols = {name: self.expectations(op) for name, op in observables.items()}
-        purity = self.purities()
-        drift = self.trace_drifts()
-        header = ",".join(["t", *cols.keys(), "purity", "trace_drift"])
-        lines = [header]
-        for k, t in enumerate(self.times):
-            row = [CSV_FMT % t]
-            row += [CSV_FMT % cols[name][k] for name in cols]
-            row += [CSV_FMT % purity[k], CSV_FMT % drift[k]]
-            lines.append(",".join(row))
-        atomic_write_text(path, "\n".join(lines) + "\n")
-
-    def save_states(self, path: str) -> None:
-        frames = np.stack([s.data for s in self.states])
-        save_trajectory(path, self.times, frames, self.dims)

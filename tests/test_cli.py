@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mflab
 from mflab import analysis, cli
 from mflab.config import KINDS, load_config, parse_config
 from mflab.errors import ConfigError, ValidationError
@@ -370,3 +374,25 @@ class TestCsvRendering:
         text = cli.render_csv(["a", "b", "c", "d"],
                               [[3, True, math.nan, 0.1]])
         assert text.splitlines()[1] == "3,1,nan,0.10000000000000001"
+
+
+IMPORT_PROBE = """
+import json, sys
+import mflab
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+import mflab.cli, mflab.analysis
+heavy = sorted(m for m in sys.modules
+               if m.startswith(("scipy.interpolate", "scipy.optimize")))
+print(json.dumps([loaded, heavy]))
+"""
+
+
+def test_import_weight():
+    # A fresh interpreter: test modules import scipy.optimize themselves.
+    src = os.path.dirname(os.path.dirname(mflab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    scipy_on_package_import, heavy_on_cli_import = json.loads(out.stdout)
+    assert scipy_on_package_import == []
+    assert heavy_on_cli_import == []

@@ -9,8 +9,6 @@ import mflab.effective as eff
 from mflab.effective import (
     EffectivePotential,
     QuasiPeriodicSignal,
-    SampledSignal,
-    effective_hamiltonian,
     effective_potential,
     effective_trajectory,
     evolve_state,
@@ -98,17 +96,6 @@ def test_signal_realness_enforced():
     assert sig.amplitude() == 1.0
 
 
-def test_sampled_signal_interpolation():
-    grid = np.linspace(0, 3, 61)
-    sig = SampledSignal(grid, np.sin(grid))
-    probe = np.linspace(0.01, 2.99, 77)
-    assert np.max(np.abs(sig.evaluate(probe) - np.sin(probe))) < 1e-6
-    cubic = SampledSignal(grid, grid ** 3 - 2 * grid)
-    assert abs(cubic.evaluate(1.234) - (1.234 ** 3 - 2 * 1.234)) < 1e-12
-    with pytest.raises(ValidationError):
-        sig.evaluate(3.5)
-
-
 # propagation
 
 def test_zero_potential_free_evolution():
@@ -191,13 +178,6 @@ def test_step_halving_failure_reports_estimate(monkeypatch):
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     with pytest.raises(ToleranceError, match="achieved"):
         propagate_effective(sys, pot, [0.0, 3.0], step_target=1e-14)
-
-
-def test_effective_hamiltonian_assembly():
-    sys = qubit_sys(SZ.data, SX.data)
-    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
-    h = effective_hamiltonian(sys, pot, 0.0)
-    assert np.allclose(h, SZ.data + SX.data)  # cos(0) = 1
 
 
 # product propagation over system factors

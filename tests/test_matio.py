@@ -1,95 +1,26 @@
-import numpy as np
+import os
+
 import pytest
 
-from mflab.errors import ValidationError
-from mflab.matio import (
-    load_operator,
-    load_operator_text,
-    load_trajectory,
-    operator_from_text,
-    operator_to_text,
-    save_operator,
-    save_operator_text,
-    save_trajectory,
-)
-from mflab.operators import Operator, pauli
+from mflab.matio import atomic_write_bytes, atomic_write_text
 
 
-def random_op(rng, dims):
-    d = int(np.prod(dims))
-    data = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return Operator(data, dims)
+def temp_leftovers(directory):
+    return [n for n in os.listdir(directory) if n.startswith(".tmp-")]
 
 
-def test_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(42)
-    op = random_op(rng, (2, 3))
-    path = str(tmp_path / "op.mfop")
-    save_operator(path, op)
-    back = load_operator(path)
-    assert back.dims == (2, 3)
-    assert np.array_equal(back.data, op.data)  # bit-exact
+def test_atomic_write_replaces_existing_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("old\n")
+    atomic_write_text(str(path), "new\n")
+    assert path.read_text() == "new\n"
+    assert temp_leftovers(tmp_path) == []
 
 
-def test_binary_layout_is_column_major(tmp_path):
-    op = Operator(np.array([[1.0, 2.0], [3.0, 4.0]]), (2,))
-    path = str(tmp_path / "op.mfop")
-    save_operator(path, op)
-    raw = np.fromfile(path, dtype="<f8", offset=4 + 9 + 4)
-    # column-major: (1, 3, 2, 4) interleaved with zero imaginary parts
-    np.testing.assert_array_equal(raw, [1, 0, 3, 0, 2, 0, 4, 0])
-
-
-def test_binary_preserves_flags(tmp_path):
-    path = str(tmp_path / "sx.mfop")
-    save_operator(path, pauli("x"))
-    back = load_operator(path)
-    assert back.hermitian and back.unitary
-
-
-def test_binary_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValidationError):
-        load_operator(str(path))
-
-
-def test_text_round_trip_exact():
-    rng = np.random.default_rng(1)
-    op = random_op(rng, (2, 2))
-    back = operator_from_text(operator_to_text(op))
-    assert np.array_equal(back.data, op.data)
-    assert back.dims == (2, 2)
-
-
-def test_text_file_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    op = random_op(rng, (3,))
-    path = str(tmp_path / "op.txt")
-    save_operator_text(path, op)
-    back = load_operator_text(path)
-    assert np.array_equal(back.data, op.data)
-
-
-def test_text_rejects_malformed():
-    with pytest.raises(ValidationError):
-        operator_from_text("no header\n1 2\n3 4\n")
-    with pytest.raises(ValidationError):
-        operator_from_text("dims: 2\n1+0j\n1+0j 0+0j\n")
-
-
-def test_trajectory_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    times = np.linspace(0.0, 1.0, 5)
-    frames = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    path = str(tmp_path / "traj.mftj")
-    save_trajectory(path, times, frames, (2, 2))
-    t2, f2, dims = load_trajectory(path)
-    assert dims == (2, 2)
-    assert np.array_equal(t2, times)
-    assert np.array_equal(f2, frames)
-
-
-def test_trajectory_shape_check(tmp_path):
-    with pytest.raises(ValidationError):
-        save_trajectory(str(tmp_path / "x"), np.zeros(3), np.zeros((2, 2, 2)), (2,))
+def test_failed_write_keeps_old_contents_and_removes_temp_file(tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(str(path), "not bytes")  # raises after mkstemp
+    assert path.read_text() == "old\n"
+    assert temp_leftovers(tmp_path) == []

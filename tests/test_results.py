@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mflab.errors import ValidationError
-from mflab.matio import load_trajectory
 from mflab.operators import DensityMatrix, pauli
 from mflab.results import PropagationResult
 
@@ -30,38 +29,3 @@ def test_shape_validation():
     res = sample_result()
     with pytest.raises(ValidationError):
         res.expectations(np.eye(3))
-
-
-def test_csv_export_is_deterministic(tmp_path):
-    res = sample_result()
-    obs = {"sz": pauli("z")}
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    res.to_csv(str(p1), obs)
-    res.to_csv(str(p2), obs)
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().strip().split("\n")
-    assert lines[0] == "t,sz,purity,trace_drift"
-    row = lines[2].split(",")
-    assert float(row[0]) == 0.5
-    assert float(row[1]) == 0.5
-    assert float(row[2]) == 0.625
-    # 17 significant digits survive the round trip bit-exactly
-    third = 1 / 3
-    states = (DensityMatrix(np.array([[third, 0], [0, 1 - third]]), (2,)),
-              DensityMatrix(np.eye(2, dtype=complex) / 2, (2,)))
-    res2 = PropagationResult(np.array([0.0, third]), states)
-    p3 = tmp_path / "c.csv"
-    res2.to_csv(str(p3))
-    parsed = float(p3.read_text().strip().split("\n")[2].split(",")[0])
-    assert parsed == third
-
-
-def test_state_trajectory_round_trip(tmp_path):
-    res = sample_result()
-    path = tmp_path / "traj.bin"
-    res.save_states(str(path))
-    times, frames, dims = load_trajectory(str(path))
-    assert np.array_equal(times, res.times)
-    assert dims == (2,)
-    for k, s in enumerate(res.states):
-        assert np.array_equal(frames[k], s.data)
