@@ -154,7 +154,8 @@ def _run_entanglement(cfg: ExperimentConfig):
     rows = [[t] + [col[k] for col in columns]
             for k, t in enumerate(cfg.grid)]
     devs = [float(np.max(np.abs(col - columns[0]))) for col in columns[1:]]
-    notes = {"max_deviation_by_m": dict(zip(map(str, cfg.m_list), devs))}
+    notes = {"max_deviation_by_m": dict(zip(map(str, cfg.m_list), devs)),
+             "limit": limit.diagnostics}
     return header, rows, notes
 
 
@@ -311,7 +312,8 @@ def _run_definetti(cfg: ExperimentConfig):
     min_purity = min(float(np.real(np.trace(s.data @ s.data)))
                      for s in mixture.states)
     notes = {"mixture_closest_fraction": closer,
-             "min_mixture_purity": min_purity}
+             "min_mixture_purity": min_purity,
+             "limit": mixture.diagnostics}
     return header, rows, notes
 
 

@@ -38,7 +38,6 @@ class SiteModel:
 
     h: Operator
     interactions: tuple[Operator, ...]
-    fock_truncation: int | None = None
 
     def __post_init__(self):
         interactions = tuple(self.interactions)
@@ -271,5 +270,5 @@ def oscillator_site(n_levels: int = DEFAULT_FOCK_LEVELS, omega: float = 1.0,
         v = Operator(nu * number_op(n_levels).data, (n_levels,), hermitian=True)
     else:
         raise ValidationError(f"unknown oscillator interaction {interaction!r}")
-    return SiteModel(h=h, interactions=(v,), fock_truncation=n_levels)
+    return SiteModel(h=h, interactions=(v,))
 

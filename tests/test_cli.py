@@ -361,6 +361,19 @@ outputs: {table: m.csv}
         assert all(row.rsplit(",", 1)[1] == "1" for row in lines[1:])
 
 
+@pytest.mark.parametrize("name", ["bell_pair_protection",
+                                  "definetti_two_atom"])
+def test_limit_diagnostics_in_summary(tmp_path, name):
+    cfg = load_config(cli.resolve_config(name))
+    summary = cli.run_experiment(cfg, tmp_path, name)
+    limit = summary["notes"]["limit"]
+    assert limit["step_error"] <= cfg.step_target
+    assert limit["n_substeps"] >= 1
+    assert limit["factors"] == cfg.system.n_subsystems
+    written = json.loads((tmp_path / "summary.json").read_text())
+    assert written["notes"]["limit"] == limit
+
+
 class TestCsvRendering:
     def test_header_mandatory_and_width_checked(self):
         with pytest.raises(ValidationError, match="width"):

@@ -180,6 +180,60 @@ def test_step_halving_failure_reports_estimate(monkeypatch):
         propagate_effective(sys, pot, [0.0, 3.0], step_target=1e-14)
 
 
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+def sequential_midpoint_oracle(h0, g, signal, grid, n):
+    """Plain product of expm midpoint steps, one substep at a time."""
+    u = np.eye(h0.shape[0], dtype=complex)
+    out = [u]
+    for k in range(len(grid) - 1):
+        dt = (grid[k + 1] - grid[k]) / n
+        for j in range(n):
+            w = signal.evaluate(grid[k] + (j + 0.5) * dt)
+            u = expm(-1j * dt * (h0 + w * g)) @ u
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 3, 48])
+@pytest.mark.parametrize("chunk", [eff.STEP_CHUNK, 64])
+def test_batched_stepper_matches_sequential_expm(monkeypatch, d, n, chunk):
+    # 40 uneven intervals cross a chunk boundary at n = 48 with the default
+    # chunk; the small chunk also splits single intervals into pieces
+    monkeypatch.setattr(eff, "STEP_CHUNK", chunk)
+    rng = np.random.default_rng(29 + d)
+    h0, g = random_hermitian(rng, d), random_hermitian(rng, d)
+    signal = QuasiPeriodicSignal(np.array([1.3, -1.3, 0.4, -0.4]),
+                                 np.array([0.5, 0.5, 0.3j, -0.3j]))
+    sys = SystemModel.single(Operator(h0, (d,), hermitian=True),
+                             [(Operator(g, (d,), hermitian=True), 0)])
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.08, 40))])
+    prop = propagate_effective(sys, EffectivePotential((signal,)), grid,
+                               n_substeps=n)
+    oracle = sequential_midpoint_oracle(h0, g, signal, grid, n)
+    assert np.max(np.abs(prop.unitaries - np.array(oracle))) < 1e-12
+
+
+def test_scalar_generator_step_is_pure_phase():
+    # H(t) = (0.7 + cos t) I has no traceless part: the r = 0 branch
+    eye = np.eye(2, dtype=complex)
+    sys = qubit_sys(0.7 * eye, eye)
+    signal = QuasiPeriodicSignal(np.array([1.0, -1.0]),
+                                 np.array([0.5 + 0j, 0.5 + 0j]))
+    grid = np.linspace(0, 2, 11)
+    prop = propagate_effective(sys, EffectivePotential((signal,)), grid,
+                               n_substeps=3)
+    assert not np.any(np.isnan(prop.unitaries))
+    oracle = sequential_midpoint_oracle(0.7 * eye, eye, signal, grid, 3)
+    assert np.max(np.abs(prop.unitaries - np.array(oracle))) < 1e-12
+    assert np.all(prop.unitaries[:, 0, 1] == 0)
+    assert np.all(prop.unitaries[:, 1, 0] == 0)
+
+
 # product propagation over system factors
 
 def two_qubit_sys(rng):
@@ -362,3 +416,37 @@ def test_trajectory_dispatch_product_and_mixture():
     mixture = DeFinettiMixture(((0.5, PLUS), (0.5, GROUND)))
     res = effective_trajectory(sys, mixture, site, rho0, grid, n_substeps=64)
     assert np.max(res.trace_drifts()) < 1e-12
+
+
+def qubit_factors_sys(rng, n):
+    def local():
+        return Operator(0.4 * random_hermitian(rng, 2), (2,), hermitian=True)
+    return SystemModel(local_h=tuple(local() for _ in range(n)),
+                       couplings=tuple(Coupling(g=local(), subsystem=j)
+                                       for j in range(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_trajectory_routes_factors_like_joint_propagation(n):
+    rng = np.random.default_rng(31)
+    sys = qubit_factors_sys(rng, n)
+    site = qubit_site(SZ.data, SX.data)
+    grid = np.linspace(0, 0.6, 4)
+    ket = rng.normal(size=sys.dim) + 1j * rng.normal(size=sys.dim)
+    rho0 = DensityMatrix.pure(ket, sys.subsystem_dims)
+    minus = DensityMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]], complex), (2,))
+    joint = {}
+    for name, s in (("plus", PLUS), ("minus", minus)):
+        u = propagate_effective(sys, effective_potential(s, site), grid,
+                                step_target=1e-9).unitaries
+        joint[name] = u @ rho0.data @ np.swapaxes(u.conj(), 1, 2)
+    for reservoir, ref in (
+            (ProductState(PLUS), joint["plus"]),
+            (DeFinettiMixture(((0.4, PLUS), (0.6, minus))),
+             0.4 * joint["plus"] + 0.6 * joint["minus"])):
+        routed = effective_trajectory(sys, reservoir, site, rho0, grid,
+                                      step_target=1e-9)
+        assert routed.diagnostics["step_error"] <= 1e-9
+        assert routed.diagnostics["factors"] == n
+        for state, want in zip(routed.states, ref):
+            assert np.max(np.abs(state.data - want)) < 1e-8
