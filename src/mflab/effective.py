@@ -18,9 +18,10 @@ then chains the interval products into the unitaries at the grid points.
 
 Couplings are local to one system factor, so the limit propagator of a
 multi-factor system is the tensor product of per-factor propagators.
-effective_trajectory and propagate_definetti route such systems through
+effective_trajectory and propagate_definetti propagate every system through
 propagate_subsystems, which splits the step-error budget evenly across the
-factors; propagate_effective always propagates the system jointly.
+factors (a one-factor system is one propagate_effective call);
+propagate_effective always propagates the system jointly.
 """
 
 from __future__ import annotations
@@ -269,7 +270,8 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """out[k] = steps[k] @ ... @ steps[0], by a log-depth scan."""
+    """out[k] = steps[k] @ ... @ steps[0], by a log-depth scan: log2(n)
+    batched products in place of n - 1 single ones."""
     out = steps.copy()
     shift = 1
     while shift < len(out):
@@ -359,7 +361,8 @@ def propagate_subsystems(sys: SystemModel, potential, grid,
     sequence with one entry per factor. Each of the n factors is propagated
     to step_target / n and the reported step error is the sum of the factor
     estimates: unitary entries have modulus at most 1, so the sum bounds the
-    max-abs error of the tensor product.
+    max-abs error of the tensor product. A one-factor system is one
+    propagate_effective call.
     """
     n = sys.n_subsystems
     if isinstance(potential, EffectivePotential):
@@ -391,18 +394,6 @@ def propagate_subsystems(sys: SystemModel, potential, grid,
                                step_error, subs, factors=n)
 
 
-def _limit_propagator(sys: SystemModel, potential: EffectivePotential, grid,
-                      step_target: float,
-                      n_substeps: int | None) -> EffectivePropagator:
-    """Per-factor propagation for multi-factor systems, joint otherwise."""
-    if sys.n_subsystems > 1:
-        return propagate_subsystems(sys, potential, grid,
-                                    step_target=step_target,
-                                    n_substeps=n_substeps)
-    return propagate_effective(sys, potential, grid, step_target=step_target,
-                               n_substeps=n_substeps)
-
-
 def _conjugate(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return unitaries @ rho @ np.swapaxes(unitaries.conj(), -1, -2)
 
@@ -432,7 +423,7 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
 
     atoms: sequence of (weight, EffectivePotential). The trajectory is the
     weighted sum of the individually conjugated states; generally not a
-    unitary orbit. Multi-factor systems are propagated per factor.
+    unitary orbit. Each atom is propagated per system factor.
     """
     atoms = [(float(w), p) for w, p in atoms]
     if not atoms:
@@ -441,7 +432,8 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
     if any(w < 0 for w, _ in atoms) or abs(total - 1.0) > 1e-12:
         raise ValidationError(f"atom weights must be a distribution, sum {total}")
     grid = _check_grid(grid)
-    runs = [_limit_propagator(sys, pot, grid, step_target, n_substeps)
+    runs = [propagate_subsystems(sys, pot, grid, step_target=step_target,
+                                 n_substeps=n_substeps)
             for _, pot in atoms]
     acc = sum(w * _conjugate(run.unitaries, rho0.data)
               for (w, _), run in zip(atoms, runs))
@@ -461,8 +453,8 @@ def effective_trajectory(sys: SystemModel, state: ReservoirState,
                          n_substeps: int | None = None) -> PropagationResult:
     """Limit trajectory of rho0 for any supported reservoir ensemble.
 
-    Systems with more than one factor are propagated per factor (see
-    propagate_subsystems); the reported step error still bounds step_target.
+    The system is propagated per factor (see propagate_subsystems); the
+    reported step error still bounds step_target.
     """
     if isinstance(state, DeFinettiMixture):
         atoms = [(w, effective_potential(s, site)) for w, s in state.atoms]
@@ -470,5 +462,6 @@ def effective_trajectory(sys: SystemModel, state: ReservoirState,
                                    step_target=step_target,
                                    n_substeps=n_substeps)
     potential = effective_potential(state, site)
-    prop = _limit_propagator(sys, potential, grid, step_target, n_substeps)
+    prop = propagate_subsystems(sys, potential, grid, step_target=step_target,
+                                n_substeps=n_substeps)
     return evolve_state(prop, rho0)
