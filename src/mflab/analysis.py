@@ -25,8 +25,7 @@ from .effective import (DEFAULT_STEP_TARGET, EffectivePotential,
                         QuasiPeriodicSignal, evolve_state,
                         effective_trajectory, propagate_effective)
 from .matio import atomic_write_text
-from .model import (ClusterInteraction, SiteModel, SystemModel,
-                    assemble_cluster_interaction)
+from .model import ClusterInteraction, SiteModel, SystemModel
 from .operators import DensityMatrix, embed_at_site, trace_norm
 from .reservoir import ProductState, reference_site_state, site_signal_terms
 from .results import PropagationResult
@@ -108,13 +107,7 @@ class SweepRow:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
-def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
-            rho0: DensityMatrix, grid, m_list, threads: int = 1,
-            step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
-    """Convergence table: per reservoir size, the max-over-grid trace
-    distance to the limit trajectory, plus the ratio to the previous row.
-    Each row also keeps the finite-size solver's path, sector count and
-    size, mass defect and norm drift."""
+def _check_m_list(m_list) -> list[int]:
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise ValidationError("M list is empty")
@@ -122,14 +115,15 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
         raise ValidationError("M list entries must be positive")
     if any(a >= b for a, b in zip(m_list, m_list[1:])):
         raise ValidationError("M list must be strictly increasing")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    grid = np.asarray(grid, dtype=float)
-    limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
-                                 step_target=step_target)
+    return m_list
 
-    def gap_for(m: int):
-        run = FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
+
+def _sweep_rows(runs, limit: PropagationResult,
+                threads: int = 1) -> list[SweepRow]:
+    """Per finite-size run, the max-over-grid trace distance to the limit
+    trajectory, the ratio to the previous row, and the solver's path,
+    sector count and size, mass defect and norm drift."""
+    def gap_for(run: FiniteMRun):
         finite = propagate_exact(run)
         gap = max(trace_distance(a, b)
                   for a, b in zip(finite.states, limit.states))
@@ -138,18 +132,34 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
         return gap, {k: finite.diagnostics[k] for k in keep}
 
     if threads == 1:
-        results = [gap_for(m) for m in m_list]
+        results = [gap_for(run) for run in runs]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(gap_for, m_list))
+            results = list(pool.map(gap_for, runs))
     rows = []
     prev = None
-    for m, (g, diag) in zip(m_list, results):
+    for run, (g, diag) in zip(runs, results):
         ratio = math.nan if prev is None else g / prev
-        rows.append(SweepRow(m_count=m, gap=float(g), ratio=float(ratio),
-                             diagnostics=diag))
+        rows.append(SweepRow(m_count=run.m_count, gap=float(g),
+                             ratio=float(ratio), diagnostics=diag))
         prev = g
     return rows
+
+
+def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
+            rho0: DensityMatrix, grid, m_list, threads: int = 1,
+            step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
+    """Convergence table over reservoir sizes against the limit trajectory
+    of the reservoir ensemble (see _sweep_rows for the columns)."""
+    m_list = _check_m_list(m_list)
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
+    grid = np.asarray(grid, dtype=float)
+    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
+            for m in m_list]
+    limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
+                                 step_target=step_target)
+    return _sweep_rows(runs, limit, threads)
 
 
 def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:
@@ -163,28 +173,18 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
     every ordered subset of cluster.nu reservoir sites.
 
     The limit signal is the free-evolution expectation of the cluster
-    operator in nu reference factors; the finite-size joint model is dense
-    only, so keep the size list small.
+    operator in nu reference factors. The finite-size rows come from
+    propagate_exact with the cluster coupling, as in m_sweep.
     """
-    m_list = [int(m) for m in m_list]
-    if not m_list:
-        raise ValidationError("M list is empty")
-    if any(m < cluster.nu for m in m_list):
-        raise ValidationError(
-            f"M list entries must be at least the cluster size {cluster.nu}")
-    if any(a >= b for a, b in zip(m_list, m_list[1:])):
-        raise ValidationError("M list must be strictly increasing")
+    m_list = _check_m_list(m_list)
     if sys.n_subsystems != 1 or len(sys.couplings) != 1:
         raise ValidationError(
             "cluster sweep needs a single subsystem with one coupling")
     if not isinstance(reservoir_state, ProductState):
         raise ValidationError("cluster sweep needs a product ensemble")
     grid = np.asarray(grid, dtype=float)
-    d = site.dim
-    if cluster.v_cluster.dims != (d,) * cluster.nu:
-        raise ValidationError(
-            f"cluster operator dims {cluster.v_cluster.dims} do not match "
-            f"{cluster.nu} site factors of dim {d}")
+    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid, cluster)
+            for m in m_list]
     omega = reference_site_state(reservoir_state).data
 
     nu = cluster.nu
@@ -196,37 +196,7 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
     potential = EffectivePotential((QuasiPeriodicSignal(freqs, coeffs),))
     limit = evolve_state(propagate_effective(sys, potential, grid,
                                              step_target=step_target), rho0)
-
-    ds = sys.dim
-    g = sys.couplings[0].g
-
-    def gap_for(m: int) -> float:
-        d_res = d ** m
-        h = assemble_cluster_interaction(g, cluster, m).data.copy()
-        h += np.kron(sys.h_full(), np.eye(d_res))
-        h_res = sum(embed_at_site(site.h, j, m).data for j in range(1, m + 1))
-        h += np.kron(np.eye(ds), h_res)
-        rho_r = omega
-        for _ in range(m - 1):
-            rho_r = np.kron(rho_r, omega)
-        evals, vecs = np.linalg.eigh(h)
-        rho_e = vecs.conj().T @ np.kron(rho0.data, rho_r) @ vecs
-        worst = 0.0
-        for t, ref in zip(grid, limit.states):
-            phase = np.exp(-1j * evals * t)
-            rho_t = vecs @ (phase[:, None] * rho_e * phase.conj()[None, :]) @ vecs.conj().T
-            reduced = np.einsum("irkr->ik", rho_t.reshape(ds, d_res, ds, d_res))
-            worst = max(worst, trace_distance(reduced, ref.data))
-        return worst
-
-    rows = []
-    prev = None
-    for m in m_list:
-        gap = gap_for(m)
-        ratio = math.nan if prev is None else gap / prev
-        rows.append(SweepRow(m_count=m, gap=float(gap), ratio=float(ratio)))
-        prev = gap
-    return rows
+    return _sweep_rows(runs, limit)
 
 
 # Finite-difference spectral studies on an interval.

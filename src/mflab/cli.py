@@ -85,9 +85,8 @@ def _run_convergence(cfg: ExperimentConfig, threads: int, seed):
         "gaps_strictly_decreasing": bool(all(a > b for a, b in
                                              zip(gaps, gaps[1:]))),
         "final_gap": gaps[-1],
+        "finite_m": {str(r.m_count): r.diagnostics for r in rows_src},
     }
-    if cfg.cluster is None:
-        notes["finite_m"] = {str(r.m_count): r.diagnostics for r in rows_src}
     return header, rows, notes
 
 

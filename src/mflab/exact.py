@@ -13,7 +13,12 @@ branches, and an explicit reservoir density matrix is the sector of counts
 all sites acts as sum_p B_{n_p}(x), where B_n(x) = sum_ij x_ij a_i^dag a_j
 is the one-body operator on Sym^n, so a part of n sites has dimension
 C(n+d-1, d-1) instead of d^n (Shammah et al., PRA 98, 063815 (2018); Gegg
-and Richter, NJP 18, 043037 (2016)). Branches with the same counts share
+and Richter, NJP 18, 043037 (2016)). A cluster coupling averages a
+nu-site operator V over the perm(M, nu) ordered nu-tuples of distinct
+sites; that sum N(V) is permutation-invariant for every V and follows
+from the collective sums C by normal ordering, N(x_1..x_nu) =
+N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu, .., x_{nu-1}),
+so a plain coupling is the case nu = 1. Branches with the same counts share
 one dense eigendecomposition, and the reduced state is the weighted sum of
 their partial traces. Nothing is truncated except eigenvalues below
 EIGVAL_CUT in the state decompositions; a sector too large for the dense
@@ -35,8 +40,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import ResourceLimitError, ValidationError
-from .model import SiteModel, SystemModel, assemble_total
-from .operators import DENSE_CUTOFF, DensityMatrix, trace_norm
+from .model import (ClusterInteraction, SiteModel, SystemModel,
+                    assemble_cluster_interaction, assemble_total)
+from .operators import DENSE_CUTOFF, DensityMatrix, Operator, trace_norm
 from .reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -57,7 +63,12 @@ AMPLITUDE_CHUNK = 1 << 20
 
 @dataclass(frozen=True)
 class FiniteMRun:
-    """One finite-size propagation problem."""
+    """One finite-size propagation problem.
+
+    With a cluster set, every coupling multiplies the average of the
+    cluster operator over ordered nu-tuples of distinct sites instead of
+    the site average of its site interaction.
+    """
 
     sys: SystemModel
     site: SiteModel
@@ -65,6 +76,7 @@ class FiniteMRun:
     reservoir_state: object
     rho_s0: DensityMatrix
     grid: np.ndarray
+    cluster: ClusterInteraction | None = None
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -78,11 +90,21 @@ class FiniteMRun:
             raise ValidationError(
                 f"system state dim {self.rho_s0.dim} does not match model "
                 f"dim {self.sys.dim}")
-        for c in self.sys.couplings:
-            if not 0 <= c.v_index < len(self.site.interactions):
+        if self.cluster is None:
+            for c in self.sys.couplings:
+                if not 0 <= c.v_index < len(self.site.interactions):
+                    raise ValidationError(
+                        f"coupling references site interaction {c.v_index}, "
+                        f"site has {len(self.site.interactions)}")
+        else:
+            nu, d = self.cluster.nu, self.site.dim
+            if nu > self.m_count:
                 raise ValidationError(
-                    f"coupling references site interaction {c.v_index}, "
-                    f"site has {len(self.site.interactions)}")
+                    f"cluster size {nu} exceeds site count {self.m_count}")
+            if self.cluster.v_cluster.dims != (d,) * nu:
+                raise ValidationError(
+                    f"cluster operator dims {self.cluster.v_cluster.dims} do "
+                    f"not match {nu} site factors of dim {d}")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
 
@@ -179,12 +201,38 @@ def _sector_hamiltonian(run: FiniteMRun, counts) -> np.ndarray:
                                 np.eye(right))
         return out
 
+    def ordered_sum(v: np.ndarray, nu: int) -> np.ndarray:
+        """Sum of the nu-site operator v over ordered nu-tuples of distinct
+        sites, by normal ordering: N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu)
+        - sum_{j<nu} N(x_1, .., x_j x_nu, .., x_{nu-1})."""
+        if nu == 1:
+            return collective(v)
+        t = v.reshape((d,) * (2 * nu))
+        size = d ** (nu - 1)
+        out = 0
+        for a, c in itertools.product(range(d), repeat=2):
+            unit = np.zeros((d, d))
+            unit[a, c] = 1.0
+            rest = t[(slice(None),) * (nu - 1) + (a,)][..., c]
+            out = out + ordered_sum(rest.reshape(size, size), nu - 1) \
+                @ collective(unit)
+        rows, cols, z = list(range(nu - 1)), list(range(nu, 2 * nu)), 2 * nu
+        for j in range(nu - 1):
+            # factor j times the last factor: sum over the shared index z
+            x_j_x_nu = np.einsum(t, rows + [z] + cols[:j] + [z] + cols[j + 1:],
+                                 rows + cols[:j] + cols[-1:] + cols[j + 1:-1])
+            out = out - ordered_sum(x_j_x_nu.reshape(size, size), nu - 1)
+        return out
+
     sys = run.sys
     h = (np.kron(sys.h_full(), np.eye(math.prod(dims)))
          + np.kron(np.eye(sys.dim), collective(run.site.h.data)))
+    nu = 1 if run.cluster is None else run.cluster.nu
     for c in sys.couplings:
-        v = run.site.interactions[c.v_index].data
-        h += np.kron(sys.coupling_full(c), collective(v)) / run.m_count
+        v = (run.site.interactions[c.v_index] if run.cluster is None
+             else run.cluster.v_cluster).data
+        h += (np.kron(sys.coupling_full(c), ordered_sum(v, nu))
+              / math.perm(run.m_count, nu))
     return h
 
 
@@ -335,8 +383,17 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
         raise ResourceLimitError(
             f"joint trajectory capped at dimension {JOINT_TRAJECTORY_LIMIT}, "
             f"got {d_total}")
-    h = assemble_total(run.sys, run.site, run.m_count)
-    evals, emat = np.linalg.eigh(h.data)
+    sys = run.sys
+    if run.cluster is None:
+        h = assemble_total(sys, run.site, run.m_count).data
+    else:
+        h = assemble_total(SystemModel(local_h=sys.local_h), run.site,
+                           run.m_count).data
+        for c in sys.couplings:
+            g = Operator(sys.coupling_full(c), sys.subsystem_dims)
+            h = h + assemble_cluster_interaction(g, run.cluster,
+                                                 run.m_count).data
+    evals, emat = np.linalg.eigh(h)
     rho_r = _reservoir_matrix(run.reservoir_state, run.m_count)
     rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
     dims = run.rho_s0.dims + rho_r.dims

@@ -212,7 +212,8 @@ def embed_cluster(x: Operator, sites: Sequence[int], m_count: int) -> np.ndarray
 
 def assemble_cluster_interaction(g: Operator, cluster: ClusterInteraction,
                                  m_count: int) -> Operator:
-    """G tensor the average of the cluster operator over all ordered site subsets."""
+    """G tensor the average of the cluster operator over all ordered site
+    subsets; the dense full-space reference for the sector engine."""
     nu = cluster.nu
     if nu > m_count:
         raise ValidationError(f"cluster size {nu} exceeds site count {m_count}")
@@ -223,11 +224,9 @@ def assemble_cluster_interaction(g: Operator, cluster: ClusterInteraction,
             f"cluster assembly is dense only; dimension {d_total} > {DENSE_CUTOFF}")
     d_r = d ** m_count
     acc = np.zeros((d_r, d_r), dtype=complex)
-    count = 0
-    for subset in itertools.combinations(range(1, m_count + 1), nu):
+    for subset in itertools.permutations(range(1, m_count + 1), nu):
         acc += embed_cluster(cluster.v_cluster, subset, m_count)
-        count += 1
-    acc /= count
+    acc /= math.perm(m_count, nu)
     data = np.kron(g.data, acc)
     return Operator(data, g.dims + (d,) * m_count, hermitian=True)
 

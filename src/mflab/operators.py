@@ -93,18 +93,6 @@ class Operator:
         return Operator(self.data @ other.data, self.dims)
 
 
-def identity(dims: Sequence[int]) -> Operator:
-    d = math.prod(dims)
-    return Operator(np.eye(d, dtype=complex), tuple(dims), hermitian=True, unitary=True)
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with the first factor outermost."""
-    return Operator(np.kron(a.data, b.data), a.dims + b.dims,
-                    hermitian=a.hermitian and b.hermitian,
-                    unitary=a.unitary and b.unitary)
-
-
 def embed_at_site(x: Operator, m: int, n_sites: int,
                   site_dim: int | None = None) -> Operator:
     """Place a single-site operator at site m (1-based) of n_sites factors.
@@ -233,11 +221,6 @@ class DensityMatrix:
             raise ValidationError("cannot normalize the zero vector")
         vec = vec / nrm
         return cls(np.outer(vec, vec.conj()), tuple(dims), validate=False)
-
-    @classmethod
-    def maximally_mixed(cls, dims: Sequence[int]) -> "DensityMatrix":
-        d = math.prod(dims)
-        return cls(np.eye(d, dtype=complex) / d, tuple(dims), validate=False)
 
 
 # Qubit fixtures used throughout models and tests.

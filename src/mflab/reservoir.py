@@ -8,9 +8,8 @@ interaction by an exact combinatorial reduction over index partitions, so no
 M-site space is ever built for them; correlated states are materialized
 densely below the size cutoff.
 
-The bound helpers at the bottom give per-order moment constants for coherent
-and excitation-bounded oscillator or field ensembles, plus a numeric
-convergence check for the perturbation series they control.
+The bound helpers at the bottom give per-order moment constants for
+coherent oscillator ensembles.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -469,117 +468,3 @@ def coherent_bound_safe(n: int, alpha: complex) -> float:
     if n < 0:
         raise ValidationError("order must be nonnegative")
     return pairing_count(2 * (n // 2)) * (1.0 + abs(alpha)) ** n
-
-
-def scattering_bound(n: int, c: float, nu: float) -> float:
-    """Per-order constant for a number-conserving interaction with
-    excitation moments bounded by c^k."""
-    if n < 0 or c < 0:
-        raise ValidationError("order and excitation bound must be nonnegative")
-    return (c * abs(nu)) ** n
-
-
-def field_coherent_bound(n: int, f_norm: float, g_norm: float) -> float:
-    """Per-order constant for field coherent states with form factor norms."""
-    if n < 0 or f_norm < 0 or g_norm < 0:
-        raise ValidationError("order and norms must be nonnegative")
-    return pairing_count(2 * (n // 2)) * (0.5 + f_norm) ** n * g_norm ** n
-
-
-def field_scattering_bound(n: int, c: float, g_norm: float) -> float:
-    """Per-order constant for the field number-conserving interaction."""
-    if n < 0 or c < 0 or g_norm < 0:
-        raise ValidationError("order and norms must be nonnegative")
-    return (2 * c * g_norm ** 2) ** n
-
-
-@dataclass(frozen=True)
-class BoundProfile:
-    """Per-order constants and time densities controlling the series remainder."""
-
-    c_sys: Callable[[int], float]
-    c_res: Callable[[int], float]
-    b_sys: Callable[[float], float] | None = None
-    b_res: Callable[[float], float] | None = None
-
-    def accumulated(self, t: float, n_nodes: int = 256) -> float:
-        """B(t): integral of b_sys * b_res from 0 to t."""
-        if t < 0:
-            raise ValidationError("time must be nonnegative")
-        if self.b_sys is None and self.b_res is None:
-            return float(t)
-        bs = self.b_sys or (lambda s: 1.0)
-        br = self.b_res or (lambda s: 1.0)
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        s = 0.5 * t * (nodes + 1.0)
-        vals = np.array([bs(si) * br(si) for si in s])
-        out = float(0.5 * t * np.dot(weights, vals))
-        if out < -1e-12:
-            raise ValidationError(f"accumulated density B({t}) = {out:.3e} is negative")
-        return max(out, 0.0)
-
-
-@dataclass(frozen=True)
-class SeriesReport:
-    verdict: str  # convergent | divergent | inconclusive
-    log_terms: np.ndarray
-    partial_sum: float
-    ratio_estimate: float
-    root_estimate: float
-
-
-def _series_log_terms(profile: BoundProfile, log_2b: float, depth: int) -> np.ndarray:
-    return np.array([
-        n * log_2b
-        + math.log(max(profile.c_sys(int(n)), 1e-300))
-        + math.log(max(profile.c_res(int(n)), 1e-300))
-        - math.lgamma(n + 1)
-        for n in range(1, depth + 1)])
-
-
-def series_condition_check(profile: BoundProfile, t: float,
-                           n_max: int = 40) -> SeriesReport:
-    """Numerically probe sum_n (2B)^n C_sys(n) C_res(n) / n! for convergence.
-
-    Terms are handled in log space. The probe starts at n_max orders and
-    deepens while the tail ratio is above one but still falling, so series
-    whose terms peak late are not misread; the verdict reflects behavior up
-    to the final probing depth.
-    """
-    if n_max < 8:
-        raise ValidationError("need n_max >= 8 for a stable tail")
-    b_acc = profile.accumulated(t)
-    if b_acc == 0.0:
-        return SeriesReport("convergent", np.full(n_max, -np.inf), 0.0, 0.0, 0.0)
-    log_2b = math.log(2.0 * b_acc)
-    cap = max(64 * n_max, 2048)
-    depth = n_max
-    while True:
-        log_terms = _series_log_terms(profile, log_2b, depth)
-        tail = log_terms[-max(8, depth // 5):]
-        diffs = np.diff(tail)
-        flat = float(np.max(np.abs(np.diff(diffs)))) if diffs.size > 1 else 0.0
-        if np.all(diffs < -1e-3):
-            verdict = "convergent"
-            break
-        if np.all(np.abs(diffs) <= 1e-3) and log_terms[-1] > math.log(1e-8):
-            # terms neither grow nor vanish
-            verdict = "divergent"
-            break
-        if np.all(diffs > 1e-3) and flat < 1e-9:
-            # steady growth factor above one
-            verdict = "divergent"
-            break
-        if depth >= cap:
-            verdict = "divergent" if np.all(diffs > 1e-3) else "inconclusive"
-            break
-        depth = min(2 * depth, cap)
-    ratio_estimate = float(np.exp(np.mean(diffs))) if diffs.size else 0.0
-    root_estimate = float(np.exp(log_terms[-1] / depth))
-    finite = log_terms[np.isfinite(log_terms)]
-    if finite.size:
-        log_sum = finite.max() + math.log(float(np.sum(np.exp(finite - finite.max()))))
-        partial_sum = math.exp(log_sum) if log_sum < 700 else math.inf
-    else:
-        partial_sum = 0.0
-    return SeriesReport(verdict, log_terms, partial_sum, ratio_estimate, root_estimate)

@@ -34,18 +34,9 @@ class PropagationResult:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
 
-    def purities(self) -> np.ndarray:
-        return np.array([s.purity() for s in self.states])
-
-    def trace_drifts(self) -> np.ndarray:
-        return np.array([abs(complex(np.trace(s.data)) - 1.0) for s in self.states])
-
     def expectations(self, observable: Operator | np.ndarray) -> np.ndarray:
         a = observable.data if isinstance(observable, Operator) else np.asarray(observable)
         if a.shape != (self.states[0].dim,) * 2:
             raise ValidationError(
                 f"observable shape {a.shape} does not match state dim {self.states[0].dim}")
         return np.array([np.trace(s.data @ a).real for s in self.states])
-
-    def final_state(self) -> DensityMatrix:
-        return self.states[-1]

@@ -211,6 +211,19 @@ class TestRunVerb:
             assert diag["branch_mass_defect"] < 1e-12
             assert diag["max_norm_drift"] < 1e-10
 
+    def test_cluster_run_reports_finite_m_notes(self, tmp_path):
+        code = cli.main(["run", "cluster_pair", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads(
+            (tmp_path / "cluster_pair" / "summary.json").read_text())
+        finite = summary["notes"]["finite_m"]
+        assert sorted(finite, key=int) == ["2", "3", "4", "6"]
+        for m, diag in finite.items():
+            assert diag["path"] == "symmetric-sector"
+            assert diag["sectors"] == 1
+            assert diag["max_sector_dim"] == int(m) + 1
+            assert diag["max_norm_drift"] < 1e-10
+
     def test_csv_cells_roundtrip_full_precision(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONVERGENCE)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -14,7 +14,8 @@ from mflab.operators import (
     permute_factors,
     trace_norm,
 )
-from mflab.model import SiteModel, SystemModel, assemble_total
+from mflab.model import (ClusterInteraction, SiteModel, SystemModel,
+                         assemble_total)
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -23,7 +24,7 @@ from mflab.reservoir import (
     bell_channel_kraus,
     materialize,
 )
-from mflab.analysis import m_sweep
+from mflab.analysis import cluster_sweep, m_sweep
 from mflab.cli import resolve_config
 from mflab.config import load_config
 from mflab.effective import effective_potential
@@ -219,7 +220,7 @@ class TestConservation:
         grid = np.linspace(0.0, 2.5, 6)
         run = FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS, grid)
         jt = joint_trajectory(run)
-        pur = jt.purities()
+        pur = np.array([s.purity() for s in jt.states])
         assert pur.max() - pur.min() < 1e-12
         h = (np.kron(np.kron(SZ.data, I2), I2)
              + 0.7 * (np.kron(np.kron(I2, SZ.data), I2)
@@ -238,7 +239,7 @@ class TestConservation:
         out = propagate_exact(FiniteMRun(sys, qubit_site(), 3, res, PLUS, grid))
         vals = out.expectations(SZ)
         assert np.ptp(vals) < 1e-12
-        purities = out.purities()
+        purities = np.array([s.purity() for s in out.states])
         assert purities[0] - purities.min() > 1e-3
 
     def test_joint_trajectory_size_guard(self):
@@ -280,24 +281,32 @@ class TestConvergenceGap:
 
 
 class TestSectorEngine:
-    @settings(max_examples=60, deadline=None, database=None,
+    @settings(max_examples=100, deadline=None, database=None,
               derandomize=True)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from((2, 3)),
            m=st.integers(1, 5),
            kind=st.sampled_from(("product", "definetti", "macroscopic",
-                                 "channel", "explicit")))
-    def test_matches_full_space_oracle(self, seed, d, m, kind):
-        assume(d ** m <= 81)
+                                 "channel", "explicit")),
+           nu=st.sampled_from((None, 1, 2, 3)))
+    def test_matches_full_space_oracle(self, seed, d, m, kind, nu):
+        # nu=None: couplings to the site interactions; otherwise both
+        # couplings average a random cluster operator, in general not
+        # swap-symmetric, over ordered nu-tuples of sites
+        assume(d ** m <= 81 and m >= (nu or 1))
         rng = np.random.default_rng(seed)
 
-        def herm(dim):
-            return Operator(random_hermitian(rng, dim), (dim,), hermitian=True)
+        def herm(dim, dims=None):
+            return Operator(random_hermitian(rng, dim), dims or (dim,),
+                            hermitian=True)
 
         site = SiteModel(h=herm(d), interactions=(herm(d), herm(d)))
         sys = SystemModel.single(herm(2), [(herm(2), 0), (herm(2), 1)])
+        cluster = None if nu is None else ClusterInteraction(
+            nu, herm(d ** nu, (d,) * nu))
         rho0 = random_state(rng, (2,), int(rng.integers(1, 3)))
         res = random_ensemble(rng, kind, d, m)
-        run = FiniteMRun(sys, site, m, res, rho0, np.array([0.0, 0.4, 1.3]))
+        run = FiniteMRun(sys, site, m, res, rho0, np.array([0.0, 0.4, 1.3]),
+                         cluster)
         got = propagate_exact(run)
         assert got.diagnostics["path"] == "symmetric-sector"
         assert got.diagnostics["branch_mass_defect"] < 1e-9
@@ -348,6 +357,17 @@ class TestSectorEngine:
         gaps = [r.gap for r in rows]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert all(0.5 < r.ratio < 0.6 for r in rows[1:])
+
+    def test_cluster_gap_falls_as_one_over_m(self):
+        cfg = load_config(resolve_config("cluster_pair"))
+        rows = cluster_sweep(cfg.system, cfg.site, cfg.cluster, cfg.reservoir,
+                             cfg.initial_state, cfg.grid,
+                             [16, 32, 64, 128, 256],
+                             step_target=cfg.step_target)
+        gaps = [r.gap for r in rows]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert all(0.45 < r.ratio < 0.55 for r in rows[1:])
+        assert all(r.diagnostics["sectors"] == 1 for r in rows)
 
 
 class TestSeriesOracle:
@@ -462,3 +482,20 @@ class TestRunValidation:
                          np.array([0.0, 1.0]))
         with pytest.raises(ValidationError, match="factors"):
             propagate_exact(run)
+
+    def test_cluster_checked_against_sites(self):
+        res = ProductState(tilted_mixed_site())
+        grid = np.array([0.0, 1.0])
+        pair = ClusterInteraction(2, Operator(np.eye(4), (2, 2),
+                                              hermitian=True))
+        with pytest.raises(ValidationError, match="exceeds site count 1"):
+            FiniteMRun(qubit_sys(), qubit_site(), 1, res, PLUS, grid, pair)
+        qutrits = ClusterInteraction(2, Operator(np.eye(9), (3, 3),
+                                                 hermitian=True))
+        with pytest.raises(ValidationError, match=r"dims \(3, 3\)"):
+            FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS, grid, qutrits)
+        # the cluster replaces the site interactions, so v_index is not read
+        sys = SystemModel.single(SZ, [(SX, 5)])
+        FiniteMRun(sys, qubit_site(), 2, res, PLUS, grid, pair)
+        with pytest.raises(ValidationError, match="interaction 5"):
+            FiniteMRun(sys, qubit_site(), 2, res, PLUS, grid)

@@ -205,7 +205,10 @@ def test_cluster_covering_all_sites_is_single_term():
     v4 = random_hermitian(rng, 4)
     cluster = ClusterInteraction(nu=2, v_cluster=Operator(v4, (2, 2), hermitian=True))
     out = assemble_cluster_interaction(SX, cluster, 2)
-    assert np.allclose(out.data, np.kron(SX.data, v4))
+    # with every site in the cluster the ordered pairs are (1, 2) and
+    # (2, 1): V and V with its two factors swapped
+    swapped, _ = permute_factors(v4, (2, 2), (1, 0))
+    assert np.allclose(out.data, np.kron(SX.data, (v4 + swapped) / 2))
 
 
 def test_cluster_pair_average_over_three_sites():
@@ -213,10 +216,23 @@ def test_cluster_pair_average_over_three_sites():
     v4 = random_hermitian(rng, 4)
     cluster = ClusterInteraction(nu=2, v_cluster=Operator(v4, (2, 2), hermitian=True))
     out = assemble_cluster_interaction(SX, cluster, 3)
-    avg = (embed_pair_oracle(v4, (1, 2), 3)
-           + embed_pair_oracle(v4, (1, 3), 3)
-           + embed_pair_oracle(v4, (2, 3), 3)) / 3.0
+    avg = sum(embed_pair_oracle(v4, pair, 3)
+              for pair in itertools.permutations((1, 2, 3), 2)) / 6.0
     assert np.allclose(out.data, np.kron(SX.data, avg), atol=1e-12)
+
+
+def test_cluster_average_is_invariant_under_site_swaps():
+    # a random pair operator is not swap-symmetric; the average over
+    # ordered pairs is still invariant under every relabelling of sites
+    rng = np.random.default_rng(43)
+    v4 = random_hermitian(rng, 4)
+    swapped, _ = permute_factors(v4, (2, 2), (1, 0))
+    assert np.linalg.norm(swapped - v4) > 0.5
+    cluster = ClusterInteraction(nu=2, v_cluster=Operator(v4, (2, 2), hermitian=True))
+    out = assemble_cluster_interaction(SX, cluster, 3).data
+    for perm in itertools.permutations((1, 2, 3)):
+        relabelled, _ = permute_factors(out, (2, 2, 2, 2), (0,) + perm)
+        assert np.linalg.norm(relabelled - out) < 1e-12
 
 
 def test_cluster_larger_than_reservoir_rejected():

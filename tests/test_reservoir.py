@@ -8,7 +8,6 @@ from mflab.errors import ResourceLimitError, ToleranceError, ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
 from mflab.operators import DensityMatrix, Operator, partial_trace, pauli, permute_factors
 from mflab.reservoir import (
-    BoundProfile,
     ChannelCorrelated,
     DeFinettiMixture,
     MacroscopicParts,
@@ -18,16 +17,12 @@ from mflab.reservoir import (
     coherent_bound,
     coherent_bound_safe,
     factorization_error,
-    field_coherent_bound,
-    field_scattering_bound,
     kraus_defect,
     largest_remainder_counts,
     materialize,
     multitime_moment,
     pairing_count,
     reference_site_state,
-    scattering_bound,
-    series_condition_check,
     site_expectation,
 )
 
@@ -381,13 +376,6 @@ def test_coherent_bound_values():
     assert coherent_bound_safe(2, 0) == 1.0
 
 
-def test_scattering_and_field_bound_values():
-    assert abs(scattering_bound(3, 2.0, 0.5) - 1.0) < 1e-15
-    assert abs(field_scattering_bound(2, 1.5, 2.0) - 144.0) < 1e-12
-    assert abs(field_coherent_bound(4, 0.0, 1.0) - 3 / 16) < 1e-15
-    assert abs(field_coherent_bound(1, 0.5, 2.0) - 2.0) < 1e-15
-
-
 def test_pairing_supermultiplicativity():
     for n1 in range(11):
         for n2 in range(11):
@@ -411,51 +399,3 @@ def test_truncated_moments_respect_coherent_envelopes():
                 assert mom <= coherent_bound_safe(n, alpha) + 1e-9
                 if m >= 3:
                     assert mom <= coherent_bound(n, alpha) + 1e-9
-
-
-# series condition
-
-def test_exponential_profile_converges():
-    g_norm, v_norm = 2.0, 1.5
-    profile = BoundProfile(c_sys=lambda n: g_norm ** n, c_res=lambda n: v_norm ** n)
-    for t in (0.5, 2.0, 10.0):
-        report = series_condition_check(profile, t)
-        assert report.verdict == "convergent"
-        # partial sum approximates exp(2B g v) - 1; the probe stops once the
-        # tail ratio settles below one, so allow the truncated remainder
-        target = math.expm1(2 * t * g_norm * v_norm)
-        tol = 1e-6 if t <= 2 else 1e-2
-        assert abs(report.partial_sum - target) / target < tol
-
-
-def test_growing_root_profile_converges_by_ratio():
-    c = 1.0
-    profile = BoundProfile(c_sys=lambda n: (2 * c * (1 + n)) ** (n / 2),
-                           c_res=lambda n: 0.8 ** n)
-    report = series_condition_check(profile, 1.0)
-    assert report.verdict == "convergent"
-    assert report.ratio_estimate < 1
-
-
-def test_factorial_profile_diverges():
-    profile = BoundProfile(c_sys=lambda n: math.factorial(n),
-                           c_res=lambda n: 1.0)
-    report = series_condition_check(profile, 0.5)  # makes 2B exactly 1
-    assert report.verdict == "divergent"
-    faster = series_condition_check(profile, 2.0)
-    assert faster.verdict == "divergent"
-
-
-def test_zero_time_always_convergent():
-    profile = BoundProfile(c_sys=lambda n: math.factorial(n) ** 2,
-                           c_res=lambda n: 1.0)
-    assert series_condition_check(profile, 0.0).verdict == "convergent"
-
-
-def test_accumulated_density_monotone():
-    profile = BoundProfile(c_sys=lambda n: 1.0, c_res=lambda n: 1.0,
-                           b_sys=lambda s: 1 + s, b_res=lambda s: 2.0)
-    vals = [profile.accumulated(t) for t in (0.0, 0.5, 1.0, 2.0)]
-    assert vals[0] == 0.0
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    assert abs(vals[3] - 2 * (2 + 2)) < 1e-10  # integral of 2(1+s) to t=2
