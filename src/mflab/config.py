@@ -74,12 +74,6 @@ class _Block:
     def sub(self, key: str) -> "_Block":
         return _Block(self.get(key), f"{self.where}.{key}")
 
-    def sub_opt(self, key: str):
-        node = self.get(key, None)
-        if node is None:
-            return None
-        return _Block(node, f"{self.where}.{key}")
-
     def done(self) -> None:
         extra = sorted(set(self.node) - self.seen)
         if extra:

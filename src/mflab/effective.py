@@ -28,21 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
 from .model import Coupling, SiteModel, SystemModel
 from .operators import DensityMatrix
-from .reservoir import (
-    ChannelCorrelated,
-    DeFinettiMixture,
-    MacroscopicParts,
-    ProductState,
-    ReservoirState,
-    site_signal_terms,
-)
+from .reservoir import (DeFinettiMixture, ReservoirState,
+                        reference_site_state, site_signal_terms)
 from .results import PropagationResult
 
 SIGNAL_IMAG_ATOL = 1e-10
@@ -88,12 +81,6 @@ class QuasiPeriodicSignal:
             return float(vals[0])
         return vals
 
-    def amplitude(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
-    def is_zero(self, atol: float = 1e-12) -> bool:
-        return self.amplitude() <= atol
-
     @classmethod
     def constant(cls, value: float) -> "QuasiPeriodicSignal":
         return cls(np.array([0.0]), np.array([complex(value)]))
@@ -128,15 +115,8 @@ def effective_potential(state, site: SiteModel) -> EffectivePotential:
         raise ValidationError(
             "mixture ensembles have no single effective potential; "
             "build one per atom and combine the propagations")
-    if isinstance(state, DensityMatrix):
-        rho = state
-    elif isinstance(state, (ProductState, ChannelCorrelated)):
-        rho = state.site_state
-    elif isinstance(state, MacroscopicParts):
-        acc = sum(f * s.data for f, s in state.parts)
-        rho = DensityMatrix(acc, (state.site_dim,))
-    else:
-        raise ValidationError(f"unsupported ensemble {type(state).__name__}")
+    rho = (state if isinstance(state, DensityMatrix)
+           else reference_site_state(state))
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")

@@ -25,8 +25,10 @@ EIGVAL_CUT in the state decompositions; a sector too large for the dense
 cutoff is refused.
 
 A truncated interaction-picture commutator series serves as an independent
-short-time oracle. Its Dyson terms come exactly from one exponential of a
-block upper-bidiagonal matrix (Van Loan 1978), with no quadrature.
+short-time oracle on the same branches and sectors. Its Dyson terms come
+exactly from one exponential per sector of a block upper-bidiagonal matrix
+built from the sector's free and coupling parts (Van Loan 1978), with no
+quadrature. The full-space joint trajectory remains as a small-M reference.
 """
 
 from __future__ import annotations
@@ -187,8 +189,9 @@ def _one_body(n: int, d: int):
     return build
 
 
-def _sector_hamiltonian(run: FiniteMRun, counts) -> np.ndarray:
-    """Joint Hamiltonian on system x Sym^{n_1} x ... x Sym^{n_k}."""
+def _sector_hamiltonian(run: FiniteMRun, counts):
+    """Free and coupling parts of the joint Hamiltonian on
+    system x Sym^{n_1} x ... x Sym^{n_k}."""
     d = run.site.dim
     dims = [_sector_dim((n,), d) for n in counts]
     one_body = {n: _one_body(n, d) for n in set(counts)}
@@ -225,15 +228,16 @@ def _sector_hamiltonian(run: FiniteMRun, counts) -> np.ndarray:
         return out
 
     sys = run.sys
-    h = (np.kron(sys.h_full(), np.eye(math.prod(dims)))
-         + np.kron(np.eye(sys.dim), collective(run.site.h.data)))
+    free = (np.kron(sys.h_full(), np.eye(math.prod(dims)))
+            + np.kron(np.eye(sys.dim), collective(run.site.h.data)))
+    coupling = np.zeros_like(free)
     nu = 1 if run.cluster is None else run.cluster.nu
     for c in sys.couplings:
         v = (run.site.interactions[c.v_index] if run.cluster is None
              else run.cluster.v_cluster).data
-        h += (np.kron(sys.coupling_full(c), ordered_sum(v, nu))
-              / math.perm(run.m_count, nu))
-    return h
+        coupling += (np.kron(sys.coupling_full(c), ordered_sum(v, nu))
+                     / math.perm(run.m_count, nu))
+    return free, coupling
 
 
 # Reservoir branches: (weight, part counts, factors whose kron is the ket).
@@ -290,8 +294,8 @@ def _reservoir_branches(state, m: int, d: int, d_sys: int):
         if m < L:
             raise ValidationError(
                 f"need at least {L} sites for correlation length {L}")
-        block = apply_kraus(state.kraus,
-                            materialize(ProductState(state.site_state), L).data)
+        block = apply_kraus(state.kraus, functools.reduce(
+            np.kron, [state.site_state.data] * L))
         return _combine(
             _explicit_branches(DensityMatrix(block, (d,) * L, validate=False)),
             _product_branches(state.site_state, m - L, d, d_sys))
@@ -319,14 +323,10 @@ def _reservoir_matrix(state, m_count: int) -> DensityMatrix:
     return materialize(state, m_count)
 
 
-def propagate_exact(run: FiniteMRun) -> PropagationResult:
-    """Reduced system trajectory of the full finite-size dynamics.
-
-    Diagnostics: path, branches (joint pure branches), sectors (distinct
-    part counts), max_sector_dim (largest reservoir sector dimension),
-    branch_mass_defect (weight cut with near-zero eigenvalues) and
-    max_norm_drift.
-    """
+def _sector_columns(run: FiniteMRun):
+    """({part counts: columns}, diagnostics): weighted joint kets on
+    system x sector whose outer products sum to the initial joint state,
+    renormalized after the EIGVAL_CUT branch cut."""
     d, d_sys = run.site.dim, run.sys.dim
     res = _reservoir_branches(run.reservoir_state, run.m_count, d, d_sys)
     sys_branches = _pure_branches(run.rho_s0)
@@ -342,10 +342,7 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
         sectors.setdefault(key, []).append((w, counts, order, factors))
     for counts in sectors:
         _check_sector(counts, d, d_sys)
-    grid = run.grid
-    acc = np.zeros((grid.size, d_sys, d_sys), dtype=complex)
-    norms = np.zeros(grid.size)
-    n_branches = 0
+    columns = {}
     for counts, members in sectors.items():
         cols = []
         for w, part_counts, order, factors in members:
@@ -354,9 +351,29 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
             ket = ket.transpose(order).reshape(-1)
             cols += [math.sqrt(ws * w / kept) * np.kron(vs, ket)
                      for ws, vs in sys_branches]
-        n_branches += len(cols)
-        evals, emat = np.linalg.eigh(_sector_hamiltonian(run, counts))
-        phi = emat.conj().T @ np.stack(cols, axis=1)
+        columns[counts] = np.stack(cols, axis=1)
+    diag = {"path": "symmetric-sector",
+            "branches": sum(c.shape[1] for c in columns.values()),
+            "sectors": len(columns),
+            "max_sector_dim": max(_sector_dim(c, d) for c in columns),
+            "branch_mass_defect": max(0.0, float(1.0 - kept))}
+    return columns, diag
+
+
+def propagate_exact(run: FiniteMRun) -> PropagationResult:
+    """Reduced system trajectory of the full finite-size dynamics.
+
+    Diagnostics: path, branches (joint pure branches), sectors (distinct
+    part counts), max_sector_dim (largest reservoir sector dimension),
+    branch_mass_defect (weight cut with near-zero eigenvalues) and
+    max_norm_drift.
+    """
+    columns, diag = _sector_columns(run)
+    d_sys, grid = run.sys.dim, run.grid
+    acc = np.zeros((grid.size, d_sys, d_sys), dtype=complex)
+    for counts, cols in columns.items():
+        evals, emat = np.linalg.eigh(sum(_sector_hamiltonian(run, counts)))
+        phi = emat.conj().T @ cols
         dim, n_cols = phi.shape
         step = max(1, AMPLITUDE_CHUNK // phi.size)
         for lo in range(0, grid.size, step):
@@ -366,13 +383,9 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
             a = a.reshape(d_sys, -1, ts.size, n_cols).transpose(2, 0, 1, 3)
             a = a.reshape(ts.size, d_sys, -1)
             acc[lo:lo + step] += a @ a.conj().transpose(0, 2, 1)
-            norms[lo:lo + step] += np.sum(np.abs(a) ** 2, axis=(1, 2))
     states = tuple(DensityMatrix(a, run.rho_s0.dims) for a in acc)
-    diag = {"path": "symmetric-sector", "branches": n_branches,
-            "sectors": len(sectors),
-            "max_sector_dim": max(_sector_dim(c, d) for c in sectors),
-            "branch_mass_defect": max(0.0, float(1.0 - kept)),
-            "max_norm_drift": float(np.max(np.abs(norms - 1.0)))}
+    norms = np.trace(acc, axis1=1, axis2=2).real
+    diag["max_norm_drift"] = float(np.max(np.abs(norms - 1.0)))
     return PropagationResult(grid, states, diag)
 
 
@@ -427,8 +440,12 @@ def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
                     t: float) -> DensityMatrix:
     """Short-time series oracle for the reduced state at time t.
 
-    Let H0 be the free part of the joint Hamiltonian, V = H - H0 the
-    coupling and d the joint dimension. The (order+1)d x (order+1)d block
+    The initial joint state is split into the same pure branches on
+    symmetric sectors as in propagate_exact, so it inherits that solver's
+    EIGVAL_CUT branch cut. H0 and V are each permutation-invariant, so the
+    series acts on every sector separately. On one sector let H0 be the free
+    part of the joint Hamiltonian, V = H - H0 the coupling and d the system
+    dimension times the sector dimension. The (order+1)d x (order+1)d block
     upper-bidiagonal matrix with -i H0 t on every diagonal block and -i V t
     on every superdiagonal block has, as the first block row of its
     exponential, the Schroedinger-picture Dyson terms
@@ -437,33 +454,37 @@ def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
     Jimenez and Pedroso 2008, J. Comput. Appl. Math. 213:300). The
     interaction-picture commutator series truncated at the given order is
     sum_{k+l<=order} S_k rho0 S_l^dagger in the lab frame, and its partial
-    trace over the reservoir is returned. The result is not renormalized,
-    so its trace distance to the true state reflects the truncation error
-    honestly.
+    trace over the reservoir, summed over sectors, is returned. The result
+    is not renormalized, so its trace distance to the true state reflects
+    the truncation error honestly. A sector whose block exceeds the dense
+    cutoff is refused.
     """
     if not 0 <= order <= 4:
         raise ValidationError("series order must be between 0 and 4")
     if t < 0:
         raise ValidationError("time must be nonnegative")
-    d_sys, d_res = sys.dim, site.dim ** m_count
-    d_total = d_sys * d_res
-    d_block = (order + 1) * d_total
-    if d_block > DENSE_CUTOFF:
-        raise ResourceLimitError(
-            f"series oracle is dense only; block dimension {d_block} = "
-            f"(order {order} + 1) x {d_total} > {DENSE_CUTOFF}")
-    free = assemble_total(SystemModel(local_h=sys.local_h, couplings=()),
-                          site, m_count).data
-    v_mat = assemble_total(sys, site, m_count).data - free
-    block = -1j * t * (np.kron(np.eye(order + 1), free)
-                       + np.kron(np.eye(order + 1, k=1), v_mat))
-    row = expm(block)[:d_total]
-    terms = row.reshape(d_total, order + 1, d_total).transpose(1, 0, 2)
-    # sum_{k+l<=n} S_k rho0 S_l^dagger = sum_k S_k rho0 (S_0+..+S_{n-k})^dagger
-    partial = np.cumsum(terms, axis=0)
-    rho_r = _reservoir_matrix(reservoir_state, m_count)
-    rho0 = np.kron(rho_s0.data, rho_r.data)
-    joint = sum(terms[k] @ rho0 @ partial[order - k].conj().T
-                for k in range(order + 1))
-    red = np.einsum("irkr->ik", joint.reshape(d_sys, d_res, d_sys, d_res))
+    run = FiniteMRun(sys, site, m_count, reservoir_state, rho_s0,
+                     np.array([t]))
+    columns, _ = _sector_columns(run)
+    for cols in columns.values():
+        d_block = (order + 1) * cols.shape[0]
+        if d_block > DENSE_CUTOFF:
+            raise ResourceLimitError(
+                f"series oracle is dense only; block dimension {d_block} = "
+                f"(order {order} + 1) x {cols.shape[0]} > {DENSE_CUTOFF}")
+    d_sys = sys.dim
+    red = np.zeros((d_sys, d_sys), dtype=complex)
+    for counts, cols in columns.items():
+        free, coupling = _sector_hamiltonian(run, counts)
+        dim = free.shape[0]
+        block = -1j * t * (np.kron(np.eye(order + 1), free)
+                           + np.kron(np.eye(order + 1, k=1), coupling))
+        row = expm(block)[:dim]
+        # S_k and S_0+..+S_k applied to the branch columns
+        a = row.reshape(dim, order + 1, dim).transpose(1, 0, 2) @ cols
+        b = np.cumsum(a, axis=0)
+        a, b = a.reshape(order + 1, d_sys, -1), b.reshape(order + 1, d_sys, -1)
+        # with rho0 = cols cols^dagger, sum_{k+l<=n} S_k rho0 S_l^dagger =
+        # sum_k S_k rho0 (S_0+..+S_{n-k})^dagger, traced over the sector
+        red += sum(a[k] @ b[order - k].conj().T for k in range(order + 1))
     return DensityMatrix(red, rho_s0.dims, validate=False)

@@ -135,10 +135,6 @@ class SystemModel:
             out += self._embed(h.data, j)
         return out
 
-    @property
-    def h_sys(self) -> Operator:
-        return Operator(self.h_full(), self.subsystem_dims, hermitian=True)
-
     def coupling_full(self, c: Coupling) -> np.ndarray:
         return self._embed(c.g.data, c.subsystem)
 

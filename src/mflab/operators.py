@@ -85,27 +85,16 @@ class Operator:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise ValidationError(f"dims mismatch: {self.dims} vs {other.dims}")
-        return Operator(self.data @ other.data, self.dims)
 
-
-def embed_at_site(x: Operator, m: int, n_sites: int,
-                  site_dim: int | None = None) -> Operator:
+def embed_at_site(x: Operator, m: int, n_sites: int) -> Operator:
     """Place a single-site operator at site m (1-based) of n_sites factors.
 
-    The result acts as x on factor m and as the identity elsewhere. An
-    explicit site_dim, when given, must match the operator's own dimension.
+    The result acts as x on factor m and as the identity elsewhere.
     """
     if len(x.dims) != 1:
         raise ValidationError(f"embed_at_site expects a single-factor operator, dims={x.dims}")
     if not 1 <= m <= n_sites:
         raise ValidationError(f"site index {m} outside 1..{n_sites}")
-    if site_dim is not None and site_dim != x.dims[0]:
-        raise ValidationError(f"operator dimension {x.dims[0]} != declared site_dim {site_dim}")
     d = x.dims[0]
     left = np.eye(d ** (m - 1), dtype=complex)
     right = np.eye(d ** (n_sites - m), dtype=complex)

@@ -15,7 +15,6 @@ coherent oscillator ensembles.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -357,8 +356,7 @@ def _dense_moment(state: ReservoirState, m_count: int, site: SiteModel,
 
 
 def multitime_moment(state: ReservoirState, m_count: int, site: SiteModel,
-                     times: Sequence[float], v_index: int = 0,
-                     method: str = "auto") -> complex:
+                     times: Sequence[float], v_index: int = 0) -> complex:
     """Ensemble moment of the site-averaged evolved interaction at the
     given times, in the given order."""
     times = [float(t) for t in times]
@@ -368,10 +366,6 @@ def multitime_moment(state: ReservoirState, m_count: int, site: SiteModel,
         raise ValidationError("need at least one site")
     if _state_site_dim(state) != site.dim:
         raise ValidationError("ensemble site dim does not match site model")
-    if method not in ("auto", "partition", "dense"):
-        raise ValidationError(f"unknown moment method {method!r}")
-    if method == "dense":
-        return _dense_moment(state, m_count, site, times, v_index)
     if isinstance(state, ProductState):
         return _partition_moment([state.site_state.data], [m_count],
                                  site, times, v_index)
@@ -383,9 +377,6 @@ def multitime_moment(state: ReservoirState, m_count: int, site: SiteModel,
         keep = [(s.data, int(c)) for (_, s), c in zip(state.parts, counts) if c > 0]
         return _partition_moment([s for s, _ in keep], [c for _, c in keep],
                                  site, times, v_index)
-    if method == "partition":
-        raise ValidationError(
-            f"no combinatorial reduction for {type(state).__name__}")
     return _dense_moment(state, m_count, site, times, v_index)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .operators import DensityMatrix, Operator
+from .operators import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,3 @@ class PropagationResult:
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
-
-    def expectations(self, observable: Operator | np.ndarray) -> np.ndarray:
-        a = observable.data if isinstance(observable, Operator) else np.asarray(observable)
-        if a.shape != (self.states[0].dim,) * 2:
-            raise ValidationError(
-                f"observable shape {a.shape} does not match state dim {self.states[0].dim}")
-        return np.array([np.trace(s.data @ a).real for s in self.states])

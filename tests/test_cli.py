@@ -387,6 +387,23 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     assert written["notes"]["limit"] == limit
 
 
+def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
+    # the finite-M engine and the series oracle both work on symmetric
+    # sectors; the d^M joint Hamiltonian is a test-side reference only
+    import mflab.exact
+    import mflab.model
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-space joint Hamiltonian assembled")
+
+    monkeypatch.setattr(mflab.model, "assemble_total", refuse)
+    monkeypatch.setattr(mflab.exact, "assemble_total", refuse)
+    for name in ("dyson_ratio", "qubit_convergence"):
+        cfg = load_config(cli.resolve_config(name))
+        summary = cli.run_experiment(cfg, tmp_path / name, name)
+        assert summary["rows"] > 0
+
+
 class TestCsvRendering:
     def test_header_mandatory_and_width_checked(self):
         with pytest.raises(ValidationError, match="width"):

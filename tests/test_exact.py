@@ -14,8 +14,8 @@ from mflab.operators import (
     permute_factors,
     trace_norm,
 )
-from mflab.model import (ClusterInteraction, SiteModel, SystemModel,
-                         assemble_total)
+from mflab.model import (ClusterInteraction, Coupling, SiteModel,
+                         SystemModel, assemble_total)
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -89,6 +89,31 @@ def random_ensemble(rng, kind, d, m):
         kraus = (np.sqrt(w) * unitaries[0], np.sqrt(1 - w) * unitaries[1])
         return ChannelCorrelated(site_state(), L, kraus)
     return random_state(rng, (d,) * m, 3)
+
+
+def full_space_series(sys, site, res, m, rho_s0, max_order, t):
+    """The truncated series on the full d^M space for orders 0..max_order,
+    for small M. The first block row of one Van Loan exponential gives the
+    Dyson terms S_k; the block is upper triangular Toeplitz, so a lower
+    order uses the leading terms of the same row."""
+    free = assemble_total(SystemModel(local_h=sys.local_h), site, m).data
+    v = assemble_total(sys, site, m).data - free
+    block = -1j * t * (np.kron(np.eye(max_order + 1), free)
+                       + np.kron(np.eye(max_order + 1, k=1), v))
+    dim = free.shape[0]
+    terms = expm(block)[:dim].reshape(dim, max_order + 1, dim)
+    terms = terms.transpose(1, 0, 2)
+    partial = np.cumsum(terms, axis=0)
+    rho_r = res if isinstance(res, DensityMatrix) else materialize(res, m)
+    rho0 = np.kron(rho_s0.data, rho_r.data)
+    d_res = rho_r.dim
+    out = []
+    for order in range(max_order + 1):
+        joint = sum(terms[k] @ rho0 @ partial[order - k].conj().T
+                    for k in range(order + 1))
+        out.append(np.einsum("irkr->ik",
+                             joint.reshape(sys.dim, d_res, sys.dim, d_res)))
+    return out
 
 
 class TestDensePaths:
@@ -237,7 +262,7 @@ class TestConservation:
         res = ProductState(tilted_mixed_site())
         grid = np.linspace(0.0, 3.0, 7)
         out = propagate_exact(FiniteMRun(sys, qubit_site(), 3, res, PLUS, grid))
-        vals = out.expectations(SZ)
+        vals = [np.trace(s.data @ SZ.data).real for s in out.states]
         assert np.ptp(vals) < 1e-12
         purities = np.array([s.purity() for s in out.states])
         assert purities[0] - purities.min() > 1e-3
@@ -264,7 +289,7 @@ class TestConvergenceGap:
         # finite-size dynamics away from the free limit
         res = ProductState(DensityMatrix.pure(ket("0"), (2,)))
         pot = effective_potential(res, qubit_site())
-        assert pot.signals[0].is_zero()
+        assert np.sum(np.abs(pot.signals[0].coeffs)) <= 1e-12
         grid = np.linspace(0.0, 2.0, 9)
         gaps = [convergence_gap(qubit_sys(), qubit_site(), res, m, PLUS,
                                 grid).max() for m in (1, 2, 4, 8)]
@@ -445,9 +470,48 @@ class TestSeriesOracle:
             got = dyson_truncated(sys, site, res, m, PLUS, order, t)
             assert trace_norm(got.data - want) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["product", "definetti", "macroscopic",
+                                      "channel", "explicit"])
+    def test_matches_full_space_series(self, kind):
+        rng = np.random.default_rng(17)
+
+        def herm(dim):
+            return Operator(random_hermitian(rng, dim), (dim,),
+                            hermitian=True)
+
+        site = SiteModel(h=herm(2), interactions=(herm(2), herm(2)))
+        one = SystemModel.single(herm(2), [(herm(2), 0), (herm(2), 1)])
+        two = SystemModel(local_h=(herm(2), herm(2)),
+                          couplings=(Coupling(herm(2), 0, 0),
+                                     Coupling(herm(2), 1, 1)))
+        for sys in (one, two):
+            rho0 = random_state(rng, sys.subsystem_dims, 2)
+            for m in (2, 3, 5):
+                res = random_ensemble(rng, kind, 2, m)
+                wants = full_space_series(sys, site, res, m, rho0, 4, 0.3)
+                for order, want in enumerate(wants):
+                    got = dyson_truncated(sys, site, res, m, rho0, order, 0.3)
+                    assert trace_norm(got.data - want) < 1e-12
+
+    def test_reaches_large_reservoirs(self):
+        # the full-space block would be 5 x 2 x 2^M
+        res = ProductState(PLUS)
+        sys, site = qubit_sys(), qubit_site()
+        for m in (9, 64):
+            def gap(t):
+                approx = dyson_truncated(sys, site, res, m, PLUS, 4, t)
+                ex = propagate_exact(FiniteMRun(sys, site, m, res, PLUS,
+                                                np.array([t]))).states[0]
+                return trace_norm(approx.data - ex.data)
+
+            g = gap(0.2)
+            assert g < 1e-4
+            assert gap(0.4) / g > 16.0
+
     def test_block_dimension_guard(self):
-        # joint dimension 1024 is dense-sized, the order-4 block is not
-        res = ProductState(tilted_mixed_site())
+        # an explicit reservoir state is the full space: joint dimension
+        # 1024 is dense-sized, the order-4 block is not
+        res = materialize(ProductState(tilted_mixed_site()), 9)
         with pytest.raises(ResourceLimitError, match="block dimension 5120"):
             dyson_truncated(qubit_sys(), qubit_site(), res, 9, PLUS,
                             order=4, t=0.1)

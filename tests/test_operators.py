@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mflab.errors import ToleranceError, ValidationError
+from mflab.errors import ValidationError
 from mflab.operators import (
     DensityMatrix,
     Operator,
@@ -50,8 +50,6 @@ def test_embed_index_errors():
         embed_at_site(pauli("x"), 0, 2)
     with pytest.raises(ValidationError):
         embed_at_site(pauli("x"), 3, 2)
-    with pytest.raises(ValidationError):
-        embed_at_site(pauli("x"), 1, 2, site_dim=3)
 
 
 def test_partial_trace_product():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mflab.errors import ResourceLimitError, ToleranceError, ValidationError
+from mflab.errors import ResourceLimitError, ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
 from mflab.operators import DensityMatrix, Operator, partial_trace, pauli, permute_factors
 from mflab.reservoir import (
@@ -12,6 +12,7 @@ from mflab.reservoir import (
     DeFinettiMixture,
     MacroscopicParts,
     ProductState,
+    _dense_moment,
     bell_channel_kraus,
     build_channel_correlated,
     coherent_bound,
@@ -152,7 +153,7 @@ def test_moment_partition_path_matches_dense():
     times = [0.2, 0.9, 1.4]
     for m in (1, 2, 3, 4):
         fast = multitime_moment(ProductState(rho), m, site, times)
-        dense = multitime_moment(ProductState(rho), m, site, times, method="dense")
+        dense = _dense_moment(ProductState(rho), m, site, times, 0)
         assert abs(fast - dense) < 1e-12
 
 
@@ -164,7 +165,7 @@ def test_definetti_moment_is_weighted_sum_of_atoms():
     expected = (0.3 * multitime_moment(ProductState(GROUND), m, site, times)
                 + 0.7 * multitime_moment(ProductState(PLUS), m, site, times))
     assert abs(multitime_moment(mixture, m, site, times) - expected) < 1e-14
-    dense = multitime_moment(mixture, m, site, times, method="dense")
+    dense = _dense_moment(mixture, m, site, times, 0)
     assert abs(multitime_moment(mixture, m, site, times) - dense) < 1e-13
 
 
@@ -174,7 +175,7 @@ def test_macroscopic_moment_matches_dense():
     times = [0.4, 1.2]
     for m in (3, 4):
         fast = multitime_moment(state, m, site, times)
-        dense = multitime_moment(state, m, site, times, method="dense")
+        dense = _dense_moment(state, m, site, times, 0)
         assert abs(fast - dense) < 1e-12
 
 
@@ -217,8 +218,6 @@ def test_moment_dense_overflow_rejected():
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     with pytest.raises(ResourceLimitError):
         multitime_moment(state, 16, site, [0.1, 0.2])
-    with pytest.raises(ValidationError):
-        multitime_moment(state, 4, site, [0.1], method="partition")
 
 
 # factorization_error
