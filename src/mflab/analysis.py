@@ -21,13 +21,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import QuadratureError, ToleranceError, ValidationError
 from .exact import FiniteMRun, propagate_exact
-from .effective import (DEFAULT_STEP_TARGET, EffectivePotential,
-                        QuasiPeriodicSignal, evolve_state,
-                        effective_trajectory, propagate_effective)
+from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .matio import atomic_write_text
 from .model import ClusterInteraction, SiteModel, SystemModel
-from .operators import DensityMatrix, embed_at_site, trace_norm
-from .reservoir import ProductState, reference_site_state, site_signal_terms
+from .operators import DensityMatrix, Operator, embed_at_site, trace_norm
+from .reservoir import DeFinettiMixture, ProductState, materialize
 from .results import PropagationResult
 
 
@@ -131,6 +129,8 @@ def _sweep_rows(runs, limit: PropagationResult,
                 "max_norm_drift")
         return gap, {k: finite.diagnostics[k] for k in keep}
 
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     if threads == 1:
         results = [gap_for(run) for run in runs]
     else:
@@ -152,8 +152,6 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
     """Convergence table over reservoir sizes against the limit trajectory
     of the reservoir ensemble (see _sweep_rows for the columns)."""
     m_list = _check_m_list(m_list)
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
     grid = np.asarray(grid, dtype=float)
     runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
             for m in m_list]
@@ -168,35 +166,32 @@ def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:
 
 def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction,
                   reservoir_state, rho0: DensityMatrix, grid, m_list,
+                  threads: int = 1,
                   step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table when the coupling averages a joint operator over
     every ordered subset of cluster.nu reservoir sites.
 
-    The limit signal is the free-evolution expectation of the cluster
-    operator in nu reference factors. The finite-size rows come from
+    In the limit a nu-tuple of distinct sites meets the nu-fold product of
+    a limit atom, so the limit is that of nu-site blocks in the mixture of
+    the atoms' nu-fold products. The finite-size rows come from
     propagate_exact with the cluster coupling, as in m_sweep.
     """
     m_list = _check_m_list(m_list)
     if sys.n_subsystems != 1 or len(sys.couplings) != 1:
         raise ValidationError(
             "cluster sweep needs a single subsystem with one coupling")
-    if not isinstance(reservoir_state, ProductState):
-        raise ValidationError("cluster sweep needs a product ensemble")
     grid = np.asarray(grid, dtype=float)
     runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid, cluster)
             for m in m_list]
-    omega = reference_site_state(reservoir_state).data
-
     nu = cluster.nu
     h_block = sum(embed_at_site(site.h, j, nu).data for j in range(1, nu + 1))
-    rho_block = omega
-    for _ in range(nu - 1):
-        rho_block = np.kron(rho_block, omega)
-    freqs, coeffs = site_signal_terms(rho_block, h_block, cluster.v_cluster.data)
-    potential = EffectivePotential((QuasiPeriodicSignal(freqs, coeffs),))
-    limit = evolve_state(propagate_effective(sys, potential, grid,
-                                             step_target=step_target), rho0)
-    return _sweep_rows(runs, limit)
+    block_site = SiteModel(Operator(h_block, cluster.v_cluster.dims),
+                           (cluster.v_cluster,))
+    blocks = DeFinettiMixture(tuple((w, materialize(ProductState(s), nu))
+                                    for w, s in reservoir_state.limit_atoms()))
+    limit = effective_trajectory(sys, blocks, block_site, rho0, grid,
+                                 step_target=step_target)
+    return _sweep_rows(runs, limit, threads)
 
 
 # Finite-difference spectral studies on an interval.

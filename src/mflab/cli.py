@@ -72,6 +72,7 @@ def _run_convergence(cfg: ExperimentConfig, threads: int, seed):
         rows_src = analysis.cluster_sweep(cfg.system, cfg.site, cfg.cluster,
                                           cfg.reservoir, cfg.initial_state,
                                           cfg.grid, cfg.m_list,
+                                          threads=threads,
                                           step_target=cfg.step_target)
     else:
         rows_src = analysis.m_sweep(cfg.system, cfg.site, cfg.reservoir,
@@ -353,6 +354,10 @@ def _run_decay(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, out_dir, name: str,
                    threads: int = 1, seed=None) -> dict:
     """Execute one experiment and write its table plus summary.json."""
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     started = time.perf_counter()
     if cfg.kind == "convergence":
         header, rows, notes = _run_convergence(cfg, threads, seed)

@@ -22,12 +22,12 @@ import numpy as np
 import yaml
 
 from .effective import DEFAULT_STEP_TARGET
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .model import (ClusterInteraction, Coupling, SiteModel, SystemModel,
                     coherent_ket, oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus)
+                        ProductState, bell_channel_kraus, decompose)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
          "decay")
@@ -325,35 +325,22 @@ def _build_reservoir(block: _Block, site_dim: int, levels: int | None):
             raise ConfigError(f"{block.where}: {exc}") from exc
         meta["channel"] = chan
         return out, meta
-    if kind == "definetti":
-        node = block.get("atoms")
-        block.done()
-        if not isinstance(node, list) or len(node) < 1:
-            raise ConfigError(f"{block.where}.atoms: expected a nonempty list")
-        atoms, meta = [], {}
-        for j, item in enumerate(node):
-            sub = _Block(item, f"{block.where}.atoms[{j}]")
-            w = _as_positive(sub.get("weight"), f"{sub.where}.weight")
-            state, _ = _site_state(sub, "site_state", site_dim, levels)
-            sub.done()
-            atoms.append((w, state))
-        try:
-            return DeFinettiMixture(tuple(atoms)), meta
-        except Exception as exc:
-            raise ConfigError(f"{block.where}: {exc}") from exc
-    node = block.get("parts")
+    key, weight_key, family = (("atoms", "weight", DeFinettiMixture)
+                               if kind == "definetti" else
+                               ("parts", "fraction", MacroscopicParts))
+    node = block.get(key)
     block.done()
     if not isinstance(node, list) or len(node) < 1:
-        raise ConfigError(f"{block.where}.parts: expected a nonempty list")
-    parts = []
+        raise ConfigError(f"{block.where}.{key}: expected a nonempty list")
+    pairs = []
     for j, item in enumerate(node):
-        sub = _Block(item, f"{block.where}.parts[{j}]")
-        f = _as_positive(sub.get("fraction"), f"{sub.where}.fraction")
+        sub = _Block(item, f"{block.where}.{key}[{j}]")
+        w = _as_positive(sub.get(weight_key), f"{sub.where}.{weight_key}")
         state, _ = _site_state(sub, "site_state", site_dim, levels)
         sub.done()
-        parts.append((f, state))
+        pairs.append((w, state))
     try:
-        return MacroscopicParts(tuple(parts)), {}
+        return family(tuple(pairs)), {}
     except Exception as exc:
         raise ConfigError(f"{block.where}: {exc}") from exc
 
@@ -661,6 +648,11 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     if cluster is not None and any(m < cluster.nu for m in m_list):
         raise ConfigError(f"{where}.run.m_list: entries must be at least the "
                           f"cluster size {cluster.nu}")
+    for m in m_list:
+        try:
+            decompose(reservoir, m, site.dim)
+        except ValidationError as exc:
+            raise ConfigError(f"{where}.run.m_list: {exc}") from exc
     if cluster is None:
         if not site.interactions:
             raise ConfigError(f"{where}.model.site: propagation kinds need an "

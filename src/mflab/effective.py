@@ -34,8 +34,7 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .model import Coupling, SiteModel, SystemModel
 from .operators import DensityMatrix
-from .reservoir import (DeFinettiMixture, ReservoirState,
-                        reference_site_state, site_signal_terms)
+from .reservoir import ReservoirState, site_signal_terms
 from .results import PropagationResult
 
 SIGNAL_IMAG_ATOL = 1e-10
@@ -106,17 +105,18 @@ class EffectivePotential:
 def effective_potential(state, site: SiteModel) -> EffectivePotential:
     """Scalar potentials of the limit dynamics for the given ensemble.
 
-    Accepts a single-site DensityMatrix or any ensemble that reduces to one:
-    products use their factor, block ensembles the fraction-weighted average
-    of their part states, channel-correlated ensembles their reference site
+    Accepts a single-site DensityMatrix or an ensemble with a single limit
+    atom: products use their factor, block ensembles the fraction-weighted
+    average of their part states, channel-correlated ensembles their site
     state. Exchangeable mixtures must be iterated atom by atom.
     """
-    if isinstance(state, DeFinettiMixture):
+    atoms = ([(1.0, state)] if isinstance(state, DensityMatrix)
+             else state.limit_atoms())
+    if len(atoms) != 1:
         raise ValidationError(
             "mixture ensembles have no single effective potential; "
             "build one per atom and combine the propagations")
-    rho = (state if isinstance(state, DensityMatrix)
-           else reference_site_state(state))
+    rho = atoms[0][1]
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
@@ -433,15 +433,15 @@ def effective_trajectory(sys: SystemModel, state: ReservoirState,
                          n_substeps: int | None = None) -> PropagationResult:
     """Limit trajectory of rho0 for any supported reservoir ensemble.
 
-    The system is propagated per factor (see propagate_subsystems); the
-    reported step error still bounds step_target.
+    One limit atom gives a unitary orbit, several the mixture of their
+    orbits. The system is propagated per factor (see propagate_subsystems);
+    the reported step error still bounds step_target.
     """
-    if isinstance(state, DeFinettiMixture):
-        atoms = [(w, effective_potential(s, site)) for w, s in state.atoms]
+    atoms = [(w, effective_potential(s, site)) for w, s in state.limit_atoms()]
+    if len(atoms) > 1:
         return propagate_definetti(sys, atoms, rho0, grid,
                                    step_target=step_target,
                                    n_substeps=n_substeps)
-    potential = effective_potential(state, site)
-    prop = propagate_subsystems(sys, potential, grid, step_target=step_target,
-                                n_substeps=n_substeps)
+    prop = propagate_subsystems(sys, atoms[0][1], grid,
+                                step_target=step_target, n_substeps=n_substeps)
     return evolve_state(prop, rho0)

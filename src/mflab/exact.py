@@ -5,10 +5,11 @@ sites (free sites plus couplings to the site average), and so is the
 partial trace over the reservoir. Every reservoir ensemble is therefore
 split into pure branches, each given by part counts (n_1..n_k) summing to M
 and a ket in Sym^{n_1}(C^d) x ... x Sym^{n_k}(C^d), written in the
-occupation basis. A product state of rank r gives one branch per
-composition of M over its eigenvectors, weighted by the composition's
-multiplicity; mixtures, blocks of sites and the channel block combine such
-branches, and an explicit reservoir density matrix is the sector of counts
+occupation basis. In each component of reservoir.decompose, a part of n
+sites in a state of rank r gives one branch per composition of n over its
+eigenvectors, weighted by the composition's multiplicity; the parts and the
+pure states of the block, one site per part, combine as tensor products, so
+an explicit reservoir density matrix is the sector of counts
 (1,...,1), the full space. On a sector the sum of a site operator x over
 all sites acts as sum_p B_{n_p}(x), where B_n(x) = sum_ij x_ij a_i^dag a_j
 is the one-body operator on Sym^n, so a part of n sites has dimension
@@ -36,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -45,15 +46,7 @@ from .errors import ResourceLimitError, ValidationError
 from .model import (ClusterInteraction, SiteModel, SystemModel,
                     assemble_cluster_interaction, assemble_total)
 from .operators import DENSE_CUTOFF, DensityMatrix, Operator, trace_norm
-from .reservoir import (
-    ChannelCorrelated,
-    DeFinettiMixture,
-    MacroscopicParts,
-    ProductState,
-    apply_kraus,
-    largest_remainder_counts,
-    materialize,
-)
+from .reservoir import decompose, materialize
 from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .results import PropagationResult
 
@@ -69,7 +62,8 @@ class FiniteMRun:
 
     With a cluster set, every coupling multiplies the average of the
     cluster operator over ordered nu-tuples of distinct sites instead of
-    the site average of its site interaction.
+    the site average of its site interaction. components holds
+    reservoir.decompose of the reservoir state, checked at construction.
     """
 
     sys: SystemModel
@@ -79,6 +73,7 @@ class FiniteMRun:
     rho_s0: DensityMatrix
     grid: np.ndarray
     cluster: ClusterInteraction | None = None
+    components: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
@@ -86,8 +81,6 @@ class FiniteMRun:
             raise ValidationError("time grid must be a nonempty 1d array")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise ValidationError("time grid must be strictly increasing")
-        if self.m_count < 1:
-            raise ValidationError("need at least one reservoir site")
         if self.rho_s0.dim != self.sys.dim:
             raise ValidationError(
                 f"system state dim {self.rho_s0.dim} does not match model "
@@ -109,6 +102,8 @@ class FiniteMRun:
                     f"not match {nu} site factors of dim {d}")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "components", decompose(
+            self.reservoir_state, self.m_count, self.site.dim))
 
     @property
     def joint_dim(self) -> int:
@@ -242,18 +237,10 @@ def _sector_hamiltonian(run: FiniteMRun, counts):
 
 # Reservoir branches: (weight, part counts, factors whose kron is the ket).
 
-def _explicit_branches(rho: DensityMatrix):
-    return [(p, (1,) * len(rho.dims), [v]) for p, v in _pure_branches(rho)]
-
-
 def _product_branches(site_state: DensityMatrix, m: int, d: int, d_sys: int):
     """site_state^{(x)m}: one branch per composition n of m over its
     eigenvectors v_i, of weight multinomial(m; n) prod p_i^{n_i} and ket
     (x)_i v_i^{(x)n_i}."""
-    if site_state.dim != d:
-        raise ValidationError(
-            f"reservoir site state dim {site_state.dim} does not match "
-            f"site dim {d}")
     local = _pure_branches(site_state)
     r = len(local)
     # the most even composition has the largest sector
@@ -277,58 +264,18 @@ def _combine(*branch_lists):
             for combo in itertools.product(*branch_lists)]
 
 
-def _reservoir_branches(state, m: int, d: int, d_sys: int):
-    if isinstance(state, ProductState):
-        return _product_branches(state.site_state, m, d, d_sys)
-    if isinstance(state, DeFinettiMixture):
-        return [(w * p, c, f) for w, atom in state.atoms
-                for p, c, f in _product_branches(atom, m, d, d_sys)]
-    if isinstance(state, MacroscopicParts):
-        counts = largest_remainder_counts([f for f, _ in state.parts], m)
-        return _combine(*(_product_branches(s, int(c), d, d_sys)
-                          for (_, s), c in zip(state.parts, counts) if c))
-    if isinstance(state, ChannelCorrelated):
-        # every placement of the channel gives the same reduced trajectory,
-        # so it acts on the first L sites only
-        L = state.corr_length
-        if m < L:
-            raise ValidationError(
-                f"need at least {L} sites for correlation length {L}")
-        block = apply_kraus(state.kraus, functools.reduce(
-            np.kron, [state.site_state.data] * L))
-        return _combine(
-            _explicit_branches(DensityMatrix(block, (d,) * L, validate=False)),
-            _product_branches(state.site_state, m - L, d, d_sys))
-    if isinstance(state, DensityMatrix):
-        if len(state.dims) != m:
-            raise ValidationError(
-                f"explicit reservoir state has {len(state.dims)} factors, "
-                f"expected {m}")
-        if state.dims != (d,) * m:
-            raise ValidationError(
-                f"explicit reservoir factors {state.dims} do not match site "
-                f"dim {d}")
-        return _explicit_branches(state)
-    raise ValidationError(
-        f"unsupported reservoir ensemble {type(state).__name__}")
-
-
-def _reservoir_matrix(state, m_count: int) -> DensityMatrix:
-    if isinstance(state, DensityMatrix):
-        if len(state.dims) != m_count:
-            raise ValidationError(
-                f"explicit reservoir state has {len(state.dims)} factors, "
-                f"expected {m_count}")
-        return state
-    return materialize(state, m_count)
-
-
 def _sector_columns(run: FiniteMRun):
     """({part counts: columns}, diagnostics): weighted joint kets on
     system x sector whose outer products sum to the initial joint state,
     renormalized after the EIGVAL_CUT branch cut."""
     d, d_sys = run.site.dim, run.sys.dim
-    res = _reservoir_branches(run.reservoir_state, run.m_count, d, d_sys)
+    res = []
+    for w, parts, block in run.components:
+        # a block is split into pure states with one site per part
+        lists = [] if block is None else [
+            [(p, (1,) * len(block.dims), [v]) for p, v in _pure_branches(block)]]
+        lists += [_product_branches(s, n, d, d_sys) for n, s in parts]
+        res += [(w * p, c, f) for p, c, f in _combine(*lists)]
     sys_branches = _pure_branches(run.rho_s0)
     kept = sum(w for w, _ in sys_branches) * sum(w for w, _, _ in res)
     if kept <= 0:
@@ -407,7 +354,7 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
             h = h + assemble_cluster_interaction(g, run.cluster,
                                                  run.m_count).data
     evals, emat = np.linalg.eigh(h)
-    rho_r = _reservoir_matrix(run.reservoir_state, run.m_count)
+    rho_r = materialize(run.reservoir_state, run.m_count)
     rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
     dims = run.rho_s0.dims + rho_r.dims
     states = []

@@ -1,7 +1,9 @@
-"""System and reservoir-site models and Hamiltonian assembly.
+"""System and reservoir-site models and full-space Hamiltonian assembly.
 
-The joint Hamiltonian acts on (system) x (site)^M with the system factor
-first and is assembled as one dense matrix, refused above the dense cutoff.
+assemble_total builds the joint Hamiltonian on (system) x (site)^M, system
+factor first, as one dense matrix refused above the dense cutoff. No run
+uses it: with assemble_cluster_interaction it is the full-space reference
+that tests check the symmetric-sector engine in exact against.
 """
 
 from __future__ import annotations

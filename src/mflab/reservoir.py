@@ -3,10 +3,12 @@
 Four ensemble families are supported: plain site products, channel-correlated
 states built by averaging a local channel over all placements, finite
 exchangeable mixtures of products, and block ensembles whose site fractions
-are prescribed. Product-like families evaluate moments of the site-averaged
-interaction by an exact combinatorial reduction over index partitions, so no
-M-site space is ever built for them; correlated states are materialized
-densely below the size cutoff.
+are prescribed. Each is a weighted mixture of products of independent sites:
+decompose gives that mixture on M sites, limit_atoms the (weight, site state)
+pairs left as M -> infinity. Part products evaluate moments of the
+site-averaged interaction by an exact combinatorial reduction over index
+partitions; states with an explicit block are materialized densely below the
+size cutoff. materialize builds every state independently of decompose.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -29,14 +31,21 @@ KRAUS_ATOL = 1e-10
 IMAG_ATOL = 1e-10
 
 
-def _check_weights(weights: Sequence[float], what: str) -> None:
-    w = np.asarray(weights, dtype=float)
+def _weighted_states(pairs, what: str, states: str):
+    """pairs as (float, state), checked to be a distribution over states of
+    one dimension."""
+    pairs = tuple((float(w), s) for w, s in pairs)
+    w = np.array([x for x, _ in pairs])
     if w.size == 0:
         raise ValidationError(f"{what}: need at least one entry")
     if (w < 0).any():
         raise ValidationError(f"{what}: negative weight {w.min():.3e}")
     if abs(w.sum() - 1.0) > WEIGHT_ATOL:
         raise ValidationError(f"{what}: weights sum to {w.sum():.15f}, not 1")
+    dims = {s.dim for _, s in pairs}
+    if len(dims) != 1:
+        raise ValidationError(f"{states} have mixed dims {sorted(dims)}")
+    return pairs
 
 
 def kraus_defect(kraus: Sequence[np.ndarray]) -> float:
@@ -54,6 +63,16 @@ class ProductState:
     """All sites independently in the same state."""
 
     site_state: DensityMatrix
+
+    @property
+    def site_dim(self) -> int:
+        return self.site_state.dim
+
+    def components(self, m_count: int):
+        return [(1.0, ((m_count, self.site_state),), None)]
+
+    def limit_atoms(self):
+        return [(1.0, self.site_state)]
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,25 @@ class ChannelCorrelated:
                 f"Kraus completeness defect {defect:.2e} exceeds {KRAUS_ATOL}")
         object.__setattr__(self, "kraus", kraus)
 
+    @property
+    def site_dim(self) -> int:
+        return self.site_state.dim
+
+    def components(self, m_count: int):
+        # site-symmetric dynamics treats every placement of the channel
+        # alike, so the one on the first corr_length sites stands for all
+        L, d = self.corr_length, self.site_dim
+        if m_count < L:
+            raise ValidationError(
+                f"need at least {L} sites for correlation length {L}, "
+                f"got {m_count}")
+        block = apply_kraus(self.kraus, _kron_power(self.site_state.data, L))
+        parts = ((m_count - L, self.site_state),) if m_count > L else ()
+        return [(1.0, parts, DensityMatrix(block, (d,) * L, validate=False))]
+
+    def limit_atoms(self):
+        return [(1.0, self.site_state)]
+
 
 @dataclass(frozen=True)
 class DeFinettiMixture:
@@ -94,16 +132,18 @@ class DeFinettiMixture:
     atoms: tuple[tuple[float, DensityMatrix], ...]
 
     def __post_init__(self):
-        atoms = tuple((float(w), s) for w, s in self.atoms)
-        _check_weights([w for w, _ in atoms], "mixture weights")
-        dims = {s.dim for _, s in atoms}
-        if len(dims) != 1:
-            raise ValidationError(f"mixture atoms have mixed dims {sorted(dims)}")
-        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atoms", _weighted_states(
+            self.atoms, "mixture weights", "mixture atoms"))
 
     @property
     def site_dim(self) -> int:
         return self.atoms[0][1].dim
+
+    def components(self, m_count: int):
+        return [(w, ((m_count, s),), None) for w, s in self.atoms]
+
+    def limit_atoms(self):
+        return list(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -113,16 +153,21 @@ class MacroscopicParts:
     parts: tuple[tuple[float, DensityMatrix], ...]
 
     def __post_init__(self):
-        parts = tuple((float(f), s) for f, s in self.parts)
-        _check_weights([f for f, _ in parts], "part fractions")
-        dims = {s.dim for _, s in parts}
-        if len(dims) != 1:
-            raise ValidationError(f"part states have mixed dims {sorted(dims)}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", _weighted_states(
+            self.parts, "part fractions", "part states"))
 
     @property
     def site_dim(self) -> int:
         return self.parts[0][1].dim
+
+    def components(self, m_count: int):
+        counts = largest_remainder_counts([f for f, _ in self.parts], m_count)
+        return [(1.0, tuple((int(c), s) for (_, s), c in zip(self.parts, counts)
+                            if c > 0), None)]
+
+    def limit_atoms(self):
+        acc = sum(f * s.data for f, s in self.parts)
+        return [(1.0, DensityMatrix(acc, (self.site_dim,)))]
 
 
 ReservoirState = ProductState | ChannelCorrelated | DeFinettiMixture | MacroscopicParts
@@ -139,10 +184,25 @@ def largest_remainder_counts(fractions: Sequence[float], m_count: int) -> np.nda
     return base
 
 
-def _state_site_dim(state: ReservoirState) -> int:
-    if isinstance(state, (ProductState, ChannelCorrelated)):
-        return state.site_state.dim
-    return state.site_dim
+def decompose(state, m_count: int, site_dim: int):
+    """The ensemble on m_count sites as the weighted sum over components
+    (weight, parts, block) of block (x) s_1^{(x)n_1} (x) ..., where parts
+    holds (n, s) pairs with n > 0 and block is None or an explicit state on
+    the first sites: the channel block, or an explicit DensityMatrix
+    reservoir on all m_count sites."""
+    if m_count < 1:
+        raise ValidationError("need at least one site")
+    if isinstance(state, DensityMatrix):
+        if state.dims != (site_dim,) * m_count:
+            raise ValidationError(
+                f"explicit reservoir factors {state.dims} do not match "
+                f"{m_count} sites of dim {site_dim}")
+        return [(1.0, (), state)]
+    if state.site_dim != site_dim:
+        raise ValidationError(
+            f"reservoir site state dim {state.site_dim} does not match "
+            f"site dim {site_dim}")
+    return state.components(m_count)
 
 
 def _kron_power(mat: np.ndarray, count: int) -> np.ndarray:
@@ -174,11 +234,18 @@ def build_channel_correlated(site_state: DensityMatrix, corr_length: int,
     return DensityMatrix(acc, (d,) * m_count)
 
 
-def materialize(state: ReservoirState, m_count: int) -> DensityMatrix:
-    """Explicit density matrix of the ensemble on m_count sites."""
+def materialize(state, m_count: int) -> DensityMatrix:
+    """Explicit density matrix of the ensemble on m_count sites; an explicit
+    DensityMatrix is returned as it is."""
     if m_count < 1:
         raise ValidationError("need at least one site")
-    d = _state_site_dim(state)
+    if isinstance(state, DensityMatrix):
+        if len(state.dims) != m_count:
+            raise ValidationError(
+                f"explicit reservoir state has {len(state.dims)} factors, "
+                f"expected {m_count}")
+        return state
+    d = state.site_dim
     if d ** m_count > DENSE_CUTOFF:
         raise ResourceLimitError(
             f"materializing {m_count} sites of dim {d} exceeds dense cutoff")
@@ -201,16 +268,10 @@ def materialize(state: ReservoirState, m_count: int) -> DensityMatrix:
 
 
 def reference_site_state(state: ReservoirState) -> DensityMatrix:
-    """Single-site state entering the factorized comparison product."""
-    if isinstance(state, (ProductState, ChannelCorrelated)):
-        return state.site_state
-    if isinstance(state, DeFinettiMixture):
-        acc = sum(w * s.data for w, s in state.atoms)
-        return DensityMatrix(acc, (state.site_dim,))
-    if isinstance(state, MacroscopicParts):
-        acc = sum(f * s.data for f, s in state.parts)
-        return DensityMatrix(acc, (state.site_dim,))
-    raise ValidationError(f"unknown ensemble type {type(state).__name__}")
+    """Single-site state entering the factorized comparison product: the
+    weighted average of the limit atoms."""
+    acc = sum(w * s.data for w, s in state.limit_atoms())
+    return DensityMatrix(acc, (state.site_dim,))
 
 
 # Single-site expectation of the evolved interaction operator.
@@ -300,20 +361,21 @@ def _block_product_expectation(rho_e: np.ndarray, v_e: np.ndarray,
     return complex(np.trace(rho_e @ prod))
 
 
-def _partition_moment(part_states: Sequence[np.ndarray], part_counts: Sequence[int],
-                      site: SiteModel, times: Sequence[float],
+def _partition_moment(parts, site: SiteModel, times: Sequence[float],
                       v_index: int) -> complex:
-    """Moment of the site average over blocks of identical independent sites.
+    """Moment of the site average over parts (count, site state) of
+    identical independent sites.
 
     Sum over index-coincidence partitions of the time slots; each block of
     coincident indices contributes a single-site ordered product, and blocks
     land on distinct sites counted by falling factorials per part.
     """
     n = len(times)
+    part_counts = [c for c, _ in parts]
     m_total = int(sum(part_counts))
     evals, vecs = np.linalg.eigh(site.h.data)
     v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
-    rho_es = [vecs.conj().T @ rho @ vecs for rho in part_states]
+    rho_es = [vecs.conj().T @ s.data @ vecs for _, s in parts]
     n_parts = len(rho_es)
     total = 0.0 + 0.0j
     for partition in set_partitions(range(n)):
@@ -336,7 +398,19 @@ def _partition_moment(part_states: Sequence[np.ndarray], part_counts: Sequence[i
     return total / m_total ** n
 
 
-def _dense_moment(state: ReservoirState, m_count: int, site: SiteModel,
+def _embedded_interactions(site: SiteModel, times: Sequence[float],
+                           m_count: int, v_index: int):
+    """Per time, the evolved interaction embedded at each of the sites."""
+    d = site.dim
+    evals, vecs = np.linalg.eigh(site.h.data)
+    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
+    for t in times:
+        vt = vecs @ _evolved_interaction(v_e, evals, t) @ vecs.conj().T
+        yield [embed_at_site(Operator(vt, (d,)), m, m_count).data
+               for m in range(1, m_count + 1)]
+
+
+def _dense_moment(state, m_count: int, site: SiteModel,
                   times: Sequence[float], v_index: int) -> complex:
     d = site.dim
     if d ** m_count > DENSE_CUTOFF:
@@ -344,54 +418,32 @@ def _dense_moment(state: ReservoirState, m_count: int, site: SiteModel,
             f"dense moment on {m_count} sites of dim {d} exceeds cutoff; "
             "no combinatorial reduction for this ensemble")
     rho = materialize(state, m_count).data
-    evals, vecs = np.linalg.eigh(site.h.data)
-    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
     prod = np.eye(d ** m_count, dtype=complex)
-    for t in times:
-        vt = vecs @ _evolved_interaction(v_e, evals, t) @ vecs.conj().T
-        vbar = sum(embed_at_site(Operator(vt, (d,)), m, m_count).data
-                   for m in range(1, m_count + 1)) / m_count
-        prod = prod @ vbar
+    for ops in _embedded_interactions(site, times, m_count, v_index):
+        prod = prod @ (sum(ops) / m_count)
     return complex(np.trace(rho @ prod))
 
 
-def multitime_moment(state: ReservoirState, m_count: int, site: SiteModel,
+def multitime_moment(state, m_count: int, site: SiteModel,
                      times: Sequence[float], v_index: int = 0) -> complex:
     """Ensemble moment of the site-averaged evolved interaction at the
-    given times, in the given order."""
+    given times, in the given order. A state with a block is taken densely
+    from materialize, whose channel placements all give the same moment."""
     times = [float(t) for t in times]
     if not times:
         raise ValidationError("need at least one time")
-    if m_count < 1:
-        raise ValidationError("need at least one site")
-    if _state_site_dim(state) != site.dim:
-        raise ValidationError("ensemble site dim does not match site model")
-    if isinstance(state, ProductState):
-        return _partition_moment([state.site_state.data], [m_count],
-                                 site, times, v_index)
-    if isinstance(state, DeFinettiMixture):
-        return sum(w * _partition_moment([s.data], [m_count], site, times, v_index)
-                   for w, s in state.atoms)
-    if isinstance(state, MacroscopicParts):
-        counts = largest_remainder_counts([f for f, _ in state.parts], m_count)
-        keep = [(s.data, int(c)) for (_, s), c in zip(state.parts, counts) if c > 0]
-        return _partition_moment([s for s, _ in keep], [c for _, c in keep],
-                                 site, times, v_index)
-    return _dense_moment(state, m_count, site, times, v_index)
+    components = decompose(state, m_count, site.dim)
+    if any(block is not None for _, _, block in components):
+        return _dense_moment(state, m_count, site, times, v_index)
+    return sum(w * _partition_moment(parts, site, times, v_index)
+               for w, parts, _ in components)
 
 
 def _max_tuple_moment(state: ReservoirState, m_count: int, site: SiteModel,
                       times: Sequence[float], v_index: int) -> float:
     """Largest modulus of a fixed-site-assignment moment over all index tuples."""
-    d = site.dim
     rho = materialize(state, m_count).data
-    evals, vecs = np.linalg.eigh(site.h.data)
-    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
-    embedded = []
-    for t in times:
-        vt = vecs @ _evolved_interaction(v_e, evals, t) @ vecs.conj().T
-        embedded.append([embed_at_site(Operator(vt, (d,)), m, m_count).data
-                         for m in range(1, m_count + 1)])
+    embedded = list(_embedded_interactions(site, times, m_count, v_index))
     best = 0.0
     for tup in itertools.product(range(m_count), repeat=len(times)):
         prod = embedded[0][tup[0]]
@@ -406,9 +458,10 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     """Distance between the joint moment and the factorized product of
     single-site expectations.
 
-    Returns a scalar; channel-correlated ensembles return (error, bound)
-    where bound = n L C(n) / (M - L + 1) with C(n) the largest fixed-site
-    moment modulus.
+    Returns a scalar; ensembles with an explicit block of L sites, such as
+    channel-correlated ones, return (error, bound) where
+    bound = n L C(n) / (M - L + 1) with C(n) the largest fixed-site moment
+    modulus.
     """
     times = [float(t) for t in times]
     moment = multitime_moment(state, m_count, site, times, v_index)
@@ -417,8 +470,10 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     for t in times:
         factorized *= site_expectation(ref, site, t, v_index)
     err = abs(moment - factorized)
-    if isinstance(state, ChannelCorrelated):
-        n, L = len(times), state.corr_length
+    components = decompose(state, m_count, site.dim)
+    blocks = [len(b.dims) for _, _, b in components if b is not None]
+    if blocks:
+        n, L = len(times), max(blocks)
         c_n = _max_tuple_moment(state, m_count, site, times, v_index)
         bound = n * L * c_n / (m_count - L + 1)
         return err, bound

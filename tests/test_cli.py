@@ -125,6 +125,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="definetti"):
             load_config(write_config(tmp_path, bad))
 
+    def test_channel_m_list_below_correlation_length_rejected(self, tmp_path):
+        bad = SMALL_CONVERGENCE.replace(
+            "{kind: product, site_state: plus}",
+            "{kind: channel, site_state: zero, corr_length: 2, "
+            "channel: bell}")
+        with pytest.raises(ConfigError,
+                           match=r"run\.m_list: need at least 2 sites"):
+            load_config(write_config(tmp_path, bad))
+        ok = bad.replace("[1, 2]", "[2, 3]")
+        assert load_config(write_config(tmp_path, ok)).m_list == (2, 3)
+
     def test_series_ratio_needs_initial_state(self):
         doc = {
             "kind": "moments",
@@ -224,6 +235,48 @@ class TestRunVerb:
             assert diag["max_sector_dim"] == int(m) + 1
             assert diag["max_norm_drift"] < 1e-10
 
+    def test_cluster_run_honours_threads(self, tmp_path, monkeypatch):
+        seen = []
+        sweep_rows = analysis._sweep_rows
+
+        def spy(runs, limit, threads=1):
+            seen.append(threads)
+            return sweep_rows(runs, limit, threads)
+
+        monkeypatch.setattr(analysis, "_sweep_rows", spy)
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert cli.main(["run", "cluster_pair", "--out", str(out),
+                             "--threads", str(threads)]) == 0
+        assert seen == [1, 2]
+        a = (tmp_path / "t1" / "cluster_pair" / "cluster_gap.csv").read_bytes()
+        b = (tmp_path / "t2" / "cluster_pair" / "cluster_gap.csv").read_bytes()
+        assert a == b
+
+    def test_cluster_run_on_a_definetti_reservoir(self, tmp_path):
+        text = """
+kind: convergence
+model:
+  system: {hamiltonian: pauli_z, coupling: pauli_x}
+  site: {hamiltonian: pauli_z}
+  cluster:
+    size: 2
+    operator: [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+reservoir:
+  kind: definetti
+  atoms:
+    - {weight: 0.5, site_state: plus}
+    - {weight: 0.5, site_state: zero}
+initial_state: zero
+run: {m_list: [4, 8, 16], t_max: 2.0, n_times: 41}
+outputs: {table: gap.csv}
+"""
+        cfg = write_config(tmp_path, text)
+        summary = cli.run_experiment(load_config(cfg), tmp_path / "o", "exp")
+        assert summary["rows"] == 3
+        assert summary["notes"]["gaps_strictly_decreasing"] is True
+        assert summary["notes"]["final_gap"] < 0.02
+
     def test_csv_cells_roundtrip_full_precision(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONVERGENCE)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -285,6 +338,21 @@ outputs: {table: audit.csv}
         assert code == 2
         assert err.count("\n") == 1
         assert "m_list" in err and "strictly increasing" in err
+
+    @pytest.mark.parametrize("flag,value,experiment", [
+        ("--threads", "-3", "well_localization"),
+        ("--threads", "0", "moments_product_qubit"),
+        ("--seed", "-1", "propagator_quality"),
+        ("--seed", "-5", "well_localization")])
+    def test_bad_run_arguments_exit_2(self, tmp_path, capsys, flag, value,
+                                      experiment):
+        code = cli.main(["run", experiment, "--out", str(tmp_path), flag,
+                         value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert flag[2:] in err and value in err
+        assert not (tmp_path / experiment).exists()
 
     def test_tolerance_exit_code_names_operation(self, tmp_path, capsys):
         text = """

@@ -394,6 +394,24 @@ class TestSectorEngine:
         assert all(0.45 < r.ratio < 0.55 for r in rows[1:])
         assert all(r.diagnostics["sectors"] == 1 for r in rows)
 
+    @pytest.mark.parametrize("family,want", [
+        ("definetti", (0.0323, 0.0151, 0.0074)),
+        ("macroscopic", (0.0306, 0.0141, 0.0053)),
+        ("channel", (0.0204, 0.0040, 0.00093))])
+    def test_cluster_limit_takes_every_ensemble(self, family, want):
+        cfg = load_config(resolve_config("cluster_pair"))
+        zero = DensityMatrix.pure(ket("0"), (2,))
+        res = {"definetti": DeFinettiMixture(((0.5, PLUS), (0.5, zero))),
+               "macroscopic": MacroscopicParts(((2 / 3, zero), (1 / 3, PLUS))),
+               "channel": ChannelCorrelated(zero, 2, bell_channel_kraus()),
+               }[family]
+        rows = cluster_sweep(cfg.system, cfg.site, cfg.cluster, res,
+                             cfg.initial_state, cfg.grid, [8, 16, 32],
+                             step_target=cfg.step_target)
+        gaps = [r.gap for r in rows]
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert gaps == pytest.approx(want, rel=0.02)
+
 
 class TestSeriesOracle:
     def test_order_zero_is_free_system_rotation(self):
@@ -542,10 +560,16 @@ class TestRunValidation:
 
     def test_explicit_reservoir_factor_count_checked(self):
         wrong = DensityMatrix(np.eye(4) / 4, (2, 2))
-        run = FiniteMRun(qubit_sys(), qubit_site(), 3, wrong, PLUS,
-                         np.array([0.0, 1.0]))
         with pytest.raises(ValidationError, match="factors"):
-            propagate_exact(run)
+            FiniteMRun(qubit_sys(), qubit_site(), 3, wrong, PLUS,
+                       np.array([0.0, 1.0]))
+
+    def test_channel_needs_its_correlation_length(self):
+        chan = ChannelCorrelated(DensityMatrix.pure(ket("0"), (2,)),
+                                 corr_length=2, kraus=bell_channel_kraus())
+        with pytest.raises(ValidationError, match="correlation length 2"):
+            FiniteMRun(qubit_sys(), qubit_site(), 1, chan, PLUS,
+                       np.array([0.0, 1.0]))
 
     def test_cluster_checked_against_sites(self):
         res = ProductState(tilted_mixed_site())

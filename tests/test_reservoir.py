@@ -17,6 +17,7 @@ from mflab.reservoir import (
     build_channel_correlated,
     coherent_bound,
     coherent_bound_safe,
+    decompose,
     factorization_error,
     kraus_defect,
     largest_remainder_counts,
@@ -351,6 +352,57 @@ def test_reference_site_state_barycenter():
     ref = reference_site_state(mixture)
     assert np.allclose(ref.data, np.diag([0.25, 0.75]))
     assert np.allclose(reference_site_state(ProductState(PLUS)).data, PLUS.data)
+
+
+def _decomposition_families():
+    tilted = dm([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    return {
+        "product": ProductState(tilted),
+        "definetti": DeFinettiMixture(((0.3, PLUS), (0.7, tilted))),
+        "macroscopic": MacroscopicParts(((0.55, GROUND), (0.25, PLUS),
+                                         (0.2, tilted))),
+        "channel": ChannelCorrelated(tilted, 2, bell_channel_kraus()),
+    }
+
+
+@pytest.mark.parametrize("family", ["product", "definetti", "macroscopic",
+                                    "channel"])
+def test_decomposition_is_the_materialized_state(family):
+    state = _decomposition_families()[family]
+    atoms = state.limit_atoms()
+    assert abs(sum(w for w, _ in atoms) - 1.0) < 1e-14
+    for m in range(1, 10):
+        if family == "channel" and m < 2:
+            with pytest.raises(ValidationError, match="correlation length"):
+                decompose(state, m, 2)
+            continue
+        comps = decompose(state, m, 2)
+        assert abs(sum(w for w, _, _ in comps) - 1.0) < 1e-14
+        for _, parts, block in comps:
+            assert all(n > 0 for n, _ in parts)
+            blocked = 0 if block is None else len(block.dims)
+            assert sum(n for n, _ in parts) + blocked == m
+        if family == "channel":
+            continue
+        acc = 0
+        for w, parts, _ in comps:
+            prod = np.eye(1)
+            for n, s in parts:
+                for _ in range(n):
+                    prod = np.kron(prod, s.data)
+            acc = acc + w * prod
+        assert np.max(np.abs(acc - materialize(state, m).data)) < 1e-14
+
+
+def test_decomposition_checks_site_dim_and_explicit_factors():
+    with pytest.raises(ValidationError, match="does not match site dim 3"):
+        decompose(ProductState(PLUS), 4, 3)
+    with pytest.raises(ValidationError, match="need at least one site"):
+        decompose(ProductState(PLUS), 0, 2)
+    explicit = materialize(ProductState(PLUS), 3)
+    assert decompose(explicit, 3, 2) == [(1.0, (), explicit)]
+    with pytest.raises(ValidationError, match="factors"):
+        decompose(explicit, 2, 2)
 
 
 # bound constants
