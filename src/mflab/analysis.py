@@ -29,8 +29,11 @@ from .reservoir import DeFinettiMixture, ProductState, materialize
 from .results import PropagationResult
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference; a metric on density matrices."""
+def trace_distance(rho, sigma):
+    """Half the trace norm of the difference; a metric on density matrices.
+
+    Two (T, d, d) stacks give the distance at each of the T indices.
+    """
     a = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     b = sigma.data if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
@@ -57,15 +60,27 @@ def _normalize_split(dims: tuple[int, ...], transpose) -> tuple[int, ...]:
     return split
 
 
-def partial_transpose(rho: DensityMatrix, transpose) -> np.ndarray:
-    split = _normalize_split(rho.dims, transpose)
-    k = len(rho.dims)
-    tensor = rho.data.reshape(rho.dims + rho.dims)
+def _partial_transpose(data: np.ndarray, dims: tuple[int, ...],
+                       transpose) -> np.ndarray:
+    """Partial transpose of a matrix, or of each matrix of a (T, d, d) stack."""
+    split = _normalize_split(dims, transpose)
+    k, lead = len(dims), data.shape[:-2]
+    tensor = data.reshape(lead + dims + dims)
     perm = list(range(2 * k))
     for i in split:
         perm[i], perm[k + i] = perm[k + i], perm[i]
-    d = rho.dim
-    return tensor.transpose(perm).reshape(d, d)
+    n = len(lead)
+    return tensor.transpose(list(range(n)) + [n + p for p in perm]).reshape(
+        data.shape)
+
+
+def partial_transpose(rho: DensityMatrix, transpose) -> np.ndarray:
+    return _partial_transpose(rho.data, rho.dims, transpose)
+
+
+def _negativities(data: np.ndarray, dims: tuple[int, ...], transpose):
+    ev = np.linalg.eigvalsh(_partial_transpose(data, dims, transpose))
+    return -np.where(ev < 0, ev, 0.0).sum(axis=-1)
 
 
 def negativity(rho: DensityMatrix, transpose) -> float:
@@ -74,8 +89,7 @@ def negativity(rho: DensityMatrix, transpose) -> float:
     transpose names the factor indices flipped; together with the rest they
     define the bipartition. Invariant under unitaries local to either side.
     """
-    ev = np.linalg.eigvalsh(partial_transpose(rho, transpose))
-    return float(-ev[ev < 0].sum())
+    return float(_negativities(rho.data, rho.dims, transpose))
 
 
 _SPIN_FLIP = np.array([[0, 0, 0, -1],
@@ -123,8 +137,7 @@ def _sweep_rows(runs, limit: PropagationResult,
     sector count and size, mass defect and norm drift."""
     def gap_for(run: FiniteMRun):
         finite = propagate_exact(run)
-        gap = max(trace_distance(a, b)
-                  for a, b in zip(finite.states, limit.states))
+        gap = trace_distance(finite.stack, limit.stack).max()
         keep = ("path", "sectors", "max_sector_dim", "branch_mass_defect",
                 "max_norm_drift")
         return gap, {k: finite.diagnostics[k] for k in keep}
@@ -161,7 +174,8 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
 
 
 def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:
-    return np.array([negativity(s, transpose) for s in result.states])
+    """negativity at every grid point, from one stacked eigvalsh."""
+    return _negativities(result.stack, result.dims, transpose)
 
 
 def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction,

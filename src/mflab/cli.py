@@ -281,6 +281,11 @@ def _run_spectrum(cfg: ExperimentConfig):
     return header, rows, {"levels_increasing": bool(np.all(spacings > 0))}
 
 
+def _purities(stack: np.ndarray) -> np.ndarray:
+    """Tr rho^2 of each state of a (T, d, d) stack."""
+    return np.trace(stack @ stack, axis1=1, axis2=2).real
+
+
 def _run_definetti(cfg: ExperimentConfig):
     atoms = cfg.reservoir.atoms
     mixture = effective_trajectory(cfg.system, cfg.reservoir, cfg.site,
@@ -297,20 +302,16 @@ def _run_definetti(cfg: ExperimentConfig):
     for m in cfg.m_list:
         run = exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
                                cfg.initial_state, cfg.grid)
-        finite = exact.propagate_exact(run)
-        wins = 0
-        for k, t in enumerate(cfg.grid):
-            state = finite.states[k]
-            gap_mix = analysis.trace_distance(state, mixture.states[k])
-            gaps = [analysis.trace_distance(state, orb.states[k])
-                    for orb in orbits]
-            purity = float(np.real(np.trace(state.data @ state.data)))
-            rows.append([m, t, gap_mix] + gaps + [purity])
-            if all(gap_mix <= g for g in gaps):
-                wins += 1
+        finite = exact.propagate_exact(run).stack
+        gap_mix = analysis.trace_distance(finite, mixture.stack)
+        gaps = np.array([analysis.trace_distance(finite, orb.stack)
+                         for orb in orbits])
+        purity = _purities(finite)
+        rows += [[m, t, gap_mix[k]] + list(gaps[:, k]) + [purity[k]]
+                 for k, t in enumerate(cfg.grid)]
+        wins = int(np.count_nonzero(np.all(gap_mix <= gaps, axis=0)))
         closer[str(m)] = wins / len(cfg.grid)
-    min_purity = min(float(np.real(np.trace(s.data @ s.data)))
-                     for s in mixture.states)
+    min_purity = float(_purities(mixture.stack).min())
     notes = {"mixture_closest_fraction": closer,
              "min_mixture_purity": min_purity,
              "limit": mixture.diagnostics}

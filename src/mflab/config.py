@@ -546,6 +546,15 @@ def _table_name(block: _Block) -> str:
     return name
 
 
+def _check_sizes(reservoir, m_list, site_dim: int, where: str) -> None:
+    """Refuse reservoir sizes the ensemble cannot be decomposed at."""
+    for m in m_list:
+        try:
+            decompose(reservoir, m, site_dim)
+        except ValidationError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_config(doc, where: str = "config") -> ExperimentConfig:
     top = _Block(doc, where)
     kind = _as_str(top.get("kind"), f"{where}.kind", KINDS)
@@ -623,6 +632,13 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
                for c in checks) and "alpha" not in res_meta:
             raise ConfigError(f"{where}: coherent moment bounds need a "
                               f"coherent reservoir site state")
+        for j, c in enumerate(checks):
+            if "m_list" in c:
+                _check_sizes(reservoir, c["m_list"], site.dim,
+                             f"{where}.checks[{j}].m_list")
+            elif "m_count" in c:
+                _check_sizes(reservoir, (c["m_count"],), site.dim,
+                             f"{where}.checks[{j}].m_count")
         return ExperimentConfig(kind=kind, table=table,
                                 description=description, system=system,
                                 site=site, reservoir=reservoir,
@@ -648,11 +664,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     if cluster is not None and any(m < cluster.nu for m in m_list):
         raise ConfigError(f"{where}.run.m_list: entries must be at least the "
                           f"cluster size {cluster.nu}")
-    for m in m_list:
-        try:
-            decompose(reservoir, m, site.dim)
-        except ValidationError as exc:
-            raise ConfigError(f"{where}.run.m_list: {exc}") from exc
+    _check_sizes(reservoir, m_list, site.dim, f"{where}.run.m_list")
     if cluster is None:
         if not site.interactions:
             raise ConfigError(f"{where}.model.site: propagation kinds need an "

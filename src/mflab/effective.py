@@ -331,34 +331,25 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
         f"achieved error estimate {estimate:.3e} > target {step_target:.1e}")
 
 
-def propagate_subsystems(sys: SystemModel, potential, grid,
-                         step_target: float = DEFAULT_STEP_TARGET,
+def propagate_subsystems(sys: SystemModel, potential: EffectivePotential,
+                         grid, step_target: float = DEFAULT_STEP_TARGET,
                          n_substeps: int | None = None) -> EffectivePropagator:
     """Product propagation: each system factor evolves under its own local
-    equation and the results are tensored.
+    equation, driven by the shared potential, and the results are tensored.
 
-    potential is either one EffectivePotential shared by all factors or a
-    sequence with one entry per factor. Each of the n factors is propagated
-    to step_target / n and the reported step error is the sum of the factor
-    estimates: unitary entries have modulus at most 1, so the sum bounds the
-    max-abs error of the tensor product. A one-factor system is one
-    propagate_effective call.
+    Each of the n factors is propagated to step_target / n and the reported
+    step error is the sum of the factor estimates: unitary entries have
+    modulus at most 1, so the sum bounds the max-abs error of the tensor
+    product. A one-factor system is one propagate_effective call.
     """
     n = sys.n_subsystems
-    if isinstance(potential, EffectivePotential):
-        pots = [potential] * n
-    else:
-        pots = list(potential)
-        if len(pots) != n:
-            raise ValidationError(
-                f"{len(pots)} potentials for {n} system factors")
     grid = _check_grid(grid)
     locals_: list[EffectivePropagator] = []
     for j in range(n):
         couplings = [Coupling(g=c.g, v_index=c.v_index, subsystem=0)
                      for c in sys.couplings if c.subsystem == j]
         local = SystemModel(local_h=(sys.local_h[j],), couplings=tuple(couplings))
-        locals_.append(propagate_effective(local, pots[j], grid,
+        locals_.append(propagate_effective(local, potential, grid,
                                            step_target=step_target / n,
                                            n_substeps=n_substeps))
     unitaries = locals_[0].unitaries
@@ -385,15 +376,16 @@ def evolve_state(propagator: EffectivePropagator,
         raise ValidationError(
             f"initial state dim {rho0.dim} does not match propagator dim "
             f"{propagator.dim}")
-    states = [DensityMatrix(s, rho0.dims)
-              for s in _conjugate(propagator.unitaries, rho0.data)]
+    stack = _conjugate(propagator.unitaries, rho0.data)
+    drift = np.trace(stack, axis1=1, axis2=2) - 1
     diag = {
-        "max_trace_drift": max(abs(complex(np.trace(s.data)) - 1) for s in states),
+        "max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
         "step_error": propagator.step_error,
         "n_substeps": propagator.n_substeps,
         "factors": propagator.factors,
     }
-    return PropagationResult(propagator.times, tuple(states), diag)
+    return PropagationResult.from_stack(propagator.times, stack, rho0.dims,
+                                        diag)
 
 
 def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
@@ -417,14 +409,13 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
             for _, pot in atoms]
     acc = sum(w * _conjugate(run.unitaries, rho0.data)
               for (w, _), run in zip(atoms, runs))
-    states = [DensityMatrix(s, rho0.dims) for s in acc]
     diag = {
         "atoms": len(atoms),
         "step_error": max(r.step_error for r in runs),
         "n_substeps": max(r.n_substeps for r in runs),
         "factors": runs[0].factors,
     }
-    return PropagationResult(grid, tuple(states), diag)
+    return PropagationResult.from_stack(grid, acc, rho0.dims, diag)
 
 
 def effective_trajectory(sys: SystemModel, state: ReservoirState,

@@ -330,10 +330,9 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
             a = a.reshape(d_sys, -1, ts.size, n_cols).transpose(2, 0, 1, 3)
             a = a.reshape(ts.size, d_sys, -1)
             acc[lo:lo + step] += a @ a.conj().transpose(0, 2, 1)
-    states = tuple(DensityMatrix(a, run.rho_s0.dims) for a in acc)
     norms = np.trace(acc, axis1=1, axis2=2).real
     diag["max_norm_drift"] = float(np.max(np.abs(norms - 1.0)))
-    return PropagationResult(grid, states, diag)
+    return PropagationResult.from_stack(grid, acc, run.rho_s0.dims, diag)
 
 
 def joint_trajectory(run: FiniteMRun) -> PropagationResult:
@@ -356,13 +355,14 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
     evals, emat = np.linalg.eigh(h)
     rho_r = materialize(run.reservoir_state, run.m_count)
     rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
-    dims = run.rho_s0.dims + rho_r.dims
-    states = []
-    for t in run.grid:
+    stack = np.empty((run.grid.size, d_total, d_total), dtype=complex)
+    for k, t in enumerate(run.grid):
         ph = np.exp(-1j * evals * t)
         rt = (ph[:, None] * rho_e) * ph.conj()[None, :]
-        states.append(DensityMatrix(emat @ rt @ emat.conj().T, dims))
-    return PropagationResult(run.grid, tuple(states), {"path": "dense-joint"})
+        stack[k] = emat @ rt @ emat.conj().T
+    return PropagationResult.from_stack(run.grid, stack,
+                                        run.rho_s0.dims + rho_r.dims,
+                                        {"path": "dense-joint"})
 
 
 def convergence_gap(sys: SystemModel, site: SiteModel, reservoir_state,
@@ -376,8 +376,7 @@ def convergence_gap(sys: SystemModel, site: SiteModel, reservoir_state,
     limit = effective_trajectory(sys, reservoir_state, site, rho0, run.grid,
                                  step_target=step_target,
                                  n_substeps=n_substeps)
-    return np.array([0.5 * trace_norm(a.data - b.data)
-                     for a, b in zip(finite.states, limit.states)])
+    return 0.5 * trace_norm(finite.stack - limit.stack)
 
 
 # Truncated interaction-picture series.

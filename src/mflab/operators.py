@@ -145,10 +145,12 @@ def partial_trace(state: "DensityMatrix | Operator | np.ndarray",
     return _ptrace_array(np.asarray(state, dtype=complex), dims, keep)
 
 
-def trace_norm(x: "Operator | np.ndarray") -> float:
-    """Tr sqrt(X†X), the sum of singular values."""
+def trace_norm(x: "Operator | np.ndarray"):
+    """Tr sqrt(X†X), the sum of singular values: a float for one matrix,
+    an array of one norm per matrix for a (T, d, d) stack."""
     arr = x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex)
-    return float(np.linalg.svd(arr, compute_uv=False).sum())
+    norms = np.linalg.svd(arr, compute_uv=False).sum(axis=-1)
+    return float(norms) if arr.ndim == 2 else norms
 
 
 def permute_factors(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]):
@@ -167,6 +169,32 @@ def permute_factors(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]):
     return np.ascontiguousarray(x.reshape(d, d)), tuple(new_dims)
 
 
+def check_density_stack(stack: np.ndarray) -> None:
+    """Check every matrix of a (T, d, d) stack as a density matrix.
+
+    Each state must be Hermitian relative to its own scale, have unit trace
+    and no eigenvalue below -PSD_ATOL; the eigenvalues come from one stacked
+    eigvalsh. The first failing state raises the ValidationError of the
+    first check it fails.
+    """
+    scale = np.maximum(np.abs(stack).max(axis=(-2, -1)), 1e-300)
+    herm = (np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(-2, -1))
+            / scale)
+    tr = np.trace(stack, axis1=-2, axis2=-1)
+    low = np.linalg.eigvalsh(stack)[:, 0]
+    bad = np.flatnonzero((herm > HERMITIAN_RTOL) | (abs(tr - 1.0) > TRACE_ATOL)
+                         | (low < -PSD_ATOL))
+    if not bad.size:
+        return
+    k = bad[0]
+    if herm[k] > HERMITIAN_RTOL:
+        raise ValidationError(
+            f"density matrix Hermiticity defect {herm[k]:.2e}")
+    if abs(tr[k] - 1.0) > TRACE_ATOL:
+        raise ValidationError(f"density matrix trace {tr[k]:.12g} != 1")
+    raise ValidationError(f"density matrix has eigenvalue {low[k]:.2e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive semidefinite unit-trace matrix with factor metadata."""
@@ -182,15 +210,7 @@ class DensityMatrix:
             raise ValidationError(
                 f"dims {dims} do not multiply to matrix size {arr.shape[0]}")
         if self.validate:
-            if hermitian_defect(arr) > HERMITIAN_RTOL:
-                raise ValidationError(
-                    f"density matrix Hermiticity defect {hermitian_defect(arr):.2e}")
-            tr = arr.trace()
-            if abs(tr - 1.0) > TRACE_ATOL:
-                raise ValidationError(f"density matrix trace {tr:.12g} != 1")
-            w = np.linalg.eigvalsh(arr)
-            if w[0] < -PSD_ATOL:
-                raise ValidationError(f"density matrix has eigenvalue {w[0]:.2e}")
+            check_density_stack(arr[None])
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", dims)

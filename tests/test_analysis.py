@@ -7,14 +7,20 @@ from mflab.operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from mflab.model import SiteModel, SystemModel
 from mflab.reservoir import ChannelCorrelated, ProductState, bell_channel_kraus
 from mflab.exact import FiniteMRun, propagate_exact
+from mflab.effective import (effective_potential, effective_trajectory,
+                             evolve_state, propagate_definetti,
+                             propagate_subsystems)
+from mflab.results import PropagationResult
 from mflab.analysis import (
     FieldOverlapSpec,
     SpectralProblem,
+    _sweep_rows,
     bound_state_count,
     concurrence,
     field_overlap_decay,
     m_sweep,
     negativity,
+    negativity_trajectory,
     partial_transpose,
     stark_halfline_spectrum,
     summary_report,
@@ -68,6 +74,16 @@ class TestTraceDistance:
         with pytest.raises(ValidationError, match="shape"):
             trace_distance(np.eye(2) / 2, np.eye(4) / 4)
 
+    def test_stacks_give_one_distance_per_index(self):
+        rng = np.random.default_rng(5)
+        a = [random_density(rng, (2, 2)) for _ in range(6)]
+        b = [random_density(rng, (2, 2)) for _ in range(6)]
+        got = trace_distance(np.array([x.data for x in a]),
+                             np.array([x.data for x in b]))
+        assert got.shape == (6,)
+        assert np.array_equal(got, [trace_distance(x, y)
+                                    for x, y in zip(a, b)])
+
 
 class TestNegativity:
     def test_product_state_is_zero(self):
@@ -94,6 +110,16 @@ class TestNegativity:
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
             rotated = DensityMatrix(u @ rho.data @ u.conj().T, (2, 3))
             assert abs(negativity(rotated, 0) - base) < 1e-10
+
+    def test_trajectory_matches_per_state_negativity(self):
+        rng = np.random.default_rng(9)
+        states = [random_density(rng, (2, 3)) for _ in range(7)]
+        res = PropagationResult.from_stack(np.arange(7.0),
+                                           [s.data for s in states], (2, 3))
+        for split in (0, 1):
+            want = [negativity(s, split) for s in states]
+            assert np.allclose(negativity_trajectory(res, split), want,
+                               rtol=0, atol=1e-15)
 
     def test_partial_transpose_is_involutive(self):
         rng = np.random.default_rng(3)
@@ -153,6 +179,53 @@ def sweep_fixture():
     res = ProductState(DensityMatrix.pure(ket("+"), (2,)))
     rho0 = dm(np.diag([1.0, 0.0]), (2,))
     return sys, site, res, rho0
+
+
+class TestTrajectoryStacks:
+    """Trajectories are checked and compared as whole (T, d, d) stacks."""
+
+    def test_producers_validate_in_a_constant_number_of_eigvalsh_calls(
+            self, monkeypatch):
+        sys, site, res, rho0 = sweep_fixture()
+        atoms = [(0.5, effective_potential(DensityMatrix.pure(ket(k), (2,)),
+                                           site)) for k in ("+", "0")]
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+
+        def count(grid):
+            run = FiniteMRun(sys, site, 3, res, rho0, grid)
+            prop = propagate_subsystems(sys, atoms[0][1], grid, n_substeps=2)
+            out = []
+            for call in (lambda: propagate_exact(run),
+                         lambda: evolve_state(prop, rho0),
+                         lambda: propagate_definetti(sys, atoms, rho0, grid,
+                                                     n_substeps=2)):
+                calls.clear()
+                assert len(call().states) == grid.size
+                out.append(len(calls))
+            return out
+
+        few, many = count(np.linspace(0.0, 1.0, 3)), count(
+            np.linspace(0.0, 1.0, 201))
+        assert few == many
+        assert max(many) <= 2
+
+    def test_sweep_gap_is_the_largest_per_state_distance(self):
+        sys, site, res, rho0 = sweep_fixture()
+        grid = np.linspace(0.0, 2.0, 201)
+        runs = [FiniteMRun(sys, site, m, res, rho0, grid) for m in (2, 5)]
+        limit = effective_trajectory(sys, res, site, rho0, grid)
+        for row, run in zip(_sweep_rows(runs, limit), runs):
+            finite = propagate_exact(run)
+            gap = max(trace_distance(a, b)
+                      for a, b in zip(finite.states, limit.states))
+            assert abs(row.gap - gap) <= 1e-12
 
 
 class TestMSweep:

@@ -507,3 +507,42 @@ def test_import_weight():
     scipy_on_package_import, heavy_on_cli_import = json.loads(out.stdout)
     assert scipy_on_package_import == []
     assert heavy_on_cli_import == []
+
+
+CHANNEL_RESERVOIR = """reservoir:
+  kind: channel
+  site_state: zero
+  corr_length: 2
+  channel: bell
+"""
+
+
+@pytest.mark.parametrize("name,edits,key", [
+    ("bell_channel_moments",
+     [("m_list: [3, 4, 5, 6, 7, 8]", "m_list: [1, 3]")], "checks[0].m_list"),
+    ("dyson_ratio",
+     [("reservoir:\n  kind: product\n  site_state: plus\n", CHANNEL_RESERVOIR),
+      ("m_count: 2", "m_count: 1")], "checks[0].m_count")])
+def test_validate_checks_every_moment_check_size(tmp_path, capsys, name, edits,
+                                                 key):
+    # a correlation block of two sites does not fit on one site; the check's
+    # sizes are refused at validate time, not at run time
+    text = cli.resolve_config(name).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert key in err and "correlation length 2" in err
+
+
+def test_module_entry_point_lists_the_catalog():
+    src = os.path.dirname(os.path.dirname(mflab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "mflab", "list"], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    for name in cli.bundled_names():
+        assert name in out.stdout

@@ -314,14 +314,6 @@ def test_product_propagation_commutes_with_partial_trace():
         assert np.max(np.abs(reduced - u1 @ rho_a @ u1.conj().T)) < 1e-10
 
 
-def test_potential_count_mismatch_rejected():
-    rng = np.random.default_rng(23)
-    sys = two_qubit_sys(rng)
-    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
-    with pytest.raises(ValidationError):
-        propagate_subsystems(sys, [pot], np.linspace(0, 1, 3))
-
-
 # state evolution
 
 def test_evolve_state_preserves_spectrum_and_purity():

@@ -28,3 +28,58 @@ def test_shape_validation():
     one = (DensityMatrix(np.eye(2) / 2, (2,)),)
     with pytest.raises(ValidationError):
         PropagationResult(times, one)
+
+
+def good_stack(n=5):
+    ps = np.linspace(0.9, 0.5, n)
+    return np.array([[[p, 0.1], [0.1, 1 - p]] for p in ps], dtype=complex)
+
+
+def test_from_stack_keeps_the_stack_and_builds_the_states():
+    times = np.linspace(0.0, 1.0, 5)
+    stack = good_stack()
+    res = PropagationResult.from_stack(times, stack, (2,), {"run": 1})
+    assert res.dims == (2,)
+    assert res.diagnostics == {"run": 1}
+    assert not res.stack.flags.writeable
+    assert np.array_equal(res.stack, stack)
+    for k, s in enumerate(res.states):
+        assert s.dims == (2,)
+        assert np.array_equal(s.data, stack[k])
+
+
+# Each bad state fails exactly one of the three density-matrix checks, so a
+# stacked validator that skipped any of them would let its stack through.
+BAD_STATES = {
+    "non_hermitian": [[0.5, 0.1], [0.0, 0.5]],
+    "wrong_trace": [[0.6, 0.0], [0.0, 0.6]],
+    "negative_eigenvalue": [[1.2, 0.0], [0.0, -0.2]],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_STATES))
+def test_from_stack_raises_the_single_state_message(kind):
+    bad = np.array(BAD_STATES[kind], dtype=complex)
+    with pytest.raises(ValidationError) as alone:
+        DensityMatrix(bad, (2,))
+    stack = good_stack()
+    stack[2] = bad
+    with pytest.raises(ValidationError) as stacked:
+        PropagationResult.from_stack(np.linspace(0.0, 1.0, 5), stack, (2,))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_from_stack_reports_the_first_failing_state():
+    stack = good_stack()
+    stack[1] = BAD_STATES["negative_eigenvalue"]
+    stack[3] = BAD_STATES["non_hermitian"]
+    with pytest.raises(ValidationError, match="eigenvalue -2.00e-01"):
+        PropagationResult.from_stack(np.linspace(0.0, 1.0, 5), stack, (2,))
+
+
+def test_from_stack_shape_checks():
+    with pytest.raises(ValidationError, match="stack of states"):
+        PropagationResult.from_stack(np.array([0.0]), np.eye(2) / 2, (2,))
+    with pytest.raises(ValidationError, match="3 times for 5 states"):
+        PropagationResult.from_stack(np.linspace(0.0, 1.0, 3), good_stack(),
+                                     (2,))
