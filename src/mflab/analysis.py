@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import QuadratureError, ToleranceError, ValidationError
 from .exact import FiniteMRun, propagate_exact
@@ -25,7 +24,7 @@ from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .matio import atomic_write_text
 from .model import ClusterInteraction, SiteModel, SystemModel
 from .operators import DensityMatrix, Operator, embed_at_site, trace_norm
-from .reservoir import DeFinettiMixture, ProductState, materialize
+from .reservoir import DeFinettiMixture, kron_power
 from .results import PropagationResult
 
 
@@ -201,8 +200,9 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
     h_block = sum(embed_at_site(site.h, j, nu).data for j in range(1, nu + 1))
     block_site = SiteModel(Operator(h_block, cluster.v_cluster.dims),
                            (cluster.v_cluster,))
-    blocks = DeFinettiMixture(tuple((w, materialize(ProductState(s), nu))
-                                    for w, s in reservoir_state.limit_atoms()))
+    blocks = DeFinettiMixture(tuple(
+        (w, DensityMatrix(kron_power(s.data, nu), (s.dim,) * nu))
+        for w, s in reservoir_state.limit_atoms()))
     limit = effective_trajectory(sys, blocks, block_site, rho0, grid,
                                  step_target=step_target)
     return _sweep_rows(runs, limit, threads)
@@ -252,6 +252,7 @@ class SpectralProblem:
 
 
 def _eigs_below(problem: SpectralProblem, n: int, threshold) -> tuple[np.ndarray, float]:
+    from scipy.linalg import eigh_tridiagonal  # lazy: scipy is slow to import
     x, h = problem.grid_points(n)
     w = problem.sample_potential(x)
     # essential-spectrum proxy: the potential floor on the outer quarter of
@@ -295,6 +296,7 @@ def stark_halfline_spectrum(slope: float, n_levels: int,
     The domain length scales with slope**(-1/3) so the requested levels sit
     well inside their classical turning points.
     """
+    from scipy.linalg import eigh_tridiagonal  # lazy: scipy is slow to import
     if slope <= 0:
         raise ValidationError("slope must be positive")
     if n_levels < 1:

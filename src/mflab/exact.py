@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ResourceLimitError, ValidationError
 from .model import (ClusterInteraction, SiteModel, SystemModel,
@@ -405,6 +404,7 @@ def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
     the truncation error honestly. A sector whose block exceeds the dense
     cutoff is refused.
     """
+    from scipy.linalg import expm  # lazy: scipy is slow to import
     if not 0 <= order <= 4:
         raise ValidationError("series order must be between 0 and 4")
     if t < 0:

@@ -5,10 +5,10 @@ states built by averaging a local channel over all placements, finite
 exchangeable mixtures of products, and block ensembles whose site fractions
 are prescribed. Each is a weighted mixture of products of independent sites:
 decompose gives that mixture on M sites, limit_atoms the (weight, site state)
-pairs left as M -> infinity. Part products evaluate moments of the
-site-averaged interaction by an exact combinatorial reduction over index
-partitions; states with an explicit block are materialized densely below the
-size cutoff. materialize builds every state independently of decompose.
+pairs left as M -> infinity. Moments of the site-averaged interaction and
+the factorization bound are exact sums over index partitions of local
+contractions on that mixture, at any M. materialize builds every state
+densely and independently of decompose, as a reference.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -16,7 +16,9 @@ coherent oscillator ensembles.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, ToleranceError, ValidationError
 from .model import SiteModel
-from .operators import DENSE_CUTOFF, DensityMatrix, Operator, embed_at_site
+from .operators import DENSE_CUTOFF, DensityMatrix
 
 WEIGHT_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
@@ -117,7 +119,7 @@ class ChannelCorrelated:
             raise ValidationError(
                 f"need at least {L} sites for correlation length {L}, "
                 f"got {m_count}")
-        block = apply_kraus(self.kraus, _kron_power(self.site_state.data, L))
+        block = apply_kraus(self.kraus, kron_power(self.site_state.data, L))
         parts = ((m_count - L, self.site_state),) if m_count > L else ()
         return [(1.0, parts, DensityMatrix(block, (d,) * L, validate=False))]
 
@@ -205,33 +207,12 @@ def decompose(state, m_count: int, site_dim: int):
     return state.components(m_count)
 
 
-def _kron_power(mat: np.ndarray, count: int) -> np.ndarray:
+def kron_power(mat: np.ndarray, count: int) -> np.ndarray:
+    """mat (x) ... (x) mat, count factors; the identity of dim 1 for none."""
     out = np.eye(1, dtype=complex)
     for _ in range(count):
         out = np.kron(out, mat)
     return out
-
-
-def build_channel_correlated(site_state: DensityMatrix, corr_length: int,
-                             kraus: Sequence[np.ndarray],
-                             m_count: int) -> DensityMatrix:
-    """Average of the channel applied at every placement over m_count sites."""
-    spec = ChannelCorrelated(site_state, corr_length, tuple(kraus))
-    L, d = spec.corr_length, site_state.dim
-    if m_count < L:
-        raise ValidationError(
-            f"need at least {L} sites for correlation length {L}, got {m_count}")
-    if d ** m_count > DENSE_CUTOFF:
-        raise ResourceLimitError(
-            f"correlated state on {m_count} sites of dim {d} exceeds dense cutoff")
-    block = apply_kraus(spec.kraus, _kron_power(site_state.data, L))
-    acc = np.zeros((d ** m_count,) * 2, dtype=complex)
-    for j in range(m_count - L + 1):
-        left = _kron_power(site_state.data, j)
-        right = _kron_power(site_state.data, m_count - L - j)
-        acc += np.kron(np.kron(left, block), right)
-    acc /= m_count - L + 1
-    return DensityMatrix(acc, (d,) * m_count)
 
 
 def materialize(state, m_count: int) -> DensityMatrix:
@@ -251,19 +232,24 @@ def materialize(state, m_count: int) -> DensityMatrix:
             f"materializing {m_count} sites of dim {d} exceeds dense cutoff")
     dims = (d,) * m_count
     if isinstance(state, ProductState):
-        return DensityMatrix(_kron_power(state.site_state.data, m_count), dims)
+        return DensityMatrix(kron_power(state.site_state.data, m_count), dims)
     if isinstance(state, DeFinettiMixture):
-        acc = sum(w * _kron_power(s.data, m_count) for w, s in state.atoms)
+        acc = sum(w * kron_power(s.data, m_count) for w, s in state.atoms)
         return DensityMatrix(acc, dims)
     if isinstance(state, MacroscopicParts):
         counts = largest_remainder_counts([f for f, _ in state.parts], m_count)
         out = np.eye(1, dtype=complex)
         for (_, s), c in zip(state.parts, counts):
-            out = np.kron(out, _kron_power(s.data, int(c)))
+            out = np.kron(out, kron_power(s.data, int(c)))
         return DensityMatrix(out, dims)
     if isinstance(state, ChannelCorrelated):
-        return build_channel_correlated(state.site_state, state.corr_length,
-                                        state.kraus, m_count)
+        # the average of the block over all m_count - L + 1 placements
+        (_, _, block), = state.components(m_count)
+        s, L = state.site_state.data, state.corr_length
+        acc = sum(np.kron(np.kron(kron_power(s, j), block.data),
+                          kron_power(s, m_count - L - j))
+                  for j in range(m_count - L + 1))
+        return DensityMatrix(acc / (m_count - L + 1), dims)
     raise ValidationError(f"unknown ensemble type {type(state).__name__}")
 
 
@@ -340,116 +326,127 @@ def set_partitions(items: Sequence[int]):
         yield [[first]] + part
 
 
-def falling_factorial(m: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out *= m - j
-    return out
+def _slot_products(site: SiteModel, times: Sequence[float], v_index: int):
+    """The site Hamiltonian's eigenvectors and, per tuple of time slots,
+    the ordered single-site product of the evolved interaction at their
+    times, in that eigenbasis."""
+    evals, vecs = np.linalg.eigh(site.h.data)
+    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
+
+    @functools.cache
+    def product(slots: tuple[int, ...]) -> np.ndarray:
+        prod = np.eye(len(evals), dtype=complex)
+        for i in slots:
+            ph = np.exp(1j * evals * times[i])
+            prod = prod @ ((ph[:, None] * v_e) * ph.conj()[None, :])
+        return prod
+    return vecs, product
 
 
-def _evolved_interaction(v_e: np.ndarray, evals: np.ndarray, t: float) -> np.ndarray:
-    ph = np.exp(1j * evals * t)
-    return (ph[:, None] * v_e) * ph.conj()[None, :]
+def _block_contraction(block: DensityMatrix, vecs: np.ndarray):
+    """ops {position l: X_l} -> Tr(block (x)_l X_l), the X_l in the site
+    eigenbasis vecs; the block's other positions are traced out."""
+    L = len(block.dims)
+    u = kron_power(vecs, L)
+    tensor = (u.conj().T @ block.data @ u).reshape(block.dims * 2)
+
+    def contract(ops) -> complex:
+        args = [tensor, [*range(L)] + [L + l if l in ops else l for l in range(L)]]
+        for l, x in ops.items():
+            args += [x, [L + l, l]]
+        return complex(np.einsum(*args, []))
+    return contract
 
 
-def _block_product_expectation(rho_e: np.ndarray, v_e: np.ndarray,
-                               evals: np.ndarray, times: Sequence[float]) -> complex:
-    d = len(evals)
-    prod = np.eye(d, dtype=complex)
-    for t in times:
-        prod = prod @ _evolved_interaction(v_e, evals, t)
-    return complex(np.trace(rho_e @ prod))
-
-
-def _partition_moment(parts, site: SiteModel, times: Sequence[float],
+def _component_moment(parts, block, site: SiteModel, times: Sequence[float],
                       v_index: int) -> complex:
-    """Moment of the site average over parts (count, site state) of
-    identical independent sites.
+    """Moment of the site average over an optional block on the first L
+    sites, then parts (count, site state) of identical independent sites.
 
     Sum over index-coincidence partitions of the time slots; each block of
-    coincident indices contributes a single-site ordered product, and blocks
-    land on distinct sites counted by falling factorials per part.
+    coincident indices is a single-site ordered product. The blocks landing
+    on distinct positions of the explicit block give one contraction of it;
+    the others land on distinct outside sites, counted by falling factorials
+    per part.
     """
-    n = len(times)
-    part_counts = [c for c, _ in parts]
-    m_total = int(sum(part_counts))
-    evals, vecs = np.linalg.eigh(site.h.data)
-    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
+    L = 0 if block is None else len(block.dims)
+    counts = [int(c) for c, _ in parts]
+    vecs, product = _slot_products(site, times, v_index)
     rho_es = [vecs.conj().T @ s.data @ vecs for _, s in parts]
-    n_parts = len(rho_es)
+    contract = None if block is None else _block_contraction(block, vecs)
     total = 0.0 + 0.0j
-    for partition in set_partitions(range(n)):
-        k = len(partition)
-        block_vals = [
-            [_block_product_expectation(rho_e, v_e, evals,
-                                        [times[i] for i in block])
-             for rho_e in rho_es]
-            for block in partition]
-        for assign in itertools.product(range(n_parts), repeat=k):
-            weight = 1
-            for p in range(n_parts):
-                weight *= falling_factorial(int(part_counts[p]), assign.count(p))
-            if weight == 0:
+    for partition in set_partitions(range(len(times))):
+        slots = [tuple(b) for b in partition]
+        block_vals = [[complex(np.trace(rho_e @ product(s))) for rho_e in rho_es]
+                      for s in slots]
+        # an entry p < 0 puts that coincidence block at block position L + p
+        for assign in itertools.product(range(-L, len(parts)), repeat=len(slots)):
+            inside = {L + p: product(s) for s, p in zip(slots, assign) if p < 0}
+            weight = math.prod(math.perm(c, assign.count(p))
+                               for p, c in enumerate(counts))
+            if weight == 0 or len(inside) < sum(p < 0 for p in assign):
                 continue
-            val = 1.0 + 0.0j
-            for b, p in enumerate(assign):
-                val *= block_vals[b][p]
+            val = math.prod(block_vals[b][p]
+                            for b, p in enumerate(assign) if p >= 0)
+            if inside:
+                val *= contract(inside)
             total += weight * val
-    return total / m_total ** n
-
-
-def _embedded_interactions(site: SiteModel, times: Sequence[float],
-                           m_count: int, v_index: int):
-    """Per time, the evolved interaction embedded at each of the sites."""
-    d = site.dim
-    evals, vecs = np.linalg.eigh(site.h.data)
-    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
-    for t in times:
-        vt = vecs @ _evolved_interaction(v_e, evals, t) @ vecs.conj().T
-        yield [embed_at_site(Operator(vt, (d,)), m, m_count).data
-               for m in range(1, m_count + 1)]
-
-
-def _dense_moment(state, m_count: int, site: SiteModel,
-                  times: Sequence[float], v_index: int) -> complex:
-    d = site.dim
-    if d ** m_count > DENSE_CUTOFF:
-        raise ResourceLimitError(
-            f"dense moment on {m_count} sites of dim {d} exceeds cutoff; "
-            "no combinatorial reduction for this ensemble")
-    rho = materialize(state, m_count).data
-    prod = np.eye(d ** m_count, dtype=complex)
-    for ops in _embedded_interactions(site, times, m_count, v_index):
-        prod = prod @ (sum(ops) / m_count)
-    return complex(np.trace(rho @ prod))
+    return total / (sum(counts) + L) ** len(times)
 
 
 def multitime_moment(state, m_count: int, site: SiteModel,
                      times: Sequence[float], v_index: int = 0) -> complex:
     """Ensemble moment of the site-averaged evolved interaction at the
-    given times, in the given order. A state with a block is taken densely
-    from materialize, whose channel placements all give the same moment."""
+    given times, in the given order, summed over the components of
+    decompose. A block is contracted locally at its one placement, which
+    gives the same site-averaged moment as every other, so no d^M object
+    is built."""
     times = [float(t) for t in times]
     if not times:
         raise ValidationError("need at least one time")
-    components = decompose(state, m_count, site.dim)
-    if any(block is not None for _, _, block in components):
-        return _dense_moment(state, m_count, site, times, v_index)
-    return sum(w * _partition_moment(parts, site, times, v_index)
-               for w, parts, _ in components)
+    return sum(w * _component_moment(parts, block, site, times, v_index)
+               for w, parts, block in decompose(state, m_count, site.dim))
 
 
-def _max_tuple_moment(state: ReservoirState, m_count: int, site: SiteModel,
-                      times: Sequence[float], v_index: int) -> float:
-    """Largest modulus of a fixed-site-assignment moment over all index tuples."""
-    rho = materialize(state, m_count).data
-    embedded = list(_embedded_interactions(site, times, m_count, v_index))
+def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
+                      site: SiteModel, times: Sequence[float],
+                      v_index: int) -> float:
+    """Largest modulus, over all index tuples, of the fixed-site moment in
+    the average of the block over its m_count - L + 1 placements, the other
+    sites in the state of the single part.
+
+    A placement whose window misses every site of the tuple gives the plain
+    product of single-site factors; each other one contracts the block with
+    the factors in its window. Those depend only on the gaps between the
+    tuple's sites up to L and the end sites' distances from the ends of the
+    line up to L - 1, so shrinking longer gaps and margins to these caps
+    maps every tuple onto a line of at most (n + 1) L - 1 sites with the
+    same moment, and the tuples of that line stand for all m_count^n.
+    """
+    L, n = len(block.dims), len(times)
+    n_place = m_count - L + 1
+    short = min(m_count, (n + 1) * L - 1)
+    vecs, product = _slot_products(site, times, v_index)
+    contract = _block_contraction(block, vecs)
+    # with no part the block covers every site and no factor is used
+    outside = parts[0][1].data if parts else np.zeros((site.dim,) * 2)
+    outside = vecs.conj().T @ outside @ vecs
+    window = functools.cache(lambda inside: contract(
+        {off: product(s) for off, s in inside}))
     best = 0.0
-    for tup in itertools.product(range(m_count), repeat=len(times)):
-        prod = embedded[0][tup[0]]
-        for i in range(1, len(times)):
-            prod = prod @ embedded[i][tup[i]]
-        best = max(best, abs(complex(np.trace(rho @ prod))))
+    for tup in itertools.product(range(short), repeat=n):
+        slots = {j: tuple(i for i in range(n) if tup[i] == j)
+                 for j in sorted(set(tup))}
+        factor = {j: complex(np.trace(outside @ product(s)))
+                  for j, s in slots.items()}
+        plain = math.prod(factor.values())
+        acc = n_place * plain
+        for q in range(short - L + 1):
+            inside = tuple((j - q, s) for j, s in slots.items() if q <= j < q + L)
+            if inside:
+                acc += window(inside) * math.prod(
+                    f for j, f in factor.items() if not q <= j < q + L) - plain
+        best = max(best, abs(acc) / n_place)
     return best
 
 
@@ -459,9 +456,8 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     single-site expectations.
 
     Returns a scalar; ensembles with an explicit block of L sites, such as
-    channel-correlated ones, return (error, bound) where
-    bound = n L C(n) / (M - L + 1) with C(n) the largest fixed-site moment
-    modulus.
+    channel-correlated ones, return (error, bound) with the bound
+    n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus.
     """
     times = [float(t) for t in times]
     moment = multitime_moment(state, m_count, site, times, v_index)
@@ -470,13 +466,11 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     for t in times:
         factorized *= site_expectation(ref, site, t, v_index)
     err = abs(moment - factorized)
-    components = decompose(state, m_count, site.dim)
-    blocks = [len(b.dims) for _, _, b in components if b is not None]
-    if blocks:
-        n, L = len(times), max(blocks)
-        c_n = _max_tuple_moment(state, m_count, site, times, v_index)
-        bound = n * L * c_n / (m_count - L + 1)
-        return err, bound
+    for _, parts, block in decompose(state, m_count, site.dim):
+        if block is not None:
+            L = len(block.dims)
+            c_n = _max_tuple_moment(parts, block, m_count, site, times, v_index)
+            return err, len(times) * L * c_n / (m_count - L + 1)
     return err
 
 

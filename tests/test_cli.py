@@ -456,17 +456,18 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
 
 
 def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
-    # the finite-M engine and the series oracle both work on symmetric
-    # sectors; the d^M joint Hamiltonian is a test-side reference only
-    import mflab.exact
-    import mflab.model
-
+    # the finite-M engine and the series oracle work on symmetric sectors,
+    # the moments on the ensemble decomposition; the d^M joint Hamiltonian
+    # and reservoir state are test-side references only
     def refuse(*args, **kwargs):
-        raise AssertionError("full-space joint Hamiltonian assembled")
+        raise AssertionError("full-space object assembled")
 
-    monkeypatch.setattr(mflab.model, "assemble_total", refuse)
-    monkeypatch.setattr(mflab.exact, "assemble_total", refuse)
-    for name in ("dyson_ratio", "qubit_convergence"):
+    for module in [m for n, m in sys.modules.items()
+                   if n == "mflab" or n.startswith("mflab.")]:
+        for name in ("assemble_total", "materialize"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name in cli.bundled_names():
         cfg = load_config(cli.resolve_config(name))
         summary = cli.run_experiment(cfg, tmp_path / name, name)
         assert summary["rows"] > 0
@@ -489,24 +490,32 @@ class TestCsvRendering:
 
 IMPORT_PROBE = """
 import json, sys
-import mflab
-loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
-import mflab.cli, mflab.analysis
-heavy = sorted(m for m in sys.modules
-               if m.startswith(("scipy.interpolate", "scipy.optimize")))
-print(json.dumps([loaded, heavy]))
+import mflab.cli, mflab.analysis, mflab.exact
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 """
 
 
 def test_import_weight():
-    # A fresh interpreter: test modules import scipy.optimize themselves.
+    # A fresh interpreter: test modules import scipy themselves. Only the
+    # series oracle and the spectral studies load scipy, when they run.
     src = os.path.dirname(os.path.dirname(mflab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True)
-    scipy_on_package_import, heavy_on_cli_import = json.loads(out.stdout)
-    assert scipy_on_package_import == []
-    assert heavy_on_cli_import == []
+    assert json.loads(out.stdout) == []
+
+
+def test_channel_moments_run_past_the_dense_cutoff(tmp_path):
+    # the channel moment and its bound are local contractions, so the
+    # bundled check runs far beyond 2^12 reservoir dimensions
+    text = cli.resolve_config("bell_channel_moments").read_text().replace(
+        "m_list: [3, 4, 5, 6, 7, 8]", "m_list: [3, 16, 64]")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "exp" / "channel_bound.csv").read_text()
+    rows = [row.split(",") for row in rows.splitlines()[1:]]
+    assert [r[2] for r in rows] == ["3", "16", "64"]
+    assert all(r[-1] == "1" for r in rows)
 
 
 CHANNEL_RESERVOIR = """reservoir:

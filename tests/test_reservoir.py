@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from mflab.errors import ResourceLimitError, ValidationError
+from mflab.errors import ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
 from mflab.operators import DensityMatrix, Operator, partial_trace, pauli, permute_factors
 from mflab.reservoir import (
@@ -12,9 +13,7 @@ from mflab.reservoir import (
     DeFinettiMixture,
     MacroscopicParts,
     ProductState,
-    _dense_moment,
     bell_channel_kraus,
-    build_channel_correlated,
     coherent_bound,
     coherent_bound_safe,
     decompose,
@@ -118,6 +117,57 @@ def test_expectation_dim_mismatch_rejected():
         site_expectation(rho3, site, 0.1)
 
 
+# dense oracles: the site-averaged moments on the materialized state
+
+def evolved_interaction(site, t):
+    u = expm(1j * t * site.h.data)
+    return u @ site.interactions[0].data @ u.conj().T
+
+
+def right_apply_at_site(a, x, j, m):
+    """a @ (x on site j of m sites), without forming the embedded operator."""
+    d = x.shape[0]
+    t = a.reshape(-1, d ** j, d, d ** (m - j - 1))
+    return np.einsum("rajb,jk->rakb", t, x).reshape(a.shape)
+
+
+def dense_moment(state, m, site, times):
+    """Tr(rho vbar(t_1) ... vbar(t_n)), vbar the average over all m sites."""
+    prod = materialize(state, m).data
+    for t in times:
+        vt = evolved_interaction(site, t)
+        prod = sum(right_apply_at_site(prod, vt, j, m) for j in range(m)) / m
+    return complex(np.trace(prod))
+
+
+def dense_max_tuple_moment(state, m, site, times):
+    """Largest |Tr(rho V_{j_1}(t_1) ... V_{j_n}(t_n))| over all m^n tuples."""
+    ops = [evolved_interaction(site, t) for t in times]
+
+    def walk(a, i):
+        if i == len(ops):
+            return abs(np.trace(a))
+        return max(walk(right_apply_at_site(a, ops[i], j, m), i + 1)
+                   for j in range(m))
+    return walk(materialize(state, m).data, 0)
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_state(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, (d,))
+
+
 # multitime_moment
 
 def test_single_time_moment_is_site_expectation():
@@ -154,7 +204,7 @@ def test_moment_partition_path_matches_dense():
     times = [0.2, 0.9, 1.4]
     for m in (1, 2, 3, 4):
         fast = multitime_moment(ProductState(rho), m, site, times)
-        dense = _dense_moment(ProductState(rho), m, site, times, 0)
+        dense = dense_moment(ProductState(rho), m, site, times)
         assert abs(fast - dense) < 1e-12
 
 
@@ -166,7 +216,7 @@ def test_definetti_moment_is_weighted_sum_of_atoms():
     expected = (0.3 * multitime_moment(ProductState(GROUND), m, site, times)
                 + 0.7 * multitime_moment(ProductState(PLUS), m, site, times))
     assert abs(multitime_moment(mixture, m, site, times) - expected) < 1e-14
-    dense = _dense_moment(mixture, m, site, times, 0)
+    dense = dense_moment(mixture, m, site, times)
     assert abs(multitime_moment(mixture, m, site, times) - dense) < 1e-13
 
 
@@ -176,7 +226,7 @@ def test_macroscopic_moment_matches_dense():
     times = [0.4, 1.2]
     for m in (3, 4):
         fast = multitime_moment(state, m, site, times)
-        dense = _dense_moment(state, m, site, times, 0)
+        dense = dense_moment(state, m, site, times)
         assert abs(fast - dense) < 1e-12
 
 
@@ -214,11 +264,49 @@ def test_moment_requires_time_and_matching_dims():
         multitime_moment(ProductState(rho3), 2, site, [0.1])
 
 
-def test_moment_dense_overflow_rejected():
+def test_channel_moment_and_bound_run_at_large_m():
+    # the block is contracted locally, so no dense size cutoff applies
     site = qubit_site(SZ.data, SX.data)
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
-    with pytest.raises(ResourceLimitError):
-        multitime_moment(state, 16, site, [0.1, 0.2])
+    for m in (16, 64):
+        assert np.isfinite(multitime_moment(state, m, site, [0.1, 0.2]))
+        err, bound = factorization_error(state, m, site, [0.1, 0.2])
+        assert 0 < bound and err <= bound
+
+
+def test_identity_channel_moment_is_the_product_moment_at_large_m():
+    # an identity channel leaves the product state, so the block
+    # contraction must agree with the plain partition sum far beyond any
+    # dense size
+    rng = np.random.default_rng(11)
+    site = qubit_site(random_hermitian(rng, 2), random_hermitian(rng, 2))
+    rho = random_state(rng, 2)
+    for L in (1, 2, 3):
+        ident = ChannelCorrelated(rho, L, (np.eye(2 ** L),))
+        for times in ([0.4], [0.2, 1.1], [0.3, 0.9, 1.6]):
+            want = multitime_moment(ProductState(rho), 64, site, times)
+            assert abs(multitime_moment(ident, 64, site, times) - want) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), L=st.integers(1, 3),
+       n=st.integers(1, 3), extra=st.integers(0, 5),
+       n_kraus=st.integers(1, 2))
+def test_channel_moment_and_bound_match_dense_oracle(seed, L, n, extra,
+                                                     n_kraus):
+    # random-unitary channels on L = 1..3 sites, M = L..8
+    rng = np.random.default_rng(seed)
+    m = L + extra
+    site = qubit_site(random_hermitian(rng, 2), random_hermitian(rng, 2))
+    p = rng.dirichlet(np.ones(n_kraus))
+    kraus = tuple(np.sqrt(w) * random_unitary(rng, 2 ** L) for w in p)
+    state = ChannelCorrelated(random_state(rng, 2), L, kraus)
+    times = list(rng.uniform(0, 2, size=n))
+    moment = multitime_moment(state, m, site, times)
+    assert abs(moment - dense_moment(state, m, site, times)) < 1e-12
+    _, bound = factorization_error(state, m, site, times)
+    c_n = dense_max_tuple_moment(state, m, site, times)
+    assert abs(bound - n * L * c_n / (m - L + 1)) < 1e-12
 
 
 # factorization_error
@@ -272,7 +360,7 @@ def test_bell_channel_error_within_stated_bound():
 
 def test_identity_channel_gives_product_state():
     ident = (np.eye(4, dtype=complex),)
-    rho = build_channel_correlated(PLUS, 2, ident, 3)
+    rho = materialize(ChannelCorrelated(PLUS, 2, ident), 3)
     expected = materialize(ProductState(PLUS), 3)
     assert np.allclose(rho.data, expected.data, atol=1e-14)
 
@@ -283,14 +371,14 @@ def test_bell_channel_three_sites_explicit_oracle():
     bell_dm = np.outer(bell, bell.conj())
     g = GROUND.data
     oracle = 0.5 * (np.kron(bell_dm, g) + np.kron(g, bell_dm))
-    rho = build_channel_correlated(GROUND, 2, bell_channel_kraus(), 3)
+    rho = materialize(ChannelCorrelated(GROUND, 2, bell_channel_kraus()), 3)
     assert np.allclose(rho.data, oracle, atol=1e-14)
     assert abs(np.trace(rho.data) - 1) < 1e-12
     assert np.linalg.eigvalsh(rho.data).min() > -1e-12
 
 
 def test_bell_channel_single_site_marginal():
-    rho = build_channel_correlated(GROUND, 2, bell_channel_kraus(), 3)
+    rho = materialize(ChannelCorrelated(GROUND, 2, bell_channel_kraus()), 3)
     marginal = partial_trace(rho, keep=[0])
     expected = 0.5 * (GROUND.data + np.eye(2) / 2)
     assert np.allclose(marginal.data, expected, atol=1e-14)
@@ -298,7 +386,7 @@ def test_bell_channel_single_site_marginal():
 
 def test_channel_needs_enough_sites():
     with pytest.raises(ValidationError):
-        build_channel_correlated(GROUND, 2, bell_channel_kraus(), 1)
+        materialize(ChannelCorrelated(GROUND, 2, bell_channel_kraus()), 1)
 
 
 def test_non_trace_preserving_kraus_rejected():
