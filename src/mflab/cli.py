@@ -138,17 +138,16 @@ def _run_stepper_audit(audit: dict, seed):
     return header, rows, notes
 
 
-def _run_entanglement(cfg: ExperimentConfig):
+def _run_entanglement(cfg: ExperimentConfig, threads: int):
     split = (0,)
     limit = effective_trajectory(cfg.system, cfg.reservoir, cfg.site,
                                  cfg.initial_state, cfg.grid,
                                  step_target=cfg.step_target)
-    columns = [analysis.negativity_trajectory(limit, split)]
-    for m in cfg.m_list:
-        run = exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
-                               cfg.initial_state, cfg.grid)
-        columns.append(analysis.negativity_trajectory(exact.propagate_exact(run),
-                                                      split))
+    runs = [exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
+                             cfg.initial_state, cfg.grid) for m in cfg.m_list]
+    finite = analysis.thread_map(exact.propagate_exact, runs, threads)
+    columns = [analysis.negativity_trajectory(r, split)
+               for r in [limit, *finite]]
     header = ["t", "negativity_limit"] + [f"negativity_m{m}"
                                           for m in cfg.m_list]
     rows = [[t] + [col[k] for col in columns]
@@ -217,7 +216,7 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
         order, t, m = check["order"], check["t"], check["m_count"]
         run = exact.FiniteMRun(cfg.system, cfg.site, m, state,
                                cfg.initial_state, np.array([t / 2, t]))
-        ref_half, ref_full = exact.propagate_exact(run).states
+        ref_half, ref_full = exact.propagate_exact(run).stack
         gap_half = analysis.trace_distance(
             exact.dyson_truncated(cfg.system, site, state, m,
                                   cfg.initial_state, order, t / 2), ref_half)
@@ -286,7 +285,7 @@ def _purities(stack: np.ndarray) -> np.ndarray:
     return np.trace(stack @ stack, axis1=1, axis2=2).real
 
 
-def _run_definetti(cfg: ExperimentConfig):
+def _run_definetti(cfg: ExperimentConfig, threads: int):
     atoms = cfg.reservoir.atoms
     mixture = effective_trajectory(cfg.system, cfg.reservoir, cfg.site,
                                    cfg.initial_state, cfg.grid,
@@ -299,10 +298,10 @@ def _run_definetti(cfg: ExperimentConfig):
               + [f"gap_atom_{j}" for j in range(len(atoms))] + ["purity"])
     rows = []
     closer = {}
-    for m in cfg.m_list:
-        run = exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
-                               cfg.initial_state, cfg.grid)
-        finite = exact.propagate_exact(run).stack
+    runs = [exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
+                             cfg.initial_state, cfg.grid) for m in cfg.m_list]
+    results = analysis.thread_map(exact.propagate_exact, runs, threads)
+    for m, finite in zip(cfg.m_list, (r.stack for r in results)):
         gap_mix = analysis.trace_distance(finite, mixture.stack)
         gaps = np.array([analysis.trace_distance(finite, orb.stack)
                          for orb in orbits])
@@ -339,12 +338,10 @@ def _run_decay(cfg: ExperimentConfig):
             return out
 
         f_prime = h_prime = _bump
-    spec = analysis.FieldOverlapSpec(f_prime, h_prime, spec_args["r_max"],
-                                     base_panels=spec_args["base_panels"])
+    spec = analysis.FieldOverlapSpec(f_prime, h_prime, spec_args["r_max"])
     times = spec_args["times"]
-    values = analysis.field_overlap_decay(spec, times, tol=spec_args["tol"])
-    static = analysis.field_overlap_decay(spec, np.array([0.0]),
-                                          tol=spec_args["tol"])[0]
+    static, *values = analysis.field_overlap_decay(
+        spec, np.concatenate([[0.0], times]), tol=spec_args["tol"])
     header = ["t", "overlap_sq"]
     rows = [[float(t), float(v)] for t, v in zip(times, values)]
     notes = {"static_value": float(static),
@@ -363,13 +360,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, name: str,
     if cfg.kind == "convergence":
         header, rows, notes = _run_convergence(cfg, threads, seed)
     elif cfg.kind == "entanglement":
-        header, rows, notes = _run_entanglement(cfg)
+        header, rows, notes = _run_entanglement(cfg, threads)
     elif cfg.kind == "moments":
         header, rows, notes = _run_moments(cfg)
     elif cfg.kind == "spectrum":
         header, rows, notes = _run_spectrum(cfg)
     elif cfg.kind == "definetti":
-        header, rows, notes = _run_definetti(cfg)
+        header, rows, notes = _run_definetti(cfg, threads)
     else:
         header, rows, notes = _run_decay(cfg)
     out_dir = Path(out_dir)

@@ -468,8 +468,6 @@ def _build_overlap(block: _Block) -> dict:
         "profile": profile,
         "r_max": _as_positive(block.get("r_max"), f"{block.where}.r_max"),
         "tol": _as_positive(block.get("tol", 1e-7), f"{block.where}.tol"),
-        "base_panels": _as_int(block.get("base_panels", 64),
-                               f"{block.where}.base_panels", minimum=8),
     }
     if profile == "gaussian":
         out["scale"] = _as_number(block.get("scale", 1.0),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mflab import analysis
 from mflab.errors import QuadratureError, ToleranceError, ValidationError
 from mflab.operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from mflab.model import SiteModel, SystemModel
@@ -416,6 +417,18 @@ def faddeeva_oracle(t):
     return -(c * beta * beta) * wpp
 
 
+def bump_spec():
+    # the field_scattering_decay profile: smooth, supported on [1, 5]
+    def bump(r):
+        u = (r - 3.0) / 2.0
+        out = np.zeros_like(r)
+        inside = np.abs(u) < 1.0
+        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        return out
+
+    return FieldOverlapSpec(f_prime=bump, h_prime=bump, r_max=6.0)
+
+
 class TestFieldOverlap:
     def test_static_value_is_plain_integral(self):
         got = field_overlap_decay(gaussian_spec(), 0.0)[0]
@@ -439,14 +452,7 @@ class TestFieldOverlap:
         assert np.all(got >= 0)
 
     def test_smooth_compact_profiles_decay(self):
-        def bump(r):
-            u = (r - 3.0) / 2.0
-            out = np.zeros_like(r)
-            inside = np.abs(u) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-            return out
-
-        spec = FieldOverlapSpec(f_prime=bump, h_prime=bump, r_max=6.0)
+        spec = bump_spec()
         static = field_overlap_decay(spec, 0.0)[0]
         late = field_overlap_decay(spec, np.array([50.0, 75.0, 100.0]))
         assert np.max(late) < 1e-3 * static
@@ -455,6 +461,45 @@ class TestFieldOverlap:
         with pytest.raises(QuadratureError, match="panels"):
             field_overlap_decay(gaussian_spec(), 3.0, tol=1e-16,
                                 max_panels=256)
+
+    def test_bump_matches_qawo_oracle(self):
+        # QUADPACK's QAWO integrates against cos(tr) and sin(tr) on its own
+        # adaptive subdivision, independent of the shared Filon panels
+        from scipy.integrate import quad
+        spec = bump_spec()
+        times = np.array([0.0, 0.5, 5.0, 25.0, 100.0])
+        got = np.sqrt(field_overlap_decay(spec, times))
+
+        def amplitude(r):
+            return float(spec.amplitude(np.array([r]))[0].real)
+
+        for t, amp in zip(times, got):
+            parts = [quad(amplitude, 0.0, spec.r_max, weight=w, wvar=t,
+                          epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+                     for w in ("cos", "sin")]
+            assert abs(amp - abs(complex(*parts))) < 1e-7
+
+    def test_phase_blocks_do_not_change_the_sums(self, monkeypatch):
+        times = np.linspace(0.0, 10.0, 41)
+        monkeypatch.setattr(analysis, "OVERLAP_CHUNK", 1 << 30)
+        whole = field_overlap_decay(gaussian_spec(), times)
+        monkeypatch.setattr(analysis, "OVERLAP_CHUNK", 100)
+        blocked = field_overlap_decay(gaussian_spec(), times)
+        assert np.allclose(blocked, whole, rtol=1e-12, atol=0)
+
+    def test_empty_times(self):
+        got = field_overlap_decay(gaussian_spec(), np.array([]))
+        assert got.shape == (0,)
+
+    def test_quadrature_cap_names_panels_and_worst_time(self):
+        spec, times = bump_spec(), np.array([100.0, 0.0, 5.0])
+        n = 2 * analysis.BASE_PANELS
+        moved = np.abs(analysis._filon_sums(spec, times, n)
+                       - analysis._filon_sums(spec, times, n // 2))
+        worst = times[np.argmax(moved)]
+        with pytest.raises(QuadratureError) as err:
+            field_overlap_decay(spec, times, tol=1e-16, max_panels=n)
+        assert f"at {n} panels (t={worst:g})" in str(err.value)
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError, match="callable"):

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +256,29 @@ class TestRunVerb:
         b = (tmp_path / "t2" / "cluster_pair" / "cluster_gap.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("name", ["bell_pair_protection",
+                                      "definetti_two_atom"])
+    def test_finite_m_runs_honour_threads(self, tmp_path, monkeypatch, name):
+        # entanglement and definetti runs map their M list over the same
+        # worker pool as the convergence sweeps
+        pools = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", Pool)
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            assert cli.main(["run", name, "--out", str(out),
+                             "--threads", str(threads)]) == 0
+        assert pools == [2]
+        table = load_config(cli.resolve_config(name)).table
+        a = (tmp_path / "t1" / name / table).read_bytes()
+        b = (tmp_path / "t2" / name / table).read_bytes()
+        assert a == b
+
     def test_cluster_run_on_a_definetti_reservoir(self, tmp_path):
         text = """
 kind: convergence
@@ -455,6 +481,17 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     assert written["notes"]["limit"] == limit
 
 
+def _load_gate():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+GATE = _load_gate()
+
+
 def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
     # the finite-M engine and the series oracle work on symmetric sectors,
     # the moments on the ensemble decomposition; the d^M joint Hamiltonian
@@ -467,10 +504,19 @@ def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
         for name in ("assemble_total", "materialize"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
+    findings = GATE.Findings()
     for name in cli.bundled_names():
         cfg = load_config(cli.resolve_config(name))
         summary = cli.run_experiment(cfg, tmp_path / name, name)
         assert summary["rows"] > 0
+        # every table also agrees with the benchmark's reference, under the
+        # benchmark's own per-column tolerances
+        text = (tmp_path / name / cfg.table).read_text()
+        if name == "propagator_quality":
+            GATE.check_stepper_audit(text, cfg.audit["count"], findings)
+        else:
+            GATE.compare_table(name, text, GATE.load_reference(name), findings)
+    assert not findings, findings.messages()
 
 
 class TestCsvRendering:
@@ -503,6 +549,27 @@ def test_import_weight():
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == []
+
+
+RUN_PROBE = """
+import json, sys
+from mflab import cli
+for name in sys.argv[2:]:
+    assert cli.main(["run", name, "--out", sys.argv[1]]) == 0, name
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_common_runs_load_no_scipy(tmp_path):
+    # convergence, entanglement, definetti and decay runs need numpy only
+    src = os.path.dirname(os.path.dirname(mflab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    names = ["qubit_convergence", "bell_pair_protection",
+             "definetti_two_atom", "field_coherent"]
+    out = subprocess.run([sys.executable, "-c", RUN_PROBE, str(tmp_path)]
+                         + names, env=env, capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
 
 
 def test_channel_moments_run_past_the_dense_cutoff(tmp_path):

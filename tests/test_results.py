@@ -41,11 +41,42 @@ def test_from_stack_keeps_the_stack_and_builds_the_states():
     res = PropagationResult.from_stack(times, stack, (2,), {"run": 1})
     assert res.dims == (2,)
     assert res.diagnostics == {"run": 1}
-    assert not res.stack.flags.writeable
+    assert not res.stack.flags.writeable and not res.times.flags.writeable
+    # the caller's arrays are copied, not frozen in place
+    assert times.flags.writeable and stack.flags.writeable
     assert np.array_equal(res.stack, stack)
     for k, s in enumerate(res.states):
         assert s.dims == (2,)
         assert np.array_equal(s.data, stack[k])
+
+
+def test_from_stack_builds_no_density_matrix_until_states_is_read(monkeypatch):
+    built = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    stack = np.tile(good_stack(1), (201, 1, 1))
+    res = PropagationResult.from_stack(np.linspace(0.0, 1.0, 201), stack, (2,))
+    assert built == []
+    states = res.states
+    assert len(built) == 201 and res.states is states
+    for k, s in enumerate(states):
+        assert s.dims == (2,)
+        assert np.array_equal(s.data, res.stack[k])
+
+
+def test_direct_construction_keeps_its_states_unvalidated():
+    bad = DensityMatrix(np.diag([1.2, -0.2]).astype(complex), (2,),
+                        validate=False)
+    res = PropagationResult(np.array([0.0]), (bad,), {"run": 2})
+    assert res.dims == (2,) and len(res.states) == 1
+    assert np.array_equal(res.stack[0], bad.data)
+    assert np.array_equal(res.states[0].data, bad.data)
+    assert res.diagnostics == {"run": 2}
 
 
 # Each bad state fails exactly one of the three density-matrix checks, so a
