@@ -24,7 +24,7 @@ from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .matio import atomic_write_text
 from .model import ClusterInteraction, SiteModel, SystemModel
 from .operators import DensityMatrix, Operator, embed_at_site, trace_norm
-from .reservoir import DeFinettiMixture, kron_power
+from .reservoir import DeFinettiMixture, kron_power, limit_atoms
 from .results import PropagationResult
 
 
@@ -205,7 +205,7 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
                            (cluster.v_cluster,))
     blocks = DeFinettiMixture(tuple(
         (w, DensityMatrix(kron_power(s.data, nu), (s.dim,) * nu))
-        for w, s in reservoir_state.limit_atoms()))
+        for w, s in limit_atoms(reservoir_state)))
     limit = effective_trajectory(sys, blocks, block_site, rho0, grid,
                                  step_target=step_target)
     return _sweep_rows(runs, limit, threads)

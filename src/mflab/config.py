@@ -37,6 +37,9 @@ CHECK_NAMES = ("pair_factorization", "correlated_bound", "moment_bound",
 
 _MISSING = object()
 
+# libyaml's parser when PyYAML was built with it; same documents, same errors
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _NAMED_MATRICES = {
     "pauli_x": pauli("x").data,
     "pauli_y": pauli("y").data,
@@ -355,10 +358,11 @@ def _m_list(node, where: str) -> tuple[int, ...]:
     return out
 
 
-def _float_list(node, where: str, minimum_len: int = 1) -> tuple[float, ...]:
-    if not isinstance(node, list) or len(node) < minimum_len:
-        raise ConfigError(f"{where}: expected a list of at least "
-                          f"{minimum_len} numbers")
+def _float_list(node, where: str, length: int = 0) -> tuple[float, ...]:
+    """A nonempty list of numbers, of exactly length entries if length > 0."""
+    if not isinstance(node, list) or not node or length and len(node) != length:
+        raise ConfigError(f"{where}: expected a list of "
+                          f"{length or 'one or more'} numbers")
     return tuple(_as_number(x, where) for x in node)
 
 
@@ -384,7 +388,7 @@ def _build_checks(node, where: str) -> tuple[dict, ...]:
         if name == "pair_factorization":
             spec["m_list"] = _m_list(blk.get("m_list"), f"{blk.where}.m_list")
             spec["times"] = _float_list(blk.get("times"), f"{blk.where}.times",
-                                        minimum_len=2)[:2]
+                                        length=2)
         elif name == "correlated_bound":
             spec["m_list"] = _m_list(blk.get("m_list"), f"{blk.where}.m_list")
             spec["times"] = _float_list(blk.get("times"), f"{blk.where}.times")
@@ -399,7 +403,7 @@ def _build_checks(node, where: str) -> tuple[dict, ...]:
                                    for n in orders)
             spec["m_list"] = _m_list(blk.get("m_list"), f"{blk.where}.m_list")
             spec["times"] = _float_list(blk.get("times"), f"{blk.where}.times",
-                                        minimum_len=max(spec["orders"]))
+                                        length=max(spec["orders"]))
         elif name == "supermultiplicative":
             spec["max_order"] = _as_int(blk.get("max_order"),
                                         f"{blk.where}.max_order", minimum=2)
@@ -415,7 +419,7 @@ def _build_checks(node, where: str) -> tuple[dict, ...]:
             window = blk.get("ratio_window", None)
             if window is not None:
                 lo, hi = _float_list(window, f"{blk.where}.ratio_window",
-                                     minimum_len=2)[:2]
+                                     length=2)
                 if not lo < hi:
                     raise ConfigError(f"{blk.where}.ratio_window: need lo < hi")
                 spec["ratio_window"] = (lo, hi)
@@ -683,7 +687,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:

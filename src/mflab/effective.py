@@ -18,10 +18,8 @@ then chains the interval products into the unitaries at the grid points.
 
 Couplings are local to one system factor, so the limit propagator of a
 multi-factor system is the tensor product of per-factor propagators.
-effective_trajectory and propagate_definetti propagate every system through
-propagate_subsystems, which splits the step-error budget evenly across the
-factors (a one-factor system is one propagate_effective call);
-propagate_effective always propagates the system jointly.
+propagate_effective steps each factor on its own and tensors the results;
+every limit trajectory goes through it.
 """
 
 from __future__ import annotations
@@ -32,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError, ValidationError
-from .model import Coupling, SiteModel, SystemModel
+from .model import SiteModel, SystemModel
 from .operators import DensityMatrix
-from .reservoir import ReservoirState, site_signal_terms
+from .reservoir import ReservoirState, limit_atoms, site_signal_terms
 from .results import PropagationResult
 
 SIGNAL_IMAG_ATOL = 1e-10
@@ -102,21 +100,11 @@ class EffectivePotential:
                          for _ in range(n_interactions)))
 
 
-def effective_potential(state, site: SiteModel) -> EffectivePotential:
-    """Scalar potentials of the limit dynamics for the given ensemble.
-
-    Accepts a single-site DensityMatrix or an ensemble with a single limit
-    atom: products use their factor, block ensembles the fraction-weighted
-    average of their part states, channel-correlated ensembles their site
-    state. Exchangeable mixtures must be iterated atom by atom.
-    """
-    atoms = ([(1.0, state)] if isinstance(state, DensityMatrix)
-             else state.limit_atoms())
-    if len(atoms) != 1:
-        raise ValidationError(
-            "mixture ensembles have no single effective potential; "
-            "build one per atom and combine the propagations")
-    rho = atoms[0][1]
+def effective_potential(rho: DensityMatrix,
+                        site: SiteModel) -> EffectivePotential:
+    """Scalar potentials of the limit dynamics for one site state, i.e. one
+    limit atom of a reservoir ensemble (effective_trajectory takes the
+    whole ensemble)."""
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
@@ -129,10 +117,10 @@ def effective_potential(state, site: SiteModel) -> EffectivePotential:
 
 @dataclass(frozen=True)
 class EffectivePropagator:
-    """Unitaries from time zero to each grid point, system factors kept.
+    """Unitaries from time zero to each grid point on the whole system.
 
-    unitaries is one read-only (grid points, d, d) array. factors counts the
-    system factors propagated separately: 1 for a joint propagation.
+    unitaries is one read-only (grid points, d, d) array, the tensor product
+    of the per-factor propagators in the factor order of dims.
     """
 
     times: np.ndarray
@@ -140,7 +128,6 @@ class EffectivePropagator:
     dims: tuple[int, ...]
     step_error: float
     n_substeps: int
-    factors: int = 1
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -287,34 +274,13 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray,
     return out
 
 
-def propagate_effective(sys: SystemModel, potential: EffectivePotential,
-                        grid, step_target: float = DEFAULT_STEP_TARGET,
-                        n_substeps: int | None = None) -> EffectivePropagator:
-    """Integrate the time-dependent system equation over the grid, jointly
-    over all system factors.
-
-    Midpoint-exponential stepping: U(t+d) = exp(-i d H(t+d/2)) U(t), each
-    factor unitary by construction. The steps are formed in batches of at
-    most STEP_CHUNK complex entries and each interval's substeps are
-    multiplied by a pairwise tree. Substeps per grid interval double until
-    the step-halving estimate of the global error is below step_target;
-    passing n_substeps fixes the count and skips the adaptive loop.
-    """
-    grid = _check_grid(grid)
-    for c in sys.couplings:
-        if not 0 <= c.v_index < len(potential.signals):
-            raise ValidationError(
-                f"coupling wants potential signal {c.v_index}, "
-                f"have {len(potential.signals)}")
-    h_s = sys.h_full()
-    terms = [(potential.signals[c.v_index], sys.coupling_full(c))
-             for c in sys.couplings]
+def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
+                 step_target: float, n_substeps: int | None):
+    """(unitaries, step error, substeps) of one factor. Substeps per grid
+    interval double until the step-halving estimate of the global error is
+    below step_target, unless n_substeps fixes them (error NaN)."""
     if n_substeps is not None:
-        if n_substeps < 1:
-            raise ValidationError("substep count must be positive")
-        us = _run_grid(h_s, terms, grid, n_substeps)
-        return EffectivePropagator(grid, us, sys.subsystem_dims,
-                                   float("nan"), n_substeps)
+        return _run_grid(h_s, terms, grid, n_substeps), float("nan"), n_substeps
     n_sub = 1
     coarse = _run_grid(h_s, terms, grid, n_sub)
     for _ in range(MAX_STEP_DOUBLINGS):
@@ -322,8 +288,7 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
         # second-order extrapolation of the finer run
         estimate = float(np.max(np.abs(coarse - fine))) / 3.0
         if estimate <= step_target:
-            return EffectivePropagator(grid, fine, sys.subsystem_dims,
-                                       estimate, 2 * n_sub)
+            return fine, estimate, 2 * n_sub
         n_sub *= 2
         coarse = fine
     raise ToleranceError(
@@ -331,38 +296,42 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
         f"achieved error estimate {estimate:.3e} > target {step_target:.1e}")
 
 
-def propagate_subsystems(sys: SystemModel, potential: EffectivePotential,
-                         grid, step_target: float = DEFAULT_STEP_TARGET,
-                         n_substeps: int | None = None) -> EffectivePropagator:
-    """Product propagation: each system factor evolves under its own local
-    equation, driven by the shared potential, and the results are tensored.
+def propagate_effective(sys: SystemModel, potential: EffectivePotential,
+                        grid, step_target: float = DEFAULT_STEP_TARGET,
+                        n_substeps: int | None = None) -> EffectivePropagator:
+    """Integrate the time-dependent system equation over the grid.
 
-    Each of the n factors is propagated to step_target / n and the reported
-    step error is the sum of the factor estimates: unitary entries have
-    modulus at most 1, so the sum bounds the max-abs error of the tensor
-    product. A one-factor system is one propagate_effective call.
+    Couplings are local, so each of the n system factors is stepped on its
+    own under the shared potential, to step_target / n, and the factor
+    unitaries are tensored. Midpoint-exponential stepping: U(t+d) =
+    exp(-i d H(t+d/2)) U(t), each step unitary by construction and formed in
+    batches of at most STEP_CHUNK complex entries. The step error is the sum
+    of the factor estimates, which bounds the max-abs error of the product
+    since unitary entries have modulus at most 1. Passing n_substeps fixes
+    the count and skips the adaptive loop.
     """
-    n = sys.n_subsystems
     grid = _check_grid(grid)
-    locals_: list[EffectivePropagator] = []
-    for j in range(n):
-        couplings = [Coupling(g=c.g, v_index=c.v_index, subsystem=0)
-                     for c in sys.couplings if c.subsystem == j]
-        local = SystemModel(local_h=(sys.local_h[j],), couplings=tuple(couplings))
-        locals_.append(propagate_effective(local, potential, grid,
-                                           step_target=step_target / n,
-                                           n_substeps=n_substeps))
-    unitaries = locals_[0].unitaries
-    for part in locals_[1:]:
-        a, b = unitaries.shape[-1], part.dim
+    for c in sys.couplings:
+        if not 0 <= c.v_index < len(potential.signals):
+            raise ValidationError(
+                f"coupling wants potential signal {c.v_index}, "
+                f"have {len(potential.signals)}")
+    if n_substeps is not None and n_substeps < 1:
+        raise ValidationError("substep count must be positive")
+    n = sys.n_subsystems
+    runs = [_step_factor(h.data, [(potential.signals[c.v_index], c.g.data)
+                                  for c in sys.couplings if c.subsystem == j],
+                         grid, step_target / n, n_substeps)
+            for j, h in enumerate(sys.local_h)]
+    unitaries = runs[0][0]
+    for part, _, _ in runs[1:]:
+        a, b = unitaries.shape[-1], part.shape[-1]
         unitaries = (unitaries[:, :, None, :, None]
-                     * part.unitaries[:, None, :, None, :]
+                     * part[:, None, :, None, :]
                      ).reshape(len(grid), a * b, a * b)
-    step_error = sum(p.step_error for p in locals_) if n_substeps is None \
-        else float("nan")
-    subs = max(p.n_substeps for p in locals_)
     return EffectivePropagator(grid, unitaries, sys.subsystem_dims,
-                               step_error, subs, factors=n)
+                               sum(err for _, err, _ in runs),
+                               max(subs for _, _, subs in runs))
 
 
 def _conjugate(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -382,20 +351,20 @@ def evolve_state(propagator: EffectivePropagator,
         "max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
         "step_error": propagator.step_error,
         "n_substeps": propagator.n_substeps,
-        "factors": propagator.factors,
+        "factors": len(propagator.dims),
     }
     return PropagationResult.from_stack(propagator.times, stack, rho0.dims,
                                         diag)
 
 
 def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
-                        step_target: float = DEFAULT_STEP_TARGET,
-                        n_substeps: int | None = None) -> PropagationResult:
+                        step_target: float = DEFAULT_STEP_TARGET
+                        ) -> PropagationResult:
     """Convex combination of per-atom propagations.
 
     atoms: sequence of (weight, EffectivePotential). The trajectory is the
     weighted sum of the individually conjugated states; generally not a
-    unitary orbit. Each atom is propagated per system factor.
+    unitary orbit.
     """
     atoms = [(float(w), p) for w, p in atoms]
     if not atoms:
@@ -403,9 +372,7 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
     total = sum(w for w, _ in atoms)
     if any(w < 0 for w, _ in atoms) or abs(total - 1.0) > 1e-12:
         raise ValidationError(f"atom weights must be a distribution, sum {total}")
-    grid = _check_grid(grid)
-    runs = [propagate_subsystems(sys, pot, grid, step_target=step_target,
-                                 n_substeps=n_substeps)
+    runs = [propagate_effective(sys, pot, grid, step_target)
             for _, pot in atoms]
     acc = sum(w * _conjugate(run.unitaries, rho0.data)
               for (w, _), run in zip(atoms, runs))
@@ -413,26 +380,22 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
         "atoms": len(atoms),
         "step_error": max(r.step_error for r in runs),
         "n_substeps": max(r.n_substeps for r in runs),
-        "factors": runs[0].factors,
+        "factors": len(runs[0].dims),
     }
-    return PropagationResult.from_stack(grid, acc, rho0.dims, diag)
+    return PropagationResult.from_stack(runs[0].times, acc, rho0.dims, diag)
 
 
 def effective_trajectory(sys: SystemModel, state: ReservoirState,
                          site: SiteModel, rho0: DensityMatrix, grid,
-                         step_target: float = DEFAULT_STEP_TARGET,
-                         n_substeps: int | None = None) -> PropagationResult:
+                         step_target: float = DEFAULT_STEP_TARGET
+                         ) -> PropagationResult:
     """Limit trajectory of rho0 for any supported reservoir ensemble.
 
     One limit atom gives a unitary orbit, several the mixture of their
-    orbits. The system is propagated per factor (see propagate_subsystems);
-    the reported step error still bounds step_target.
+    orbits; the reported step error still bounds step_target.
     """
-    atoms = [(w, effective_potential(s, site)) for w, s in state.limit_atoms()]
+    atoms = [(w, effective_potential(s, site)) for w, s in limit_atoms(state)]
     if len(atoms) > 1:
-        return propagate_definetti(sys, atoms, rho0, grid,
-                                   step_target=step_target,
-                                   n_substeps=n_substeps)
-    prop = propagate_subsystems(sys, atoms[0][1], grid,
-                                step_target=step_target, n_substeps=n_substeps)
-    return evolve_state(prop, rho0)
+        return propagate_definetti(sys, atoms, rho0, grid, step_target)
+    return evolve_state(propagate_effective(sys, atoms[0][1], grid,
+                                            step_target), rho0)

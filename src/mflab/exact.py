@@ -366,15 +366,13 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
 
 def convergence_gap(sys: SystemModel, site: SiteModel, reservoir_state,
                     m_count: int, rho0: DensityMatrix, grid,
-                    step_target: float = DEFAULT_STEP_TARGET,
-                    n_substeps: int | None = None) -> np.ndarray:
+                    step_target: float = DEFAULT_STEP_TARGET) -> np.ndarray:
     """Half trace-norm distance between the finite-size reduced trajectory
     and the limit trajectory, per grid point."""
     run = FiniteMRun(sys, site, m_count, reservoir_state, rho0, grid)
     finite = propagate_exact(run)
     limit = effective_trajectory(sys, reservoir_state, site, rho0, run.grid,
-                                 step_target=step_target,
-                                 n_substeps=n_substeps)
+                                 step_target=step_target)
     return 0.5 * trace_norm(finite.stack - limit.stack)
 
 

@@ -253,10 +253,18 @@ def materialize(state, m_count: int) -> DensityMatrix:
     raise ValidationError(f"unknown ensemble type {type(state).__name__}")
 
 
+def limit_atoms(state: ReservoirState):
+    """The (weight, site state) pairs the ensemble leaves as M -> infinity."""
+    if isinstance(state, DensityMatrix):
+        raise ValidationError(f"an explicit {len(state.dims)}-site reservoir "
+                              f"state has no M -> infinity limit")
+    return state.limit_atoms()
+
+
 def reference_site_state(state: ReservoirState) -> DensityMatrix:
     """Single-site state entering the factorized comparison product: the
     weighted average of the limit atoms."""
-    acc = sum(w * s.data for w, s in state.limit_atoms())
+    acc = sum(w * s.data for w, s in limit_atoms(state))
     return DensityMatrix(acc, (state.site_dim,))
 
 

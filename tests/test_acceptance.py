@@ -36,7 +36,6 @@ from mflab.effective import (
     effective_trajectory,
     evolve_state,
     propagate_effective,
-    propagate_subsystems,
 )
 from mflab.exact import FiniteMRun, dyson_truncated, propagate_exact
 from mflab.analysis import (
@@ -130,7 +129,8 @@ def test_a2_entanglement_protection():
     site = qubit_site()
     reservoir = ProductState(pure("+"))
     eff = evolve_state(
-        propagate_subsystems(two, effective_potential(reservoir, site), grid), bell)
+        propagate_effective(two, effective_potential(reservoir.site_state, site),
+                            grid), bell)
     eff_dev = float(np.max(np.abs(negativity_trajectory(eff, 0) - 0.5)))
     devs = []
     for m in (2, 4, 8):
@@ -315,7 +315,7 @@ def test_a8_mixture_tracking():
     mixed = effective_trajectory(sysm, mixture, site, rho0, grid)
     orbits = [
         evolve_state(propagate_effective(
-            sysm, effective_potential(ProductState(pure(lbl)), site), grid), rho0)
+            sysm, effective_potential(pure(lbl), site), grid), rho0)
         for lbl in ("+", "-")]
     d_mix = max_dist(exact, mixed)
     d_orb = min(max_dist(exact, orb) for orb in orbits)

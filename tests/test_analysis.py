@@ -6,11 +6,12 @@ from mflab import analysis
 from mflab.errors import QuadratureError, ToleranceError, ValidationError
 from mflab.operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from mflab.model import SiteModel, SystemModel
-from mflab.reservoir import ChannelCorrelated, ProductState, bell_channel_kraus
+from mflab.reservoir import (ChannelCorrelated, ProductState, bell_channel_kraus,
+                             factorization_error)
 from mflab.exact import FiniteMRun, propagate_exact
 from mflab.effective import (effective_potential, effective_trajectory,
                              evolve_state, propagate_definetti,
-                             propagate_subsystems)
+                             propagate_effective)
 from mflab.results import PropagationResult
 from mflab.analysis import (
     FieldOverlapSpec,
@@ -182,6 +183,21 @@ def sweep_fixture():
     return sys, site, res, rho0
 
 
+def test_explicit_reservoir_state_has_no_limit():
+    # an explicit M-site state runs at its own M but has no M -> infinity
+    # limit: every limit path refuses it by name
+    sys, site, _, rho0 = sweep_fixture()
+    explicit = DensityMatrix.pure(bell_ket(), (2, 2))
+    assert len(propagate_exact(FiniteMRun(sys, site, 2, explicit, rho0,
+                                          np.array([0.0, 0.5]))).states) == 2
+    grid = np.linspace(0.0, 1.0, 5)
+    for call in (lambda: m_sweep(sys, site, explicit, rho0, grid, [2]),
+                 lambda: effective_trajectory(sys, explicit, site, rho0, grid),
+                 lambda: factorization_error(explicit, 2, site, [0.1, 0.3])):
+        with pytest.raises(ValidationError, match="explicit 2-site"):
+            call()
+
+
 class TestTrajectoryStacks:
     """Trajectories are checked and compared as whole (T, d, d) stacks."""
 
@@ -201,12 +217,11 @@ class TestTrajectoryStacks:
 
         def count(grid):
             run = FiniteMRun(sys, site, 3, res, rho0, grid)
-            prop = propagate_subsystems(sys, atoms[0][1], grid, n_substeps=2)
+            prop = propagate_effective(sys, atoms[0][1], grid, n_substeps=2)
             out = []
             for call in (lambda: propagate_exact(run),
                          lambda: evolve_state(prop, rho0),
-                         lambda: propagate_definetti(sys, atoms, rho0, grid,
-                                                     n_substeps=2)):
+                         lambda: propagate_definetti(sys, atoms, rho0, grid)):
                 calls.clear()
                 assert len(call().states) == grid.size
                 out.append(len(calls))

@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import json
 import math
@@ -481,15 +482,24 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     assert written["notes"]["limit"] == limit
 
 
-def _load_gate():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-GATE = _load_gate()
+GATE = _load_perfbench("gate")
+
+
+def test_traced_names_resolve():
+    # the benchmark's span tracer looks these up by name; a rename or a
+    # deletion would otherwise break only traced benchmark runs
+    for layer, names in _load_perfbench("tracing").TRACED.items():
+        module = importlib.import_module(f"mflab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"mflab.{layer}.{name}"
 
 
 def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
@@ -612,6 +622,42 @@ def test_validate_checks_every_moment_check_size(tmp_path, capsys, name, edits,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert key in err and "correlation length 2" in err
+
+
+@pytest.mark.parametrize("name,old,new,key", [
+    ("moments_product_qubit", "times: [0.3, 0.9]", "times: [0.3, 0.9, 1.5]",
+     "checks[0].times"),
+    ("dyson_ratio", "ratio_window: [24.0, 40.0]",
+     "ratio_window: [24.0, 40.0, 1.0]", "checks[0].ratio_window"),
+    ("oscillator_coherent", "times: [0.25, 0.5, 0.75, 1.0]",
+     "times: [0.25, 0.5, 0.75, 1.0, 1.25]", "checks[0].times")],
+    ids=["pair_factorization.times", "series_ratio.ratio_window",
+         "moment_bound.times"])
+def test_validate_refuses_check_lists_of_the_wrong_length(tmp_path, capsys,
+                                                          name, old, new, key):
+    # a pair check takes two times, a ratio window two bounds and a moment
+    # bound one time per order; an extra entry is a typo, not ignored
+    text = cli.resolve_config(name).read_text()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new, 1))
+    assert cli.main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "expected a list of" in err
+
+
+def test_yaml_loaders_agree_on_every_bundled_config():
+    import yaml
+    from mflab import config
+    if not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    assert config._YAML_LOADER is yaml.CSafeLoader
+    for name in cli.bundled_names():
+        text = cli.resolve_config(name).read_text()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader)), name
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        with pytest.raises(yaml.YAMLError):
+            yaml.load("kind: [unclosed", Loader=loader)
 
 
 def test_module_entry_point_lists_the_catalog():

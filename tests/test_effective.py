@@ -14,7 +14,6 @@ from mflab.effective import (
     evolve_state,
     propagate_definetti,
     propagate_effective,
-    propagate_subsystems,
 )
 from mflab.errors import ToleranceError, ValidationError
 from mflab.model import Coupling, SiteModel, SystemModel, oscillator_site
@@ -75,17 +74,12 @@ def test_gauge_invariant_oscillator_potential_vanishes():
 
 def test_single_part_macroscopic_equals_product():
     site = qubit_site(SZ.data, SX.data)
-    a = effective_potential(MacroscopicParts(((1.0, PLUS),)), site)
-    b = effective_potential(ProductState(PLUS), site)
+    (wa, sa), = MacroscopicParts(((1.0, PLUS),)).limit_atoms()
+    (wb, sb), = ProductState(PLUS).limit_atoms()
+    assert wa == wb == 1.0
+    a, b = effective_potential(sa, site), effective_potential(sb, site)
     ts = np.linspace(0, 5, 40)
     assert np.allclose(a.signals[0].evaluate(ts), b.signals[0].evaluate(ts), atol=1e-14)
-
-
-def test_mixture_has_no_single_potential():
-    site = qubit_site(SZ.data, SX.data)
-    mixture = DeFinettiMixture(((0.5, PLUS), (0.5, GROUND)))
-    with pytest.raises(ValidationError):
-        effective_potential(mixture, site)
 
 
 def test_signal_realness_enforced():
@@ -236,6 +230,16 @@ def test_scalar_generator_step_is_pure_phase():
 
 # product propagation over system factors
 
+def joint_sys(sys):
+    """sys as one factor of dimension sys.dim, so that propagate_effective
+    steps it jointly: the reference for the per-factor product."""
+    def full(mat):
+        return Operator(mat, (sys.dim,), hermitian=True)
+    return SystemModel.single(full(sys.h_full()), [
+        Coupling(g=full(sys.coupling_full(c)), v_index=c.v_index)
+        for c in sys.couplings])
+
+
 def two_qubit_sys(rng):
     ha = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     hb = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -248,23 +252,13 @@ def two_qubit_sys(rng):
                    Coupling(g=Operator((gb + gb.conj().T) / 2, (2,), hermitian=True), subsystem=1)))
 
 
-def test_single_factor_product_equals_plain():
-    sys = qubit_sys(SZ.data, SX.data)
-    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
-    grid = np.linspace(0, 1, 5)
-    a = propagate_effective(sys, pot, grid, n_substeps=64)
-    b = propagate_subsystems(sys, pot, grid, n_substeps=64)
-    for ua, ub in zip(a.unitaries, b.unitaries):
-        assert np.max(np.abs(ua - ub)) < 1e-12
-
-
 def test_two_factor_product_matches_joint_propagation():
     rng = np.random.default_rng(13)
     sys = two_qubit_sys(rng)
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     grid = np.linspace(0, 1.5, 7)
-    joint = propagate_effective(sys, pot, grid, step_target=1e-9)
-    product = propagate_subsystems(sys, pot, grid, step_target=1e-9)
+    joint = propagate_effective(joint_sys(sys), pot, grid, step_target=1e-9)
+    product = propagate_effective(sys, pot, grid, step_target=1e-9)
     for ua, ub in zip(joint.unitaries, product.unitaries):
         assert np.max(np.abs(ua - ub)) < 1e-8
 
@@ -282,7 +276,7 @@ def test_product_propagation_preserves_negativity():
     sys = two_qubit_sys(rng)
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     grid = np.linspace(0, 3, 13)
-    prop = propagate_subsystems(sys, pot, grid)
+    prop = propagate_effective(sys, pot, grid)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / math.sqrt(2)
     rho0 = DensityMatrix.pure(bell, (2, 2))
@@ -297,7 +291,7 @@ def test_product_propagation_commutes_with_partial_trace():
     sys = two_qubit_sys(rng)
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     grid = np.linspace(0, 2, 5)
-    prop = propagate_subsystems(sys, pot, grid)
+    prop = propagate_effective(sys, pot, grid)
 
     couplings = [Coupling(g=c.g, v_index=c.v_index, subsystem=0)
                  for c in sys.couplings if c.subsystem == 0]
@@ -348,8 +342,8 @@ def test_single_atom_mixture_reduces_to_unitary_orbit():
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     grid = np.linspace(0, 2, 9)
     rho0 = DensityMatrix.pure(np.array([1, 0], dtype=complex), (2,))
-    mix = propagate_definetti(sys, [(1.0, pot)], rho0, grid, n_substeps=64)
-    ref = evolve_state(propagate_effective(sys, pot, grid, n_substeps=64), rho0)
+    mix = propagate_definetti(sys, [(1.0, pot)], rho0, grid)
+    ref = evolve_state(propagate_effective(sys, pot, grid), rho0)
     for a, b in zip(mix.states, ref.states):
         assert np.max(np.abs(a.data - b.data)) < 1e-13
 
@@ -375,8 +369,7 @@ def test_equal_atoms_recover_unitary_evolution():
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     grid = np.linspace(0, 1, 5)
     rho0 = DensityMatrix.pure(np.array([0, 1], dtype=complex), (2,))
-    mix = propagate_definetti(sys, [(0.5, pot), (0.5, pot)], rho0, grid,
-                              n_substeps=32)
+    mix = propagate_definetti(sys, [(0.5, pot), (0.5, pot)], rho0, grid)
     assert np.max(np.abs(np.array([s.purity() for s in mix.states]) - 1)) < 1e-12
 
 
@@ -399,14 +392,13 @@ def test_trajectory_dispatch_product_and_mixture():
     rho0 = DensityMatrix.pure(np.array([1, 0], dtype=complex), (2,))
 
     direct = evolve_state(propagate_effective(
-        sys, effective_potential(PLUS, site), grid, n_substeps=64), rho0)
-    via = effective_trajectory(sys, ProductState(PLUS), site, rho0, grid,
-                               n_substeps=64)
+        sys, effective_potential(PLUS, site), grid), rho0)
+    via = effective_trajectory(sys, ProductState(PLUS), site, rho0, grid)
     for a, b in zip(direct.states, via.states):
         assert np.max(np.abs(a.data - b.data)) < 1e-13
 
     mixture = DeFinettiMixture(((0.5, PLUS), (0.5, GROUND)))
-    res = effective_trajectory(sys, mixture, site, rho0, grid, n_substeps=64)
+    res = effective_trajectory(sys, mixture, site, rho0, grid)
     assert np.max(np.array([abs(complex(np.trace(s.data)) - 1.0) for s in res.states])) < 1e-12
 
 
@@ -429,8 +421,8 @@ def test_trajectory_routes_factors_like_joint_propagation(n):
     minus = DensityMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]], complex), (2,))
     joint = {}
     for name, s in (("plus", PLUS), ("minus", minus)):
-        u = propagate_effective(sys, effective_potential(s, site), grid,
-                                step_target=1e-9).unitaries
+        u = propagate_effective(joint_sys(sys), effective_potential(s, site),
+                                grid, step_target=1e-9).unitaries
         joint[name] = u @ rho0.data @ np.swapaxes(u.conj(), 1, 2)
     for reservoir, ref in (
             (ProductState(PLUS), joint["plus"]),
@@ -442,3 +434,27 @@ def test_trajectory_routes_factors_like_joint_propagation(n):
         assert routed.diagnostics["factors"] == n
         for state, want in zip(routed.states, ref):
             assert np.max(np.abs(state.data - want)) < 1e-8
+
+
+def test_unequal_factors_match_joint_propagation():
+    # dims (2, 3, 2) fix the factor order and the unequal-dimension reshape
+    rng = np.random.default_rng(37)
+    dims = (2, 3, 2)
+    sys = SystemModel(
+        local_h=tuple(Operator(random_hermitian(rng, d), (d,), hermitian=True)
+                      for d in dims),
+        couplings=tuple(Coupling(g=Operator(random_hermitian(rng, d), (d,),
+                                            hermitian=True), subsystem=j)
+                        for j, d in enumerate(dims)))
+    pot = EffectivePotential((QuasiPeriodicSignal(
+        np.array([1.3, -1.3, 0.4, -0.4]), np.array([0.5, 0.5, 0.3j, -0.3j])),))
+    grid = np.linspace(0, 0.8, 6)
+    for n in (1, 5, 48):
+        product = propagate_effective(sys, pot, grid, n_substeps=n)
+        joint = propagate_effective(joint_sys(sys), pot, grid, n_substeps=n)
+        assert product.dims == dims and math.isnan(product.step_error)
+        assert np.max(np.abs(product.unitaries - joint.unitaries)) < 1e-12
+    prop = propagate_effective(sys, pot, grid, step_target=1e-8)
+    assert prop.step_error <= 1e-8
+    rho0 = DensityMatrix(np.eye(sys.dim) / sys.dim, dims)
+    assert evolve_state(prop, rho0).diagnostics["factors"] == 3

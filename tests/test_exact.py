@@ -288,7 +288,7 @@ class TestConvergenceGap:
         # signal vanishes identically, yet pair correlations keep the
         # finite-size dynamics away from the free limit
         res = ProductState(DensityMatrix.pure(ket("0"), (2,)))
-        pot = effective_potential(res, qubit_site())
+        pot = effective_potential(res.site_state, qubit_site())
         assert np.sum(np.abs(pot.signals[0].coeffs)) <= 1e-12
         grid = np.linspace(0.0, 2.0, 9)
         gaps = [convergence_gap(qubit_sys(), qubit_site(), res, m, PLUS,
