@@ -191,7 +191,7 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
             rows.append([name, label, m, len(times), err, bound,
                          _safe_ratio(err, bound), err <= bound + 1e-12])
     elif name == "moment_bound":
-        alpha = cfg.reservoir_meta["alpha"]
+        alpha = check["alpha"]
         bound_fn = {"coherent": coherent_bound,
                     "coherent_safe": coherent_bound_safe}[check["bound"]]
         label = f"alpha={abs(alpha):g}"
@@ -476,19 +476,20 @@ def _failing_operation(exc: BaseException) -> str:
     while tb is not None:
         code = tb.tb_frame.f_code
         mod = tb.tb_frame.f_globals.get("__name__", "")
+        tb = tb.tb_next
+        if code.co_name.startswith("<"):
+            continue  # comprehension, lambda and module frames name nothing
         if mod.startswith("mflab"):
             short = mod.rsplit(".", 1)[-1]
         elif "mflab" in Path(code.co_filename).parts:
             short = Path(code.co_filename).stem
         else:
-            tb = tb.tb_next
             continue
         label = f"{short}.{code.co_name}"
         fallback = label
         is_method = code.co_varnames[:1] == ("self",)
         if not code.co_name.startswith("_") and not is_method:
             best = label
-        tb = tb.tb_next
     return best or fallback or "cli.main"
 
 

@@ -19,7 +19,6 @@ from .errors import ToleranceError, ValidationError
 DENSE_CUTOFF = 4096
 
 HERMITIAN_RTOL = 1e-9     # flagged-Hermitian deviation, relative to the norm scale
-UNITARY_FLAG_ATOL = 1e-9  # flagged-unitary deviation, max-abs entry of A†A - I
 TRACE_ATOL = 1e-10
 PTRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
@@ -38,12 +37,6 @@ def hermitian_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max() / scale)
 
 
-def unitary_defect(a: np.ndarray) -> float:
-    """Max-abs entry of A†A - I."""
-    d = a.shape[0]
-    return float(np.abs(a.conj().T @ a - np.eye(d)).max())
-
-
 @dataclass(frozen=True)
 class Operator:
     """A d x d complex matrix together with its tensor-factor dimensions.
@@ -54,14 +47,13 @@ class Operator:
         Square complex matrix.
     dims : sequence of int
         Ordered factor dimensions; their product must equal the matrix size.
-    hermitian, unitary : bool
-        Optional flags. Flagged properties are verified at construction.
+    hermitian : bool
+        Optional flag, verified at construction.
     """
 
     data: np.ndarray
     dims: tuple[int, ...]
     hermitian: bool = False
-    unitary: bool = False
 
     def __post_init__(self):
         arr = _as_square_complex(self.data)
@@ -74,9 +66,6 @@ class Operator:
         if self.hermitian and hermitian_defect(arr) > HERMITIAN_RTOL:
             raise ValidationError(
                 f"matrix flagged Hermitian has defect {hermitian_defect(arr):.2e}")
-        if self.unitary and unitary_defect(arr) > UNITARY_FLAG_ATOL:
-            raise ValidationError(
-                f"matrix flagged unitary has defect {unitary_defect(arr):.2e}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", dims)
@@ -99,7 +88,7 @@ def embed_at_site(x: Operator, m: int, n_sites: int) -> Operator:
     left = np.eye(d ** (m - 1), dtype=complex)
     right = np.eye(d ** (n_sites - m), dtype=complex)
     data = np.kron(np.kron(left, x.data), right)
-    return Operator(data, (d,) * n_sites, hermitian=x.hermitian, unitary=x.unitary)
+    return Operator(data, (d,) * n_sites, hermitian=x.hermitian)
 
 
 def _ptrace_array(arr: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -242,7 +231,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def pauli(name: str) -> Operator:
     table = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
     try:
-        return Operator(table[name.lower()], (2,), hermitian=True, unitary=True)
+        return Operator(table[name.lower()], (2,), hermitian=True)
     except KeyError:
         raise ValidationError(f"unknown Pauli label {name!r}") from None
 

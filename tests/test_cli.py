@@ -169,6 +169,104 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="mapping"):
             load_config(write_config(tmp_path, "- just\n- a list\n"))
 
+    @pytest.mark.parametrize("base,old,new,message", [
+        ("oscillator_coherent", "frequency: 1.0", "frequency: fast",
+         "exp.yaml.model.site.oscillator.frequency: expected a number"),
+        (None, "t_max: 1.0", "t_max: 0",
+         "exp.yaml.run.t_max: must be positive, got 0.0"),
+        (None, "n_times: 21", "n_times: 1",
+         "exp.yaml.run.n_times: must be >= 2, got 1"),
+        (None, "{kind: product", "{kind: thermal",
+         "exp.yaml.reservoir.kind: expected one of product, channel, "
+         "definetti, macroscopic, got 'thermal'"),
+        ("well_localization", "half_line: true", "half_line: 1",
+         "exp.yaml.problem.half_line: expected true or false"),
+        ("well_localization", "depths: [1.5, 5.0, 30.0]",
+         "depths: [1.5, deep]", "exp.yaml.problem.depths: expected a number"),
+        (None, "[1, 2]", "[1, 0]", "exp.yaml.run.m_list: must be >= 1, got 0"),
+        (None, "interaction: pauli_x}", "interaction: [[0, 1], [0, 0]]}",
+         "exp.yaml.model.site.interaction: matrix flagged Hermitian has "
+         "defect 1.00e+00"),
+        (None, "initial_state: zero", "initial_state: {fock: 2}",
+         "exp.yaml.initial_state.fock: level 2 outside 0..1"),
+        (None, "site_state: plus", "site_state: {matrix: [[1, 0], [0, 1]]}",
+         "exp.yaml.reservoir.site_state.matrix: density matrix trace 2+0j "
+         "!= 1"),
+        (None, "coupling: pauli_x}", "coupling: pauli_x, interaction_index: -1}",
+         "exp.yaml.model.system.interaction_index: must be >= 0, got -1"),
+        (None, "system: {hamiltonian: pauli_z, coupling: pauli_x}",
+         "system: {subsystems: [{hamiltonian: pauli_z}, "
+         "{hamiltonian: pauli_z, coupling: pauli_w}]}",
+         "exp.yaml.model.system.subsystems[1].coupling: unknown matrix name "
+         "'pauli_w' (known: identity2, pauli_x, pauli_y, pauli_z)"),
+        (None, "site: {hamiltonian: pauli_z, interaction: pauli_x}",
+         "site: {hamiltonian: pauli_z, interactions: "
+         "[pauli_x, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}",
+         "exp.yaml.model.site: interaction 1 has dim 3, site has 2"),
+        (None, "coupling: pauli_x}",
+         "coupling: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}",
+         "exp.yaml.model.system: coupling 0 operator dim 3 does not match "
+         "subsystem dim 2; couplings must be local"),
+        ("definetti_two_atom", "{weight: 0.5, site_state: minus}",
+         "{weight: 0.7, site_state: minus}",
+         "exp.yaml.reservoir: mixture weights: weights sum to "
+         "1.200000000000000, not 1"),
+        ("cluster_pair", "- [0, 0, 0, 1]", "- [0, 0, 0, 2]",
+         "exp.yaml.model.cluster: matrix flagged Hermitian has defect "
+         "5.00e-01")],
+        ids=["number", "positive", "integer", "string", "flag", "numbers",
+             "sizes", "operator", "state", "state-matrix-guard",
+             "system-inline", "system-subsystems", "site-guard",
+             "system-guard", "reservoir-guard", "cluster-guard"])
+    def test_error_messages_are_pinned(self, tmp_path, base, old, new,
+                                       message):
+        text = (SMALL_CONVERGENCE if base is None
+                else cli.resolve_config(base).read_text())
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, new, 1))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("base,old,new,key", [
+        (None, "t_max: 1.0", "t_max: .inf", "exp.yaml.run.t_max"),
+        (None, "t_max: 1.0", "t_max: 1" + "0" * 400, "exp.yaml.run.t_max"),
+        (None, "system: {hamiltonian: pauli_z,",
+         "system: {hamiltonian: [[.nan, 0], [0, 1]],",
+         "exp.yaml.model.system.hamiltonian"),
+        (None, "site_state: plus", "site_state: {ket: [1, [0, -.inf]]}",
+         "exp.yaml.reservoir.site_state.ket"),
+        ("well_localization", "depths: [1.5, 5.0, 30.0]",
+         "depths: [1.5, .nan, 30.0]", "exp.yaml.problem.depths")],
+        ids=["t_max", "t_max-past-float", "matrix-entry", "ket-entry",
+             "depths-entry"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, base, old,
+                                         new, key):
+        text = (SMALL_CONVERGENCE if base is None
+                else cli.resolve_config(base).read_text())
+        assert old in text
+        path = write_config(tmp_path, text.replace(old, new, 1))
+        assert cli.main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{key}: " in err and "finite" in err
+
+    def test_repeated_key_rejected(self, tmp_path):
+        bad = SMALL_CONVERGENCE.replace(
+            "run: {m_list: [1, 2], t_max: 1.0, n_times: 21}",
+            "run:\n  m_list: [1, 2]\n  t_max: 2.0\n  n_times: 21\n"
+            "  t_max: 0.5")
+        with pytest.raises(ConfigError,
+                           match="repeated key 't_max' at line 12"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_merged_keys_may_be_overridden(self):
+        import yaml
+        from mflab import config
+        text = "base: &b {a: 1, b: 2}\nuse: {<<: *b, a: 3}\n"
+        assert yaml.load(text, Loader=config._StrictLoader) == {
+            "base": {"a": 1, "b": 2}, "use": {"a": 3, "b": 2}}
+
 
 class TestCatalog:
     def test_at_least_eleven_bundled(self):
@@ -392,6 +490,18 @@ outputs: {table: s.csv}
         err = capsys.readouterr().err
         assert code == 3
         assert "analysis.stark_halfline_spectrum" in err
+
+    def test_stalled_limit_step_names_the_propagator(self, tmp_path, capsys):
+        text = SMALL_CONVERGENCE.replace(
+            "run: {m_list: [1, 2], t_max: 1.0, n_times: 21}",
+            "run: {m_list: [1], t_max: 0.5, n_times: 2, "
+            "step_target: 1.0e-300}")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: effective.propagate_effective: step "
+                              "halving stalled")
 
     def test_resource_exit_code_names_operation(self, tmp_path, capsys):
         text = """
@@ -651,9 +761,10 @@ def test_yaml_loaders_agree_on_every_bundled_config():
     if not yaml.__with_libyaml__:
         pytest.skip("PyYAML built without libyaml")
     assert config._YAML_LOADER is yaml.CSafeLoader
+    assert issubclass(config._StrictLoader, yaml.CSafeLoader)
     for name in cli.bundled_names():
         text = cli.resolve_config(name).read_text()
-        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+        assert (yaml.load(text, Loader=config._StrictLoader)
                 == yaml.load(text, Loader=yaml.SafeLoader)), name
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
         with pytest.raises(yaml.YAMLError):

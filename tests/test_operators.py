@@ -18,7 +18,6 @@ from mflab.operators import (
     pauli,
     permute_factors,
     trace_norm,
-    unitary_defect,
 )
 
 
@@ -131,14 +130,11 @@ def test_operator_flag_validation():
     with pytest.raises(ValidationError):
         Operator(np.array([[0, 1], [0, 0]]), (2,), hermitian=True)
     with pytest.raises(ValidationError):
-        Operator(2 * np.eye(2), (2,), unitary=True)
-    with pytest.raises(ValidationError):
         Operator(np.eye(4), (2, 3))
 
 
 def test_operator_defect_helpers():
     assert hermitian_defect(PAULI_X) == 0.0
-    assert unitary_defect(np.eye(3)) == 0.0
 
 
 def test_density_matrix_validation():
