@@ -588,6 +588,16 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     assert limit["step_error"] <= cfg.step_target
     assert limit["n_substeps"] >= 1
     assert limit["factors"] == cfg.system.n_subsystems
+    # passes run x substeps x intervals: at least the returned pass of one
+    # factor per atom, and fewer than plain doubling (1, 2, ..., n) on every
+    # factor, because these trajectories skip doublings
+    intervals = len(cfg.grid) - 1
+    atoms = limit.get("atoms", 1)
+    n = limit["n_substeps"]
+    assert isinstance(limit["steps_computed"], int)
+    assert n * intervals <= limit["steps_computed"]
+    assert limit["steps_computed"] < (atoms * limit["factors"]
+                                      * (2 * n - 1) * intervals)
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written["notes"]["limit"] == limit
 

@@ -458,3 +458,153 @@ def test_unequal_factors_match_joint_propagation():
     assert prop.step_error <= 1e-8
     rho0 = DensityMatrix(np.eye(sys.dim) / sys.dim, dims)
     assert evolve_state(prop, rho0).diagnostics["factors"] == 3
+
+
+# adaptive schedule against plain doubling
+
+def doubling_step_factor(h_s, terms, grid, step_target):
+    """The adaptive loop with every doubling run: 1, 2, 4, ... substeps until
+    the step-halving estimate meets step_target."""
+    n_sub = 1
+    coarse = eff._run_grid(h_s, terms, grid, n_sub)
+    for _ in range(eff.MAX_STEP_DOUBLINGS):
+        fine = eff._run_grid(h_s, terms, grid, 2 * n_sub)
+        estimate = float(np.max(np.abs(coarse - fine))) / 3.0
+        if estimate <= step_target:
+            return fine, estimate, 2 * n_sub
+        n_sub *= 2
+        coarse = fine
+    raise ToleranceError(
+        f"step halving stalled at {2 * n_sub} substeps per interval; "
+        f"achieved error estimate {estimate:.3e} > target {step_target:.1e}")
+
+
+def bundled_qubit_factor():
+    """(h, terms, step target) of the qubit_convergence system factor."""
+    from mflab import cli
+    from mflab.config import load_config
+    cfg = load_config(cli.resolve_config("qubit_convergence"))
+    (_, state), = cfg.reservoir.limit_atoms()
+    pot = effective_potential(state, cfg.site)
+    terms = [(pot.signals[c.v_index], c.g.data) for c in cfg.system.couplings]
+    return cfg.system.local_h[0].data, terms, cfg.step_target
+
+
+def logged_levels(monkeypatch):
+    """Substep counts of the _run_grid passes, in call order."""
+    levels = []
+    run_grid = eff._run_grid
+
+    def logged(h_s, terms, grid, n_sub):
+        levels.append(n_sub)
+        return run_grid(h_s, terms, grid, n_sub)
+    monkeypatch.setattr(eff, "_run_grid", logged)
+    return levels
+
+
+def schedule_cases():
+    h, terms, _ = bundled_qubit_factor()
+    for target in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        yield f"qubit-{target:.0e}", h, terms, np.linspace(0, 5, 251), target
+    rng = np.random.default_rng(41)
+    signal = QuasiPeriodicSignal(np.array([1.3, -1.3, 0.4, -0.4]),
+                                 np.array([0.5, 0.5, 0.3j, -0.3j]))
+    h3, g3 = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    for target in (1e-6, 1e-9):
+        yield (f"d3-{target:.0e}", h3, [(signal, g3)], np.linspace(0, 2, 41),
+               target)
+    yield ("constant", SZ.data, [(QuasiPeriodicSignal.constant(0.8), SX.data)],
+           np.linspace(0, 3, 31), 1e-9)
+
+
+@pytest.mark.parametrize("case", list(schedule_cases()), ids=lambda c: c[0])
+def test_skipping_schedule_matches_plain_doubling(case):
+    _, h, terms, grid, target = case
+    want_u, want_err, want_n = doubling_step_factor(h, terms, grid, target)
+    got_u, got_err, got_n, _ = eff._step_factor(h, terms, grid, target, None)
+    assert got_n == want_n
+    assert got_err == want_err
+    assert np.array_equal(got_u, want_u)
+
+
+def test_schedule_skips_doublings_the_law_rules_out(monkeypatch):
+    # estimates at 1 -> 2 and 2 -> 4 substeps fall by about 4, so the loop
+    # predicts that 32 -> 64 meets the target and runs neither 8 nor 16
+    h, terms, target = bundled_qubit_factor()
+    grid = np.linspace(0, 5, 251)
+    levels = logged_levels(monkeypatch)
+    _, _, n, computed = eff._step_factor(h, terms, grid, target, None)
+    assert levels == [1, 2, 4, 32, 64]
+    assert n == 64 and computed == sum(levels) * 250
+
+
+def test_constant_signal_takes_no_jump(monkeypatch):
+    # the midpoint step is exact for a constant generator: the first
+    # estimate already meets the target
+    levels = logged_levels(monkeypatch)
+    _, err, n, computed = eff._step_factor(
+        SZ.data, [(QuasiPeriodicSignal.constant(0.8), SX.data)],
+        np.linspace(0, 3, 31), 1e-9, None)
+    assert levels == [1, 2] and n == 2 and err <= 1e-9
+    assert computed == 3 * 30
+
+
+@pytest.mark.parametrize("doublings", [6, 16])
+def test_stalled_schedule_stays_within_the_doubling_cap(monkeypatch,
+                                                        doublings):
+    # the prediction for 1e-300 lies far beyond the cap: the jump stops so
+    # that no pass is finer than plain doubling's last, and the stall
+    # message (substeps and estimate) is plain doubling's
+    monkeypatch.setattr(eff, "MAX_STEP_DOUBLINGS", doublings)
+    h, terms, _ = bundled_qubit_factor()
+    grid = np.array([0.0, 0.5])
+    with pytest.raises(ToleranceError) as want:
+        doubling_step_factor(h, terms, grid, 1e-300)
+    levels = logged_levels(monkeypatch)
+    with pytest.raises(ToleranceError) as got:
+        eff._step_factor(h, terms, grid, 1e-300, None)
+    assert str(got.value) == str(want.value)
+    assert max(levels) == 2 ** doublings
+    assert len(levels) < doublings + 1
+
+
+# identical factors stepped once
+
+def test_identical_factors_are_stepped_once(monkeypatch):
+    from mflab import cli
+    from mflab.config import load_config
+    pair = load_config(cli.resolve_config("bell_pair_protection")).system
+
+    def qubits(*hs):
+        return SystemModel(local_h=hs, couplings=tuple(
+            Coupling(g=SX, subsystem=j) for j in range(len(hs))))
+
+    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
+    grid = np.linspace(0, 2, 41)
+    step_factor = eff._step_factor
+    # each system with the index of each factor's first occurrence
+    for sys, first in ((pair, (0,)), (qubits(SZ, SZ, SZ), (0,)),
+                       (qubits(SZ, SZ, SX), (0, 2))):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return step_factor(*args)
+        monkeypatch.setattr(eff, "_step_factor", counted)
+        prop = propagate_effective(sys, pot, grid)
+        monkeypatch.setattr(eff, "_step_factor", step_factor)
+        assert len(calls) == len(first)
+        # the reference steps every factor and tensors them with np.kron
+        n = sys.n_subsystems
+        runs = [step_factor(h.data, [(pot.signals[c.v_index], c.g.data)
+                                     for c in sys.couplings
+                                     if c.subsystem == j],
+                            grid, eff.DEFAULT_STEP_TARGET / n, None)
+                for j, h in enumerate(sys.local_h)]
+        want = runs[0][0]
+        for part, *_ in runs[1:]:
+            want = np.array([np.kron(a, b) for a, b in zip(want, part)])
+        assert np.array_equal(prop.unitaries, want)
+        assert prop.step_error == sum(run[1] for run in runs)
+        assert prop.n_substeps == max(run[2] for run in runs)
+        assert prop.steps_computed == sum(runs[j][3] for j in first)
