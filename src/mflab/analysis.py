@@ -22,7 +22,8 @@ from .errors import QuadratureError, ToleranceError, ValidationError
 from .exact import FiniteMRun, propagate_exact
 from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .matio import atomic_write_text
-from .model import ClusterInteraction, SiteModel, SystemModel
+from .model import (ClusterInteraction, SiteModel, SystemModel,
+                    check_cluster_system)
 from .operators import DensityMatrix, Operator, embed_at_site, trace_norm
 from .reservoir import DeFinettiMixture, kron_power, limit_atoms
 from .results import PropagationResult
@@ -193,9 +194,7 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
     propagate_exact with the cluster coupling, as in m_sweep.
     """
     m_list = _check_m_list(m_list)
-    if sys.n_subsystems != 1 or len(sys.couplings) != 1:
-        raise ValidationError(
-            "cluster sweep needs a single subsystem with one coupling")
+    check_cluster_system(sys)
     grid = np.asarray(grid, dtype=float)
     runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid, cluster)
             for m in m_list]

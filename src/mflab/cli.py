@@ -178,7 +178,7 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
         w2 = site_expectation(ref, site, t2)
         pair = complex(np.trace(ref.data @ v1 @ v2))
         for m in check["m_list"]:
-            err = factorization_error(state, m, site, (t1, t2))
+            err, _ = factorization_error(state, m, site, (t1, t2))
             closed = abs(pair - w1 * w2) / m
             ok = abs(err - closed) <= 1e-12 * max(1.0, closed)
             rows.append([name, label, m, 2, err, closed,

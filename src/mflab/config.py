@@ -6,8 +6,12 @@ what sizes and times to run, and where the output table goes. Parsing is
 strict; unknown keys, keys repeated within one mapping and non-finite
 numbers are rejected at every level so a typo cannot silently change an
 experiment. Each key is read once, by a typed reader on `_Block` that checks
-its type and bounds and names the key in any error; `_build` reports a model
-constructor's refusal the same way.
+its type and bounds and names the key in any error. A rule that a model,
+state, ensemble or run constructor enforces is left to it: `_build` reports
+its refusal under the key path at fault, and every reservoir size a run
+will use is checked by building that run's `exact.FiniteMRun` (or
+decomposing its ensemble, for moment checks), so a config is refused here
+exactly when running it would be.
 
 No code is ever executed from a config. Operators are named presets
 (pauli_x, ...) or literal matrices whose entries are numbers or [re, im]
@@ -26,9 +30,11 @@ import numpy as np
 import yaml
 
 from .effective import DEFAULT_STEP_TARGET
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError
+from .exact import FiniteMRun
 from .model import (ClusterInteraction, Coupling, SiteModel, SystemModel,
-                    coherent_ket, oscillator_site)
+                    check_cluster_system, check_couplings, coherent_ket,
+                    oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
                         ProductState, bell_channel_kraus, decompose)
@@ -242,9 +248,8 @@ def parse_state(node, where: str, dims, levels: int | None = None):
             names = ", ".join(sorted(_NAMED_KETS) + ["bell"])
             raise ConfigError(f"{where}: unknown state {node!r} "
                               f"(known: {names})")
-        if dim != 2:
-            raise ConfigError(f"{where}: named qubit ket on a dim-{dim} factor")
-        return DensityMatrix.pure(ket(_NAMED_KETS[node]), dims), None
+        return _build(where, DensityMatrix.pure, ket(_NAMED_KETS[node]),
+                      dims), None
     block = _Block(node, where)
     forms = [k for k in ("ket", "matrix", "fock", "coherent") if block.has(k)]
     if len(forms) != 1:
@@ -258,14 +263,9 @@ def parse_state(node, where: str, dims, levels: int | None = None):
         norm = float(np.linalg.norm(vec))
         if norm < 1e-12:
             raise ConfigError(f"{where}.ket: vector has zero norm")
-        if vec.size != dim:
-            raise ConfigError(f"{where}.ket: length {vec.size}, expected {dim}")
-        out = DensityMatrix.pure(vec / norm, dims)
+        out = _build(f"{where}.ket", DensityMatrix.pure, vec / norm, dims)
     elif form == "matrix":
         mat = parse_matrix(block.get("matrix"), f"{where}.matrix")
-        if mat.shape[0] != dim:
-            raise ConfigError(f"{where}.matrix: dim {mat.shape[0]}, "
-                              f"expected {dim}")
         out = _build(f"{where}.matrix", DensityMatrix, mat, dims)
     elif form == "fock":
         k = block.integer("fock", minimum=0)
@@ -346,9 +346,6 @@ def _build_reservoir(block: _Block, site_dim: int, levels: int | None):
         corr = block.integer("corr_length", minimum=1)
         block.string("channel", choices=("bell",))
         block.done()
-        if site_dim != 2:
-            raise ConfigError(f"{block.where}: the bell channel acts on "
-                              f"qubit sites, have dim {site_dim}")
         return _build(block.where, ChannelCorrelated, state, corr,
                       bell_channel_kraus()), alpha
     key, weight_key, family = (("atoms", "weight", DeFinettiMixture)
@@ -520,15 +517,6 @@ def _table_name(block: _Block) -> str:
     return name
 
 
-def _check_sizes(reservoir, m_list, site_dim: int, where: str) -> None:
-    """Refuse reservoir sizes the ensemble cannot be decomposed at."""
-    for m in m_list:
-        try:
-            decompose(reservoir, m, site_dim)
-        except ValidationError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-
-
 def parse_config(doc, where: str = "config") -> ExperimentConfig:
     top = _Block(doc, where)
     kind = top.string("kind", choices=KINDS)
@@ -552,7 +540,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     model = top.sub("model")
     site, levels = _build_site(model.sub("site"))
     system = None
-    if model.has("system"):
+    if kind != "moments" or model.has("system"):
         system = _build_system(model.sub("system"))
     cluster = None
     if model.has("cluster"):
@@ -560,16 +548,15 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
         size = cb.integer("size", minimum=1)
         op = parse_matrix(cb.get("operator"), f"{cb.where}.operator")
         cb.done()
-        d = site.dim
-        if op.shape[0] != d ** size:
-            raise ConfigError(f"{cb.where}.operator: dim {op.shape[0]} does "
-                              f"not match {size} site factors of dim {d}")
         cluster = _build(cb.where, lambda: ClusterInteraction(
-            nu=size, v_cluster=Operator(op, (d,) * size, hermitian=True)))
+            nu=size, v_cluster=Operator(op, (site.dim,) * size,
+                                        hermitian=True)))
     model.done()
     if cluster is not None and kind != "convergence":
         raise ConfigError(f"{where}.model.cluster: cluster interactions are "
                           f"supported by convergence runs only")
+    if system is not None and cluster is None:
+        _build(f"{where}.model.system", check_couplings, system, site)
 
     reservoir, alpha = _build_reservoir(top.sub("reservoir"), site.dim, levels)
 
@@ -597,19 +584,26 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{where}: coherent moment bounds need a "
                               f"coherent reservoir site state")
         for j, c in enumerate(checks):
-            if "m_list" in c:
-                _check_sizes(reservoir, c["m_list"], site.dim,
-                             f"{where}.checks[{j}].m_list")
-            elif "m_count" in c:
-                _check_sizes(reservoir, (c["m_count"],), site.dim,
-                             f"{where}.checks[{j}].m_count")
+            at = f"{where}.checks[{j}]"
+            if c["check"] == "series_ratio":
+                _build(f"{at}.m_count", FiniteMRun, system, site, c["m_count"],
+                       reservoir, initial, np.array([c["t"] / 2, c["t"]]))
+            for m in c.get("m_list", ()):
+                parts = _build(f"{at}.m_list", decompose, reservoir, m,
+                               site.dim)
+                blocked = any(b is not None for _, _, b in parts)
+                if c["check"] == ("pair_factorization" if blocked
+                                  else "correlated_bound"):
+                    which = "with" if blocked else "without"
+                    raise ConfigError(f"{at}: {c['check']} does not apply to "
+                                      f"a reservoir {which} a correlation block")
         return ExperimentConfig(**head, system=system, site=site,
                                 reservoir=reservoir, initial_state=initial,
                                 checks=checks)
 
-    if system is None:
-        raise ConfigError(f"{where}.model: missing required key 'system'")
-    if not system.couplings and cluster is None:
+    if cluster is not None:
+        _build(f"{where}.model.system", check_cluster_system, system)
+    elif not system.couplings:
         raise ConfigError(f"{where}.model.system: propagation kinds need a "
                           f"coupling")
     initial, _ = top.state("initial_state", system.subsystem_dims, levels)
@@ -622,20 +616,9 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     if kind == "definetti" and not isinstance(reservoir, DeFinettiMixture):
         raise ConfigError(f"{where}.reservoir: definetti runs need "
                           f"kind: definetti")
-    if cluster is not None and any(m < cluster.nu for m in m_list):
-        raise ConfigError(f"{where}.run.m_list: entries must be at least the "
-                          f"cluster size {cluster.nu}")
-    _check_sizes(reservoir, m_list, site.dim, f"{where}.run.m_list")
-    if cluster is None:
-        if not site.interactions:
-            raise ConfigError(f"{where}.model.site: propagation kinds need an "
-                              f"interaction operator")
-        for k, c in enumerate(system.couplings):
-            if c.v_index >= len(site.interactions):
-                raise ConfigError(
-                    f"{where}.model.system: coupling {k} references site "
-                    f"interaction {c.v_index}, site declares "
-                    f"{len(site.interactions)}")
+    for m in m_list:
+        _build(f"{where}.run.m_list", FiniteMRun, system, site, m, reservoir,
+               initial, grid, cluster)
     return ExperimentConfig(**head, system=system, site=site,
                             reservoir=reservoir, initial_state=initial,
                             grid=grid, m_list=m_list, step_target=step_target,

@@ -99,9 +99,8 @@ class EffectivePotential:
             raise ValidationError("potential needs at least one signal")
 
     @classmethod
-    def zero(cls, n_interactions: int = 1) -> "EffectivePotential":
-        return cls(tuple(QuasiPeriodicSignal.constant(0.0)
-                         for _ in range(n_interactions)))
+    def zero(cls) -> "EffectivePotential":
+        return cls((QuasiPeriodicSignal.constant(0.0),))
 
 
 def effective_potential(rho: DensityMatrix,

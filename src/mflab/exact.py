@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .model import (ClusterInteraction, SiteModel, SystemModel,
-                    assemble_cluster_interaction, assemble_total)
+                    assemble_cluster_interaction, assemble_total,
+                    check_couplings)
 from .operators import DENSE_CUTOFF, DensityMatrix, Operator, trace_norm
 from .reservoir import decompose, materialize
 from .effective import DEFAULT_STEP_TARGET, effective_trajectory
@@ -85,11 +86,7 @@ class FiniteMRun:
                 f"system state dim {self.rho_s0.dim} does not match model "
                 f"dim {self.sys.dim}")
         if self.cluster is None:
-            for c in self.sys.couplings:
-                if not 0 <= c.v_index < len(self.site.interactions):
-                    raise ValidationError(
-                        f"coupling references site interaction {c.v_index}, "
-                        f"site has {len(self.site.interactions)}")
+            check_couplings(self.sys, self.site)
         else:
             nu, d = self.cluster.nu, self.site.dim
             if nu > self.m_count:

@@ -157,15 +157,28 @@ class ClusterInteraction:
         _require_hermitian(self.v_cluster.data, "cluster interaction")
 
 
+def check_couplings(sys: SystemModel, site: SiteModel) -> None:
+    """Refuse a coupling whose v_index names no interaction of the site."""
+    for k, c in enumerate(sys.couplings):
+        if not 0 <= c.v_index < len(site.interactions):
+            raise ValidationError(
+                f"coupling {k} references site interaction {c.v_index}, "
+                f"site has {len(site.interactions)}")
+
+
+def check_cluster_system(sys: SystemModel) -> None:
+    """Refuse a system the cluster limit does not cover: its block site
+    carries the one cluster operator, so one subsystem with one coupling."""
+    if sys.n_subsystems != 1 or len(sys.couplings) != 1:
+        raise ValidationError(
+            "cluster sweep needs a single subsystem with one coupling")
+
+
 def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
     """Joint Hamiltonian: system + free sites + mean-field couplings."""
     if m_count < 1:
         raise ValidationError("need at least one reservoir site")
-    for c in sys.couplings:
-        if not 0 <= c.v_index < len(site.interactions):
-            raise ValidationError(
-                f"coupling references site interaction {c.v_index}, "
-                f"site has {len(site.interactions)}")
+    check_couplings(sys, site)
     d_total = sys.dim * site.dim ** m_count
     if d_total > DENSE_CUTOFF:
         raise ResourceLimitError(

@@ -31,6 +31,8 @@ from .operators import DENSE_CUTOFF, DensityMatrix
 WEIGHT_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
 IMAG_ATOL = 1e-10
+# level gaps closer than this, relative to the largest |level|, are one term
+MERGE_ATOL = 1e-9
 
 
 def _weighted_states(pairs, what: str, states: str):
@@ -270,8 +272,7 @@ def reference_site_state(state: ReservoirState) -> DensityMatrix:
 
 # Single-site expectation of the evolved interaction operator.
 
-def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray,
-                      merge_atol: float = 1e-9):
+def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray):
     """Frequencies and coefficients of t -> Tr(rho e^{ith} v e^{-ith}).
 
     Returned as (freqs, coeffs) with degenerate level gaps merged into a
@@ -288,7 +289,7 @@ def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray,
     out_f: list[float] = []
     out_c: list[complex] = []
     for f, c in zip(freqs, coeffs):
-        if out_f and abs(f - out_f[-1]) <= merge_atol * scale:
+        if out_f and abs(f - out_f[-1]) <= MERGE_ATOL * scale:
             out_c[-1] += c
         else:
             out_f.append(float(f))
@@ -296,13 +297,14 @@ def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray,
     return np.array(out_f), np.array(out_c)
 
 
-def site_expectation(state: DensityMatrix, site: SiteModel, t, v_index: int = 0):
-    """Expectation of the interaction operator evolved by the site Hamiltonian.
+def site_expectation(state: DensityMatrix, site: SiteModel, t):
+    """Expectation of the site's first interaction operator evolved by the
+    site Hamiltonian.
 
     Accepts a scalar or array of times; the imaginary residue is checked
     against 1e-10 and discarded.
     """
-    v = site.interactions[v_index]
+    v = site.interactions[0]
     if state.dim != v.dim:
         raise ValidationError(
             f"state dim {state.dim} does not match interaction dim {v.dim}")
@@ -334,12 +336,12 @@ def set_partitions(items: Sequence[int]):
         yield [[first]] + part
 
 
-def _slot_products(site: SiteModel, times: Sequence[float], v_index: int):
+def _slot_products(site: SiteModel, times: Sequence[float]):
     """The site Hamiltonian's eigenvectors and, per tuple of time slots,
-    the ordered single-site product of the evolved interaction at their
-    times, in that eigenbasis."""
+    the ordered single-site product of the evolved first interaction at
+    their times, in that eigenbasis."""
     evals, vecs = np.linalg.eigh(site.h.data)
-    v_e = vecs.conj().T @ site.interactions[v_index].data @ vecs
+    v_e = vecs.conj().T @ site.interactions[0].data @ vecs
 
     @functools.cache
     def product(slots: tuple[int, ...]) -> np.ndarray:
@@ -366,8 +368,8 @@ def _block_contraction(block: DensityMatrix, vecs: np.ndarray):
     return contract
 
 
-def _component_moment(parts, block, site: SiteModel, times: Sequence[float],
-                      v_index: int) -> complex:
+def _component_moment(parts, block, site: SiteModel,
+                      times: Sequence[float]) -> complex:
     """Moment of the site average over an optional block on the first L
     sites, then parts (count, site state) of identical independent sites.
 
@@ -379,7 +381,7 @@ def _component_moment(parts, block, site: SiteModel, times: Sequence[float],
     """
     L = 0 if block is None else len(block.dims)
     counts = [int(c) for c, _ in parts]
-    vecs, product = _slot_products(site, times, v_index)
+    vecs, product = _slot_products(site, times)
     rho_es = [vecs.conj().T @ s.data @ vecs for _, s in parts]
     contract = None if block is None else _block_contraction(block, vecs)
     total = 0.0 + 0.0j
@@ -403,22 +405,21 @@ def _component_moment(parts, block, site: SiteModel, times: Sequence[float],
 
 
 def multitime_moment(state, m_count: int, site: SiteModel,
-                     times: Sequence[float], v_index: int = 0) -> complex:
-    """Ensemble moment of the site-averaged evolved interaction at the
-    given times, in the given order, summed over the components of
+                     times: Sequence[float]) -> complex:
+    """Ensemble moment of the site-averaged evolved first interaction at
+    the given times, in the given order, summed over the components of
     decompose. A block is contracted locally at its one placement, which
     gives the same site-averaged moment as every other, so no d^M object
     is built."""
     times = [float(t) for t in times]
     if not times:
         raise ValidationError("need at least one time")
-    return sum(w * _component_moment(parts, block, site, times, v_index)
+    return sum(w * _component_moment(parts, block, site, times)
                for w, parts, block in decompose(state, m_count, site.dim))
 
 
 def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
-                      site: SiteModel, times: Sequence[float],
-                      v_index: int) -> float:
+                      site: SiteModel, times: Sequence[float]) -> float:
     """Largest modulus, over all index tuples, of the fixed-site moment in
     the average of the block over its m_count - L + 1 placements, the other
     sites in the state of the single part.
@@ -434,7 +435,7 @@ def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
     L, n = len(block.dims), len(times)
     n_place = m_count - L + 1
     short = min(m_count, (n + 1) * L - 1)
-    vecs, product = _slot_products(site, times, v_index)
+    vecs, product = _slot_products(site, times)
     contract = _block_contraction(block, vecs)
     # with no part the block covers every site and no factor is used
     outside = parts[0][1].data if parts else np.zeros((site.dim,) * 2)
@@ -459,27 +460,28 @@ def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
 
 
 def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
-                        times: Sequence[float], v_index: int = 0):
+                        times: Sequence[float]) -> tuple[float, float | None]:
     """Distance between the joint moment and the factorized product of
-    single-site expectations.
+    single-site expectations, with its size bound.
 
-    Returns a scalar; ensembles with an explicit block of L sites, such as
-    channel-correlated ones, return (error, bound) with the bound
-    n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus.
+    Returns (error, bound). For an ensemble with an explicit block of L
+    sites, such as a channel-correlated one, the bound is
+    n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus;
+    without a block it is None.
     """
     times = [float(t) for t in times]
-    moment = multitime_moment(state, m_count, site, times, v_index)
+    moment = multitime_moment(state, m_count, site, times)
     ref = reference_site_state(state)
     factorized = 1.0
     for t in times:
-        factorized *= site_expectation(ref, site, t, v_index)
+        factorized *= site_expectation(ref, site, t)
     err = abs(moment - factorized)
     for _, parts, block in decompose(state, m_count, site.dim):
         if block is not None:
             L = len(block.dims)
-            c_n = _max_tuple_moment(parts, block, m_count, site, times, v_index)
+            c_n = _max_tuple_moment(parts, block, m_count, site, times)
             return err, len(times) * L * c_n / (m_count - L + 1)
-    return err
+    return err, None
 
 
 def bell_channel_kraus() -> tuple[np.ndarray, ...]:

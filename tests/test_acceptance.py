@@ -157,7 +157,7 @@ def test_a3_factorization_error():
     single = [site_expectation(plus, site, t) for t in times]
     worst = 0.0
     for m in (2, 10, 100, 10_000):
-        err = factorization_error(product, m, site, list(times))
+        err, _ = factorization_error(product, m, site, list(times))
         closed = abs(joint1 - single[0] * single[1]) / m
         worst = max(worst, abs(err - closed))
     channel = ChannelCorrelated(pure("0"), 2, bell_channel_kraus())

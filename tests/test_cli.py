@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mflab
 from mflab import analysis, cli
@@ -763,6 +764,112 @@ def test_validate_refuses_check_lists_of_the_wrong_length(tmp_path, capsys,
     assert cli.main(["validate", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert key in err and "expected a list of" in err
+
+
+@pytest.mark.parametrize("base,edits,key,words", [
+    ("oscillator_scattering", [("levels: 6", "levels: 3"),
+                               ("site_state:\n    fock: 1", "site_state: plus")],
+     "reservoir.site_state", "dims (3,) do not multiply to matrix size 2"),
+    (None, [("site_state: plus", "site_state: {ket: [1, 0, 0]}")],
+     "reservoir.site_state.ket", "dims (2,) do not multiply to matrix size 3"),
+    (None, [("initial_state: zero",
+             "initial_state: {matrix: [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}")],
+     "initial_state.matrix", "dims (2,) do not multiply to matrix size 3"),
+    ("bell_channel_moments",
+     [("hamiltonian: pauli_z\n    interaction: pauli_x",
+       "oscillator: {levels: 3}"), ("site_state: zero", "site_state: {fock: 0}")],
+     "reservoir", "Kraus operator shape (4, 4) does not match block dim 9"),
+    ("cluster_pair", [("size: 2", "size: 3")], "model.cluster",
+     "dims (2, 2, 2) do not multiply to matrix size 4"),
+    ("cluster_pair", [("m_list: [2, 3, 4, 6]", "m_list: [1, 2]")],
+     "run.m_list", "cluster size 2 exceeds site count 1"),
+    (None, [("coupling: pauli_x}", "coupling: pauli_x, interaction_index: 1}")],
+     "model.system", "coupling 0 references site interaction 1, site has 1"),
+    (None, [("interaction: pauli_x}", "}")],
+     "model.system", "coupling 0 references site interaction 0, site has 0")],
+    ids=["named-ket-on-qutrit", "ket-length", "matrix-dim",
+         "bell-channel-on-qutrit", "cluster-operator-dim",
+         "m-below-cluster-size", "interaction-index", "site-without-interaction"])
+def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
+                                                       edits, key, words):
+    # the state, ensemble and run constructors own these rules; validate
+    # reports their refusal under the key path at fault
+    text = (SMALL_CONVERGENCE if base is None
+            else cli.resolve_config(base).read_text())
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"exp.yaml.{key}: {words}" in err
+
+
+@pytest.mark.parametrize("name,old,new,key", [
+    ("bell_channel_moments",
+     "kind: channel\n  site_state: zero\n  corr_length: 2\n  channel: bell",
+     "kind: product\n  site_state: zero", "checks[0]"),
+    ("bell_channel_moments", "check: correlated_bound",
+     "check: pair_factorization", "checks[0]"),
+    ("cluster_pair", "    coupling: pauli_x\n", "", "model.system")],
+    ids=["correlated-bound-without-block", "pair-factorization-with-block",
+         "cluster-without-coupling"])
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
+                                           key):
+    text = cli.resolve_config(name).read_text()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new, 1))
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert cli.main(verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"exp.yaml.{key}: " in err
+    assert not (tmp_path / "o").exists()
+
+
+def _node_paths(node, path=()):
+    if path:
+        yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, child in items:
+        yield from _node_paths(child, path + (k,))
+
+
+_DELETE = object()
+_REPLACEMENTS = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-2, 12),
+    st.floats(), st.text(max_size=6),
+    st.sampled_from(["pauli_x", "zero", "plus", "bell", "product", "channel",
+                     "definetti", "correlated_bound", "pair_factorization",
+                     "series_ratio", "moments", "convergence", "entanglement"]),
+    st.lists(st.integers(-1, 3), max_size=4),
+    st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3),
+             min_size=3, max_size=3),
+    st.dictionaries(st.sampled_from(["ket", "matrix", "fock", "bogus"]),
+                    st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_bundled_configs_raise_only_config_errors(data):
+    import yaml
+    name = data.draw(st.sampled_from(cli.bundled_names()))
+    doc = yaml.safe_load(cli.resolve_config(name).read_text())
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    value = data.draw(_REPLACEMENTS)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        parse_config(doc, where=name)
+    except ConfigError:
+        pass
 
 
 def test_yaml_loaders_agree_on_every_bundled_config():

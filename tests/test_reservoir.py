@@ -313,7 +313,8 @@ def test_channel_moment_and_bound_match_dense_oracle(seed, L, n, extra,
 
 def test_factorization_error_single_time_zero():
     site = qubit_site(SZ.data, SX.data)
-    assert factorization_error(ProductState(PLUS), 3, site, [0.7]) < 1e-14
+    err, bound = factorization_error(ProductState(PLUS), 3, site, [0.7])
+    assert err < 1e-14 and bound is None
 
 
 def test_factorization_error_two_time_closed_form():
@@ -326,7 +327,7 @@ def test_factorization_error_two_time_closed_form():
     w2 = np.trace(PLUS.data @ v2)
     w12 = np.trace(PLUS.data @ v1 @ v2)
     for m in (1, 2, 7, 40):
-        err = factorization_error(ProductState(PLUS), m, site, [t1, t2])
+        err, _ = factorization_error(ProductState(PLUS), m, site, [t1, t2])
         assert abs(err - abs(w12 - w1 * w2) / m) < 1e-12
 
 
@@ -341,8 +342,8 @@ def test_factorization_error_halves_when_sites_double():
         rho = DensityMatrix(rho_mat / np.trace(rho_mat).real, (2,))
         times = sorted(rng.uniform(0, 2, size=2))
         for m in (2, 5, 16):
-            e1 = factorization_error(ProductState(rho), m, site, times)
-            e2 = factorization_error(ProductState(rho), 2 * m, site, times)
+            e1, _ = factorization_error(ProductState(rho), m, site, times)
+            e2, _ = factorization_error(ProductState(rho), 2 * m, site, times)
             if e2 > 1e-13:
                 assert 1.9 <= e1 / e2 <= 2.1
 
