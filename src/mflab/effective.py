@@ -10,11 +10,12 @@ evolves density matrices along the result, including convex mixtures of
 propagations for exchangeable reservoir ensembles.
 
 The stepper works on whole arrays: for a chunk of grid intervals it
-evaluates every midpoint signal at once, forms every step unitary at once
-(closed form for qubits, one stacked eigh otherwise) and multiplies each
-interval's steps together by a pairwise tree of batched matmuls. A chunk
-holds at most STEP_CHUNK complex entries of step unitaries. A log-depth scan
-then chains the interval products into the unitaries at the grid points.
+evaluates every midpoint signal at once, forms every step at once and
+multiplies each interval's steps by a pairwise tree; a log-depth scan chains
+the interval products to the grid points. A qubit step is a U(1) phase times
+an SU(2) matrix [[a, b], [-b*, a*]]: its Cayley-Klein pair (a, b) is
+multiplied as a pair and its phase angle summed, and the two are joined into
+unitaries at the grid points only. Other factors step by one stacked eigh.
 
 Couplings are local to one system factor, so the limit propagator of a
 multi-factor system is the tensor product of per-factor propagators.
@@ -43,13 +44,14 @@ DEFAULT_STEP_TARGET = 1e-7
 MAX_STEP_DOUBLINGS = 16
 # Step-halving ratios of successive estimates that show the n^-2 law.
 ASYMPTOTIC_RATIO = (3.5, 4.5)
-# Complex entries of step unitaries (steps x d^2) formed at once.
+# Complex entries of steps formed at once: 2 per qubit step, d^2 otherwise.
 STEP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class QuasiPeriodicSignal:
-    """Finite sum of complex exponentials with a real-valued total."""
+    """Finite sum of complex exponentials with a real-valued total, evaluated
+    as sum_f A_f cos(f t) - B_f sin(f t) over the |f| folded at construction."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
@@ -64,23 +66,24 @@ class QuasiPeriodicSignal:
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coeffs", coeffs)
         probe = np.linspace(0.0, 7.3, 37)
-        resid = self._raw(probe).imag
-        worst = float(np.max(np.abs(resid))) if resid.size else 0.0
+        resid = (np.exp(1j * np.outer(probe, freqs)) @ coeffs).imag
+        worst = float(np.max(np.abs(resid)))
         if worst > SIGNAL_IMAG_ATOL:
             raise ValidationError(
                 f"signal has imaginary residue {worst:.2e}; terms not conjugate-paired")
-
-    def _raw(self, t: np.ndarray) -> np.ndarray:
-        if self.freqs.size == 0:
-            return np.zeros_like(t, dtype=complex)
-        return np.exp(1j * np.outer(t, self.freqs)) @ self.coeffs
+        mags = np.abs(freqs).tolist()
+        folded = sorted(set(mags))
+        slot = np.array([folded.index(m) for m in mags], dtype=int)
+        object.__setattr__(self, "_folded", (
+            np.array(folded), np.bincount(slot, coeffs.real, len(folded)),
+            np.bincount(slot, np.sign(freqs) * coeffs.imag, len(folded))))
 
     def evaluate(self, t):
-        tarr = np.atleast_1d(np.asarray(t, dtype=float))
-        vals = self._raw(tarr).real
-        if np.asarray(t).ndim == 0:
-            return float(vals[0])
-        return vals
+        """The signal at t, a float for scalar t, else an array of t's shape."""
+        freqs, cos_amps, sin_amps = self._folded
+        phase = np.multiply.outer(np.asarray(t, dtype=float), freqs)
+        vals = np.cos(phase) @ cos_amps - np.sin(phase) @ sin_amps
+        return float(vals) if vals.ndim == 0 else vals
 
     @classmethod
     def constant(cls, value: float) -> "QuasiPeriodicSignal":
@@ -97,10 +100,6 @@ class EffectivePotential:
         object.__setattr__(self, "signals", tuple(self.signals))
         if not self.signals:
             raise ValidationError("potential needs at least one signal")
-
-    @classmethod
-    def zero(cls) -> "EffectivePotential":
-        return cls((QuasiPeriodicSignal.constant(0.0),))
 
 
 def effective_potential(rho: DensityMatrix,
@@ -132,6 +131,7 @@ class EffectivePropagator:
     step_error: float
     n_substeps: int
     steps_computed: int
+    steppers: tuple[str, ...]
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -139,8 +139,7 @@ class EffectivePropagator:
         if len(times) != len(unitaries):
             raise ValidationError("grid and unitary counts differ")
         object.__setattr__(self, "dims", tuple(self.dims))
-        d = math.prod(self.dims)
-        eye = np.eye(d)
+        eye = np.eye(math.prod(self.dims))
         if np.max(np.abs(unitaries[0] - eye)) > 1e-12:
             raise ValidationError("propagator must start from the identity")
         gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
@@ -156,21 +155,6 @@ class EffectivePropagator:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "unitaries", unitaries)
 
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("time grid needs at least two points")
-    if abs(grid[0]) > 1e-15:
-        raise ValidationError(f"time grid must start at 0, got {grid[0]}")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("time grid must be strictly increasing")
-    return grid
-
 
 def _pauli_coords(h: np.ndarray) -> np.ndarray:
     """(mu, vx, vy, vz) with h = mu I + vx X + vy Y + vz Z, h Hermitian 2x2."""
@@ -179,60 +163,59 @@ def _pauli_coords(h: np.ndarray) -> np.ndarray:
                      0.5 * (h[0, 0].real - h[1, 1].real)])
 
 
-def _step_unitaries(h_s: np.ndarray, terms, mids: np.ndarray,
-                    dt: np.ndarray) -> np.ndarray:
-    """exp(-i dt H(t)) at every midpoint t, H = h_s + sum of w(t) g.
+def _cayley_klein_steps(h_s: np.ndarray, terms, mids: np.ndarray,
+                        dt: np.ndarray):
+    """exp(-i dt H(t)) = exp(-i dt mu) [[a, b], [-b*, a*]] at every qubit
+    midpoint t, H = h_s + sum of w(t) g = mu I + v.sigma: the rows [a, b],
+    shape mids.shape + (1, 2), and each interval's summed angle dt mu.
+    mids has shape (intervals, substeps) and dt broadcasts against it."""
+    coords = np.full((4,) + mids.shape, _pauli_coords(h_s)[:, None, None])
+    for sig, g in terms:
+        coords = coords + _pauli_coords(g)[:, None, None] * sig.evaluate(mids)
+    mu, vx, vy, vz = coords
+    r = np.sqrt(vx * vx + vy * vy + vz * vz)
+    angle = dt * r
+    # r = 0 leaves a = 1 and b = 0: exactly a pure phase
+    sr = -np.divide(np.sin(angle), r, out=np.zeros(mids.shape),
+                    where=r != 0.0)
+    parts = np.stack([np.cos(angle), sr * vz, sr * vy, sr * vx], axis=-1)
+    return parts.view(complex)[..., None, :], (dt * mu).sum(axis=1)
 
-    mids has shape (intervals, substeps) and dt broadcasts against it; the
-    result has shape mids.shape + (d, d).
-    """
-    weights = [sig.evaluate(mids.ravel()).reshape(mids.shape)
-               for sig, _ in terms]
-    if h_s.shape == (2, 2):
-        # closed form for a Hermitian 2x2 generator
-        coords = np.broadcast_to(_pauli_coords(h_s)[:, None, None],
-                                 (4,) + mids.shape)
-        for (_, g), w in zip(terms, weights):
-            coords = coords + _pauli_coords(g)[:, None, None] * w
-        mu, vx, vy, vz = coords
-        r = np.sqrt(vx * vx + vy * vy + vz * vz)
-        phase = np.exp(-1j * (dt * mu))
-        cr = np.cos(dt * r)
-        # r = 0 leaves cr = 1 and sr = 0: exactly phase * I
-        sr = np.divide(np.sin(dt * r), r, out=np.zeros(mids.shape),
-                       where=r != 0.0)
-        out = np.empty(mids.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = phase * (cr - 1j * sr * vz)
-        out[..., 0, 1] = phase * (-1j * sr * (vx - 1j * vy))
-        out[..., 1, 0] = phase * (-1j * sr * (vx + 1j * vy))
-        out[..., 1, 1] = phase * (cr + 1j * sr * vz)
-        return out
+
+def _eigh_steps(h_s: np.ndarray, terms, mids: np.ndarray, dt: np.ndarray):
+    """exp(-i dt H(t)) at every midpoint t by one stacked eigh, shape
+    mids.shape + (d, d), with no angle split off."""
     h = np.broadcast_to(h_s, mids.shape + h_s.shape).copy()
-    for (_, g), w in zip(terms, weights):
-        h += w[..., None, None] * g
+    for sig, g in terms:
+        h += sig.evaluate(mids)[..., None, None] * g
     evals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * (dt[..., None] * evals))
-    return (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    steps = (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return steps, 0.0
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over stacks of matrices. Qubit stacks are multiplied entry by
-    entry, several times faster than numpy's batched matmul on 2x2 blocks."""
-    if a.shape[-1] != 2:
-        return a @ b
-    out = np.empty(a.shape, dtype=complex)   # every caller passes equal shapes
-    for i in (0, 1):
-        for k in (0, 1):
-            out[..., i, k] = (a[..., i, 0] * b[..., 0, k]
-                              + a[..., i, 1] * b[..., 1, k])
+def _su2_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y on stacks of first rows [a, b] of SU(2) matrices."""
+    a2, b2, a1, b1 = x[..., 0, 0], x[..., 0, 1], y[..., 0, 0], y[..., 0, 1]
+    out = np.empty(x.shape, dtype=complex)   # every caller passes equal shapes
+    out[..., 0, 0] = a2 * a1 - b2 * b1.conj()
+    out[..., 0, 1] = a2 * b1 + b2 * a1.conj()
     return out
 
 
-def _ordered_product(steps: np.ndarray) -> np.ndarray:
-    """steps[..., n-1, :, :] @ ... @ steps[..., 0, :, :] by a pairwise tree."""
+def _stepper(d: int):
+    """(name, steps, element product, identity element) for dimension d."""
+    if d == 2:
+        return "cayley-klein", _cayley_klein_steps, _su2_product, np.eye(1, 2)
+    return "eigh", _eigh_steps, np.matmul, np.eye(d)
+
+
+def _ordered_product(steps: np.ndarray, product) -> np.ndarray:
+    """steps[..., n-1, :, :] ... steps[..., 0, :, :] by a pairwise tree of
+    the element product."""
     while steps.shape[-3] > 1:
         n = steps.shape[-3]
-        paired = _matmul(steps[..., 1:n - n % 2:2, :, :],
+        paired = product(steps[..., 1:n - n % 2:2, :, :],
                          steps[..., 0:n - n % 2:2, :, :])
         if n % 2:
             paired = np.concatenate([paired, steps[..., n - 1:, :, :]], axis=-3)
@@ -240,13 +223,13 @@ def _ordered_product(steps: np.ndarray) -> np.ndarray:
     return steps[..., 0, :, :]
 
 
-def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """out[k] = steps[k] @ ... @ steps[0], by a log-depth scan: log2(n)
+def _prefix_products(steps: np.ndarray, product) -> np.ndarray:
+    """out[k] = steps[k] ... steps[0], by a log-depth scan: log2(n)
     batched products in place of n - 1 single ones."""
     out = steps.copy()
     shift = 1
     while shift < len(out):
-        out[shift:] = _matmul(out[shift:], out[:-shift])
+        out[shift:] = product(out[shift:], out[:-shift])
         shift *= 2
     return out
 
@@ -255,27 +238,36 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray,
               n_sub: int) -> np.ndarray:
     """Unitaries from time zero to each grid point, stacked on axis 0.
 
-    terms pairs each coupling's signal with its full-space operator.
+    terms pairs each coupling's signal with its full-space operator. The
+    chunks, the tree and the scan multiply the stepper's elements; qubit
+    angles are summed apart and joined to the SU(2) rows at the grid points.
     """
-    d = h_s.shape[0]
+    _, steps, product, unit = _stepper(h_s.shape[0])
     n_int = len(grid) - 1
-    span = max(1, STEP_CHUNK // (d * d))   # steps formed at once
-    sub = min(n_sub, span)                 # substeps per chunk
-    rows = max(1, span // n_sub)           # grid intervals per chunk
+    span = max(1, STEP_CHUNK // unit.size)   # steps formed at once
+    sub = min(n_sub, span)                   # substeps per chunk
+    rows = max(1, span // n_sub)             # grid intervals per chunk
     dts = np.diff(grid) / n_sub
-    out = np.empty((len(grid), d, d), dtype=complex)
-    out[0] = np.eye(d)
+    out = np.empty((len(grid),) + unit.shape, dtype=complex)
+    out[0] = unit
+    angles = np.zeros(len(grid))
     for k0 in range(0, n_int, rows):
         k1 = min(k0 + rows, n_int)
         dt = dts[k0:k1, None]
         for j0 in range(0, n_sub, sub):
             mids = grid[k0:k1, None] + (np.arange(j0, min(j0 + sub, n_sub))
                                         + 0.5) * dt
-            part = _ordered_product(_step_unitaries(h_s, terms, mids, dt))
-            out[k0 + 1:k1 + 1] = part if j0 == 0 else _matmul(
+            elements, angle = steps(h_s, terms, mids, dt)
+            part = _ordered_product(elements, product)
+            angles[k0 + 1:k1 + 1] += angle
+            out[k0 + 1:k1 + 1] = part if j0 == 0 else product(
                 part, out[k0 + 1:k1 + 1])
-    out[1:] = _prefix_products(out[1:])
-    return out
+    out[1:] = _prefix_products(out[1:], product)
+    if product is not _su2_product:
+        return out
+    a, b = out[:, 0, 0], out[:, 0, 1]
+    su2 = np.stack([a, b, -b.conj(), a.conj()], axis=1).reshape(-1, 2, 2)
+    return np.exp(-1j * np.cumsum(angles))[:, None, None] * su2
 
 
 def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
@@ -338,9 +330,16 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
     is the sum of the factor estimates, which bounds the max-abs error of the
     product since unitary entries have modulus at most 1. Passing n_substeps
     fixes the count and skips the adaptive loop. steps_computed counts
-    substeps x intervals over every pass of every distinct factor.
+    substeps x intervals over every pass of every distinct factor, and
+    steppers names the stepper of each distinct factor.
     """
-    grid = _check_grid(grid)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValidationError("time grid needs at least two points")
+    if abs(grid[0]) > 1e-15:
+        raise ValidationError(f"time grid must start at 0, got {grid[0]}")
+    if np.any(np.diff(grid) <= 0):
+        raise ValidationError("time grid must be strictly increasing")
     for c in sys.couplings:
         if not 0 <= c.v_index < len(potential.signals):
             raise ValidationError(
@@ -349,7 +348,7 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
     if n_substeps is not None and n_substeps < 1:
         raise ValidationError("substep count must be positive")
     n = sys.n_subsystems
-    runs, factors = {}, []
+    runs, factors, steppers = {}, [], []
     for j, h in enumerate(sys.local_h):
         couplings = [(c.v_index, c.g.data) for c in sys.couplings
                      if c.subsystem == j]
@@ -359,6 +358,7 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
             runs[key] = _step_factor(
                 h.data, [(potential.signals[v], g) for v, g in couplings],
                 grid, step_target / n, n_substeps)
+            steppers.append(_stepper(h.data.shape[0])[0])
         factors.append(runs[key])
     unitaries = factors[0][0]
     for part, *_ in factors[1:]:
@@ -369,29 +369,34 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
     return EffectivePropagator(grid, unitaries, sys.subsystem_dims,
                                sum(run[1] for run in factors),
                                max(run[2] for run in factors),
-                               sum(run[3] for run in runs.values()))
+                               sum(run[3] for run in runs.values()),
+                               tuple(steppers))
 
 
 def _conjugate(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return unitaries @ rho @ np.swapaxes(unitaries.conj(), -1, -2)
 
 
+def _step_diagnostics(runs) -> dict:
+    """Stepping diagnostics of the propagations of one system's trajectory."""
+    return {"step_error": max(r.step_error for r in runs),
+            "n_substeps": max(r.n_substeps for r in runs),
+            "factors": len(runs[0].dims),
+            "steps_computed": sum(r.steps_computed for r in runs),
+            "steppers": list(runs[0].steppers)}
+
+
 def evolve_state(propagator: EffectivePropagator,
                  rho0: DensityMatrix) -> PropagationResult:
     """Conjugate the initial state by each stored unitary."""
-    if rho0.dim != propagator.dim:
+    dim = propagator.unitaries.shape[-1]
+    if rho0.dim != dim:
         raise ValidationError(
-            f"initial state dim {rho0.dim} does not match propagator dim "
-            f"{propagator.dim}")
+            f"initial state dim {rho0.dim} does not match propagator dim {dim}")
     stack = _conjugate(propagator.unitaries, rho0.data)
     drift = np.trace(stack, axis1=1, axis2=2) - 1
-    diag = {
-        "max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
-        "step_error": propagator.step_error,
-        "n_substeps": propagator.n_substeps,
-        "factors": len(propagator.dims),
-        "steps_computed": propagator.steps_computed,
-    }
+    diag = {"max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
+            **_step_diagnostics([propagator])}
     return PropagationResult.from_stack(propagator.times, stack, rho0.dims,
                                         diag)
 
@@ -415,13 +420,7 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
             for _, pot in atoms]
     acc = sum(w * _conjugate(run.unitaries, rho0.data)
               for (w, _), run in zip(atoms, runs))
-    diag = {
-        "atoms": len(atoms),
-        "step_error": max(r.step_error for r in runs),
-        "n_substeps": max(r.n_substeps for r in runs),
-        "factors": len(runs[0].dims),
-        "steps_computed": sum(r.steps_computed for r in runs),
-    }
+    diag = {"atoms": len(atoms), **_step_diagnostics(runs)}
     return PropagationResult.from_stack(runs[0].times, acc, rho0.dims, diag)
 
 

@@ -589,6 +589,9 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     assert limit["step_error"] <= cfg.step_target
     assert limit["n_substeps"] >= 1
     assert limit["factors"] == cfg.system.n_subsystems
+    # one stepper per distinct factor: the bell pair's two equal qubits are
+    # stepped once, as SU(2) pairs
+    assert limit["steppers"] == ["cayley-klein"]
     # passes run x substeps x intervals: at least the returned pass of one
     # factor per atom, and fewer than plain doubling (1, 2, ..., n) on every
     # factor, because these trajectories skip doublings

@@ -18,11 +18,17 @@ from mflab.effective import (
 from mflab.errors import ToleranceError, ValidationError
 from mflab.model import Coupling, SiteModel, SystemModel, oscillator_site
 from mflab.operators import DensityMatrix, Operator, partial_trace, pauli
-from mflab.reservoir import DeFinettiMixture, MacroscopicParts, ProductState
+from mflab.reservoir import (
+    DeFinettiMixture,
+    MacroscopicParts,
+    ProductState,
+    site_signal_terms,
+)
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))
 GROUND = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
+ZERO_POTENTIAL = EffectivePotential((QuasiPeriodicSignal.constant(0.0),))
 
 
 def qubit_site(h_mat, v_mat):
@@ -33,6 +39,11 @@ def qubit_site(h_mat, v_mat):
 def qubit_sys(h_mat, g_mat):
     return SystemModel.single(Operator(np.asarray(h_mat, complex), (2,), hermitian=True),
                               [Coupling(g=Operator(np.asarray(g_mat, complex), (2,), hermitian=True))])
+
+
+def random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return 0.5 * (a + a.conj().T)
 
 
 def direct_signal_oracle(rho, h, v, t):
@@ -90,12 +101,56 @@ def test_signal_realness_enforced():
     assert np.sum(np.abs(sig.coeffs)) == 1.0
 
 
+def equal_gap_terms():
+    """site_signal_terms of a d = 3 site with equal level gaps: rotated
+    levels 0, 1, 2 give gaps equal up to rounding, one term per gap."""
+    rng = np.random.default_rng(43)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    h = q @ np.diag([0.0, 1.0, 2.0]) @ q.conj().T
+    ket = rng.normal(size=3) + 1j * rng.normal(size=3)
+    rho = DensityMatrix.pure(ket, (3,)).data
+    return site_signal_terms(rho, h, random_hermitian(rng, 3))
+
+
+def folded_signal_cases():
+    rng = np.random.default_rng(47)
+    for k in (1, 4):
+        freqs = rng.uniform(0.1, 5.0, k)
+        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        yield (f"paired-{k}", np.concatenate([freqs, -freqs]),
+               np.concatenate([coeffs, coeffs.conj()]))
+    yield ("zero-frequency", np.array([-1.7, 0.0, 1.7]),
+           np.array([0.3 - 0.2j, -0.8 + 0j, 0.3 + 0.2j]))
+    yield ("equal-gaps", *equal_gap_terms())
+    yield "empty", np.zeros(0), np.zeros(0, dtype=complex)
+
+
+@pytest.mark.parametrize("case", list(folded_signal_cases()),
+                         ids=lambda c: c[0])
+def test_folded_evaluation_matches_complex_sum(case):
+    _, freqs, coeffs = case
+    sig = QuasiPeriodicSignal(freqs, coeffs)
+    t = np.linspace(-3.0, 40.0, 401)
+    want = np.real(np.exp(1j * np.outer(t, freqs)) @ coeffs)
+    assert np.max(np.abs(sig.evaluate(t) - want)) < 1e-13
+    grid = t[:400].reshape(20, 20)
+    assert np.array_equal(sig.evaluate(grid), sig.evaluate(t[:400]).reshape(20, 20))
+    value = sig.evaluate(2.5)
+    assert type(value) is float
+    assert abs(value - np.real(np.exp(2.5j * freqs) @ coeffs)) < 1e-13
+
+
+def test_equal_gap_terms_are_merged():
+    freqs, _ = equal_gap_terms()
+    assert len(freqs) == 5     # gaps -2, -1, 0, 1, 2 of the nine level pairs
+
+
 # propagation
 
 def test_zero_potential_free_evolution():
     sys = qubit_sys(SZ.data, SX.data)
     grid = np.linspace(0, 2, 9)
-    prop = propagate_effective(sys, EffectivePotential.zero(), grid)
+    prop = propagate_effective(sys, ZERO_POTENTIAL, grid)
     for t, u in zip(grid, prop.unitaries):
         assert np.max(np.abs(u - expm(-1j * t * SZ.data))) < 1e-8
 
@@ -132,7 +187,7 @@ def test_propagator_unitarity_and_identity_start():
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sys = SystemModel.single(Operator((h + h.conj().T) / 2, (4,), hermitian=True), [])
     grid = np.linspace(0, 5, 21)
-    prop = propagate_effective(sys, EffectivePotential.zero(), grid)
+    prop = propagate_effective(sys, ZERO_POTENTIAL, grid)
     assert np.max(np.abs(prop.unitaries[0] - np.eye(4))) == 0
     for u in prop.unitaries:
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-8
@@ -157,7 +212,7 @@ def test_step_halving_is_second_order():
 
 def test_grid_validation():
     sys = qubit_sys(SZ.data, SX.data)
-    pot = EffectivePotential.zero()
+    pot = ZERO_POTENTIAL
     with pytest.raises(ValidationError):
         propagate_effective(sys, pot, [0.5, 1.0])
     with pytest.raises(ValidationError):
@@ -172,11 +227,6 @@ def test_step_halving_failure_reports_estimate(monkeypatch):
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     with pytest.raises(ToleranceError, match="achieved"):
         propagate_effective(sys, pot, [0.0, 3.0], step_target=1e-14)
-
-
-def random_hermitian(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return 0.5 * (a + a.conj().T)
 
 
 def sequential_midpoint_oracle(h0, g, signal, grid, n):
@@ -226,6 +276,62 @@ def test_scalar_generator_step_is_pure_phase():
     assert np.max(np.abs(prop.unitaries - np.array(oracle))) < 1e-12
     assert np.all(prop.unitaries[:, 0, 1] == 0)
     assert np.all(prop.unitaries[:, 1, 0] == 0)
+
+
+def traced_generators(kind, rng):
+    """(h0, g) of qubit generators with a large trace, so that the summed
+    U(1) angles carry the phase: a 40 I offset on a random h0, or a
+    coupling that is the identity alone."""
+    h0 = random_hermitian(rng, 2) + 40.0 * np.eye(2)
+    if kind == "identity-coupling":
+        return h0, np.eye(2, dtype=complex)
+    return h0, random_hermitian(rng, 2) + 3.0 * np.eye(2)
+
+
+@pytest.mark.parametrize("kind", ["offset", "identity-coupling"])
+@pytest.mark.parametrize("n", [1, 3, 48])
+@pytest.mark.parametrize("chunk", [eff.STEP_CHUNK, 64])
+def test_qubit_phase_path_matches_sequential_expm(monkeypatch, kind, n,
+                                                  chunk):
+    # the small chunk splits single intervals, so angles of one interval
+    # are summed over several chunks
+    monkeypatch.setattr(eff, "STEP_CHUNK", chunk)
+    rng = np.random.default_rng(53)
+    h0, g = traced_generators(kind, rng)
+    signal = QuasiPeriodicSignal(np.array([1.3, -1.3, 0.4, -0.4]),
+                                 np.array([0.5, 0.5, 0.3j, -0.3j]))
+    sys = SystemModel.single(Operator(h0, (2,), hermitian=True),
+                             [(Operator(g, (2,), hermitian=True), 0)])
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.08, 40))])
+    prop = propagate_effective(sys, EffectivePotential((signal,)), grid,
+                               n_substeps=n)
+    assert prop.steppers == ("cayley-klein",)
+    oracle = sequential_midpoint_oracle(h0, g, signal, grid, n)
+    assert np.max(np.abs(prop.unitaries - np.array(oracle))) < 1e-12
+
+
+def test_long_pair_products_match_joint_eigh_stepping():
+    # one interval of 2**MAX_STEP_DOUBLINGS substeps: matching the joint 4x4
+    # eigh stepping and staying unitary bounds the drift of |a|^2 + |b|^2
+    # over a long pair product; only the first qubit is coupled
+    rng = np.random.default_rng(59)
+    sys = SystemModel(
+        local_h=(Operator(random_hermitian(rng, 2) + 5.0 * np.eye(2), (2,),
+                          hermitian=True),
+                 Operator(random_hermitian(rng, 2), (2,), hermitian=True)),
+        couplings=(Coupling(g=Operator(random_hermitian(rng, 2), (2,),
+                                       hermitian=True), subsystem=0),))
+    pot = EffectivePotential((QuasiPeriodicSignal(
+        np.array([1.3, -1.3, 0.4, -0.4]), np.array([0.5, 0.5, 0.3j, -0.3j])),))
+    grid = np.array([0.0, 2.0])
+    n = 2 ** eff.MAX_STEP_DOUBLINGS
+    product = propagate_effective(sys, pot, grid, n_substeps=n)
+    joint = propagate_effective(joint_sys(sys), pot, grid, n_substeps=n)
+    assert product.steppers == ("cayley-klein", "cayley-klein")
+    assert joint.steppers == ("eigh",)
+    assert np.max(np.abs(product.unitaries - joint.unitaries)) < 1e-11
+    u = product.unitaries[-1]
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
 
 # product propagation over system factors
@@ -330,7 +436,7 @@ def test_evolve_state_preserves_spectrum_and_purity():
 
 def test_evolve_state_dim_mismatch():
     sys = qubit_sys(SZ.data, SX.data)
-    prop = propagate_effective(sys, EffectivePotential.zero(), [0.0, 1.0])
+    prop = propagate_effective(sys, ZERO_POTENTIAL, [0.0, 1.0])
     with pytest.raises(ValidationError):
         evolve_state(prop, DensityMatrix(np.eye(3) / 3, (3,)))
 
@@ -375,7 +481,7 @@ def test_equal_atoms_recover_unitary_evolution():
 
 def test_mixture_weight_validation():
     sys = qubit_sys(SZ.data, SX.data)
-    pot = EffectivePotential.zero()
+    pot = ZERO_POTENTIAL
     rho0 = PLUS
     with pytest.raises(ValidationError):
         propagate_definetti(sys, [(0.6, pot), (0.6, pot)], rho0, [0.0, 1.0])
@@ -453,6 +559,7 @@ def test_unequal_factors_match_joint_propagation():
         product = propagate_effective(sys, pot, grid, n_substeps=n)
         joint = propagate_effective(joint_sys(sys), pot, grid, n_substeps=n)
         assert product.dims == dims and math.isnan(product.step_error)
+        assert product.steppers == ("cayley-klein", "eigh", "cayley-klein")
         assert np.max(np.abs(product.unitaries - joint.unitaries)) < 1e-12
     prop = propagate_effective(sys, pot, grid, step_target=1e-8)
     assert prop.step_error <= 1e-8
