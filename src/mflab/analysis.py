@@ -1,12 +1,14 @@
 """Metrics, convergence sweeps, spectral studies, and overlap decay.
 
 Entanglement is measured by negativity (general bipartitions) with the
-two-qubit concurrence closed form as a cross-check. Convergence sweeps
-tabulate the gap between finite-size and limit trajectories over a list of
-reservoir sizes, mapped over worker threads. The spectral half supplies a
-second-order finite-difference bound-state counter with a grid-doubling
-guard, a Richardson-extrapolated half-line solver for a linear potential,
-and the radial overlap by Filon's rule, one ladder for the whole time grid.
+two-qubit concurrence closed form as a cross-check. finite_and_limit
+produces the limit trajectory and the finite-size ones over a list of
+reservoir sizes, mapped over worker threads; every propagation experiment
+and convergence sweep starts from it. The spectral half runs second-order
+finite differences on one ladder of nested grids, each halving the
+spacing: a bound-state counter checked under one refinement, and a
+Richardson-extrapolated half-line solver for a linear potential. The radial
+overlap uses Filon's rule, one panel ladder for the whole time grid.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ class SweepRow:
 
 
 def _check_m_list(m_list) -> list[int]:
+    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+               for m in m_list):
+        raise ValidationError(f"M list entries must be integers: {m_list}")
     m_list = [int(m) for m in m_list]
     if not m_list:
         raise ValidationError("M list is empty")
@@ -130,36 +135,56 @@ def _check_m_list(m_list) -> list[int]:
     return m_list
 
 
-def thread_map(fn, items, threads: int = 1) -> list:
-    """[fn(x) for x in items], on that many worker threads when above one."""
+def finite_and_limit(sys: SystemModel, site: SiteModel, reservoir_state,
+                     rho0: DensityMatrix, grid, m_list,
+                     cluster: ClusterInteraction | None = None,
+                     threads: int = 1,
+                     step_target: float = DEFAULT_STEP_TARGET
+                     ) -> tuple[PropagationResult, list[PropagationResult]]:
+    """(limit trajectory, [finite-size trajectory per M]) on one grid, the
+    finite-size runs mapped over that many worker threads.
+
+    A cluster coupling averages a joint operator over every ordered subset
+    of cluster.nu sites. In the limit such a nu-tuple meets the nu-fold
+    product of a limit atom, so the limit is that of nu-site blocks in the
+    mixture of the atoms' nu-fold products.
+    """
+    m_list = _check_m_list(m_list)
     if threads < 1:
         raise ValidationError("threads must be >= 1")
+    grid = np.asarray(grid, dtype=float)
+    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid, cluster)
+            for m in m_list]
+    if cluster is not None:
+        check_cluster_system(sys)
+        nu = cluster.nu
+        h_block = sum(embed_at_site(site.h, j, nu).data
+                      for j in range(1, nu + 1))
+        site = SiteModel(Operator(h_block, cluster.v_cluster.dims),
+                         (cluster.v_cluster,))
+        reservoir_state = DeFinettiMixture(tuple(
+            (w, DensityMatrix(kron_power(s.data, nu), (s.dim,) * nu))
+            for w, s in limit_atoms(reservoir_state)))
+    limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
+                                 step_target=step_target)
     if threads == 1:
-        return [fn(x) for x in items]
+        return limit, [propagate_exact(run) for run in runs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return limit, list(pool.map(propagate_exact, runs))
 
 
-def _sweep_rows(runs, limit: PropagationResult,
-                threads: int = 1) -> list[SweepRow]:
-    """Per finite-size run, the max-over-grid trace distance to the limit
-    trajectory, the ratio to the previous row, and the solver's path,
-    sector count and size, mass defect and norm drift."""
-    def gap_for(run: FiniteMRun):
-        finite = propagate_exact(run)
-        gap = trace_distance(finite.stack, limit.stack).max()
-        keep = ("path", "sectors", "max_sector_dim", "branch_mass_defect",
-                "max_norm_drift")
-        return gap, {k: finite.diagnostics[k] for k in keep}
-
-    rows = []
-    prev = None
-    for run, (g, diag) in zip(runs, thread_map(gap_for, runs, threads)):
-        ratio = math.nan if prev is None else g / prev
-        rows.append(SweepRow(m_count=run.m_count, gap=float(g),
-                             ratio=float(ratio), diagnostics=diag))
-        prev = g
-    return rows
+def _sweep_rows(m_list, limit: PropagationResult,
+                finite: list[PropagationResult]) -> list[SweepRow]:
+    """Per reservoir size, the max-over-grid trace distance of its finite
+    trajectory to the limit one, the ratio to the previous row, and the
+    solver's path, sector count and size, mass defect and norm drift."""
+    keep = ("path", "sectors", "max_sector_dim", "branch_mass_defect",
+            "max_norm_drift")
+    gaps = [trace_distance(r.stack, limit.stack).max() for r in finite]
+    ratios = [math.nan] + [b / a for a, b in zip(gaps, gaps[1:])]
+    return [SweepRow(m_count=int(m), gap=float(g), ratio=float(q),
+                     diagnostics={k: r.diagnostics[k] for k in keep})
+            for m, g, q, r in zip(m_list, gaps, ratios, finite)]
 
 
 def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
@@ -167,13 +192,9 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
             step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table over reservoir sizes against the limit trajectory
     of the reservoir ensemble (see _sweep_rows for the columns)."""
-    m_list = _check_m_list(m_list)
-    grid = np.asarray(grid, dtype=float)
-    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
-            for m in m_list]
-    limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
-                                 step_target=step_target)
-    return _sweep_rows(runs, limit, threads)
+    return _sweep_rows(m_list, *finite_and_limit(
+        sys, site, reservoir_state, rho0, grid, m_list, threads=threads,
+        step_target=step_target))
 
 
 def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:
@@ -186,28 +207,11 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
                   threads: int = 1,
                   step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table when the coupling averages a joint operator over
-    every ordered subset of cluster.nu reservoir sites.
-
-    In the limit a nu-tuple of distinct sites meets the nu-fold product of
-    a limit atom, so the limit is that of nu-site blocks in the mixture of
-    the atoms' nu-fold products. The finite-size rows come from
-    propagate_exact with the cluster coupling, as in m_sweep.
-    """
-    m_list = _check_m_list(m_list)
-    check_cluster_system(sys)
-    grid = np.asarray(grid, dtype=float)
-    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid, cluster)
-            for m in m_list]
-    nu = cluster.nu
-    h_block = sum(embed_at_site(site.h, j, nu).data for j in range(1, nu + 1))
-    block_site = SiteModel(Operator(h_block, cluster.v_cluster.dims),
-                           (cluster.v_cluster,))
-    blocks = DeFinettiMixture(tuple(
-        (w, DensityMatrix(kron_power(s.data, nu), (s.dim,) * nu))
-        for w, s in limit_atoms(reservoir_state)))
-    limit = effective_trajectory(sys, blocks, block_site, rho0, grid,
-                                 step_target=step_target)
-    return _sweep_rows(runs, limit, threads)
+    every ordered subset of cluster.nu reservoir sites, against the limit
+    of nu-site blocks (see finite_and_limit and _sweep_rows)."""
+    return _sweep_rows(m_list, *finite_and_limit(
+        sys, site, reservoir_state, rho0, grid, m_list, cluster,
+        threads=threads, step_target=step_target))
 
 
 # Finite-difference spectral studies on an interval.
@@ -233,8 +237,7 @@ class SpectralProblem:
         if not callable(self.potential):
             raise ValidationError("potential must be callable")
 
-    def grid_points(self, n: int | None = None) -> tuple[np.ndarray, float]:
-        n = self.n_grid if n is None else n
+    def grid_points(self, n: int) -> tuple[np.ndarray, float]:
         lo = 0.0 if self.half_line else -self.x_max
         h = (self.x_max - lo) / (n + 1)
         return lo + h * np.arange(1, n + 1), h
@@ -253,22 +256,22 @@ class SpectralProblem:
         return w.astype(float)
 
 
-def _eigs_below(problem: SpectralProblem, n: int, threshold) -> tuple[np.ndarray, float]:
+def _ladder(problem: SpectralProblem, rungs: int, select) -> list:
+    """Eigenvalues of the finite-difference operator on nested grids of
+    n, 2n+1, 4n+3, ... interior points (each halving the spacing), rungs of
+    them from n = problem.n_grid. select(x, w) gives eigh_tridiagonal's
+    select and select_range on grid points x with potential samples w."""
     from scipy.linalg import eigh_tridiagonal  # lazy: scipy is slow to import
-    x, h = problem.grid_points(n)
-    w = problem.sample_potential(x)
-    # essential-spectrum proxy: the potential floor on the outer quarter of
-    # the domain, where a localized state would have decayed
-    outer = np.abs(x) > 0.75 * problem.x_max if not problem.half_line \
-        else x > 0.75 * problem.x_max
-    proxy = float(w[outer].min())
-    cut = proxy if threshold is None else float(threshold)
-    diag = 2.0 / h ** 2 + w
-    off = np.full(n - 1, -1.0 / h ** 2)
-    ev = eigh_tridiagonal(diag, off, select="v",
-                          select_range=(float(w.min()) - 1.0, cut),
-                          eigvals_only=True)
-    return ev, cut
+    out, n = [], problem.n_grid
+    for _ in range(rungs):
+        x, h = problem.grid_points(n)
+        w = problem.sample_potential(x)
+        kind, bounds = select(x, w)
+        out.append(eigh_tridiagonal(
+            2.0 / h ** 2 + w, np.full(n - 1, -1.0 / h ** 2), select=kind,
+            select_range=bounds, eigvals_only=True))
+        n = 2 * n + 1
+    return out
 
 
 def bound_state_count(problem: SpectralProblem,
@@ -276,12 +279,17 @@ def bound_state_count(problem: SpectralProblem,
     """Eigenvalues below the essential-spectrum proxy (or an explicit
     threshold), counted by second-order finite differences.
 
-    The count must agree between the declared grid and the nested grid with
-    halved spacing (2n+1 interior points); the finer eigenvalues are
-    returned.
+    The proxy is the potential floor on the outer quarter of the domain,
+    where a localized state would have decayed. The count must agree between
+    the declared grid and the nested grid with halved spacing (2n+1 interior
+    points); the finer eigenvalues are returned.
     """
-    coarse, _ = _eigs_below(problem, problem.n_grid, threshold)
-    fine, cut = _eigs_below(problem, 2 * problem.n_grid + 1, threshold)
+    def below(x, w):
+        outer = np.abs(x) > 0.75 * problem.x_max
+        cut = float(w[outer].min()) if threshold is None else float(threshold)
+        return "v", (float(w.min()) - 1.0, cut)
+
+    coarse, fine = _ladder(problem, 2, below)
     if len(coarse) != len(fine):
         raise ToleranceError(
             f"bound-state count changed from {len(coarse)} to {len(fine)} "
@@ -289,37 +297,28 @@ def bound_state_count(problem: SpectralProblem,
     return len(fine), fine
 
 
-def stark_halfline_spectrum(slope: float, n_levels: int,
-                            n_grid: int = 1600,
-                            rel_tol: float = 1e-4) -> np.ndarray:
-    """Lowest eigenvalues of the Dirichlet half-line operator with a linear
-    potential, by finite differences with one Richardson extrapolation step.
-
-    The domain length scales with slope**(-1/3) so the requested levels sit
-    well inside their classical turning points.
-    """
-    from scipy.linalg import eigh_tridiagonal  # lazy: scipy is slow to import
+def stark_problem(slope: float, n_levels: int,
+                  n_grid: int = 1600) -> SpectralProblem:
+    """Dirichlet half-line problem with potential slope * x for the lowest
+    n_levels eigenvalues. The domain length scales with slope**(-1/3) so
+    those levels sit well inside their classical turning points."""
     if slope <= 0:
         raise ValidationError("slope must be positive")
-    if n_levels < 1:
-        raise ValidationError("need at least one level")
-    if n_grid < 64:
-        raise ValidationError("grid size must be at least 64")
+    if not 1 <= n_levels <= n_grid:
+        raise ValidationError(f"need 1 to n_grid = {n_grid} levels, got "
+                              f"{n_levels}")
     x_max = ((3.0 * np.pi * (4 * n_levels + 5) / 8.0) ** (2.0 / 3.0) + 8.0) \
         * slope ** (-1.0 / 3.0)
+    return SpectralProblem(x_max, lambda x: slope * x, n_grid, half_line=True)
 
-    def levels(n: int) -> np.ndarray:
-        h = x_max / (n + 1)
-        x = h * np.arange(1, n + 1)
-        return eigh_tridiagonal(2.0 / h ** 2 + slope * x,
-                                np.full(n - 1, -1.0 / h ** 2),
-                                select="i", select_range=(0, n_levels - 1),
-                                eigvals_only=True)
 
-    # nested refinements halve the spacing exactly, n -> 2n+1
-    e1, e2, e3 = levels(n_grid), levels(2 * n_grid + 1), levels(4 * n_grid + 3)
-    r1 = (4.0 * e2 - e1) / 3.0
-    r2 = (4.0 * e3 - e2) / 3.0
+def stark_halfline_spectrum(slope: float, n_levels: int, n_grid: int = 1600,
+                            rel_tol: float = 1e-4) -> np.ndarray:
+    """Lowest eigenvalues of stark_problem, by finite differences on three
+    nested grids with one Richardson extrapolation step per pair."""
+    problem = stark_problem(slope, n_levels, n_grid)
+    e1, e2, e3 = _ladder(problem, 3, lambda x, w: ("i", (0, n_levels - 1)))
+    r1, r2 = (4.0 * e2 - e1) / 3.0, (4.0 * e3 - e2) / 3.0
     drift = np.max(np.abs(r2 - r1) / np.abs(r2))
     if drift > rel_tol:
         raise ToleranceError(

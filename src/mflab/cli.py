@@ -140,12 +140,9 @@ def _run_stepper_audit(audit: dict, seed):
 
 def _run_entanglement(cfg: ExperimentConfig, threads: int):
     split = (0,)
-    limit = effective_trajectory(cfg.system, cfg.reservoir, cfg.site,
-                                 cfg.initial_state, cfg.grid,
-                                 step_target=cfg.step_target)
-    runs = [exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
-                             cfg.initial_state, cfg.grid) for m in cfg.m_list]
-    finite = analysis.thread_map(exact.propagate_exact, runs, threads)
+    limit, finite = analysis.finite_and_limit(
+        cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
+        cfg.m_list, threads=threads, step_target=cfg.step_target)
     columns = [analysis.negativity_trajectory(r, split)
                for r in [limit, *finite]]
     header = ["t", "negativity_limit"] + [f"negativity_m{m}"
@@ -174,8 +171,7 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
         label = f"t={t1:g}|{t2:g}"
         ref = reference_site_state(state)
         v1, v2 = _evolved_interaction(site, t1), _evolved_interaction(site, t2)
-        w1 = site_expectation(ref, site, t1)
-        w2 = site_expectation(ref, site, t2)
+        w1, w2 = site_expectation(ref, site, (t1, t2))
         pair = complex(np.trace(ref.data @ v1 @ v2))
         for m in check["m_list"]:
             err, _ = factorization_error(state, m, site, (t1, t2))
@@ -216,13 +212,8 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
         order, t, m = check["order"], check["t"], check["m_count"]
         run = exact.FiniteMRun(cfg.system, cfg.site, m, state,
                                cfg.initial_state, np.array([t / 2, t]))
-        ref_half, ref_full = exact.propagate_exact(run).stack
-        gap_half = analysis.trace_distance(
-            exact.dyson_truncated(cfg.system, site, state, m,
-                                  cfg.initial_state, order, t / 2), ref_half)
-        gap_full = analysis.trace_distance(
-            exact.dyson_truncated(cfg.system, site, state, m,
-                                  cfg.initial_state, order, t), ref_full)
+        gap_half, gap_full = analysis.trace_distance(
+            exact.dyson_truncated(run, order), exact.propagate_exact(run).stack)
         ratio = _safe_ratio(gap_full, gap_half)
         window = check.get("ratio_window")
         ok = True if window is None else (window[0] <= ratio <= window[1])
@@ -287,9 +278,9 @@ def _purities(stack: np.ndarray) -> np.ndarray:
 
 def _run_definetti(cfg: ExperimentConfig, threads: int):
     atoms = cfg.reservoir.atoms
-    mixture = effective_trajectory(cfg.system, cfg.reservoir, cfg.site,
-                                   cfg.initial_state, cfg.grid,
-                                   step_target=cfg.step_target)
+    mixture, results = analysis.finite_and_limit(
+        cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
+        cfg.m_list, threads=threads, step_target=cfg.step_target)
     orbits = [effective_trajectory(cfg.system, ProductState(s), cfg.site,
                                    cfg.initial_state, cfg.grid,
                                    step_target=cfg.step_target)
@@ -298,9 +289,6 @@ def _run_definetti(cfg: ExperimentConfig, threads: int):
               + [f"gap_atom_{j}" for j in range(len(atoms))] + ["purity"])
     rows = []
     closer = {}
-    runs = [exact.FiniteMRun(cfg.system, cfg.site, m, cfg.reservoir,
-                             cfg.initial_state, cfg.grid) for m in cfg.m_list]
-    results = analysis.thread_map(exact.propagate_exact, runs, threads)
     for m, finite in zip(cfg.m_list, (r.stack for r in results)):
         gap_mix = analysis.trace_distance(finite, mixture.stack)
         gaps = np.array([analysis.trace_distance(finite, orb.stack)
@@ -450,7 +438,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None,
                        help=f"output directory (default ${OUT_ENV} or ./runs)")
     run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent reservoir sizes")
+                       help="worker threads for independent reservoir "
+                            "sizes; pays only when BLAS runs single-threaded "
+                            "(e.g. OPENBLAS_NUM_THREADS=1)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized audit fixtures; never "
                             "affects physical results")

@@ -440,6 +440,9 @@ def _build_problem(block: _Block) -> dict:
         "rel_tol": block.positive("rel_tol", 1e-4),
     }
     block.done()
+    from .analysis import stark_problem  # lazy: keeps `import mflab` light
+    _build(f"{block.where}.levels", stark_problem, out["slope"], out["levels"],
+           out["n_grid"])
     return out
 
 

@@ -3,8 +3,8 @@
 In the infinite-reservoir limit the system evolves under its own Hamiltonian
 plus coupling operators weighted by scalar functions of time, each the
 single-site expectation of the corresponding evolved interaction operator.
-This module builds those scalar signals in closed quasi-periodic form,
-integrates the resulting time-dependent Schrodinger equation with a
+reservoir builds those scalar signals in closed quasi-periodic form; this
+module integrates the resulting time-dependent Schrodinger equation with a
 midpoint-exponential scheme (order 2, unitary by construction per step), and
 evolves density matrices along the result, including convex mixtures of
 propagations for exchangeable reservoir ensembles.
@@ -35,10 +35,10 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .model import SiteModel, SystemModel
 from .operators import DensityMatrix
-from .reservoir import ReservoirState, limit_atoms, site_signal_terms
+from .reservoir import (QuasiPeriodicSignal, ReservoirState, limit_atoms,
+                        site_signal_terms)
 from .results import PropagationResult
 
-SIGNAL_IMAG_ATOL = 1e-10
 PROPAGATOR_UNITARY_ATOL = 1e-8
 DEFAULT_STEP_TARGET = 1e-7
 MAX_STEP_DOUBLINGS = 16
@@ -46,48 +46,6 @@ MAX_STEP_DOUBLINGS = 16
 ASYMPTOTIC_RATIO = (3.5, 4.5)
 # Complex entries of steps formed at once: 2 per qubit step, d^2 otherwise.
 STEP_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class QuasiPeriodicSignal:
-    """Finite sum of complex exponentials with a real-valued total, evaluated
-    as sum_f A_f cos(f t) - B_f sin(f t) over the |f| folded at construction."""
-
-    freqs: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=float).ravel()
-        coeffs = np.asarray(self.coeffs, dtype=complex).ravel()
-        if freqs.shape != coeffs.shape:
-            raise ValidationError("frequency and coefficient counts differ")
-        freqs.setflags(write=False)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "coeffs", coeffs)
-        probe = np.linspace(0.0, 7.3, 37)
-        resid = (np.exp(1j * np.outer(probe, freqs)) @ coeffs).imag
-        worst = float(np.max(np.abs(resid)))
-        if worst > SIGNAL_IMAG_ATOL:
-            raise ValidationError(
-                f"signal has imaginary residue {worst:.2e}; terms not conjugate-paired")
-        mags = np.abs(freqs).tolist()
-        folded = sorted(set(mags))
-        slot = np.array([folded.index(m) for m in mags], dtype=int)
-        object.__setattr__(self, "_folded", (
-            np.array(folded), np.bincount(slot, coeffs.real, len(folded)),
-            np.bincount(slot, np.sign(freqs) * coeffs.imag, len(folded))))
-
-    def evaluate(self, t):
-        """The signal at t, a float for scalar t, else an array of t's shape."""
-        freqs, cos_amps, sin_amps = self._folded
-        phase = np.multiply.outer(np.asarray(t, dtype=float), freqs)
-        vals = np.cos(phase) @ cos_amps - np.sin(phase) @ sin_amps
-        return float(vals) if vals.ndim == 0 else vals
-
-    @classmethod
-    def constant(cls, value: float) -> "QuasiPeriodicSignal":
-        return cls(np.array([0.0]), np.array([complex(value)]))
 
 
 @dataclass(frozen=True)

@@ -375,10 +375,9 @@ def convergence_gap(sys: SystemModel, site: SiteModel, reservoir_state,
 
 # Truncated interaction-picture series.
 
-def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
-                    m_count: int, rho_s0: DensityMatrix, order: int,
-                    t: float) -> DensityMatrix:
-    """Short-time series oracle for the reduced state at time t.
+def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
+    """Short-time series oracle for the reduced state at each time of
+    run.grid, as an unnormalized (T, d, d) stack.
 
     The initial joint state is split into the same pure branches on
     symmetric sectors as in propagate_exact, so it inherits that solver's
@@ -402,10 +401,8 @@ def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
     from scipy.linalg import expm  # lazy: scipy is slow to import
     if not 0 <= order <= 4:
         raise ValidationError("series order must be between 0 and 4")
-    if t < 0:
+    if run.grid[0] < 0:
         raise ValidationError("time must be nonnegative")
-    run = FiniteMRun(sys, site, m_count, reservoir_state, rho_s0,
-                     np.array([t]))
     columns, _ = _sector_columns(run)
     for cols in columns.values():
         d_block = (order + 1) * cols.shape[0]
@@ -413,19 +410,21 @@ def dyson_truncated(sys: SystemModel, site: SiteModel, reservoir_state,
             raise ResourceLimitError(
                 f"series oracle is dense only; block dimension {d_block} = "
                 f"(order {order} + 1) x {cols.shape[0]} > {DENSE_CUTOFF}")
-    d_sys = sys.dim
-    red = np.zeros((d_sys, d_sys), dtype=complex)
+    d_sys = run.sys.dim
+    red = np.zeros((run.grid.size, d_sys, d_sys), dtype=complex)
     for counts, cols in columns.items():
         free, coupling = _sector_hamiltonian(run, counts)
         dim = free.shape[0]
-        block = -1j * t * (np.kron(np.eye(order + 1), free)
-                           + np.kron(np.eye(order + 1, k=1), coupling))
-        row = expm(block)[:dim]
-        # S_k and S_0+..+S_k applied to the branch columns
-        a = row.reshape(dim, order + 1, dim).transpose(1, 0, 2) @ cols
-        b = np.cumsum(a, axis=0)
-        a, b = a.reshape(order + 1, d_sys, -1), b.reshape(order + 1, d_sys, -1)
-        # with rho0 = cols cols^dagger, sum_{k+l<=n} S_k rho0 S_l^dagger =
-        # sum_k S_k rho0 (S_0+..+S_{n-k})^dagger, traced over the sector
-        red += sum(a[k] @ b[order - k].conj().T for k in range(order + 1))
-    return DensityMatrix(red, rho_s0.dims, validate=False)
+        series = (np.kron(np.eye(order + 1), free)
+                  + np.kron(np.eye(order + 1, k=1), coupling))
+        for k, t in enumerate(run.grid.tolist()):
+            row = expm(-1j * t * series)[:dim]
+            # S_j and S_0+..+S_j applied to the branch columns
+            a = row.reshape(dim, order + 1, dim).transpose(1, 0, 2) @ cols
+            b = np.cumsum(a, axis=0)
+            a, b = (x.reshape(order + 1, d_sys, -1) for x in (a, b))
+            # with rho0 = cols cols^dagger, sum_{j+l<=n} S_j rho0 S_l^dagger
+            # = sum_j S_j rho0 (S_0+..+S_{n-j})^dagger, traced over the sector
+            red[k] += sum(a[j] @ b[order - j].conj().T
+                          for j in range(order + 1))
+    return red

@@ -8,7 +8,9 @@ decompose gives that mixture on M sites, limit_atoms the (weight, site state)
 pairs left as M -> infinity. Moments of the site-averaged interaction and
 the factorization bound are exact sums over index partitions of local
 contractions on that mixture, at any M. materialize builds every state
-densely and independently of decompose, as a reference.
+densely and independently of decompose, as a reference. The single-site
+expectation Tr(rho e^{ith} V e^{-ith}) is built here as a QuasiPeriodicSignal,
+the scalar signal of the limit dynamics and of the factorized product.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -24,13 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, ToleranceError, ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .model import SiteModel
 from .operators import DENSE_CUTOFF, DensityMatrix
 
 WEIGHT_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
-IMAG_ATOL = 1e-10
+SIGNAL_IMAG_ATOL = 1e-10
 # level gaps closer than this, relative to the largest |level|, are one term
 MERGE_ATOL = 1e-9
 
@@ -297,28 +299,58 @@ def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray):
     return np.array(out_f), np.array(out_c)
 
 
+@dataclass(frozen=True)
+class QuasiPeriodicSignal:
+    """Finite sum of complex exponentials with a real-valued total, evaluated
+    as sum_f A_f cos(f t) - B_f sin(f t) over the |f| folded at construction."""
+
+    freqs: np.ndarray
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        freqs = np.asarray(self.freqs, dtype=float).ravel()
+        coeffs = np.asarray(self.coeffs, dtype=complex).ravel()
+        if freqs.shape != coeffs.shape:
+            raise ValidationError("frequency and coefficient counts differ")
+        freqs.setflags(write=False)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "coeffs", coeffs)
+        probe = np.linspace(0.0, 7.3, 37)
+        resid = (np.exp(1j * np.outer(probe, freqs)) @ coeffs).imag
+        worst = float(np.max(np.abs(resid)))
+        if worst > SIGNAL_IMAG_ATOL:
+            raise ValidationError(
+                f"signal has imaginary residue {worst:.2e}; terms not conjugate-paired")
+        mags = np.abs(freqs).tolist()
+        folded = sorted(set(mags))
+        slot = np.array([folded.index(m) for m in mags], dtype=int)
+        object.__setattr__(self, "_folded", (
+            np.array(folded), np.bincount(slot, coeffs.real, len(folded)),
+            np.bincount(slot, np.sign(freqs) * coeffs.imag, len(folded))))
+
+    def evaluate(self, t):
+        """The signal at t, a float for scalar t, else an array of t's shape."""
+        freqs, cos_amps, sin_amps = self._folded
+        phase = np.multiply.outer(np.asarray(t, dtype=float), freqs)
+        vals = np.cos(phase) @ cos_amps - np.sin(phase) @ sin_amps
+        return float(vals) if vals.ndim == 0 else vals
+
+    @classmethod
+    def constant(cls, value: float) -> "QuasiPeriodicSignal":
+        return cls(np.array([0.0]), np.array([complex(value)]))
+
+
 def site_expectation(state: DensityMatrix, site: SiteModel, t):
     """Expectation of the site's first interaction operator evolved by the
-    site Hamiltonian.
-
-    Accepts a scalar or array of times; the imaginary residue is checked
-    against 1e-10 and discarded.
-    """
+    site Hamiltonian: the QuasiPeriodicSignal of the limit dynamics, a float
+    for scalar t, else an array of t's shape."""
     v = site.interactions[0]
     if state.dim != v.dim:
         raise ValidationError(
             f"state dim {state.dim} does not match interaction dim {v.dim}")
-    freqs, coeffs = site_signal_terms(state.data, site.h.data, v.data)
-    tarr = np.atleast_1d(np.asarray(t, dtype=float))
-    vals = np.exp(1j * np.outer(tarr, freqs)) @ coeffs
-    resid = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    if resid > IMAG_ATOL:
-        raise ToleranceError(
-            f"imaginary residue {resid:.2e} in site expectation; inputs not Hermitian")
-    out = vals.real
-    if np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out
+    return QuasiPeriodicSignal(*site_signal_terms(
+        state.data, site.h.data, v.data)).evaluate(t)
 
 
 # Multi-time moments of the site-averaged interaction.
@@ -471,10 +503,8 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     """
     times = [float(t) for t in times]
     moment = multitime_moment(state, m_count, site, times)
-    ref = reference_site_state(state)
-    factorized = 1.0
-    for t in times:
-        factorized *= site_expectation(ref, site, t)
+    factorized = math.prod(site_expectation(reference_site_state(state), site,
+                                            times).tolist())
     err = abs(moment - factorized)
     for _, parts, block in decompose(state, m_count, site.dim):
         if block is not None:

@@ -187,7 +187,7 @@ def test_a4_series_halving_ratio():
     for t in (0.2, 0.4):
         run = FiniteMRun(sysm, site, 2, reservoir, rho0, np.array([0.0, t]))
         exact = propagate_exact(run).states[-1]
-        approx = dyson_truncated(sysm, site, reservoir, 2, rho0, 4, t)
+        approx = dyson_truncated(run, 4)[-1]
         gaps[t] = trace_distance(exact, approx)
     ratio = gaps[0.4] / gaps[0.2]
     elapsed = time.perf_counter() - t0

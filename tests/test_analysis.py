@@ -5,8 +5,9 @@ from scipy.optimize import brentq
 from mflab import analysis
 from mflab.errors import QuadratureError, ToleranceError, ValidationError
 from mflab.operators import DensityMatrix, Operator, bell_ket, ket, pauli
-from mflab.model import SiteModel, SystemModel
-from mflab.reservoir import (ChannelCorrelated, ProductState, bell_channel_kraus,
+from mflab.model import ClusterInteraction, SiteModel, SystemModel
+from mflab.reservoir import (ChannelCorrelated, DeFinettiMixture,
+                             MacroscopicParts, ProductState, bell_channel_kraus,
                              factorization_error)
 from mflab.exact import FiniteMRun, propagate_exact
 from mflab.effective import (effective_potential, effective_trajectory,
@@ -16,15 +17,16 @@ from mflab.results import PropagationResult
 from mflab.analysis import (
     FieldOverlapSpec,
     SpectralProblem,
-    _sweep_rows,
     bound_state_count,
     concurrence,
     field_overlap_decay,
+    finite_and_limit,
     m_sweep,
     negativity,
     negativity_trajectory,
     partial_transpose,
     stark_halfline_spectrum,
+    stark_problem,
     summary_report,
     trace_distance,
     write_summary,
@@ -235,13 +237,80 @@ class TestTrajectoryStacks:
     def test_sweep_gap_is_the_largest_per_state_distance(self):
         sys, site, res, rho0 = sweep_fixture()
         grid = np.linspace(0.0, 2.0, 201)
-        runs = [FiniteMRun(sys, site, m, res, rho0, grid) for m in (2, 5)]
         limit = effective_trajectory(sys, res, site, rho0, grid)
-        for row, run in zip(_sweep_rows(runs, limit), runs):
-            finite = propagate_exact(run)
+        for row in m_sweep(sys, site, res, rho0, grid, (2, 5)):
+            finite = propagate_exact(FiniteMRun(sys, site, row.m_count, res,
+                                                rho0, grid))
             gap = max(trace_distance(a, b)
                       for a, b in zip(finite.states, limit.states))
             assert abs(row.gap - gap) <= 1e-12
+
+
+ZERO = DensityMatrix.pure(ket("0"), (2,))
+PLUS = DensityMatrix.pure(ket("+"), (2,))
+ENSEMBLES = {
+    "product": ProductState(PLUS),
+    "definetti": DeFinettiMixture(((0.5, PLUS), (0.5, ZERO))),
+    "macroscopic": MacroscopicParts(((0.5, ZERO), (0.5, PLUS))),
+    "channel": ChannelCorrelated(ZERO, 2, bell_channel_kraus()),
+}
+# the cluster operator of the bundled cluster_pair experiment: X (x) X
+PAIR = ClusterInteraction(nu=2, v_cluster=Operator(
+    np.kron(SX.data, SX.data), (2, 2), hermitian=True))
+
+
+class TestFiniteAndLimit:
+    """One producer gives every propagation experiment its trajectories."""
+
+    GRID = np.linspace(0.0, 1.0, 11)
+    M_LIST = (2, 3)
+
+    @staticmethod
+    def assert_same_stacks(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.stack.tobytes() == b.stack.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(ENSEMBLES))
+    def test_stacks_are_those_of_the_direct_calls(self, kind):
+        sys, site, _, rho0 = sweep_fixture()
+        res = ENSEMBLES[kind]
+        limit, finite = finite_and_limit(sys, site, res, rho0, self.GRID,
+                                         self.M_LIST)
+        self.assert_same_stacks(
+            [limit], [effective_trajectory(sys, res, site, rho0, self.GRID)])
+        self.assert_same_stacks(finite, [
+            propagate_exact(FiniteMRun(sys, site, m, res, rho0, self.GRID))
+            for m in self.M_LIST])
+        threaded = finite_and_limit(sys, site, res, rho0, self.GRID,
+                                    self.M_LIST, threads=2)
+        self.assert_same_stacks([limit, *finite], [threaded[0], *threaded[1]])
+
+    def test_cluster_limit_is_the_pair_block_orbit(self):
+        # nu = 2 sites of a product ensemble meet the pair state s (x) s
+        # under the pair Hamiltonian h (x) 1 + 1 (x) h, coupled by X (x) X
+        sys, site, res, rho0 = sweep_fixture()
+        site = SiteModel(h=SZ, interactions=())
+        limit, finite = finite_and_limit(sys, site, res, rho0, self.GRID,
+                                         self.M_LIST, PAIR)
+        pair_site = SiteModel(
+            h=Operator(np.kron(SZ.data, np.eye(2)) + np.kron(np.eye(2), SZ.data),
+                       (2, 2), hermitian=True),
+            interactions=(PAIR.v_cluster,))
+        pair_state = DensityMatrix(np.kron(PLUS.data, PLUS.data), (2, 2))
+        self.assert_same_stacks([limit], [effective_trajectory(
+            sys, ProductState(pair_state), pair_site, rho0, self.GRID)])
+        self.assert_same_stacks(finite, [
+            propagate_exact(FiniteMRun(sys, site, m, res, rho0, self.GRID,
+                                       PAIR)) for m in self.M_LIST])
+        threaded = finite_and_limit(sys, site, res, rho0, self.GRID,
+                                    self.M_LIST, PAIR, threads=2)
+        self.assert_same_stacks([limit, *finite], [threaded[0], *threaded[1]])
+
+    def test_threads_must_be_positive(self):
+        sys, site, res, rho0 = sweep_fixture()
+        with pytest.raises(ValidationError, match="threads"):
+            finite_and_limit(sys, site, res, rho0, self.GRID, (1,), threads=0)
 
 
 class TestMSweep:
@@ -273,6 +342,13 @@ class TestMSweep:
             m_sweep(sys, site, res, rho0, grid, (0, 2))
         with pytest.raises(ValidationError, match="empty"):
             m_sweep(sys, site, res, rho0, grid, ())
+        # sizes are integers, never rounded to one
+        for bad in ([2.7, 3], [2.0, 3], [True, 2]):
+            with pytest.raises(ValidationError, match="integers"):
+                m_sweep(sys, site, res, rho0, grid, bad)
+        rows = m_sweep(sys, site, res, rho0, grid, np.array([1, 3]))
+        assert [r.m_count for r in rows] == [1, 3]
+        assert all(type(r.m_count) is int for r in rows)
 
     def test_correlated_and_product_reservoirs_share_the_limit(self):
         # the channel-correlated ensemble differs from the product one at
@@ -411,6 +487,17 @@ class TestStarkHalfline:
             stark_halfline_spectrum(1.0, 0)
         with pytest.raises(ToleranceError, match="Richardson"):
             stark_halfline_spectrum(1.0, 3, n_grid=64, rel_tol=1e-14)
+        # the grid rule is SpectralProblem's own
+        with pytest.raises(ValidationError) as want:
+            SpectralProblem(x_max=1.0, potential=lambda x: x, n_grid=32)
+        with pytest.raises(ValidationError) as got:
+            stark_halfline_spectrum(1.0, 3, n_grid=32)
+        assert str(got.value) == str(want.value)
+        # more levels than grid points is refused before the eigensolver
+        with pytest.raises(ValidationError, match="n_grid = 64 levels, got 100"):
+            stark_halfline_spectrum(1.0, 100, n_grid=64)
+        problem = stark_problem(1.0, 64, n_grid=64)
+        assert problem.half_line and problem.n_grid == 64
 
 
 def gaussian_spec(scale=1.0):

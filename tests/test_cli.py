@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mflab
-from mflab import analysis, cli
+from mflab import analysis, cli, effective, exact
 from mflab.config import KINDS, load_config, parse_config
 from mflab.errors import ConfigError, ValidationError
 from mflab.operators import pauli
@@ -340,13 +340,13 @@ class TestRunVerb:
 
     def test_cluster_run_honours_threads(self, tmp_path, monkeypatch):
         seen = []
-        sweep_rows = analysis._sweep_rows
+        produce = analysis.finite_and_limit
 
-        def spy(runs, limit, threads=1):
-            seen.append(threads)
-            return sweep_rows(runs, limit, threads)
+        def spy(*args, **kwargs):
+            seen.append(kwargs["threads"])
+            return produce(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "_sweep_rows", spy)
+        monkeypatch.setattr(analysis, "finite_and_limit", spy)
         for threads in (1, 2):
             out = tmp_path / f"t{threads}"
             assert cli.main(["run", "cluster_pair", "--out", str(out),
@@ -355,6 +355,33 @@ class TestRunVerb:
         a = (tmp_path / "t1" / "cluster_pair" / "cluster_gap.csv").read_bytes()
         b = (tmp_path / "t2" / "cluster_pair" / "cluster_gap.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("name,atoms", [
+        ("qubit_convergence", 0), ("cluster_pair", 0),
+        ("macroscopic_two_part", 0), ("oscillator_scattering", 0),
+        ("bell_pair_protection", 0), ("definetti_two_atom", 2)])
+    def test_propagation_kinds_propagate_each_size_once(
+            self, tmp_path, monkeypatch, name, atoms):
+        # every binding of the two propagators is counted, so a second
+        # implementation anywhere shows up as extra calls
+        calls = {"propagate_exact": 0, "effective_trajectory": 0}
+
+        def count(module, fname):
+            real = getattr(module, fname)
+
+            def counting(*args, **kwargs):
+                calls[fname] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, fname, counting)
+
+        for module in (analysis, exact):
+            count(module, "propagate_exact")
+        for module in (analysis, cli, effective, exact):
+            count(module, "effective_trajectory")
+        assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
+        m_list = load_config(cli.resolve_config(name)).m_list
+        assert calls == {"propagate_exact": len(m_list),
+                         "effective_trajectory": 1 + atoms}
 
     @pytest.mark.parametrize("name", ["bell_pair_protection",
                                       "definetti_two_atom"])
@@ -815,9 +842,11 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
      "kind: product\n  site_state: zero", "checks[0]"),
     ("bell_channel_moments", "check: correlated_bound",
      "check: pair_factorization", "checks[0]"),
-    ("cluster_pair", "    coupling: pauli_x\n", "", "model.system")],
+    ("cluster_pair", "    coupling: pauli_x\n", "", "model.system"),
+    ("stark_halfline", "levels: 3\n  n_grid: 1600", "levels: 100\n  n_grid: 64",
+     "problem.levels")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
-         "cluster-without-coupling"])
+         "cluster-without-coupling", "stark-levels-above-grid-points"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
     text = cli.resolve_config(name).read_text()

@@ -417,16 +417,17 @@ class TestSeriesOracle:
     def test_order_zero_is_free_system_rotation(self):
         res = ProductState(tilted_mixed_site())
         t = 0.9
-        got = dyson_truncated(qubit_sys(), qubit_site(), res, 2, PLUS,
-                              order=0, t=t)
+        run = FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS, np.array([t]))
+        (got,) = dyson_truncated(run, order=0)
         u = expm(-1j * t * SZ.data)
-        assert trace_norm(got.data - u @ PLUS.data @ u.conj().T) < 1e-12
+        assert trace_norm(got - u @ PLUS.data @ u.conj().T) < 1e-12
 
     def test_order_one_matches_independent_quadrature(self):
         res = ProductState(tilted_mixed_site())
         t = 0.3
         sys, site = qubit_sys(), qubit_site()
-        got = dyson_truncated(sys, site, res, 1, PLUS, order=1, t=t)
+        (got,) = dyson_truncated(
+            FiniteMRun(sys, site, 1, res, PLUS, np.array([t])), order=1)
         h0 = np.kron(SZ.data, I2) + np.kron(I2, 0.7 * SZ.data)
         v = np.kron(SX.data, SX.data)
         rho0 = np.kron(PLUS.data, tilted_mixed_site().data)
@@ -442,7 +443,7 @@ class TestSeriesOracle:
         red = rho_i.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
         urot = expm(-1j * t * SZ.data)
         oracle = urot @ red @ urot.conj().T
-        assert trace_norm(got.data - oracle) < 1e-8
+        assert trace_norm(got - oracle) < 1e-8
 
     def test_truncation_error_decays_with_high_power_of_time(self):
         res = ProductState(tilted_mixed_site())
@@ -451,11 +452,9 @@ class TestSeriesOracle:
         def err(order, t):
             # the oracle is exact to rounding, far under the 1.9e-6
             # smallest truncation error
-            approx = dyson_truncated(sys, site, res, 2, PLUS, order=order,
-                                     t=t)
-            ex = propagate_exact(FiniteMRun(sys, site, 2, res, PLUS,
-                                            np.array([t]))).states[0]
-            return trace_norm(approx.data - ex.data)
+            run = FiniteMRun(sys, site, 2, res, PLUS, np.array([t]))
+            approx = dyson_truncated(run, order=order)
+            return trace_norm(approx - propagate_exact(run).stack)[0]
 
         e2 = err(2, 0.2)
         r2 = err(2, 0.4) / e2
@@ -478,6 +477,7 @@ class TestSeriesOracle:
         assert np.allclose(free @ v, v @ free)
         u0 = expm(-1j * t * free)
         rho0 = np.kron(PLUS.data, materialize(res, m).data)
+        run = FiniteMRun(sys, site, m, res, PLUS, np.array([t]))
         for order in range(5):
             terms = [u0 @ np.linalg.matrix_power(-1j * t * v, k)
                      / math.factorial(k) for k in range(order + 1)]
@@ -485,8 +485,8 @@ class TestSeriesOracle:
                         for k in range(order + 1)
                         for l in range(order + 1 - k))
             want = joint.reshape(2, 4, 2, 4).trace(axis1=1, axis2=3)
-            got = dyson_truncated(sys, site, res, m, PLUS, order, t)
-            assert trace_norm(got.data - want) < 1e-12
+            (got,) = dyson_truncated(run, order)
+            assert trace_norm(got - want) < 1e-12
 
     @pytest.mark.parametrize("kind", ["product", "definetti", "macroscopic",
                                       "channel", "explicit"])
@@ -507,9 +507,10 @@ class TestSeriesOracle:
             for m in (2, 3, 5):
                 res = random_ensemble(rng, kind, 2, m)
                 wants = full_space_series(sys, site, res, m, rho0, 4, 0.3)
+                run = FiniteMRun(sys, site, m, res, rho0, np.array([0.3]))
                 for order, want in enumerate(wants):
-                    got = dyson_truncated(sys, site, res, m, rho0, order, 0.3)
-                    assert trace_norm(got.data - want) < 1e-12
+                    (got,) = dyson_truncated(run, order)
+                    assert trace_norm(got - want) < 1e-12
 
     def test_reaches_large_reservoirs(self):
         # the full-space block would be 5 x 2 x 2^M
@@ -517,31 +518,42 @@ class TestSeriesOracle:
         sys, site = qubit_sys(), qubit_site()
         for m in (9, 64):
             def gap(t):
-                approx = dyson_truncated(sys, site, res, m, PLUS, 4, t)
-                ex = propagate_exact(FiniteMRun(sys, site, m, res, PLUS,
-                                                np.array([t]))).states[0]
-                return trace_norm(approx.data - ex.data)
+                run = FiniteMRun(sys, site, m, res, PLUS, np.array([t]))
+                approx = dyson_truncated(run, 4)
+                return trace_norm(approx - propagate_exact(run).stack)[0]
 
             g = gap(0.2)
             assert g < 1e-4
             assert gap(0.4) / g > 16.0
+
+    def test_grid_stack_is_the_stack_of_single_time_runs(self):
+        res = DeFinettiMixture(((0.3, PLUS), (0.7, tilted_mixed_site())))
+        sys, site, grid = qubit_sys(), qubit_site(), np.array([0.0, 0.2, 0.5])
+        for order in (1, 4):
+            got = dyson_truncated(FiniteMRun(sys, site, 3, res, PLUS, grid),
+                                  order)
+            assert got.shape == (3, 2, 2)
+            for k, t in enumerate(grid):
+                (one,) = dyson_truncated(
+                    FiniteMRun(sys, site, 3, res, PLUS, np.array([t])), order)
+                assert got[k].tobytes() == one.tobytes()
 
     def test_block_dimension_guard(self):
         # an explicit reservoir state is the full space: joint dimension
         # 1024 is dense-sized, the order-4 block is not
         res = materialize(ProductState(tilted_mixed_site()), 9)
         with pytest.raises(ResourceLimitError, match="block dimension 5120"):
-            dyson_truncated(qubit_sys(), qubit_site(), res, 9, PLUS,
-                            order=4, t=0.1)
+            dyson_truncated(FiniteMRun(qubit_sys(), qubit_site(), 9, res,
+                                       PLUS, np.array([0.1])), order=4)
 
     def test_input_validation(self):
         res = ProductState(tilted_mixed_site())
         with pytest.raises(ValidationError, match="order"):
-            dyson_truncated(qubit_sys(), qubit_site(), res, 1, PLUS,
-                            order=5, t=0.1)
+            dyson_truncated(FiniteMRun(qubit_sys(), qubit_site(), 1, res,
+                                       PLUS, np.array([0.1])), order=5)
         with pytest.raises(ValidationError, match="nonnegative"):
-            dyson_truncated(qubit_sys(), qubit_site(), res, 1, PLUS,
-                            order=2, t=-0.1)
+            dyson_truncated(FiniteMRun(qubit_sys(), qubit_site(), 1, res,
+                                       PLUS, np.array([-0.1, 0.1])), order=2)
 
 
 class TestRunValidation:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from mflab.effective import effective_potential
 from mflab.errors import ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
 from mflab.operators import DensityMatrix, Operator, partial_trace, pauli, permute_factors
@@ -329,6 +330,23 @@ def test_factorization_error_two_time_closed_form():
     for m in (1, 2, 7, 40):
         err, _ = factorization_error(ProductState(PLUS), m, site, [t1, t2])
         assert abs(err - abs(w12 - w1 * w2) / m) < 1e-12
+
+
+def test_factorized_product_is_the_limit_signal():
+    # the comparison product multiplies the very signal that weights the
+    # limit couplings, evaluated at all the times at once
+    site = qubit_site(SZ.data, SX.data + 0.3 * SZ.data)
+    state = DeFinettiMixture(((0.4, PLUS), (0.6, dm([[0.7, 0.2], [0.2, 0.3]]))))
+    signal = effective_potential(reference_site_state(state),
+                                 site).signals[0]
+    for times in ([0.4], [0.25, 1.45], [0.1, 0.9, 0.5]):
+        factorized = math.prod(signal.evaluate(np.array(times)).tolist())
+        moment = multitime_moment(state, 3, site, times)
+        err, _ = factorization_error(state, 3, site, times)
+        assert err == abs(moment - factorized)
+        for t in times:
+            assert site_expectation(reference_site_state(state), site,
+                                    t) == signal.evaluate(t)
 
 
 def test_factorization_error_halves_when_sites_double():
