@@ -8,7 +8,10 @@ and convergence sweep starts from it. The spectral half runs second-order
 finite differences on one ladder of nested grids, each halving the
 spacing: a bound-state counter checked under one refinement, and a
 Richardson-extrapolated half-line solver for a linear potential. The radial
-overlap uses Filon's rule, one panel ladder for the whole time grid.
+overlap uses Filon's rule, one panel ladder for the whole time grid. The
+square-well, Stark, Gaussian and bump problems that configs name are built
+by constructors here, which own their rules; a rule on one argument names
+it in the ValidationError's arg.
 """
 
 from __future__ import annotations
@@ -230,16 +233,29 @@ class SpectralProblem:
     half_line: bool = False
 
     def __post_init__(self):
-        if self.x_max <= 0:
-            raise ValidationError("x_max must be positive")
+        if not self.x_max > 0:
+            raise ValidationError("x_max must be positive", arg="x_max")
         if self.n_grid < 64:
-            raise ValidationError("grid size must be at least 64")
+            raise ValidationError("grid size must be at least 64",
+                                  arg="n_grid")
         if not callable(self.potential):
             raise ValidationError("potential must be callable")
+        # h^2 and 1/h^2 stay finite and nonzero on the rungs up to 4n + 3
+        coarse = self.spacing(self.n_grid)
+        fine = self.spacing(4 * self.n_grid + 3)
+        if not (0.0 < coarse * coarse < math.inf
+                and 0.0 < fine * fine and 1.0 / (fine * fine) < math.inf):
+            raise ValidationError(
+                f"x_max {self.x_max} on {self.n_grid} points gives a grid "
+                f"spacing whose square leaves the float range")
+
+    def spacing(self, n: int) -> float:
+        """Grid spacing with n interior points."""
+        return (self.x_max if self.half_line else 2.0 * self.x_max) / (n + 1)
 
     def grid_points(self, n: int) -> tuple[np.ndarray, float]:
         lo = 0.0 if self.half_line else -self.x_max
-        h = (self.x_max - lo) / (n + 1)
+        h = self.spacing(n)
         return lo + h * np.arange(1, n + 1), h
 
     def sample_potential(self, x: np.ndarray) -> np.ndarray:
@@ -267,9 +283,13 @@ def _ladder(problem: SpectralProblem, rungs: int, select) -> list:
         x, h = problem.grid_points(n)
         w = problem.sample_potential(x)
         kind, bounds = select(x, w)
-        out.append(eigh_tridiagonal(
-            2.0 / h ** 2 + w, np.full(n - 1, -1.0 / h ** 2), select=kind,
-            select_range=bounds, eigvals_only=True))
+        try:
+            out.append(eigh_tridiagonal(
+                2.0 / h ** 2 + w, np.full(n - 1, -1.0 / h ** 2), select=kind,
+                select_range=bounds, eigvals_only=True))
+        except np.linalg.LinAlgError as exc:
+            raise ToleranceError(f"tridiagonal eigensolver failed on the "
+                                 f"{n}-point grid: {exc}") from exc
         n = 2 * n + 1
     return out
 
@@ -297,16 +317,32 @@ def bound_state_count(problem: SpectralProblem,
     return len(fine), fine
 
 
+def well_problem(depth: float, width: float, x_max: float,
+                 n_grid: int = 400, half_line: bool = True) -> SpectralProblem:
+    """Square well of the given depth on [0, width] of the half line, or on
+    [-width/2, width/2] of the full line, inside the domain of x_max."""
+    if not depth > 0:
+        raise ValidationError(f"well depth must be positive, got {depth}",
+                              arg="depth")
+    edge = width if half_line else width / 2
+    problem = SpectralProblem(x_max, lambda x: np.where(
+        np.abs(x) <= edge, -depth, 0.0), n_grid, half_line)
+    if not 0 < width < x_max:
+        raise ValidationError(f"width must sit inside the domain, got width "
+                              f"{width} with x_max {x_max}")
+    return problem
+
+
 def stark_problem(slope: float, n_levels: int,
                   n_grid: int = 1600) -> SpectralProblem:
     """Dirichlet half-line problem with potential slope * x for the lowest
     n_levels eigenvalues. The domain length scales with slope**(-1/3) so
     those levels sit well inside their classical turning points."""
-    if slope <= 0:
-        raise ValidationError("slope must be positive")
+    if not slope > 0:
+        raise ValidationError("slope must be positive", arg="slope")
     if not 1 <= n_levels <= n_grid:
         raise ValidationError(f"need 1 to n_grid = {n_grid} levels, got "
-                              f"{n_levels}")
+                              f"{n_levels}", arg="n_levels")
     x_max = ((3.0 * np.pi * (4 * n_levels + 5) / 8.0) ** (2.0 / 3.0) + 8.0) \
         * slope ** (-1.0 / 3.0)
     return SpectralProblem(x_max, lambda x: slope * x, n_grid, half_line=True)
@@ -350,19 +386,52 @@ class FieldOverlapSpec:
     def __post_init__(self):
         if not (callable(self.f_prime) and callable(self.h_prime)):
             raise ValidationError("profiles must be callable")
-        if self.r_max <= 0:
-            raise ValidationError("r_max must be positive")
+        if not self.r_max > 0:
+            raise ValidationError("r_max must be positive", arg="r_max")
         r = np.linspace(0.0, self.r_max, 257)
         for name, prof in (("f_prime", self.f_prime), ("h_prime", self.h_prime)):
             vals = np.asarray(prof(r), dtype=complex)
             if vals.shape != r.shape or not np.all(np.isfinite(vals)):
                 raise ValidationError(f"{name} must be finite on the grid")
-            if not np.isfinite(np.trapezoid(np.abs(vals) ** 2 * r * r, r)):
+            # an overflow here is what the check reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = np.trapezoid(np.abs(vals) ** 2 * r * r, r)
+            if not np.isfinite(norm):
                 raise ValidationError(f"{name} has no finite discrete norm")
 
     def amplitude(self, r: np.ndarray) -> np.ndarray:
         return r * r * np.conj(np.asarray(self.h_prime(r), dtype=complex)) \
             * np.asarray(self.f_prime(r), dtype=complex)
+
+
+def gaussian_overlap(scale: float, r_max: float) -> FieldOverlapSpec:
+    """Profiles f' = scale e^{-r^2} and h' = e^{-r^2} on [0, r_max]."""
+    if scale == 0:
+        raise ValidationError("scale must be nonzero", arg="scale")
+    return FieldOverlapSpec(lambda r: scale * np.exp(-np.asarray(r) ** 2),
+                            lambda r: np.exp(-np.asarray(r) ** 2), r_max)
+
+
+def bump_overlap(center: float, halfwidth: float,
+                 r_max: float) -> FieldOverlapSpec:
+    """Both profiles the smooth bump exp(-1 / (1 - u^2)) of u = (r - center)
+    / halfwidth, zero for |u| >= 1; that support must lie in [0, r_max]."""
+    if not halfwidth > 0:
+        raise ValidationError("bump halfwidth must be positive",
+                              arg="halfwidth")
+    if center - halfwidth < 0:
+        raise ValidationError("bump support crosses r = 0")
+    if center + halfwidth > r_max:
+        raise ValidationError("bump support exceeds r_max")
+
+    def bump(r):
+        u = (np.asarray(r, dtype=float) - center) / halfwidth
+        out = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+        return out
+
+    return FieldOverlapSpec(bump, bump, r_max)
 
 
 def _filon_weights(theta: np.ndarray) -> np.ndarray:

@@ -28,15 +28,16 @@ import numpy as np
 from . import analysis, exact
 from .config import ExperimentConfig, load_config
 from .effective import (EffectivePotential, QuasiPeriodicSignal,
-                        effective_trajectory, propagate_effective)
+                        propagate_effective)
 from .errors import (ConfigError, MFLabError, ResourceLimitError,
                      ToleranceError, ValidationError)
 from .matio import atomic_write_text
 from .model import SystemModel
 from .operators import Operator
-from .reservoir import (ProductState, coherent_bound, coherent_bound_safe,
-                        factorization_error, multitime_moment,
-                        reference_site_state, site_expectation)
+from .reservoir import (coherent_bound, coherent_bound_safe,
+                        even_double_factorial, factorization_error,
+                        multitime_moment, reference_site_state,
+                        site_expectation)
 
 OUT_ENV = "MFLAB_OUT"
 CSV_FMT = "%.17g"
@@ -129,6 +130,10 @@ def _run_stepper_audit(audit: dict, seed):
         u1, u2 = endpoint(s), endpoint(2 * s)
         e1 = float(np.linalg.norm(u1 - u_ref))
         e2 = float(np.linalg.norm(u2 - u_ref))
+        if e2 == 0:
+            raise ToleranceError(
+                f"draw {j}: step-halving error vanished at t_max "
+                f"{audit['t_max']:g}, below rounding; no order to measure")
         defect = max(float(np.linalg.norm(u.conj().T @ u - np.eye(2)))
                      for u in (u1, u2, u_ref))
         rows.append([j, e1 / e2, defect])
@@ -202,33 +207,26 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
         top = check["max_order"]
         for n1 in range(1, top + 1):
             for n2 in range(n1, top + 1):
-                joint = _even_double_factorial(n1 + n2)
-                split = _even_double_factorial(n1) * _even_double_factorial(n2)
+                joint = even_double_factorial(n1 + n2)
+                split = even_double_factorial(n1) * even_double_factorial(n2)
                 # compare in exact integers, report as floats
                 rows.append([name, f"n={n1}|{n2}", 0, n1 + n2, float(joint),
                              float(split), _safe_ratio(joint, split),
                              joint >= split])
     else:
-        order, t, m = check["order"], check["t"], check["m_count"]
-        run = exact.FiniteMRun(cfg.system, cfg.site, m, state,
-                               cfg.initial_state, np.array([t / 2, t]))
+        order, t, run = check["order"], check["t"], check["run"]
         gap_half, gap_full = analysis.trace_distance(
             exact.dyson_truncated(run, order), exact.propagate_exact(run).stack)
         ratio = _safe_ratio(gap_full, gap_half)
         window = check.get("ratio_window")
         ok = True if window is None else (window[0] <= ratio <= window[1])
-        rows.append([name, f"t={t:g}", m, order, gap_full, gap_half, ratio,
-                     ok])
+        rows.append([name, f"t={t:g}", run.m_count, order, gap_full,
+                     gap_half, ratio, ok])
     return rows
 
 
 def _safe_ratio(a: float, b: float) -> float:
     return float(a) / float(b) if b != 0 else math.nan
-
-
-def _even_double_factorial(k: int) -> int:
-    """(2k)!! = 2 * 4 * ... * 2k as an exact integer."""
-    return math.prod(range(2, 2 * k + 1, 2))
 
 
 def _run_moments(cfg: ExperimentConfig):
@@ -243,20 +241,10 @@ def _run_moments(cfg: ExperimentConfig):
 
 def _run_spectrum(cfg: ExperimentConfig):
     prob = cfg.problem
-    if prob["type"] == "well":
-        width = prob["width"]
+    if "wells" in prob:
         header = ["depth", "bound_states", "lowest_level"]
         rows, counts = [], []
-        for depth in prob["depths"]:
-            if prob["half_line"]:
-                def potential(x, depth=depth):
-                    return np.where(x <= width, -depth, 0.0)
-            else:
-                def potential(x, depth=depth):
-                    return np.where(np.abs(x) <= 0.5 * width, -depth, 0.0)
-            problem = analysis.SpectralProblem(prob["x_max"], potential,
-                                               n_grid=prob["n_grid"],
-                                               half_line=prob["half_line"])
+        for depth, problem in prob["wells"]:
             count, levels = analysis.bound_state_count(problem)
             counts.append(count)
             rows.append([depth, count,
@@ -277,22 +265,18 @@ def _purities(stack: np.ndarray) -> np.ndarray:
 
 
 def _run_definetti(cfg: ExperimentConfig, threads: int):
-    atoms = cfg.reservoir.atoms
     mixture, results = analysis.finite_and_limit(
         cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
         cfg.m_list, threads=threads, step_target=cfg.step_target)
-    orbits = [effective_trajectory(cfg.system, ProductState(s), cfg.site,
-                                   cfg.initial_state, cfg.grid,
-                                   step_target=cfg.step_target)
-              for _, s in atoms]
     header = (["m_count", "t", "gap_mixture"]
-              + [f"gap_atom_{j}" for j in range(len(atoms))] + ["purity"])
+              + [f"gap_atom_{j}" for j in range(len(mixture.orbits))]
+              + ["purity"])
     rows = []
     closer = {}
     for m, finite in zip(cfg.m_list, (r.stack for r in results)):
         gap_mix = analysis.trace_distance(finite, mixture.stack)
-        gaps = np.array([analysis.trace_distance(finite, orb.stack)
-                         for orb in orbits])
+        gaps = np.array([analysis.trace_distance(finite, orbit)
+                         for orbit in mixture.orbits])
         purity = _purities(finite)
         rows += [[m, t, gap_mix[k]] + list(gaps[:, k]) + [purity[k]]
                  for k, t in enumerate(cfg.grid)]
@@ -306,30 +290,10 @@ def _run_definetti(cfg: ExperimentConfig, threads: int):
 
 
 def _run_decay(cfg: ExperimentConfig):
-    spec_args = cfg.overlap
-    if spec_args["profile"] == "gaussian":
-        scale = spec_args["scale"]
-
-        def f_prime(r):
-            return scale * np.exp(-np.asarray(r) ** 2)
-
-        def h_prime(r):
-            return np.exp(-np.asarray(r) ** 2)
-    else:
-        center, halfwidth = spec_args["center"], spec_args["halfwidth"]
-
-        def _bump(r):
-            u = (np.asarray(r, dtype=float) - center) / halfwidth
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-            return out
-
-        f_prime = h_prime = _bump
-    spec = analysis.FieldOverlapSpec(f_prime, h_prime, spec_args["r_max"])
-    times = spec_args["times"]
+    overlap = cfg.overlap
+    times = overlap["times"]
     static, *values = analysis.field_overlap_decay(
-        spec, np.concatenate([[0.0], times]), tol=spec_args["tol"])
+        overlap["spec"], np.concatenate([[0.0], times]), tol=overlap["tol"])
     header = ["t", "overlap_sq"]
     rows = [[float(t), float(v)] for t, v in zip(times, values)]
     notes = {"static_value": float(static),

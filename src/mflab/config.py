@@ -11,7 +11,8 @@ state, ensemble or run constructor enforces is left to it: `_build` reports
 its refusal under the key path at fault, and every reservoir size a run
 will use is checked by building that run's `exact.FiniteMRun` (or
 decomposing its ensemble, for moment checks), so a config is refused here
-exactly when running it would be.
+exactly when running it would be. Spectral problems, overlap specs and the
+series oracle's runs are built here once, and the run uses them.
 
 No code is ever executed from a config. Operators are named presets
 (pauli_x, ...) or literal matrices whose entries are numbers or [re, im]
@@ -37,7 +38,8 @@ from .model import (ClusterInteraction, Coupling, SiteModel, SystemModel,
                     oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus, decompose)
+                        ProductState, bell_channel_kraus, decompose,
+                        supermultiplicative_order_limit)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
          "decay")
@@ -95,12 +97,15 @@ def _integer(x, where: str, minimum: int | None = None) -> int:
     return x
 
 
-def _build(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), a refusal reported as a ConfigError at where."""
+def _build(where: str, make, *args, keys=None, **kwargs):
+    """make(*args, **kwargs), a refusal reported as a ConfigError at where,
+    or at where.keys[arg] when it names one argument arg that keys maps."""
     try:
         return make(*args, **kwargs)
     except Exception as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        key = (keys or {}).get(getattr(exc, "arg", None))
+        at = f"{where}.{key}" if key else where
+        raise ConfigError(f"{at}: {exc}") from exc
 
 
 class _Block:
@@ -395,6 +400,11 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
             spec["alpha"] = alpha
         elif name == "supermultiplicative":
             spec["max_order"] = blk.integer("max_order", minimum=2)
+            top = supermultiplicative_order_limit()
+            if spec["max_order"] > top:
+                raise ConfigError(f"{blk.where}.max_order: the joint constant "
+                                  f"leaves the float range past order {top}, "
+                                  f"got {spec['max_order']}")
         else:
             spec["order"] = blk.integer("order", minimum=1)
             if spec["order"] > 4:
@@ -413,69 +423,52 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
 
 
 def _build_problem(block: _Block) -> dict:
+    """A well's problem per depth, or the Stark parameters."""
+    from . import analysis  # lazy: keeps `import mflab` light
     kind = block.string("type", choices=("well", "stark"))
     if kind == "well":
-        out = {
-            "type": "well",
-            "x_max": block.positive("x_max"),
-            "n_grid": block.integer("n_grid", 400, minimum=64),
-            "width": block.positive("width", 1.0),
-            "depths": block.numbers("depths"),
-            "half_line": block.flag("half_line", True),
-        }
-        if any(d <= 0 for d in out["depths"]):
-            raise ConfigError(f"{block.where}.depths: well depths must be "
-                              f"positive")
-        if out["width"] >= out["x_max"]:
-            raise ConfigError(f"{block.where}: width must sit inside the "
-                              f"domain, got width {out['width']} with x_max "
-                              f"{out['x_max']}")
+        args = (block.number("width", 1.0), block.number("x_max"),
+                block.integer("n_grid", 400), block.flag("half_line", True))
+        depths = block.numbers("depths")
         block.done()
-        return out
-    out = {
-        "type": "stark",
-        "slope": block.positive("slope"),
-        "levels": block.integer("levels", minimum=1),
-        "n_grid": block.integer("n_grid", 1600, minimum=64),
-        "rel_tol": block.positive("rel_tol", 1e-4),
-    }
+        keys = {"depth": "depths", "width": "width", "x_max": "x_max",
+                "n_grid": "n_grid"}
+        return {"wells": tuple((d, _build(block.where, analysis.well_problem,
+                                          d, *args, keys=keys))
+                               for d in depths)}
+    out = {"slope": block.number("slope"), "levels": block.integer("levels"),
+           "n_grid": block.integer("n_grid", 1600),
+           "rel_tol": block.positive("rel_tol", 1e-4)}
     block.done()
-    from .analysis import stark_problem  # lazy: keeps `import mflab` light
-    _build(f"{block.where}.levels", stark_problem, out["slope"], out["levels"],
-           out["n_grid"])
+    _build(block.where, analysis.stark_problem, out["slope"], out["levels"],
+           out["n_grid"], keys={"slope": "slope", "n_levels": "levels",
+                                "n_grid": "n_grid"})
     return out
 
 
 def _build_overlap(block: _Block) -> dict:
-    profile = block.string("profile", choices=("gaussian", "bump"))
-    out = {
-        "profile": profile,
-        "r_max": block.positive("r_max"),
-        "tol": block.positive("tol", 1e-7),
-    }
-    if profile == "gaussian":
-        out["scale"] = block.number("scale", 1.0)
-        if out["scale"] == 0:
-            raise ConfigError(f"{block.where}.scale: must be nonzero")
+    """The overlap spec of the profile, its time grid and tolerance."""
+    from . import analysis  # lazy: keeps `import mflab` light
+    if block.string("profile", choices=("gaussian", "bump")) == "gaussian":
+        make, args = analysis.gaussian_overlap, (block.number("scale", 1.0),)
     else:
-        out["center"] = block.positive("center")
-        out["halfwidth"] = block.positive("halfwidth")
-        if out["center"] - out["halfwidth"] < 0:
-            raise ConfigError(f"{block.where}: bump support crosses r = 0")
-        if out["center"] + out["halfwidth"] > out["r_max"]:
-            raise ConfigError(f"{block.where}: bump support exceeds r_max")
+        make, args = analysis.bump_overlap, (block.number("center"),
+                                             block.number("halfwidth"))
+    r_max, tol = block.number("r_max"), block.positive("tol", 1e-7)
     if isinstance(block.get("times"), list):
-        out["times"] = np.array(block.numbers("times"))
-        if np.any(out["times"] < 0):
+        times = np.array(block.numbers("times"))
+        if np.any(times < 0):
             raise ConfigError(f"{block.where}.times: times must be >= 0")
     else:
         sub = block.sub("times")
         t_max = sub.positive("t_max")
         n_times = sub.integer("n_times", minimum=2)
         sub.done()
-        out["times"] = np.linspace(0.0, t_max, n_times)
+        times = np.linspace(0.0, t_max, n_times)
     block.done()
-    return out
+    spec = _build(block.where, make, *args, r_max, keys={
+        "scale": "scale", "halfwidth": "halfwidth", "r_max": "r_max"})
+    return {"spec": spec, "times": times, "tol": tol}
 
 
 def _build_audit(block: _Block) -> dict:
@@ -589,8 +582,9 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
         for j, c in enumerate(checks):
             at = f"{where}.checks[{j}]"
             if c["check"] == "series_ratio":
-                _build(f"{at}.m_count", FiniteMRun, system, site, c["m_count"],
-                       reservoir, initial, np.array([c["t"] / 2, c["t"]]))
+                c["run"] = _build(f"{at}.m_count", FiniteMRun, system, site,
+                                  c["m_count"], reservoir, initial,
+                                  np.array([c["t"] / 2, c["t"]]))
             for m in c.get("m_list", ()):
                 parts = _build(f"{at}.m_list", decompose, reservoir, m,
                                site.dim)

@@ -7,7 +7,8 @@ reservoir builds those scalar signals in closed quasi-periodic form; this
 module integrates the resulting time-dependent Schrodinger equation with a
 midpoint-exponential scheme (order 2, unitary by construction per step), and
 evolves density matrices along the result, including convex mixtures of
-propagations for exchangeable reservoir ensembles.
+propagations for exchangeable reservoir ensembles; a limit trajectory keeps
+the orbit of each atom it mixes.
 
 The stepper works on whole arrays: for a chunk of grid intervals it
 evaluates every midpoint signal at once, forms every step at once and
@@ -355,8 +356,10 @@ def evolve_state(propagator: EffectivePropagator,
     drift = np.trace(stack, axis1=1, axis2=2) - 1
     diag = {"max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
             **_step_diagnostics([propagator])}
-    return PropagationResult.from_stack(propagator.times, stack, rho0.dims,
-                                        diag)
+    result = PropagationResult.from_stack(propagator.times, stack, rho0.dims,
+                                          diag)
+    result.orbits = (result.stack,)
+    return result
 
 
 def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
@@ -365,8 +368,8 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
     """Convex combination of per-atom propagations.
 
     atoms: sequence of (weight, EffectivePotential). The trajectory is the
-    weighted sum of the individually conjugated states; generally not a
-    unitary orbit.
+    weighted sum of the individually conjugated states, its orbits; generally
+    not a unitary orbit itself.
     """
     atoms = [(float(w), p) for w, p in atoms]
     if not atoms:
@@ -376,10 +379,12 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
         raise ValidationError(f"atom weights must be a distribution, sum {total}")
     runs = [propagate_effective(sys, pot, grid, step_target)
             for _, pot in atoms]
-    acc = sum(w * _conjugate(run.unitaries, rho0.data)
-              for (w, _), run in zip(atoms, runs))
+    orbits = tuple(_conjugate(run.unitaries, rho0.data) for run in runs)
+    acc = sum(w * orbit for (w, _), orbit in zip(atoms, orbits))
     diag = {"atoms": len(atoms), **_step_diagnostics(runs)}
-    return PropagationResult.from_stack(runs[0].times, acc, rho0.dims, diag)
+    result = PropagationResult.from_stack(runs[0].times, acc, rho0.dims, diag)
+    result.orbits = orbits
+    return result
 
 
 def effective_trajectory(sys: SystemModel, state: ReservoirState,

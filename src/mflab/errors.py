@@ -6,7 +6,12 @@ class MFLabError(Exception):
 
 
 class ValidationError(MFLabError):
-    """An input violates a documented precondition or invariant."""
+    """An input violates a documented precondition or invariant; arg names
+    the one argument at fault, when a single argument is."""
+
+    def __init__(self, *args, arg: str | None = None):
+        super().__init__(*args)
+        self.arg = arg
 
 
 class ToleranceError(MFLabError):

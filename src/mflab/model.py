@@ -262,11 +262,14 @@ def field_op(n_levels: int) -> Operator:
 
 def coherent_ket(alpha: complex, n_levels: int) -> np.ndarray:
     """Truncated coherent state, renormalized on the kept levels."""
+    if alpha == 0:
+        return np.eye(n_levels, dtype=complex)[:, 0]
     n = np.arange(n_levels)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    amps = np.exp(n * np.log(complex(alpha)) - 0.5 * log_fact) if alpha != 0 \
-        else np.eye(n_levels, dtype=complex)[:, 0]
-    vec = np.asarray(amps, dtype=complex)
+    logs = n * np.log(complex(alpha)) - 0.5 * log_fact
+    # scaled by the largest amplitude (level 0's, 1, for |alpha| <= 1) so
+    # that no level overflows
+    vec = np.exp(logs - logs.real.max())
     return vec / np.linalg.norm(vec)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -536,15 +537,36 @@ def pairing_count(k: int) -> int:
     return out
 
 
-def coherent_bound(n: int, alpha: complex) -> float:
-    """Per-order moment constant for a product of oscillator coherent states."""
+def _moment_envelope(n: int, base: float) -> float:
+    """pairing_count(2 (n // 2)) * base**n, inf past the float range."""
     if n < 0:
         raise ValidationError("order must be nonnegative")
-    return pairing_count(2 * (n // 2)) * (0.5 + abs(alpha)) ** n
+    try:
+        return pairing_count(2 * (n // 2)) * base ** n
+    except OverflowError:
+        return math.inf
+
+
+def coherent_bound(n: int, alpha: complex) -> float:
+    """Per-order moment constant for a product of oscillator coherent states."""
+    return _moment_envelope(n, 0.5 + abs(alpha))
 
 
 def coherent_bound_safe(n: int, alpha: complex) -> float:
     """Looser variant of coherent_bound with base 1 + |alpha|."""
-    if n < 0:
-        raise ValidationError("order must be nonnegative")
-    return pairing_count(2 * (n // 2)) * (1.0 + abs(alpha)) ** n
+    return _moment_envelope(n, 1.0 + abs(alpha))
+
+
+def even_double_factorial(k: int) -> int:
+    """(2k)!! = 2 * 4 * ... * 2k as an exact integer."""
+    return math.prod(range(2, 2 * k + 1, 2))
+
+
+@functools.cache
+def supermultiplicative_order_limit() -> int:
+    """Largest top order m whose joint constant (4m)!! is a finite float,
+    so every pair n1 <= n2 <= m of the supermultiplicative table is."""
+    m = 1
+    while even_double_factorial(2 * (m + 1)) <= sys.float_info.max:
+        m += 1
+    return m

@@ -18,7 +18,10 @@ from .operators import DensityMatrix, check_density_stack
 
 
 class PropagationResult:
-    """Direct construction stacks DensityMatrix states as given, unvalidated."""
+    """Direct construction stacks DensityMatrix states as given, unvalidated.
+    A limit trajectory sets orbits, the (T, d, d) orbit per atom it mixes."""
+
+    orbits: tuple = ()
 
     def __init__(self, times, states, diagnostics: dict | None = None):
         states = tuple(states)

@@ -444,6 +444,21 @@ class TestBoundStates:
         with pytest.raises(ToleranceError, match="grid doubling"):
             bound_state_count(prob)
 
+    def test_domain_keeps_the_spacing_in_float_range(self):
+        # h^2 on the declared grid and 1/h^2 on the third rung (4n + 3
+        # points) are finite and nonzero, or the problem is refused
+        for x_max, half in ((1e300, True), (1e300, False), (1e-300, True),
+                            (1e-160, False)):
+            with pytest.raises(ValidationError, match="float range"):
+                SpectralProblem(x_max, lambda x: 0 * x, 400, half)
+        wide = SpectralProblem(1e150, lambda x: 0 * x, 400, True)
+        assert wide.spacing(400) == 1e150 / 401
+
+    def test_eigensolver_failure_is_a_tolerance_error(self):
+        # so steep that LAPACK's bisection gives up on the first rung
+        with pytest.raises(ToleranceError, match="1600-point grid"):
+            stark_halfline_spectrum(1e300, 3)
+
     def test_problem_validation(self):
         with pytest.raises(ValidationError, match="x_max"):
             SpectralProblem(x_max=0.0, potential=lambda x: x)
@@ -454,6 +469,54 @@ class TestBoundStates:
         bad = SpectralProblem(x_max=1.0, potential=lambda x: x * 1j)
         with pytest.raises(ValidationError, match="real"):
             bound_state_count(bad)
+
+
+class TestProblemConstructors:
+    """The constructors the spectrum and decay configs parse into own every
+    rule on their arguments, naming the argument when it alone is at fault."""
+
+    @pytest.mark.parametrize("make,arg,words", [
+        (lambda: analysis.well_problem(0.0, 1.0, 12.0), "depth", "positive"),
+        (lambda: analysis.well_problem(1.0, 1.0, -1.0), "x_max", "positive"),
+        (lambda: analysis.well_problem(1.0, 1.0, 12.0, 32), "n_grid", "64"),
+        (lambda: analysis.well_problem(1.0, 0.0, 12.0), None, "inside"),
+        (lambda: analysis.well_problem(1.0, 12.0, 12.0), None, "inside"),
+        (lambda: analysis.well_problem(1.0, 1e-301, 1e-300), None,
+         "float range"),
+        (lambda: analysis.stark_problem(0.0, 3), "slope", "positive"),
+        (lambda: analysis.stark_problem(1.0, 65, 64), "n_levels", "levels"),
+        (lambda: analysis.gaussian_overlap(0.0, 8.0), "scale", "nonzero"),
+        (lambda: analysis.gaussian_overlap(1.0, -8.0), "r_max", "positive"),
+        (lambda: analysis.gaussian_overlap(1e300, 8.0), None, "finite"),
+        (lambda: analysis.bump_overlap(3.0, 0.0, 6.0), "halfwidth",
+         "positive"),
+        (lambda: analysis.bump_overlap(3.0, 4.0, 6.0), None, "r = 0"),
+        (lambda: analysis.bump_overlap(3.0, 2.0, 4.0), None, "r_max")])
+    def test_rules_are_the_constructors_own(self, make, arg, words):
+        with pytest.raises(ValidationError, match=words) as info:
+            make()
+        assert info.value.arg == arg
+
+    def test_well_potential_is_the_square_well(self):
+        x = np.linspace(-3.0, 3.0, 601)
+        half = analysis.well_problem(5.0, 1.0, 12.0)
+        assert half.half_line and half.x_max == 12.0 and half.n_grid == 400
+        assert np.array_equal(half.potential(x[x > 0]),
+                              np.where(x[x > 0] <= 1.0, -5.0, 0.0))
+        full = analysis.well_problem(5.0, 1.0, 12.0, 900, half_line=False)
+        assert not full.half_line and full.n_grid == 900
+        assert np.array_equal(full.potential(x),
+                              np.where(np.abs(x) <= 0.5, -5.0, 0.0))
+
+    def test_overlap_profiles(self):
+        r = np.linspace(0.0, 8.0, 97)
+        spec = analysis.gaussian_overlap(-2.0, 8.0)
+        assert spec.r_max == 8.0
+        assert np.array_equal(spec.f_prime(r), -2.0 * np.exp(-r ** 2))
+        assert np.array_equal(spec.h_prime(r), np.exp(-r ** 2))
+        bump = analysis.bump_overlap(3.0, 2.0, 6.0)
+        assert bump.f_prime is bump.h_prime
+        assert np.array_equal(bump.f_prime(r), bump_spec().f_prime(r))
 
 
 class TestStarkHalfline:

@@ -362,9 +362,11 @@ class TestRunVerb:
         ("bell_pair_protection", 0), ("definetti_two_atom", 2)])
     def test_propagation_kinds_propagate_each_size_once(
             self, tmp_path, monkeypatch, name, atoms):
-        # every binding of the two propagators is counted, so a second
-        # implementation anywhere shows up as extra calls
-        calls = {"propagate_exact": 0, "effective_trajectory": 0}
+        # every binding of the propagators is counted, so a second
+        # implementation anywhere shows up as extra calls; the limit steps
+        # each atom of a mixture once, a single atom (atoms 0) once
+        calls = {"propagate_exact": 0, "effective_trajectory": 0,
+                 "propagate_effective": 0}
 
         def count(module, fname):
             real = getattr(module, fname)
@@ -376,12 +378,15 @@ class TestRunVerb:
 
         for module in (analysis, exact):
             count(module, "propagate_exact")
-        for module in (analysis, cli, effective, exact):
+        for module in (analysis, effective, exact):
             count(module, "effective_trajectory")
+        for module in (cli, effective):
+            count(module, "propagate_effective")
         assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
         m_list = load_config(cli.resolve_config(name)).m_list
         assert calls == {"propagate_exact": len(m_list),
-                         "effective_trajectory": 1 + atoms}
+                         "effective_trajectory": 1,
+                         "propagate_effective": max(atoms, 1)}
 
     @pytest.mark.parametrize("name", ["bell_pair_protection",
                                       "definetti_two_atom"])
@@ -469,6 +474,17 @@ outputs: {table: audit.csv}
         c = (tmp_path / "c" / "exp" / "audit.csv").read_bytes()
         assert a == b
         assert a != c
+
+    def test_audit_refuses_a_vanished_step_error(self, tmp_path, capsys):
+        # at t_max far below the step size the finer endpoint error is 0:
+        # no order can be read from it
+        text = cli.resolve_config("propagator_quality").read_text()
+        cfg = write_config(tmp_path, text.replace("t_max: 1.5",
+                                                  "t_max: 1.0e-12"))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error vanished" in err
+        assert not (tmp_path / "o").exists()
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envout"))
@@ -844,9 +860,32 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
      "check: pair_factorization", "checks[0]"),
     ("cluster_pair", "    coupling: pauli_x\n", "", "model.system"),
     ("stark_halfline", "levels: 3\n  n_grid: 1600", "levels: 100\n  n_grid: 64",
-     "problem.levels")],
+     "problem.levels"),
+    ("stark_halfline", "slope: 1.0", "slope: -1.0", "problem.slope"),
+    ("stark_halfline", "n_grid: 1600", "n_grid: 32", "problem.n_grid"),
+    ("well_localization", "x_max: 12.0", "x_max: 1.0e+300", "problem"),
+    ("well_localization", "x_max: 12.0\n  n_grid: 1200\n  width: 1.0",
+     "x_max: 1.0e-300\n  n_grid: 1200\n  width: 1.0e-301", "problem"),
+    ("well_localization", "x_max: 12.0", "x_max: -1.0", "problem.x_max"),
+    ("well_localization", "n_grid: 1200", "n_grid: 32", "problem.n_grid"),
+    ("well_localization", "[1.5, 5.0, 30.0]", "[1.5, -5.0, 30.0]",
+     "problem.depths"),
+    ("well_localization", "width: 1.0", "width: 12.0", "problem"),
+    ("field_coherent", "scale: 1.0", "scale: 1.0e+300", "overlap"),
+    ("field_coherent", "scale: 1.0", "scale: 0.0", "overlap.scale"),
+    ("field_coherent", "r_max: 40.0", "r_max: 0.0", "overlap.r_max"),
+    ("field_scattering_decay", "halfwidth: 2.0", "halfwidth: -2.0",
+     "overlap.halfwidth"),
+    ("field_scattering_decay", "r_max: 6.0", "r_max: 4.0", "overlap"),
+    ("moments_product_qubit", "max_order: 10", "max_order: 76",
+     "checks[1].max_order")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
-         "cluster-without-coupling", "stark-levels-above-grid-points"])
+         "cluster-without-coupling", "stark-levels-above-grid-points",
+         "stark-slope", "stark-grid", "well-spacing-overflows",
+         "well-spacing-underflows", "well-x-max", "well-grid", "well-depth",
+         "well-width", "gaussian-norm-overflows", "gaussian-scale",
+         "gaussian-r-max", "bump-halfwidth", "bump-past-r-max",
+         "supermultiplicative-past-float-range"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
     text = cli.resolve_config(name).read_text()
@@ -858,6 +897,58 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"exp.yaml.{key}: " in err
     assert not (tmp_path / "o").exists()
+
+
+# Every kind but the propagation ones. There a huge t_max or a tiny
+# step_target only drives the adaptive limit stepper to its 2**16-substep
+# cap, seconds per case, before a clean ToleranceError; a 186-case sweep of
+# them under a 4 s cap found no crash.
+_STATIC_CONFIGS = ("well_localization", "stark_halfline", "field_coherent",
+                   "field_scattering_decay", "bell_channel_moments",
+                   "dyson_ratio", "moments_product_qubit",
+                   "oscillator_coherent", "propagator_quality")
+_EXTREMES = (0, -1, 5e-324, 1e-300, 1e-12, 1e12, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("name", _STATIC_CONFIGS)
+def test_extreme_values_keep_validate_and_run_in_agreement(tmp_path, capsys,
+                                                           name):
+    # one numeric leaf at a time set to each extreme (integer leaves to the
+    # integral ones up to 1e6): validate refuses exactly what run refuses,
+    # a run it accepts ends in a result or a tolerance or resource refusal,
+    # and every refusal is one diagnostic line
+    import yaml
+    doc = yaml.safe_load(cli.resolve_config(name).read_text())
+    cfg, broken = tmp_path / "exp.yaml", []
+    for path in list(_node_paths(doc)):
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        old = parent[path[-1]]
+        if isinstance(old, bool) or not isinstance(old, (int, float)):
+            continue
+        for value in _EXTREMES:
+            if isinstance(old, int):
+                if not (float(value).is_integer() and abs(value) <= 1e6):
+                    continue
+                value = int(value)
+            parent[path[-1]] = value if isinstance(old, int) else float(value)
+            cfg.write_text(yaml.safe_dump(doc))
+            parent[path[-1]] = old
+            case = f"{'.'.join(map(str, path))} = {value!r}"
+            try:
+                codes = (cli.main(["validate", str(cfg)]),
+                         cli.main(["run", str(cfg), "--out",
+                                   str(tmp_path / "o")]))
+            except Exception as exc:
+                broken.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err
+            if codes not in {(0, 0), (0, 3), (0, 4), (2, 2)}:
+                broken.append(f"{case}: validate, run exit {codes}: {err}")
+            elif err.count("\n") > sum(c != 0 for c in codes):
+                broken.append(f"{case}: more than one line per refusal")
+    assert not broken, "\n".join(broken)
 
 
 def _node_paths(node, path=()):

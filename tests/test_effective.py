@@ -479,6 +479,26 @@ def test_equal_atoms_recover_unitary_evolution():
     assert np.max(np.abs(np.array([s.purity() for s in mix.states]) - 1)) < 1e-12
 
 
+def test_mixture_is_the_weighted_sum_of_its_orbits():
+    # each atom is stepped once; its orbit is kept beside the mixture, which
+    # is exactly their weighted sum, and each orbit is that atom's own
+    # unitary trajectory
+    sys = qubit_sys(SZ.data, SX.data)
+    site = qubit_site(SZ.data, SX.data)
+    atoms = [(0.3, PLUS), (0.7, GROUND)]
+    grid = np.linspace(0, 2, 9)
+    rho0 = DensityMatrix.pure(np.array([1, 0], dtype=complex), (2,))
+    mix = effective_trajectory(sys, DeFinettiMixture(tuple(atoms)), site,
+                               rho0, grid)
+    assert len(mix.orbits) == 2
+    assert np.array_equal(mix.stack, sum(w * orbit for (w, _), orbit
+                                         in zip(atoms, mix.orbits)))
+    for (_, s), orbit in zip(atoms, mix.orbits):
+        alone = effective_trajectory(sys, ProductState(s), site, rho0, grid)
+        assert len(alone.orbits) == 1 and alone.orbits[0] is alone.stack
+        assert np.array_equal(orbit, alone.stack)
+
+
 def test_mixture_weight_validation():
     sys = qubit_sys(SZ.data, SX.data)
     pot = ZERO_POTENTIAL

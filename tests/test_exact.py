@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 
-from mflab.errors import ResourceLimitError, ValidationError
+from mflab.errors import ResourceLimitError, ToleranceError, ValidationError
 from mflab.operators import (
     DensityMatrix,
     Operator,
@@ -24,13 +24,13 @@ from mflab.reservoir import (
     bell_channel_kraus,
     materialize,
 )
-from mflab.analysis import cluster_sweep, m_sweep
+from mflab.analysis import (cluster_sweep, finite_and_limit, m_sweep,
+                            trace_distance)
 from mflab.cli import resolve_config
 from mflab.config import load_config
 from mflab.effective import effective_potential
 from mflab.exact import (
     FiniteMRun,
-    convergence_gap,
     dyson_truncated,
     joint_trajectory,
     propagate_exact,
@@ -275,11 +275,19 @@ class TestConservation:
             joint_trajectory(run)
 
 
+def limit_gap(sys, site, reservoir_state, m_count, rho0, grid):
+    """Per grid point, the trace distance of the size-m_count trajectory to
+    the limit one."""
+    limit, (finite,) = finite_and_limit(sys, site, reservoir_state, rho0,
+                                        grid, [m_count])
+    return trace_distance(finite.stack, limit.stack)
+
+
 class TestConvergenceGap:
     def test_zero_coupling_gap_is_numerically_zero(self):
         sys = SystemModel.single(SZ, [])
         res = ProductState(DensityMatrix.pure(ket("0"), (2,)))
-        gap = convergence_gap(sys, qubit_site(), res, 3, PLUS,
+        gap = limit_gap(sys, qubit_site(), res, 3, PLUS,
                               np.linspace(0.0, 2.0, 9))
         assert gap.max() < 1e-10
 
@@ -291,7 +299,7 @@ class TestConvergenceGap:
         pot = effective_potential(res.site_state, qubit_site())
         assert np.sum(np.abs(pot.signals[0].coeffs)) <= 1e-12
         grid = np.linspace(0.0, 2.0, 9)
-        gaps = [convergence_gap(qubit_sys(), qubit_site(), res, m, PLUS,
+        gaps = [limit_gap(qubit_sys(), qubit_site(), res, m, PLUS,
                                 grid).max() for m in (1, 2, 4, 8)]
         assert gaps[0] > 0.5
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -299,7 +307,7 @@ class TestConvergenceGap:
 
     def test_gap_vanishes_at_time_zero(self):
         res = ProductState(tilted_mixed_site())
-        gap = convergence_gap(qubit_sys(), qubit_site(), res, 2, PLUS,
+        gap = limit_gap(qubit_sys(), qubit_site(), res, 2, PLUS,
                               np.array([0.0, 1.0]))
         assert gap[0] < 1e-12
         assert gap[1] > 1e-3
@@ -414,6 +422,13 @@ class TestSectorEngine:
 
 
 class TestSeriesOracle:
+    def test_non_finite_series_is_a_tolerance_error(self):
+        res = ProductState(tilted_mixed_site())
+        run = FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS,
+                         np.array([0.5, 1e300]))
+        with pytest.raises(ToleranceError, match="float range"):
+            dyson_truncated(run, order=2)
+
     def test_order_zero_is_free_system_rotation(self):
         res = ProductState(tilted_mixed_site())
         t = 0.9

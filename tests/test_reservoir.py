@@ -18,6 +18,7 @@ from mflab.reservoir import (
     coherent_bound,
     coherent_bound_safe,
     decompose,
+    even_double_factorial,
     factorization_error,
     kraus_defect,
     largest_remainder_counts,
@@ -26,6 +27,7 @@ from mflab.reservoir import (
     pairing_count,
     reference_site_state,
     site_expectation,
+    supermultiplicative_order_limit,
 )
 
 SX, SZ = pauli("x"), pauli("z")
@@ -524,6 +526,30 @@ def test_pairing_count_values():
         pairing_count(3)
     with pytest.raises(ValidationError):
         pairing_count(-2)
+
+
+def test_coherent_bounds_overflow_to_inf():
+    for bound in (coherent_bound, coherent_bound_safe):
+        assert bound(4, 1e300) == math.inf
+        assert bound(4, -1e300) == math.inf
+        assert bound(1, 1e300) < math.inf
+
+
+def test_supermultiplicative_limit_is_the_float_range():
+    # the top order's joint constant (4m)!! is the largest in the table
+    top = supermultiplicative_order_limit()
+    assert even_double_factorial(3) == 48
+    assert math.isfinite(float(even_double_factorial(2 * top)))
+    with pytest.raises(OverflowError):
+        float(even_double_factorial(2 * top + 2))
+
+
+def test_huge_coherent_amplitude_is_the_top_level():
+    # no amplitude overflows: the truncated state is the top kept level
+    for alpha in (1e300, -1e300, 1e300j):
+        ket = coherent_ket(alpha, 12)
+        assert np.all(np.isfinite(ket))
+        assert abs(abs(ket[-1]) - 1.0) < 1e-15
 
 
 def test_coherent_bound_values():
