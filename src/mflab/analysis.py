@@ -390,11 +390,12 @@ class FieldOverlapSpec:
             raise ValidationError("r_max must be positive", arg="r_max")
         r = np.linspace(0.0, self.r_max, 257)
         for name, prof in (("f_prime", self.f_prime), ("h_prime", self.h_prime)):
-            vals = np.asarray(prof(r), dtype=complex)
-            if vals.shape != r.shape or not np.all(np.isfinite(vals)):
-                raise ValidationError(f"{name} must be finite on the grid")
-            # an overflow here is what the check reports
+            # an overflow here is what the checks report
             with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.asarray(prof(r), dtype=complex)
+                if vals.shape != r.shape or not np.all(np.isfinite(vals)):
+                    raise ValidationError(
+                        f"{name} must be finite on the grid")
                 norm = np.trapezoid(np.abs(vals) ** 2 * r * r, r)
             if not np.isfinite(norm):
                 raise ValidationError(f"{name} has no finite discrete norm")
@@ -425,7 +426,9 @@ def bump_overlap(center: float, halfwidth: float,
         raise ValidationError("bump support exceeds r_max")
 
     def bump(r):
-        u = (np.asarray(r, dtype=float) - center) / halfwidth
+        # an overflow to +-inf lies outside the support like any |u| >= 1
+        with np.errstate(over="ignore"):
+            u = (np.asarray(r, dtype=float) - center) / halfwidth
         out = np.zeros_like(u)
         inside = np.abs(u) < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
@@ -438,18 +441,36 @@ def _filon_weights(theta: np.ndarray) -> np.ndarray:
     """(..., 3) weights of the left, middle and right node samples in
     int_{-1}^{1} p(s) e^{i theta s} ds, p the quadratic through them."""
     small = np.abs(theta) < 0.1
-    t = np.where(small, 1.0, theta)
-    s, c, t2 = np.sin(t), np.cos(t), theta * theta
+    # the closed forms on large arguments, the series on small ones only,
+    # so that neither branch overflows where the other is taken
+    t, ts = np.where(small, 1.0, theta), np.where(small, theta, 0.0)
+    s, c, t2 = np.sin(t), np.cos(t), ts * ts
     # m_k = int s^k e^{i theta s} ds; the series keep the relative
     # truncation error below 1e-12 at the switch
     m0 = 2.0 * np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0
                         - t2 * t2 * t2 / 5040.0, s / t)
-    m1 = 2.0j * np.where(small, theta * (1.0 / 3.0 - t2 / 30.0
-                                         + t2 * t2 / 840.0), s / t ** 2 - c / t)
+    m1 = 2.0j * np.where(small, ts * (1.0 / 3.0 - t2 / 30.0
+                                      + t2 * t2 / 840.0), s / t ** 2 - c / t)
     m2 = 2.0 * np.where(small, 1.0 / 3.0 - t2 / 10.0 + t2 * t2 / 168.0
                         - t2 * t2 * t2 / 6480.0,
                         (t ** 2 - 2.0) * s / t ** 3 + 2.0 * c / t ** 2)
     return np.stack([(m2 - m1) / 2.0, m0 - m2, (m2 + m1) / 2.0], axis=-1)
+
+
+def overlap_times(spec: FieldOverlapSpec, times) -> np.ndarray:
+    """times as a 1d float array, refused unless every time is nonnegative
+    and the largest Filon argument, at BASE_PANELS, keeps its cube (the
+    highest power _filon_weights takes) in the float range."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValidationError("times must be >= 0", arg="times")
+    theta = float(times.max(initial=0.0)) * 0.5 * spec.r_max / BASE_PANELS
+    if not theta * theta * theta < math.inf:
+        raise ValidationError(
+            f"time {times.max():g} on r_max {spec.r_max:g} gives the Filon "
+            f"argument {theta:.3e}, whose cube leaves the float range",
+            arg="times")
+    return times
 
 
 def _filon_sums(spec: FieldOverlapSpec, times: np.ndarray,
@@ -480,7 +501,7 @@ def field_overlap_decay(spec: FieldOverlapSpec, times,
     one panel count serves every time: from BASE_PANELS it doubles until, at
     every time, successive sums agree to tol on the complex amplitude.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = overlap_times(spec, times)
     n, prev = BASE_PANELS, _filon_sums(spec, times, BASE_PANELS)
     while True:
         n *= 2

@@ -456,9 +456,7 @@ def _build_overlap(block: _Block) -> dict:
                                              block.number("halfwidth"))
     r_max, tol = block.number("r_max"), block.positive("tol", 1e-7)
     if isinstance(block.get("times"), list):
-        times = np.array(block.numbers("times"))
-        if np.any(times < 0):
-            raise ConfigError(f"{block.where}.times: times must be >= 0")
+        times = block.numbers("times")
     else:
         sub = block.sub("times")
         t_max = sub.positive("t_max")
@@ -468,6 +466,8 @@ def _build_overlap(block: _Block) -> dict:
     block.done()
     spec = _build(block.where, make, *args, r_max, keys={
         "scale": "scale", "halfwidth": "halfwidth", "r_max": "r_max"})
+    times = _build(block.where, analysis.overlap_times, spec, times,
+                   keys={"times": "times"})
     return {"spec": spec, "times": times, "tol": tol}
 
 

@@ -3,27 +3,34 @@
 The joint Hamiltonian is invariant under permutations of the reservoir
 sites (free sites plus couplings to the site average), and so is the
 partial trace over the reservoir. Every reservoir ensemble is therefore
-split into pure branches, each given by part counts (n_1..n_k) summing to M
-and a ket in Sym^{n_1}(C^d) x ... x Sym^{n_k}(C^d), written in the
-occupation basis. In each component of reservoir.decompose, a part of n
-sites in a state of rank r gives one branch per composition of n over its
-eigenvectors, weighted by the composition's multiplicity; the parts and the
-pure states of the block, one site per part, combine as tensor products, so
-an explicit reservoir density matrix is the sector of counts
-(1,...,1), the full space. On a sector the sum of a site operator x over
-all sites acts as sum_p B_{n_p}(x), where B_n(x) = sum_ij x_ij a_i^dag a_j
-is the one-body operator on Sym^n, so a part of n sites has dimension
-C(n+d-1, d-1) instead of d^n (Shammah et al., PRA 98, 063815 (2018); Gegg
-and Richter, NJP 18, 043037 (2016)). A cluster coupling averages a
-nu-site operator V over the perm(M, nu) ordered nu-tuples of distinct
-sites; that sum N(V) is permutation-invariant for every V and follows
-from the collective sums C by normal ordering, N(x_1..x_nu) =
-N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu, .., x_{nu-1}),
-so a plain coupling is the case nu = 1. Branches with the same counts share
-one dense eigendecomposition, and the reduced state is the weighted sum of
-their partial traces. Nothing is truncated except eigenvalues below
-EIGVAL_CUT in the state decompositions; a sector too large for the dense
-cutoff is refused.
+split into pure branches on parts: a part of n sites carries Sym^n(C^d),
+written in the occupation basis, and a sector is keyed by its part sizes
+(n_1..n_k) and a shift s. On a sector the sum of a site operator x over all
+sites acts as C(x) = sum_p B_{n_p}(x) + s tr(x), where B_n(x) = sum_ij x_ij
+a_i^dag a_j is the one-body operator on Sym^n, so a part of n sites has
+dimension C(n+d-1, d-1) instead of d^n (Shammah et al., PRA 98, 063815
+(2018); Gegg and Richter, NJP 18, 043037 (2016)).
+
+In each component of reservoir.decompose, a part of n qubit sites in a
+rank-2 state splits into collective-spin blocks j = n/2 - k, k = 0..n/2: a
+part of 2j sites with shift k, of dimension 2j+1, standing for its
+C(n,k) - C(n,k-1) copies (Bacon, Chuang and Harrow, PRL 97, 170502
+(2006)). A part in any other state (rank 1, or site dimension d != 2)
+gives one branch per composition of n over its eigenvectors, weighted by
+the composition's multiplicity. The parts and the pure states of the
+block, one site per part, combine as tensor products, so an explicit
+reservoir density matrix is the sector of sizes (1,...,1), the full space.
+A cluster coupling averages a nu-site operator V over the perm(M, nu)
+ordered nu-tuples of distinct sites; that sum N(V) is permutation-invariant
+for every V and follows from the collective sums C by normal ordering,
+N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu,
+.., x_{nu-1}), so a plain coupling is the case nu = 1. Branches with the
+same key share one dense eigendecomposition, and the reduced state is the
+weighted sum of their partial traces. Nothing is truncated except
+eigenvalues below EIGVAL_CUT in the state decompositions. A run whose
+sectors together need more dense work than one sector at the dense cutoff,
+sum (system dim x sector dim)^3 > DENSE_CUTOFF^3, is refused; with a qubit
+system and rank-2 qubit sites that admits M <= 510.
 
 A truncated interaction-picture commutator series serves as an independent
 short-time oracle on the same branches and sectors. Its Dyson terms come
@@ -45,7 +52,7 @@ from .errors import ResourceLimitError, ToleranceError, ValidationError
 from .model import (ClusterInteraction, SiteModel, SystemModel,
                     assemble_cluster_interaction, assemble_total,
                     check_couplings)
-from .operators import DENSE_CUTOFF, DensityMatrix, Operator
+from .operators import DENSE_CUTOFF, DensityMatrix, Operator, add_embedded
 from .reservoir import decompose, materialize
 # not called here: perfbench's self-test pins this binding for its tracer
 from .effective import effective_trajectory
@@ -112,7 +119,7 @@ def _pure_branches(rho: DensityMatrix):
     return [(float(p), vecs[:, k]) for k, p in enumerate(evals) if p > EIGVAL_CUT]
 
 
-# Symmetric sectors.
+# Symmetric sectors, keyed by (part sizes in descending order, shift).
 
 def _occupations(n: int, d: int) -> list[tuple[int, ...]]:
     """All (k_1..k_d) of nonnegative integers summing to n, in
@@ -129,17 +136,22 @@ def _occupations(n: int, d: int) -> list[tuple[int, ...]]:
             for rest in _occupations(n - k, d - 1)]
 
 
-def _sector_dim(counts, d: int) -> int:
-    return math.prod(math.comb(n + d - 1, d - 1) for n in counts)
+def _sector_dim(sizes, d: int) -> int:
+    return math.prod(math.comb(n + d - 1, d - 1) for n in sizes)
 
 
-def _check_sector(counts, d: int, d_sys: int) -> None:
-    dim = _sector_dim(counts, d)
-    if d_sys * dim > DENSE_CUTOFF:
+def _check_work(dims: dict, d: int, d_sys: int) -> None:
+    """Refuse sectors {key: dimension} whose dense eigendecompositions
+    together cost more than one sector at the dense cutoff:
+    sum (d_sys dim)^3 > DENSE_CUTOFF^3."""
+    work = sum((d_sys * n) ** 3 for n in dims.values())
+    if work > DENSE_CUTOFF ** 3:
+        (sizes, shift), dim = max(dims.items(), key=lambda kv: kv[1])
         raise ResourceLimitError(
-            f"symmetric sector with part counts {tuple(counts)} has dimension "
-            f"{dim} on site dimension {d}; with system dimension {d_sys} "
-            f"that is {d_sys * dim} > dense cutoff {DENSE_CUTOFF}")
+            f"symmetric sectors need dense work sum (system dim x sector "
+            f"dim)^3 = {work:.3e} > {DENSE_CUTOFF}^3; the largest, part "
+            f"sizes {sizes} with shift {shift} on site dimension {d}, has "
+            f"dimension {dim}, {d_sys * dim} with system dimension {d_sys}")
 
 
 def _power_ket(psi: np.ndarray, n: int) -> np.ndarray:
@@ -162,161 +174,233 @@ def _one_body(n: int, d: int):
     """
     occ = np.array(_occupations(n, d)).reshape(-1, d)
     index = {row: k for k, row in enumerate(map(tuple, occ.tolist()))}
-    hops = []
-    for i, j in itertools.permutations(range(d), 2):
-        src = np.flatnonzero(occ[:, j])
-        dst = occ[src]
-        dst[:, i] += 1
-        dst[:, j] -= 1
-        tgt = np.array([index[row] for row in map(tuple, dst.tolist())],
-                       dtype=int)
-        hops.append((i, j, src, tgt,
-                     np.sqrt(occ[src, j] * (occ[src, i] + 1.0))))
+    i, j = np.array(list(itertools.permutations(range(d), 2)),
+                    dtype=int).reshape(-1, 2).T
+    # every (row, i != j) with a particle to move from level j to level i
+    src, hop = np.nonzero(occ[:, j])
+    i, j = i[hop], j[hop]
+    dst = occ[src]
+    dst[np.arange(src.size), i] += 1
+    dst[np.arange(src.size), j] -= 1
+    tgt = np.array([index[row] for row in map(tuple, dst.tolist())],
+                   dtype=int)
+    amp = np.sqrt(occ[src, j] * (occ[src, i] + 1.0))
 
     def build(x: np.ndarray) -> np.ndarray:
         out = np.diag((occ @ np.diagonal(x)).astype(complex))
-        for i, j, src, tgt, amp in hops:
-            out[tgt, src] += x[i, j] * amp
+        out[tgt, src] += x[i, j] * amp
         return out
     return build
 
 
-def _sector_hamiltonian(run: FiniteMRun, counts):
-    """Free and coupling parts of the joint Hamiltonian on
-    system x Sym^{n_1} x ... x Sym^{n_k}."""
-    d = run.site.dim
-    dims = [_sector_dim((n,), d) for n in counts]
-    one_body = {n: _one_body(n, d) for n in set(counts)}
+def _sector_hamiltonian(run: FiniteMRun, one_body):
+    """sector key -> (free, coupling): the parts h_sys (x) 1 + 1 (x) C(h)
+    and sum_c G_c (x) N_c / perm(M, nu) of the joint Hamiltonian on
+    system x sector, each a square array.
 
-    def collective(x: np.ndarray) -> np.ndarray:
-        out = 0
-        for p, n in enumerate(counts):
-            left, right = math.prod(dims[:p]), math.prod(dims[p + 1:])
-            out = out + np.kron(np.kron(np.eye(left), one_body[n](x)),
-                                np.eye(right))
-        return out
-
-    def ordered_sum(v: np.ndarray, nu: int) -> np.ndarray:
-        """Sum of the nu-site operator v over ordered nu-tuples of distinct
-        sites, by normal ordering: N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu)
-        - sum_{j<nu} N(x_1, .., x_j x_nu, .., x_{nu-1})."""
-        if nu == 1:
-            return collective(v)
-        t = v.reshape((d,) * (2 * nu))
-        size = d ** (nu - 1)
-        out = 0
-        for a, c in itertools.product(range(d), repeat=2):
-            unit = np.zeros((d, d))
-            unit[a, c] = 1.0
-            rest = t[(slice(None),) * (nu - 1) + (a,)][..., c]
-            out = out + ordered_sum(rest.reshape(size, size), nu - 1) \
-                @ collective(unit)
-        rows, cols, z = list(range(nu - 1)), list(range(nu, 2 * nu)), 2 * nu
-        for j in range(nu - 1):
-            # factor j times the last factor: sum over the shared index z
-            x_j_x_nu = np.einsum(t, rows + [z] + cols[:j] + [z] + cols[j + 1:],
-                                 rows + cols[:j] + cols[-1:] + cols[j + 1:-1])
-            out = out - ordered_sum(x_j_x_nu.reshape(size, size), nu - 1)
-        return out
-
-    sys = run.sys
-    free = (np.kron(sys.h_full(), np.eye(math.prod(dims)))
-            + np.kron(np.eye(sys.dim), collective(run.site.h.data)))
-    coupling = np.zeros_like(free)
+    On a sector of part sizes (n_1..n_k) and shift s the collective sum of a
+    site operator x is C(x) = sum_p B_{n_p}(x) + s tr(x), each B written
+    through a view of the (dims.., dims..) array in place of Kronecker
+    products with identities. The system operators are embedded once per
+    run.
+    """
+    d, d_sys = run.site.dim, run.sys.dim
+    h_sys = run.sys.h_full()
     nu = 1 if run.cluster is None else run.cluster.nu
-    for c in sys.couplings:
-        v = (run.site.interactions[c.v_index] if run.cluster is None
-             else run.cluster.v_cluster).data
-        coupling += (np.kron(sys.coupling_full(c), ordered_sum(v, nu))
-                     / math.perm(run.m_count, nu))
-    return free, coupling
+    scale = math.perm(run.m_count, nu)
+    terms = [(run.sys.coupling_full(c),
+              (run.site.interactions[c.v_index] if run.cluster is None
+               else run.cluster.v_cluster).data)
+             for c in run.sys.couplings]
+
+    def build(key):
+        sizes, shift = key
+        dims = [_sector_dim((n,), d) for n in sizes]
+        dim = math.prod(dims)
+
+        def collective(x: np.ndarray) -> np.ndarray:
+            out = np.zeros((dim, dim), dtype=complex)
+            np.einsum("ii->i", out)[:] = shift * np.trace(x)
+            for p, n in enumerate(sizes):
+                add_embedded(out, one_body(n)(x), math.prod(dims[:p]),
+                             math.prod(dims[p + 1:]))
+            return out
+
+        def ordered_sum(v: np.ndarray, nu: int) -> np.ndarray:
+            """Sum of the nu-site operator v over ordered nu-tuples of
+            distinct sites, by normal ordering: N(x_1..x_nu) =
+            N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu, ..,
+            x_{nu-1})."""
+            if nu == 1:
+                return collective(v)
+            t = v.reshape((d,) * (2 * nu))
+            size = d ** (nu - 1)
+            out = 0
+            for a, c in itertools.product(range(d), repeat=2):
+                unit = np.zeros((d, d))
+                unit[a, c] = 1.0
+                rest = t[(slice(None),) * (nu - 1) + (a,)][..., c]
+                out = out + ordered_sum(rest.reshape(size, size), nu - 1) \
+                    @ collective(unit)
+            rows, cols, z = list(range(nu - 1)), list(range(nu, 2 * nu)), 2 * nu
+            for j in range(nu - 1):
+                # factor j times the last factor: sum over the shared index z
+                x_j_x_nu = np.einsum(
+                    t, rows + [z] + cols[:j] + [z] + cols[j + 1:],
+                    rows + cols[:j] + cols[-1:] + cols[j + 1:-1])
+                out = out - ordered_sum(x_j_x_nu.reshape(size, size), nu - 1)
+            return out
+
+        size = d_sys * dim
+        free = add_embedded(np.zeros((size, size), dtype=complex), h_sys, 1,
+                            dim)
+        add_embedded(free, collective(run.site.h.data), d_sys, 1)
+        coupling = np.zeros((d_sys, dim, d_sys, dim), dtype=complex)
+        for g, v in terms:
+            coupling += (g[:, None, :, None]
+                         * ordered_sum(v, nu)[None, :, None]) / scale
+        return free, coupling.reshape(size, size)
+    return build
 
 
-# Reservoir branches: (weight, part counts, factors whose kron is the ket).
+# Reservoir branches (weights, part sizes, shift, factors): the Khatri-Rao
+# product of the factors' columns gives one unit ket on the parts per weight.
 
-def _product_branches(site_state: DensityMatrix, m: int, d: int, d_sys: int):
-    """site_state^{(x)m}: one branch per composition n of m over its
-    eigenvectors v_i, of weight multinomial(m; n) prod p_i^{n_i} and ket
-    (x)_i v_i^{(x)n_i}."""
-    local = _pure_branches(site_state)
-    r = len(local)
-    # the most even composition has the largest sector
-    _check_sector([m // r + (i < m % r) for i in range(r)], d, d_sys)
-    log_fact = [math.lgamma(k + 1) for k in range(m + 1)]
+def _spin_blocks(omega: np.ndarray, n: int, p_lo: float, p_hi: float,
+                 d_sys: int, one_body):
+    """omega^{(x)n} for a rank-2 qubit state of eigenvalues p_lo <= p_hi,
+    one branch per total spin j = n/2 - k, k = 0..n/2.
+
+    The n sites split into C(n, k) - C(n, k-1) copies of the GL(2) irrep
+    Sym^{2j} (x) det^k, on which a site sum acts as B_2j(x) + k tr(x) and
+    omega as det(omega)^k Sym^{2j}(omega). So one part of 2j sites with
+    shift k stands for every copy. Its 2j+1 kets are the eigenvectors of the
+    tridiagonal B_2j(omega), whose eigenvalue a p_hi + (2j - a) p_lo rises
+    with a, of weights mult (p_lo p_hi)^k p_hi^a p_lo^{2j-a}; for p_lo =
+    p_hi any basis serves. The blocks' own sectors bound the run's work from
+    below, so they are checked before any eigenvector is computed.
+    """
+    _check_work({((n - 2 * k,) if n > 2 * k else (), k): n - 2 * k + 1
+                 for k in range(n // 2 + 1)}, 2, d_sys)
+    log_lo, log_hi = math.log(p_lo), math.log(p_hi)
     out = []
-    for comp in _occupations(m, r):
-        log_w = log_fact[m] + sum(k * math.log(p) - log_fact[k]
-                                  for k, (p, _) in zip(comp, local))
-        parts = [(k, v) for k, (_, v) in zip(comp, local) if k]
-        out.append((math.exp(log_w), tuple(k for k, _ in parts),
-                    [_power_ket(v, k) for k, v in parts]))
+    for k in range(n // 2 + 1):
+        size = n - 2 * k
+        log_mult = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                    - math.lgamma(n - k + 1)
+                    + math.log((size + 1) / (n - k + 1)))
+        a = np.arange(size + 1)
+        w = np.exp(log_mult + k * (log_lo + log_hi) + a * log_hi
+                   + (size - a) * log_lo)
+        vecs = np.linalg.eigh(one_body(size)(omega))[1]
+        out.append((w, (size,) if size else (), k, [vecs]))
     return out
 
 
-def _combine(*branch_lists):
-    """Branches of the tensor product of ensembles on consecutive sites."""
-    return [(math.prod(w for w, _, _ in combo),
-             sum((c for _, c, _ in combo), ()),
-             [f for _, _, fs in combo for f in fs])
-            for combo in itertools.product(*branch_lists)]
+def _product_branches(site_state: DensityMatrix, n: int, d: int, d_sys: int,
+                      one_body):
+    """site_state^{(x)n}: the spin blocks of a rank-2 qubit state, else one
+    branch per composition c of n over its eigenvectors v_i, of weight
+    multinomial(n; c) prod p_i^{c_i} and ket (x)_i v_i^{(x)c_i}."""
+    local = _pure_branches(site_state)
+    r = len(local)
+    if d == 2 and r == 2:
+        return _spin_blocks(site_state.data, n, local[0][0], local[1][0],
+                            d_sys, one_body)
+    # the most even composition has the largest sector
+    even = tuple(n // r + (i < n % r) for i in range(r))
+    _check_work({(even, 0): _sector_dim(even, d)}, d, d_sys)
+    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+    out = []
+    for comp in _occupations(n, r):
+        log_w = log_fact[n] + sum(k * math.log(p) - log_fact[k]
+                                  for k, (p, _) in zip(comp, local))
+        parts = [(k, v) for k, (_, v) in zip(comp, local) if k]
+        out.append((np.array([math.exp(log_w)]), tuple(k for k, _ in parts),
+                    0, [_power_ket(v, k)[:, None] for k, v in parts]))
+    return out
 
 
-def _sector_columns(run: FiniteMRun):
-    """({part counts: columns}, diagnostics): weighted joint kets on
-    system x sector whose outer products sum to the initial joint state,
-    renormalized after the EIGVAL_CUT branch cut."""
+def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Columns a_i (x) b_j for every pair (i, j)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], -1)
+
+
+def _sectors(run: FiniteMRun):
+    """({sector key: columns}, diagnostics, _sector_hamiltonian's builder):
+    weighted joint kets on system x sector whose outer products sum to the
+    initial joint state, renormalized after the EIGVAL_CUT branch cut."""
     d, d_sys = run.site.dim, run.sys.dim
+    # each one-body map is built once per run, for spin blocks and sectors
+    one_body = functools.cache(lambda n: _one_body(n, d))
     res = []
     for w, parts, block in run.components:
-        # a block is split into pure states with one site per part
-        lists = [] if block is None else [
-            [(p, (1,) * len(block.dims), [v]) for p, v in _pure_branches(block)]]
-        lists += [_product_branches(s, n, d, d_sys) for n, s in parts]
-        res += [(w * p, c, f) for p, c, f in _combine(*lists)]
-    sys_branches = _pure_branches(run.rho_s0)
-    kept = sum(w for w, _ in sys_branches) * sum(w for w, _, _ in res)
+        lists = [_product_branches(s, n, d, d_sys, one_body)
+                 for n, s in parts]
+        if block is not None:
+            # a block is split into pure states with one site per part
+            lists.insert(0, [(np.array([p]), (1,) * len(block.dims), 0,
+                              [v[:, None]])
+                             for p, v in _pure_branches(block)])
+        for combo in itertools.product(*lists):
+            weights = functools.reduce(np.multiply.outer, [b[0] for b in combo])
+            res.append((w * weights.ravel(), sum((b[1] for b in combo), ()),
+                        sum(b[2] for b in combo),
+                        [f for b in combo for f in b[3]]))
+    ws, vs = zip(*_pure_branches(run.rho_s0))
+    kept = sum(ws) * sum(x for weights, _, _, _ in res
+                         for x in weights.tolist())
     if kept <= 0:
         raise ValidationError("initial joint state has no weight left")
     sectors = {}
-    for w, counts, factors in res:
-        # parts are interchangeable, so order them by count: branches that
+    for weights, sizes, shift, factors in res:
+        # parts are interchangeable, so order them by size: branches that
         # differ only in part order then share a sector
-        order = sorted(range(len(counts)), key=lambda p: -counts[p])
-        key = tuple(counts[p] for p in order)
-        sectors.setdefault(key, []).append((w, counts, order, factors))
-    for counts in sectors:
-        _check_sector(counts, d, d_sys)
+        order = sorted(range(len(sizes)), key=lambda p: -sizes[p])
+        key = (tuple(sizes[p] for p in order), shift)
+        sectors.setdefault(key, []).append((weights, sizes, order, factors))
+    dims = {key: _sector_dim(key[0], d) for key in sectors}
+    _check_work(dims, d, d_sys)
+    vs = np.stack(vs, axis=1)
     columns = {}
-    for counts, members in sectors.items():
-        cols = []
-        for w, part_counts, order, factors in members:
-            ket = functools.reduce(np.kron, factors)
-            ket = ket.reshape([_sector_dim((n,), d) for n in part_counts])
-            ket = ket.transpose(order).reshape(-1)
-            cols += [math.sqrt(ws * w / kept) * np.kron(vs, ket)
-                     for ws, vs in sys_branches]
-        columns[counts] = np.stack(cols, axis=1)
+    for key, members in sectors.items():
+        kets = []
+        for _, sizes, order, factors in members:
+            ket = functools.reduce(_khatri_rao, factors)
+            ket = ket.reshape([_sector_dim((n,), d) for n in sizes] + [-1])
+            kets.append(ket.transpose(order + [len(order)]).reshape(
+                dims[key], -1))
+        kets = np.concatenate(kets, axis=1)
+        amps = np.sqrt(np.multiply.outer(
+            np.concatenate([m[0] for m in members]), ws) / kept)
+        # one column per reservoir ket and system branch, in that order
+        columns[key] = (vs[:, None, None, :] * kets[None, :, :, None]
+                        * amps).reshape(d_sys * dims[key], -1)
     diag = {"path": "symmetric-sector",
             "branches": sum(c.shape[1] for c in columns.values()),
             "sectors": len(columns),
-            "max_sector_dim": max(_sector_dim(c, d) for c in columns),
+            "max_sector_dim": max(dims.values()),
             "branch_mass_defect": max(0.0, float(1.0 - kept))}
-    return columns, diag
+    return columns, diag, _sector_hamiltonian(run, one_body)
 
 
 def propagate_exact(run: FiniteMRun) -> PropagationResult:
     """Reduced system trajectory of the full finite-size dynamics.
 
-    Diagnostics: path, branches (joint pure branches), sectors (distinct
-    part counts), max_sector_dim (largest reservoir sector dimension),
-    branch_mass_defect (weight cut with near-zero eigenvalues) and
-    max_norm_drift.
+    Diagnostics: path, branches (joint pure columns: one per system branch
+    and reservoir ket, 2j+1 kets for a spin block), sectors (distinct keys
+    of part sizes and shift), max_sector_dim (largest reservoir sector
+    dimension), branch_mass_defect (weight cut with near-zero eigenvalues)
+    and max_norm_drift.
     """
-    columns, diag = _sector_columns(run)
+    columns, diag, hamiltonian = _sectors(run)
     d_sys, grid = run.sys.dim, run.grid
     acc = np.zeros((grid.size, d_sys, d_sys), dtype=complex)
-    for counts, cols in columns.items():
-        evals, emat = np.linalg.eigh(sum(_sector_hamiltonian(run, counts)))
+    for key, cols in columns.items():
+        h, coupling = hamiltonian(key)
+        h += coupling
+        evals, emat = np.linalg.eigh(h)
         phi = emat.conj().T @ cols
         dim, n_cols = phi.shape
         step = max(1, AMPLITUDE_CHUNK // phi.size)
@@ -392,7 +476,7 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
         raise ValidationError("series order must be between 0 and 4")
     if run.grid[0] < 0:
         raise ValidationError("time must be nonnegative")
-    columns, _ = _sector_columns(run)
+    columns, _, hamiltonian = _sectors(run)
     for cols in columns.values():
         d_block = (order + 1) * cols.shape[0]
         if d_block > DENSE_CUTOFF:
@@ -401,8 +485,8 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
                 f"(order {order} + 1) x {cols.shape[0]} > {DENSE_CUTOFF}")
     d_sys = run.sys.dim
     red = np.zeros((run.grid.size, d_sys, d_sys), dtype=complex)
-    for counts, cols in columns.items():
-        free, coupling = _sector_hamiltonian(run, counts)
+    for key, cols in columns.items():
+        free, coupling = hamiltonian(key)
         dim = free.shape[0]
         series = (np.kron(np.eye(order + 1), free)
                   + np.kron(np.eye(order + 1, k=1), coupling))

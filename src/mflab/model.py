@@ -20,6 +20,7 @@ from .operators import (
     DENSE_CUTOFF,
     HERMITIAN_RTOL,
     Operator,
+    add_embedded,
     embed_at_site,
     hermitian_defect,
     permute_factors,
@@ -125,20 +126,20 @@ class SystemModel:
     def dim(self) -> int:
         return math.prod(self.subsystem_dims)
 
-    def _embed(self, mat: np.ndarray, idx: int) -> np.ndarray:
+    def _embed(self, out: np.ndarray, mat: np.ndarray, idx: int) -> np.ndarray:
         dims = self.subsystem_dims
-        left = math.prod(dims[:idx])
-        right = math.prod(dims[idx + 1:])
-        return np.kron(np.kron(np.eye(left), mat), np.eye(right))
+        return add_embedded(out, mat, math.prod(dims[:idx]),
+                            math.prod(dims[idx + 1:]))
 
     def h_full(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for j, h in enumerate(self.local_h):
-            out += self._embed(h.data, j)
+            self._embed(out, h.data, j)
         return out
 
     def coupling_full(self, c: Coupling) -> np.ndarray:
-        return self._embed(c.g.data, c.subsystem)
+        return self._embed(np.zeros((self.dim, self.dim), dtype=complex),
+                           c.g.data, c.subsystem)
 
 
 @dataclass(frozen=True)

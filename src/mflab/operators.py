@@ -75,6 +75,18 @@ class Operator:
         return self.data.shape[0]
 
 
+def add_embedded(out: np.ndarray, mat: np.ndarray, left: int,
+                 right: int) -> np.ndarray:
+    """out += 1_left (x) mat (x) 1_right, in place, through a strided view
+    of out instead of Kronecker products with identities; out must be a
+    C-contiguous square array, so that reshaping it gives a view."""
+    d = mat.shape[0]
+    view = np.einsum("iajibj->iajb", out.reshape(left, d, right, left, d,
+                                                 right))
+    view += mat[:, None, :]
+    return out
+
+
 def embed_at_site(x: Operator, m: int, n_sites: int) -> Operator:
     """Place a single-site operator at site m (1-based) of n_sites factors.
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -665,6 +667,21 @@ class TestFieldOverlap:
         with pytest.raises(QuadratureError) as err:
             field_overlap_decay(spec, times, tol=1e-16, max_panels=n)
         assert f"at {n} panels (t={worst:g})" in str(err.value)
+
+    def test_times_keep_the_filon_cube_in_float_range(self):
+        # at BASE_PANELS the largest argument is t r_max / 128; its cube
+        # must stay finite, and a time just inside that range computes
+        # without a numpy warning
+        spec = gaussian_spec()
+        edge = 5.6e102 * 2 * analysis.BASE_PANELS / spec.r_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="cube") as err:
+                field_overlap_decay(spec, [0.0, 1.0e300])
+            assert err.value.arg == "times"
+            with pytest.raises(ValidationError, match=">= 0"):
+                field_overlap_decay(spec, [-1.0])
+            field_overlap_decay(spec, [0.0, edge / 2])
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError, match="callable"):

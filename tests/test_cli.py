@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -476,15 +477,21 @@ outputs: {table: audit.csv}
         assert a != c
 
     def test_audit_refuses_a_vanished_step_error(self, tmp_path, capsys):
-        # at t_max far below the step size the finer endpoint error is 0:
-        # no order can be read from it
+        # at t_max far below the step size the finer endpoint error is 0
+        # (1e-12) or rounding (about 1e-23 at 1e-7): no order can be read
+        # from it
         text = cli.resolve_config("propagator_quality").read_text()
-        cfg = write_config(tmp_path, text.replace("t_max: 1.5",
-                                                  "t_max: 1.0e-12"))
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "error vanished" in err
-        assert not (tmp_path / "o").exists()
+        for t_max in ("1.0e-12", "1.0e-7"):
+            cfg = write_config(tmp_path, text.replace(
+                "t_max: 1.5", f"t_max: {t_max}").replace("count: 20",
+                                                          "count: 2"))
+            out = tmp_path / "o"
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert "draw 0: step-halving error e2 = " in err
+            assert "below the rounding floor 32 x 48 substeps x eps" in err
+            assert not out.exists()
 
     def test_env_var_default_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envout"))
@@ -548,24 +555,34 @@ outputs: {table: s.csv}
                               "halving stalled")
 
     def test_resource_exit_code_names_operation(self, tmp_path, capsys):
-        text = """
+        cases = [
+            # rank-2 qubit sites take spin blocks of dimension up to M + 1:
+            # at M = 511 they each fit, but together need more than one
+            # sector's dense work at the cutoff
+            ("{hamiltonian: pauli_z, interaction: pauli_x}",
+             "[[0.8, 0], [0, 0.2]]", 511, "part sizes (511,) with shift 0"),
+            # a qutrit's rank-2 state stays on compositions: the even split
+            # of 20 sites has dimension 66^2, times 2 > 4096
+            ("{oscillator: {levels: 3}}",
+             "[[0.7, 0, 0], [0, 0.3, 0], [0, 0, 0]]", 20,
+             "part sizes (10, 10) with shift 0")]
+        for site, state, m, words in cases:
+            text = f"""
 kind: convergence
 model:
-  system: {hamiltonian: pauli_z, coupling: pauli_x}
-  site: {hamiltonian: pauli_z, interaction: pauli_x}
-reservoir: {kind: product, site_state: {matrix: [[0.8, 0], [0, 0.2]]}}
+  system: {{hamiltonian: pauli_z, coupling: pauli_x}}
+  site: {site}
+reservoir: {{kind: product, site_state: {{matrix: {state}}}}}
 initial_state: zero
-run: {m_list: [200], t_max: 1.0, n_times: 5}
-outputs: {table: g.csv}
+run: {{m_list: [{m}], t_max: 1.0, n_times: 5}}
+outputs: {{table: g.csv}}
 """
-        # the even split of 200 sites over the two eigenvectors needs a
-        # sector of dimension 101^2, times 2 > 4096
-        cfg = write_config(tmp_path, text)
-        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert code == 4
-        assert "exact." in err
-        assert "(100, 100)" in err
+            cfg = write_config(tmp_path, text)
+            code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+            err = capsys.readouterr().err
+            assert code == 4
+            assert err.count("\n") == 1 and "exact." in err
+            assert words in err
 
     def test_unknown_reference_exits_2(self, capsys):
         code = cli.main(["run", "no_such_experiment"])
@@ -877,6 +894,7 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
     ("field_scattering_decay", "halfwidth: 2.0", "halfwidth: -2.0",
      "overlap.halfwidth"),
     ("field_scattering_decay", "r_max: 6.0", "r_max: 4.0", "overlap"),
+    ("field_scattering_decay", "100.0]", "1.0e+300]", "overlap.times"),
     ("moments_product_qubit", "max_order: 10", "max_order: 76",
      "checks[1].max_order")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
@@ -885,6 +903,7 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
          "well-spacing-underflows", "well-x-max", "well-grid", "well-depth",
          "well-width", "gaussian-norm-overflows", "gaussian-scale",
          "gaussian-r-max", "bump-halfwidth", "bump-past-r-max",
+         "decay-time-past-float-range",
          "supermultiplicative-past-float-range"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
@@ -893,9 +912,12 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
     cfg = write_config(tmp_path, text.replace(old, new, 1))
     for verb in (["validate", str(cfg)],
                  ["run", str(cfg), "--out", str(tmp_path / "o")]):
-        assert cli.main(verb) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(verb) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"exp.yaml.{key}: " in err
+        assert not [str(w.message) for w in caught]
     assert not (tmp_path / "o").exists()
 
 
@@ -907,7 +929,7 @@ _STATIC_CONFIGS = ("well_localization", "stark_halfline", "field_coherent",
                    "field_scattering_decay", "bell_channel_moments",
                    "dyson_ratio", "moments_product_qubit",
                    "oscillator_coherent", "propagator_quality")
-_EXTREMES = (0, -1, 5e-324, 1e-300, 1e-12, 1e12, 1e300, -1e300)
+_EXTREMES = (0, -1, 5e-324, 1e-300, 1e-12, 1e-7, 1e12, 1e300, -1e300)
 
 
 @pytest.mark.parametrize("name", _STATIC_CONFIGS)
@@ -916,7 +938,7 @@ def test_extreme_values_keep_validate_and_run_in_agreement(tmp_path, capsys,
     # one numeric leaf at a time set to each extreme (integer leaves to the
     # integral ones up to 1e6): validate refuses exactly what run refuses,
     # a run it accepts ends in a result or a tolerance or resource refusal,
-    # and every refusal is one diagnostic line
+    # every refusal is one diagnostic line, and no numpy warning escapes
     import yaml
     doc = yaml.safe_load(cli.resolve_config(name).read_text())
     cfg, broken = tmp_path / "exp.yaml", []
@@ -937,14 +959,18 @@ def test_extreme_values_keep_validate_and_run_in_agreement(tmp_path, capsys,
             parent[path[-1]] = old
             case = f"{'.'.join(map(str, path))} = {value!r}"
             try:
-                codes = (cli.main(["validate", str(cfg)]),
-                         cli.main(["run", str(cfg), "--out",
-                                   str(tmp_path / "o")]))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    codes = (cli.main(["validate", str(cfg)]),
+                             cli.main(["run", str(cfg), "--out",
+                                       str(tmp_path / "o")]))
             except Exception as exc:
                 broken.append(f"{case}: {type(exc).__name__}: {exc}")
                 continue
             err = capsys.readouterr().err
-            if codes not in {(0, 0), (0, 3), (0, 4), (2, 2)}:
+            if caught:
+                broken.append(f"{case}: warning {caught[0].message}")
+            elif codes not in {(0, 0), (0, 3), (0, 4), (2, 2)}:
                 broken.append(f"{case}: validate, run exit {codes}: {err}")
             elif err.count("\n") > sum(c != 0 for c in codes):
                 broken.append(f"{case}: more than one line per refusal")

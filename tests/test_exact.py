@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from mflab.errors import ResourceLimitError, ToleranceError, ValidationError
@@ -70,9 +70,11 @@ def random_state(rng, dims, rank):
     return DensityMatrix(rho / np.trace(rho).real, dims)
 
 
-def random_ensemble(rng, kind, d, m):
+def random_ensemble(rng, kind, d, m, rank=None):
+    """A random ensemble of the kind on m sites; its site states have the
+    given rank, or a random one."""
     def site_state():
-        return random_state(rng, (d,), int(rng.integers(1, d + 1)))
+        return random_state(rng, (d,), rank or int(rng.integers(1, d + 1)))
 
     w = float(rng.uniform(0.1, 0.9))
     if kind == "product":
@@ -146,11 +148,12 @@ class TestDensePaths:
         run = FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS,
                          np.array([0.0, 1.0]))
         out = propagate_exact(run)
-        # compositions (2, 0), (1, 1), (0, 2); the first and last share the
-        # one-part sector
+        # spin blocks j = 1 (a part of 2 sites, 3 kets) and j = 0 (the
+        # singlet: no part, shift 1, 1 ket), each its own sector
         assert out.diagnostics["path"] == "symmetric-sector"
-        assert out.diagnostics["branches"] == 3
+        assert out.diagnostics["branches"] == 4
         assert out.diagnostics["sectors"] == 2
+        assert out.diagnostics["max_sector_dim"] == 3
         assert out.diagnostics["branch_mass_defect"] < 1e-12
 
     def test_branch_and_conjugation_paths_agree(self):
@@ -320,8 +323,27 @@ class TestSectorEngine:
            m=st.integers(1, 5),
            kind=st.sampled_from(("product", "definetti", "macroscopic",
                                  "channel", "explicit")),
-           nu=st.sampled_from((None, 1, 2, 3)))
-    def test_matches_full_space_oracle(self, seed, d, m, kind, nu):
+           nu=st.sampled_from((None, 1, 2, 3)),
+           rank=st.sampled_from((None, 2)))
+    # rank-2 qubit site states, which take the spin blocks, for every
+    # ensemble kind and coupling
+    @example(seed=1, d=2, m=5, kind="product", nu=None, rank=2)
+    @example(seed=2, d=2, m=5, kind="product", nu=1, rank=2)
+    @example(seed=3, d=2, m=5, kind="product", nu=2, rank=2)
+    @example(seed=4, d=2, m=5, kind="product", nu=3, rank=2)
+    @example(seed=5, d=2, m=5, kind="definetti", nu=None, rank=2)
+    @example(seed=6, d=2, m=5, kind="definetti", nu=1, rank=2)
+    @example(seed=7, d=2, m=5, kind="definetti", nu=2, rank=2)
+    @example(seed=8, d=2, m=5, kind="definetti", nu=3, rank=2)
+    @example(seed=9, d=2, m=5, kind="macroscopic", nu=None, rank=2)
+    @example(seed=10, d=2, m=5, kind="macroscopic", nu=1, rank=2)
+    @example(seed=11, d=2, m=5, kind="macroscopic", nu=2, rank=2)
+    @example(seed=12, d=2, m=5, kind="macroscopic", nu=3, rank=2)
+    @example(seed=13, d=2, m=5, kind="channel", nu=None, rank=2)
+    @example(seed=14, d=2, m=5, kind="channel", nu=1, rank=2)
+    @example(seed=15, d=2, m=5, kind="channel", nu=2, rank=2)
+    @example(seed=16, d=2, m=5, kind="channel", nu=3, rank=2)
+    def test_matches_full_space_oracle(self, seed, d, m, kind, nu, rank):
         # nu=None: couplings to the site interactions; otherwise both
         # couplings average a random cluster operator, in general not
         # swap-symmetric, over ordered nu-tuples of sites
@@ -337,7 +359,7 @@ class TestSectorEngine:
         cluster = None if nu is None else ClusterInteraction(
             nu, herm(d ** nu, (d,) * nu))
         rho0 = random_state(rng, (2,), int(rng.integers(1, 3)))
-        res = random_ensemble(rng, kind, d, m)
+        res = random_ensemble(rng, kind, d, m, rank)
         run = FiniteMRun(sys, site, m, res, rho0, np.array([0.0, 0.4, 1.3]),
                          cluster)
         got = propagate_exact(run)
@@ -350,14 +372,15 @@ class TestSectorEngine:
             assert trace_norm(a.data - want) < 1e-10
 
     def test_rank_two_at_m12_is_exact(self):
-        # 13 compositions over the two eigenvectors in 7 sectors; nothing
-        # is dropped or renormalized
+        # spin blocks j = 6, 5, .., 0: 13 + 11 + .. + 1 = 49 kets in 7
+        # sectors; nothing is dropped or renormalized
         res = ProductState(tilted_mixed_site())
         run = FiniteMRun(qubit_sys(), qubit_site(), 12, res, PLUS,
                          np.array([0.0, 0.4]))
         out = propagate_exact(run)
-        assert out.diagnostics["branches"] == 13
+        assert out.diagnostics["branches"] == 49
         assert out.diagnostics["sectors"] == 7
+        assert out.diagnostics["max_sector_dim"] == 13
         assert out.diagnostics["branch_mass_defect"] < 1e-12
         assert out.diagnostics["max_norm_drift"] < 1e-10
         for state in out.states:
@@ -373,13 +396,60 @@ class TestSectorEngine:
         assert out.diagnostics["max_norm_drift"] < 1e-10
         assert abs(complex(np.trace(out.states[-1].data)) - 1.0) < 1e-10
 
-    def test_sector_beyond_dense_cutoff_is_refused(self):
-        # the even split (100, 100) has dimension 101^2, times 2 > 4096
+    def test_rank_two_blocks_match_padded_compositions(self):
+        # a decoupled, unpopulated third level leaves the dynamics as they
+        # are, but puts the rank-2 site state on compositions of qutrits;
+        # the site operators carry a trace, which the blocks' shifts hold.
+        # M = 8 keeps the largest composition sector, (4, 4), at dimension
+        # 15^2 (at M = 12 it is 28^2, and its eigendecomposition alone
+        # takes seconds)
         res = ProductState(tilted_mixed_site())
-        run = FiniteMRun(qubit_sys(), qubit_site(), 200, res, PLUS,
+        h, v = 0.7 * SZ.data + 0.3 * I2, SX.data + 0.4 * I2
+        grid = np.linspace(0.0, 2.0, 5)
+
+        def run(pad):
+            def op(x):
+                return Operator(np.pad(x, ((0, pad), (0, pad))), (2 + pad,),
+                                hermitian=True)
+            site = SiteModel(h=op(h), interactions=(op(v),))
+            state = DensityMatrix(op(res.site_state.data).data, (2 + pad,))
+            return propagate_exact(FiniteMRun(qubit_sys(), site, 8,
+                                              ProductState(state), PLUS, grid))
+        spin, padded = run(0), run(1)
+        assert spin.diagnostics["max_sector_dim"] == 9
+        assert padded.diagnostics["max_sector_dim"] == 15 * 15
+        assert np.abs(spin.stack - padded.stack).max() < 1e-12
+
+    def test_rank_two_at_m64_uses_33_blocks(self):
+        res = ProductState(tilted_mixed_site())
+        out = propagate_exact(FiniteMRun(qubit_sys(), qubit_site(), 64, res,
+                                         PLUS, np.array([0.0, 0.7])))
+        assert out.diagnostics["sectors"] == 33
+        assert out.diagnostics["max_sector_dim"] == 65
+        assert out.diagnostics["max_norm_drift"] < 1e-10
+
+    def test_sector_beyond_dense_cutoff_is_refused(self):
+        # a qutrit's rank-2 state stays on compositions: the even split
+        # (10, 10) has dimension 66^2, times 2 > 4096
+        qutrit = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        site = SiteModel(h=Operator(qutrit, (3,), hermitian=True),
+                         interactions=(Operator(np.eye(3), (3,),
+                                                hermitian=True),))
+        run = FiniteMRun(qubit_sys(), site, 20,
+                         ProductState(DensityMatrix(qutrit, (3,))), PLUS,
                          np.array([0.0, 0.5]))
         with pytest.raises(ResourceLimitError,
-                           match=r"part counts \(100, 100\) has dimension 10201"):
+                           match=r"part sizes \(10, 10\) .* dimension 4356"):
+            propagate_exact(run)
+        # qubit spin blocks up to dimension 512 each fit, but together need
+        # more work than one sector at the cutoff; the refusal comes before
+        # any block is built
+        res = ProductState(tilted_mixed_site())
+        run = FiniteMRun(qubit_sys(), qubit_site(), 511, res, PLUS,
+                         np.array([0.0, 0.5]))
+        with pytest.raises(ResourceLimitError,
+                           match=r"6\.926e\+10 > 4096\^3.*part sizes "
+                                 r"\(511,\) .* dimension 512"):
             propagate_exact(run)
 
     def test_gap_falls_as_one_over_m(self):
