@@ -3,12 +3,12 @@
 In the infinite-reservoir limit the system evolves under its own Hamiltonian
 plus coupling operators weighted by scalar functions of time, each the
 single-site expectation of the corresponding evolved interaction operator.
-reservoir builds those scalar signals in closed quasi-periodic form; this
-module integrates the resulting time-dependent Schrodinger equation with a
-midpoint-exponential scheme (order 2, unitary by construction per step), and
-evolves density matrices along the result, including convex mixtures of
-propagations for exchangeable reservoir ensembles; a limit trajectory keeps
-the orbit of each atom it mixes.
+reservoir builds those signals from exact mirror pairs, real by construction
+and checked exactly per |f| slot; this module integrates the resulting
+time-dependent Schrodinger equation with a midpoint-exponential scheme
+(order 2, unitary by construction per step), and evolves density matrices
+along the result, including convex mixtures of propagations for exchangeable
+reservoir ensembles; a limit trajectory keeps the orbit of each atom it mixes.
 
 The stepper works on whole arrays: for a chunk of grid intervals it
 evaluates every midpoint signal at once, forms every step at once and
@@ -23,7 +23,8 @@ multi-factor system is the tensor product of per-factor propagators.
 propagate_effective steps each distinct factor once and tensors the results;
 every limit trajectory goes through it. The adaptive substep count doubles
 until a step-halving estimate meets the target, and skips the doublings
-that the observed n^-2 decay of that estimate already rules out.
+that the observed n^-2 decay of that estimate already rules out; a
+non-finite estimate, from a generator that overflows, stops it at once.
 """
 
 from __future__ import annotations
@@ -69,11 +70,9 @@ def effective_potential(rho: DensityMatrix,
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
-    signals = []
-    for v in site.interactions:
-        freqs, coeffs = site_signal_terms(rho.data, site.h.data, v.data)
-        signals.append(QuasiPeriodicSignal(freqs, coeffs))
-    return EffectivePotential(tuple(signals))
+    return EffectivePotential(tuple(
+        QuasiPeriodicSignal(*site_signal_terms(rho.data, site.h.data, v.data))
+        for v in site.interactions))
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,10 @@ class EffectivePropagator:
         if len(times) != len(unitaries):
             raise ValidationError("grid and unitary counts differ")
         object.__setattr__(self, "dims", tuple(self.dims))
+        finite = np.isfinite(unitaries).all(axis=(-2, -1))
+        if not finite.all():
+            raise ToleranceError(f"unitary at grid point {int(np.argmin(finite))} "
+                                 f"has non-finite entries")
         eye = np.eye(math.prod(self.dims))
         if np.max(np.abs(unitaries[0] - eye)) > 1e-12:
             raise ValidationError("propagator must start from the identity")
@@ -229,6 +232,9 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray,
     return np.exp(-1j * np.cumsum(angles))[:, None, None] * su2
 
 
+# an overflowing generator shows as a non-finite estimate or unitary, which
+# is refused with one message instead of numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
                  step_target: float, n_substeps: int | None):
     """(unitaries, step error, substeps, steps computed) of one factor.
@@ -255,6 +261,10 @@ def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
         computed += 2 * n_sub
         # second-order extrapolation of the finer run
         estimate = float(np.max(np.abs(coarse - fine))) / 3.0
+        if not math.isfinite(estimate):
+            raise ToleranceError(
+                f"step-halving error estimate is {estimate} at {2 * n_sub} "
+                f"substeps per interval; the limit generator overflows")
         if estimate <= step_target:
             return fine, estimate, 2 * n_sub, computed * intervals
         n_sub, coarse = 2 * n_sub, fine

@@ -175,9 +175,12 @@ def check_density_stack(stack: np.ndarray) -> None:
 
     Each state must be Hermitian relative to its own scale, have unit trace
     and no eigenvalue below -PSD_ATOL; the eigenvalues come from one stacked
-    eigvalsh. The first failing state raises the ValidationError of the
-    first check it fails.
+    eigvalsh. A stack with a non-finite entry is refused before any of
+    these; otherwise the first failing state raises the ValidationError of
+    the first check it fails.
     """
+    if not np.isfinite(stack).all():
+        raise ValidationError("density matrix has non-finite entries")
     scale = np.maximum(np.abs(stack).max(axis=(-2, -1)), 1e-300)
     herm = (np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(-2, -1))
             / scale)

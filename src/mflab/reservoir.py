@@ -9,8 +9,9 @@ pairs left as M -> infinity. Moments of the site-averaged interaction and
 the factorization bound are exact sums over index partitions of local
 contractions on that mixture, at any M. materialize builds every state
 densely and independently of decompose, as a reference. The single-site
-expectation Tr(rho e^{ith} V e^{-ith}) is built here as a QuasiPeriodicSignal,
-the scalar signal of the limit dynamics and of the factorized product.
+expectation Tr(rho e^{ith} V e^{-ith}), the scalar signal of the limit
+dynamics and of the factorized product, is a QuasiPeriodicSignal of exact
+mirror pairs, real by construction and checked exactly per |f| slot.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -276,34 +277,34 @@ def reference_site_state(state: ReservoirState) -> DensityMatrix:
 # Single-site expectation of the evolved interaction operator.
 
 def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray):
-    """Frequencies and coefficients of t -> Tr(rho e^{ith} v e^{-ith}).
-
-    Returned as (freqs, coeffs) with degenerate level gaps merged into a
-    single term each, so zero-frequency content appears once as a constant.
-    """
+    """Frequencies and coefficients of t -> Tr(rho e^{ith} v e^{-ith}): a real
+    constant, the terms (g, z) of the gaps g > 0 in ascending order, then their
+    exact mirrors (-g, conj z). z sums (c_lk + conj c_kl) / 2, c_kl = rho_lk
+    v_kl in h's eigenbasis, over the level pairs k < l of gap g; a sorted gap
+    joins the run of the first gap within MERGE_ATOL (relative to the largest
+    |level|) of it, and the run from 0 is the constant."""
     evals, vecs = np.linalg.eigh(h)
-    rho_e = vecs.conj().T @ rho @ vecs
-    v_e = vecs.conj().T @ v @ vecs
-    freqs = (evals[:, None] - evals[None, :]).ravel()
-    coeffs = (rho_e.T * v_e).ravel()
-    order = np.argsort(freqs, kind="stable")
-    freqs, coeffs = freqs[order], coeffs[order]
-    scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 0.0)
-    out_f: list[float] = []
-    out_c: list[complex] = []
-    for f, c in zip(freqs, coeffs):
-        if out_f and abs(f - out_f[-1]) <= MERGE_ATOL * scale:
-            out_c[-1] += c
-        else:
-            out_f.append(float(f))
-            out_c.append(complex(c))
-    return np.array(out_f), np.array(out_c)
+    c = (vecs.conj().T @ rho @ vecs).T * (vecs.conj().T @ v @ vecs)
+    z = (c.T + c.conj()) / 2
+    z.flat[::len(z) + 1] /= 2   # k = l is its own mirror: 2 Re z counts it once
+    upper = np.arange(len(z))[:, None] <= np.arange(len(z))    # pairs k <= l
+    gaps, z = (evals - evals[:, None])[upper], z[upper]
+    order = np.argsort(gaps, kind="stable")
+    gaps, z = gaps[order], z[order]
+    tol = MERGE_ATOL * max(1.0, float(np.max(np.abs(evals))))
+    starts = [0]
+    while (end := np.searchsorted(gaps, gaps[starts[-1]] + tol, "right")) < gaps.size:
+        starts.append(end)
+    gaps, z = gaps[starts], np.add.reduceat(z, starts)
+    return (np.concatenate([gaps, -gaps[1:]]),
+            np.concatenate([2 * z[:1].real, z[1:], z[1:].conj()]))
 
 
 @dataclass(frozen=True)
 class QuasiPeriodicSignal:
     """Finite sum of complex exponentials with a real-valued total, evaluated
-    as sum_f A_f cos(f t) - B_f sin(f t) over the |f| folded at construction."""
+    as sum_f A_f cos(f t) - B_f sin(f t) over the |f| folded at construction;
+    the total is real exactly when each slot's Im c and sign(f) Re c sum to 0."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
@@ -313,22 +314,22 @@ class QuasiPeriodicSignal:
         coeffs = np.asarray(self.coeffs, dtype=complex).ravel()
         if freqs.shape != coeffs.shape:
             raise ValidationError("frequency and coefficient counts differ")
+        if not (np.isfinite(freqs).all() and np.isfinite(coeffs).all()):
+            raise ValidationError("signal frequencies and coefficients must be finite")
         freqs.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coeffs", coeffs)
-        probe = np.linspace(0.0, 7.3, 37)
-        resid = (np.exp(1j * np.outer(probe, freqs)) @ coeffs).imag
-        worst = float(np.max(np.abs(resid)))
+        folded, slot = np.unique(np.abs(freqs), return_inverse=True)
+        sign = np.sign(freqs)
+        cos_amps, sin_amps, imag, odd = (
+            np.bincount(slot, w, len(folded)) for w in
+            (coeffs.real, sign * coeffs.imag, coeffs.imag, sign * coeffs.real))
+        worst = float(np.abs(np.concatenate([imag, odd])).max(initial=0.0))
         if worst > SIGNAL_IMAG_ATOL:
             raise ValidationError(
                 f"signal has imaginary residue {worst:.2e}; terms not conjugate-paired")
-        mags = np.abs(freqs).tolist()
-        folded = sorted(set(mags))
-        slot = np.array([folded.index(m) for m in mags], dtype=int)
-        object.__setattr__(self, "_folded", (
-            np.array(folded), np.bincount(slot, coeffs.real, len(folded)),
-            np.bincount(slot, np.sign(freqs) * coeffs.imag, len(folded))))
+        object.__setattr__(self, "_folded", (folded, cos_amps, sin_amps))
 
     def evaluate(self, t):
         """The signal at t, a float for scalar t, else an array of t's shape."""

@@ -554,6 +554,21 @@ outputs: {table: s.csv}
         assert err.startswith("error: effective.propagate_effective: step "
                               "halving stalled")
 
+    def test_overflowing_limit_generator_fails_at_once(self, tmp_path,
+                                                       capsys, recwarn):
+        text = cli.resolve_config("qubit_convergence").read_text().replace(
+            "coupling: pauli_x", "coupling: [[0, 1.0e+300], [1.0e+300, 0]]")
+        cfg = write_config(tmp_path, text)
+        assert cli.main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("error: effective.propagate_effective: step-"
+                              "halving error estimate is nan at 2 substeps")
+        assert len(recwarn) == 0
+
     def test_resource_exit_code_names_operation(self, tmp_path, capsys):
         cases = [
             # rank-2 qubit sites take spin blocks of dimension up to M + 1:

@@ -16,7 +16,8 @@ from mflab.effective import (
     propagate_effective,
 )
 from mflab.errors import ToleranceError, ValidationError
-from mflab.model import Coupling, SiteModel, SystemModel, oscillator_site
+from mflab.model import (Coupling, SiteModel, SystemModel, coherent_ket,
+                         oscillator_site)
 from mflab.operators import DensityMatrix, Operator, partial_trace, pauli
 from mflab.reservoir import (
     DeFinettiMixture,
@@ -94,22 +95,47 @@ def test_single_part_macroscopic_equals_product():
 
 
 def test_signal_realness_enforced():
-    with pytest.raises(ValidationError):
-        QuasiPeriodicSignal(np.array([1.0]), np.array([1.0 + 0j]))
+    refused = [
+        ([1.0], [1.0]),
+        # one unpaired term whose sine vanishes on the grid 7.3 k / 36
+        ([2 * math.pi * 36 / 7.3], [1.0]),
+        ([0.0], [1j]),
+        ([1.0, -1.0], [0.5, 0.4]),
+        ([1.0, -1.0], [0.5 + 0.1j, 0.5 + 0.1j]),
+        ([1.0, -1.0], [math.nan, math.nan]),
+        ([math.inf, -math.inf], [0.5, 0.5]),
+        ([0.0], [complex(math.inf, 0.0)]),
+    ]
+    for freqs, coeffs in refused:
+        with pytest.raises(ValidationError):
+            QuasiPeriodicSignal(np.array(freqs), np.array(coeffs, dtype=complex))
     sig = QuasiPeriodicSignal(np.array([1.0, -1.0]), np.array([0.5 + 0j, 0.5 + 0j]))
     assert abs(sig.evaluate(0.7) - math.cos(0.7)) < 1e-14
     assert np.sum(np.abs(sig.coeffs)) == 1.0
 
 
+def rotated_site_inputs(levels, seed):
+    """(rho, h, v) with h of the given levels in a random eigenbasis, so
+    equal levels and equal gaps are equal only up to rounding."""
+    rng = np.random.default_rng(seed)
+    d = len(levels)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    h = q @ np.diag(np.asarray(levels, dtype=float)) @ q.conj().T
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real, h, random_hermitian(rng, d)
+
+
 def equal_gap_terms():
     """site_signal_terms of a d = 3 site with equal level gaps: rotated
     levels 0, 1, 2 give gaps equal up to rounding, one term per gap."""
-    rng = np.random.default_rng(43)
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    h = q @ np.diag([0.0, 1.0, 2.0]) @ q.conj().T
-    ket = rng.normal(size=3) + 1j * rng.normal(size=3)
-    rho = DensityMatrix.pure(ket, (3,)).data
-    return site_signal_terms(rho, h, random_hermitian(rng, 3))
+    return site_signal_terms(*rotated_site_inputs([0.0, 1.0, 2.0], 43))
+
+
+def oscillator_terms(omega=1.3, n_levels=16, alpha=0.5):
+    site = oscillator_site(n_levels, omega=omega)
+    rho = DensityMatrix.pure(coherent_ket(alpha, n_levels), (n_levels,)).data
+    return site_signal_terms(rho, site.h.data, site.interactions[0].data)
 
 
 def folded_signal_cases():
@@ -122,6 +148,9 @@ def folded_signal_cases():
     yield ("zero-frequency", np.array([-1.7, 0.0, 1.7]),
            np.array([0.3 - 0.2j, -0.8 + 0j, 0.3 + 0.2j]))
     yield ("equal-gaps", *equal_gap_terms())
+    yield ("degenerate-levels", *site_signal_terms(
+        *rotated_site_inputs([0.0, 0.0, 1.0, 2.0, 2.0, 3.0], 53)))
+    yield ("oscillator", *oscillator_terms())
     yield "empty", np.zeros(0), np.zeros(0, dtype=complex)
 
 
@@ -140,12 +169,61 @@ def test_folded_evaluation_matches_complex_sum(case):
     assert abs(value - np.real(np.exp(2.5j * freqs) @ coeffs)) < 1e-13
 
 
+@pytest.mark.parametrize("levels, n_slots", [
+    ([0.0, 0.0, 1.0, 2.0, 2.0, 3.0], 4),
+    ([0.0, 1.0, 2.0, 3.0, 4.0], 5),
+    ([-0.4, -0.4, -0.4], 1),
+    ([0.0, 0.7, 0.7, 2.1, 2.8], 5),
+], ids=["degenerate-and-equally-spaced", "equally-spaced", "all-degenerate",
+        "mixed"])
+def test_site_terms_are_mirror_pairs_one_per_distinct_gap(levels, n_slots):
+    rho, h, v = rotated_site_inputs(levels, 59)
+    freqs, coeffs = site_signal_terms(rho, h, v)
+    assert len(freqs) == 2 * n_slots - 1
+    assert freqs[0] == 0.0 and coeffs[0].imag == 0.0
+    assert np.all(np.diff(freqs[:n_slots]) > 0)
+    assert np.array_equal(freqs[n_slots:], -freqs[1:n_slots])
+    assert np.array_equal(coeffs[n_slots:], coeffs[1:n_slots].conj())
+    # the d^2 complex sum over level pairs, unmerged
+    evals, vecs = np.linalg.eigh(h)
+    c = (vecs.conj().T @ rho @ vecs).T * (vecs.conj().T @ v @ vecs)
+    t = np.linspace(-3.0, 40.0, 401)
+    phases = np.exp(1j * np.multiply.outer(t, evals[:, None] - evals[None, :]))
+    want = np.einsum("tkl,kl->t", phases, c)
+    assert np.max(np.abs(want.imag)) < 1e-13
+    got = QuasiPeriodicSignal(freqs, coeffs).evaluate(t)
+    assert np.max(np.abs(got - want.real)) < 1e-13
+
+
 def test_equal_gap_terms_are_merged():
     freqs, _ = equal_gap_terms()
     assert len(freqs) == 5     # gaps -2, -1, 0, 1, 2 of the nine level pairs
+    # levels 1.3 n, n < 16: gaps 1.3 k, k = 0..15, whose rounding differs
+    # between the k of one gap, still one |f| slot each
+    freqs, _ = oscillator_terms()
+    assert freqs.size == 31 and np.unique(np.abs(freqs)).size == 16
 
 
 # propagation
+
+def test_propagator_refuses_non_finite_unitaries():
+    unitaries = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    unitaries[1] = np.nan
+    with pytest.raises(ToleranceError, match="grid point 1 has non-finite"):
+        eff.EffectivePropagator(np.array([0.0, 1.0]), unitaries, (2,), 0.0,
+                                1, 1, ("eigh",))
+
+
+@pytest.mark.parametrize("n_substeps", [None, 4])
+def test_overflowing_generator_is_refused_without_warnings(n_substeps,
+                                                           recwarn):
+    sys = qubit_sys(SZ.data, 1.0e300 * SX.data)
+    pot = EffectivePotential((QuasiPeriodicSignal.constant(1.0),))
+    with pytest.raises(ToleranceError, match="non-finite|overflows"):
+        propagate_effective(sys, pot, np.linspace(0.0, 1.0, 3),
+                            n_substeps=n_substeps)
+    assert len(recwarn) == 0
+
 
 def test_zero_potential_free_evolution():
     sys = qubit_sys(SZ.data, SX.data)

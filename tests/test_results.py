@@ -79,9 +79,10 @@ def test_direct_construction_keeps_its_states_unvalidated():
     assert res.diagnostics == {"run": 2}
 
 
-# Each bad state fails exactly one of the three density-matrix checks, so a
+# Each bad state fails exactly one of the four density-matrix checks, so a
 # stacked validator that skipped any of them would let its stack through.
 BAD_STATES = {
+    "non_finite": np.full((2, 2), np.nan),
     "non_hermitian": [[0.5, 0.1], [0.0, 0.5]],
     "wrong_trace": [[0.6, 0.0], [0.0, 0.6]],
     "negative_eigenvalue": [[1.2, 0.0], [0.0, -0.2]],
