@@ -11,8 +11,9 @@ state, ensemble or run constructor enforces is left to it: `_build` reports
 its refusal under the key path at fault, and every reservoir size a run
 will use is checked by building that run's `exact.FiniteMRun` (or
 decomposing its ensemble, for moment checks), so a config is refused here
-exactly when running it would be. Spectral problems, overlap specs and the
-series oracle's runs are built here once, and the run uses them.
+exactly when running it would be. Well problems, overlap specs and the
+series oracle's runs are built here once, and the run uses them; the
+propagation runs and the Stark problem are built here only to be checked.
 
 No code is ever executed from a config. Operators are named presets
 (pauli_x, ...) or literal matrices whose entries are numbers or [re, im]

@@ -37,8 +37,8 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .model import SiteModel, SystemModel
 from .operators import DensityMatrix
-from .reservoir import (QuasiPeriodicSignal, ReservoirState, limit_atoms,
-                        site_signal_terms)
+from .reservoir import (QuasiPeriodicSignal, ReservoirState, check_weights,
+                        limit_atoms, site_signal_terms)
 from .results import PropagationResult
 
 PROPAGATOR_UNITARY_ATOL = 1e-8
@@ -382,11 +382,7 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
     not a unitary orbit itself.
     """
     atoms = [(float(w), p) for w, p in atoms]
-    if not atoms:
-        raise ValidationError("need at least one mixture atom")
-    total = sum(w for w, _ in atoms)
-    if any(w < 0 for w, _ in atoms) or abs(total - 1.0) > 1e-12:
-        raise ValidationError(f"atom weights must be a distribution, sum {total}")
+    check_weights([w for w, _ in atoms], "mixture atom weights")
     runs = [propagate_effective(sys, pot, grid, step_target)
             for _, pot in atoms]
     orbits = tuple(_conjugate(run.unitaries, rho0.data) for run in runs)

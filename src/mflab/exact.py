@@ -11,26 +11,27 @@ a_i^dag a_j is the one-body operator on Sym^n, so a part of n sites has
 dimension C(n+d-1, d-1) instead of d^n (Shammah et al., PRA 98, 063815
 (2018); Gegg and Richter, NJP 18, 043037 (2016)).
 
-In each component of reservoir.decompose, a part of n qubit sites in a
-rank-2 state splits into collective-spin blocks j = n/2 - k, k = 0..n/2: a
-part of 2j sites with shift k, of dimension 2j+1, standing for its
-C(n,k) - C(n,k-1) copies (Bacon, Chuang and Harrow, PRL 97, 170502
-(2006)). A part in any other state (rank 1, or site dimension d != 2)
-gives one branch per composition of n over its eigenvectors, weighted by
-the composition's multiplicity. The parts and the pure states of the
-block, one site per part, combine as tensor products, so an explicit
-reservoir density matrix is the sector of sizes (1,...,1), the full space.
-A cluster coupling averages a nu-site operator V over the perm(M, nu)
-ordered nu-tuples of distinct sites; that sum N(V) is permutation-invariant
-for every V and follows from the collective sums C by normal ordering,
+Every state enters as one square-root factor R, R R^dagger = rho, of
+columns sqrt(p) v for its eigenpairs with p above EIGVAL_CUT, the only
+truncation, so each branch carries its weight in its columns. In each
+component of reservoir.decompose, a part of n qubit sites in a rank-2 state
+splits into collective-spin blocks j = n/2 - k, k = 0..n/2: a part of 2j
+sites with shift k, of dimension 2j+1, standing for its C(n,k) - C(n,k-1)
+copies (Bacon, Chuang and Harrow, PRL 97, 170502 (2006)). A part in any
+other state (rank 1, or site dimension d != 2) gives one branch per
+composition of n over the columns of R. The parts and the block's R, one
+site per part, combine as Khatri-Rao products, so an explicit reservoir
+density matrix is the sector of sizes (1,...,1), the full space. A cluster
+coupling averages a nu-site operator V over the perm(M, nu) ordered
+nu-tuples of distinct sites; that sum N(V) is permutation-invariant for
+every V and follows from the collective sums C by normal ordering,
 N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu,
 .., x_{nu-1}), so a plain coupling is the case nu = 1. Branches with the
 same key share one dense eigendecomposition, and the reduced state is the
-weighted sum of their partial traces. Nothing is truncated except
-eigenvalues below EIGVAL_CUT in the state decompositions. A run whose
-sectors together need more dense work than one sector at the dense cutoff,
-sum (system dim x sector dim)^3 > DENSE_CUTOFF^3, is refused; with a qubit
-system and rank-2 qubit sites that admits M <= 510.
+sum of their partial traces. A run whose sectors together need more dense
+work than one sector at the dense cutoff, sum (system dim x sector dim)^3 >
+DENSE_CUTOFF^3, is refused; with a qubit system and rank-2 qubit sites that
+admits M <= 510.
 
 A truncated interaction-picture commutator series serves as an independent
 short-time oracle on the same branches and sectors. Its Dyson terms come
@@ -114,9 +115,12 @@ class FiniteMRun:
         return self.sys.dim * self.site.dim ** self.m_count
 
 
-def _pure_branches(rho: DensityMatrix):
+def _root(rho: DensityMatrix) -> np.ndarray:
+    """Square-root factor R of rho, R R^dagger = rho: the columns sqrt(p) v
+    of its eigenpairs with p above EIGVAL_CUT."""
     evals, vecs = np.linalg.eigh(rho.data)
-    return [(float(p), vecs[:, k]) for k, p in enumerate(evals) if p > EIGVAL_CUT]
+    keep = evals > EIGVAL_CUT
+    return vecs[:, keep] * np.sqrt(evals[keep])
 
 
 # Symmetric sectors, keyed by (part sizes in descending order, shift).
@@ -263,61 +267,60 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
     return build
 
 
-# Reservoir branches (weights, part sizes, shift, factors): the Khatri-Rao
-# product of the factors' columns gives one unit ket on the parts per weight.
+# Reservoir branches (shift, [(part sizes, columns)]): the Khatri-Rao product
+# of the factors' square-root-weighted columns spans the branch's kets.
 
-def _spin_blocks(omega: np.ndarray, n: int, p_lo: float, p_hi: float,
-                 d_sys: int, one_body):
-    """omega^{(x)n} for a rank-2 qubit state of eigenvalues p_lo <= p_hi,
-    one branch per total spin j = n/2 - k, k = 0..n/2.
+def _spin_blocks(omega: np.ndarray, n: int, root: np.ndarray, d_sys: int,
+                 one_body):
+    """omega^{(x)n} for a rank-2 qubit state of root factor columns
+    sqrt(p_lo) v_lo, sqrt(p_hi) v_hi, p_lo <= p_hi, one branch per total
+    spin j = n/2 - k, k = 0..n/2.
 
     The n sites split into C(n, k) - C(n, k-1) copies of the GL(2) irrep
     Sym^{2j} (x) det^k, on which a site sum acts as B_2j(x) + k tr(x) and
     omega as det(omega)^k Sym^{2j}(omega). So one part of 2j sites with
     shift k stands for every copy. Its 2j+1 kets are the eigenvectors of the
     tridiagonal B_2j(omega), whose eigenvalue a p_hi + (2j - a) p_lo rises
-    with a, of weights mult (p_lo p_hi)^k p_hi^a p_lo^{2j-a}; for p_lo =
-    p_hi any basis serves. The blocks' own sectors bound the run's work from
-    below, so they are checked before any eigenvector is computed.
+    with a, each scaled by the root of its weight mult (p_lo p_hi)^k p_hi^a
+    p_lo^{2j-a}; for p_lo = p_hi any basis serves. The blocks' own sectors
+    bound the run's work from below, so they are checked first.
     """
     _check_work({((n - 2 * k,) if n > 2 * k else (), k): n - 2 * k + 1
                  for k in range(n // 2 + 1)}, 2, d_sys)
-    log_lo, log_hi = math.log(p_lo), math.log(p_hi)
+    log_lo, log_hi = np.log((np.abs(root) ** 2).sum(axis=0)).tolist()
     out = []
     for k in range(n // 2 + 1):
         size = n - 2 * k
-        log_mult = (math.lgamma(n + 1) - math.lgamma(k + 1)
-                    - math.lgamma(n - k + 1)
-                    + math.log((size + 1) / (n - k + 1)))
+        log_mult = math.log(math.comb(n, k) - (k and math.comb(n, k - 1)))
         a = np.arange(size + 1)
-        w = np.exp(log_mult + k * (log_lo + log_hi) + a * log_hi
-                   + (size - a) * log_lo)
+        root_w = np.exp(0.5 * (log_mult + k * (log_lo + log_hi)
+                               + a * log_hi + (size - a) * log_lo))
         vecs = np.linalg.eigh(one_body(size)(omega))[1]
-        out.append((w, (size,) if size else (), k, [vecs]))
+        out.append((k, [((size,) if size else (), vecs * root_w)]))
     return out
 
 
 def _product_branches(site_state: DensityMatrix, n: int, d: int, d_sys: int,
                       one_body):
     """site_state^{(x)n}: the spin blocks of a rank-2 qubit state, else one
-    branch per composition c of n over its eigenvectors v_i, of weight
-    multinomial(n; c) prod p_i^{c_i} and ket (x)_i v_i^{(x)c_i}."""
-    local = _pure_branches(site_state)
-    r = len(local)
+    branch per composition c of n over the columns r_i of its root factor,
+    the ket sqrt(multinomial(n; c)) (x)_i r_i^{(x)c_i}: the scalar factor
+    sqrt(multinomial) and the power kets, each of r_i = sqrt(p_i) v_i
+    already carrying p_i^{c_i/2}."""
+    root = _root(site_state)
+    r = root.shape[1]
     if d == 2 and r == 2:
-        return _spin_blocks(site_state.data, n, local[0][0], local[1][0],
-                            d_sys, one_body)
+        return _spin_blocks(site_state.data, n, root, d_sys, one_body)
     # the most even composition has the largest sector
     even = tuple(n // r + (i < n % r) for i in range(r))
     _check_work({(even, 0): _sector_dim(even, d)}, d, d_sys)
     log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
     out = []
     for comp in _occupations(n, r):
-        log_w = log_fact[n] + sum(k * math.log(p) - log_fact[k]
-                                  for k, (p, _) in zip(comp, local))
-        parts = [(k, v) for k, (_, v) in zip(comp, local) if k]
-        out.append((np.array([math.exp(log_w)]), tuple(k for k, _ in parts),
-                    0, [_power_ket(v, k)[:, None] for k, v in parts]))
+        mult = math.exp(0.5 * (log_fact[n] - sum(log_fact[k] for k in comp)))
+        out.append((0, [((), np.full((1, 1), mult))]
+                    + [((k,), _power_ket(col, k)[:, None])
+                       for k, col in zip(comp, root.T) if k]))
     return out
 
 
@@ -329,54 +332,38 @@ def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sectors(run: FiniteMRun):
     """({sector key: columns}, diagnostics, _sector_hamiltonian's builder):
-    weighted joint kets on system x sector whose outer products sum to the
-    initial joint state, renormalized after the EIGVAL_CUT branch cut."""
+    a square-root factor of the initial joint state on each system x
+    sector, renormalized by the squared norm kept after the EIGVAL_CUT cut.
+
+    A component of weight w contributes sqrt(w), its block's R and its
+    parts' branches. Each combination's factors are sorted by part size, so
+    their Khatri-Rao product is in sector order and branches that differ
+    only in part order share a sector.
+    """
     d, d_sys = run.site.dim, run.sys.dim
     # each one-body map is built once per run, for spin blocks and sectors
     one_body = functools.cache(lambda n: _one_body(n, d))
-    res = []
+    root, sectors = _root(run.rho_s0), {}
     for w, parts, block in run.components:
-        lists = [_product_branches(s, n, d, d_sys, one_body)
-                 for n, s in parts]
+        lists = [_product_branches(s, n, d, d_sys, one_body) for n, s in parts]
         if block is not None:
-            # a block is split into pure states with one site per part
-            lists.insert(0, [(np.array([p]), (1,) * len(block.dims), 0,
-                              [v[:, None]])
-                             for p, v in _pure_branches(block)])
+            lists.insert(0, [(0, [((1,) * len(block.dims), _root(block))])])
         for combo in itertools.product(*lists):
-            weights = functools.reduce(np.multiply.outer, [b[0] for b in combo])
-            res.append((w * weights.ravel(), sum((b[1] for b in combo), ()),
-                        sum(b[2] for b in combo),
-                        [f for b in combo for f in b[3]]))
-    ws, vs = zip(*_pure_branches(run.rho_s0))
-    kept = sum(ws) * sum(x for weights, _, _, _ in res
-                         for x in weights.tolist())
-    if kept <= 0:
-        raise ValidationError("initial joint state has no weight left")
-    sectors = {}
-    for weights, sizes, shift, factors in res:
-        # parts are interchangeable, so order them by size: branches that
-        # differ only in part order then share a sector
-        order = sorted(range(len(sizes)), key=lambda p: -sizes[p])
-        key = (tuple(sizes[p] for p in order), shift)
-        sectors.setdefault(key, []).append((weights, sizes, order, factors))
+            sizes, cols = zip(*sorted((f for _, fs in combo for f in fs),
+                                      key=lambda f: -max(f[0], default=0)))
+            key = (sum(sizes, ()), sum(s for s, _ in combo))
+            # sqrt(w) times the system's R first: rows are system x sector
+            sectors.setdefault(key, []).append((math.sqrt(w) * root,) + cols)
     dims = {key: _sector_dim(key[0], d) for key in sectors}
     _check_work(dims, d, d_sys)
-    vs = np.stack(vs, axis=1)
-    columns = {}
-    for key, members in sectors.items():
-        kets = []
-        for _, sizes, order, factors in members:
-            ket = functools.reduce(_khatri_rao, factors)
-            ket = ket.reshape([_sector_dim((n,), d) for n in sizes] + [-1])
-            kets.append(ket.transpose(order + [len(order)]).reshape(
-                dims[key], -1))
-        kets = np.concatenate(kets, axis=1)
-        amps = np.sqrt(np.multiply.outer(
-            np.concatenate([m[0] for m in members]), ws) / kept)
-        # one column per reservoir ket and system branch, in that order
-        columns[key] = (vs[:, None, None, :] * kets[None, :, :, None]
-                        * amps).reshape(d_sys * dims[key], -1)
+    columns = {key: np.concatenate([functools.reduce(_khatri_rao, factors)
+                                    for factors in members], axis=1)
+               for key, members in sectors.items()}
+    kept = sum(np.vdot(c, c).real for c in columns.values())
+    if kept <= 0:
+        raise ValidationError("initial joint state has no weight left")
+    for c in columns.values():
+        c /= math.sqrt(kept)
     diag = {"path": "symmetric-sector",
             "branches": sum(c.shape[1] for c in columns.values()),
             "sectors": len(columns),
@@ -388,11 +375,13 @@ def _sectors(run: FiniteMRun):
 def propagate_exact(run: FiniteMRun) -> PropagationResult:
     """Reduced system trajectory of the full finite-size dynamics.
 
-    Diagnostics: path, branches (joint pure columns: one per system branch
-    and reservoir ket, 2j+1 kets for a spin block), sectors (distinct keys
-    of part sizes and shift), max_sector_dim (largest reservoir sector
-    dimension), branch_mass_defect (weight cut with near-zero eigenvalues)
-    and max_norm_drift.
+    Each sector's root-factor columns are evolved in its eigenbasis and
+    their outer products traced over the sector. Diagnostics: path,
+    branches (root-factor columns: one per system column and reservoir ket,
+    2j+1 kets for a spin block), sectors (distinct keys of part sizes and
+    shift), max_sector_dim (largest reservoir sector dimension),
+    branch_mass_defect (weight cut with near-zero eigenvalues) and
+    max_norm_drift.
     """
     columns, diag, hamiltonian = _sectors(run)
     d_sys, grid = run.sys.dim, run.grid
@@ -452,7 +441,7 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
     """Short-time series oracle for the reduced state at each time of
     run.grid, as an unnormalized (T, d, d) stack.
 
-    The initial joint state is split into the same pure branches on
+    The initial joint state enters as the same square-root factors on
     symmetric sectors as in propagate_exact, so it inherits that solver's
     EIGVAL_CUT branch cut. H0 and V are each permutation-invariant, so the
     series acts on every sector separately. On one sector let H0 be the free

@@ -32,7 +32,10 @@ def _as_square_complex(data) -> np.ndarray:
 
 
 def hermitian_defect(a: np.ndarray) -> float:
-    """Max-abs deviation from Hermiticity, relative to the matrix scale."""
+    """Max-abs deviation from Hermiticity, relative to the matrix scale;
+    infinite for a matrix with a non-finite entry."""
+    if not np.isfinite(a).all():
+        return math.inf
     scale = max(np.abs(a).max(), 1e-300)
     return float(np.abs(a - a.conj().T).max() / scale)
 

@@ -39,17 +39,25 @@ SIGNAL_IMAG_ATOL = 1e-10
 MERGE_ATOL = 1e-9
 
 
-def _weighted_states(pairs, what: str, states: str):
-    """pairs as (float, state), checked to be a distribution over states of
-    one dimension."""
-    pairs = tuple((float(w), s) for w, s in pairs)
-    w = np.array([x for x, _ in pairs])
+def check_weights(weights, what: str) -> None:
+    """Refuse weights that do not form a distribution: none, a non-finite
+    or negative one, or a sum off 1 by more than WEIGHT_ATOL."""
+    w = np.array(weights, dtype=float)
     if w.size == 0:
         raise ValidationError(f"{what}: need at least one entry")
+    if not np.isfinite(w).all():
+        raise ValidationError(f"{what}: non-finite weight in {w.tolist()}")
     if (w < 0).any():
         raise ValidationError(f"{what}: negative weight {w.min():.3e}")
     if abs(w.sum() - 1.0) > WEIGHT_ATOL:
         raise ValidationError(f"{what}: weights sum to {w.sum():.15f}, not 1")
+
+
+def _weighted_states(pairs, what: str, states: str):
+    """pairs as (float, state), checked to be a distribution over states of
+    one dimension."""
+    pairs = tuple((float(w), s) for w, s in pairs)
+    check_weights([w for w, _ in pairs], what)
     dims = {s.dim for _, s in pairs}
     if len(dims) != 1:
         raise ValidationError(f"{states} have mixed dims {sorted(dims)}")

@@ -585,6 +585,10 @@ def test_mixture_weight_validation():
         propagate_definetti(sys, [(0.6, pot), (0.6, pot)], rho0, [0.0, 1.0])
     with pytest.raises(ValidationError):
         propagate_definetti(sys, [], rho0, [0.0, 1.0])
+    # refused by the weight rule, before any atom is propagated
+    for bad in ([(np.nan, pot)], [(np.nan, pot), (1.0, pot)]):
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            propagate_definetti(sys, bad, rho0, [0.0, 1.0])
 
 
 # dispatcher

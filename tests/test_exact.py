@@ -386,6 +386,22 @@ class TestSectorEngine:
         for state in out.states:
             assert abs(complex(np.trace(state.data)) - 1.0) < 1e-12
 
+    def test_parts_share_sectors_in_any_order(self):
+        # spin blocks of 8 and 4 sites: 5 x 3 combinations of 25 x 9 kets;
+        # unordered part sizes would split (4, 2) and (2, 4) at shift 3
+        a, b = tilted_mixed_site(0.3, 0.8), tilted_mixed_site(1.1, 0.7)
+        stacks = []
+        for parts in (((2 / 3, a), (1 / 3, b)), ((1 / 3, b), (2 / 3, a))):
+            run = FiniteMRun(qubit_sys(), qubit_site(), 12,
+                             MacroscopicParts(parts), PLUS,
+                             np.array([0.0, 0.4, 1.3]))
+            out = propagate_exact(run)
+            assert out.diagnostics["sectors"] == 12
+            assert out.diagnostics["branches"] == 225
+            assert out.diagnostics["max_sector_dim"] == 45
+            stacks.append(out.stack)
+        assert np.abs(stacks[0] - stacks[1]).max() < 1e-13
+
     def test_large_pure_product_uses_one_sector(self):
         res = ProductState(DensityMatrix.pure(ket("0"), (2,)))
         run = FiniteMRun(qubit_sys(), qubit_site(), 12, res, PLUS,

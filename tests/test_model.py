@@ -137,6 +137,21 @@ def test_non_hermitian_site_hamiltonian_rejected():
         SiteModel(h=Operator(bad, (2,)), interactions=())
 
 
+def test_model_operators_with_non_finite_entries_rejected():
+    nan = Operator(np.full((2, 2), np.nan), (2,))
+    with pytest.raises(ValidationError, match="site Hamiltonian"):
+        SiteModel(h=nan, interactions=())
+    with pytest.raises(ValidationError, match="site interaction 0"):
+        SiteModel(h=SZ, interactions=(nan,))
+    with pytest.raises(ValidationError, match="subsystem Hamiltonian 0"):
+        SystemModel.single(nan, [(SX, 0)])
+    with pytest.raises(ValidationError, match="coupling operator 0"):
+        SystemModel.single(SZ, [(nan, 0)])
+    inf = Operator(np.diag([np.inf, 0, 0, 0]), (2, 2))
+    with pytest.raises(ValidationError, match="cluster interaction"):
+        ClusterInteraction(nu=2, v_cluster=inf)
+
+
 # Multi-subsystem assembly.
 
 def independent_two_part_oracle(ha, hb, ga, gb, hsite, v):

@@ -137,6 +137,13 @@ def test_operator_defect_helpers():
     assert hermitian_defect(PAULI_X) == 0.0
 
 
+def test_operator_with_non_finite_entries_is_not_hermitian():
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 1.0])):
+        assert hermitian_defect(bad) == np.inf
+        with pytest.raises(ValidationError, match="defect inf"):
+            Operator(bad, (2,), hermitian=True)
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(2), (2,))  # trace 2

@@ -456,6 +456,15 @@ def test_weight_validation():
         DeFinettiMixture(())
 
 
+
+def test_non_finite_weights_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            DeFinettiMixture(((bad, GROUND),))
+        with pytest.raises(ValidationError, match="non-finite weight"):
+            MacroscopicParts(((bad, GROUND), (0.5, PLUS)))
+
+
 def test_reference_site_state_barycenter():
     mixture = DeFinettiMixture(((0.25, GROUND), (0.75, EXCITED)))
     ref = reference_site_state(mixture)
