@@ -29,7 +29,8 @@ from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .matio import atomic_write_text
 from .model import (ClusterInteraction, SiteModel, SystemModel,
                     check_cluster_system)
-from .operators import DensityMatrix, Operator, embed_at_site, trace_norm
+from .operators import (HERMITIAN_RTOL, DensityMatrix, Operator, embed_at_site,
+                        hermitian_defect)
 from .reservoir import DeFinettiMixture, kron_power, limit_atoms
 from .results import PropagationResult
 
@@ -37,13 +38,30 @@ from .results import PropagationResult
 def trace_distance(rho, sigma):
     """Half the trace norm of the difference; a metric on density matrices.
 
-    Two (T, d, d) stacks give the distance at each of the T indices.
+    The difference of two density matrices is Hermitian, so its trace norm
+    is the sum of its absolute eigenvalues, taken from one eigvalsh. Two
+    (T, d, d) stacks give the distance at each of the T indices. eigvalsh
+    reads one triangle only, so raw arrays must be finite and their
+    difference Hermitian within HERMITIAN_RTOL of their largest entry;
+    DensityMatrix inputs are checked at construction.
     """
-    a = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    b = sigma.data if isinstance(sigma, DensityMatrix) else np.asarray(sigma, dtype=complex)
+    a, b = (x.data if isinstance(x, DensityMatrix)
+            else np.asarray(x, dtype=complex) for x in (rho, sigma))
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch {a.shape} vs {b.shape}")
-    return 0.5 * trace_norm(a - b)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(
+            f"expected a square matrix or a stack of them, got {a.shape}")
+    raw = not (isinstance(rho, DensityMatrix)
+               and isinstance(sigma, DensityMatrix))
+    if raw and not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("trace distance of non-finite matrices")
+    diff = a - b
+    if raw and hermitian_defect(diff, max(np.abs(a).max(),
+                                          np.abs(b).max())) > HERMITIAN_RTOL:
+        raise ValidationError("trace distance of non-Hermitian matrices")
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return float(dist) if diff.ndim == 2 else dist
 
 
 def _normalize_split(dims: tuple[int, ...], transpose) -> tuple[int, ...]:
@@ -180,9 +198,10 @@ def _sweep_rows(m_list, limit: PropagationResult,
                 finite: list[PropagationResult]) -> list[SweepRow]:
     """Per reservoir size, the max-over-grid trace distance of its finite
     trajectory to the limit one, the ratio to the previous row, and the
-    solver's path, sector count and size, mass defect and norm drift."""
-    keep = ("path", "sectors", "max_sector_dim", "branch_mass_defect",
-            "max_norm_drift")
+    solver's path, sector count and size, count of sectors contracted in
+    their eigenbasis, mass defect and norm drift."""
+    keep = ("path", "sectors", "max_sector_dim", "eigenbasis_sectors",
+            "branch_mass_defect", "max_norm_drift")
     gaps = [trace_distance(r.stack, limit.stack).max() for r in finite]
     ratios = [math.nan] + [b / a for a, b in zip(gaps, gaps[1:])]
     return [SweepRow(m_count=int(m), gap=float(g), ratio=float(q),

@@ -28,10 +28,16 @@ every V and follows from the collective sums C by normal ordering,
 N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu,
 .., x_{nu-1}), so a plain coupling is the case nu = 1. Branches with the
 same key share one dense eigendecomposition, and the reduced state is the
-sum of their partial traces. A run whose sectors together need more dense
-work than one sector at the dense cutoff, sum (system dim x sector dim)^3 >
-DENSE_CUTOFF^3, is refused; with a qubit system and rank-2 qubit sites that
-admits M <= 510.
+sum of their partial traces. A sector's trace comes either from its
+columns' amplitudes at each time, at a cost proportional to the column
+count, or from one contraction in its eigenbasis, rho_ss'(t) = u^T ((E_s^T
+conj(E_s')) o phi phi^dagger) conj(u) with u = e^{-i lambda t}, at a cost
+proportional to the sector dimension; each sector takes the one with fewer
+multiply-adds, so one-column sectors keep the amplitudes and spin blocks,
+whose columns number about their dimension, are contracted. A run whose
+sectors together need more dense work than one sector at the dense cutoff,
+sum (system dim x sector dim)^3 > DENSE_CUTOFF^3, is refused; with a qubit
+system and rank-2 qubit sites that admits M <= 510.
 
 A truncated interaction-picture commutator series serves as an independent
 short-time oracle on the same branches and sectors. Its Dyson terms come
@@ -372,34 +378,94 @@ def _sectors(run: FiniteMRun):
     return columns, diag, _sector_hamiltonian(run, one_body)
 
 
+def _eigenbasis_cheaper(d_sys: int, dim: int, n_cols: int,
+                        n_times: int) -> bool:
+    """Whether _trace_eigenbasis costs less on a sector than
+    _trace_amplitudes, by multiply-adds for n = d_sys dim, T times and c
+    columns: d_sys(d_sys+1)/2 (k n^2 dim + T n^2) against T n^2 c, where k
+    is the number of time chunks, one unless T n > AMPLITUDE_CHUNK."""
+    chunks = -(-n_times * d_sys * dim // AMPLITUDE_CHUNK)
+    return (d_sys * (d_sys + 1) // 2 * (chunks * dim + n_times)
+            < n_times * n_cols)
+
+
+def _trace_amplitudes(evals, emat, phi, grid, d_sys: int) -> np.ndarray:
+    """(T, d_sys, d_sys) partial trace over the sector of a a^dagger, for
+    the amplitudes a = emat e^{-i evals t} phi of the columns phi given in
+    the eigenbasis, formed in time chunks of AMPLITUDE_CHUNK entries."""
+    dim, n_cols = phi.shape
+    out = np.empty((grid.size, d_sys, d_sys), dtype=complex)
+    step = max(1, AMPLITUDE_CHUNK // phi.size)
+    for lo in range(0, grid.size, step):
+        ts = grid[lo:lo + step]
+        ph = np.exp(-1j * np.multiply.outer(evals, ts))
+        a = emat @ (ph[:, :, None] * phi[:, None, :]).reshape(dim, -1)
+        a = a.reshape(d_sys, -1, ts.size, n_cols).transpose(2, 0, 1, 3)
+        a = a.reshape(ts.size, d_sys, -1)
+        out[lo:lo + step] = a @ a.conj().transpose(0, 2, 1)
+    return out
+
+
+def _trace_eigenbasis(evals, emat, phi, grid, d_sys: int) -> np.ndarray:
+    """The same partial trace contracted in the eigenbasis, with no cost per
+    column: for Phi = phi phi^dagger, the row blocks E_s of emat (system
+    index s) and u = e^{-i evals t}, rho_ss'(t) = u^T G_ss' conj(u) with
+    G_ss' = (E_s^T conj(E_s')) o Phi. Per time chunk of AMPLITUDE_CHUNK
+    entries of u, each G with s <= s' is formed in turn, so a few n x n
+    arrays are held at once; s > s' are the conjugates, so each state is
+    Hermitian by construction."""
+    n = evals.size
+    rows = emat.reshape(d_sys, -1, n)
+    big_phi = phi @ phi.conj().T
+    out = np.empty((grid.size, d_sys, d_sys), dtype=complex)
+    step = max(1, AMPLITUDE_CHUNK // n)
+    for lo in range(0, grid.size, step):
+        u = np.exp(-1j * np.multiply.outer(grid[lo:lo + step], evals))
+        for s, r in itertools.combinations_with_replacement(range(d_sys), 2):
+            g = rows[s].T @ rows[r].conj()
+            g *= big_phi
+            # vecdot conjugates its first argument: sum_k conj(u_k) (u G)_k
+            out[lo:lo + step, s, r] = np.vecdot(u, u @ g)
+    upper, lower = np.triu_indices(d_sys, 1)
+    out[:, lower, upper] = out[:, upper, lower].conj()
+    np.einsum("tii->ti", out).imag = 0.0
+    return out
+
+
 def propagate_exact(run: FiniteMRun) -> PropagationResult:
     """Reduced system trajectory of the full finite-size dynamics.
 
-    Each sector's root-factor columns are evolved in its eigenbasis and
-    their outer products traced over the sector. Diagnostics: path,
-    branches (root-factor columns: one per system column and reservoir ket,
-    2j+1 kets for a spin block), sectors (distinct keys of part sizes and
-    shift), max_sector_dim (largest reservoir sector dimension),
-    branch_mass_defect (weight cut with near-zero eigenvalues) and
-    max_norm_drift.
+    Each sector's root-factor columns are written in its eigenbasis and
+    traced over the sector in one of two ways, whichever _eigenbasis_cheaper
+    finds cheaper from the sector's size, column count and the number of
+    times: as amplitudes evolved per column (about T n^2 c multiply-adds,
+    n = system dim x sector dim, c columns), or contracted in the
+    eigenbasis with no per-column cost (about d_sys(d_sys+1)/2 (n^2 dim +
+    T n^2)). One-column sectors, such as those of a pure product, take the
+    first; spin blocks of rank-2 sites, with c near the sector dimension,
+    the second. Diagnostics: path, branches (root-factor columns: one per
+    system column and reservoir ket, 2j+1 kets for a spin block), sectors
+    (distinct keys of part sizes and shift), eigenbasis_sectors (sectors
+    contracted in their eigenbasis), max_sector_dim (largest reservoir
+    sector dimension), branch_mass_defect (weight cut with near-zero
+    eigenvalues) and max_norm_drift.
     """
     columns, diag, hamiltonian = _sectors(run)
     d_sys, grid = run.sys.dim, run.grid
     acc = np.zeros((grid.size, d_sys, d_sys), dtype=complex)
+    diag["eigenbasis_sectors"] = 0
     for key, cols in columns.items():
         h, coupling = hamiltonian(key)
         h += coupling
         evals, emat = np.linalg.eigh(h)
+        del h, coupling  # the contraction below holds n x n arrays of its own
         phi = emat.conj().T @ cols
-        dim, n_cols = phi.shape
-        step = max(1, AMPLITUDE_CHUNK // phi.size)
-        for lo in range(0, grid.size, step):
-            ts = grid[lo:lo + step]
-            ph = np.exp(-1j * np.multiply.outer(evals, ts))
-            a = emat @ (ph[:, :, None] * phi[:, None, :]).reshape(dim, -1)
-            a = a.reshape(d_sys, -1, ts.size, n_cols).transpose(2, 0, 1, 3)
-            a = a.reshape(ts.size, d_sys, -1)
-            acc[lo:lo + step] += a @ a.conj().transpose(0, 2, 1)
+        trace = _trace_amplitudes
+        if _eigenbasis_cheaper(d_sys, evals.size // d_sys, phi.shape[1],
+                               grid.size):
+            trace = _trace_eigenbasis
+            diag["eigenbasis_sectors"] += 1
+        acc += trace(evals, emat, phi, grid, d_sys)
     norms = np.trace(acc, axis1=1, axis2=2).real
     diag["max_norm_drift"] = float(np.max(np.abs(norms - 1.0)))
     return PropagationResult.from_stack(grid, acc, run.rho_s0.dims, diag)

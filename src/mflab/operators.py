@@ -31,13 +31,16 @@ def _as_square_complex(data) -> np.ndarray:
     return arr
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Max-abs deviation from Hermiticity, relative to the matrix scale;
-    infinite for a matrix with a non-finite entry."""
+def hermitian_defect(a: np.ndarray, scale: float | None = None) -> float:
+    """Max-abs deviation from Hermiticity of a matrix or a (T, d, d) stack,
+    relative to scale, by default its largest entry; infinite for an array
+    with a non-finite entry."""
     if not np.isfinite(a).all():
         return math.inf
-    scale = max(np.abs(a).max(), 1e-300)
-    return float(np.abs(a - a.conj().T).max() / scale)
+    if scale is None:
+        scale = np.abs(a).max()
+    return float(np.abs(a - np.swapaxes(a.conj(), -1, -2)).max()
+                 / max(scale, 1e-300))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,10 @@ def _weighted_states(pairs, what: str, states: str):
 
 
 def kraus_defect(kraus: Sequence[np.ndarray]) -> float:
-    """Max-abs deviation of sum K_i^dag K_i from the identity."""
+    """Max-abs deviation of sum K_i^dag K_i from the identity; infinite for
+    a Kraus operator with a non-finite entry."""
+    if not all(np.isfinite(k).all() for k in kraus):
+        return math.inf
     acc = sum(k.conj().T @ k for k in kraus)
     return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
 

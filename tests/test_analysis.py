@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from mflab import analysis
 from mflab.errors import QuadratureError, ToleranceError, ValidationError
-from mflab.operators import DensityMatrix, Operator, bell_ket, ket, pauli
+from mflab.operators import (DensityMatrix, Operator, bell_ket, ket, pauli,
+                             trace_norm)
 from mflab.model import ClusterInteraction, SiteModel, SystemModel
 from mflab.reservoir import (ChannelCorrelated, DeFinettiMixture,
                              MacroscopicParts, ProductState, bell_channel_kraus,
@@ -89,6 +90,38 @@ class TestTraceDistance:
         assert got.shape == (6,)
         assert np.array_equal(got, [trace_distance(x, y)
                                     for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_matches_half_the_trace_norm(self, d):
+        rng = np.random.default_rng(d)
+        a = [random_density(rng, (d,)) for _ in range(8)]
+        b = [random_density(rng, (d,)) for _ in range(8)]
+        for x, y in zip(a, b):
+            want = 0.5 * trace_norm(x.data - y.data)
+            assert abs(trace_distance(x, y) - want) < 1e-14
+            assert abs(trace_distance(x.data, y.data) - want) < 1e-14
+        xs, ys = (np.array([r.data for r in rs]) for rs in (a, b))
+        assert np.abs(trace_distance(xs, ys)
+                      - 0.5 * trace_norm(xs - ys)).max() < 1e-14
+
+    def test_refuses_arrays_eigvalsh_cannot_read(self):
+        rho = np.diag([0.25, 0.75]).astype(complex)
+        skew = rho + np.array([[0.0, 1e-3], [0.0, 0.0]])
+        with pytest.raises(ValidationError, match="non-Hermitian"):
+            trace_distance(skew, rho)
+        with pytest.raises(ValidationError, match="non-Hermitian"):
+            trace_distance(np.array([rho, rho]), np.array([rho, skew]))
+        for bad in (np.nan, np.inf):
+            broken = rho.copy()
+            broken[0, 0] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                trace_distance(broken, broken)
+            with pytest.raises(ValidationError, match="non-finite"):
+                trace_distance(rho, broken)
+        with pytest.raises(ValidationError, match="shape"):
+            trace_distance(np.array([rho, rho]), rho)
+        with pytest.raises(ValidationError, match="square"):
+            trace_distance(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestNegativity:

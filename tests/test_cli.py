@@ -326,6 +326,29 @@ class TestRunVerb:
             assert diag["branch_mass_defect"] < 1e-12
             assert diag["max_norm_drift"] < 1e-10
 
+    def test_finite_m_notes_count_eigenbasis_sectors(self, tmp_path):
+        # one-column sectors keep the amplitudes; the spin blocks of a
+        # rank-2 site state are contracted in their eigenbasis
+        assert cli.main(["run", "qubit_convergence", "--out",
+                         str(tmp_path)]) == 0
+        summary = json.loads(
+            (tmp_path / "qubit_convergence" / "summary.json").read_text())
+        finite = summary["notes"]["finite_m"]
+        assert finite and all(diag["eigenbasis_sectors"] == 0
+                              for diag in finite.values())
+        rank2 = SMALL_CONVERGENCE.replace(
+            "site_state: plus", "site_state: {matrix: [[0.8, 0], [0, 0.2]]}")
+        rank2 = rank2.replace("m_list: [1, 2]", "m_list: [4, 8]")
+        cfg = write_config(tmp_path, rank2)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(
+            (tmp_path / "out" / "exp" / "summary.json").read_text())
+        # spin blocks j = 2 at M = 4 and j = 4, 3, 2 at M = 8, of the 3 and
+        # 5 sectors
+        finite = summary["notes"]["finite_m"]
+        assert {m: (diag["eigenbasis_sectors"], diag["sectors"])
+                for m, diag in finite.items()} == {"4": (1, 3), "8": (3, 5)}
+
     def test_cluster_run_reports_finite_m_notes(self, tmp_path):
         code = cli.main(["run", "cluster_pair", "--out", str(tmp_path)])
         assert code == 0

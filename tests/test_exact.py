@@ -29,6 +29,7 @@ from mflab.analysis import (cluster_sweep, finite_and_limit, m_sweep,
 from mflab.cli import resolve_config
 from mflab.config import load_config
 from mflab.effective import effective_potential
+from mflab import exact
 from mflab.exact import (
     FiniteMRun,
     dyson_truncated,
@@ -505,6 +506,78 @@ class TestSectorEngine:
         gaps = [r.gap for r in rows]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps == pytest.approx(want, rel=0.02)
+
+
+class TestReducedStateContractions:
+    """The sector's reduced state from amplitudes and from the eigenbasis
+    contraction, both called on the same sectors, with no rule between."""
+
+    @staticmethod
+    def contractions(run):
+        columns, _, hamiltonian = exact._sectors(run)
+        for key, cols in columns.items():
+            free, coupling = hamiltonian(key)
+            evals, emat = np.linalg.eigh(free + coupling)
+            args = (evals, emat, emat.conj().T @ cols, run.grid, run.sys.dim)
+            yield (key, exact._trace_amplitudes(*args),
+                   exact._trace_eigenbasis(*args))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind,rank,nu", [
+        ("product", 1, None), ("product", 2, None), ("definetti", None, None),
+        ("macroscopic", None, None), ("channel", None, None),
+        ("explicit", None, None), ("macroscopic", 2, 2)])
+    def test_contractions_agree_on_every_ensemble(self, d, kind, rank, nu):
+        # the oracle tests' sizes, d^M <= 81, on a system of dimension d so
+        # that a qutrit system has off-diagonal pairs away from the corner
+        rng = np.random.default_rng(7 * d + len(kind) + (rank or 0))
+        m = {2: 5, 3: 4}[d]
+
+        def herm(dim, dims=None):
+            return Operator(random_hermitian(rng, dim), dims or (dim,),
+                            hermitian=True)
+
+        site = SiteModel(h=herm(d), interactions=(herm(d), herm(d)))
+        sys = SystemModel.single(herm(d), [(herm(d), 0), (herm(d), 1)])
+        cluster = None if nu is None else ClusterInteraction(
+            nu, herm(d ** nu, (d,) * nu))
+        run = FiniteMRun(sys, site, m, random_ensemble(rng, kind, d, m, rank),
+                         random_state(rng, (d,), 2),
+                         np.array([0.0, 0.4, 1.3, 2.0]), cluster)
+        total = 0
+        for key, amp, eig in self.contractions(run):
+            assert np.abs(amp - eig).max() < 1e-13, key
+            assert np.array_equal(eig, eig.conj().transpose(0, 2, 1))
+            total = total + eig
+        norms = np.trace(total, axis1=1, axis2=2).real
+        assert np.abs(norms - 1.0).max() < 1e-12
+
+    def test_time_chunks_change_nothing(self, monkeypatch):
+        run = FiniteMRun(qubit_sys(), qubit_site(), 6,
+                         ProductState(tilted_mixed_site()), PLUS,
+                         np.linspace(0.0, 2.0, 11))
+        whole = list(self.contractions(run))
+        # one time per chunk on both paths
+        monkeypatch.setattr(exact, "AMPLITUDE_CHUNK", 1)
+        for (_, amp, eig), (_, amp1, eig1) in zip(whole,
+                                                  self.contractions(run)):
+            assert np.abs(amp - amp1).max() < 1e-14
+            assert np.abs(eig - eig1).max() < 1e-14
+
+    def test_rule_takes_the_eigenbasis_for_spin_blocks_only(self):
+        grid = np.linspace(0.0, 2.0, 51)
+        rank2 = FiniteMRun(qubit_sys(), qubit_site(), 8,
+                           ProductState(tilted_mixed_site()), PLUS, grid)
+        pure = FiniteMRun(qubit_sys(), qubit_site(), 8, ProductState(PLUS),
+                          PLUS, grid)
+        # the j = 4 spin block: 9 kets on 2 x 9 rows; the pure product: 1
+        assert exact._sectors(rank2)[0][((8,), 0)].shape == (18, 9)
+        assert exact._sectors(pure)[0][((8,), 0)].shape == (18, 1)
+        assert exact._eigenbasis_cheaper(2, 9, 9, grid.size)
+        assert not exact._eigenbasis_cheaper(2, 9, 1, grid.size)
+        # blocks j = 4, 3, 2 take the eigenbasis, j = 1, 0 the amplitudes
+        assert propagate_exact(rank2).diagnostics["eigenbasis_sectors"] == 3
+        assert propagate_exact(pure).diagnostics["eigenbasis_sectors"] == 0
 
 
 class TestSeriesOracle:

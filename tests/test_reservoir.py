@@ -420,6 +420,19 @@ def test_kraus_defect_zero_for_unitary():
     assert kraus_defect(bell_channel_kraus()) < 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_kraus_rejected(bad):
+    kraus = (np.full((2, 2), bad, dtype=complex),)
+    assert kraus_defect(kraus) == math.inf
+    with pytest.raises(ValidationError, match="defect inf"):
+        ChannelCorrelated(GROUND, 1, kraus)
+    # one broken entry among otherwise complete operators
+    kraus = [k.copy() for k in bell_channel_kraus()]
+    kraus[0][1, 2] = bad
+    with pytest.raises(ValidationError, match="defect inf"):
+        ChannelCorrelated(GROUND, 2, tuple(kraus))
+
+
 # materialization
 
 def test_materialized_states_are_valid_density_matrices():
