@@ -197,15 +197,12 @@ def finite_and_limit(sys: SystemModel, site: SiteModel, reservoir_state,
 def _sweep_rows(m_list, limit: PropagationResult,
                 finite: list[PropagationResult]) -> list[SweepRow]:
     """Per reservoir size, the max-over-grid trace distance of its finite
-    trajectory to the limit one, the ratio to the previous row, and the
-    solver's path, sector count and size, count of sectors contracted in
-    their eigenbasis, mass defect and norm drift."""
-    keep = ("path", "sectors", "max_sector_dim", "eigenbasis_sectors",
-            "branch_mass_defect", "max_norm_drift")
+    trajectory to the limit one, the ratio to the previous row, and a copy
+    of the diagnostics its finite-size run reports."""
     gaps = [trace_distance(r.stack, limit.stack).max() for r in finite]
     ratios = [math.nan] + [b / a for a, b in zip(gaps, gaps[1:])]
     return [SweepRow(m_count=int(m), gap=float(g), ratio=float(q),
-                     diagnostics={k: r.diagnostics[k] for k in keep})
+                     diagnostics=dict(r.diagnostics))
             for m, g, q, r in zip(m_list, gaps, ratios, finite)]
 
 

@@ -3,12 +3,15 @@
 In the infinite-reservoir limit the system evolves under its own Hamiltonian
 plus coupling operators weighted by scalar functions of time, each the
 single-site expectation of the corresponding evolved interaction operator.
-reservoir builds those signals from exact mirror pairs, real by construction
-and checked exactly per |f| slot; this module integrates the resulting
-time-dependent Schrodinger equation with a midpoint-exponential scheme
-(order 2, unitary by construction per step), and evolves density matrices
-along the result, including convex mixtures of propagations for exchangeable
-reservoir ensembles; a limit trajectory keeps the orbit of each atom it mixes.
+reservoir.site_signals builds those signals from exact mirror pairs, real by
+construction and checked exactly per |f| slot; this module integrates the
+resulting time-dependent Schrodinger equation with a midpoint-exponential
+scheme (order 2, unitary by construction per step). An ensemble's limit is
+one unitary group per limit atom, so every limit trajectory is the weighted
+mix of the atoms' orbits U rho0 U^dagger, one orbit of weight 1 for a
+single atom. One assembly builds it for evolve_state, propagate_definetti
+and effective_trajectory alike: it checks rho0's dimension, keeps each
+orbit, and reports the same diagnostics for any atom count.
 
 The stepper works on whole arrays: for a chunk of grid intervals it
 evaluates every midpoint signal at once, forms every step at once and
@@ -37,9 +40,10 @@ import numpy as np
 from .errors import ToleranceError, ValidationError
 from .model import SiteModel, SystemModel
 from .operators import DensityMatrix
+# QuasiPeriodicSignal is re-exported: callers build potentials from here
 from .reservoir import (QuasiPeriodicSignal, ReservoirState, check_weights,
-                        limit_atoms, site_signal_terms)
-from .results import PropagationResult
+                        limit_atoms, site_signals)
+from .results import PropagationResult, time_grid
 
 PROPAGATOR_UNITARY_ATOL = 1e-8
 DEFAULT_STEP_TARGET = 1e-7
@@ -67,12 +71,7 @@ def effective_potential(rho: DensityMatrix,
     """Scalar potentials of the limit dynamics for one site state, i.e. one
     limit atom of a reservoir ensemble (effective_trajectory takes the
     whole ensemble)."""
-    if rho.dim != site.dim:
-        raise ValidationError(
-            f"state dim {rho.dim} does not match site dim {site.dim}")
-    return EffectivePotential(tuple(
-        QuasiPeriodicSignal(*site_signal_terms(rho.data, site.h.data, v.data))
-        for v in site.interactions))
+    return EffectivePotential(site_signals(rho, site))
 
 
 @dataclass(frozen=True)
@@ -298,17 +297,20 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
     formed in batches of at most STEP_CHUNK complex entries. The step error
     is the sum of the factor estimates, which bounds the max-abs error of the
     product since unitary entries have modulus at most 1. Passing n_substeps
-    fixes the count and skips the adaptive loop. steps_computed counts
+    fixes the count and skips the adaptive loop. The grid obeys
+    results.time_grid, has at least two points and starts at 0, and
+    step_target must be a positive finite number. steps_computed counts
     substeps x intervals over every pass of every distinct factor, and
     steppers names the stepper of each distinct factor.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    grid = time_grid(grid)
+    if grid.size < 2:
         raise ValidationError("time grid needs at least two points")
     if abs(grid[0]) > 1e-15:
         raise ValidationError(f"time grid must start at 0, got {grid[0]}")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("time grid must be strictly increasing")
+    if not 0 < step_target < math.inf:
+        raise ValidationError(
+            f"step target must be a positive finite number, got {step_target}")
     for c in sys.couplings:
         if not 0 <= c.v_index < len(potential.signals):
             raise ValidationError(
@@ -342,34 +344,38 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
                                tuple(steppers))
 
 
-def _conjugate(unitaries: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return unitaries @ rho @ np.swapaxes(unitaries.conj(), -1, -2)
-
-
-def _step_diagnostics(runs) -> dict:
-    """Stepping diagnostics of the propagations of one system's trajectory."""
-    return {"step_error": max(r.step_error for r in runs),
+def _limit_result(runs, weights, rho0: DensityMatrix) -> PropagationResult:
+    """The limit trajectory of rho0 that mixes the orbits U rho0 U^dagger of
+    the propagators runs with the given weights, in order; a lone orbit is
+    the trajectory itself. Diagnostics: atoms, max_trace_drift and the
+    stepping of the runs (largest step error and substep count, factors,
+    summed steps computed, steppers)."""
+    dim = runs[0].unitaries.shape[-1]
+    if rho0.dim != dim:
+        raise ValidationError(
+            f"initial state dim {rho0.dim} does not match propagator dim {dim}")
+    orbits = [r.unitaries @ rho0.data @ np.swapaxes(r.unitaries.conj(), -1, -2)
+              for r in runs]
+    stack = orbits[0] if len(runs) == 1 else sum(
+        w * orbit for w, orbit in zip(weights, orbits))
+    drift = np.trace(stack, axis1=1, axis2=2) - 1
+    diag = {"atoms": len(runs),
+            "max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
+            "step_error": max(r.step_error for r in runs),
             "n_substeps": max(r.n_substeps for r in runs),
             "factors": len(runs[0].dims),
             "steps_computed": sum(r.steps_computed for r in runs),
             "steppers": list(runs[0].steppers)}
+    result = PropagationResult.from_stack(runs[0].times, stack, rho0.dims, diag)
+    result.orbits = (result.stack,) if len(runs) == 1 else tuple(orbits)
+    return result
 
 
 def evolve_state(propagator: EffectivePropagator,
                  rho0: DensityMatrix) -> PropagationResult:
-    """Conjugate the initial state by each stored unitary."""
-    dim = propagator.unitaries.shape[-1]
-    if rho0.dim != dim:
-        raise ValidationError(
-            f"initial state dim {rho0.dim} does not match propagator dim {dim}")
-    stack = _conjugate(propagator.unitaries, rho0.data)
-    drift = np.trace(stack, axis1=1, axis2=2) - 1
-    diag = {"max_trace_drift": float(np.hypot(drift.real, drift.imag).max()),
-            **_step_diagnostics([propagator])}
-    result = PropagationResult.from_stack(propagator.times, stack, rho0.dims,
-                                          diag)
-    result.orbits = (result.stack,)
-    return result
+    """The unitary orbit of rho0 under one propagator: a one-atom limit
+    result, with the diagnostics of every limit result."""
+    return _limit_result([propagator], [1.0], rho0)
 
 
 def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
@@ -377,33 +383,26 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
                         ) -> PropagationResult:
     """Convex combination of per-atom propagations.
 
-    atoms: sequence of (weight, EffectivePotential). The trajectory is the
-    weighted sum of the individually conjugated states, its orbits; generally
-    not a unitary orbit itself.
+    atoms: sequence of (weight, EffectivePotential), the weights a
+    distribution. Each atom is stepped once; the trajectory is the weighted
+    sum of the orbits, generally not a unitary orbit itself, and keeps them
+    as orbits. One atom gives its orbit.
     """
-    atoms = [(float(w), p) for w, p in atoms]
-    check_weights([w for w, _ in atoms], "mixture atom weights")
-    runs = [propagate_effective(sys, pot, grid, step_target)
-            for _, pot in atoms]
-    orbits = tuple(_conjugate(run.unitaries, rho0.data) for run in runs)
-    acc = sum(w * orbit for (w, _), orbit in zip(atoms, orbits))
-    diag = {"atoms": len(atoms), **_step_diagnostics(runs)}
-    result = PropagationResult.from_stack(runs[0].times, acc, rho0.dims, diag)
-    result.orbits = orbits
-    return result
+    atoms = list(atoms)
+    weights = [float(w) for w, _ in atoms]
+    check_weights(weights, "mixture atom weights")
+    return _limit_result([propagate_effective(sys, pot, grid, step_target)
+                          for _, pot in atoms], weights, rho0)
 
 
 def effective_trajectory(sys: SystemModel, state: ReservoirState,
                          site: SiteModel, rho0: DensityMatrix, grid,
                          step_target: float = DEFAULT_STEP_TARGET
                          ) -> PropagationResult:
-    """Limit trajectory of rho0 for any supported reservoir ensemble.
-
-    One limit atom gives a unitary orbit, several the mixture of their
-    orbits; the reported step error still bounds step_target.
-    """
-    atoms = [(w, effective_potential(s, site)) for w, s in limit_atoms(state)]
-    if len(atoms) > 1:
-        return propagate_definetti(sys, atoms, rho0, grid, step_target)
-    return evolve_state(propagate_effective(sys, atoms[0][1], grid,
-                                            step_target), rho0)
+    """Limit trajectory of rho0 for any supported reservoir ensemble: the
+    mixture of its limit atoms' orbits through propagate_definetti, a
+    unitary orbit for a single atom. The reported step error still bounds
+    step_target."""
+    return propagate_definetti(
+        sys, [(w, effective_potential(s, site)) for w, s in limit_atoms(state)],
+        rho0, grid, step_target)

@@ -63,7 +63,7 @@ from .operators import DENSE_CUTOFF, DensityMatrix, Operator, add_embedded
 from .reservoir import decompose, materialize
 # not called here: perfbench's self-test pins this binding for its tracer
 from .effective import effective_trajectory
-from .results import PropagationResult
+from .results import PropagationResult, time_grid
 
 EIGVAL_CUT = 1e-12
 JOINT_TRAJECTORY_LIMIT = 512
@@ -91,11 +91,7 @@ class FiniteMRun:
     components: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ValidationError("time grid must be a nonempty 1d array")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0):
-            raise ValidationError("time grid must be strictly increasing")
+        grid = time_grid(self.grid)
         if self.rho_s0.dim != self.sys.dim:
             raise ValidationError(
                 f"system state dim {self.rho_s0.dim} does not match model "

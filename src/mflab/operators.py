@@ -234,10 +234,19 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, ket: np.ndarray, dims: Sequence[int]) -> "DensityMatrix":
+        """|ket><ket| / <ket|ket>. A ket with a non-finite entry is refused,
+        and so is one whose norm is 0 or has a square outside the normal
+        float range, where it is not accurate enough to normalize."""
         vec = np.asarray(ket, dtype=complex).ravel()
-        nrm = np.linalg.norm(vec)
+        if not np.isfinite(vec).all():
+            raise ValidationError("ket has non-finite entries")
+        with np.errstate(over="ignore"):   # an infinite norm is refused below
+            nrm = float(np.linalg.norm(vec))
         if nrm == 0:
             raise ValidationError("cannot normalize the zero vector")
+        if not np.finfo(float).tiny <= nrm * nrm < math.inf:
+            raise ValidationError(f"ket norm {nrm:.3e} has a square outside "
+                                  f"the normal float range")
         vec = vec / nrm
         return cls(np.outer(vec, vec.conj()), tuple(dims), validate=False)
 

@@ -354,16 +354,23 @@ class QuasiPeriodicSignal:
         return cls(np.array([0.0]), np.array([complex(value)]))
 
 
+def site_signals(rho: DensityMatrix, site: SiteModel) -> tuple:
+    """One QuasiPeriodicSignal t -> Tr(rho e^{ith} v e^{-ith}) per site
+    interaction v, in order, for a state of the site's dimension."""
+    if rho.dim != site.dim:
+        raise ValidationError(
+            f"state dim {rho.dim} does not match site dim {site.dim}")
+    if not site.interactions:
+        raise ValidationError("site has no interaction operator")
+    return tuple(QuasiPeriodicSignal(*site_signal_terms(
+        rho.data, site.h.data, v.data)) for v in site.interactions)
+
+
 def site_expectation(state: DensityMatrix, site: SiteModel, t):
     """Expectation of the site's first interaction operator evolved by the
     site Hamiltonian: the QuasiPeriodicSignal of the limit dynamics, a float
     for scalar t, else an array of t's shape."""
-    v = site.interactions[0]
-    if state.dim != v.dim:
-        raise ValidationError(
-            f"state dim {state.dim} does not match interaction dim {v.dim}")
-    return QuasiPeriodicSignal(*site_signal_terms(
-        state.data, site.h.data, v.data)).evaluate(t)
+    return site_signals(state, site)[0].evaluate(t)
 
 
 # Multi-time moments of the site-averaged interaction.
@@ -455,10 +462,15 @@ def multitime_moment(state, m_count: int, site: SiteModel,
     the given times, in the given order, summed over the components of
     decompose. A block is contracted locally at its one placement, which
     gives the same site-averaged moment as every other, so no d^M object
-    is built."""
+    is built. Non-finite times and a site without interaction are
+    refused."""
     times = [float(t) for t in times]
     if not times:
         raise ValidationError("need at least one time")
+    if not all(math.isfinite(t) for t in times):
+        raise ValidationError(f"moment times must be finite, got {times}")
+    if not site.interactions:
+        raise ValidationError("site has no interaction operator")
     return sum(w * _component_moment(parts, block, site, times)
                for w, parts, block in decompose(state, m_count, site.dim))
 

@@ -4,7 +4,8 @@ Both solvers emit a time grid, one reduced density matrix per grid point and
 run diagnostics, through from_stack, which checks the whole (T, d, d) array
 of states at once (operators.check_density_stack). That read-only stack is
 the one copy of the trajectory; states, the same matrices as DensityMatrix
-objects, is built from it on first read.
+objects, is built from it on first read. time_grid is the rule both
+solvers' time grids obey.
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import DensityMatrix, check_density_stack
+
+
+def time_grid(grid) -> np.ndarray:
+    """grid as a float array, refused unless it is 1d, nonempty, finite
+    and strictly increasing: the rule every solver's time grid obeys."""
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValidationError("time grid must be a nonempty 1d array")
+    if not np.isfinite(grid).all():
+        raise ValidationError("time grid has a non-finite time "
+                              f"{grid[~np.isfinite(grid)][0]}")
+    if np.any(np.diff(grid) <= 0):
+        raise ValidationError("time grid must be strictly increasing")
+    return grid
 
 
 class PropagationResult:

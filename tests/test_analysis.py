@@ -360,6 +360,17 @@ class TestMSweep:
         assert rows[1].ratio == pytest.approx(gaps[1] / gaps[0])
         assert all(r.ratio < 1 for r in rows[1:])
 
+    def test_rows_keep_every_diagnostic_of_their_runs(self):
+        sys, site, _, rho0 = sweep_fixture()
+        grid = np.linspace(0.0, 1.0, 11)
+        res = ENSEMBLES["definetti"]
+        rows = m_sweep(sys, site, res, rho0, grid, (2, 3))
+        for row in rows:
+            run = propagate_exact(FiniteMRun(sys, site, row.m_count, res,
+                                             rho0, grid))
+            assert row.diagnostics == run.diagnostics
+            assert row.diagnostics["branches"] == 2
+
     def test_threaded_sweep_matches_serial(self):
         sys, site, res, rho0 = sweep_fixture()
         grid = np.linspace(0.0, 1.0, 11)

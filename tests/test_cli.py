@@ -18,6 +18,7 @@ from mflab import analysis, cli, effective, exact
 from mflab.config import KINDS, load_config, parse_config
 from mflab.errors import ConfigError, ValidationError
 from mflab.operators import pauli
+from mflab.reservoir import limit_atoms
 
 
 def write_config(tmp_path, text, name="exp.yaml"):
@@ -322,6 +323,7 @@ class TestRunVerb:
         assert len(finite) == 2
         for diag in finite.values():
             assert diag["path"] == "symmetric-sector"
+            assert diag["branches"] == 1
             assert diag["sectors"] >= 1 and diag["max_sector_dim"] >= 1
             assert diag["branch_mass_defect"] < 1e-12
             assert diag["max_norm_drift"] < 1e-10
@@ -693,8 +695,10 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     # passes run x substeps x intervals: at least the returned pass of one
     # factor per atom, and fewer than plain doubling (1, 2, ..., n) on every
     # factor, because these trajectories skip doublings
+    assert limit["max_trace_drift"] < 1e-12
     intervals = len(cfg.grid) - 1
-    atoms = limit.get("atoms", 1)
+    atoms = limit["atoms"]
+    assert atoms == len(limit_atoms(cfg.reservoir))
     n = limit["n_substeps"]
     assert isinstance(limit["steps_computed"], int)
     assert n * intervals <= limit["steps_computed"]

@@ -297,6 +297,24 @@ def test_grid_validation():
         propagate_effective(sys, pot, [0.0, 1.0, 1.0])
     with pytest.raises(ValidationError):
         propagate_effective(sys, pot, [0.0])
+    # refused by the grid rule the solvers share, before any stepping
+    site = qubit_site(SZ.data, SX.data)
+    for grid in ([0.0, np.nan], [0.0, 1.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValidationError, match="non-finite time"):
+            propagate_effective(sys, pot, grid)
+        with pytest.raises(ValidationError, match="non-finite time"):
+            effective_trajectory(sys, ProductState(PLUS), site, GROUND, grid)
+
+
+@pytest.mark.parametrize("target", [0.0, -1.0, np.nan, np.inf])
+def test_step_target_must_be_positive_and_finite(target):
+    sys, site = qubit_sys(SZ.data, SX.data), qubit_site(SZ.data, SX.data)
+    with pytest.raises(ValidationError, match="step target"):
+        propagate_effective(sys, ZERO_POTENTIAL, [0.0, 1.0],
+                            step_target=target)
+    with pytest.raises(ValidationError, match="step target"):
+        effective_trajectory(sys, ProductState(PLUS), site, GROUND,
+                             np.linspace(0.0, 1.0, 11), step_target=target)
 
 
 def test_step_halving_failure_reports_estimate(monkeypatch):
@@ -519,6 +537,20 @@ def test_evolve_state_dim_mismatch():
         evolve_state(prop, DensityMatrix(np.eye(3) / 3, (3,)))
 
 
+def test_mixture_refuses_initial_state_of_another_dim():
+    # one atom or several: the same refusal, naming both dimensions
+    sys, site = qubit_sys(SZ.data, SX.data), qubit_site(SZ.data, SX.data)
+    rho0 = DensityMatrix(np.eye(4) / 4, (2, 2))
+    grid = [0.0, 0.5]
+    for state in (ProductState(PLUS),
+                  DeFinettiMixture(((0.5, PLUS), (0.5, GROUND)))):
+        with pytest.raises(ValidationError, match="dim 4 .* dim 2"):
+            effective_trajectory(sys, state, site, rho0, grid)
+    with pytest.raises(ValidationError, match="dim 4 .* dim 2"):
+        propagate_definetti(sys, [(0.5, ZERO_POTENTIAL),
+                                  (0.5, ZERO_POTENTIAL)], rho0, grid)
+
+
 # mixtures of propagations
 
 def test_single_atom_mixture_reduces_to_unitary_orbit():
@@ -575,6 +607,28 @@ def test_mixture_is_the_weighted_sum_of_its_orbits():
         alone = effective_trajectory(sys, ProductState(s), site, rho0, grid)
         assert len(alone.orbits) == 1 and alone.orbits[0] is alone.stack
         assert np.array_equal(orbit, alone.stack)
+
+
+LIMIT_KEYS = {"atoms", "max_trace_drift", "step_error", "n_substeps",
+              "factors", "steps_computed", "steppers"}
+
+
+def test_every_limit_result_reports_the_same_diagnostics():
+    sys, site = qubit_sys(SZ.data, SX.data), qubit_site(SZ.data, SX.data)
+    pot = effective_potential(PLUS, site)
+    grid = np.linspace(0, 1, 5)
+    mixture = DeFinettiMixture(((0.5, PLUS), (0.5, GROUND)))
+    results = {
+        1: [evolve_state(propagate_effective(sys, pot, grid), GROUND),
+            propagate_definetti(sys, [(1.0, pot)], GROUND, grid),
+            effective_trajectory(sys, ProductState(PLUS), site, GROUND, grid)],
+        2: [propagate_definetti(sys, [(0.5, pot), (0.5, pot)], GROUND, grid),
+            effective_trajectory(sys, mixture, site, GROUND, grid)]}
+    for atoms, found in results.items():
+        for res in found:
+            assert set(res.diagnostics) == LIMIT_KEYS
+            assert res.diagnostics["atoms"] == atoms == len(res.orbits)
+            assert res.diagnostics["max_trace_drift"] < 1e-12
 
 
 def test_mixture_weight_validation():

@@ -737,6 +737,13 @@ class TestRunValidation:
             FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS,
                        np.array([0.0, 1.0, 0.5]))
 
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [0.0, 1.0, np.nan],
+                                      [0.0, np.inf], [np.nan]])
+    def test_grid_must_be_finite(self, grid):
+        res = ProductState(tilted_mixed_site())
+        with pytest.raises(ValidationError, match="non-finite time"):
+            FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS, grid)
+
     def test_state_dimension_must_match(self):
         res = ProductState(tilted_mixed_site())
         bad = DensityMatrix(np.eye(4) / 4, (2, 2))

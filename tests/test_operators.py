@@ -153,6 +153,28 @@ def test_density_matrix_validation():
     assert rho.purity() == pytest.approx(1.0)
 
 
+def test_pure_state_is_the_normalized_projector():
+    # bit for bit the outer product of the ket divided by its norm
+    rng = np.random.default_rng(5)
+    for ket_ in (ket("+"), 3.0 * ket("0"),
+                 rng.normal(size=6) + 1j * rng.normal(size=6)):
+        vec = np.asarray(ket_, dtype=complex) / np.linalg.norm(ket_)
+        got = DensityMatrix.pure(ket_, (len(vec),))
+        assert np.array_equal(got.data, np.outer(vec, vec.conj()))
+
+
+def test_pure_state_refuses_kets_it_cannot_normalize():
+    for bad, words in (([np.nan, 1.0], "non-finite"),
+                       ([np.inf, 0.0], "non-finite"),
+                       ([1e300, 1e300], "normal float range"),
+                       ([0.0, 0.0], "zero vector"),
+                       ([1e-200, 0.0], "zero vector"),
+                       # a subnormal square: the norm is off by 5.6e-6
+                       ([1e-160, 0.0], "normal float range")):
+        with pytest.raises(ValidationError, match=words):
+            DensityMatrix.pure(np.array(bad), (2,))
+
+
 def test_permute_factors_swaps_kron():
     a = np.kron(PAULI_X, PAULI_Z)
     swapped, dims = permute_factors(a, (2, 2), [1, 0])

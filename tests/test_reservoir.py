@@ -27,6 +27,7 @@ from mflab.reservoir import (
     pairing_count,
     reference_site_state,
     site_expectation,
+    site_signals,
     supermultiplicative_order_limit,
 )
 
@@ -118,6 +119,26 @@ def test_expectation_dim_mismatch_rejected():
     rho3 = DensityMatrix(np.eye(3, dtype=complex) / 3, (3,))
     with pytest.raises(ValidationError):
         site_expectation(rho3, site, 0.1)
+
+
+def test_site_without_interaction_has_no_signal():
+    site = SiteModel(h=SZ, interactions=())
+    for call in (lambda: site_signals(PLUS, site),
+                 lambda: site_expectation(PLUS, site, 0.1),
+                 lambda: effective_potential(PLUS, site),
+                 lambda: multitime_moment(ProductState(PLUS), 2, site, [0.1]),
+                 lambda: factorization_error(ProductState(PLUS), 2, site,
+                                             [0.1, 0.2])):
+        with pytest.raises(ValidationError, match="no interaction"):
+            call()
+
+
+def test_site_signals_follow_the_interactions_in_order():
+    site = SiteModel(h=SZ, interactions=(SX, SZ))
+    x, z = site_signals(PLUS, site)
+    ts = np.linspace(0.0, 3.0, 7)
+    assert np.array_equal(x.evaluate(ts), site_expectation(PLUS, site, ts))
+    assert np.allclose(z.evaluate(ts), 0.0, atol=1e-15)
 
 
 # dense oracles: the site-averaged moments on the materialized state
@@ -265,6 +286,11 @@ def test_moment_requires_time_and_matching_dims():
     rho3 = DensityMatrix(np.eye(3, dtype=complex) / 3, (3,))
     with pytest.raises(ValidationError):
         multitime_moment(ProductState(rho3), 2, site, [0.1])
+    for times in ([np.nan], [0.1, np.nan], [np.inf], [0.2, -np.inf]):
+        with pytest.raises(ValidationError, match="must be finite"):
+            multitime_moment(ProductState(PLUS), 3, site, times)
+        with pytest.raises(ValidationError, match="must be finite"):
+            factorization_error(ProductState(PLUS), 3, site, times)
 
 
 def test_channel_moment_and_bound_run_at_large_m():
