@@ -30,7 +30,7 @@ from .matio import atomic_write_text
 from .model import (ClusterInteraction, SiteModel, SystemModel,
                     check_cluster_system)
 from .operators import (HERMITIAN_RTOL, DensityMatrix, Operator, embed_at_site,
-                        hermitian_defect)
+                        hermitian_defect, hermitian_spectrum)
 from .reservoir import DeFinettiMixture, kron_power, limit_atoms
 from .results import PropagationResult
 
@@ -39,12 +39,23 @@ def trace_distance(rho, sigma):
     """Half the trace norm of the difference; a metric on density matrices.
 
     The difference of two density matrices is Hermitian, so its trace norm
-    is the sum of its absolute eigenvalues, taken from one eigvalsh. Two
-    (T, d, d) stacks give the distance at each of the T indices. eigvalsh
-    reads one triangle only, so raw arrays must be finite and their
-    difference Hermitian within HERMITIAN_RTOL of their largest entry;
-    DensityMatrix inputs are checked at construction.
+    is the sum of its absolute eigenvalues, from operators.hermitian_spectrum:
+    the closed form for qubits, else one eigvalsh. Two (T, d, d) stacks
+    give the distance at each of the T indices. The spectrum is read from
+    one triangle only, so raw arrays must be finite and their difference
+    Hermitian within HERMITIAN_RTOL of their largest entry; DensityMatrix
+    inputs are checked at construction, and a pair of qubit ones takes the
+    closed form in Python floats, with the same bits as a stack of them.
     """
+    if (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)
+            and rho.dim == sigma.dim == 2):
+        (a00, _), (a10, a11) = rho.data.tolist()
+        (b00, _), (b10, b11) = sigma.data.tolist()
+        p, q = 0.5 * (a00.real - b00.real), 0.5 * (a11.real - b11.real)
+        # abs of a complex calls C hypot, as np.hypot does in
+        # hermitian_spectrum, so a stack of the pair gives the same bits
+        mean, radius = p + q, abs(complex(p - q, abs(a10 - b10)))
+        return 0.5 * (abs(mean - radius) + abs(mean + radius))
     a, b = (x.data if isinstance(x, DensityMatrix)
             else np.asarray(x, dtype=complex) for x in (rho, sigma))
     if a.shape != b.shape:
@@ -60,7 +71,7 @@ def trace_distance(rho, sigma):
     if raw and hermitian_defect(diff, max(np.abs(a).max(),
                                           np.abs(b).max())) > HERMITIAN_RTOL:
         raise ValidationError("trace distance of non-Hermitian matrices")
-    dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    dist = 0.5 * np.abs(hermitian_spectrum(diff)).sum(axis=-1)
     return float(dist) if diff.ndim == 2 else dist
 
 

@@ -344,16 +344,21 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
                                tuple(steppers))
 
 
+def _check_initial_state(rho0: DensityMatrix, dim: int) -> None:
+    """Refuse an initial state that propagators of dimension dim cannot act
+    on: the rule every limit path checks before any stepping."""
+    if rho0.dim != dim:
+        raise ValidationError(
+            f"initial state dim {rho0.dim} does not match propagator dim {dim}")
+
+
 def _limit_result(runs, weights, rho0: DensityMatrix) -> PropagationResult:
     """The limit trajectory of rho0 that mixes the orbits U rho0 U^dagger of
     the propagators runs with the given weights, in order; a lone orbit is
     the trajectory itself. Diagnostics: atoms, max_trace_drift and the
     stepping of the runs (largest step error and substep count, factors,
-    summed steps computed, steppers)."""
-    dim = runs[0].unitaries.shape[-1]
-    if rho0.dim != dim:
-        raise ValidationError(
-            f"initial state dim {rho0.dim} does not match propagator dim {dim}")
+    summed steps computed, steppers). Callers have checked rho0's dimension
+    with _check_initial_state."""
     orbits = [r.unitaries @ rho0.data @ np.swapaxes(r.unitaries.conj(), -1, -2)
               for r in runs]
     stack = orbits[0] if len(runs) == 1 else sum(
@@ -375,6 +380,7 @@ def evolve_state(propagator: EffectivePropagator,
                  rho0: DensityMatrix) -> PropagationResult:
     """The unitary orbit of rho0 under one propagator: a one-atom limit
     result, with the diagnostics of every limit result."""
+    _check_initial_state(rho0, propagator.unitaries.shape[-1])
     return _limit_result([propagator], [1.0], rho0)
 
 
@@ -391,6 +397,7 @@ def propagate_definetti(sys: SystemModel, atoms, rho0: DensityMatrix, grid,
     atoms = list(atoms)
     weights = [float(w) for w, _ in atoms]
     check_weights(weights, "mixture atom weights")
+    _check_initial_state(rho0, sys.dim)
     return _limit_result([propagate_effective(sys, pot, grid, step_target)
                           for _, pot in atoms], weights, rho0)
 

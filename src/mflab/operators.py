@@ -2,7 +2,7 @@
 
 Everything downstream (model assembly, moments, propagation) is built on the
 small set of primitives here: Kronecker products, single-site embeddings,
-partial traces and trace norms.
+partial traces, trace norms and Hermitian spectra.
 """
 
 from __future__ import annotations
@@ -24,11 +24,29 @@ PTRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
 
 
-def _as_square_complex(data) -> np.ndarray:
-    arr = np.array(data, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
+def _frozen(arr: np.ndarray) -> bool:
+    """True for a read-only array whose bases are all read-only, down to
+    the one that owns the memory: no writeable array shares that memory."""
+    while not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        if not isinstance(arr.base, np.ndarray):
+            return False
+        arr = arr.base
+    return False
+
+
+def _frozen_square(data) -> np.ndarray:
+    """data as a read-only square complex matrix: a frozen complex array
+    as it is, without a copy; anything else copied, so that the caller's
+    array stays theirs to write."""
+    if not (isinstance(data, np.ndarray) and data.dtype == complex
+            and _frozen(data)):
+        data = np.array(data, dtype=complex)
+        data.setflags(write=False)
+    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {data.shape}")
+    return data
 
 
 def hermitian_defect(a: np.ndarray, scale: float | None = None) -> float:
@@ -41,6 +59,23 @@ def hermitian_defect(a: np.ndarray, scale: float | None = None) -> float:
         scale = np.abs(a).max()
     return float(np.abs(a - np.swapaxes(a.conj(), -1, -2)).max()
                  / max(scale, 1e-300))
+
+
+def hermitian_spectrum(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    (T, d, d) stack, read from the lower triangle as np.linalg.eigvalsh
+    reads it. For d = 2 they are the closed form mean -+ hypot(half the
+    diagonal difference, |a_10|); larger matrices take one stacked
+    eigvalsh."""
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)
+    p, q = 0.5 * a[..., 0, 0].real, 0.5 * a[..., 1, 1].real
+    low = a[..., 1, 0]
+    mean, radius = p + q, np.hypot(p - q, np.hypot(low.real, low.imag))
+    out = np.empty(mean.shape + (2,))
+    np.subtract(mean, radius, out=out[..., 0])
+    np.add(mean, radius, out=out[..., 1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,8 +97,8 @@ class Operator:
     hermitian: bool = False
 
     def __post_init__(self):
-        arr = _as_square_complex(self.data)
-        dims = tuple(int(d) for d in self.dims)
+        arr = _frozen_square(self.data)
+        dims = tuple(map(int, self.dims))
         if math.prod(dims) != arr.shape[0]:
             raise ValidationError(
                 f"dims {dims} do not multiply to matrix size {arr.shape[0]}")
@@ -72,7 +107,6 @@ class Operator:
         if self.hermitian and hermitian_defect(arr) > HERMITIAN_RTOL:
             raise ValidationError(
                 f"matrix flagged Hermitian has defect {hermitian_defect(arr):.2e}")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", dims)
 
@@ -180,10 +214,11 @@ def check_density_stack(stack: np.ndarray) -> None:
     """Check every matrix of a (T, d, d) stack as a density matrix.
 
     Each state must be Hermitian relative to its own scale, have unit trace
-    and no eigenvalue below -PSD_ATOL; the eigenvalues come from one stacked
-    eigvalsh. A stack with a non-finite entry is refused before any of
-    these; otherwise the first failing state raises the ValidationError of
-    the first check it fails.
+    and no eigenvalue below -PSD_ATOL; the eigenvalues come from
+    hermitian_spectrum, in closed form for qubits, so a qubit stack makes
+    no LAPACK call. A stack with a non-finite entry is refused before any
+    of these; otherwise the first failing state raises the ValidationError
+    of the first check it fails.
     """
     if not np.isfinite(stack).all():
         raise ValidationError("density matrix has non-finite entries")
@@ -191,7 +226,7 @@ def check_density_stack(stack: np.ndarray) -> None:
     herm = (np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(-2, -1))
             / scale)
     tr = np.trace(stack, axis1=-2, axis2=-1)
-    low = np.linalg.eigvalsh(stack)[:, 0]
+    low = hermitian_spectrum(stack)[:, 0]
     bad = np.flatnonzero((herm > HERMITIAN_RTOL) | (abs(tr - 1.0) > TRACE_ATOL)
                          | (low < -PSD_ATOL))
     if not bad.size:
@@ -205,7 +240,7 @@ def check_density_stack(stack: np.ndarray) -> None:
     raise ValidationError(f"density matrix has eigenvalue {low[k]:.2e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityMatrix:
     """Positive semidefinite unit-trace matrix with factor metadata."""
 
@@ -214,14 +249,13 @@ class DensityMatrix:
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = _as_square_complex(self.data)
-        dims = tuple(int(d) for d in self.dims)
+        arr = _frozen_square(self.data)
+        dims = tuple(map(int, self.dims))
         if math.prod(dims) != arr.shape[0]:
             raise ValidationError(
                 f"dims {dims} do not multiply to matrix size {arr.shape[0]}")
         if self.validate:
             check_density_stack(arr[None])
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", dims)
 

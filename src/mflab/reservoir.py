@@ -354,23 +354,30 @@ class QuasiPeriodicSignal:
         return cls(np.array([0.0]), np.array([complex(value)]))
 
 
-def site_signals(rho: DensityMatrix, site: SiteModel) -> tuple:
-    """One QuasiPeriodicSignal t -> Tr(rho e^{ith} v e^{-ith}) per site
-    interaction v, in order, for a state of the site's dimension."""
+def _site_signals(rho: DensityMatrix, site: SiteModel):
+    """Yield the signal of each site interaction in order, built as it is
+    asked for; the rules are checked before the first one."""
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
     if not site.interactions:
         raise ValidationError("site has no interaction operator")
-    return tuple(QuasiPeriodicSignal(*site_signal_terms(
-        rho.data, site.h.data, v.data)) for v in site.interactions)
+    for v in site.interactions:
+        yield QuasiPeriodicSignal(*site_signal_terms(rho.data, site.h.data,
+                                                     v.data))
+
+
+def site_signals(rho: DensityMatrix, site: SiteModel) -> tuple:
+    """One QuasiPeriodicSignal t -> Tr(rho e^{ith} v e^{-ith}) per site
+    interaction v, in order, for a state of the site's dimension."""
+    return tuple(_site_signals(rho, site))
 
 
 def site_expectation(state: DensityMatrix, site: SiteModel, t):
     """Expectation of the site's first interaction operator evolved by the
     site Hamiltonian: the QuasiPeriodicSignal of the limit dynamics, a float
-    for scalar t, else an array of t's shape."""
-    return site_signals(state, site)[0].evaluate(t)
+    for scalar t, else an array of t's shape. Only that signal is built."""
+    return next(_site_signals(state, site)).evaluate(t)
 
 
 # Multi-time moments of the site-averaged interaction.

@@ -3,9 +3,10 @@
 Both solvers emit a time grid, one reduced density matrix per grid point and
 run diagnostics, through from_stack, which checks the whole (T, d, d) array
 of states at once (operators.check_density_stack). That read-only stack is
-the one copy of the trajectory; states, the same matrices as DensityMatrix
-objects, is built from it on first read. time_grid is the rule both
-solvers' time grids obey.
+the one copy of the trajectory. states, built on first read, holds one
+DensityMatrix per row whose data is a read-only view of that row of the
+stack: not copied, and not checked as a state again. time_grid is the rule
+both solvers' time grids obey.
 """
 
 from __future__ import annotations

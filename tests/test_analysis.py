@@ -8,7 +8,7 @@ from mflab import analysis
 from mflab.errors import QuadratureError, ToleranceError, ValidationError
 from mflab.operators import (DensityMatrix, Operator, bell_ket, ket, pauli,
                              trace_norm)
-from mflab.model import ClusterInteraction, SiteModel, SystemModel
+from mflab.model import ClusterInteraction, Coupling, SiteModel, SystemModel
 from mflab.reservoir import (ChannelCorrelated, DeFinettiMixture,
                              MacroscopicParts, ProductState, bell_channel_kraus,
                              factorization_error)
@@ -268,6 +268,55 @@ class TestTrajectoryStacks:
             np.linspace(0.0, 1.0, 201))
         assert few == many
         assert max(many) <= 2
+
+    def test_two_qubit_producers_validate_in_one_eigvalsh_call_each(
+            self, monkeypatch):
+        sys = SystemModel(local_h=(SZ, SZ),
+                          couplings=(Coupling(g=SX, subsystem=0),
+                                     Coupling(g=SX, subsystem=1)))
+        _, site, res, _ = sweep_fixture()
+        rho0 = dm(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
+        atoms = [(0.5, effective_potential(DensityMatrix.pure(ket(k), (2,)),
+                                           site)) for k in ("+", "0")]
+        real = np.linalg.eigvalsh
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for n in (3, 201):
+            grid = np.linspace(0.0, 1.0, n)
+            run = FiniteMRun(sys, site, 3, res, rho0, grid)
+            prop = propagate_effective(sys, atoms[0][1], grid, n_substeps=2)
+            for call in (lambda: propagate_exact(run),
+                         lambda: evolve_state(prop, rho0),
+                         lambda: propagate_definetti(sys, atoms, rho0, grid)):
+                shapes.clear()
+                assert len(call().states) == n
+                assert shapes == [(n, 4, 4)]
+
+    def test_qubit_runs_and_distances_make_no_eigvalsh_call(self,
+                                                           monkeypatch):
+        sys, site, res, rho0 = sweep_fixture()
+        grid = np.linspace(0.0, 1.0, 21)
+        limit = effective_trajectory(sys, res, site, rho0, grid)
+        finite = propagate_exact(FiniteMRun(sys, site, 3, res, rho0, grid))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a qubit")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        rows = m_sweep(sys, site, res, rho0, grid, (2, 3))
+        assert [r.m_count for r in rows] == [2, 3]
+        pairs = [trace_distance(a, b)
+                 for a, b in zip(finite.states, limit.states)]
+        raw = [trace_distance(a.data, b.data)
+               for a, b in zip(finite.states, limit.states)]
+        stacked = trace_distance(finite.stack, limit.stack)
+        assert pairs == raw == list(stacked)
+        assert rows[1].gap == max(pairs)
 
     def test_sweep_gap_is_the_largest_per_state_distance(self):
         sys, site, res, rho0 = sweep_fixture()

@@ -551,6 +551,30 @@ def test_mixture_refuses_initial_state_of_another_dim():
                                   (0.5, ZERO_POTENTIAL)], rho0, grid)
 
 
+def test_initial_state_of_another_dim_is_refused_before_any_stepping(
+        monkeypatch):
+    sys, site = qubit_sys(SZ.data, SX.data), qubit_site(SZ.data, SX.data)
+    rho0 = DensityMatrix(np.eye(4) / 4, (2, 2))
+    calls = []
+    real = eff.propagate_effective
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eff, "propagate_effective", counting)
+    mixture = DeFinettiMixture(((0.5, PLUS), (0.5, GROUND)))
+    for call in (lambda: effective_trajectory(sys, mixture, site, rho0,
+                                              [0.0, 0.5]),
+                 lambda: propagate_definetti(sys, [(0.5, ZERO_POTENTIAL),
+                                                   (0.5, ZERO_POTENTIAL)],
+                                             rho0, [0.0, 0.5])):
+        with pytest.raises(ValidationError, match="initial state dim 4 does "
+                           "not match propagator dim 2"):
+            call()
+    assert calls == []
+
+
 # mixtures of propagations
 
 def test_single_atom_mixture_reduces_to_unitary_orbit():

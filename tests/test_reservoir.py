@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import mflab.reservoir as reservoir
 from mflab.effective import effective_potential
 from mflab.errors import ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
@@ -139,6 +140,24 @@ def test_site_signals_follow_the_interactions_in_order():
     ts = np.linspace(0.0, 3.0, 7)
     assert np.array_equal(x.evaluate(ts), site_expectation(PLUS, site, ts))
     assert np.allclose(z.evaluate(ts), 0.0, atol=1e-15)
+
+
+def test_site_expectation_builds_only_the_signal_it_evaluates(monkeypatch):
+    site = SiteModel(h=SZ, interactions=(SX, pauli("y"), SZ))
+    ts = np.linspace(0.0, 3.0, 7)
+    first = site_signals(PLUS, site)[0]
+    calls = []
+    real = reservoir.site_signal_terms
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(reservoir, "site_signal_terms", counting)
+    assert np.array_equal(site_expectation(PLUS, site, ts), first.evaluate(ts))
+    assert len(calls) == 1
+    assert site_expectation(PLUS, site, 0.7) == first.evaluate(0.7)
+    assert len(calls) == 2
 
 
 # dense oracles: the site-averaged moments on the materialized state

@@ -69,6 +69,22 @@ def test_from_stack_builds_no_density_matrix_until_states_is_read(monkeypatch):
         assert np.array_equal(s.data, res.stack[k])
 
 
+@pytest.mark.parametrize("make", ["from_stack", "direct"])
+def test_states_are_read_only_views_of_the_stack(make):
+    stack = good_stack()
+    times = np.linspace(0.0, 1.0, len(stack))
+    if make == "from_stack":
+        res = PropagationResult.from_stack(times, stack, (2,))
+    else:
+        res = PropagationResult(times, [DensityMatrix(s, (2,)) for s in stack])
+    for k, s in enumerate(res.states):
+        assert np.shares_memory(s.data, res.stack)
+        assert not s.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.data[0, 0] = 0.0
+        assert np.array_equal(s.data, res.stack[k])
+
+
 def test_direct_construction_keeps_its_states_unvalidated():
     bad = DensityMatrix(np.diag([1.2, -0.2]).astype(complex), (2,),
                         validate=False)
