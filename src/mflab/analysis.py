@@ -151,6 +151,7 @@ class SweepRow:
     gap: float
     ratio: float
     diagnostics: dict = field(default_factory=dict, compare=False)
+    gaps: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _check_m_list(m_list) -> list[int]:
@@ -205,24 +206,26 @@ def finite_and_limit(sys: SystemModel, site: SiteModel, reservoir_state,
         return limit, list(pool.map(propagate_exact, runs))
 
 
-def _sweep_rows(m_list, limit: PropagationResult,
-                finite: list[PropagationResult]) -> list[SweepRow]:
-    """Per reservoir size, the max-over-grid trace distance of its finite
-    trajectory to the limit one, the ratio to the previous row, and a copy
-    of the diagnostics its finite-size run reports."""
-    gaps = [trace_distance(r.stack, limit.stack).max() for r in finite]
+def sweep_rows(m_list, limit: PropagationResult,
+               finite: list[PropagationResult]) -> list[SweepRow]:
+    """Per reservoir size, the trace distance of its finite trajectory to the
+    limit one at each grid point (gaps) and its max over the grid (gap), the
+    ratio of that max to the previous row's, and a copy of the diagnostics
+    its finite-size run reports."""
+    dists = [trace_distance(r.stack, limit.stack) for r in finite]
+    gaps = [d.max() for d in dists]
     ratios = [math.nan] + [b / a for a, b in zip(gaps, gaps[1:])]
     return [SweepRow(m_count=int(m), gap=float(g), ratio=float(q),
-                     diagnostics=dict(r.diagnostics))
-            for m, g, q, r in zip(m_list, gaps, ratios, finite)]
+                     diagnostics=dict(r.diagnostics), gaps=d)
+            for m, g, q, r, d in zip(m_list, gaps, ratios, finite, dists)]
 
 
 def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
             rho0: DensityMatrix, grid, m_list, threads: int = 1,
             step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table over reservoir sizes against the limit trajectory
-    of the reservoir ensemble (see _sweep_rows for the columns)."""
-    return _sweep_rows(m_list, *finite_and_limit(
+    of the reservoir ensemble (see sweep_rows for the columns)."""
+    return sweep_rows(m_list, *finite_and_limit(
         sys, site, reservoir_state, rho0, grid, m_list, threads=threads,
         step_target=step_target))
 
@@ -238,8 +241,8 @@ def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction
                   step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table when the coupling averages a joint operator over
     every ordered subset of cluster.nu reservoir sites, against the limit
-    of nu-site blocks (see finite_and_limit and _sweep_rows)."""
-    return _sweep_rows(m_list, *finite_and_limit(
+    of nu-site blocks (see finite_and_limit and sweep_rows)."""
+    return sweep_rows(m_list, *finite_and_limit(
         sys, site, reservoir_state, rho0, grid, m_list, cluster,
         threads=threads, step_target=step_target))
 

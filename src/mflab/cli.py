@@ -64,32 +64,75 @@ def render_csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# One runner per experiment kind. Each returns (header, rows, notes).
+# Each runner returns (header, rows, notes). The trajectory kinds share
+# _run_trajectory; each adds only its own columns and notes, through its
+# table builder in _TRAJECTORY_TABLES.
 
-def _run_convergence(cfg: ExperimentConfig, threads: int, seed):
-    if cfg.audit is not None:
-        return _run_stepper_audit(cfg.audit, seed)
-    if cfg.cluster is not None:
-        rows_src = analysis.cluster_sweep(cfg.system, cfg.site, cfg.cluster,
-                                          cfg.reservoir, cfg.initial_state,
-                                          cfg.grid, cfg.m_list,
-                                          threads=threads,
-                                          step_target=cfg.step_target)
-    else:
-        rows_src = analysis.m_sweep(cfg.system, cfg.site, cfg.reservoir,
-                                    cfg.initial_state, cfg.grid, cfg.m_list,
-                                    threads=threads,
-                                    step_target=cfg.step_target)
-    header = ["m_count", "max_gap", "ratio_to_previous"]
-    rows = [[r.m_count, r.gap, r.ratio] for r in rows_src]
-    gaps = [r.gap for r in rows_src]
-    notes = {
-        "gaps_strictly_decreasing": bool(all(a > b for a, b in
-                                             zip(gaps, gaps[1:]))),
-        "final_gap": gaps[-1],
-        "finite_m": {str(r.m_count): r.diagnostics for r in rows_src},
-    }
+def _run_trajectory(cfg: ExperimentConfig, threads: int):
+    """One finite_and_limit call and its sweep rows; the kind's table builder
+    adds its columns and notes to the common ones: limit (the limit run's
+    diagnostics), finite_m (each run's, by M) and max_gap_by_m."""
+    limit, finite = analysis.finite_and_limit(
+        cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
+        cfg.m_list, cfg.cluster, threads=threads, step_target=cfg.step_target)
+    sweep = analysis.sweep_rows(cfg.m_list, limit, finite)
+    header, rows, notes = _TRAJECTORY_TABLES[cfg.kind](cfg, limit, finite,
+                                                      sweep)
+    notes.update(limit=limit.diagnostics,
+                 finite_m={str(r.m_count): r.diagnostics for r in sweep},
+                 max_gap_by_m={str(r.m_count): r.gap for r in sweep})
     return header, rows, notes
+
+
+def _convergence_table(cfg, limit, finite, sweep):
+    gaps = [r.gap for r in sweep]
+    notes = {"gaps_strictly_decreasing": bool(all(a > b for a, b in
+                                                  zip(gaps, gaps[1:]))),
+             "final_gap": gaps[-1]}
+    return (["m_count", "max_gap", "ratio_to_previous"],
+            [[r.m_count, r.gap, r.ratio] for r in sweep], notes)
+
+
+def _entanglement_table(cfg, limit, finite, sweep):
+    columns = [analysis.negativity_trajectory(r, (0,))
+               for r in [limit, *finite]]
+    header = ["t", "negativity_limit"] + [f"negativity_m{m}"
+                                          for m in cfg.m_list]
+    rows = [[t] + [col[k] for col in columns]
+            for k, t in enumerate(cfg.grid)]
+    devs = [float(np.max(np.abs(col - columns[0]))) for col in columns[1:]]
+    return header, rows, {"max_deviation_by_m": dict(zip(map(str, cfg.m_list),
+                                                         devs))}
+
+
+def _purities(stack: np.ndarray) -> np.ndarray:
+    """Tr rho^2 of each state of a (T, d, d) stack."""
+    return np.trace(stack @ stack, axis1=1, axis2=2).real
+
+
+def _definetti_table(cfg, mixture, finite, sweep):
+    """Gaps to the mixture (the sweep's) and to each atom's orbit, and the
+    finite-M purity, at every (M, t)."""
+    header = (["m_count", "t", "gap_mixture"]
+              + [f"gap_atom_{j}" for j in range(len(mixture.orbits))]
+              + ["purity"])
+    rows, closer = [], {}
+    for row, result in zip(sweep, finite):
+        gaps = np.array([analysis.trace_distance(result.stack, orbit)
+                         for orbit in mixture.orbits])
+        purity = _purities(result.stack)
+        rows += [[row.m_count, t, row.gaps[k]] + list(gaps[:, k])
+                 + [purity[k]] for k, t in enumerate(cfg.grid)]
+        wins = int(np.count_nonzero(np.all(row.gaps <= gaps, axis=0)))
+        closer[str(row.m_count)] = wins / len(cfg.grid)
+    notes = {"mixture_closest_fraction": closer,
+             "min_mixture_purity": float(_purities(mixture.stack).min())}
+    return header, rows, notes
+
+
+_TRAJECTORY_TABLES = {"convergence": _convergence_table,
+                     "entanglement": _entanglement_table,
+                     "definetti": _definetti_table}
 
 
 def _rand_hermitian(rng) -> np.ndarray:
@@ -143,23 +186,6 @@ def _run_stepper_audit(audit: dict, seed):
     ratios = [r[1] for r in rows]
     notes = {"ratio_min": min(ratios), "ratio_max": max(ratios),
              "worst_unitarity": max(r[2] for r in rows)}
-    return header, rows, notes
-
-
-def _run_entanglement(cfg: ExperimentConfig, threads: int):
-    split = (0,)
-    limit, finite = analysis.finite_and_limit(
-        cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
-        cfg.m_list, threads=threads, step_target=cfg.step_target)
-    columns = [analysis.negativity_trajectory(r, split)
-               for r in [limit, *finite]]
-    header = ["t", "negativity_limit"] + [f"negativity_m{m}"
-                                          for m in cfg.m_list]
-    rows = [[t] + [col[k] for col in columns]
-            for k, t in enumerate(cfg.grid)]
-    devs = [float(np.max(np.abs(col - columns[0]))) for col in columns[1:]]
-    notes = {"max_deviation_by_m": dict(zip(map(str, cfg.m_list), devs)),
-             "limit": limit.diagnostics}
     return header, rows, notes
 
 
@@ -262,36 +288,6 @@ def _run_spectrum(cfg: ExperimentConfig):
     return header, rows, {"levels_increasing": bool(np.all(spacings > 0))}
 
 
-def _purities(stack: np.ndarray) -> np.ndarray:
-    """Tr rho^2 of each state of a (T, d, d) stack."""
-    return np.trace(stack @ stack, axis1=1, axis2=2).real
-
-
-def _run_definetti(cfg: ExperimentConfig, threads: int):
-    mixture, results = analysis.finite_and_limit(
-        cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
-        cfg.m_list, threads=threads, step_target=cfg.step_target)
-    header = (["m_count", "t", "gap_mixture"]
-              + [f"gap_atom_{j}" for j in range(len(mixture.orbits))]
-              + ["purity"])
-    rows = []
-    closer = {}
-    for m, finite in zip(cfg.m_list, (r.stack for r in results)):
-        gap_mix = analysis.trace_distance(finite, mixture.stack)
-        gaps = np.array([analysis.trace_distance(finite, orbit)
-                         for orbit in mixture.orbits])
-        purity = _purities(finite)
-        rows += [[m, t, gap_mix[k]] + list(gaps[:, k]) + [purity[k]]
-                 for k, t in enumerate(cfg.grid)]
-        wins = int(np.count_nonzero(np.all(gap_mix <= gaps, axis=0)))
-        closer[str(m)] = wins / len(cfg.grid)
-    min_purity = float(_purities(mixture.stack).min())
-    notes = {"mixture_closest_fraction": closer,
-             "min_mixture_purity": min_purity,
-             "limit": mixture.diagnostics}
-    return header, rows, notes
-
-
 def _run_decay(cfg: ExperimentConfig):
     overlap = cfg.overlap
     times = overlap["times"]
@@ -312,18 +308,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, name: str,
     if seed is not None and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     started = time.perf_counter()
-    if cfg.kind == "convergence":
-        header, rows, notes = _run_convergence(cfg, threads, seed)
-    elif cfg.kind == "entanglement":
-        header, rows, notes = _run_entanglement(cfg, threads)
-    elif cfg.kind == "moments":
-        header, rows, notes = _run_moments(cfg)
-    elif cfg.kind == "spectrum":
-        header, rows, notes = _run_spectrum(cfg)
-    elif cfg.kind == "definetti":
-        header, rows, notes = _run_definetti(cfg, threads)
+    if cfg.audit is not None:
+        header, rows, notes = _run_stepper_audit(cfg.audit, seed)
+    elif cfg.kind in _TRAJECTORY_TABLES:
+        header, rows, notes = _run_trajectory(cfg, threads)
     else:
-        header, rows, notes = _run_decay(cfg)
+        run = {"moments": _run_moments, "spectrum": _run_spectrum,
+               "decay": _run_decay}[cfg.kind]
+        header, rows, notes = run(cfg)
     out_dir = Path(out_dir)
     table_path = out_dir / cfg.table
     atomic_write_text(str(table_path), render_csv(header, rows))

@@ -39,8 +39,8 @@ from .model import (ClusterInteraction, Coupling, SiteModel, SystemModel,
                     oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus, decompose,
-                        supermultiplicative_order_limit)
+                        ProductState, bell_channel_kraus, check_interacting,
+                        decompose, supermultiplicative_order_limit)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
          "decay")
@@ -567,9 +567,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
             initial, _ = top.state("initial_state", system.subsystem_dims,
                                    levels)
         top.done()
-        if not site.interactions:
-            raise ConfigError(f"{where}.model.site: moment checks need an "
-                              f"interaction operator")
+        _build(f"{where}.model.site", check_interacting, site)
         if any(c["check"] == "series_ratio" for c in checks):
             if system is None or not system.couplings:
                 raise ConfigError(f"{where}: series_ratio checks need a "

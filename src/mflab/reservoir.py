@@ -354,14 +354,19 @@ class QuasiPeriodicSignal:
         return cls(np.array([0.0]), np.array([complex(value)]))
 
 
+def check_interacting(site: SiteModel) -> None:
+    """Refuse a site without an interaction operator (no signal, no moment)."""
+    if not site.interactions:
+        raise ValidationError("site has no interaction operator")
+
+
 def _site_signals(rho: DensityMatrix, site: SiteModel):
     """Yield the signal of each site interaction in order, built as it is
     asked for; the rules are checked before the first one."""
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
-    if not site.interactions:
-        raise ValidationError("site has no interaction operator")
+    check_interacting(site)
     for v in site.interactions:
         yield QuasiPeriodicSignal(*site_signal_terms(rho.data, site.h.data,
                                                      v.data))
@@ -476,8 +481,7 @@ def multitime_moment(state, m_count: int, site: SiteModel,
         raise ValidationError("need at least one time")
     if not all(math.isfinite(t) for t in times):
         raise ValidationError(f"moment times must be finite, got {times}")
-    if not site.interactions:
-        raise ValidationError("site has no interaction operator")
+    check_interacting(site)
     return sum(w * _component_moment(parts, block, site, times)
                for w, parts, block in decompose(state, m_count, site.dim))
 

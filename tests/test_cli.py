@@ -390,9 +390,11 @@ class TestRunVerb:
             self, tmp_path, monkeypatch, name, atoms):
         # every binding of the propagators is counted, so a second
         # implementation anywhere shows up as extra calls; the limit steps
-        # each atom of a mixture once, a single atom (atoms 0) once
+        # each atom of a mixture once, a single atom (atoms 0) once. Each M
+        # takes one trace distance to the limit, the sweep's, which a de
+        # Finetti run's mixture gap reads, plus one to each atom's orbit
         calls = {"propagate_exact": 0, "effective_trajectory": 0,
-                 "propagate_effective": 0}
+                 "propagate_effective": 0, "trace_distance": 0}
 
         def count(module, fname):
             real = getattr(module, fname)
@@ -408,11 +410,13 @@ class TestRunVerb:
             count(module, "effective_trajectory")
         for module in (cli, effective):
             count(module, "propagate_effective")
+        count(analysis, "trace_distance")
         assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
         m_list = load_config(cli.resolve_config(name)).m_list
         assert calls == {"propagate_exact": len(m_list),
                          "effective_trajectory": 1,
-                         "propagate_effective": max(atoms, 1)}
+                         "propagate_effective": max(atoms, 1),
+                         "trace_distance": len(m_list) * (1 + atoms)}
 
     @pytest.mark.parametrize("name", ["bell_pair_protection",
                                       "definetti_two_atom"])
@@ -708,6 +712,47 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     assert written["notes"]["limit"] == limit
 
 
+@pytest.mark.parametrize("name", ["qubit_convergence", "cluster_pair",
+                                  "macroscopic_two_part",
+                                  "oscillator_scattering",
+                                  "bell_pair_protection",
+                                  "definetti_two_atom"])
+def test_trajectory_kinds_write_common_notes(tmp_path, monkeypatch, name):
+    # every trajectory kind reports the limit run's diagnostics, each finite
+    # run's by M, and each M's largest trace distance to the limit
+    seen = {}
+
+    def capture(fname):
+        real = getattr(analysis, fname)
+
+        def capturing(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.setdefault(fname, []).append(out)
+            return out
+        monkeypatch.setattr(analysis, fname, capturing)
+
+    capture("effective_trajectory")
+    capture("propagate_exact")
+    assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
+    notes = json.loads(
+        (tmp_path / name / "summary.json").read_text())["notes"]
+    (limit,) = seen["effective_trajectory"]
+    finite = seen["propagate_exact"]
+    m_list = load_config(cli.resolve_config(name)).m_list
+    # the limit result's diagnostics are those effective._limit_result
+    # assembles, the finite runs' those propagate_exact reports
+    assert notes["limit"] == json.loads(json.dumps(limit.diagnostics))
+    assert sorted(notes["finite_m"], key=int) == [str(m) for m in m_list]
+    assert sorted(notes["max_gap_by_m"], key=int) == [str(m) for m in m_list]
+    for m, run in zip(m_list, finite):
+        assert notes["finite_m"][str(m)] == json.loads(
+            json.dumps(run.diagnostics))
+        gap = max(analysis.trace_distance(a, b)
+                  for a, b in zip(run.states, limit.states))
+        assert notes["max_gap_by_m"][str(m)] == pytest.approx(gap, rel=1e-12,
+                                                              abs=1e-15)
+
+
 def _load_perfbench(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
@@ -891,10 +936,13 @@ def test_validate_refuses_check_lists_of_the_wrong_length(tmp_path, capsys,
     (None, [("coupling: pauli_x}", "coupling: pauli_x, interaction_index: 1}")],
      "model.system", "coupling 0 references site interaction 1, site has 1"),
     (None, [("interaction: pauli_x}", "}")],
-     "model.system", "coupling 0 references site interaction 0, site has 0")],
+     "model.system", "coupling 0 references site interaction 0, site has 0"),
+    ("moments_product_qubit", [("    interaction: pauli_x\n", "")],
+     "model.site", "site has no interaction operator")],
     ids=["named-ket-on-qutrit", "ket-length", "matrix-dim",
          "bell-channel-on-qutrit", "cluster-operator-dim",
-         "m-below-cluster-size", "interaction-index", "site-without-interaction"])
+         "m-below-cluster-size", "interaction-index", "site-without-interaction",
+         "moments-site-without-interaction"])
 def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
                                                        edits, key, words):
     # the state, ensemble and run constructors own these rules; validate
@@ -938,7 +986,8 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
     ("field_scattering_decay", "r_max: 6.0", "r_max: 4.0", "overlap"),
     ("field_scattering_decay", "100.0]", "1.0e+300]", "overlap.times"),
     ("moments_product_qubit", "max_order: 10", "max_order: 76",
-     "checks[1].max_order")],
+     "checks[1].max_order"),
+    ("moments_product_qubit", "    interaction: pauli_x\n", "", "model.site")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
          "cluster-without-coupling", "stark-levels-above-grid-points",
          "stark-slope", "stark-grid", "well-spacing-overflows",
@@ -946,7 +995,8 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
          "well-width", "gaussian-norm-overflows", "gaussian-scale",
          "gaussian-r-max", "bump-halfwidth", "bump-past-r-max",
          "decay-time-past-float-range",
-         "supermultiplicative-past-float-range"])
+         "supermultiplicative-past-float-range",
+         "moments-site-without-interaction"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
     text = cli.resolve_config(name).read_text()
