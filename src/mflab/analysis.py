@@ -4,7 +4,8 @@ Entanglement is measured by negativity (general bipartitions) with the
 two-qubit concurrence closed form as a cross-check. finite_and_limit
 produces the limit trajectory and the finite-size ones over a list of
 reservoir sizes, mapped over worker threads; every propagation experiment
-and convergence sweep starts from it. The spectral half runs second-order
+and convergence sweep starts from it, each coupling's interaction on one
+site or on nu. The spectral half runs second-order
 finite differences on one ladder of nested grids, each halving the
 spacing: a bound-state counter checked under one refinement, and a
 Richardson-extrapolated half-line solver for a linear potential. The radial
@@ -27,11 +28,9 @@ from .errors import QuadratureError, ToleranceError, ValidationError
 from .exact import FiniteMRun, propagate_exact
 from .effective import DEFAULT_STEP_TARGET, effective_trajectory
 from .matio import atomic_write_text
-from .model import (ClusterInteraction, SiteModel, SystemModel,
-                    check_cluster_system)
-from .operators import (HERMITIAN_RTOL, DensityMatrix, Operator, embed_at_site,
+from .model import SiteModel, SystemModel
+from .operators import (HERMITIAN_RTOL, DensityMatrix, Operator,
                         hermitian_defect, hermitian_spectrum)
-from .reservoir import DeFinettiMixture, kron_power, limit_atoms
 from .results import PropagationResult
 
 
@@ -169,35 +168,23 @@ def _check_m_list(m_list) -> list[int]:
 
 
 def finite_and_limit(sys: SystemModel, site: SiteModel, reservoir_state,
-                     rho0: DensityMatrix, grid, m_list,
-                     cluster: ClusterInteraction | None = None,
-                     threads: int = 1,
+                     rho0: DensityMatrix, grid, m_list, threads: int = 1,
                      step_target: float = DEFAULT_STEP_TARGET
                      ) -> tuple[PropagationResult, list[PropagationResult]]:
     """(limit trajectory, [finite-size trajectory per M]) on one grid, the
     finite-size runs mapped over that many worker threads.
 
-    A cluster coupling averages a joint operator over every ordered subset
-    of cluster.nu sites. In the limit such a nu-tuple meets the nu-fold
-    product of a limit atom, so the limit is that of nu-site blocks in the
-    mixture of the atoms' nu-fold products.
+    A coupling whose interaction acts on nu sites averages it over ordered
+    nu-tuples of distinct sites; in the limit such a tuple meets the nu-fold
+    product of a limit atom, which reservoir.site_signals builds its signal
+    from, whatever the other couplings' nu.
     """
     m_list = _check_m_list(m_list)
     if threads < 1:
         raise ValidationError("threads must be >= 1")
     grid = np.asarray(grid, dtype=float)
-    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid, cluster)
+    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
             for m in m_list]
-    if cluster is not None:
-        check_cluster_system(sys)
-        nu = cluster.nu
-        h_block = sum(embed_at_site(site.h, j, nu).data
-                      for j in range(1, nu + 1))
-        site = SiteModel(Operator(h_block, cluster.v_cluster.dims),
-                         (cluster.v_cluster,))
-        reservoir_state = DeFinettiMixture(tuple(
-            (w, DensityMatrix(kron_power(s.data, nu), (s.dim,) * nu))
-            for w, s in limit_atoms(reservoir_state)))
     limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
                                  step_target=step_target)
     if threads == 1:
@@ -235,16 +222,14 @@ def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:
     return _negativities(result.stack, result.dims, transpose)
 
 
-def cluster_sweep(sys: SystemModel, site: SiteModel, cluster: ClusterInteraction,
+def cluster_sweep(sys: SystemModel, site: SiteModel, v: Operator,
                   reservoir_state, rho0: DensityMatrix, grid, m_list,
                   threads: int = 1,
                   step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
-    """Convergence table when the coupling averages a joint operator over
-    every ordered subset of cluster.nu reservoir sites, against the limit
-    of nu-site blocks (see finite_and_limit and sweep_rows)."""
-    return sweep_rows(m_list, *finite_and_limit(
-        sys, site, reservoir_state, rho0, grid, m_list, cluster,
-        threads=threads, step_target=step_target))
+    """m_sweep on the site whose one interaction is v, an operator on nu
+    sites that every coupling averages over ordered nu-tuples of them."""
+    return m_sweep(sys, SiteModel(site.h, (v,)), reservoir_state, rho0, grid,
+                   m_list, threads=threads, step_target=step_target)
 
 
 # Finite-difference spectral studies on an interval.

@@ -74,7 +74,7 @@ def _run_trajectory(cfg: ExperimentConfig, threads: int):
     diagnostics), finite_m (each run's, by M) and max_gap_by_m."""
     limit, finite = analysis.finite_and_limit(
         cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
-        cfg.m_list, cfg.cluster, threads=threads, step_target=cfg.step_target)
+        cfg.m_list, threads=threads, step_target=cfg.step_target)
     sweep = analysis.sweep_rows(cfg.m_list, limit, finite)
     header, rows, notes = _TRAJECTORY_TABLES[cfg.kind](cfg, limit, finite,
                                                       sweep)

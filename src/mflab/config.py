@@ -33,13 +33,12 @@ import yaml
 
 from .effective import DEFAULT_STEP_TARGET
 from .errors import ConfigError
-from .exact import FiniteMRun
-from .model import (ClusterInteraction, Coupling, SiteModel, SystemModel,
-                    check_cluster_system, check_couplings, coherent_ket,
-                    oscillator_site)
+from .exact import SERIES_MAX_ORDER, FiniteMRun
+from .model import (Coupling, SiteModel, SystemModel, check_couplings,
+                    coherent_ket, oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus, check_interacting,
+                        ProductState, bell_channel_kraus, check_moment_site,
                         decompose, supermultiplicative_order_limit)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
@@ -408,9 +407,10 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
                                   f"got {spec['max_order']}")
         else:
             spec["order"] = blk.integer("order", minimum=1)
-            if spec["order"] > 4:
+            if spec["order"] > SERIES_MAX_ORDER:
                 raise ConfigError(f"{blk.where}.order: series comparison is "
-                                  f"implemented through order 4")
+                                  f"implemented through order "
+                                  f"{SERIES_MAX_ORDER}")
             spec["t"] = blk.positive("t")
             spec["m_count"] = blk.integer("m_count", minimum=1)
             if blk.get("ratio_window", None) is not None:
@@ -497,7 +497,6 @@ class ExperimentConfig:
     grid: np.ndarray | None = None
     m_list: tuple[int, ...] = ()
     step_target: float = DEFAULT_STEP_TARGET
-    cluster: ClusterInteraction | None = None
     audit: dict | None = None
     checks: tuple[dict, ...] = ()
     problem: dict | None = None
@@ -539,20 +538,22 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     system = None
     if kind != "moments" or model.has("system"):
         system = _build_system(model.sub("system"))
-    cluster = None
+    site_at = f"{where}.model.site"
     if model.has("cluster"):
+        # the cluster operator is the site's one interaction, on size sites
         cb = model.sub("cluster")
+        site_at = cb.where
         size = cb.integer("size", minimum=1)
         op = parse_matrix(cb.get("operator"), f"{cb.where}.operator")
         cb.done()
-        cluster = _build(cb.where, lambda: ClusterInteraction(
-            nu=size, v_cluster=Operator(op, (site.dim,) * size,
-                                        hermitian=True)))
+        if site.interactions:
+            raise ConfigError(f"{cb.where}: the cluster operator is the "
+                              f"site's one interaction, and model.site "
+                              f"declares its own")
+        v = _build(cb.where, Operator, op, (site.dim,) * size, hermitian=True)
+        site = _build(cb.where, SiteModel, site.h, (v,))
     model.done()
-    if cluster is not None and kind != "convergence":
-        raise ConfigError(f"{where}.model.cluster: cluster interactions are "
-                          f"supported by convergence runs only")
-    if system is not None and cluster is None:
+    if system is not None:
         _build(f"{where}.model.system", check_couplings, system, site)
 
     reservoir, alpha = _build_reservoir(top.sub("reservoir"), site.dim, levels)
@@ -567,7 +568,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
             initial, _ = top.state("initial_state", system.subsystem_dims,
                                    levels)
         top.done()
-        _build(f"{where}.model.site", check_interacting, site)
+        _build(site_at, check_moment_site, site)
         if any(c["check"] == "series_ratio" for c in checks):
             if system is None or not system.couplings:
                 raise ConfigError(f"{where}: series_ratio checks need a "
@@ -597,9 +598,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
                                 reservoir=reservoir, initial_state=initial,
                                 checks=checks)
 
-    if cluster is not None:
-        _build(f"{where}.model.system", check_cluster_system, system)
-    elif not system.couplings:
+    if not system.couplings:
         raise ConfigError(f"{where}.model.system: propagation kinds need a "
                           f"coupling")
     initial, _ = top.state("initial_state", system.subsystem_dims, levels)
@@ -614,11 +613,10 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
                           f"kind: definetti")
     for m in m_list:
         _build(f"{where}.run.m_list", FiniteMRun, system, site, m, reservoir,
-               initial, grid, cluster)
+               initial, grid)
     return ExperimentConfig(**head, system=system, site=site,
                             reservoir=reservoir, initial_state=initial,
-                            grid=grid, m_list=m_list, step_target=step_target,
-                            cluster=cluster)
+                            grid=grid, m_list=m_list, step_target=step_target)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -21,12 +21,12 @@ copies (Bacon, Chuang and Harrow, PRL 97, 170502 (2006)). A part in any
 other state (rank 1, or site dimension d != 2) gives one branch per
 composition of n over the columns of R. The parts and the block's R, one
 site per part, combine as Khatri-Rao products, so an explicit reservoir
-density matrix is the sector of sizes (1,...,1), the full space. A cluster
-coupling averages a nu-site operator V over the perm(M, nu) ordered
-nu-tuples of distinct sites; that sum N(V) is permutation-invariant for
-every V and follows from the collective sums C by normal ordering,
-N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1, .., x_j x_nu,
-.., x_{nu-1}), so a plain coupling is the case nu = 1. Branches with the
+density matrix is the sector of sizes (1,...,1), the full space. A coupling
+averages its site interaction, an operator V on nu sites, over the perm(M,
+nu) ordered nu-tuples of distinct sites; that sum N(V) is
+permutation-invariant for every V and follows from the collective sums C by
+normal ordering, N(x_1..x_nu) = N(x_1..x_{nu-1}) C(x_nu) - sum_{j<nu} N(x_1,
+.., x_j x_nu, .., x_{nu-1}), so N(V) = C(V) for nu = 1. Branches with the
 same key share one dense eigendecomposition, and the reduced state is the
 sum of their partial traces. A sector's trace comes either from its
 columns' amplitudes at each time, at a cost proportional to the column
@@ -56,10 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, ToleranceError, ValidationError
-from .model import (ClusterInteraction, SiteModel, SystemModel,
-                    assemble_cluster_interaction, assemble_total,
-                    check_couplings)
-from .operators import DENSE_CUTOFF, DensityMatrix, Operator, add_embedded
+from .model import SiteModel, SystemModel, assemble_total, check_couplings
+from .operators import DENSE_CUTOFF, DensityMatrix, add_embedded
 from .reservoir import decompose, materialize
 # not called here: perfbench's self-test pins this binding for its tracer
 from .effective import effective_trajectory
@@ -67,6 +65,8 @@ from .results import PropagationResult, time_grid
 
 EIGVAL_CUT = 1e-12
 JOINT_TRAJECTORY_LIMIT = 512
+# Highest order of the truncated series dyson_truncated computes.
+SERIES_MAX_ORDER = 4
 # Complex entries per block of (sector dim x times x branches) amplitudes.
 AMPLITUDE_CHUNK = 1 << 20
 
@@ -75,10 +75,9 @@ AMPLITUDE_CHUNK = 1 << 20
 class FiniteMRun:
     """One finite-size propagation problem.
 
-    With a cluster set, every coupling multiplies the average of the
-    cluster operator over ordered nu-tuples of distinct sites instead of
-    the site average of its site interaction. components holds
-    reservoir.decompose of the reservoir state, checked at construction.
+    Every coupling's site interaction is checked to exist and to act on no
+    more than m_count sites. components holds reservoir.decompose of the
+    reservoir state, checked at construction.
     """
 
     sys: SystemModel
@@ -87,7 +86,6 @@ class FiniteMRun:
     reservoir_state: object
     rho_s0: DensityMatrix
     grid: np.ndarray
-    cluster: ClusterInteraction | None = None
     components: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,17 +94,12 @@ class FiniteMRun:
             raise ValidationError(
                 f"system state dim {self.rho_s0.dim} does not match model "
                 f"dim {self.sys.dim}")
-        if self.cluster is None:
-            check_couplings(self.sys, self.site)
-        else:
-            nu, d = self.cluster.nu, self.site.dim
-            if nu > self.m_count:
+        check_couplings(self.sys, self.site)
+        for k, v in enumerate(self.site.interactions):
+            if len(v.dims) > self.m_count:
                 raise ValidationError(
-                    f"cluster size {nu} exceeds site count {self.m_count}")
-            if self.cluster.v_cluster.dims != (d,) * nu:
-                raise ValidationError(
-                    f"cluster operator dims {self.cluster.v_cluster.dims} do "
-                    f"not match {nu} site factors of dim {d}")
+                    f"interaction {k} acts on {len(v.dims)} sites, more than "
+                    f"the site count {self.m_count}")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "components", decompose(
@@ -201,8 +194,9 @@ def _one_body(n: int, d: int):
 
 def _sector_hamiltonian(run: FiniteMRun, one_body):
     """sector key -> (free, coupling): the parts h_sys (x) 1 + 1 (x) C(h)
-    and sum_c G_c (x) N_c / perm(M, nu) of the joint Hamiltonian on
-    system x sector, each a square array.
+    and sum_c G_c (x) N(V_c) / perm(M, nu_c) of the joint Hamiltonian on
+    system x sector, each a square array, for coupling c's interaction V_c
+    on nu_c sites.
 
     On a sector of part sizes (n_1..n_k) and shift s the collective sum of a
     site operator x is C(x) = sum_p B_{n_p}(x) + s tr(x), each B written
@@ -212,11 +206,7 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
     """
     d, d_sys = run.site.dim, run.sys.dim
     h_sys = run.sys.h_full()
-    nu = 1 if run.cluster is None else run.cluster.nu
-    scale = math.perm(run.m_count, nu)
-    terms = [(run.sys.coupling_full(c),
-              (run.site.interactions[c.v_index] if run.cluster is None
-               else run.cluster.v_cluster).data)
+    terms = [(run.sys.coupling_full(c), run.site.interactions[c.v_index])
              for c in run.sys.couplings]
 
     def build(key):
@@ -263,8 +253,10 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
         add_embedded(free, collective(run.site.h.data), d_sys, 1)
         coupling = np.zeros((d_sys, dim, d_sys, dim), dtype=complex)
         for g, v in terms:
+            nu = len(v.dims)
             coupling += (g[:, None, :, None]
-                         * ordered_sum(v, nu)[None, :, None]) / scale
+                         * ordered_sum(v.data, nu)[None, :, None]
+                         ) / math.perm(run.m_count, nu)
         return free, coupling.reshape(size, size)
     return build
 
@@ -474,16 +466,7 @@ def joint_trajectory(run: FiniteMRun) -> PropagationResult:
         raise ResourceLimitError(
             f"joint trajectory capped at dimension {JOINT_TRAJECTORY_LIMIT}, "
             f"got {d_total}")
-    sys = run.sys
-    if run.cluster is None:
-        h = assemble_total(sys, run.site, run.m_count).data
-    else:
-        h = assemble_total(SystemModel(local_h=sys.local_h), run.site,
-                           run.m_count).data
-        for c in sys.couplings:
-            g = Operator(sys.coupling_full(c), sys.subsystem_dims)
-            h = h + assemble_cluster_interaction(g, run.cluster,
-                                                 run.m_count).data
+    h = assemble_total(run.sys, run.site, run.m_count).data
     evals, emat = np.linalg.eigh(h)
     rho_r = materialize(run.reservoir_state, run.m_count)
     rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
@@ -523,8 +506,9 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
     cutoff is refused.
     """
     from scipy.linalg import expm  # lazy: scipy is slow to import
-    if not 0 <= order <= 4:
-        raise ValidationError("series order must be between 0 and 4")
+    if not 0 <= order <= SERIES_MAX_ORDER:
+        raise ValidationError(
+            f"series order must be between 0 and {SERIES_MAX_ORDER}")
     if run.grid[0] < 0:
         raise ValidationError("time must be nonnegative")
     columns, _, hamiltonian = _sectors(run)

@@ -1,9 +1,13 @@
 """System and reservoir-site models and full-space Hamiltonian assembly.
 
-assemble_total builds the joint Hamiltonian on (system) x (site)^M, system
-factor first, as one dense matrix refused above the dense cutoff. No run
-uses it: with assemble_cluster_interaction it is the full-space reference
-that tests check the symmetric-sector engine in exact against.
+A site interaction may act on nu sites, with factor dims (d,) * nu; nu is
+read from the operator, and a plain interaction is the case nu = 1. A
+coupling multiplies the average of its interaction over the ordered
+nu-tuples of distinct sites. assemble_total builds the joint Hamiltonian on
+(system) x (site)^M, system factor first, as one dense matrix refused above
+the dense cutoff, each coupling's average through
+assemble_cluster_interaction. No run uses it: it is the full-space
+reference that tests check the symmetric-sector engine in exact against.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ def _require_hermitian(arr: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class SiteModel:
-    """One reservoir unit: free Hamiltonian plus its interaction operators."""
+    """One reservoir unit: free Hamiltonian plus its interaction operators,
+    each on one or more sites of the site's dimension."""
 
     h: Operator
     interactions: tuple[Operator, ...]
@@ -47,9 +52,9 @@ class SiteModel:
         _require_hermitian(self.h.data, "site Hamiltonian")
         for k, v in enumerate(interactions):
             _require_hermitian(v.data, f"site interaction {k}")
-            if v.dim != self.h.dim:
-                raise ValidationError(
-                    f"interaction {k} has dim {v.dim}, site has {self.h.dim}")
+            if set(v.dims) != {self.h.dim}:
+                raise ValidationError(f"interaction {k} has dims {v.dims}, "
+                                      f"site has dim {self.h.dim}")
         object.__setattr__(self, "interactions", interactions)
 
     @property
@@ -142,22 +147,6 @@ class SystemModel:
                            c.g.data, c.subsystem)
 
 
-@dataclass(frozen=True)
-class ClusterInteraction:
-    """A reservoir operator acting jointly on nu sites."""
-
-    nu: int
-    v_cluster: Operator
-
-    def __post_init__(self):
-        if self.nu < 1:
-            raise ValidationError("cluster size must be >= 1")
-        if len(self.v_cluster.dims) != self.nu:
-            raise ValidationError(
-                f"cluster operator has {len(self.v_cluster.dims)} factors, expected {self.nu}")
-        _require_hermitian(self.v_cluster.data, "cluster interaction")
-
-
 def check_couplings(sys: SystemModel, site: SiteModel) -> None:
     """Refuse a coupling whose v_index names no interaction of the site."""
     for k, c in enumerate(sys.couplings):
@@ -167,16 +156,10 @@ def check_couplings(sys: SystemModel, site: SiteModel) -> None:
                 f"site has {len(site.interactions)}")
 
 
-def check_cluster_system(sys: SystemModel) -> None:
-    """Refuse a system the cluster limit does not cover: its block site
-    carries the one cluster operator, so one subsystem with one coupling."""
-    if sys.n_subsystems != 1 or len(sys.couplings) != 1:
-        raise ValidationError(
-            "cluster sweep needs a single subsystem with one coupling")
-
-
 def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
-    """Joint Hamiltonian: system + free sites + mean-field couplings."""
+    """Joint Hamiltonian: system + free sites + mean-field couplings, each
+    the coupling operator times its interaction averaged over ordered
+    tuples of sites."""
     if m_count < 1:
         raise ValidationError("need at least one reservoir site")
     check_couplings(sys, site)
@@ -191,10 +174,9 @@ def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
         h_res += embed_at_site(site.h, m, m_count).data
     out = np.kron(sys.h_full(), np.eye(d_r)) + np.kron(np.eye(sys.dim), h_res)
     for c in sys.couplings:
-        v = site.interactions[c.v_index]
-        v_bar = sum(embed_at_site(v, m, m_count).data
-                    for m in range(1, m_count + 1)) / m_count
-        out += np.kron(sys.coupling_full(c), v_bar)
+        g = Operator(sys.coupling_full(c), sys.subsystem_dims)
+        out += assemble_cluster_interaction(
+            g, site.interactions[c.v_index], m_count).data
     dims = sys.subsystem_dims + (site.dim,) * m_count
     return Operator(out, dims, hermitian=True)
 
@@ -222,14 +204,16 @@ def embed_cluster(x: Operator, sites: Sequence[int], m_count: int) -> np.ndarray
     return out
 
 
-def assemble_cluster_interaction(g: Operator, cluster: ClusterInteraction,
+def assemble_cluster_interaction(g: Operator, v: Operator,
                                  m_count: int) -> Operator:
-    """G tensor the average of the cluster operator over all ordered site
-    subsets; the dense full-space reference for the sector engine."""
-    nu = cluster.nu
+    """G tensor the average of the nu-site operator v over all ordered
+    nu-tuples of distinct sites; the dense full-space reference for the
+    sector engine."""
+    nu = len(v.dims)
     if nu > m_count:
-        raise ValidationError(f"cluster size {nu} exceeds site count {m_count}")
-    d = cluster.v_cluster.dims[0]
+        raise ValidationError(
+            f"interaction on {nu} sites exceeds site count {m_count}")
+    d = v.dims[0]
     d_total = g.dim * d ** m_count
     if d_total > DENSE_CUTOFF:
         raise ResourceLimitError(
@@ -237,7 +221,7 @@ def assemble_cluster_interaction(g: Operator, cluster: ClusterInteraction,
     d_r = d ** m_count
     acc = np.zeros((d_r, d_r), dtype=complex)
     for subset in itertools.permutations(range(1, m_count + 1), nu):
-        acc += embed_cluster(cluster.v_cluster, subset, m_count)
+        acc += embed_cluster(v, subset, m_count)
     acc /= math.perm(m_count, nu)
     data = np.kron(g.data, acc)
     return Operator(data, g.dims + (d,) * m_count, hermitian=True)

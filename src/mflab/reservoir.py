@@ -8,10 +8,12 @@ decompose gives that mixture on M sites, limit_atoms the (weight, site state)
 pairs left as M -> infinity. Moments of the site-averaged interaction and
 the factorization bound are exact sums over index partitions of local
 contractions on that mixture, at any M. materialize builds every state
-densely and independently of decompose, as a reference. The single-site
-expectation Tr(rho e^{ith} V e^{-ith}), the scalar signal of the limit
-dynamics and of the factorized product, is a QuasiPeriodicSignal of exact
-mirror pairs, real by construction and checked exactly per |f| slot.
+densely and independently of decompose, as a reference. The expectation
+Tr(rho^{(x)nu} e^{ith} V e^{-ith}) of an interaction V on nu sites, h the
+site Hamiltonian summed over them, is the scalar signal of the limit
+dynamics, and for nu = 1 of the factorized product: a QuasiPeriodicSignal
+of exact mirror pairs, real by construction and checked exactly per |f|
+slot. The moments take a first interaction on one site.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .model import SiteModel
-from .operators import DENSE_CUTOFF, DensityMatrix
+from .operators import DENSE_CUTOFF, DensityMatrix, embed_at_site
 
 WEIGHT_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
@@ -360,21 +362,37 @@ def check_interacting(site: SiteModel) -> None:
         raise ValidationError("site has no interaction operator")
 
 
+def check_moment_site(site: SiteModel) -> None:
+    """Refuse a site the moment functions cannot take: one without an
+    interaction, or whose first interaction acts on more than one site."""
+    check_interacting(site)
+    nu = len(site.interactions[0].dims)
+    if nu != 1:
+        raise ValidationError(
+            f"moments need a one-site first interaction, it acts on {nu} sites")
+
+
 def _site_signals(rho: DensityMatrix, site: SiteModel):
     """Yield the signal of each site interaction in order, built as it is
-    asked for; the rules are checked before the first one."""
+    asked for; the rules are checked before the first one. An interaction on
+    nu > 1 sites sees rho^{(x)nu} under the site Hamiltonian summed over
+    them."""
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
     check_interacting(site)
     for v in site.interactions:
-        yield QuasiPeriodicSignal(*site_signal_terms(rho.data, site.h.data,
-                                                     v.data))
+        nu = len(v.dims)
+        state, h = (rho.data, site.h.data) if nu == 1 else (
+            kron_power(rho.data, nu),
+            sum(embed_at_site(site.h, j, nu).data for j in range(1, nu + 1)))
+        yield QuasiPeriodicSignal(*site_signal_terms(state, h, v.data))
 
 
 def site_signals(rho: DensityMatrix, site: SiteModel) -> tuple:
-    """One QuasiPeriodicSignal t -> Tr(rho e^{ith} v e^{-ith}) per site
-    interaction v, in order, for a state of the site's dimension."""
+    """One QuasiPeriodicSignal t -> Tr(rho^{(x)nu} e^{ith} v e^{-ith}) per
+    site interaction v on nu sites, in order, h the site Hamiltonian summed
+    over them, for a state of the site's dimension."""
     return tuple(_site_signals(rho, site))
 
 
@@ -474,14 +492,14 @@ def multitime_moment(state, m_count: int, site: SiteModel,
     the given times, in the given order, summed over the components of
     decompose. A block is contracted locally at its one placement, which
     gives the same site-averaged moment as every other, so no d^M object
-    is built. Non-finite times and a site without interaction are
+    is built. Non-finite times and a site check_moment_site refuses are
     refused."""
     times = [float(t) for t in times]
     if not times:
         raise ValidationError("need at least one time")
     if not all(math.isfinite(t) for t in times):
         raise ValidationError(f"moment times must be finite, got {times}")
-    check_interacting(site)
+    check_moment_site(site)
     return sum(w * _component_moment(parts, block, site, times)
                for w, parts, block in decompose(state, m_count, site.dim))
 

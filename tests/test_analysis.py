@@ -8,7 +8,7 @@ from mflab import analysis
 from mflab.errors import QuadratureError, ToleranceError, ValidationError
 from mflab.operators import (DensityMatrix, Operator, bell_ket, ket, pauli,
                              trace_norm)
-from mflab.model import ClusterInteraction, Coupling, SiteModel, SystemModel
+from mflab.model import Coupling, SiteModel, SystemModel
 from mflab.reservoir import (ChannelCorrelated, DeFinettiMixture,
                              MacroscopicParts, ProductState, bell_channel_kraus,
                              factorization_error)
@@ -338,9 +338,8 @@ ENSEMBLES = {
     "macroscopic": MacroscopicParts(((0.5, ZERO), (0.5, PLUS))),
     "channel": ChannelCorrelated(ZERO, 2, bell_channel_kraus()),
 }
-# the cluster operator of the bundled cluster_pair experiment: X (x) X
-PAIR = ClusterInteraction(nu=2, v_cluster=Operator(
-    np.kron(SX.data, SX.data), (2, 2), hermitian=True))
+# the pair interaction of the bundled cluster_pair experiment: X (x) X
+PAIR = Operator(np.kron(SX.data, SX.data), (2, 2), hermitian=True)
 
 
 class TestFiniteAndLimit:
@@ -374,21 +373,21 @@ class TestFiniteAndLimit:
         # nu = 2 sites of a product ensemble meet the pair state s (x) s
         # under the pair Hamiltonian h (x) 1 + 1 (x) h, coupled by X (x) X
         sys, site, res, rho0 = sweep_fixture()
-        site = SiteModel(h=SZ, interactions=())
+        site = SiteModel(h=SZ, interactions=(PAIR,))
         limit, finite = finite_and_limit(sys, site, res, rho0, self.GRID,
-                                         self.M_LIST, PAIR)
+                                         self.M_LIST)
         pair_site = SiteModel(
             h=Operator(np.kron(SZ.data, np.eye(2)) + np.kron(np.eye(2), SZ.data),
-                       (2, 2), hermitian=True),
-            interactions=(PAIR.v_cluster,))
-        pair_state = DensityMatrix(np.kron(PLUS.data, PLUS.data), (2, 2))
+                       (4,), hermitian=True),
+            interactions=(Operator(PAIR.data, (4,)),))
+        pair_state = DensityMatrix(np.kron(PLUS.data, PLUS.data), (4,))
         self.assert_same_stacks([limit], [effective_trajectory(
             sys, ProductState(pair_state), pair_site, rho0, self.GRID)])
         self.assert_same_stacks(finite, [
-            propagate_exact(FiniteMRun(sys, site, m, res, rho0, self.GRID,
-                                       PAIR)) for m in self.M_LIST])
+            propagate_exact(FiniteMRun(sys, site, m, res, rho0, self.GRID))
+            for m in self.M_LIST])
         threaded = finite_and_limit(sys, site, res, rho0, self.GRID,
-                                    self.M_LIST, PAIR, threads=2)
+                                    self.M_LIST, threads=2)
         self.assert_same_stacks([limit, *finite], [threaded[0], *threaded[1]])
 
     def test_threads_must_be_positive(self):

@@ -27,6 +27,12 @@ def write_config(tmp_path, text, name="exp.yaml"):
     return path
 
 
+# model.cluster with the flip operator of the bundled cluster_pair
+PAIR_CLUSTER = """  cluster:
+    size: 2
+    operator: [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+"""
+
 SMALL_CONVERGENCE = """
 kind: convergence
 model:
@@ -205,7 +211,7 @@ class TestConfigParsing:
         (None, "site: {hamiltonian: pauli_z, interaction: pauli_x}",
          "site: {hamiltonian: pauli_z, interactions: "
          "[pauli_x, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}",
-         "exp.yaml.model.site: interaction 1 has dim 3, site has 2"),
+         "exp.yaml.model.site: interaction 1 has dims (3,), site has dim 2"),
         (None, "coupling: pauli_x}",
          "coupling: [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}",
          "exp.yaml.model.system: coupling 0 operator dim 3 does not match "
@@ -464,6 +470,21 @@ outputs: {table: gap.csv}
         assert summary["rows"] == 3
         assert summary["notes"]["gaps_strictly_decreasing"] is True
         assert summary["notes"]["final_gap"] < 0.02
+
+    @pytest.mark.parametrize("name", ["bell_pair_protection",
+                                      "definetti_two_atom"])
+    def test_cluster_runs_in_every_trajectory_kind(self, tmp_path, name):
+        # the pair interaction takes the one-site one's place; both of the
+        # entanglement run's subsystems couple to it
+        text = cli.resolve_config(name).read_text()
+        assert text.count("    interaction: pauli_x\n") == 1
+        cfg = load_config(write_config(
+            tmp_path, text.replace("    interaction: pauli_x\n", PAIR_CLUSTER)))
+        assert [v.dims for v in cfg.site.interactions] == [(2, 2)]
+        summary = cli.run_experiment(cfg, tmp_path / "o", name)
+        assert summary["rows"] > 0
+        gaps = [summary["notes"]["max_gap_by_m"][str(m)] for m in cfg.m_list]
+        assert all(b < 0.6 * a for a, b in zip(gaps, gaps[1:]))
 
     def test_csv_cells_roundtrip_full_precision(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONVERGENCE)
@@ -773,6 +794,27 @@ def test_traced_names_resolve():
             assert callable(getattr(module, name, None)), f"mflab.{layer}.{name}"
 
 
+_WORKLOADS = [w["name"] for w in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+)["workloads"]]
+
+
+@pytest.mark.parametrize("name", _WORKLOADS)
+def test_benchmark_workloads_pass_their_gate(tmp_path, monkeypatch, name):
+    # each benchmark workload calls mflab's public functions with fixed
+    # signatures; one pass and its probes, checked by the benchmark's own
+    # gate, so that a change the benchmark cannot run fails here first
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    gate = importlib.import_module("gate")
+    workload = workloads.make(name, 7, str(tmp_path))
+    for op in workload.ops(0) + getattr(workload, "probes", list)():
+        findings = gate.Findings()
+        op.check(op.run(), findings)
+        assert not findings, (op.name, findings.messages())
+
+
 def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
     # the finite-M engine and the series oracle work on symmetric sectors,
     # the moments on the ensemble decomposition; the d^M joint Hamiltonian
@@ -782,7 +824,8 @@ def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
 
     for module in [m for n, m in sys.modules.items()
                    if n == "mflab" or n.startswith("mflab.")]:
-        for name in ("assemble_total", "materialize"):
+        for name in ("assemble_total", "assemble_cluster_interaction",
+                     "materialize"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     findings = GATE.Findings()
@@ -932,7 +975,7 @@ def test_validate_refuses_check_lists_of_the_wrong_length(tmp_path, capsys,
     ("cluster_pair", [("size: 2", "size: 3")], "model.cluster",
      "dims (2, 2, 2) do not multiply to matrix size 4"),
     ("cluster_pair", [("m_list: [2, 3, 4, 6]", "m_list: [1, 2]")],
-     "run.m_list", "cluster size 2 exceeds site count 1"),
+     "run.m_list", "interaction 0 acts on 2 sites, more than the site count 1"),
     (None, [("coupling: pauli_x}", "coupling: pauli_x, interaction_index: 1}")],
      "model.system", "coupling 0 references site interaction 1, site has 1"),
     (None, [("interaction: pauli_x}", "}")],
@@ -987,7 +1030,14 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
     ("field_scattering_decay", "100.0]", "1.0e+300]", "overlap.times"),
     ("moments_product_qubit", "max_order: 10", "max_order: 76",
      "checks[1].max_order"),
-    ("moments_product_qubit", "    interaction: pauli_x\n", "", "model.site")],
+    ("moments_product_qubit", "    interaction: pauli_x\n", "", "model.site"),
+    ("cluster_pair", "    coupling: pauli_x\n",
+     "    coupling: pauli_x\n    interaction_index: 3\n", "model.system"),
+    ("cluster_pair", "    hamiltonian: pauli_z\n  cluster:",
+     "    hamiltonian: pauli_z\n    interaction: pauli_x\n  cluster:",
+     "model.cluster"),
+    ("moments_product_qubit", "    interaction: pauli_x\n", PAIR_CLUSTER,
+     "model.cluster")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
          "cluster-without-coupling", "stark-levels-above-grid-points",
          "stark-slope", "stark-grid", "well-spacing-overflows",
@@ -996,7 +1046,8 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
          "gaussian-r-max", "bump-halfwidth", "bump-past-r-max",
          "decay-time-past-float-range",
          "supermultiplicative-past-float-range",
-         "moments-site-without-interaction"])
+         "moments-site-without-interaction", "cluster-interaction-index",
+         "cluster-on-a-site-with-interactions", "moments-with-cluster"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
     text = cli.resolve_config(name).read_text()

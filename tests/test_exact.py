@@ -14,8 +14,7 @@ from mflab.operators import (
     permute_factors,
     trace_norm,
 )
-from mflab.model import (ClusterInteraction, Coupling, SiteModel,
-                         SystemModel, assemble_total)
+from mflab.model import Coupling, SiteModel, SystemModel, assemble_total
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -345,9 +344,10 @@ class TestSectorEngine:
     @example(seed=15, d=2, m=5, kind="channel", nu=2, rank=2)
     @example(seed=16, d=2, m=5, kind="channel", nu=3, rank=2)
     def test_matches_full_space_oracle(self, seed, d, m, kind, nu, rank):
-        # nu=None: couplings to the site interactions; otherwise both
-        # couplings average a random cluster operator, in general not
-        # swap-symmetric, over ordered nu-tuples of sites
+        # nu=None: couplings to one-site interactions; otherwise both
+        # interactions are one random operator on nu sites, in general not
+        # swap-symmetric, which each coupling averages over ordered
+        # nu-tuples of sites
         assume(d ** m <= 81 and m >= (nu or 1))
         rng = np.random.default_rng(seed)
 
@@ -357,12 +357,11 @@ class TestSectorEngine:
 
         site = SiteModel(h=herm(d), interactions=(herm(d), herm(d)))
         sys = SystemModel.single(herm(2), [(herm(2), 0), (herm(2), 1)])
-        cluster = None if nu is None else ClusterInteraction(
-            nu, herm(d ** nu, (d,) * nu))
+        if nu is not None:
+            site = SiteModel(site.h, (herm(d ** nu, (d,) * nu),) * 2)
         rho0 = random_state(rng, (2,), int(rng.integers(1, 3)))
         res = random_ensemble(rng, kind, d, m, rank)
-        run = FiniteMRun(sys, site, m, res, rho0, np.array([0.0, 0.4, 1.3]),
-                         cluster)
+        run = FiniteMRun(sys, site, m, res, rho0, np.array([0.0, 0.4, 1.3]))
         got = propagate_exact(run)
         assert got.diagnostics["path"] == "symmetric-sector"
         assert got.diagnostics["branch_mass_defect"] < 1e-9
@@ -480,10 +479,9 @@ class TestSectorEngine:
 
     def test_cluster_gap_falls_as_one_over_m(self):
         cfg = load_config(resolve_config("cluster_pair"))
-        rows = cluster_sweep(cfg.system, cfg.site, cfg.cluster, cfg.reservoir,
-                             cfg.initial_state, cfg.grid,
-                             [16, 32, 64, 128, 256],
-                             step_target=cfg.step_target)
+        rows = m_sweep(cfg.system, cfg.site, cfg.reservoir,
+                       cfg.initial_state, cfg.grid, [16, 32, 64, 128, 256],
+                       step_target=cfg.step_target)
         gaps = [r.gap for r in rows]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert all(0.45 < r.ratio < 0.55 for r in rows[1:])
@@ -500,12 +498,53 @@ class TestSectorEngine:
                "macroscopic": MacroscopicParts(((2 / 3, zero), (1 / 3, PLUS))),
                "channel": ChannelCorrelated(zero, 2, bell_channel_kraus()),
                }[family]
-        rows = cluster_sweep(cfg.system, cfg.site, cfg.cluster, res,
-                             cfg.initial_state, cfg.grid, [8, 16, 32],
+        rows = cluster_sweep(cfg.system, cfg.site, cfg.site.interactions[0],
+                             res, cfg.initial_state, cfg.grid, [8, 16, 32],
                              step_target=cfg.step_target)
         gaps = [r.gap for r in rows]
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
         assert gaps == pytest.approx(want, rel=0.02)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["product", "definetti", "channel"])
+    def test_mixed_site_counts_match_full_space(self, m, kind):
+        # one subsystem coupled to a one-site and to a pair interaction, and
+        # two subsystems each coupled to a pair interaction of its own
+        rng = np.random.default_rng(10 * m + len(kind))
+
+        def herm(dim, dims=None):
+            return Operator(random_hermitian(rng, dim), dims or (dim,),
+                            hermitian=True)
+
+        site = SiteModel(h=herm(2), interactions=(
+            herm(2), herm(4, (2, 2)), herm(4, (2, 2))))
+        res = random_ensemble(rng, kind, 2, m, 2)
+        for sys in (SystemModel.single(herm(2), [(herm(2), 0), (herm(2), 1)]),
+                    SystemModel(local_h=(herm(2), herm(2)), couplings=(
+                        Coupling(herm(2), 1, 0), Coupling(herm(2), 2, 1)))):
+            run = FiniteMRun(sys, site, m, res,
+                             random_state(rng, sys.subsystem_dims, 2),
+                             np.array([0.0, 0.4, 1.3]))
+            got = propagate_exact(run)
+            assert got.diagnostics["max_norm_drift"] < 1e-10
+            d_res = 2 ** m
+            for a, b in zip(got.states, joint_trajectory(run).states):
+                want = b.data.reshape(sys.dim, d_res, sys.dim, d_res).trace(
+                    axis1=1, axis2=3)
+                assert trace_norm(a.data - want) < 1e-10
+
+    def test_mixed_site_counts_converge_to_the_per_coupling_limit(self):
+        # the limit signal of each coupling is the nu-fold product state's
+        # expectation of its own interaction, whatever the other's nu
+        flip = Operator(np.fliplr(np.eye(4)), (2, 2), hermitian=True)
+        site = SiteModel(SZ, (SX, flip))
+        sys = SystemModel.single(SZ, [(SX, 0), (pauli("y"), 1)])
+        tilted = DensityMatrix.pure(np.array([np.cos(0.55), np.sin(0.55)]),
+                                    (2,))
+        rows = m_sweep(sys, site, ProductState(tilted),
+                       DensityMatrix.pure(ket("0"), (2,)),
+                       np.linspace(0.0, 2.0, 41), [8, 16, 32])
+        assert all(1.7 <= 1 / r.ratio <= 2.3 for r in rows[1:])
 
 
 class TestReducedStateContractions:
@@ -539,11 +578,11 @@ class TestReducedStateContractions:
 
         site = SiteModel(h=herm(d), interactions=(herm(d), herm(d)))
         sys = SystemModel.single(herm(d), [(herm(d), 0), (herm(d), 1)])
-        cluster = None if nu is None else ClusterInteraction(
-            nu, herm(d ** nu, (d,) * nu))
+        if nu is not None:
+            site = SiteModel(site.h, (herm(d ** nu, (d,) * nu),) * 2)
         run = FiniteMRun(sys, site, m, random_ensemble(rng, kind, d, m, rank),
                          random_state(rng, (d,), 2),
-                         np.array([0.0, 0.4, 1.3, 2.0]), cluster)
+                         np.array([0.0, 0.4, 1.3, 2.0]))
         total = 0
         for key, amp, eig in self.contractions(run):
             assert np.abs(amp - eig).max() < 1e-13, key
@@ -767,16 +806,15 @@ class TestRunValidation:
     def test_cluster_checked_against_sites(self):
         res = ProductState(tilted_mixed_site())
         grid = np.array([0.0, 1.0])
-        pair = ClusterInteraction(2, Operator(np.eye(4), (2, 2),
-                                              hermitian=True))
-        with pytest.raises(ValidationError, match="exceeds site count 1"):
-            FiniteMRun(qubit_sys(), qubit_site(), 1, res, PLUS, grid, pair)
-        qutrits = ClusterInteraction(2, Operator(np.eye(9), (3, 3),
-                                                 hermitian=True))
+        pair = SiteModel(SZ, (Operator(np.eye(4), (2, 2), hermitian=True),))
+        with pytest.raises(ValidationError, match="more than the site count 1"):
+            FiniteMRun(qubit_sys(), pair, 1, res, PLUS, grid)
+        FiniteMRun(qubit_sys(), pair, 2, res, PLUS, grid)
         with pytest.raises(ValidationError, match=r"dims \(3, 3\)"):
-            FiniteMRun(qubit_sys(), qubit_site(), 2, res, PLUS, grid, qutrits)
-        # the cluster replaces the site interactions, so v_index is not read
+            SiteModel(SZ, (Operator(np.eye(9), (3, 3), hermitian=True),))
+        # a coupling's interaction index is read whatever the interaction's
+        # site count
         sys = SystemModel.single(SZ, [(SX, 5)])
-        FiniteMRun(sys, qubit_site(), 2, res, PLUS, grid, pair)
-        with pytest.raises(ValidationError, match="interaction 5"):
-            FiniteMRun(sys, qubit_site(), 2, res, PLUS, grid)
+        for site in (pair, qubit_site()):
+            with pytest.raises(ValidationError, match="interaction 5"):
+                FiniteMRun(sys, site, 2, res, PLUS, grid)

@@ -5,7 +5,6 @@ import pytest
 
 from mflab.errors import ResourceLimitError, ValidationError
 from mflab.model import (
-    ClusterInteraction,
     Coupling,
     SiteModel,
     SystemModel,
@@ -148,8 +147,8 @@ def test_model_operators_with_non_finite_entries_rejected():
     with pytest.raises(ValidationError, match="coupling operator 0"):
         SystemModel.single(SZ, [(nan, 0)])
     inf = Operator(np.diag([np.inf, 0, 0, 0]), (2, 2))
-    with pytest.raises(ValidationError, match="cluster interaction"):
-        ClusterInteraction(nu=2, v_cluster=inf)
+    with pytest.raises(ValidationError, match="site interaction 0"):
+        SiteModel(h=SZ, interactions=(inf,))
 
 
 # Multi-subsystem assembly.
@@ -209,17 +208,18 @@ def embed_pair_oracle(v4, sites, m):
 
 
 def test_cluster_size_one_reduces_to_mean_field():
-    cluster = ClusterInteraction(nu=1, v_cluster=SZ)
-    a = assemble_cluster_interaction(SX, cluster, 3)
-    b = interaction(SX, SZ, 3)
-    assert np.allclose(a.data, b.data)
+    a = assemble_cluster_interaction(SX, SZ, 3)
+    z = SZ.data
+    site_avg = (np.kron(np.kron(z, I2), I2) + np.kron(np.kron(I2, z), I2)
+                + np.kron(np.kron(I2, I2), z)) / 3
+    assert np.allclose(a.data, np.kron(SX.data, site_avg))
 
 
 def test_cluster_covering_all_sites_is_single_term():
     rng = np.random.default_rng(31)
     v4 = random_hermitian(rng, 4)
-    cluster = ClusterInteraction(nu=2, v_cluster=Operator(v4, (2, 2), hermitian=True))
-    out = assemble_cluster_interaction(SX, cluster, 2)
+    out = assemble_cluster_interaction(
+        SX, Operator(v4, (2, 2), hermitian=True), 2)
     # with every site in the cluster the ordered pairs are (1, 2) and
     # (2, 1): V and V with its two factors swapped
     swapped, _ = permute_factors(v4, (2, 2), (1, 0))
@@ -229,11 +229,13 @@ def test_cluster_covering_all_sites_is_single_term():
 def test_cluster_pair_average_over_three_sites():
     rng = np.random.default_rng(37)
     v4 = random_hermitian(rng, 4)
-    cluster = ClusterInteraction(nu=2, v_cluster=Operator(v4, (2, 2), hermitian=True))
-    out = assemble_cluster_interaction(SX, cluster, 3)
+    v = Operator(v4, (2, 2), hermitian=True)
+    out = assemble_cluster_interaction(SX, v, 3)
     avg = sum(embed_pair_oracle(v4, pair, 3)
               for pair in itertools.permutations((1, 2, 3), 2)) / 6.0
     assert np.allclose(out.data, np.kron(SX.data, avg), atol=1e-12)
+    # a site interaction on two sites enters assemble_total the same way
+    assert np.allclose(interaction(SX, v, 3).data, out.data, atol=1e-12)
 
 
 def test_cluster_average_is_invariant_under_site_swaps():
@@ -243,18 +245,17 @@ def test_cluster_average_is_invariant_under_site_swaps():
     v4 = random_hermitian(rng, 4)
     swapped, _ = permute_factors(v4, (2, 2), (1, 0))
     assert np.linalg.norm(swapped - v4) > 0.5
-    cluster = ClusterInteraction(nu=2, v_cluster=Operator(v4, (2, 2), hermitian=True))
-    out = assemble_cluster_interaction(SX, cluster, 3).data
+    out = assemble_cluster_interaction(
+        SX, Operator(v4, (2, 2), hermitian=True), 3).data
     for perm in itertools.permutations((1, 2, 3)):
         relabelled, _ = permute_factors(out, (2, 2, 2, 2), (0,) + perm)
         assert np.linalg.norm(relabelled - out) < 1e-12
 
 
 def test_cluster_larger_than_reservoir_rejected():
-    cluster = ClusterInteraction(nu=3, v_cluster=Operator(
-        np.eye(8, dtype=complex), (2, 2, 2), hermitian=True))
+    triple = Operator(np.eye(8, dtype=complex), (2, 2, 2), hermitian=True)
     with pytest.raises(ValidationError):
-        assemble_cluster_interaction(SX, cluster, 2)
+        assemble_cluster_interaction(SX, triple, 2)
 
 
 def test_embed_cluster_rejects_repeats_and_out_of_range():
