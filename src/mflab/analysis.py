@@ -1,12 +1,11 @@
 """Metrics, convergence sweeps, spectral studies, and overlap decay.
 
-Entanglement is measured by negativity (general bipartitions) with the
-two-qubit concurrence closed form as a cross-check. finite_and_limit
-produces the limit trajectory and the finite-size ones over a list of
-reservoir sizes, mapped over worker threads; every propagation experiment
-and convergence sweep starts from it, each coupling's interaction on one
-site or on nu. The spectral half runs second-order
-finite differences on one ladder of nested grids, each halving the
+Entanglement is measured by negativity (general bipartitions).
+finite_and_limit produces the limit trajectory and the finite-size ones
+over a list of reservoir sizes, mapped over worker threads; every
+propagation experiment and convergence sweep starts from it, each
+coupling's interaction on one site or on nu. The spectral half runs
+second-order finite differences on one ladder of nested grids, each halving the
 spacing: a bound-state counter checked under one refinement, and a
 Richardson-extrapolated half-line solver for a linear potential. The radial
 overlap uses Filon's rule, one panel ladder for the whole time grid. The
@@ -17,7 +16,6 @@ it in the ValidationError's arg.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +25,6 @@ import numpy as np
 from .errors import QuadratureError, ToleranceError, ValidationError
 from .exact import FiniteMRun, propagate_exact
 from .effective import DEFAULT_STEP_TARGET, effective_trajectory
-from .matio import atomic_write_text
 from .model import SiteModel, SystemModel
 from .operators import (HERMITIAN_RTOL, DensityMatrix, Operator,
                         hermitian_defect, hermitian_spectrum)
@@ -107,10 +104,6 @@ def _partial_transpose(data: np.ndarray, dims: tuple[int, ...],
         data.shape)
 
 
-def partial_transpose(rho: DensityMatrix, transpose) -> np.ndarray:
-    return _partial_transpose(rho.data, rho.dims, transpose)
-
-
 def _negativities(data: np.ndarray, dims: tuple[int, ...], transpose):
     ev = np.linalg.eigvalsh(_partial_transpose(data, dims, transpose))
     return -np.where(ev < 0, ev, 0.0).sum(axis=-1)
@@ -123,25 +116,6 @@ def negativity(rho: DensityMatrix, transpose) -> float:
     define the bipartition. Invariant under unitaries local to either side.
     """
     return float(_negativities(rho.data, rho.dims, transpose))
-
-
-_SPIN_FLIP = np.array([[0, 0, 0, -1],
-                       [0, 0, 1, 0],
-                       [0, 1, 0, 0],
-                       [-1, 0, 0, 0]], dtype=complex)
-
-
-def concurrence(rho: DensityMatrix) -> float:
-    """Two-qubit closed form: max(0, l1 - l2 - l3 - l4) with li the sorted
-    square roots of the spin-flipped product's eigenvalues."""
-    if rho.dims != (2, 2):
-        raise ValidationError(
-            f"concurrence is a two-qubit closed form, got factors {rho.dims}")
-    flipped = _SPIN_FLIP @ rho.data.conj() @ _SPIN_FLIP
-    lam = np.linalg.eigvals(rho.data @ flipped)
-    roots = np.sqrt(np.clip(lam.real, 0.0, None))
-    roots[::-1].sort()
-    return float(max(0.0, roots[0] - roots[1:].sum()))
 
 
 @dataclass(frozen=True)
@@ -530,23 +504,3 @@ def field_overlap_decay(spec: FieldOverlapSpec, times,
                 f"overlap quadrature still moving {moved[worst]:.2e} "
                 f"> {tol} at {n} panels (t={times[worst]:g})")
         prev = cur
-
-
-def summary_report(entries, extra: dict | None = None) -> dict:
-    """Pass/fail report structure: entries are (name, passed, detail)."""
-    criteria = [{"name": str(n), "passed": bool(p), "detail": str(d)}
-                for n, p, d in entries]
-    doc = {
-        "criteria": criteria,
-        "n_passed": sum(c["passed"] for c in criteria),
-        "n_failed": sum(not c["passed"] for c in criteria),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def write_summary(path, entries, extra: dict | None = None) -> dict:
-    doc = summary_report(entries, extra)
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc

@@ -43,7 +43,7 @@ A truncated interaction-picture commutator series serves as an independent
 short-time oracle on the same branches and sectors. Its Dyson terms come
 exactly from one exponential per sector of a block upper-bidiagonal matrix
 built from the sector's free and coupling parts (Van Loan 1978), with no
-quadrature. The full-space joint trajectory remains as a small-M reference.
+quadrature.
 """
 
 from __future__ import annotations
@@ -56,15 +56,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError, ToleranceError, ValidationError
-from .model import SiteModel, SystemModel, assemble_total, check_couplings
+from .model import SiteModel, SystemModel, check_couplings
 from .operators import DENSE_CUTOFF, DensityMatrix, add_embedded
-from .reservoir import decompose, materialize
-# not called here: perfbench's self-test pins this binding for its tracer
+from .reservoir import decompose
+# neither is called here: perfbench's self-test pins exact.assemble_total
+# and exact.effective_trajectory as bindings its tracer patches
+from .model import assemble_total
 from .effective import effective_trajectory
 from .results import PropagationResult, time_grid
 
 EIGVAL_CUT = 1e-12
-JOINT_TRAJECTORY_LIMIT = 512
 # Highest order of the truncated series dyson_truncated computes.
 SERIES_MAX_ORDER = 4
 # Complex entries per block of (sector dim x times x branches) amplitudes.
@@ -202,12 +203,14 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
     site operator x is C(x) = sum_p B_{n_p}(x) + s tr(x), each B written
     through a view of the (dims.., dims..) array in place of Kronecker
     products with identities. The system operators are embedded once per
-    run.
+    run; per sector, the d^2 collective sums of unit matrices are built once,
+    N(V) once per interaction whatever the number of couplings to it, and
+    all-zero blocks of the normal-ordering recursion are skipped.
     """
     d, d_sys = run.site.dim, run.sys.dim
     h_sys = run.sys.h_full()
-    terms = [(run.sys.coupling_full(c), run.site.interactions[c.v_index])
-             for c in run.sys.couplings]
+    interactions = run.site.interactions
+    terms = [(run.sys.coupling_full(c), c.v_index) for c in run.sys.couplings]
 
     def build(key):
         sizes, shift = key
@@ -222,6 +225,12 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
                              math.prod(dims[p + 1:]))
             return out
 
+        @functools.cache
+        def unit_collective(a: int, c: int) -> np.ndarray:
+            unit = np.zeros((d, d))
+            unit[a, c] = 1.0
+            return collective(unit)
+
         def ordered_sum(v: np.ndarray, nu: int) -> np.ndarray:
             """Sum of the nu-site operator v over ordered nu-tuples of
             distinct sites, by normal ordering: N(x_1..x_nu) =
@@ -231,20 +240,20 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
                 return collective(v)
             t = v.reshape((d,) * (2 * nu))
             size = d ** (nu - 1)
-            out = 0
+            out = np.zeros((dim, dim), dtype=complex)
             for a, c in itertools.product(range(d), repeat=2):
-                unit = np.zeros((d, d))
-                unit[a, c] = 1.0
                 rest = t[(slice(None),) * (nu - 1) + (a,)][..., c]
-                out = out + ordered_sum(rest.reshape(size, size), nu - 1) \
-                    @ collective(unit)
+                if rest.any():
+                    out += (ordered_sum(rest.reshape(size, size), nu - 1)
+                            @ unit_collective(a, c))
             rows, cols, z = list(range(nu - 1)), list(range(nu, 2 * nu)), 2 * nu
             for j in range(nu - 1):
                 # factor j times the last factor: sum over the shared index z
                 x_j_x_nu = np.einsum(
                     t, rows + [z] + cols[:j] + [z] + cols[j + 1:],
                     rows + cols[:j] + cols[-1:] + cols[j + 1:-1])
-                out = out - ordered_sum(x_j_x_nu.reshape(size, size), nu - 1)
+                if x_j_x_nu.any():
+                    out -= ordered_sum(x_j_x_nu.reshape(size, size), nu - 1)
             return out
 
         size = d_sys * dim
@@ -252,11 +261,11 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
                             dim)
         add_embedded(free, collective(run.site.h.data), d_sys, 1)
         coupling = np.zeros((d_sys, dim, d_sys, dim), dtype=complex)
-        for g, v in terms:
-            nu = len(v.dims)
-            coupling += (g[:, None, :, None]
-                         * ordered_sum(v.data, nu)[None, :, None]
-                         ) / math.perm(run.m_count, nu)
+        sums = {k: ordered_sum(interactions[k].data, len(interactions[k].dims))
+                for k in {k for _, k in terms}}
+        for g, k in terms:
+            coupling += (g[:, None, :, None] * sums[k][None, :, None]
+                         ) / math.perm(run.m_count, len(interactions[k].dims))
         return free, coupling.reshape(size, size)
     return build
 
@@ -457,27 +466,6 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
     norms = np.trace(acc, axis1=1, axis2=2).real
     diag["max_norm_drift"] = float(np.max(np.abs(norms - 1.0)))
     return PropagationResult.from_stack(grid, acc, run.rho_s0.dims, diag)
-
-
-def joint_trajectory(run: FiniteMRun) -> PropagationResult:
-    """Full joint-state trajectory; intended for small diagnostic runs."""
-    d_total = run.joint_dim
-    if d_total > JOINT_TRAJECTORY_LIMIT:
-        raise ResourceLimitError(
-            f"joint trajectory capped at dimension {JOINT_TRAJECTORY_LIMIT}, "
-            f"got {d_total}")
-    h = assemble_total(run.sys, run.site, run.m_count).data
-    evals, emat = np.linalg.eigh(h)
-    rho_r = materialize(run.reservoir_state, run.m_count)
-    rho_e = emat.conj().T @ np.kron(run.rho_s0.data, rho_r.data) @ emat
-    stack = np.empty((run.grid.size, d_total, d_total), dtype=complex)
-    for k, t in enumerate(run.grid):
-        ph = np.exp(-1j * evals * t)
-        rt = (ph[:, None] * rho_e) * ph.conj()[None, :]
-        stack[k] = emat @ rt @ emat.conj().T
-    return PropagationResult.from_stack(run.grid, stack,
-                                        run.rho_s0.dims + rho_r.dims,
-                                        {"path": "dense-joint"})
 
 
 # Truncated interaction-picture series.

@@ -27,7 +27,6 @@ from .operators import (
     add_embedded,
     embed_at_site,
     hermitian_defect,
-    permute_factors,
 )
 
 DEFAULT_FOCK_LEVELS = 8
@@ -181,34 +180,15 @@ def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
     return Operator(out, dims, hermitian=True)
 
 
-def embed_cluster(x: Operator, sites: Sequence[int], m_count: int) -> np.ndarray:
-    """Embed a multi-factor site operator at the given 1-based site positions."""
-    nu = len(x.dims)
-    sites = list(sites)
-    if len(set(sites)) != nu:
-        raise ValidationError(f"cluster positions {sites} contain repeats")
-    if any(not 1 <= s <= m_count for s in sites):
-        raise ValidationError(f"cluster positions {sites} outside 1..{m_count}")
-    d = x.dims[0]
-    rest = np.eye(d ** (m_count - nu), dtype=complex)
-    big = np.kron(x.data, rest)
-    # input factor order: cluster factors first, then identity fillers
-    remaining = iter(range(nu, m_count))
-    perm = []
-    for s in range(1, m_count + 1):
-        if s in sites:
-            perm.append(sites.index(s))
-        else:
-            perm.append(next(remaining))
-    out, _ = permute_factors(big, (d,) * m_count, perm)
-    return out
-
-
 def assemble_cluster_interaction(g: Operator, v: Operator,
                                  m_count: int) -> Operator:
     """G tensor the average of the nu-site operator v over all ordered
     nu-tuples of distinct sites; the dense full-space reference for the
-    sector engine."""
+    sector engine.
+
+    v (x) 1 has v on the first nu site factors; a tuple's term moves factor
+    k to site sites[k] and the identity factors, in order, to the other
+    sites: one transpose of both index halves by argsort(sites + rest)."""
     nu = len(v.dims)
     if nu > m_count:
         raise ValidationError(
@@ -219,9 +199,13 @@ def assemble_cluster_interaction(g: Operator, v: Operator,
         raise ResourceLimitError(
             f"cluster assembly is dense only; dimension {d_total} > {DENSE_CUTOFF}")
     d_r = d ** m_count
+    first = np.kron(v.data, np.eye(d ** (m_count - nu))).reshape(
+        (d,) * (2 * m_count))
     acc = np.zeros((d_r, d_r), dtype=complex)
-    for subset in itertools.permutations(range(1, m_count + 1), nu):
-        acc += embed_cluster(v, subset, m_count)
+    for sites in itertools.permutations(range(m_count), nu):
+        rest = [s for s in range(m_count) if s not in sites]
+        axes = np.argsort(list(sites) + rest)
+        acc += first.transpose(*axes, *(axes + m_count)).reshape(d_r, d_r)
     acc /= math.perm(m_count, nu)
     data = np.kron(g.data, acc)
     return Operator(data, g.dims + (d,) * m_count, hermitian=True)

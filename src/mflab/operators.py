@@ -2,25 +2,24 @@
 
 Everything downstream (model assembly, moments, propagation) is built on the
 small set of primitives here: Kronecker products, single-site embeddings,
-partial traces, trace norms and Hermitian spectra.
+trace norms and Hermitian spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError
+from .errors import ValidationError
 
 # Largest total dimension that is still built as one dense matrix.
 DENSE_CUTOFF = 4096
 
 HERMITIAN_RTOL = 1e-9     # flagged-Hermitian deviation, relative to the norm scale
 TRACE_ATOL = 1e-10
-PTRACE_ATOL = 1e-12
 PSD_ATOL = 1e-9
 
 
@@ -143,71 +142,12 @@ def embed_at_site(x: Operator, m: int, n_sites: int) -> Operator:
     return Operator(data, (d,) * n_sites, hermitian=x.hermitian)
 
 
-def _ptrace_array(arr: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if not keep:
-        raise ValidationError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValidationError(f"keep indices {keep} outside 0..{n - 1}")
-    traced = [i for i in range(n) if i not in keep]
-    dk = math.prod(dims[i] for i in keep)
-    dt = math.prod(dims[i] for i in traced) if traced else 1
-    perm = keep + traced
-    x = arr.reshape(*dims, *dims)
-    x = x.transpose(*perm, *[n + p for p in perm])
-    x = x.reshape(dk, dt, dk, dt)
-    out = np.einsum("abcb->ac", x)
-    t_in, t_out = arr.trace(), out.trace()
-    if abs(t_in - t_out) > PTRACE_ATOL * max(1.0, abs(t_in)):
-        raise ToleranceError(
-            f"partial trace changed the trace by {abs(t_in - t_out):.2e}")
-    return out
-
-
-def partial_trace(state: "DensityMatrix | Operator | np.ndarray",
-                  keep: Iterable[int],
-                  dims: Sequence[int] | None = None):
-    """Trace out all factors not in `keep` (0-based indices into dims).
-
-    Kept factors stay in their original order. Accepts a DensityMatrix,
-    an Operator, or a bare array with explicit dims; returns the same kind.
-    """
-    if isinstance(state, DensityMatrix):
-        reduced = _ptrace_array(state.data, state.dims, keep)
-        kept_dims = tuple(state.dims[i] for i in sorted(set(keep)))
-        return DensityMatrix(reduced, kept_dims, validate=False)
-    if isinstance(state, Operator):
-        reduced = _ptrace_array(state.data, state.dims, keep)
-        kept_dims = tuple(state.dims[i] for i in sorted(set(keep)))
-        return Operator(reduced, kept_dims)
-    if dims is None:
-        raise ValidationError("dims required when tracing a bare array")
-    return _ptrace_array(np.asarray(state, dtype=complex), dims, keep)
-
-
 def trace_norm(x: "Operator | np.ndarray"):
     """Tr sqrt(X†X), the sum of singular values: a float for one matrix,
     an array of one norm per matrix for a (T, d, d) stack."""
     arr = x.data if isinstance(x, Operator) else np.asarray(x, dtype=complex)
     norms = np.linalg.svd(arr, compute_uv=False).sum(axis=-1)
     return float(norms) if arr.ndim == 2 else norms
-
-
-def permute_factors(arr: np.ndarray, dims: Sequence[int], perm: Sequence[int]):
-    """Conjugate a matrix by the factor permutation placing input factor perm[k] at slot k.
-
-    Returns (permuted matrix, permuted dims).
-    """
-    n = len(dims)
-    perm = list(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValidationError(f"{perm} is not a permutation of 0..{n - 1}")
-    x = arr.reshape(*dims, *dims)
-    x = x.transpose(*perm, *[n + p for p in perm])
-    new_dims = [dims[p] for p in perm]
-    d = math.prod(dims)
-    return np.ascontiguousarray(x.reshape(d, d)), tuple(new_dims)
 
 
 def check_density_stack(stack: np.ndarray) -> None:

@@ -7,13 +7,12 @@ are prescribed. Each is a weighted mixture of products of independent sites:
 decompose gives that mixture on M sites, limit_atoms the (weight, site state)
 pairs left as M -> infinity. Moments of the site-averaged interaction and
 the factorization bound are exact sums over index partitions of local
-contractions on that mixture, at any M. materialize builds every state
-densely and independently of decompose, as a reference. The expectation
-Tr(rho^{(x)nu} e^{ith} V e^{-ith}) of an interaction V on nu sites, h the
-site Hamiltonian summed over them, is the scalar signal of the limit
-dynamics, and for nu = 1 of the factorized product: a QuasiPeriodicSignal
-of exact mirror pairs, real by construction and checked exactly per |f|
-slot. The moments take a first interaction on one site.
+contractions on that mixture, at any M. The expectation Tr(rho^{(x)nu}
+e^{ith} V e^{-ith}) of an interaction V on nu sites, h the site
+Hamiltonian summed over them, is the scalar signal of the limit dynamics,
+and for nu = 1 of the factorized product: a QuasiPeriodicSignal of exact
+mirror pairs, real by construction and checked exactly per |f| slot. The
+moments take a first interaction on one site.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -30,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .model import SiteModel
-from .operators import DENSE_CUTOFF, DensityMatrix, embed_at_site
+from .operators import DensityMatrix, embed_at_site
 
 WEIGHT_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
@@ -232,44 +231,6 @@ def kron_power(mat: np.ndarray, count: int) -> np.ndarray:
     for _ in range(count):
         out = np.kron(out, mat)
     return out
-
-
-def materialize(state, m_count: int) -> DensityMatrix:
-    """Explicit density matrix of the ensemble on m_count sites; an explicit
-    DensityMatrix is returned as it is."""
-    if m_count < 1:
-        raise ValidationError("need at least one site")
-    if isinstance(state, DensityMatrix):
-        if len(state.dims) != m_count:
-            raise ValidationError(
-                f"explicit reservoir state has {len(state.dims)} factors, "
-                f"expected {m_count}")
-        return state
-    d = state.site_dim
-    if d ** m_count > DENSE_CUTOFF:
-        raise ResourceLimitError(
-            f"materializing {m_count} sites of dim {d} exceeds dense cutoff")
-    dims = (d,) * m_count
-    if isinstance(state, ProductState):
-        return DensityMatrix(kron_power(state.site_state.data, m_count), dims)
-    if isinstance(state, DeFinettiMixture):
-        acc = sum(w * kron_power(s.data, m_count) for w, s in state.atoms)
-        return DensityMatrix(acc, dims)
-    if isinstance(state, MacroscopicParts):
-        counts = largest_remainder_counts([f for f, _ in state.parts], m_count)
-        out = np.eye(1, dtype=complex)
-        for (_, s), c in zip(state.parts, counts):
-            out = np.kron(out, kron_power(s.data, int(c)))
-        return DensityMatrix(out, dims)
-    if isinstance(state, ChannelCorrelated):
-        # the average of the block over all m_count - L + 1 placements
-        (_, _, block), = state.components(m_count)
-        s, L = state.site_state.data, state.corr_length
-        acc = sum(np.kron(np.kron(kron_power(s, j), block.data),
-                          kron_power(s, m_count - L - j))
-                  for j in range(m_count - L + 1))
-        return DensityMatrix(acc / (m_count - L + 1), dims)
-    raise ValidationError(f"unknown ensemble type {type(state).__name__}")
 
 
 def limit_atoms(state: ReservoirState):

@@ -47,8 +47,8 @@ from mflab.analysis import (
     negativity_trajectory,
     stark_halfline_spectrum,
     trace_distance,
-    write_summary,
 )
+from oracles import write_summary
 
 RESULTS = []
 

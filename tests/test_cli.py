@@ -1,8 +1,10 @@
+import ast
 import importlib
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +21,7 @@ from mflab.config import KINDS, load_config, parse_config
 from mflab.errors import ConfigError, ValidationError
 from mflab.operators import pauli
 from mflab.reservoir import limit_atoms
+import oracles
 
 
 def write_config(tmp_path, text, name="exp.yaml"):
@@ -823,9 +826,10 @@ def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
         raise AssertionError("full-space object assembled")
 
     for module in [m for n, m in sys.modules.items()
-                   if n == "mflab" or n.startswith("mflab.")]:
+                   if n == "mflab" or n.startswith("mflab.")] + [oracles]:
         for name in ("assemble_total", "assemble_cluster_interaction",
-                     "materialize"):
+                     "materialize", "embed_cluster", "joint_trajectory",
+                     "full_space_series"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     findings = GATE.Findings()
@@ -841,6 +845,37 @@ def test_bundled_runs_never_assemble_the_full_space(tmp_path, monkeypatch):
         else:
             GATE.compare_table(name, text, GATE.load_reference(name), findings)
     assert not findings, findings.messages()
+
+
+def test_every_public_library_definition_is_reached():
+    # a public top-level function or class of src/mflab is named by other
+    # library code (as a name, an attribute or an import), or by the
+    # benchmark or the package metadata; test-only references belong in
+    # tests/oracles.py
+    root = Path(__file__).resolve().parents[1]
+    defined, named = {}, set()
+    for path in sorted((root / "src" / "mflab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined[own] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    words = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    words = {node.attr}
+                elif isinstance(node, ast.alias):
+                    words = {node.name, node.asname}
+                else:
+                    continue
+                named |= words - {own, None}
+    for path in [root / "pyproject.toml", *(root / "perfbench").rglob("*.py")]:
+        named |= set(re.findall(r"\w+", path.read_text()))
+    unreached = sorted(f"{defined[n]}:{n}" for n in defined if n not in named)
+    assert not unreached, f"public definitions nothing reaches: {unreached}"
 
 
 class TestCsvRendering:

@@ -18,13 +18,14 @@ from mflab.effective import (
 from mflab.errors import ToleranceError, ValidationError
 from mflab.model import (Coupling, SiteModel, SystemModel, coherent_ket,
                          oscillator_site)
-from mflab.operators import DensityMatrix, Operator, partial_trace, pauli
+from mflab.operators import DensityMatrix, Operator, pauli
 from mflab.reservoir import (
     DeFinettiMixture,
     MacroscopicParts,
     ProductState,
     site_signal_terms,
 )
+from oracles import partial_trace
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))

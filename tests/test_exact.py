@@ -11,7 +11,6 @@ from mflab.operators import (
     Operator,
     ket,
     pauli,
-    permute_factors,
     trace_norm,
 )
 from mflab.model import Coupling, SiteModel, SystemModel, assemble_total
@@ -21,7 +20,6 @@ from mflab.reservoir import (
     MacroscopicParts,
     ProductState,
     bell_channel_kraus,
-    materialize,
 )
 from mflab.analysis import (cluster_sweep, finite_and_limit, m_sweep,
                             trace_distance)
@@ -32,8 +30,13 @@ from mflab import exact
 from mflab.exact import (
     FiniteMRun,
     dyson_truncated,
-    joint_trajectory,
     propagate_exact,
+)
+from oracles import (
+    full_space_series,
+    joint_trajectory,
+    materialize,
+    permute_factors,
 )
 
 SX, SZ = pauli("x"), pauli("z")
@@ -91,31 +94,6 @@ def random_ensemble(rng, kind, d, m, rank=None):
         kraus = (np.sqrt(w) * unitaries[0], np.sqrt(1 - w) * unitaries[1])
         return ChannelCorrelated(site_state(), L, kraus)
     return random_state(rng, (d,) * m, 3)
-
-
-def full_space_series(sys, site, res, m, rho_s0, max_order, t):
-    """The truncated series on the full d^M space for orders 0..max_order,
-    for small M. The first block row of one Van Loan exponential gives the
-    Dyson terms S_k; the block is upper triangular Toeplitz, so a lower
-    order uses the leading terms of the same row."""
-    free = assemble_total(SystemModel(local_h=sys.local_h), site, m).data
-    v = assemble_total(sys, site, m).data - free
-    block = -1j * t * (np.kron(np.eye(max_order + 1), free)
-                       + np.kron(np.eye(max_order + 1, k=1), v))
-    dim = free.shape[0]
-    terms = expm(block)[:dim].reshape(dim, max_order + 1, dim)
-    terms = terms.transpose(1, 0, 2)
-    partial = np.cumsum(terms, axis=0)
-    rho_r = res if isinstance(res, DensityMatrix) else materialize(res, m)
-    rho0 = np.kron(rho_s0.data, rho_r.data)
-    d_res = rho_r.dim
-    out = []
-    for order in range(max_order + 1):
-        joint = sum(terms[k] @ rho0 @ partial[order - k].conj().T
-                    for k in range(order + 1))
-        out.append(np.einsum("irkr->ik",
-                             joint.reshape(sys.dim, d_res, sys.dim, d_res)))
-    return out
 
 
 class TestDensePaths:
@@ -545,6 +523,44 @@ class TestSectorEngine:
                        DensityMatrix.pure(ket("0"), (2,)),
                        np.linspace(0.0, 2.0, 41), [8, 16, 32])
         assert all(1.7 <= 1 / r.ratio <= 2.3 for r in rows[1:])
+
+    def test_all_zero_pair_interaction_leaves_the_system_free(self):
+        # every block of the normal-ordering recursion is zero and skipped,
+        # so the coupling is the zero array it starts from
+        zero = Operator(np.zeros((4, 4)), (2, 2), hermitian=True)
+        site = SiteModel(h=Operator(0.7 * SZ.data, (2,), hermitian=True),
+                         interactions=(zero,))
+        grid = np.linspace(0.0, 2.0, 9)
+        got = propagate_exact(FiniteMRun(qubit_sys(), site, 4,
+                                         ProductState(tilted_mixed_site()),
+                                         PLUS, grid))
+        for t, a in zip(grid, got.stack):
+            u = np.diag(np.exp([-1j * t, 1j * t]))
+            assert np.abs(a - u @ PLUS.data @ u.conj().T).max() < 1e-12
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("kind", ["product", "definetti"])
+    def test_interaction_with_zero_blocks_matches_full_space(self, m, kind):
+        # s+ s+ s+ + h.c.: the diagonal blocks of its last factor and every
+        # product x_j x_nu vanish, down to the pair level; two subsystems
+        # coupled to it share its ordered sum
+        up = np.array([[0, 1], [0, 0]], dtype=complex)
+        flips = np.kron(np.kron(up, up), up)
+        v = Operator(flips + flips.T, (2, 2, 2), hermitian=True)
+        site = SiteModel(h=Operator(0.7 * SZ.data, (2,), hermitian=True),
+                         interactions=(v,))
+        sys = SystemModel(local_h=(SZ, SX), couplings=(
+            Coupling(SX, 0, 0), Coupling(pauli("y"), 0, 1)))
+        rng = np.random.default_rng(m)
+        run = FiniteMRun(sys, site, m, random_ensemble(rng, kind, 2, m, 2),
+                         random_state(rng, sys.subsystem_dims, 2),
+                         np.array([0.0, 0.4, 1.3]))
+        d_res = 2 ** m
+        for a, b in zip(propagate_exact(run).stack,
+                        joint_trajectory(run).stack):
+            want = b.reshape(sys.dim, d_res, sys.dim, d_res).trace(
+                axis1=1, axis2=3)
+            assert np.abs(a - want).max() < 1e-12
 
 
 class TestReducedStateContractions:

@@ -12,12 +12,12 @@ from mflab.model import (
     assemble_total,
     coherent_ket,
     destroy,
-    embed_cluster,
     field_op,
     number_op,
     oscillator_site,
 )
-from mflab.operators import Operator, pauli, permute_factors
+from mflab.operators import Operator, pauli
+from oracles import embed_cluster, permute_factors
 
 SX = pauli("x")
 SZ = pauli("z")

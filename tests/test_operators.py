@@ -23,11 +23,10 @@ from mflab.operators import (
     hermitian_defect,
     hermitian_spectrum,
     ket,
-    partial_trace,
     pauli,
-    permute_factors,
     trace_norm,
 )
+from oracles import partial_trace, permute_factors
 
 
 def random_density(rng, d):

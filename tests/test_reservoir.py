@@ -9,7 +9,7 @@ import mflab.reservoir as reservoir
 from mflab.effective import effective_potential
 from mflab.errors import ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
-from mflab.operators import DensityMatrix, Operator, partial_trace, pauli, permute_factors
+from mflab.operators import DensityMatrix, Operator, pauli
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -23,7 +23,6 @@ from mflab.reservoir import (
     factorization_error,
     kraus_defect,
     largest_remainder_counts,
-    materialize,
     multitime_moment,
     pairing_count,
     reference_site_state,
@@ -31,6 +30,7 @@ from mflab.reservoir import (
     site_signals,
     supermultiplicative_order_limit,
 )
+from oracles import materialize, partial_trace, permute_factors
 
 SX, SZ = pauli("x"), pauli("z")
 
