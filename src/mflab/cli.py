@@ -3,9 +3,10 @@
 Three verbs: run executes one experiment config and writes its table plus a
 summary; validate parses configs without running them; list prints the
 bundled experiment catalog. Exit codes are stable: 0 on success, 2 for
-invalid configs or arguments, 3 when a computation cannot meet its
-tolerance, 4 when a requested problem exceeds the resource limits. Every
-failure prints a single diagnostic line naming the operation that raised.
+invalid configs or arguments, an output directory included, 3 when a
+computation cannot meet its tolerance, 4 when a requested problem exceeds
+the resource limits or an allocation fails. Every failure prints a single
+diagnostic line naming the operation that raised.
 
 Table output is CSV with a header row, '.' decimal separator, and 17
 significant digits, written atomically; a given config and seed always
@@ -300,6 +301,18 @@ def _run_decay(cfg: ExperimentConfig):
     return header, rows, notes
 
 
+def _make_out_dir(out_dir: Path) -> list[Path]:
+    """Create out_dir before a run, refusing a path that cannot be one;
+    returns the directories it made, deepest first."""
+    missing = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror or exc}") from exc
+    return missing
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir, name: str,
                    threads: int = 1, seed=None) -> dict:
     """Execute one experiment and write its table plus summary.json."""
@@ -307,16 +320,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir, name: str,
         raise ValidationError(f"threads must be >= 1, got {threads}")
     if seed is not None and seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    started = time.perf_counter()
-    if cfg.audit is not None:
-        header, rows, notes = _run_stepper_audit(cfg.audit, seed)
-    elif cfg.kind in _TRAJECTORY_TABLES:
-        header, rows, notes = _run_trajectory(cfg, threads)
-    else:
-        run = {"moments": _run_moments, "spectrum": _run_spectrum,
-               "decay": _run_decay}[cfg.kind]
-        header, rows, notes = run(cfg)
     out_dir = Path(out_dir)
+    made = _make_out_dir(out_dir)
+    started = time.perf_counter()
+    try:
+        if cfg.audit is not None:
+            header, rows, notes = _run_stepper_audit(cfg.audit, seed)
+        elif cfg.kind in _TRAJECTORY_TABLES:
+            header, rows, notes = _run_trajectory(cfg, threads)
+        else:
+            run = {"moments": _run_moments, "spectrum": _run_spectrum,
+                   "decay": _run_decay}[cfg.kind]
+            header, rows, notes = run(cfg)
+    except BaseException:
+        for path in made:  # a failed run leaves no directory behind
+            path.rmdir()
+        raise
     table_path = out_dir / cfg.table
     atomic_write_text(str(table_path), render_csv(header, rows))
     summary = {
@@ -442,8 +461,8 @@ def _failing_operation(exc: BaseException) -> str:
     return best or fallback or "cli.main"
 
 
-def _exit_code(exc: MFLabError) -> int:
-    if isinstance(exc, ResourceLimitError):
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, (ResourceLimitError, MemoryError)):
         return 4
     if isinstance(exc, ToleranceError):
         return 3
@@ -457,7 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MFLabError as exc:
+    except (MFLabError, MemoryError) as exc:  # an allocation numpy refused
         print(f"error: {_failing_operation(exc)}: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

@@ -199,14 +199,24 @@ class _Block:
                               f"{list(out)}")
         return out
 
-    def operator(self, key: str) -> Operator:
-        """A Hermitian operator on one factor."""
+    def operator(self, key: str, site_dim: int = 0) -> Operator:
+        """A Hermitian operator on one factor, or on nu factors of dimension
+        site_dim when its size is site_dim**nu."""
         where = f"{self.where}.{key}"
         mat = parse_matrix(self.get(key), where)
-        return _build(where, Operator, mat, (mat.shape[0],), hermitian=True)
+        return _build(where, Operator, mat, _factor_dims(mat.shape[0], site_dim),
+                      hermitian=True)
 
     def state(self, key: str, dims, levels: int | None = None):
         return parse_state(self.get(key), f"{self.where}.{key}", dims, levels)
+
+
+def _factor_dims(n: int, d: int) -> tuple[int, ...]:
+    """(d,) * nu when n == d**nu, else (n,); a d = 1 site takes nu = 1."""
+    nu, size = 1, d
+    while 1 < size < n:
+        size, nu = size * d, nu + 1
+    return (d,) * nu if size == n else (n,)
 
 
 def _entry(node, where: str) -> complex:
@@ -297,16 +307,17 @@ def _build_site(block: _Block):
         levels = osc.integer("levels", minimum=2)
         omega = osc.number("frequency", 1.0)
         interaction = osc.string("interaction", "field", ("field", "number"))
-        nu = osc.number("strength", 1.0)
+        strength = (osc.number("strength", 1.0) if interaction == "number"
+                    else 1.0)
         osc.done()
-        return oscillator_site(levels, omega, interaction, nu), levels
+        return oscillator_site(levels, omega, interaction, strength), levels
     h = block.operator("hamiltonian")
     interactions = []
     if block.has("interaction"):
-        interactions.append(block.operator("interaction"))
+        interactions.append(block.operator("interaction", h.dim))
     elif block.has("interactions"):
         listed = block.each("interactions")
-        interactions = [listed.operator(k) for k in listed.node]
+        interactions = [listed.operator(k, h.dim) for k in listed.node]
     block.done()
     return _build(block.where, SiteModel, h=h,
                   interactions=tuple(interactions)), None
@@ -348,10 +359,10 @@ def _build_reservoir(block: _Block, site_dim: int, levels: int | None):
         return ProductState(state), alpha
     if kind == "channel":
         state, alpha = block.state("site_state", (site_dim,), levels)
-        corr = block.integer("corr_length", minimum=1)
         block.string("channel", choices=("bell",))
         block.done()
-        return _build(block.where, ChannelCorrelated, state, corr,
+        # the Bell channel acts on two sites
+        return _build(block.where, ChannelCorrelated, state, 2,
                       bell_channel_kraus()), alpha
     key, weight_key, family = (("atoms", "weight", DeFinettiMixture)
                                if kind == "definetti" else
@@ -538,20 +549,6 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     system = None
     if kind != "moments" or model.has("system"):
         system = _build_system(model.sub("system"))
-    site_at = f"{where}.model.site"
-    if model.has("cluster"):
-        # the cluster operator is the site's one interaction, on size sites
-        cb = model.sub("cluster")
-        site_at = cb.where
-        size = cb.integer("size", minimum=1)
-        op = parse_matrix(cb.get("operator"), f"{cb.where}.operator")
-        cb.done()
-        if site.interactions:
-            raise ConfigError(f"{cb.where}: the cluster operator is the "
-                              f"site's one interaction, and model.site "
-                              f"declares its own")
-        v = _build(cb.where, Operator, op, (site.dim,) * size, hermitian=True)
-        site = _build(cb.where, SiteModel, site.h, (v,))
     model.done()
     if system is not None:
         _build(f"{where}.model.system", check_couplings, system, site)
@@ -568,7 +565,7 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
             initial, _ = top.state("initial_state", system.subsystem_dims,
                                    levels)
         top.done()
-        _build(site_at, check_moment_site, site)
+        _build(f"{where}.model.site", check_moment_site, site)
         if any(c["check"] == "series_ratio" for c in checks):
             if system is None or not system.couplings:
                 raise ConfigError(f"{where}: series_ratio checks need a "

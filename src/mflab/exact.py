@@ -286,10 +286,12 @@ def _spin_blocks(omega: np.ndarray, n: int, root: np.ndarray, d_sys: int,
     tridiagonal B_2j(omega), whose eigenvalue a p_hi + (2j - a) p_lo rises
     with a, each scaled by the root of its weight mult (p_lo p_hi)^k p_hi^a
     p_lo^{2j-a}; for p_lo = p_hi any basis serves. The blocks' own sectors
-    bound the run's work from below, so they are checked first.
+    bound the run's work from below, so they are checked first: the largest
+    alone, so that a large n is refused without listing n/2 blocks, then all.
     """
-    _check_work({((n - 2 * k,) if n > 2 * k else (), k): n - 2 * k + 1
-                 for k in range(n // 2 + 1)}, 2, d_sys)
+    for ks in (range(1), range(n // 2 + 1)):
+        _check_work({((n - 2 * k,) if n > 2 * k else (), k): n - 2 * k + 1
+                     for k in ks}, 2, d_sys)
     log_lo, log_hi = np.log((np.abs(root) ** 2).sum(axis=0)).tolist()
     out = []
     for k in range(n // 2 + 1):

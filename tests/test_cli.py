@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -19,7 +20,8 @@ import mflab
 from mflab import analysis, cli, effective, exact
 from mflab.config import KINDS, load_config, parse_config
 from mflab.errors import ConfigError, ValidationError
-from mflab.operators import pauli
+from mflab.model import SiteModel
+from mflab.operators import Operator, pauli
 from mflab.reservoir import limit_atoms
 import oracles
 
@@ -30,11 +32,9 @@ def write_config(tmp_path, text, name="exp.yaml"):
     return path
 
 
-# model.cluster with the flip operator of the bundled cluster_pair
-PAIR_CLUSTER = """  cluster:
-    size: 2
-    operator: [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
-"""
+# the two-site flip interaction of the bundled cluster_pair
+PAIR_FLIP = "[[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]"
+PAIR_INTERACTION = f"    interaction: {PAIR_FLIP}\n"
 
 SMALL_CONVERGENCE = """
 kind: convergence
@@ -144,8 +144,7 @@ class TestConfigParsing:
     def test_channel_m_list_below_correlation_length_rejected(self, tmp_path):
         bad = SMALL_CONVERGENCE.replace(
             "{kind: product, site_state: plus}",
-            "{kind: channel, site_state: zero, corr_length: 2, "
-            "channel: bell}")
+            "{kind: channel, site_state: zero, channel: bell}")
         with pytest.raises(ConfigError,
                            match=r"run\.m_list: need at least 2 sites"):
             load_config(write_config(tmp_path, bad))
@@ -224,7 +223,8 @@ class TestConfigParsing:
          "exp.yaml.reservoir: mixture weights: weights sum to "
          "1.200000000000000, not 1"),
         ("cluster_pair", "- [0, 0, 0, 1]", "- [0, 0, 0, 2]",
-         "exp.yaml.model.cluster: matrix flagged Hermitian has defect "
+         "exp.yaml.model.site.interaction: matrix flagged Hermitian has "
+         "defect "
          "5.00e-01")],
         ids=["number", "positive", "integer", "string", "flag", "numbers",
              "sizes", "operator", "state", "state-matrix-guard",
@@ -306,6 +306,19 @@ class TestCatalog:
         out = capsys.readouterr().out
         for name in cli.bundled_names():
             assert name in out
+
+    def test_readme_table_matches_the_list_verb(self, capsys):
+        # README's "Bundled experiments" table rows, name | kind | what it
+        # measures, are exactly what `mflab list` prints
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Bundled experiments\n", 1)[1]
+        rows = section.strip().split("\n\n", 1)[0].splitlines()[2:]
+        table = sorted(tuple(cell.strip() for cell in row.strip("|").split("|"))
+                       for row in rows)
+        assert cli.main(["list"]) == 0
+        listed = sorted(tuple(line.split(None, 2))
+                        for line in capsys.readouterr().out.splitlines())
+        assert table == listed and len(listed) == len(cli.bundled_names())
 
     def test_validate_verb_accepts_all_bundled(self, capsys):
         assert cli.main(["validate"] + cli.bundled_names()) == 0
@@ -455,10 +468,9 @@ class TestRunVerb:
 kind: convergence
 model:
   system: {hamiltonian: pauli_z, coupling: pauli_x}
-  site: {hamiltonian: pauli_z}
-  cluster:
-    size: 2
-    operator: [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+  site:
+    hamiltonian: pauli_z
+    interaction: [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
 reservoir:
   kind: definetti
   atoms:
@@ -482,7 +494,8 @@ outputs: {table: gap.csv}
         text = cli.resolve_config(name).read_text()
         assert text.count("    interaction: pauli_x\n") == 1
         cfg = load_config(write_config(
-            tmp_path, text.replace("    interaction: pauli_x\n", PAIR_CLUSTER)))
+            tmp_path, text.replace("    interaction: pauli_x\n",
+                                   PAIR_INTERACTION)))
         assert [v.dims for v in cfg.site.interactions] == [(2, 2)]
         summary = cli.run_experiment(cfg, tmp_path / "o", name)
         assert summary["rows"] > 0
@@ -947,7 +960,6 @@ def test_channel_moments_run_past_the_dense_cutoff(tmp_path):
 CHANNEL_RESERVOIR = """reservoir:
   kind: channel
   site_state: zero
-  corr_length: 2
   channel: bell
 """
 
@@ -1007,8 +1019,10 @@ def test_validate_refuses_check_lists_of_the_wrong_length(tmp_path, capsys,
      [("hamiltonian: pauli_z\n    interaction: pauli_x",
        "oscillator: {levels: 3}"), ("site_state: zero", "site_state: {fock: 0}")],
      "reservoir", "Kraus operator shape (4, 4) does not match block dim 9"),
-    ("cluster_pair", [("size: 2", "size: 3")], "model.cluster",
-     "dims (2, 2, 2) do not multiply to matrix size 4"),
+    ("cluster_pair", [("hamiltonian: pauli_z\n    interaction:",
+                       "hamiltonian: [[1, 0, 0], [0, 0, 0], [0, 0, -1]]\n"
+                       "    interaction:")],
+     "model.site", "interaction 0 has dims (4,), site has dim 3"),
     ("cluster_pair", [("m_list: [2, 3, 4, 6]", "m_list: [1, 2]")],
      "run.m_list", "interaction 0 acts on 2 sites, more than the site count 1"),
     (None, [("coupling: pauli_x}", "coupling: pauli_x, interaction_index: 1}")],
@@ -1039,7 +1053,7 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
 
 @pytest.mark.parametrize("name,old,new,key", [
     ("bell_channel_moments",
-     "kind: channel\n  site_state: zero\n  corr_length: 2\n  channel: bell",
+     "kind: channel\n  site_state: zero\n  channel: bell",
      "kind: product\n  site_state: zero", "checks[0]"),
     ("bell_channel_moments", "check: correlated_bound",
      "check: pair_factorization", "checks[0]"),
@@ -1068,11 +1082,10 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
     ("moments_product_qubit", "    interaction: pauli_x\n", "", "model.site"),
     ("cluster_pair", "    coupling: pauli_x\n",
      "    coupling: pauli_x\n    interaction_index: 3\n", "model.system"),
-    ("cluster_pair", "    hamiltonian: pauli_z\n  cluster:",
-     "    hamiltonian: pauli_z\n    interaction: pauli_x\n  cluster:",
-     "model.cluster"),
-    ("moments_product_qubit", "    interaction: pauli_x\n", PAIR_CLUSTER,
-     "model.cluster")],
+    ("moments_product_qubit", "    interaction: pauli_x\n", PAIR_INTERACTION,
+     "model.site"),
+    ("oscillator_scattering", "interaction: field\n",
+     "interaction: field\n      strength: 7.5\n", "model.site.oscillator")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
          "cluster-without-coupling", "stark-levels-above-grid-points",
          "stark-slope", "stark-grid", "well-spacing-overflows",
@@ -1082,7 +1095,7 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
          "decay-time-past-float-range",
          "supermultiplicative-past-float-range",
          "moments-site-without-interaction", "cluster-interaction-index",
-         "cluster-on-a-site-with-interactions", "moments-with-cluster"])
+         "moments-with-cluster", "field-oscillator-strength"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
     text = cli.resolve_config(name).read_text()
@@ -1097,6 +1110,99 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
         assert err.count("\n") == 1 and f"exp.yaml.{key}: " in err
         assert not [str(w.message) for w in caught]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,old,new,message", [
+    ("cluster_pair", "reservoir:\n",
+     f"  cluster: {{size: 2, operator: {PAIR_FLIP}}}\nreservoir:\n",
+     "exp.yaml.model: unknown key(s) 'cluster'"),
+    ("bell_channel_moments", "  channel: bell\n",
+     "  corr_length: 2\n  channel: bell\n",
+     "exp.yaml.reservoir: unknown key(s) 'corr_length'")],
+    ids=["model.cluster", "reservoir.corr_length"])
+def test_keys_the_operators_imply_are_unknown(tmp_path, capsys, name, old, new,
+                                              message):
+    # an interaction's site count is read from its matrix size, and the Bell
+    # channel acts on two sites, so neither is a key
+    text = cli.resolve_config(name).read_text()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new, 1))
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert cli.main(verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f": {message}\n")
+
+
+MIXED_SITE = f"""
+kind: entanglement
+model:
+  system:
+    subsystems:
+      - {{hamiltonian: pauli_z, coupling: pauli_x}}
+      - {{hamiltonian: pauli_z, coupling: pauli_x, interaction_index: 1}}
+  site:
+    hamiltonian: pauli_z
+    interactions: [pauli_x, {PAIR_FLIP}]
+reservoir: {{kind: product, site_state: plus}}
+initial_state: bell
+run: {{m_list: [2, 3, 4], t_max: 1.0, n_times: 21}}
+outputs: {{table: negativity.csv}}
+"""
+
+
+def test_site_mixes_one_and_two_site_interactions(tmp_path):
+    # each interaction's site count comes from its matrix size, so one site
+    # declares a one-site and a two-site interaction, one per subsystem
+    cfg = load_config(write_config(tmp_path, MIXED_SITE))
+    assert [v.dims for v in cfg.site.interactions] == [(2,), (2, 2)]
+    flip = Operator(np.eye(4, dtype=complex)[::-1], (2, 2), hermitian=True)
+    site = SiteModel(h=pauli("z"), interactions=(pauli("x"), flip))
+    tables = []
+    for out, c in (("cfg", cfg), ("python", dataclasses.replace(cfg,
+                                                                site=site))):
+        summary = cli.run_experiment(c, tmp_path / out, "exp")
+        assert summary["rows"] == 21
+        tables.append((tmp_path / out / "negativity.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("verb,name,old,new,operation", [
+    ("validate", "oscillator_scattering", "n_times: 101",
+     "n_times: 10000000000000", "config.parse_config"),
+    ("validate", "oscillator_scattering", "levels: 6",
+     "levels: 10000000000000", "model.number_op"),
+    ("run", "well_localization", "n_grid: 1200", "n_grid: 10000000000000",
+     "analysis.bound_state_count")],
+    ids=["n_times", "oscillator-levels", "well-grid"])
+def test_allocation_failure_is_a_resource_limit(tmp_path, capsys, verb, name,
+                                                old, new, operation):
+    # each first allocation asks for about 73 TiB, which numpy refuses
+    text = cli.resolve_config(name).read_text()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new, 1))
+    argv = [verb, str(cfg)] + (["--out", str(tmp_path / "o")]
+                               if verb == "run" else [])
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {operation}: Unable to allocate ")
+
+
+def test_unusable_output_directory_is_refused_before_the_run(tmp_path, capsys,
+                                                             monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(analysis, "finite_and_limit", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["run", "qubit_convergence", "--out",
+                     str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: cli.run_experiment: cannot create output "
+                          f"directory {blocker / 'out' / 'qubit_convergence'}")
 
 
 # Every kind but the propagation ones. There a huge t_max or a tiny

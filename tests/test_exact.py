@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -445,6 +447,25 @@ class TestSectorEngine:
                            match=r"6\.926e\+10 > 4096\^3.*part sizes "
                                  r"\(511,\) .* dimension 512"):
             propagate_exact(run)
+
+    def test_large_rank2_qubit_run_is_refused_at_once(self):
+        # the largest spin block alone is over the cutoff; it is checked
+        # before the n/2 blocks are listed
+        run = FiniteMRun(qubit_sys(), qubit_site(), 10 ** 6,
+                         ProductState(tilted_mixed_site()), PLUS,
+                         np.array([0.0, 0.5]))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            with pytest.raises(ResourceLimitError,
+                               match=r"part sizes \(1000000,\) .* "
+                                     r"dimension 1000001"):
+                propagate_exact(run)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2 ** 20
 
     def test_gap_falls_as_one_over_m(self):
         cfg = load_config(resolve_config("qubit_convergence"))
