@@ -201,26 +201,23 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
     site, state = cfg.site, cfg.reservoir
     name = check["check"]
     rows = []
-    if name == "pair_factorization":
-        t1, t2 = check["times"]
-        label = f"t={t1:g}|{t2:g}"
-        ref = reference_site_state(state)
-        v1, v2 = _evolved_interaction(site, t1), _evolved_interaction(site, t2)
-        w1, w2 = site_expectation(ref, site, (t1, t2))
-        pair = complex(np.trace(ref.data @ v1 @ v2))
-        for m in check["m_list"]:
-            err, _ = factorization_error(state, m, site, (t1, t2))
-            closed = abs(pair - w1 * w2) / m
-            ok = abs(err - closed) <= 1e-12 * max(1.0, closed)
-            rows.append([name, label, m, 2, err, closed,
-                         _safe_ratio(err, closed), ok])
-    elif name == "correlated_bound":
+    if name == "factorization":
         times = check["times"]
         label = "t=" + "|".join(f"{t:g}" for t in times)
         for m in check["m_list"]:
-            err, bound = factorization_error(state, m, site, times)
-            rows.append([name, label, m, len(times), err, bound,
-                         _safe_ratio(err, bound), err <= bound + 1e-12])
+            err, ref = factorization_error(state, m, site, times)
+            if ref is not None:  # a correlation block: its size bound
+                rows.append(["correlated_bound", label, m, len(times), err,
+                             ref, _safe_ratio(err, ref), err <= ref + 1e-12])
+                continue
+            # no block: the exact two-time closed form |<V1 V2> - <V1><V2>|/M
+            rho = reference_site_state(state)
+            v1, v2 = (_evolved_interaction(site, t) for t in times)
+            w1, w2 = site_expectation(rho, site, times)
+            ref = abs(complex(np.trace(rho.data @ v1 @ v2)) - w1 * w2) / m
+            rows.append(["pair_factorization", label, m, 2, err, ref,
+                         _safe_ratio(err, ref),
+                         abs(err - ref) <= 1e-12 * max(1.0, ref)])
     elif name == "moment_bound":
         alpha = check["alpha"]
         bound_fn = {"coherent": coherent_bound,

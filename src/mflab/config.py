@@ -11,9 +11,18 @@ state, ensemble or run constructor enforces is left to it: `_build` reports
 its refusal under the key path at fault, and every reservoir size a run
 will use is checked by building that run's `exact.FiniteMRun` (or
 decomposing its ensemble, for moment checks), so a config is refused here
-exactly when running it would be. Well problems, overlap specs and the
-series oracle's runs are built here once, and the run uses them; the
-propagation runs and the Stark problem are built here only to be checked.
+exactly when running it would be. A size key whose largest array would
+pass numpy's largest is refused as a resource limit. Well problems,
+overlap specs and the series oracle's runs are built here once, and the
+run uses them; the propagation runs and the Stark problem are built here
+only to be checked.
+
+What the ensemble and the state already say is not asked for: a
+`factorization` check takes its reference from the ensemble (a
+correlation block's size bound, else the two-time closed form),
+`kind: channel` is the Bell channel, and a coherent ket has the dimension
+of the state it fills. A `model.system`, in every kind, needs a coupling
+and an `initial_state`.
 
 No code is ever executed from a config. Operators are named presets
 (pauli_x, ...) or literal matrices whose entries are numbers or [re, im]
@@ -32,20 +41,21 @@ import numpy as np
 import yaml
 
 from .effective import DEFAULT_STEP_TARGET
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .exact import SERIES_MAX_ORDER, FiniteMRun
 from .model import (Coupling, SiteModel, SystemModel, check_couplings,
                     coherent_ket, oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus, check_moment_site,
-                        decompose, supermultiplicative_order_limit)
+                        ProductState, bell_channel_kraus, check_moment_count,
+                        check_moment_site, decompose,
+                        supermultiplicative_order_limit)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
          "decay")
 
-CHECK_NAMES = ("pair_factorization", "correlated_bound", "moment_bound",
-               "supermultiplicative", "series_ratio")
+CHECK_NAMES = ("factorization", "moment_bound", "supermultiplicative",
+               "series_ratio")
 
 _MISSING = object()
 
@@ -154,6 +164,19 @@ class _Block:
                 minimum: int | None = None) -> int:
         return _integer(self.get(key, default), f"{self.where}.{key}", minimum)
 
+    def count(self, key: str, default=_MISSING, minimum: int | None = None,
+              *, nbytes) -> int:
+        """An integer whose run forms arrays of up to nbytes(value) bytes,
+        refused past numpy's largest array (sys.maxsize bytes), which numpy
+        refuses with a ValueError; below it a failed allocation is a
+        MemoryError, a resource limit too."""
+        n = self.integer(key, default, minimum)
+        if nbytes(n) > sys.maxsize:
+            raise ResourceLimitError(
+                f"{self.where}.{key}: {n} forms an array of {nbytes(n)} "
+                f"bytes, past numpy's largest of {sys.maxsize}")
+        return n
+
     def string(self, key: str, default=_MISSING, choices=None) -> str:
         x = self.get(key, default)
         if not isinstance(x, str):
@@ -207,8 +230,8 @@ class _Block:
         return _build(where, Operator, mat, _factor_dims(mat.shape[0], site_dim),
                       hermitian=True)
 
-    def state(self, key: str, dims, levels: int | None = None):
-        return parse_state(self.get(key), f"{self.where}.{key}", dims, levels)
+    def state(self, key: str, dims):
+        return parse_state(self.get(key), f"{self.where}.{key}", dims)
 
 
 def _factor_dims(n: int, d: int) -> tuple[int, ...]:
@@ -246,10 +269,11 @@ def parse_matrix(node, where: str) -> np.ndarray:
     raise ConfigError(f"{where}: expected a matrix name or a nested list")
 
 
-def parse_state(node, where: str, dims, levels: int | None = None):
+def parse_state(node, where: str, dims):
     """Density matrix from a named ket, literal ket/matrix, Fock index, or
-    coherent amplitude. Returns (DensityMatrix, alpha), where alpha is the
-    amplitude of a coherent preset and None for every other form.
+    coherent amplitude, a coherent ket truncated to the state's dimension.
+    Returns (DensityMatrix, alpha), where alpha is the amplitude of a
+    coherent preset and None for every other form.
     """
     dims = tuple(int(d) for d in dims)
     dim = math.prod(dims)
@@ -290,27 +314,25 @@ def parse_state(node, where: str, dims, levels: int | None = None):
         vec[k] = 1.0
         out = DensityMatrix.pure(vec, dims)
     else:
-        if levels is None:
-            raise ConfigError(f"{where}.coherent: needs an oscillator site "
-                              f"with a declared level count")
         alpha = _entry(block.get("coherent"), f"{where}.coherent")
-        out = DensityMatrix.pure(coherent_ket(alpha, levels), dims)
+        out = DensityMatrix.pure(coherent_ket(alpha, dim), dims)
     block.done()
     return out, alpha
 
 
-def _build_site(block: _Block):
-    """SiteModel plus the oscillator level count (None for a matrix site)."""
+def _build_site(block: _Block) -> SiteModel:
+    """An oscillator site, or a matrix site with its interactions."""
     if block.has("oscillator"):
         osc = block.sub("oscillator")
         block.done()
-        levels = osc.integer("levels", minimum=2)
+        # the level ladder, a complex number per level
+        levels = osc.count("levels", minimum=2, nbytes=lambda n: 16 * n)
         omega = osc.number("frequency", 1.0)
         interaction = osc.string("interaction", "field", ("field", "number"))
         strength = (osc.number("strength", 1.0) if interaction == "number"
                     else 1.0)
         osc.done()
-        return oscillator_site(levels, omega, interaction, strength), levels
+        return oscillator_site(levels, omega, interaction, strength)
     h = block.operator("hamiltonian")
     interactions = []
     if block.has("interaction"):
@@ -320,7 +342,7 @@ def _build_site(block: _Block):
         interactions = [listed.operator(k, h.dim) for k in listed.node]
     block.done()
     return _build(block.where, SiteModel, h=h,
-                  interactions=tuple(interactions)), None
+                  interactions=tuple(interactions))
 
 
 def _subsystem(block: _Block, j: int):
@@ -349,19 +371,16 @@ def _build_system(block: _Block) -> SystemModel:
                   couplings=tuple(c for _, c in read if c is not None))
 
 
-def _build_reservoir(block: _Block, site_dim: int, levels: int | None):
+def _build_reservoir(block: _Block, site_dim: int):
     """Reservoir ensemble plus the coherent amplitude of its site state."""
     kind = block.string("kind", choices=("product", "channel", "definetti",
                                          "macroscopic"))
-    if kind == "product":
-        state, alpha = block.state("site_state", (site_dim,), levels)
+    if kind in ("product", "channel"):
+        state, alpha = block.state("site_state", (site_dim,))
         block.done()
-        return ProductState(state), alpha
-    if kind == "channel":
-        state, alpha = block.state("site_state", (site_dim,), levels)
-        block.string("channel", choices=("bell",))
-        block.done()
-        # the Bell channel acts on two sites
+        if kind == "product":
+            return ProductState(state), alpha
+        # kind: channel is the Bell channel, which acts on two sites
         return _build(block.where, ChannelCorrelated, state, 2,
                       bell_channel_kraus()), alpha
     key, weight_key, family = (("atoms", "weight", DeFinettiMixture)
@@ -373,16 +392,18 @@ def _build_reservoir(block: _Block, site_dim: int, levels: int | None):
     for k in listed.node:
         sub = listed.sub(k)
         w = sub.positive(weight_key)
-        state, _ = sub.state("site_state", (site_dim,), levels)
+        state, _ = sub.state("site_state", (site_dim,))
         sub.done()
         pairs.append((w, state))
     return _build(block.where, family, tuple(pairs)), None
 
 
-def _build_run(block: _Block):
+def _build_run(block: _Block, sys_dim: int):
     m_list = block.sizes("m_list")
     t_max = block.positive("t_max")
-    n_times = block.integer("n_times", minimum=2)
+    # the trajectory: n_times complex system density matrices
+    n_times = block.count("n_times", minimum=2,
+                          nbytes=lambda n: 16 * sys_dim ** 2 * n)
     step_target = block.positive("step_target", DEFAULT_STEP_TARGET)
     block.done()
     return m_list, np.linspace(0.0, t_max, n_times), step_target
@@ -395,10 +416,7 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
         blk = listed.sub(k)
         name = blk.string("check", choices=CHECK_NAMES)
         spec: dict = {"check": name}
-        if name == "pair_factorization":
-            spec["m_list"] = blk.sizes("m_list")
-            spec["times"] = blk.numbers("times", length=2)
-        elif name == "correlated_bound":
+        if name == "factorization":
             spec["m_list"] = blk.sizes("m_list")
             spec["times"] = blk.numbers("times")
         elif name == "moment_bound":
@@ -440,7 +458,9 @@ def _build_problem(block: _Block) -> dict:
     kind = block.string("type", choices=("well", "stark"))
     if kind == "well":
         args = (block.number("width", 1.0), block.number("x_max"),
-                block.integer("n_grid", 400), block.flag("half_line", True))
+                # the finer rung of the count: 2n + 1 points
+                block.count("n_grid", 400, nbytes=lambda n: 8 * (2 * n + 1)),
+                block.flag("half_line", True))
         depths = block.numbers("depths")
         block.done()
         keys = {"depth": "depths", "width": "width", "x_max": "x_max",
@@ -449,7 +469,9 @@ def _build_problem(block: _Block) -> dict:
                                           d, *args, keys=keys))
                                for d in depths)}
     out = {"slope": block.number("slope"), "levels": block.integer("levels"),
-           "n_grid": block.integer("n_grid", 1600),
+           # the finest Richardson rung: 4n + 3 points
+           "n_grid": block.count("n_grid", 1600,
+                                 nbytes=lambda n: 8 * (4 * n + 3)),
            "rel_tol": block.positive("rel_tol", 1e-4)}
     block.done()
     _build(block.where, analysis.stark_problem, out["slope"], out["levels"],
@@ -472,7 +494,9 @@ def _build_overlap(block: _Block) -> dict:
     else:
         sub = block.sub("times")
         t_max = sub.positive("t_max")
-        n_times = sub.integer("n_times", minimum=2)
+        # three complex Filon weights per time, the static t = 0 included
+        n_times = sub.count("n_times", minimum=2,
+                            nbytes=lambda n: 48 * (n + 1))
         sub.done()
         times = np.linspace(0.0, t_max, n_times)
     block.done()
@@ -545,34 +569,27 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
         return ExperimentConfig(**head, audit=audit)
 
     model = top.sub("model")
-    site, levels = _build_site(model.sub("site"))
-    system = None
+    site = _build_site(model.sub("site"))
+    system = initial = None
     if kind != "moments" or model.has("system"):
         system = _build_system(model.sub("system"))
     model.done()
-    if system is not None:
+    if system is not None:  # every kind: a system is coupled and prepared
         _build(f"{where}.model.system", check_couplings, system, site)
+        if not system.couplings:
+            raise ConfigError(f"{where}.model.system: needs a coupling")
+        initial, _ = top.state("initial_state", system.subsystem_dims)
 
-    reservoir, alpha = _build_reservoir(top.sub("reservoir"), site.dim, levels)
+    reservoir, alpha = _build_reservoir(top.sub("reservoir"), site.dim)
 
     if kind == "moments":
         checks = _build_checks(top.each("checks"), alpha)
-        initial = None
-        if top.has("initial_state"):
-            if system is None:
-                raise ConfigError(f"{where}.initial_state: needs a "
-                                  f"model.system block")
-            initial, _ = top.state("initial_state", system.subsystem_dims,
-                                   levels)
         top.done()
         _build(f"{where}.model.site", check_moment_site, site)
-        if any(c["check"] == "series_ratio" for c in checks):
-            if system is None or not system.couplings:
-                raise ConfigError(f"{where}: series_ratio checks need a "
-                                  f"model.system block with a coupling")
-            if initial is None:
-                raise ConfigError(f"{where}: series_ratio checks need an "
-                                  f"initial_state")
+        if system is None and any(c["check"] == "series_ratio"
+                                  for c in checks):
+            raise ConfigError(f"{where}: series_ratio checks need a "
+                              f"model.system block")
         if alpha is None and any(c["check"] == "moment_bound" for c in checks):
             raise ConfigError(f"{where}: coherent moment bounds need a "
                               f"coherent reservoir site state")
@@ -583,23 +600,20 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
                                   c["m_count"], reservoir, initial,
                                   np.array([c["t"] / 2, c["t"]]))
             for m in c.get("m_list", ()):
+                _build(f"{at}.m_list", check_moment_count, m, len(c["times"]))
                 parts = _build(f"{at}.m_list", decompose, reservoir, m,
                                site.dim)
-                blocked = any(b is not None for _, _, b in parts)
-                if c["check"] == ("pair_factorization" if blocked
-                                  else "correlated_bound"):
-                    which = "with" if blocked else "without"
-                    raise ConfigError(f"{at}: {c['check']} does not apply to "
-                                      f"a reservoir {which} a correlation block")
+                # without a block the reference is the two-time closed form
+                if (c["check"] == "factorization" and len(c["times"]) != 2
+                        and all(b is None for _, _, b in parts)):
+                    raise ConfigError(f"{at}.times: expected a list of 2 "
+                                      f"numbers without a correlation block, "
+                                      f"got {len(c['times'])}")
         return ExperimentConfig(**head, system=system, site=site,
                                 reservoir=reservoir, initial_state=initial,
                                 checks=checks)
 
-    if not system.couplings:
-        raise ConfigError(f"{where}.model.system: propagation kinds need a "
-                          f"coupling")
-    initial, _ = top.state("initial_state", system.subsystem_dims, levels)
-    m_list, grid, step_target = _build_run(top.sub("run"))
+    m_list, grid, step_target = _build_run(top.sub("run"), system.dim)
     top.done()
 
     if kind == "entanglement" and system.n_subsystems < 2:

@@ -12,7 +12,9 @@ e^{ith} V e^{-ith}) of an interaction V on nu sites, h the site
 Hamiltonian summed over them, is the scalar signal of the limit dynamics,
 and for nu = 1 of the factorized product: a QuasiPeriodicSignal of exact
 mirror pairs, real by construction and checked exactly per |f| slot. The
-moments take a first interaction on one site.
+moments take a first interaction on one site and an M whose n-th power is
+a float for n times (check_moment_count); they, and the bound, count the
+cases they would visit and refuse past MOMENT_WORK_CAP before doing any.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .model import SiteModel
 from .operators import DensityMatrix, embed_at_site
 
@@ -38,6 +40,8 @@ KRAUS_ATOL = 1e-10
 SIGNAL_IMAG_ATOL = 1e-10
 # level gaps closer than this, relative to the largest |level|, are one term
 MERGE_ATOL = 1e-9
+# index assignments or tuple placements one moment or bound may visit
+MOMENT_WORK_CAP = 100_000
 
 
 def check_weights(weights, what: str) -> None:
@@ -411,6 +415,35 @@ def _block_contraction(block: DensityMatrix, vecs: np.ndarray):
     return contract
 
 
+def check_moment_count(m_count: int, n: int) -> None:
+    """Refuse an M whose n-th power leaves the float range: the moment of n
+    times weighs by falling factorials of M's parts and divides by M^n, M
+    counting every site, a block's included."""
+    try:
+        power = float(m_count) ** n
+    except OverflowError:
+        power = math.inf
+    if not power < math.inf:
+        raise ValidationError(f"M = {m_count} has an M^{n} past the float "
+                              f"range for {n} times", arg="m_count")
+
+
+def _touchard(n: int, x: int) -> int:
+    """sum_k S(n, k) x^k over the Stirling numbers S(n, k) of the second
+    kind: the maps of the set partitions of n items into x labels."""
+    row = [1]  # S(j, k) for k = 0..j
+    for j in range(n):
+        row = [0] + [k * a + b for k, a, b in
+                     zip(range(1, j + 2), row[1:] + [0], row)]
+    return sum(c * x ** k for k, c in enumerate(row))
+
+
+def _check_moment_work(count: int, what: str) -> None:
+    if count > MOMENT_WORK_CAP:
+        raise ResourceLimitError(f"{what} visit {count} cases, past the cap "
+                                 f"of {MOMENT_WORK_CAP}")
+
+
 def _component_moment(parts, block, site: SiteModel,
                       times: Sequence[float]) -> complex:
     """Moment of the site average over an optional block on the first L
@@ -447,22 +480,38 @@ def _component_moment(parts, block, site: SiteModel,
     return total / (sum(counts) + L) ** len(times)
 
 
+def _moment_input(state, m_count: int, site: SiteModel,
+                  times: Sequence[float]):
+    """times as floats and the components of decompose, refusing no or
+    non-finite times, a site check_moment_site refuses, an M
+    check_moment_count refuses and, before any is done, moment work past
+    MOMENT_WORK_CAP: a component visits the _touchard(n, parts + L) index
+    assignments of n times."""
+    times = [float(t) for t in times]
+    if not times:
+        raise ValidationError("need at least one time")
+    if not all(math.isfinite(t) for t in times):
+        raise ValidationError(f"moment times must be finite, got {times}")
+    n = len(times)
+    check_moment_site(site)
+    check_moment_count(m_count, n)
+    components = decompose(state, m_count, site.dim)
+    visits = sum(_touchard(n, len(parts) + (0 if b is None else len(b.dims)))
+                 for _, parts, b in components)
+    _check_moment_work(visits, f"the {n}-time moment's index assignments")
+    return times, components
+
+
 def multitime_moment(state, m_count: int, site: SiteModel,
                      times: Sequence[float]) -> complex:
     """Ensemble moment of the site-averaged evolved first interaction at
     the given times, in the given order, summed over the components of
     decompose. A block is contracted locally at its one placement, which
     gives the same site-averaged moment as every other, so no d^M object
-    is built. Non-finite times and a site check_moment_site refuses are
-    refused."""
-    times = [float(t) for t in times]
-    if not times:
-        raise ValidationError("need at least one time")
-    if not all(math.isfinite(t) for t in times):
-        raise ValidationError(f"moment times must be finite, got {times}")
-    check_moment_site(site)
+    is built. The input is refused as _moment_input says."""
+    times, components = _moment_input(state, m_count, site, times)
     return sum(w * _component_moment(parts, block, site, times)
-               for w, parts, block in decompose(state, m_count, site.dim))
+               for w, parts, block in components)
 
 
 def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
@@ -482,6 +531,8 @@ def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
     L, n = len(block.dims), len(times)
     n_place = m_count - L + 1
     short = min(m_count, (n + 1) * L - 1)
+    _check_moment_work(short ** n * (short - L + 1),
+                       f"the {n}-time bound's tuple placements")
     vecs, product = _slot_products(site, times)
     contract = _block_contraction(block, vecs)
     # with no part the block covers every site and no factor is used
@@ -514,19 +565,21 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     Returns (error, bound). For an ensemble with an explicit block of L
     sites, such as a channel-correlated one, the bound is
     n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus;
-    without a block it is None.
+    without a block it is None. The bound, whose short^n tuples of a line
+    of short sites each visit its short - L + 1 placements, is computed
+    first, so that work past MOMENT_WORK_CAP is refused before any is done.
     """
-    times = [float(t) for t in times]
-    moment = multitime_moment(state, m_count, site, times)
-    factorized = math.prod(site_expectation(reference_site_state(state), site,
-                                            times).tolist())
-    err = abs(moment - factorized)
-    for _, parts, block in decompose(state, m_count, site.dim):
+    times, components = _moment_input(state, m_count, site, times)
+    bound = None
+    for _, parts, block in components:
         if block is not None:
             L = len(block.dims)
             c_n = _max_tuple_moment(parts, block, m_count, site, times)
-            return err, len(times) * L * c_n / (m_count - L + 1)
-    return err, None
+            bound = len(times) * L * c_n / (m_count - L + 1)
+    moment = multitime_moment(state, m_count, site, times)
+    factorized = math.prod(site_expectation(reference_site_state(state), site,
+                                            times).tolist())
+    return abs(moment - factorized), bound
 
 
 def bell_channel_kraus() -> tuple[np.ndarray, ...]:

@@ -8,21 +8,23 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mflab
 from mflab import analysis, cli, effective, exact
 from mflab.config import KINDS, load_config, parse_config
-from mflab.errors import ConfigError, ValidationError
-from mflab.model import SiteModel
-from mflab.operators import Operator, pauli
-from mflab.reservoir import limit_atoms
+from mflab.errors import (ConfigError, MFLabError, ResourceLimitError,
+                          ValidationError)
+from mflab.model import SiteModel, coherent_ket
+from mflab.operators import DensityMatrix, Operator, pauli
+from mflab.reservoir import factorization_error, limit_atoms
 import oracles
 
 
@@ -118,11 +120,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="two qubit factors"):
             load_config(write_config(tmp_path, bad))
 
-    def test_coherent_needs_oscillator(self, tmp_path):
-        bad = SMALL_CONVERGENCE.replace("site_state: plus",
-                                        "site_state: {coherent: 0.5}")
-        with pytest.raises(ConfigError, match="oscillator"):
-            load_config(write_config(tmp_path, bad))
+    def test_coherent_ket_fills_a_qubit_site(self, tmp_path):
+        # a coherent ket is truncated to the dimension of the state it fills
+        text = SMALL_CONVERGENCE.replace("site_state: plus",
+                                         "site_state: {coherent: 0.5}")
+        cfg = load_config(write_config(tmp_path, text))
+        assert np.array_equal(cfg.reservoir.site_state.data, DensityMatrix.pure(
+            coherent_ket(0.5, 2), (2,)).data)
 
     def test_fock_index_bounds(self, tmp_path):
         bad = SMALL_CONVERGENCE.replace("site_state: plus",
@@ -144,7 +148,7 @@ class TestConfigParsing:
     def test_channel_m_list_below_correlation_length_rejected(self, tmp_path):
         bad = SMALL_CONVERGENCE.replace(
             "{kind: product, site_state: plus}",
-            "{kind: channel, site_state: zero, channel: bell}")
+            "{kind: channel, site_state: zero}")
         with pytest.raises(ConfigError,
                            match=r"run\.m_list: need at least 2 sites"):
             load_config(write_config(tmp_path, bad))
@@ -708,7 +712,7 @@ model:
   site: {hamiltonian: pauli_z, interaction: pauli_x}
 reservoir: {kind: product, site_state: plus}
 checks:
-  - {check: pair_factorization, m_list: [2, 100], times: [0.3, 0.9]}
+  - {check: factorization, m_list: [2, 100], times: [0.3, 0.9]}
   - {check: supermultiplicative, max_order: 4}
 outputs: {table: m.csv}
 """
@@ -960,7 +964,6 @@ def test_channel_moments_run_past_the_dense_cutoff(tmp_path):
 CHANNEL_RESERVOIR = """reservoir:
   kind: channel
   site_state: zero
-  channel: bell
 """
 
 
@@ -1053,10 +1056,15 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
 
 @pytest.mark.parametrize("name,old,new,key", [
     ("bell_channel_moments",
-     "kind: channel\n  site_state: zero\n  channel: bell",
-     "kind: product\n  site_state: zero", "checks[0]"),
-    ("bell_channel_moments", "check: correlated_bound",
-     "check: pair_factorization", "checks[0]"),
+     "kind: channel\n  site_state: zero\nchecks:\n  - check: factorization\n"
+     "    m_list: [3, 4, 5, 6, 7, 8]\n    times: [0.3, 0.9]",
+     "kind: product\n  site_state: zero\nchecks:\n  - check: factorization\n"
+     "    m_list: [3, 4, 5, 6, 7, 8]\n    times: [0.3, 0.9, 1.5]",
+     "checks[0].times"),
+    ("bell_channel_moments", "check: factorization",
+     "check: pair_factorization", "checks[0].check"),
+    ("moments_product_qubit", "check: factorization",
+     "check: correlated_bound", "checks[0].check"),
     ("cluster_pair", "    coupling: pauli_x\n", "", "model.system"),
     ("stark_halfline", "levels: 3\n  n_grid: 1600", "levels: 100\n  n_grid: 64",
      "problem.levels"),
@@ -1087,6 +1095,7 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
     ("oscillator_scattering", "interaction: field\n",
      "interaction: field\n      strength: 7.5\n", "model.site.oscillator")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
+         "correlated-bound-name",
          "cluster-without-coupling", "stark-levels-above-grid-points",
          "stark-slope", "stark-grid", "well-spacing-overflows",
          "well-spacing-underflows", "well-x-max", "well-grid", "well-depth",
@@ -1116,14 +1125,17 @@ def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
     ("cluster_pair", "reservoir:\n",
      f"  cluster: {{size: 2, operator: {PAIR_FLIP}}}\nreservoir:\n",
      "exp.yaml.model: unknown key(s) 'cluster'"),
-    ("bell_channel_moments", "  channel: bell\n",
-     "  corr_length: 2\n  channel: bell\n",
-     "exp.yaml.reservoir: unknown key(s) 'corr_length'")],
-    ids=["model.cluster", "reservoir.corr_length"])
+    ("bell_channel_moments", "  site_state: zero\n",
+     "  site_state: zero\n  corr_length: 2\n",
+     "exp.yaml.reservoir: unknown key(s) 'corr_length'"),
+    ("bell_channel_moments", "  site_state: zero\n",
+     "  site_state: zero\n  channel: bell\n",
+     "exp.yaml.reservoir: unknown key(s) 'channel'")],
+    ids=["model.cluster", "reservoir.corr_length", "reservoir.channel"])
 def test_keys_the_operators_imply_are_unknown(tmp_path, capsys, name, old, new,
                                               message):
-    # an interaction's site count is read from its matrix size, and the Bell
-    # channel acts on two sites, so neither is a key
+    # an interaction's site count is read from its matrix size, and
+    # kind: channel is the Bell channel on two sites, so none is a key
     text = cli.resolve_config(name).read_text()
     assert old in text
     cfg = write_config(tmp_path, text.replace(old, new, 1))
@@ -1132,6 +1144,103 @@ def test_keys_the_operators_imply_are_unknown(tmp_path, capsys, name, old, new,
         assert cli.main(verb) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.endswith(f": {message}\n")
+
+
+@pytest.mark.parametrize("name", ["dyson_ratio", "qubit_convergence",
+                                  "bell_pair_protection", "definetti_two_atom"])
+@pytest.mark.parametrize("pattern,message", [
+    (r"\n *coupling: pauli_x|, coupling: pauli_x",
+     "exp.yaml.model.system: needs a coupling"),
+    (r"\ninitial_state: .*",
+     "exp.yaml: missing required key 'initial_state'")],
+    ids=["coupling", "initial-state"])
+def test_every_system_needs_a_coupling_and_an_initial_state(
+        tmp_path, capsys, name, pattern, message):
+    # one rule in every kind that reads a model.system, moments included
+    text, count = re.subn(pattern, "", cli.resolve_config(name).read_text())
+    assert count
+    cfg = write_config(tmp_path, text)
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert cli.main(verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f": {message}\n")
+
+
+FACTORIZATION = """
+kind: moments
+model:
+  site: {hamiltonian: pauli_z, interaction: [[0.5, 1], [1, -0.5]]}
+reservoir: RESERVOIR
+checks:
+  - {check: factorization, m_list: [2, 5], times: TIMES}
+outputs: {table: f.csv}
+"""
+
+
+def _pair_covariance(rho, site, t1, t2):
+    evals, vecs = np.linalg.eigh(site.h.data)
+
+    def evolved(t):
+        u = vecs @ np.diag(np.exp(-1j * evals * t)) @ vecs.conj().T
+        return u.conj().T @ site.interactions[0].data @ u
+
+    v1, v2 = evolved(t1), evolved(t2)
+    mean = [np.trace(rho @ v).real for v in (v1, v2)]
+    return abs(np.trace(rho @ v1 @ v2) - mean[0] * mean[1])
+
+
+@pytest.mark.parametrize("reservoir,times,label", [
+    ("{kind: product, site_state: plus}", [0.3, 0.9], "pair_factorization"),
+    ("{kind: definetti, atoms: [{weight: 0.25, site_state: zero}, "
+     "{weight: 0.75, site_state: plus}]}", [0.3, 0.9], "pair_factorization"),
+    ("{kind: macroscopic, parts: [{fraction: 0.5, site_state: zero}, "
+     "{fraction: 0.5, site_state: minus}]}", [0.3, 0.9], "pair_factorization"),
+    ("{kind: channel, site_state: zero}", [0.3, 0.9], "correlated_bound"),
+    ("{kind: channel, site_state: plus}", [0.3, 0.9, 1.5], "correlated_bound")],
+    ids=["product", "definetti", "macroscopic", "bell-channel",
+         "bell-channel-three-times"])
+def test_factorization_reference_follows_the_ensemble(tmp_path, reservoir,
+                                                      times, label):
+    # one check name; each row names the reference it used: the block's size
+    # bound, else the two-time closed form |<V1 V2> - <V1><V2>| / M in the
+    # reference site state
+    text = FACTORIZATION.replace("RESERVOIR", reservoir).replace(
+        "TIMES", str(times))
+    cfg = load_config(write_config(tmp_path, text))
+    cli.run_experiment(cfg, tmp_path / "o", "exp")
+    rows = (tmp_path / "o" / "f.csv").read_text().splitlines()[1:]
+    rows = [row.split(",") for row in rows]
+    assert [r[:4] for r in rows] == [
+        [label, "t=" + "|".join(f"{t:g}" for t in times), str(m),
+         str(len(times))] for m in (2, 5)]
+    rho = sum(w * s.data for w, s in limit_atoms(cfg.reservoir))
+    for row, m in zip(rows, (2, 5)):
+        err, bound = factorization_error(cfg.reservoir, m, cfg.site, times)
+        assert float(row[4]) == err
+        if label == "correlated_bound":
+            assert float(row[5]) == bound and row[7] == "1"
+        else:
+            assert bound is None
+            assert float(row[5]) == pytest.approx(
+                _pair_covariance(rho, cfg.site, *times) / m, rel=1e-12)
+
+
+def test_coherent_initial_state_is_a_ket_of_the_system_dimension(tmp_path,
+                                                                 capsys):
+    # the qubit system's coherent ket has 2 levels, not the oscillator
+    # site's 6; the reservoir's has 6
+    text = cli.resolve_config("oscillator_scattering").read_text()
+    text = text.replace("initial_state: zero", "initial_state: {coherent: 0.5}")
+    text = text.replace("site_state:\n    fock: 1", "site_state: {coherent: 0.5}")
+    path = write_config(tmp_path, text)
+    cfg = load_config(path)
+    for state, dim in ((cfg.initial_state, 2), (cfg.reservoir.site_state, 6)):
+        assert np.array_equal(state.data, DensityMatrix.pure(
+            coherent_ket(0.5, dim), (dim,)).data)
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "exp" / "convergence.csv").exists()
 
 
 MIXED_SITE = f"""
@@ -1187,6 +1296,82 @@ def test_allocation_failure_is_a_resource_limit(tmp_path, capsys, verb, name,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: {operation}: Unable to allocate ")
+
+
+@pytest.mark.parametrize("name,old,key", [
+    ("oscillator_scattering", "n_times: 101", "run.n_times"),
+    ("field_coherent", "n_times: 101", "overlap.times.n_times"),
+    ("oscillator_scattering", "levels: 6", "model.site.oscillator.levels"),
+    ("well_localization", "n_grid: 1200", "problem.n_grid"),
+    ("stark_halfline", "n_grid: 1600", "problem.n_grid")],
+    ids=["n_times", "overlap-n_times", "oscillator-levels", "well-grid",
+         "stark-grid"])
+def test_sizes_past_numpys_largest_array_are_refused(tmp_path, capsys, name,
+                                                     old, key):
+    # 3e18 items pass the largest array numpy forms, where it raises
+    # ValueError, not MemoryError; the config refuses the size by name
+    text = cli.resolve_config(name).read_text()
+    assert old in text
+    new = old.split(":")[0] + ": 3000000000000000000"
+    cfg = write_config(tmp_path, text.replace(old, new, 1))
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert cli.main(verb) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: config.parse_config: exp.yaml.{key}: "
+                              f"3000000000000000000 forms an array of ")
+        assert err.endswith(f"bytes, past numpy's largest of {sys.maxsize}\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name,key", [
+    ("moments_product_qubit", "checks[0].m_list"),
+    ("oscillator_coherent", "checks[0].m_list"),
+    ("bell_channel_moments", "checks[0].m_list")])
+def test_moment_checks_refuse_an_m_past_the_float_range(tmp_path, capsys,
+                                                        name, key):
+    # the falling-factorial weights and the normalisation M^n are floats
+    text = cli.resolve_config(name).read_text()
+    text, count = re.subn(r"m_list: \[[0-9, ]*\]", "m_list: [1" + "0" * 160
+                          + "]", text, count=1)
+    assert count == 1
+    cfg = write_config(tmp_path, text)
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        assert cli.main(verb) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"exp.yaml.{key}: M = 1" in err
+        assert "past the float range" in err
+
+
+def test_an_m_whose_power_is_a_float_still_runs(tmp_path):
+    # 1e150 squared is 1e300: the two-time checks run at that M
+    for name in ("moments_product_qubit", "bell_channel_moments"):
+        text = re.sub(r"m_list: \[[0-9, ]*\]", "m_list: [1" + "0" * 150 + "]",
+                      cli.resolve_config(name).read_text(), count=1)
+        cfg = write_config(tmp_path, text, name=f"{name}.yaml")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_long_moment_time_lists_are_refused_before_any_work(tmp_path,
+                                                           capsys):
+    # the 7-time bound at M = 8 visits 8^7 tuples x 7 placements; counted
+    # first, it is refused at once instead of running for minutes
+    text = cli.resolve_config("bell_channel_moments").read_text().replace(
+        "m_list: [3, 4, 5, 6, 7, 8]", "m_list: [8]").replace(
+        "times: [0.3, 0.9]", "times: [0.3, 0.9, 0.2, 0.5, 0.7, 1.1, 0.4]")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    started = time.perf_counter()
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert time.perf_counter() - started < 0.1
+    err = capsys.readouterr().err
+    assert err == ("error: reservoir.factorization_error: the 7-time bound's "
+                   "tuple placements visit 14680064 cases, past the cap of "
+                   "100000\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unusable_output_directory_is_refused_before_the_run(tmp_path, capsys,
@@ -1281,17 +1466,30 @@ _REPLACEMENTS = st.one_of(
     st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=3),
              min_size=3, max_size=3),
     st.dictionaries(st.sampled_from(["ket", "matrix", "fock", "bogus"]),
-                    st.integers(0, 3), max_size=2))
+                    st.integers(0, 3), max_size=2),
+    st.just({"coherent": 0.5}), st.just(3000000000000000000))
+
+
+_HUGE = 3000000000000000000
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(data=st.data())
-def test_mutated_bundled_configs_raise_only_config_errors(data):
+@given(name=st.sampled_from(cli.bundled_names()),
+       pick=st.integers(min_value=0), value=_REPLACEMENTS)
+@example(name="oscillator_scattering", pick=("initial_state",),
+         value={"coherent": 0.5})
+@example(name="oscillator_scattering", pick=("run", "n_times"), value=_HUGE)
+@example(name="oscillator_scattering",
+         pick=("model", "site", "oscillator", "levels"), value=_HUGE)
+@example(name="field_coherent", pick=("overlap", "times", "n_times"),
+         value=_HUGE)
+@example(name="well_localization", pick=("problem", "n_grid"), value=_HUGE)
+def test_mutated_bundled_configs_raise_only_config_errors(name, pick, value):
+    # pick is a node path, or an index into the config's node paths
     import yaml
-    name = data.draw(st.sampled_from(cli.bundled_names()))
     doc = yaml.safe_load(cli.resolve_config(name).read_text())
-    path = data.draw(st.sampled_from(list(_node_paths(doc))))
-    value = data.draw(_REPLACEMENTS)
+    paths = list(_node_paths(doc))
+    path = pick if isinstance(pick, tuple) else paths[pick % len(paths)]
     parent = doc
     for k in path[:-1]:
         parent = parent[k]
@@ -1299,10 +1497,13 @@ def test_mutated_bundled_configs_raise_only_config_errors(data):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
+    # exactly the refusals cli.main reports as a bad config (exit 2) or a
+    # resource limit (exit 4), each naming its key but numpy's own
     try:
         parse_config(doc, where=name)
-    except ConfigError:
-        pass
+    except (MFLabError, MemoryError) as exc:
+        assert cli._exit_code(exc) in (2, 4), exc
+        assert isinstance(exc, MemoryError) or str(exc).startswith(name), exc
 
 
 def test_yaml_loaders_agree_on_every_bundled_config():

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 import mflab.reservoir as reservoir
 from mflab.effective import effective_potential
-from mflab.errors import ValidationError
+from mflab.errors import ResourceLimitError, ValidationError
 from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
 from mflab.operators import DensityMatrix, Operator, pauli
 from mflab.reservoir import (
@@ -355,6 +355,40 @@ def test_channel_moment_and_bound_match_dense_oracle(seed, L, n, extra,
     _, bound = factorization_error(state, m, site, times)
     c_n = dense_max_tuple_moment(state, m, site, times)
     assert abs(bound - n * L * c_n / (m - L + 1)) < 1e-12
+
+
+@pytest.mark.parametrize("n,x", [(0, 3), (1, 1), (4, 1), (5, 2), (6, 3)])
+def test_touchard_counts_the_assignments_of_the_partition_sum(n, x):
+    # _component_moment gives each block of each set partition of the n
+    # times one of x labels (parts, and block positions)
+    visits = sum(x ** len(p) for p in reservoir.set_partitions(range(n)))
+    assert reservoir._touchard(n, x) == visits
+
+
+def test_moment_of_an_m_past_the_float_range_is_refused():
+    site = qubit_site(SZ.data, SX.data)
+    state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
+    assert np.isfinite(multitime_moment(ProductState(PLUS), 10 ** 150, site,
+                                        [0.1, 0.2]))
+    for s in (ProductState(PLUS), state):
+        for call in (multitime_moment, factorization_error):
+            with pytest.raises(ValidationError, match="past the float range"):
+                call(s, 10 ** 160, site, [0.1, 0.2])
+    with pytest.raises(ValidationError, match="past the float range"):
+        multitime_moment(ProductState(PLUS), 10 ** 80, site, [0.1] * 4)
+
+
+def test_moment_work_past_the_cap_is_refused_before_it_is_done():
+    # Bell(10) = 115975 assignments of a 12-level site, about 6 s of work
+    site = oscillator_site(n_levels=12)
+    state = ProductState(DensityMatrix.pure(coherent_ket(0.5, 12), (12,)))
+    with pytest.raises(ResourceLimitError, match="115975 cases"):
+        multitime_moment(state, 3, site, np.linspace(0.1, 1.0, 10))
+    # T_8(3) = 681870 assignments over the Bell channel's three labels
+    channel = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
+    with pytest.raises(ResourceLimitError, match="681870 cases"):
+        multitime_moment(channel, 3, qubit_site(SZ.data, SX.data),
+                         np.linspace(0.1, 1.0, 8))
 
 
 # factorization_error
