@@ -164,14 +164,9 @@ def _run_stepper_audit(audit: dict, seed):
                                      np.concatenate([coeffs, coeffs.conj()]))
         sys_model = SystemModel.single(h0, [(g, 0)])
         potential = EffectivePotential((signal,))
-
-        def endpoint(n: int) -> np.ndarray:
-            prop = propagate_effective(sys_model, potential, grid,
-                                       n_substeps=n)
-            return prop.unitaries[-1]
-
-        u_ref = endpoint(32 * s)
-        u1, u2 = endpoint(s), endpoint(2 * s)
+        u1, u2, u_ref = (propagate_effective(sys_model, potential, grid,
+                                             n_substeps=n).unitaries[-1]
+                         for n in (s, 2 * s, 32 * s))
         e1 = float(np.linalg.norm(u1 - u_ref))
         e2 = float(np.linalg.norm(u2 - u_ref))
         # the 32 s-step reference is itself only exact to about 32 s eps

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .effective import DEFAULT_STEP_TARGET
+from .effective import DEFAULT_STEP_TARGET, MAX_SUBSTEPS
 from .errors import ConfigError, ResourceLimitError
 from .exact import SERIES_MAX_ORDER, FiniteMRun
 from .model import (Coupling, SiteModel, SystemModel, check_couplings,
@@ -514,6 +514,10 @@ def _build_audit(block: _Block) -> dict:
         "seed": block.integer("seed", minimum=0),
         "substeps": block.integer("substeps", 48, minimum=4),
     }
+    if 32 * out["substeps"] > MAX_SUBSTEPS:
+        raise ResourceLimitError(
+            f"{block.where}.substeps: the finest audit pass, 32 x "
+            f"{out['substeps']} substeps, exceeds the cap of {MAX_SUBSTEPS}")
     block.done()
     return out
 

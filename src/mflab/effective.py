@@ -21,13 +21,11 @@ an SU(2) matrix [[a, b], [-b*, a*]]: its Cayley-Klein pair (a, b) is
 multiplied as a pair and its phase angle summed, and the two are joined into
 unitaries at the grid points only. Other factors step by one stacked eigh.
 
-Couplings are local to one system factor, so the limit propagator of a
-multi-factor system is the tensor product of per-factor propagators.
-propagate_effective steps each distinct factor once and tensors the results;
-every limit trajectory goes through it. The adaptive substep count doubles
-until a step-halving estimate meets the target, and skips the doublings
-that the observed n^-2 decay of that estimate already rules out; a
-non-finite estimate, from a generator that overflows, stops it at once.
+Couplings are local to one system factor, so propagate_effective, through
+which every limit trajectory goes, steps each distinct factor in one pass
+and tensors the results. An a priori bound on the midpoint error (Duhamel's
+formula; cf. Hochbruck and Lubich, SIAM J. Numer. Anal. 41, 945 (2003))
+fixes the substep count before any step and is the reported step error.
 """
 
 from __future__ import annotations
@@ -37,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceError, ValidationError
+from .errors import ResourceLimitError, ToleranceError, ValidationError
 from .model import SiteModel, SystemModel
-from .operators import DensityMatrix
+from .operators import DensityMatrix, hermitian_spectrum
 # QuasiPeriodicSignal is re-exported: callers build potentials from here
 from .reservoir import (QuasiPeriodicSignal, ReservoirState, check_weights,
                         limit_atoms, site_signals)
@@ -47,9 +45,8 @@ from .results import PropagationResult, time_grid
 
 PROPAGATOR_UNITARY_ATOL = 1e-8
 DEFAULT_STEP_TARGET = 1e-7
-MAX_STEP_DOUBLINGS = 16
-# Step-halving ratios of successive estimates that show the n^-2 law.
-ASYMPTOTIC_RATIO = (3.5, 4.5)
+# Substeps per grid interval, picked or fixed.
+MAX_SUBSTEPS = 2 ** 16
 # Complex entries of steps formed at once: 2 per qubit step, d^2 otherwise.
 STEP_CHUNK = 4096
 
@@ -231,56 +228,51 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray,
     return np.exp(-1j * np.cumsum(angles))[:, None, None] * su2
 
 
-# an overflowing generator shows as a non-finite estimate or unitary, which
-# is refused with one message instead of numpy's warnings
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")   # overflow: refused below
 def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
                  step_target: float, n_substeps: int | None):
-    """(unitaries, step error, substeps, steps computed) of one factor.
+    """(unitaries, step error bound, substeps) of one factor, stepped in one
+    pass of n_substeps per interval, or else of n picked before any step.
 
-    Substeps per grid interval double until the step-halving estimate of
-    the global error is below step_target, unless n_substeps fixes them
-    (error NaN). Once two successive estimates fall by a ratio inside
-    ASYMPTOTIC_RATIO the error follows its n^-2 law, so the loop skips the
-    doublings whose predicted estimate (a quarter per doubling) still misses
-    step_target and resumes at the first that meets it. The pair of passes
-    that returns is compared as before, so a short prediction only costs
-    further doublings. No pass exceeds 2**MAX_STEP_DOUBLINGS substeps.
-    Steps computed sums substeps x intervals over the passes run.
+    By Duhamel's formula, a substep of length h about midpoint m errs by at
+    most h^3 (|[H_m, H'_m]|/12 + (h/2) sup|H'| |H'_m|/12 + sup|H''|/24)
+    <= h^3 (C + h D / 2), C and D from the signals' derivative bounds and
+    the norms of g_c, [h_s, g_c] and [g_c, g_c']. The flows are unitary, so
+    on intervals dt the errors add up to at most the reported bound
+    sum(dt^3 (C + dt D / (2n))) / n^2, and n1 = sqrt(sum(dt^3) C / target),
+    n = ceil(sqrt(sum(dt^3) (C + max(dt) D / (2 n1)) / target)) meets the
+    target. A non-finite bound, or a count past MAX_SUBSTEPS, is refused.
     """
-    intervals = len(grid) - 1
-    if n_substeps is not None:
-        return (_run_grid(h_s, terms, grid, n_substeps), float("nan"),
-                n_substeps, n_substeps * intervals)
-    lo, hi = ASYMPTOTIC_RATIO
-    n_sub, computed, previous = 1, 1, None
-    coarse = _run_grid(h_s, terms, grid, n_sub)
-    while n_sub < 2 ** MAX_STEP_DOUBLINGS:
-        fine = _run_grid(h_s, terms, grid, 2 * n_sub)
-        computed += 2 * n_sub
-        # second-order extrapolation of the finer run
-        estimate = float(np.max(np.abs(coarse - fine))) / 3.0
-        if not math.isfinite(estimate):
+    c = d = 0.0
+    if terms:
+        gs = np.array([g for _, g in terms])
+        s0, s1, s2 = np.array([sig.derivative_bounds() for sig, _ in terms]).T
+        pairs = gs[:, None] @ gs[None]
+        mats = np.concatenate([gs, 1j * (h_s @ gs - gs @ h_s), 1j * (
+            pairs - np.swapaxes(pairs, 0, 1)).reshape((-1,) + h_s.shape)])
+        norms = (np.abs(hermitian_spectrum(mats)).max(axis=-1)
+                 if np.isfinite(mats).all() else np.full(len(mats), np.inf))
+        g_norm, h_comm, g_comm = np.split(norms, [len(gs), 2 * len(gs)])
+        commutator = s1 @ h_comm + s0 @ g_comm.reshape(len(gs), -1) @ s1
+        c = float(commutator / 12 + s2 @ g_norm / 24)
+        d = float((s1 @ g_norm) ** 2 / 12)
+    if not math.isfinite(c + d):
+        raise ToleranceError(f"midpoint step error bound is {c + d}; the "
+                             f"limit generator overflows")
+    dt = np.diff(grid)
+    n = n_substeps
+    if n is None:
+        cubes = float(np.sum(dt ** 3))
+        n1 = max(1.0, math.sqrt(cubes * c / step_target))
+        want = math.sqrt(cubes * (c + dt.max() * d / (2 * n1)) / step_target)
+        if not want <= MAX_SUBSTEPS:
             raise ToleranceError(
-                f"step-halving error estimate is {estimate} at {2 * n_sub} "
-                f"substeps per interval; the limit generator overflows")
-        if estimate <= step_target:
-            return fine, estimate, 2 * n_sub, computed * intervals
-        n_sub, coarse = 2 * n_sub, fine
-        level, predicted = n_sub, estimate / 4
-        if previous is not None and lo <= previous / estimate <= hi:
-            while (predicted > step_target
-                   and level < 2 ** (MAX_STEP_DOUBLINGS - 1)):
-                level, predicted = 2 * level, predicted / 4
-        previous = estimate
-        if level > n_sub:
-            # the next estimate is no single halving of this one
-            n_sub, previous = level, None
-            coarse = _run_grid(h_s, terms, grid, n_sub)
-            computed += n_sub
-    raise ToleranceError(
-        f"step halving stalled at {2 * n_sub} substeps per interval; "
-        f"achieved error estimate {estimate:.3e} > target {step_target:.1e}")
+                f"midpoint step error bound needs {want:.3g} substeps per "
+                f"interval to meet target {step_target:.1e}, past the cap "
+                f"of {MAX_SUBSTEPS}")
+        n = max(1, math.ceil(want))
+    bound = float(np.sum(dt ** 3 * (c + dt * d / (2 * n)))) / (n * n)
+    return _run_grid(h_s, terms, grid, n), bound, n
 
 
 def propagate_effective(sys: SystemModel, potential: EffectivePotential,
@@ -291,17 +283,16 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
     Couplings are local, so each of the n system factors is stepped on its
     own under the shared potential, to step_target / n, and the factor
     unitaries are tensored in factor order. Factors with the same local
-    Hamiltonian and the same couplings share one stepping; the step error
-    still counts each of the n factors. Midpoint-exponential stepping:
+    Hamiltonian and the same couplings share one pass; the step error still
+    counts each of the n factors. Midpoint-exponential stepping:
     U(t+d) = exp(-i d H(t+d/2)) U(t), each step unitary by construction and
-    formed in batches of at most STEP_CHUNK complex entries. The step error
-    is the sum of the factor estimates, which bounds the max-abs error of the
-    product since unitary entries have modulus at most 1. Passing n_substeps
-    fixes the count and skips the adaptive loop. The grid obeys
-    results.time_grid, has at least two points and starts at 0, and
-    step_target must be a positive finite number. steps_computed counts
-    substeps x intervals over every pass of every distinct factor, and
-    steppers names the stepper of each distinct factor.
+    formed in batches of at most STEP_CHUNK complex entries; n_substeps per
+    interval, or else _step_factor's a priori count, at most MAX_SUBSTEPS.
+    The step error, the sum of the factor bounds, bounds the product's error
+    in operator norm and so in max-abs. The grid obeys results.time_grid,
+    has at least two points and starts at 0; step_target is a positive
+    finite number. steps_computed counts substeps x intervals of each
+    distinct factor's pass, and steppers names each one's stepper.
     """
     grid = time_grid(grid)
     if grid.size < 2:
@@ -318,8 +309,11 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
                 f"have {len(potential.signals)}")
     if n_substeps is not None and n_substeps < 1:
         raise ValidationError("substep count must be positive")
+    if n_substeps is not None and n_substeps > MAX_SUBSTEPS:
+        raise ResourceLimitError(f"{n_substeps} substeps per interval exceed "
+                                 f"the cap of {MAX_SUBSTEPS}")
     n = sys.n_subsystems
-    runs, factors, steppers = {}, [], []
+    runs, factors = {}, []
     for j, h in enumerate(sys.local_h):
         couplings = [(c.v_index, c.g.data) for c in sys.couplings
                      if c.subsystem == j]
@@ -329,7 +323,6 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
             runs[key] = _step_factor(
                 h.data, [(potential.signals[v], g) for v, g in couplings],
                 grid, step_target / n, n_substeps)
-            steppers.append(_stepper(h.data.shape[0])[0])
         factors.append(runs[key])
     unitaries = factors[0][0]
     for part, *_ in factors[1:]:
@@ -337,11 +330,11 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
         unitaries = (unitaries[:, :, None, :, None]
                      * part[:, None, :, None, :]
                      ).reshape(len(grid), a * b, a * b)
-    return EffectivePropagator(grid, unitaries, sys.subsystem_dims,
-                               sum(run[1] for run in factors),
-                               max(run[2] for run in factors),
-                               sum(run[3] for run in runs.values()),
-                               tuple(steppers))
+    return EffectivePropagator(
+        grid, unitaries, sys.subsystem_dims, sum(f[1] for f in factors),
+        max(f[2] for f in factors),
+        sum(r[2] for r in runs.values()) * (len(grid) - 1),
+        tuple(_stepper(r[0].shape[-1])[0] for r in runs.values()))
 
 
 def _check_initial_state(rho0: DensityMatrix, dim: int) -> None:
@@ -408,8 +401,8 @@ def effective_trajectory(sys: SystemModel, state: ReservoirState,
                          ) -> PropagationResult:
     """Limit trajectory of rho0 for any supported reservoir ensemble: the
     mixture of its limit atoms' orbits through propagate_definetti, a
-    unitary orbit for a single atom. The reported step error still bounds
-    step_target."""
+    unitary orbit for a single atom. The reported step error is the largest
+    atom's a priori bound, at most step_target."""
     return propagate_definetti(
         sys, [(w, effective_potential(s, site)) for w, s in limit_atoms(state)],
         rho0, grid, step_target)

@@ -27,6 +27,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -186,7 +187,7 @@ class MacroscopicParts:
 
     def components(self, m_count: int):
         counts = largest_remainder_counts([f for f, _ in self.parts], m_count)
-        return [(1.0, tuple((int(c), s) for (_, s), c in zip(self.parts, counts)
+        return [(1.0, tuple((c, s) for (_, s), c in zip(self.parts, counts)
                             if c > 0), None)]
 
     def limit_atoms(self):
@@ -197,15 +198,15 @@ class MacroscopicParts:
 ReservoirState = ProductState | ChannelCorrelated | DeFinettiMixture | MacroscopicParts
 
 
-def largest_remainder_counts(fractions: Sequence[float], m_count: int) -> np.ndarray:
-    """Integer site counts per part: floor allocation, remainder to the
+def largest_remainder_counts(fractions: Sequence[float], m_count: int) -> list[int]:
+    """Integer site counts per part, summing to m_count: the normalised
+    fractions allocated in exact rationals by floor, the remainder to the
     largest fractional parts, ties broken by part order."""
-    raw = np.asarray(fractions, dtype=float) * m_count
-    base = np.floor(raw).astype(int)
-    leftover = m_count - int(base.sum())
-    order = np.argsort(-(raw - base), kind="stable")
-    base[order[:leftover]] += 1
-    return base
+    exact = [Fraction(f) for f in fractions]
+    raw = [f * m_count / sum(exact) for f in exact]
+    order = sorted(range(len(raw)), key=lambda k: math.floor(raw[k]) - raw[k])
+    extra = order[:m_count - sum(map(math.floor, raw))]
+    return [math.floor(r) + (k in extra) for k, r in enumerate(raw)]
 
 
 def decompose(state, m_count: int, site_dim: int):
@@ -315,6 +316,12 @@ class QuasiPeriodicSignal:
         phase = np.multiply.outer(np.asarray(t, dtype=float), freqs)
         vals = np.cos(phase) @ cos_amps - np.sin(phase) @ sin_amps
         return float(vals) if vals.ndim == 0 else vals
+
+    def derivative_bounds(self) -> np.ndarray:
+        """Upper bounds on sup|s|, sup|s'| and sup|s''| over all t: the j-th
+        derivative of a slot has amplitude |f|^j hypot(A_f, B_f)."""
+        freqs, cos_amps, sin_amps = self._folded
+        return (freqs ** np.arange(3)[:, None]) @ np.hypot(cos_amps, sin_amps)
 
     @classmethod
     def constant(cls, value: float) -> "QuasiPeriodicSignal":

@@ -612,7 +612,9 @@ outputs: {table: s.csv}
         assert code == 3
         assert "analysis.stark_halfline_spectrum" in err
 
-    def test_stalled_limit_step_names_the_propagator(self, tmp_path, capsys):
+    def test_stalled_limit_step_names_the_propagator(self, tmp_path, capsys,
+                                                     recwarn):
+        # the substep count the bound asks for is refused before any step
         text = SMALL_CONVERGENCE.replace(
             "run: {m_list: [1, 2], t_max: 1.0, n_times: 21}",
             "run: {m_list: [1], t_max: 0.5, n_times: 2, "
@@ -621,8 +623,12 @@ outputs: {table: s.csv}
         code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("error: effective.propagate_effective: step "
-                              "halving stalled")
+        assert err.count("\n") == 1
+        assert err.startswith("error: effective.propagate_effective: midpoint "
+                              "step error bound needs ")
+        assert err.endswith(" substeps per interval to meet target 1.0e-300, "
+                            "past the cap of 65536\n")
+        assert len(recwarn) == 0
 
     def test_overflowing_limit_generator_fails_at_once(self, tmp_path,
                                                        capsys, recwarn):
@@ -635,8 +641,8 @@ outputs: {table: s.csv}
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1
-        assert err.startswith("error: effective.propagate_effective: step-"
-                              "halving error estimate is nan at 2 substeps")
+        assert err == ("error: effective.propagate_effective: midpoint step "
+                       "error bound is inf; the limit generator overflows\n")
         assert len(recwarn) == 0
 
     def test_resource_exit_code_names_operation(self, tmp_path, capsys):
@@ -737,18 +743,18 @@ def test_limit_diagnostics_in_summary(tmp_path, name):
     # one stepper per distinct factor: the bell pair's two equal qubits are
     # stepped once, as SU(2) pairs
     assert limit["steppers"] == ["cayley-klein"]
-    # passes run x substeps x intervals: at least the returned pass of one
-    # factor per atom, and fewer than plain doubling (1, 2, ..., n) on every
-    # factor, because these trajectories skip doublings
     assert limit["max_trace_drift"] < 1e-12
+    # one pass per atom of its one distinct factor: the atom's substep
+    # count x intervals, summed over the atoms
     intervals = len(cfg.grid) - 1
-    atoms = limit["atoms"]
-    assert atoms == len(limit_atoms(cfg.reservoir))
-    n = limit["n_substeps"]
+    atoms = limit_atoms(cfg.reservoir)
+    assert limit["atoms"] == len(atoms)
+    counts = [effective.propagate_effective(
+        cfg.system, effective.effective_potential(s, cfg.site), cfg.grid,
+        cfg.step_target).n_substeps for _, s in atoms]
+    assert limit["n_substeps"] == max(counts)
     assert isinstance(limit["steps_computed"], int)
-    assert n * intervals <= limit["steps_computed"]
-    assert limit["steps_computed"] < (atoms * limit["factors"]
-                                      * (2 * n - 1) * intervals)
+    assert limit["steps_computed"] == sum(counts) * intervals
     written = json.loads((tmp_path / "summary.json").read_text())
     assert written["notes"]["limit"] == limit
 
@@ -1323,6 +1329,42 @@ def test_sizes_past_numpys_largest_array_are_refused(tmp_path, capsys, name,
                               f"3000000000000000000 forms an array of ")
         assert err.endswith(f"bytes, past numpy's largest of {sys.maxsize}\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_audit_substeps_past_the_limit_cap_are_refused(tmp_path, capsys):
+    # each draw steps 32 x substeps per interval in its finest pass: 2048
+    # reaches the limit propagator's cap of 65536 and is admitted
+    text = cli.resolve_config("propagator_quality").read_text()
+    assert "substeps: 48" in text
+    cfg = write_config(tmp_path, text.replace("substeps: 48", "substeps: 2048"))
+    assert cli.main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    for substeps in (2049, 1000000000):
+        cfg = write_config(tmp_path, text.replace("substeps: 48",
+                                                  f"substeps: {substeps}"))
+        for verb in (["validate", str(cfg)],
+                     ["run", str(cfg), "--out", str(tmp_path / "o")]):
+            assert cli.main(verb) == 4
+            err = capsys.readouterr().err
+            assert err == (f"error: config.parse_config: exp.yaml.stepper_"
+                           f"audit.substeps: the finest audit pass, 32 x "
+                           f"{substeps} substeps, exceeds the cap of 65536\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_macroscopic_counts_at_an_m_past_int64_still_run(tmp_path, capsys):
+    # 10^20 sites split in exact integers; the counts no longer wrap
+    text = FACTORIZATION.replace(
+        "RESERVOIR", "{kind: macroscopic, parts: [{fraction: 0.5, site_state: "
+        "zero}, {fraction: 0.5, site_state: minus}]}").replace(
+        "TIMES", "[0.3, 0.9]").replace("m_list: [2, 5]",
+                                        "m_list: [2, 1" + "0" * 20 + "]")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "o" / "exp" / "f.csv").read_text().splitlines()
+    assert rows[2].split(",")[2] == "1" + "0" * 20
 
 
 @pytest.mark.parametrize("name,key", [

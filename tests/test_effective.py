@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -15,7 +16,7 @@ from mflab.effective import (
     propagate_definetti,
     propagate_effective,
 )
-from mflab.errors import ToleranceError, ValidationError
+from mflab.errors import ResourceLimitError, ToleranceError, ValidationError
 from mflab.model import (Coupling, SiteModel, SystemModel, coherent_ket,
                          oscillator_site)
 from mflab.operators import DensityMatrix, Operator, pauli
@@ -23,6 +24,7 @@ from mflab.reservoir import (
     DeFinettiMixture,
     MacroscopicParts,
     ProductState,
+    limit_atoms,
     site_signal_terms,
 )
 from oracles import partial_trace
@@ -318,14 +320,6 @@ def test_step_target_must_be_positive_and_finite(target):
                              np.linspace(0.0, 1.0, 11), step_target=target)
 
 
-def test_step_halving_failure_reports_estimate(monkeypatch):
-    monkeypatch.setattr(eff, "MAX_STEP_DOUBLINGS", 2)
-    sys = qubit_sys(SZ.data, SX.data)
-    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
-    with pytest.raises(ToleranceError, match="achieved"):
-        propagate_effective(sys, pot, [0.0, 3.0], step_target=1e-14)
-
-
 def sequential_midpoint_oracle(h0, g, signal, grid, n):
     """Plain product of expm midpoint steps, one substep at a time."""
     u = np.eye(h0.shape[0], dtype=complex)
@@ -408,7 +402,7 @@ def test_qubit_phase_path_matches_sequential_expm(monkeypatch, kind, n,
 
 
 def test_long_pair_products_match_joint_eigh_stepping():
-    # one interval of 2**MAX_STEP_DOUBLINGS substeps: matching the joint 4x4
+    # one interval of MAX_SUBSTEPS substeps: matching the joint 4x4
     # eigh stepping and staying unitary bounds the drift of |a|^2 + |b|^2
     # over a long pair product; only the first qubit is coupled
     rng = np.random.default_rng(59)
@@ -421,7 +415,7 @@ def test_long_pair_products_match_joint_eigh_stepping():
     pot = EffectivePotential((QuasiPeriodicSignal(
         np.array([1.3, -1.3, 0.4, -0.4]), np.array([0.5, 0.5, 0.3j, -0.3j])),))
     grid = np.array([0.0, 2.0])
-    n = 2 ** eff.MAX_STEP_DOUBLINGS
+    n = eff.MAX_SUBSTEPS
     product = propagate_effective(sys, pot, grid, n_substeps=n)
     joint = propagate_effective(joint_sys(sys), pot, grid, n_substeps=n)
     assert product.steppers == ("cayley-klein", "cayley-klein")
@@ -494,12 +488,14 @@ def test_product_propagation_commutes_with_partial_trace():
     sys = two_qubit_sys(rng)
     pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
     grid = np.linspace(0, 2, 5)
-    prop = propagate_effective(sys, pot, grid)
+    # one substep count for both runs: the first factor is then stepped
+    # alike in each, so the two agree to rounding
+    prop = propagate_effective(sys, pot, grid, n_substeps=64)
 
     couplings = [Coupling(g=c.g, v_index=c.v_index, subsystem=0)
                  for c in sys.couplings if c.subsystem == 0]
     local = SystemModel(local_h=(sys.local_h[0],), couplings=tuple(couplings))
-    prop1 = propagate_effective(local, pot, grid)
+    prop1 = propagate_effective(local, pot, grid, n_substeps=64)
 
     rho_a = np.diag([0.7, 0.3]).astype(complex)
     rho_b = PLUS.data
@@ -736,124 +732,20 @@ def test_unequal_factors_match_joint_propagation():
     pot = EffectivePotential((QuasiPeriodicSignal(
         np.array([1.3, -1.3, 0.4, -0.4]), np.array([0.5, 0.5, 0.3j, -0.3j])),))
     grid = np.linspace(0, 0.8, 6)
+    bounds = []
     for n in (1, 5, 48):
         product = propagate_effective(sys, pot, grid, n_substeps=n)
         joint = propagate_effective(joint_sys(sys), pot, grid, n_substeps=n)
-        assert product.dims == dims and math.isnan(product.step_error)
+        # a fixed count reports its bound, which falls as the count grows
+        bounds.append(product.step_error)
+        assert product.dims == dims and 0 < product.step_error < math.inf
         assert product.steppers == ("cayley-klein", "eigh", "cayley-klein")
         assert np.max(np.abs(product.unitaries - joint.unitaries)) < 1e-12
+    assert bounds == sorted(bounds, reverse=True)
     prop = propagate_effective(sys, pot, grid, step_target=1e-8)
     assert prop.step_error <= 1e-8
     rho0 = DensityMatrix(np.eye(sys.dim) / sys.dim, dims)
     assert evolve_state(prop, rho0).diagnostics["factors"] == 3
-
-
-# adaptive schedule against plain doubling
-
-def doubling_step_factor(h_s, terms, grid, step_target):
-    """The adaptive loop with every doubling run: 1, 2, 4, ... substeps until
-    the step-halving estimate meets step_target."""
-    n_sub = 1
-    coarse = eff._run_grid(h_s, terms, grid, n_sub)
-    for _ in range(eff.MAX_STEP_DOUBLINGS):
-        fine = eff._run_grid(h_s, terms, grid, 2 * n_sub)
-        estimate = float(np.max(np.abs(coarse - fine))) / 3.0
-        if estimate <= step_target:
-            return fine, estimate, 2 * n_sub
-        n_sub *= 2
-        coarse = fine
-    raise ToleranceError(
-        f"step halving stalled at {2 * n_sub} substeps per interval; "
-        f"achieved error estimate {estimate:.3e} > target {step_target:.1e}")
-
-
-def bundled_qubit_factor():
-    """(h, terms, step target) of the qubit_convergence system factor."""
-    from mflab import cli
-    from mflab.config import load_config
-    cfg = load_config(cli.resolve_config("qubit_convergence"))
-    (_, state), = cfg.reservoir.limit_atoms()
-    pot = effective_potential(state, cfg.site)
-    terms = [(pot.signals[c.v_index], c.g.data) for c in cfg.system.couplings]
-    return cfg.system.local_h[0].data, terms, cfg.step_target
-
-
-def logged_levels(monkeypatch):
-    """Substep counts of the _run_grid passes, in call order."""
-    levels = []
-    run_grid = eff._run_grid
-
-    def logged(h_s, terms, grid, n_sub):
-        levels.append(n_sub)
-        return run_grid(h_s, terms, grid, n_sub)
-    monkeypatch.setattr(eff, "_run_grid", logged)
-    return levels
-
-
-def schedule_cases():
-    h, terms, _ = bundled_qubit_factor()
-    for target in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-        yield f"qubit-{target:.0e}", h, terms, np.linspace(0, 5, 251), target
-    rng = np.random.default_rng(41)
-    signal = QuasiPeriodicSignal(np.array([1.3, -1.3, 0.4, -0.4]),
-                                 np.array([0.5, 0.5, 0.3j, -0.3j]))
-    h3, g3 = random_hermitian(rng, 3), random_hermitian(rng, 3)
-    for target in (1e-6, 1e-9):
-        yield (f"d3-{target:.0e}", h3, [(signal, g3)], np.linspace(0, 2, 41),
-               target)
-    yield ("constant", SZ.data, [(QuasiPeriodicSignal.constant(0.8), SX.data)],
-           np.linspace(0, 3, 31), 1e-9)
-
-
-@pytest.mark.parametrize("case", list(schedule_cases()), ids=lambda c: c[0])
-def test_skipping_schedule_matches_plain_doubling(case):
-    _, h, terms, grid, target = case
-    want_u, want_err, want_n = doubling_step_factor(h, terms, grid, target)
-    got_u, got_err, got_n, _ = eff._step_factor(h, terms, grid, target, None)
-    assert got_n == want_n
-    assert got_err == want_err
-    assert np.array_equal(got_u, want_u)
-
-
-def test_schedule_skips_doublings_the_law_rules_out(monkeypatch):
-    # estimates at 1 -> 2 and 2 -> 4 substeps fall by about 4, so the loop
-    # predicts that 32 -> 64 meets the target and runs neither 8 nor 16
-    h, terms, target = bundled_qubit_factor()
-    grid = np.linspace(0, 5, 251)
-    levels = logged_levels(monkeypatch)
-    _, _, n, computed = eff._step_factor(h, terms, grid, target, None)
-    assert levels == [1, 2, 4, 32, 64]
-    assert n == 64 and computed == sum(levels) * 250
-
-
-def test_constant_signal_takes_no_jump(monkeypatch):
-    # the midpoint step is exact for a constant generator: the first
-    # estimate already meets the target
-    levels = logged_levels(monkeypatch)
-    _, err, n, computed = eff._step_factor(
-        SZ.data, [(QuasiPeriodicSignal.constant(0.8), SX.data)],
-        np.linspace(0, 3, 31), 1e-9, None)
-    assert levels == [1, 2] and n == 2 and err <= 1e-9
-    assert computed == 3 * 30
-
-
-@pytest.mark.parametrize("doublings", [6, 16])
-def test_stalled_schedule_stays_within_the_doubling_cap(monkeypatch,
-                                                        doublings):
-    # the prediction for 1e-300 lies far beyond the cap: the jump stops so
-    # that no pass is finer than plain doubling's last, and the stall
-    # message (substeps and estimate) is plain doubling's
-    monkeypatch.setattr(eff, "MAX_STEP_DOUBLINGS", doublings)
-    h, terms, _ = bundled_qubit_factor()
-    grid = np.array([0.0, 0.5])
-    with pytest.raises(ToleranceError) as want:
-        doubling_step_factor(h, terms, grid, 1e-300)
-    levels = logged_levels(monkeypatch)
-    with pytest.raises(ToleranceError) as got:
-        eff._step_factor(h, terms, grid, 1e-300, None)
-    assert str(got.value) == str(want.value)
-    assert max(levels) == 2 ** doublings
-    assert len(levels) < doublings + 1
 
 
 # identical factors stepped once
@@ -895,4 +787,151 @@ def test_identical_factors_are_stepped_once(monkeypatch):
         assert np.array_equal(prop.unitaries, want)
         assert prop.step_error == sum(run[1] for run in runs)
         assert prop.n_substeps == max(run[2] for run in runs)
-        assert prop.steps_computed == sum(runs[j][3] for j in first)
+        assert prop.steps_computed == (sum(runs[j][2] for j in first)
+                                       * (len(grid) - 1))
+
+
+# one pass per distinct factor, its substep count from the a priori bound
+
+def logged_passes(monkeypatch):
+    """Substep counts of the _run_grid passes, in call order."""
+    passes = []
+    run_grid = eff._run_grid
+
+    def logged(h_s, terms, grid, n_sub):
+        passes.append(n_sub)
+        return run_grid(h_s, terms, grid, n_sub)
+    monkeypatch.setattr(eff, "_run_grid", logged)
+    return passes
+
+
+def test_each_distinct_factor_is_stepped_in_one_pass(monkeypatch):
+    from mflab import cli
+    from mflab.config import load_config
+    pair = load_config(cli.resolve_config("bell_pair_protection")).system
+    rng = np.random.default_rng(67)
+    mixed = SystemModel(local_h=(SZ, SZ, Operator(random_hermitian(rng, 3),
+                                                  (3,), hermitian=True)),
+                        couplings=(Coupling(g=SX, subsystem=0),
+                                   Coupling(g=SZ, subsystem=1)))
+    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
+    grid = np.linspace(0, 2, 41)
+    for sys, distinct in ((pair, 1), (mixed, 3)):
+        passes = logged_passes(monkeypatch)
+        prop = propagate_effective(sys, pot, grid)
+        assert len(passes) == distinct
+        assert prop.n_substeps == max(passes)
+        assert prop.steps_computed == sum(passes) * (len(grid) - 1)
+        assert prop.step_error <= eff.DEFAULT_STEP_TARGET
+    # the uncoupled qutrit has a constant generator: one exact substep
+    assert passes[2] == 1
+
+
+def test_substep_counts_past_the_cap_are_refused_before_stepping(monkeypatch):
+    from mflab import cli
+    sys = qubit_sys(SZ.data, SX.data)
+    pot = effective_potential(PLUS, qubit_site(SZ.data, SX.data))
+    grid = np.linspace(0, 2, 11)
+    passes = logged_passes(monkeypatch)
+    with pytest.raises(ResourceLimitError) as fixed:
+        propagate_effective(sys, pot, grid, n_substeps=eff.MAX_SUBSTEPS + 1)
+    assert str(fixed.value) == ("65537 substeps per interval exceed the cap "
+                                "of 65536")
+    assert cli._exit_code(fixed.value) == 4
+    with pytest.raises(ToleranceError, match="past the cap of 65536") as picked:
+        propagate_effective(sys, pot, grid, step_target=1e-30)
+    assert cli._exit_code(picked.value) == 3
+    assert passes == []
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("w", [0.0, 0.8])
+def test_a_constant_generator_takes_one_exact_substep(d, w):
+    rng = np.random.default_rng(71 + d)
+    h0, g = random_hermitian(rng, d), random_hermitian(rng, d)
+    sys = SystemModel.single(Operator(h0, (d,), hermitian=True),
+                             [(Operator(g, (d,), hermitian=True), 0)])
+    grid = np.linspace(0, 3, 31)
+    prop = propagate_effective(
+        sys, EffectivePotential((QuasiPeriodicSignal.constant(w),)), grid,
+        step_target=1e-12)
+    assert prop.n_substeps == 1 and prop.step_error == 0.0
+    assert np.max(np.abs(prop.unitaries[-1]
+                         - expm(-3j * (h0 + w * g)))) < 1e-12
+
+
+# rounding of the finer pass, far below every bound the tests compare
+BOUND_ROUNDING = 1e-12
+
+
+def stepping_gap(coarse, fine) -> float:
+    """Largest operator-norm distance of two propagators over the grid."""
+    return float(np.linalg.norm(coarse.unitaries - fine.unitaries, ord=2,
+                                axis=(1, 2)).max())
+
+
+def unit_hermitian(rng, d):
+    h = random_hermitian(rng, d)
+    return h / np.abs(np.linalg.eigvalsh(h)).max()
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from((2, 3)),
+       n_couplings=st.sampled_from((1, 2)), commuting=st.booleans(),
+       h_scale=st.floats(0.0, 2.0), offset=st.floats(-1.0, 1.0),
+       slots=st.integers(1, 2), freq=st.floats(0.2, 3.0),
+       phase=st.floats(0.0, 2 * math.pi), span=st.floats(0.02, 0.3),
+       intervals=st.integers(1, 4), exponent=st.floats(5.0, 9.0))
+def test_reported_error_bounds_the_stepping_error(seed, d, n_couplings,
+                                                  commuting, h_scale, offset,
+                                                  slots, freq, phase, span,
+                                                  intervals, exponent):
+    # H = h_s + sum_c s_c(t) g_c on one qubit or qutrit factor, each signal
+    # a constant part plus slots of amplitude 1/2; commuting draws share one
+    # eigenbasis, so only the signals' curvature makes error. A short span
+    # keeps the local errors aligned, where the bound is nearly attained.
+    rng = np.random.default_rng(seed)
+    mats = [unit_hermitian(rng, d) for _ in range(n_couplings + 1)]
+    if commuting:
+        basis = np.linalg.qr(random_hermitian(rng, d))[0]
+        mats = [basis @ np.diag(np.diag(m)) @ basis.conj().T for m in mats]
+    h, *gs = mats
+    signals = []
+    for c in range(n_couplings):
+        freqs = np.concatenate([[freq], rng.uniform(0.2, 3.0, slots - 1)])
+        phases = np.concatenate([[phase + c], rng.uniform(0, 7, slots - 1)])
+        coeffs = 0.25 * np.exp(1j * phases)
+        signals.append(QuasiPeriodicSignal(
+            np.concatenate([[0.0], freqs, -freqs]),
+            np.concatenate([[offset], coeffs, coeffs.conj()])))
+    sys = SystemModel(
+        local_h=(Operator(h_scale * h, (d,), hermitian=True),),
+        couplings=tuple(Coupling(g=Operator(g, (d,), hermitian=True),
+                                 v_index=c) for c, g in enumerate(gs)))
+    pot = EffectivePotential(tuple(signals))
+    cuts = np.sort(rng.uniform(0.0, span, intervals - 1))
+    grid = np.concatenate([[0.0], cuts, [span]])
+    target = 10.0 ** -exponent
+    coarse = propagate_effective(sys, pot, grid, step_target=target)
+    assert coarse.step_error <= target
+    assume(16 * coarse.n_substeps <= eff.MAX_SUBSTEPS)
+    fine = propagate_effective(sys, pot, grid,
+                               n_substeps=16 * coarse.n_substeps)
+    assert stepping_gap(coarse, fine) <= (coarse.step_error + fine.step_error
+                                          + BOUND_ROUNDING)
+
+
+@pytest.mark.parametrize("name", ["qubit_convergence", "bell_pair_protection",
+                                  "oscillator_scattering"])
+def test_bundled_limit_models_step_within_their_bounds(name):
+    from mflab import cli
+    from mflab.config import load_config
+    cfg = load_config(cli.resolve_config(name))
+    (_, state), = limit_atoms(cfg.reservoir)
+    pot = effective_potential(state, cfg.site)
+    coarse = propagate_effective(cfg.system, pot, cfg.grid, cfg.step_target)
+    fine = propagate_effective(cfg.system, pot, cfg.grid,
+                               n_substeps=16 * coarse.n_substeps)
+    assert coarse.step_error <= cfg.step_target
+    assert stepping_gap(coarse, fine) <= (coarse.step_error + fine.step_error
+                                          + BOUND_ROUNDING)

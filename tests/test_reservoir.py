@@ -530,6 +530,18 @@ def test_largest_remainder_allocation():
     assert list(largest_remainder_counts([0.5, 0.5], 5)) == [3, 2]
     assert list(largest_remainder_counts([1 / 3, 1 / 3, 1 / 3], 8)) == [3, 3, 2]
     assert list(largest_remainder_counts([1.0], 6)) == [6]
+    # fractions off 1 within the weight tolerance, and M past int64 or the
+    # float's exact integers: the counts are exact and sum to M
+    for fractions, m in (((0.6, 0.4 + 9e-13), 10 ** 13),
+                         ((0.6, 0.4 - 9e-13), 10 ** 13),
+                         ((1 / 3, 1 / 3, 1 / 3), 10 ** 19),
+                         ((0.5, 0.5), 10 ** 20), ((0.6, 0.4), 10 ** 20)):
+        counts = largest_remainder_counts(fractions, m)
+        assert sum(counts) == m and min(counts) > 0
+        assert all(isinstance(c, int) for c in counts)
+    assert largest_remainder_counts((1 / 3, 1 / 3, 1 / 3), 10 ** 19) == [
+        3333333333333333334, 3333333333333333333, 3333333333333333333]
+    assert largest_remainder_counts((0.5, 0.5), 10 ** 20) == [5 * 10 ** 19] * 2
 
 
 def test_macroscopic_materialization_layout():
