@@ -8,18 +8,19 @@ numbers are rejected at every level so a typo cannot silently change an
 experiment. Each key is read once, by a typed reader on `_Block` that checks
 its type and bounds and names the key in any error. A rule that a model,
 state, ensemble or run constructor enforces is left to it: `_build` reports
-its refusal under the key path at fault, and every reservoir size a run
-will use is checked by building that run's `exact.FiniteMRun` (or
-decomposing its ensemble, for moment checks), so a config is refused here
-exactly when running it would be. A size key whose largest array would
-pass numpy's largest is refused as a resource limit. Well problems,
-overlap specs and the series oracle's runs are built here once, and the
-run uses them; the propagation runs and the Stark problem are built here
-only to be checked.
+its refusal under the key path at fault, a resource limit still as one.
+Every reservoir size a run will use is checked by building that run's
+`exact.FiniteMRun`, which plans its sectors and refuses their work (or by
+the moments' own input check, `reservoir.moment_input`, for moment checks),
+so a config is refused here exactly when running it would be, before any
+work. Size keys and stepper audits past their caps are refused as resource
+limits. Well problems, overlap specs and the series oracle's runs are built
+here once, and the run uses them; the propagation runs and the Stark
+problem are built here only to be checked.
 
 What the ensemble and the state already say is not asked for: a
 `factorization` check takes its reference from the ensemble (a
-correlation block's size bound, else the two-time closed form),
+correlation block's size bound, else the exact two-time error),
 `kind: channel` is the Bell channel, and a coherent ket has the dimension
 of the state it fills. A `model.system`, in every kind, needs a coupling
 and an `initial_state`.
@@ -40,16 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .effective import DEFAULT_STEP_TARGET, MAX_SUBSTEPS
+from .effective import (DEFAULT_STEP_TARGET, MAX_AUDIT_SUBSTEPS,
+                        MAX_SUBSTEPS)
 from .errors import ConfigError, ResourceLimitError
-from .exact import SERIES_MAX_ORDER, FiniteMRun
+from .exact import SERIES_MAX_ORDER, FiniteMRun, check_series_block
 from .model import (Coupling, SiteModel, SystemModel, check_couplings,
                     coherent_ket, oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus, check_moment_count,
-                        check_moment_site, decompose,
-                        supermultiplicative_order_limit)
+                        ProductState, bell_channel_kraus, check_moment_site,
+                        moment_input, supermultiplicative_order_limit)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
          "decay")
@@ -108,14 +109,17 @@ def _integer(x, where: str, minimum: int | None = None) -> int:
 
 
 def _build(where: str, make, *args, keys=None, **kwargs):
-    """make(*args, **kwargs), a refusal reported as a ConfigError at where,
-    or at where.keys[arg] when it names one argument arg that keys maps."""
+    """make(*args, **kwargs), a refusal reported at where, or at
+    where.keys[arg] when it names one argument arg that keys maps: a
+    resource limit as a ResourceLimitError, any other as a ConfigError."""
     try:
         return make(*args, **kwargs)
     except Exception as exc:
         key = (keys or {}).get(getattr(exc, "arg", None))
         at = f"{where}.{key}" if key else where
-        raise ConfigError(f"{at}: {exc}") from exc
+        kind = (ResourceLimitError if isinstance(exc, ResourceLimitError)
+                else ConfigError)
+        raise kind(f"{at}: {exc}") from exc
 
 
 class _Block:
@@ -518,6 +522,13 @@ def _build_audit(block: _Block) -> dict:
         raise ResourceLimitError(
             f"{block.where}.substeps: the finest audit pass, 32 x "
             f"{out['substeps']} substeps, exceeds the cap of {MAX_SUBSTEPS}")
+    # each draw steps s, 2s and 32s substeps
+    total = out["count"] * 35 * out["substeps"]
+    if total > MAX_AUDIT_SUBSTEPS:
+        raise ResourceLimitError(
+            f"{block.where}.count: {out['count']} draws of 35 x "
+            f"{out['substeps']} substeps step {total}, past the cap of "
+            f"{MAX_AUDIT_SUBSTEPS}")
     block.done()
     return out
 
@@ -603,11 +614,15 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
                 c["run"] = _build(f"{at}.m_count", FiniteMRun, system, site,
                                   c["m_count"], reservoir, initial,
                                   np.array([c["t"] / 2, c["t"]]))
+                _build(f"{at}.m_count", check_series_block, c["run"],
+                       c["order"])
             for m in c.get("m_list", ()):
-                _build(f"{at}.m_list", check_moment_count, m, len(c["times"]))
-                parts = _build(f"{at}.m_list", decompose, reservoir, m,
-                               site.dim)
-                # without a block the reference is the two-time closed form
+                # the moments' own input check, M, the ensemble on M sites
+                # and the work; only a factorization check has a size bound
+                _, parts, _ = _build(f"{at}.m_list", moment_input, reservoir,
+                                     m, site, c["times"],
+                                     c["check"] == "factorization")
+                # without a block the reference is the exact two-time error
                 if (c["check"] == "factorization" and len(c["times"]) != 2
                         and all(b is None for _, _, b in parts)):
                     raise ConfigError(f"{at}.times: expected a list of 2 "

@@ -34,10 +34,11 @@ count, or from one contraction in its eigenbasis, rho_ss'(t) = u^T ((E_s^T
 conj(E_s')) o phi phi^dagger) conj(u) with u = e^{-i lambda t}, at a cost
 proportional to the sector dimension; each sector takes the one with fewer
 multiply-adds, so one-column sectors keep the amplitudes and spin blocks,
-whose columns number about their dimension, are contracted. A run whose
-sectors together need more dense work than one sector at the dense cutoff,
-sum (system dim x sector dim)^3 > DENSE_CUTOFF^3, is refused; with a qubit
-system and rank-2 qubit sites that admits M <= 510.
+whose columns number about their dimension, are contracted. A run lists
+its sectors when it is built, with no column formed, and is refused then
+if they together need more dense work than one sector at the dense cutoff,
+sum (system dim x sector dim)^3 > DENSE_CUTOFF^3; with a qubit system and
+rank-2 qubit sites that admits M <= 510.
 
 A truncated interaction-picture commutator series serves as an independent
 short-time oracle on the same branches and sectors. Its Dyson terms come
@@ -78,7 +79,7 @@ class FiniteMRun:
 
     Every coupling's site interaction is checked to exist and to act on no
     more than m_count sites. components holds reservoir.decompose of the
-    reservoir state, checked at construction.
+    reservoir state and sectors its _plan, both made and checked here.
     """
 
     sys: SystemModel
@@ -88,6 +89,7 @@ class FiniteMRun:
     rho_s0: DensityMatrix
     grid: np.ndarray
     components: list = field(init=False, repr=False, compare=False)
+    sectors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = time_grid(self.grid)
@@ -105,6 +107,7 @@ class FiniteMRun:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "components", decompose(
             self.reservoir_state, self.m_count, self.site.dim))
+        object.__setattr__(self, "sectors", _plan(self))
 
     @property
     def joint_dim(self) -> int:
@@ -270,14 +273,14 @@ def _sector_hamiltonian(run: FiniteMRun, one_body):
     return build
 
 
-# Reservoir branches (shift, [(part sizes, columns)]): the Khatri-Rao product
-# of the factors' square-root-weighted columns spans the branch's kets.
+# Reservoir branches (shift, [(part sizes, make)]): make(one_body) forms the
+# factor's square-root-weighted columns, and the Khatri-Rao product of a
+# branch's factors spans its kets.
 
-def _spin_blocks(omega: np.ndarray, n: int, root: np.ndarray, d_sys: int,
-                 one_body):
+def _spin_blocks(omega: np.ndarray, n: int, root: np.ndarray):
     """omega^{(x)n} for a rank-2 qubit state of root factor columns
     sqrt(p_lo) v_lo, sqrt(p_hi) v_hi, p_lo <= p_hi, one branch per total
-    spin j = n/2 - k, k = 0..n/2.
+    spin j = n/2 - k, k = 0..n/2, yielded as it is asked for.
 
     The n sites split into C(n, k) - C(n, k-1) copies of the GL(2) irrep
     Sym^{2j} (x) det^k, on which a site sum acts as B_2j(x) + k tr(x) and
@@ -285,48 +288,47 @@ def _spin_blocks(omega: np.ndarray, n: int, root: np.ndarray, d_sys: int,
     shift k stands for every copy. Its 2j+1 kets are the eigenvectors of the
     tridiagonal B_2j(omega), whose eigenvalue a p_hi + (2j - a) p_lo rises
     with a, each scaled by the root of its weight mult (p_lo p_hi)^k p_hi^a
-    p_lo^{2j-a}; for p_lo = p_hi any basis serves. The blocks' own sectors
-    bound the run's work from below, so they are checked first: the largest
-    alone, so that a large n is refused without listing n/2 blocks, then all.
+    p_lo^{2j-a}; for p_lo = p_hi any basis serves.
     """
-    for ks in (range(1), range(n // 2 + 1)):
-        _check_work({((n - 2 * k,) if n > 2 * k else (), k): n - 2 * k + 1
-                     for k in ks}, 2, d_sys)
     log_lo, log_hi = np.log((np.abs(root) ** 2).sum(axis=0)).tolist()
-    out = []
-    for k in range(n // 2 + 1):
+
+    def kets(k, one_body):
         size = n - 2 * k
         log_mult = math.log(math.comb(n, k) - (k and math.comb(n, k - 1)))
         a = np.arange(size + 1)
         root_w = np.exp(0.5 * (log_mult + k * (log_lo + log_hi)
                                + a * log_hi + (size - a) * log_lo))
-        vecs = np.linalg.eigh(one_body(size)(omega))[1]
-        out.append((k, [((size,) if size else (), vecs * root_w)]))
-    return out
+        return np.linalg.eigh(one_body(size)(omega))[1] * root_w
+    for k in range(n // 2 + 1):
+        yield k, [((n - 2 * k,) if n > 2 * k else (),
+                   functools.partial(kets, k))]
 
 
-def _product_branches(site_state: DensityMatrix, n: int, d: int, d_sys: int,
-                      one_body):
-    """site_state^{(x)n}: the spin blocks of a rank-2 qubit state, else one
-    branch per composition c of n over the columns r_i of its root factor,
-    the ket sqrt(multinomial(n; c)) (x)_i r_i^{(x)c_i}: the scalar factor
+def _compositions(n: int, root: np.ndarray):
+    """One branch per composition c of n over the columns r_i of root, the
+    ket sqrt(multinomial(n; c)) (x)_i r_i^{(x)c_i}: the scalar factor
     sqrt(multinomial) and the power kets, each of r_i = sqrt(p_i) v_i
-    already carrying p_i^{c_i/2}."""
+    already carrying p_i^{c_i/2}; yielded as they are asked for."""
+    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
+    for comp in _occupations(n, root.shape[1]):
+        mult = math.exp(0.5 * (log_fact[n] - sum(log_fact[k] for k in comp)))
+        yield 0, ([((), lambda _, m=mult: np.full((1, 1), m))]
+                  + [((k,), lambda _, c=col, k=k: _power_ket(c, k)[:, None])
+                     for k, col in zip(comp, root.T) if k])
+
+
+def _product_branches(site_state: DensityMatrix, n: int, d: int):
+    """(largest, branches) of site_state^{(x)n}: the part sizes of its
+    largest sector and its branches, listed only when they are iterated:
+    the spin blocks of a rank-2 qubit state, the largest j = n/2, else the
+    compositions over its root factor's columns, the most even the
+    largest."""
     root = _root(site_state)
     r = root.shape[1]
     if d == 2 and r == 2:
-        return _spin_blocks(site_state.data, n, root, d_sys, one_body)
-    # the most even composition has the largest sector
-    even = tuple(n // r + (i < n % r) for i in range(r))
-    _check_work({(even, 0): _sector_dim(even, d)}, d, d_sys)
-    log_fact = [math.lgamma(k + 1) for k in range(n + 1)]
-    out = []
-    for comp in _occupations(n, r):
-        mult = math.exp(0.5 * (log_fact[n] - sum(log_fact[k] for k in comp)))
-        out.append((0, [((), np.full((1, 1), mult))]
-                    + [((k,), _power_ket(col, k)[:, None])
-                       for k, col in zip(comp, root.T) if k]))
-    return out
+        return (n,), _spin_blocks(site_state.data, n, root)
+    return (tuple(n // r + (i < n % r) for i in range(min(n, r))),
+            _compositions(n, root))
 
 
 def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -335,35 +337,53 @@ def _khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], -1)
 
 
+def _plan(run: FiniteMRun) -> dict:
+    """The run's sectors, {key: (dimension, members)}, checked by the one
+    work rule, _check_work; no column is formed. Each component's largest
+    sector is checked first, before its branches are listed, so a large M
+    is refused at once. A member is one branch, (w, makes): its component's
+    weight and its factors' makers, sorted by part size, so that their
+    Khatri-Rao product is in sector order and branches that differ only in
+    part order share a sector."""
+    d, d_sys = run.site.dim, run.sys.dim
+    sectors = {}
+    for w, parts, block in run.components:
+        found = [_product_branches(s, n, d) for n, s in parts]
+        if block is not None:
+            ones = (1,) * len(block.dims)
+            found.insert(0, (ones, [(0, [(ones,
+                                          lambda _, b=block: _root(b))])]))
+        # the component's largest sector, checked before a branch is listed
+        top = sorted(sum((sizes for sizes, _ in found), ()), reverse=True)
+        _check_work({(tuple(top), 0): _sector_dim(top, d)}, d, d_sys)
+        for combo in itertools.product(*(branches for _, branches in found)):
+            sizes, makes = zip(*sorted((f for _, fs in combo for f in fs),
+                                       key=lambda f: -max(f[0], default=0)))
+            key = (sum(sizes, ()), sum(s for s, _ in combo))
+            sectors.setdefault(key, []).append((w, makes))
+    dims = {key: _sector_dim(key[0], d) for key in sectors}
+    _check_work(dims, d, d_sys)
+    return {key: (dims[key], members) for key, members in sectors.items()}
+
+
 def _sectors(run: FiniteMRun):
     """({sector key: columns}, diagnostics, _sector_hamiltonian's builder):
     a square-root factor of the initial joint state on each system x
     sector, renormalized by the squared norm kept after the EIGVAL_CUT cut.
-
-    A component of weight w contributes sqrt(w), its block's R and its
-    parts' branches. Each combination's factors are sorted by part size, so
-    their Khatri-Rao product is in sector order and branches that differ
-    only in part order share a sector.
+    A member of weight w contributes sqrt(w), the system's R and its
+    factors, each formed once per call from the run's plan and not kept.
     """
-    d, d_sys = run.site.dim, run.sys.dim
-    # each one-body map is built once per run, for spin blocks and sectors
+    d = run.site.dim
+    # each one-body map is built once per call, for spin blocks and sectors
     one_body = functools.cache(lambda n: _one_body(n, d))
-    root, sectors = _root(run.rho_s0), {}
-    for w, parts, block in run.components:
-        lists = [_product_branches(s, n, d, d_sys, one_body) for n, s in parts]
-        if block is not None:
-            lists.insert(0, [(0, [((1,) * len(block.dims), _root(block))])])
-        for combo in itertools.product(*lists):
-            sizes, cols = zip(*sorted((f for _, fs in combo for f in fs),
-                                      key=lambda f: -max(f[0], default=0)))
-            key = (sum(sizes, ()), sum(s for s, _ in combo))
-            # sqrt(w) times the system's R first: rows are system x sector
-            sectors.setdefault(key, []).append((math.sqrt(w) * root,) + cols)
-    dims = {key: _sector_dim(key[0], d) for key in sectors}
-    _check_work(dims, d, d_sys)
-    columns = {key: np.concatenate([functools.reduce(_khatri_rao, factors)
-                                    for factors in members], axis=1)
-               for key, members in sectors.items()}
+    form = functools.cache(lambda make: make(one_body))
+    root = _root(run.rho_s0)
+    # sqrt(w) times the system's R first: rows are system x sector
+    columns = {key: np.concatenate(
+        [functools.reduce(_khatri_rao, (math.sqrt(w) * root,)
+                          + tuple(map(form, makes)))
+         for w, makes in members], axis=1)
+        for key, (_, members) in run.sectors.items()}
     kept = sum(np.vdot(c, c).real for c in columns.values())
     if kept <= 0:
         raise ValidationError("initial joint state has no weight left")
@@ -372,7 +392,7 @@ def _sectors(run: FiniteMRun):
     diag = {"path": "symmetric-sector",
             "branches": sum(c.shape[1] for c in columns.values()),
             "sectors": len(columns),
-            "max_sector_dim": max(dims.values()),
+            "max_sector_dim": max(dim for dim, _ in run.sectors.values()),
             "branch_mass_defect": max(0.0, float(1.0 - kept))}
     return columns, diag, _sector_hamiltonian(run, one_body)
 
@@ -381,11 +401,8 @@ def _eigenbasis_cheaper(d_sys: int, dim: int, n_cols: int,
                         n_times: int) -> bool:
     """Whether _trace_eigenbasis costs less on a sector than
     _trace_amplitudes, by multiply-adds for n = d_sys dim, T times and c
-    columns: d_sys(d_sys+1)/2 (k n^2 dim + T n^2) against T n^2 c, where k
-    is the number of time chunks, one unless T n > AMPLITUDE_CHUNK."""
-    chunks = -(-n_times * d_sys * dim // AMPLITUDE_CHUNK)
-    return (d_sys * (d_sys + 1) // 2 * (chunks * dim + n_times)
-            < n_times * n_cols)
+    columns: d_sys(d_sys+1)/2 (n^2 dim + T n^2) against T n^2 c."""
+    return d_sys * (d_sys + 1) // 2 * (dim + n_times) < n_times * n_cols
 
 
 def _trace_amplitudes(evals, emat, phi, grid, d_sys: int) -> np.ndarray:
@@ -409,20 +426,20 @@ def _trace_eigenbasis(evals, emat, phi, grid, d_sys: int) -> np.ndarray:
     """The same partial trace contracted in the eigenbasis, with no cost per
     column: for Phi = phi phi^dagger, the row blocks E_s of emat (system
     index s) and u = e^{-i evals t}, rho_ss'(t) = u^T G_ss' conj(u) with
-    G_ss' = (E_s^T conj(E_s')) o Phi. Per time chunk of AMPLITUDE_CHUNK
-    entries of u, each G with s <= s' is formed in turn, so a few n x n
-    arrays are held at once; s > s' are the conjugates, so each state is
-    Hermitian by construction."""
+    G_ss' = (E_s^T conj(E_s')) o Phi. Each G with s <= s' is formed once
+    and contracted in time chunks of AMPLITUDE_CHUNK entries of u, so a few
+    n x n arrays are held at once; s > s' are the conjugates, so each state
+    is Hermitian by construction."""
     n = evals.size
     rows = emat.reshape(d_sys, -1, n)
     big_phi = phi @ phi.conj().T
     out = np.empty((grid.size, d_sys, d_sys), dtype=complex)
     step = max(1, AMPLITUDE_CHUNK // n)
-    for lo in range(0, grid.size, step):
-        u = np.exp(-1j * np.multiply.outer(grid[lo:lo + step], evals))
-        for s, r in itertools.combinations_with_replacement(range(d_sys), 2):
-            g = rows[s].T @ rows[r].conj()
-            g *= big_phi
+    for s, r in itertools.combinations_with_replacement(range(d_sys), 2):
+        g = rows[s].T @ rows[r].conj()
+        g *= big_phi
+        for lo in range(0, grid.size, step):
+            u = np.exp(-1j * np.multiply.outer(grid[lo:lo + step], evals))
             # vecdot conjugates its first argument: sum_k conj(u_k) (u G)_k
             out[lo:lo + step, s, r] = np.vecdot(u, u @ g)
     upper, lower = np.triu_indices(d_sys, 1)
@@ -472,6 +489,17 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
 
 # Truncated interaction-picture series.
 
+def check_series_block(run: FiniteMRun, order: int) -> None:
+    """Refuse a series of the given order whose block matrix on the run's
+    largest sector, (order + 1) x system dim x sector dim, passes the dense
+    cutoff; the dimensions are read from the run's plan."""
+    n = run.sys.dim * max(dim for dim, _ in run.sectors.values())
+    if (order + 1) * n > DENSE_CUTOFF:
+        raise ResourceLimitError(
+            f"series oracle is dense only; block dimension {(order + 1) * n} "
+            f"= (order {order} + 1) x {n} > {DENSE_CUTOFF}")
+
+
 def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
     """Short-time series oracle for the reduced state at each time of
     run.grid, as an unnormalized (T, d, d) stack.
@@ -492,8 +520,8 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
     sum_{k+l<=order} S_k rho0 S_l^dagger in the lab frame, and its partial
     trace over the reservoir, summed over sectors, is returned. The result
     is not renormalized, so its trace distance to the true state reflects
-    the truncation error honestly. A sector whose block exceeds the dense
-    cutoff is refused.
+    the truncation error honestly. A run check_series_block refuses is
+    refused before any sector is formed.
     """
     from scipy.linalg import expm  # lazy: scipy is slow to import
     if not 0 <= order <= SERIES_MAX_ORDER:
@@ -501,13 +529,8 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
             f"series order must be between 0 and {SERIES_MAX_ORDER}")
     if run.grid[0] < 0:
         raise ValidationError("time must be nonnegative")
+    check_series_block(run, order)
     columns, _, hamiltonian = _sectors(run)
-    for cols in columns.values():
-        d_block = (order + 1) * cols.shape[0]
-        if d_block > DENSE_CUTOFF:
-            raise ResourceLimitError(
-                f"series oracle is dense only; block dimension {d_block} = "
-                f"(order {order} + 1) x {cols.shape[0]} > {DENSE_CUTOFF}")
     d_sys = run.sys.dim
     red = np.zeros((run.grid.size, d_sys, d_sys), dtype=complex)
     for key, cols in columns.items():

@@ -14,7 +14,8 @@ and for nu = 1 of the factorized product: a QuasiPeriodicSignal of exact
 mirror pairs, real by construction and checked exactly per |f| slot. The
 moments take a first interaction on one site and an M whose n-th power is
 a float for n times (check_moment_count); they, and the bound, count the
-cases they would visit and refuse past MOMENT_WORK_CAP before doing any.
+cases they would visit and refuse past MOMENT_WORK_CAP before doing any,
+in moment_input, which the config calls too.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -445,14 +446,30 @@ def _touchard(n: int, x: int) -> int:
     return sum(c * x ** k for k, c in enumerate(row))
 
 
-def _check_moment_work(count: int, what: str) -> None:
-    if count > MOMENT_WORK_CAP:
-        raise ResourceLimitError(f"{what} visit {count} cases, past the cap "
-                                 f"of {MOMENT_WORK_CAP}")
+def _check_moment_work(components, m_count: int, n: int,
+                       bound: bool = False) -> None:
+    """Refuse, before any is done, n-time moment work on the components of
+    decompose past MOMENT_WORK_CAP: a component visits the _touchard(n,
+    parts + L) index assignments of its moment and, when bound is set, a
+    block of L sites the short^n (short - L + 1) tuple placements of its
+    size bound, short as in _max_tuple_moment."""
+    work = [("moment's index assignments", sum(
+        _touchard(n, len(parts) + (0 if b is None else len(b.dims)))
+        for _, parts, b in components))]
+    for _, _, b in components if bound else ():
+        if b is not None:
+            short = min(m_count, (n + 1) * len(b.dims) - 1)
+            work.append(("bound's tuple placements",
+                         short ** n * (short - len(b.dims) + 1)))
+    for what, count in work:
+        if count > MOMENT_WORK_CAP:
+            raise ResourceLimitError(f"the {n}-time {what} visit {count} "
+                                     f"cases, past the cap of "
+                                     f"{MOMENT_WORK_CAP}")
 
 
-def _component_moment(parts, block, site: SiteModel,
-                      times: Sequence[float]) -> complex:
+def _component_moment(parts, block, vecs: np.ndarray, product,
+                      n: int) -> complex:
     """Moment of the site average over an optional block on the first L
     sites, then parts (count, site state) of identical independent sites.
 
@@ -460,15 +477,14 @@ def _component_moment(parts, block, site: SiteModel,
     coincident indices is a single-site ordered product. The blocks landing
     on distinct positions of the explicit block give one contraction of it;
     the others land on distinct outside sites, counted by falling factorials
-    per part.
+    per part. vecs and product are _slot_products' of the n times.
     """
     L = 0 if block is None else len(block.dims)
     counts = [int(c) for c, _ in parts]
-    vecs, product = _slot_products(site, times)
     rho_es = [vecs.conj().T @ s.data @ vecs for _, s in parts]
     contract = None if block is None else _block_contraction(block, vecs)
     total = 0.0 + 0.0j
-    for partition in set_partitions(range(len(times))):
+    for partition in set_partitions(range(n)):
         slots = [tuple(b) for b in partition]
         block_vals = [[complex(np.trace(rho_e @ product(s))) for rho_e in rho_es]
                       for s in slots]
@@ -484,29 +500,25 @@ def _component_moment(parts, block, site: SiteModel,
             if inside:
                 val *= contract(inside)
             total += weight * val
-    return total / (sum(counts) + L) ** len(times)
+    return total / (sum(counts) + L) ** n
 
 
-def _moment_input(state, m_count: int, site: SiteModel,
-                  times: Sequence[float]):
-    """times as floats and the components of decompose, refusing no or
-    non-finite times, a site check_moment_site refuses, an M
-    check_moment_count refuses and, before any is done, moment work past
-    MOMENT_WORK_CAP: a component visits the _touchard(n, parts + L) index
-    assignments of n times."""
+def moment_input(state, m_count: int, site: SiteModel,
+                 times: Sequence[float], bound: bool = False):
+    """times as floats, the components of decompose and _slot_products of
+    the times, refusing no or non-finite times, a site check_moment_site
+    refuses, an M check_moment_count refuses and, before any is done, work
+    _check_moment_work refuses. The config calls it on every check and M."""
     times = [float(t) for t in times]
     if not times:
         raise ValidationError("need at least one time")
     if not all(math.isfinite(t) for t in times):
         raise ValidationError(f"moment times must be finite, got {times}")
-    n = len(times)
     check_moment_site(site)
-    check_moment_count(m_count, n)
+    check_moment_count(m_count, len(times))
     components = decompose(state, m_count, site.dim)
-    visits = sum(_touchard(n, len(parts) + (0 if b is None else len(b.dims)))
-                 for _, parts, b in components)
-    _check_moment_work(visits, f"the {n}-time moment's index assignments")
-    return times, components
+    _check_moment_work(components, m_count, len(times), bound)
+    return times, components, _slot_products(site, times)
 
 
 def multitime_moment(state, m_count: int, site: SiteModel,
@@ -515,14 +527,15 @@ def multitime_moment(state, m_count: int, site: SiteModel,
     the given times, in the given order, summed over the components of
     decompose. A block is contracted locally at its one placement, which
     gives the same site-averaged moment as every other, so no d^M object
-    is built. The input is refused as _moment_input says."""
-    times, components = _moment_input(state, m_count, site, times)
-    return sum(w * _component_moment(parts, block, site, times)
+    is built. The input is refused as moment_input says."""
+    times, components, (vecs, product) = moment_input(state, m_count, site,
+                                                      times)
+    return sum(w * _component_moment(parts, block, vecs, product, len(times))
                for w, parts, block in components)
 
 
 def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
-                      site: SiteModel, times: Sequence[float]) -> float:
+                      vecs: np.ndarray, product, n: int) -> float:
     """Largest modulus, over all index tuples, of the fixed-site moment in
     the average of the block over its m_count - L + 1 placements, the other
     sites in the state of the single part.
@@ -535,15 +548,12 @@ def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
     maps every tuple onto a line of at most (n + 1) L - 1 sites with the
     same moment, and the tuples of that line stand for all m_count^n.
     """
-    L, n = len(block.dims), len(times)
+    L = len(block.dims)
     n_place = m_count - L + 1
     short = min(m_count, (n + 1) * L - 1)
-    _check_moment_work(short ** n * (short - L + 1),
-                       f"the {n}-time bound's tuple placements")
-    vecs, product = _slot_products(site, times)
     contract = _block_contraction(block, vecs)
     # with no part the block covers every site and no factor is used
-    outside = parts[0][1].data if parts else np.zeros((site.dim,) * 2)
+    outside = parts[0][1].data if parts else np.zeros((len(vecs),) * 2)
     outside = vecs.conj().T @ outside @ vecs
     window = functools.cache(lambda inside: contract(
         {off: product(s) for off, s in inside}))
@@ -564,29 +574,59 @@ def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
     return best
 
 
-def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
-                        times: Sequence[float]) -> tuple[float, float | None]:
-    """Distance between the joint moment and the factorized product of
-    single-site expectations, with its size bound.
+def _covariance(rho_e: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> complex:
+    """Tr(rho (V_1 - m_1)(V_2 - m_2)), m_k = Tr(rho V_k), all in one basis."""
+    c1, c2 = (p - np.trace(rho_e @ p) * np.eye(len(p)) for p in (p1, p2))
+    return complex(np.trace(rho_e @ c1 @ c2))
 
-    Returns (error, bound). For an ensemble with an explicit block of L
-    sites, such as a channel-correlated one, the bound is
-    n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus;
-    without a block it is None. The bound, whose short^n tuples of a line
-    of short sites each visit its short - L + 1 placements, is computed
-    first, so that work past MOMENT_WORK_CAP is refused before any is done.
+
+def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
+                        times: Sequence[float]):
+    """(error, reference, label): the distance between the joint moment and
+    the factorized product of the expectations B_k in the reference state
+    rho, and the reference it is judged against, from one decomposition and
+    one _slot_products eigenbasis, the work counted first.
+
+    With an explicit block of L sites (a channel) that is the size bound
+    n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus,
+    labelled correlated_bound. Without one, for two times, it is the exact
+    error |(W - 1) B_1 B_2 + sum_c w_c (sum_p f_p c_p / M + B_1 D_2 + B_2 D_1
+    + D_1 D_2)|, labelled pair_factorization, over components of weight w_c
+    (W their sum) and parts (n_p, rho_p), f_p = n_p / M, c_p = _covariance
+    in rho_p and D_k = Tr(Delta V_k), Delta the component's site mixture
+    less rho's, weights subtracted in exact rationals: no O(1) moment is
+    subtracted. Other time counts without a block have (None, None).
     """
-    times, components = _moment_input(state, m_count, site, times)
-    bound = None
+    times, components, (vecs, product) = moment_input(
+        state, m_count, site, times, bound=True)
+    n = len(times)
+    means = site_expectation(reference_site_state(state), site, times)
+    moment = sum(w * _component_moment(parts, block, vecs, product, n)
+                 for w, parts, block in components)
+    error = abs(moment - math.prod(means.tolist()))
     for _, parts, block in components:
         if block is not None:
             L = len(block.dims)
-            c_n = _max_tuple_moment(parts, block, m_count, site, times)
-            bound = len(times) * L * c_n / (m_count - L + 1)
-    moment = multitime_moment(state, m_count, site, times)
-    factorized = math.prod(site_expectation(reference_site_state(state), site,
-                                            times).tolist())
-    return abs(moment - factorized), bound
+            c_n = _max_tuple_moment(parts, block, m_count, vecs, product, n)
+            return error, n * L * c_n / (m_count - L + 1), "correlated_bound"
+    if n != 2:
+        return error, None, None
+    # rho's site mixture: a macroscopic ensemble's parts, else its atoms
+    mixture = (state.parts if isinstance(state, MacroscopicParts)
+               else limit_atoms(state))
+    ops, (b1, b2) = [product((0,)), product((1,))], means.tolist()
+    ref = float(sum(Fraction(w) for w, _, _ in components) - 1) * b1 * b2
+    for w, parts, _ in components:
+        delta = {id(s): -Fraction(x) for x, s in mixture}
+        for count, s in parts:
+            delta[id(s)] += Fraction(count, m_count)
+        shift = vecs.conj().T @ sum(float(delta[id(s)]) * s.data
+                                    for _, s in mixture) @ vecs
+        d1, d2 = (complex(np.trace(shift @ op)) for op in ops)
+        cov = sum(count / m_count * _covariance(vecs.conj().T @ s.data @ vecs,
+                                                *ops) for count, s in parts)
+        ref += w * (cov / m_count + b1 * d2 + b2 * d1 + d1 * d2)
+    return error, abs(ref), "pair_factorization"
 
 
 def bell_channel_kraus() -> tuple[np.ndarray, ...]:

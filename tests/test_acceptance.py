@@ -157,13 +157,13 @@ def test_a3_factorization_error():
     single = [site_expectation(plus, site, t) for t in times]
     worst = 0.0
     for m in (2, 10, 100, 10_000):
-        err, _ = factorization_error(product, m, site, list(times))
+        err, _, _ = factorization_error(product, m, site, list(times))
         closed = abs(joint1 - single[0] * single[1]) / m
         worst = max(worst, abs(err - closed))
     channel = ChannelCorrelated(pure("0"), 2, bell_channel_kraus())
     bounded = True
     for m in range(3, 9):
-        err, bound = factorization_error(channel, m, site, list(times))
+        err, bound, _ = factorization_error(channel, m, site, list(times))
         bounded = bounded and err <= bound
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and bounded

@@ -672,7 +672,9 @@ outputs: {{table: g.csv}}
             code = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
             err = capsys.readouterr().err
             assert code == 4
-            assert err.count("\n") == 1 and "exact." in err
+            # the run's constructor refuses it while the config is read
+            assert err.count("\n") == 1 and err.startswith(
+                "error: config.parse_config: exp.yaml.run.m_list: ")
             assert words in err
 
     def test_unknown_reference_exits_2(self, capsys):
@@ -1184,7 +1186,10 @@ outputs: {table: f.csv}
 """
 
 
-def _pair_covariance(rho, site, t1, t2):
+def _pair_error(reservoir, m, site, t1, t2):
+    """|sum_c w_c (sum_p f_p cov_p / M + A_1 A_2) - B_1 B_2|: the two-time
+    moment of each component's parts against the reference state's means,
+    with the evolved interaction formed densely."""
     evals, vecs = np.linalg.eigh(site.h.data)
 
     def evolved(t):
@@ -1192,8 +1197,16 @@ def _pair_covariance(rho, site, t1, t2):
         return u.conj().T @ site.interactions[0].data @ u
 
     v1, v2 = evolved(t1), evolved(t2)
-    mean = [np.trace(rho @ v).real for v in (v1, v2)]
-    return abs(np.trace(rho @ v1 @ v2) - mean[0] * mean[1])
+    rho = sum(w * s.data for w, s in limit_atoms(reservoir))
+    moment = 0.0
+    for w, parts, _ in reservoir.components(m):
+        a = [sum(n / m * np.trace(s.data @ v) for n, s in parts)
+             for v in (v1, v2)]
+        cov = sum(n / m * (np.trace(s.data @ v1 @ v2)
+                           - np.trace(s.data @ v1) * np.trace(s.data @ v2))
+                  for n, s in parts)
+        moment += w * (cov / m + a[0] * a[1])
+    return abs(moment - np.trace(rho @ v1) * np.trace(rho @ v2))
 
 
 @pytest.mark.parametrize("reservoir,times,label", [
@@ -1209,8 +1222,8 @@ def _pair_covariance(rho, site, t1, t2):
 def test_factorization_reference_follows_the_ensemble(tmp_path, reservoir,
                                                       times, label):
     # one check name; each row names the reference it used: the block's size
-    # bound, else the two-time closed form |<V1 V2> - <V1><V2>| / M in the
-    # reference site state
+    # bound, else the exact two-time error of the ensemble's components,
+    # which the value matches (M = 5 splits the macroscopic halves 3 + 2)
     text = FACTORIZATION.replace("RESERVOIR", reservoir).replace(
         "TIMES", str(times))
     cfg = load_config(write_config(tmp_path, text))
@@ -1220,16 +1233,36 @@ def test_factorization_reference_follows_the_ensemble(tmp_path, reservoir,
     assert [r[:4] for r in rows] == [
         [label, "t=" + "|".join(f"{t:g}" for t in times), str(m),
          str(len(times))] for m in (2, 5)]
-    rho = sum(w * s.data for w, s in limit_atoms(cfg.reservoir))
     for row, m in zip(rows, (2, 5)):
-        err, bound = factorization_error(cfg.reservoir, m, cfg.site, times)
-        assert float(row[4]) == err
-        if label == "correlated_bound":
-            assert float(row[5]) == bound and row[7] == "1"
-        else:
-            assert bound is None
-            assert float(row[5]) == pytest.approx(
-                _pair_covariance(rho, cfg.site, *times) / m, rel=1e-12)
+        err, ref, kind = factorization_error(cfg.reservoir, m, cfg.site, times)
+        assert float(row[4]) == err and float(row[5]) == ref and kind == label
+        assert row[7] == "1"
+        if label == "pair_factorization":
+            assert ref == pytest.approx(
+                _pair_error(cfg.reservoir, m, cfg.site, *times), rel=1e-12)
+            assert float(row[6]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_exact_reference_reads_within_until_the_value_cannot_resolve_it(
+        tmp_path):
+    # the macroscopic halves' exact error falls as 1/M; the value, a
+    # difference of O(1) moments, follows it to M = 10^8 and is rounding
+    # noise at M = 10^20, where its row reads 0
+    text = FACTORIZATION.replace(
+        "RESERVOIR", "{kind: macroscopic, parts: [{fraction: 0.5, site_state: "
+        "zero}, {fraction: 0.5, site_state: minus}]}").replace(
+        "TIMES", "[0.3, 0.9]").replace(
+        "m_list: [2, 5]", "m_list: [2, 3, 1000, 100000000, 1" + "0" * 20 + "]")
+    cli.run_experiment(load_config(write_config(tmp_path, text)),
+                       tmp_path / "o", "exp")
+    rows = (tmp_path / "o" / "f.csv").read_text().splitlines()[1:]
+    rows = [row.split(",") for row in rows]
+    for row in rows[:-1]:
+        assert float(row[6]) == pytest.approx(1.0, abs=1e-7) and row[7] == "1"
+    value, ref = float(rows[-1][4]), float(rows[-1][5])
+    assert value > 100 * ref > 0 and rows[-1][7] == "0"
+    # the reference is still the exact 1/M law: 10^12 times the one at 10^8
+    assert ref * 1e12 == pytest.approx(float(rows[-2][5]), rel=1e-12)
 
 
 def test_coherent_initial_state_is_a_ket_of_the_system_dimension(tmp_path,
@@ -1404,16 +1437,74 @@ def test_long_moment_time_lists_are_refused_before_any_work(tmp_path,
         "m_list: [3, 4, 5, 6, 7, 8]", "m_list: [8]").replace(
         "times: [0.3, 0.9]", "times: [0.3, 0.9, 0.2, 0.5, 0.7, 1.1, 0.4]")
     cfg = write_config(tmp_path, text)
-    assert cli.main(["validate", str(cfg)]) == 0
-    capsys.readouterr()
-    started = time.perf_counter()
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    assert time.perf_counter() - started < 0.1
-    err = capsys.readouterr().err
-    assert err == ("error: reservoir.factorization_error: the 7-time bound's "
-                   "tuple placements visit 14680064 cases, past the cap of "
-                   "100000\n")
+    # validate counts the same work as the run, so both refuse it
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        started = time.perf_counter()
+        assert cli.main(verb) == 4
+        assert time.perf_counter() - started < 0.1
+        err = capsys.readouterr().err
+        assert err == ("error: config.parse_config: exp.yaml.checks[0]."
+                       "m_list: the 7-time bound's tuple placements visit "
+                       "14680064 cases, past the cap of 100000\n")
     assert not (tmp_path / "o").exists()
+
+
+SEVEN_TIMES = "times: [0.3, 0.9, 0.2, 0.5, 0.7, 1.1, 0.4]"
+
+
+@pytest.mark.parametrize("base,edits,key,words", [
+    ("qubit_convergence", [("m_list: [1, 2, 4, 8]", "m_list: [1, 5000]")],
+     "run.m_list", "part sizes (5000,) with shift 0"),
+    ("macroscopic_two_part", [("m_list: [2, 4, 8]", "m_list: [2, 700]")],
+     "run.m_list", "part sizes (467, 233) with shift 0"),
+    (None, [("site_state: plus", "site_state: {matrix: [[0.8, 0], [0, 0.2]]}"),
+            ("m_list: [1, 2]", "m_list: [1, 1000000]")],
+     "run.m_list", "part sizes (1000000,) with shift 0"),
+    ("dyson_ratio", [("m_count: 2", "m_count: 3000")], "checks[0].m_count",
+     "part sizes (3000,) with shift 0"),
+    ("dyson_ratio", [("m_count: 2", "m_count: 1000")], "checks[0].m_count",
+     "block dimension 10010 = (order 4 + 1) x 2002 > 4096"),
+    ("bell_channel_moments", [("m_list: [3, 4, 5, 6, 7, 8]", "m_list: [8]"),
+                              ("times: [0.3, 0.9]", SEVEN_TIMES)],
+     "checks[0].m_list", "tuple placements visit 14680064 cases"),
+    ("propagator_quality", [("count: 20", "count: 1000000000")],
+     "stepper_audit.count",
+     "1000000000 draws of 35 x 48 substeps step 1680000000000, past the "
+     "cap of 16777216")],
+    ids=["sector-work", "macroscopic-sector-work", "rank2-at-a-million",
+         "series-sector-work", "series-block", "moment-work", "audit-count"])
+def test_validate_refuses_resource_limits_the_run_would_hit(
+        tmp_path, capsys, base, edits, key, words):
+    # the run's constructors and work counts refuse these while the config
+    # is read, so both verbs exit 4 with the same line, before any work
+    text = (SMALL_CONVERGENCE if base is None
+            else cli.resolve_config(base).read_text())
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new, 1)
+    cfg = write_config(tmp_path, text)
+    lines = []
+    for verb in (["validate", str(cfg)],
+                 ["run", str(cfg), "--out", str(tmp_path / "o")]):
+        started = time.perf_counter()
+        assert cli.main(verb) == 4
+        assert time.perf_counter() - started < 0.1
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] and lines[0].count("\n") == 1
+    assert lines[0].startswith(f"error: config.parse_config: exp.yaml.{key}: ")
+    assert words in lines[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_moment_work_within_the_cap_runs_from_both_verbs(tmp_path):
+    # 4 times at M = 8 place 8^4 tuples x 7 placements = 28672, inside the cap
+    text = cli.resolve_config("bell_channel_moments").read_text().replace(
+        "m_list: [3, 4, 5, 6, 7, 8]", "m_list: [8]").replace(
+        "times: [0.3, 0.9]", "times: [0.3, 0.9, 0.2, 0.5]")
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["validate", str(cfg)]) == 0
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_unusable_output_directory_is_refused_before_the_run(tmp_path, capsys,

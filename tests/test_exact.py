@@ -431,41 +431,53 @@ class TestSectorEngine:
         site = SiteModel(h=Operator(qutrit, (3,), hermitian=True),
                          interactions=(Operator(np.eye(3), (3,),
                                                 hermitian=True),))
-        run = FiniteMRun(qubit_sys(), site, 20,
-                         ProductState(DensityMatrix(qutrit, (3,))), PLUS,
-                         np.array([0.0, 0.5]))
+        # the run is refused when it is built, before any column is formed
         with pytest.raises(ResourceLimitError,
                            match=r"part sizes \(10, 10\) .* dimension 4356"):
-            propagate_exact(run)
+            FiniteMRun(qubit_sys(), site, 20,
+                       ProductState(DensityMatrix(qutrit, (3,))), PLUS,
+                       np.array([0.0, 0.5]))
         # qubit spin blocks up to dimension 512 each fit, but together need
         # more work than one sector at the cutoff; the refusal comes before
         # any block is built
         res = ProductState(tilted_mixed_site())
-        run = FiniteMRun(qubit_sys(), qubit_site(), 511, res, PLUS,
-                         np.array([0.0, 0.5]))
         with pytest.raises(ResourceLimitError,
                            match=r"6\.926e\+10 > 4096\^3.*part sizes "
                                  r"\(511,\) .* dimension 512"):
-            propagate_exact(run)
+            FiniteMRun(qubit_sys(), qubit_site(), 511, res, PLUS,
+                       np.array([0.0, 0.5]))
 
     def test_large_rank2_qubit_run_is_refused_at_once(self):
         # the largest spin block alone is over the cutoff; it is checked
-        # before the n/2 blocks are listed
-        run = FiniteMRun(qubit_sys(), qubit_site(), 10 ** 6,
-                         ProductState(tilted_mixed_site()), PLUS,
-                         np.array([0.0, 0.5]))
+        # before the n/2 blocks are listed, when the run is built
         tracemalloc.start()
         try:
             started = time.perf_counter()
             with pytest.raises(ResourceLimitError,
                                match=r"part sizes \(1000000,\) .* "
                                      r"dimension 1000001"):
-                propagate_exact(run)
+                FiniteMRun(qubit_sys(), qubit_site(), 10 ** 6,
+                           ProductState(tilted_mixed_site()), PLUS,
+                           np.array([0.0, 0.5]))
             elapsed = time.perf_counter() - started
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert elapsed < 0.1 and peak < 2 ** 20
+
+    def test_parts_are_refused_before_their_branches_are_combined(self):
+        # each rank-2 half alone fits (2001 x 2 < 4096), but their largest
+        # blocks together span 2001^2; the component's largest sector is
+        # checked before the 1001 x 1001 block pairs are listed
+        res = MacroscopicParts(((0.5, tilted_mixed_site()),
+                                (0.5, tilted_mixed_site(theta=1.1))))
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError,
+                           match=r"part sizes \(2000, 2000\) .* "
+                                 r"dimension 4004001"):
+            FiniteMRun(qubit_sys(), qubit_site(), 4000, res, PLUS,
+                       np.array([0.0, 0.5]))
+        assert time.perf_counter() - started < 0.1
 
     def test_gap_falls_as_one_over_m(self):
         cfg = load_config(resolve_config("qubit_convergence"))

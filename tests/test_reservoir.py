@@ -318,8 +318,8 @@ def test_channel_moment_and_bound_run_at_large_m():
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     for m in (16, 64):
         assert np.isfinite(multitime_moment(state, m, site, [0.1, 0.2]))
-        err, bound = factorization_error(state, m, site, [0.1, 0.2])
-        assert 0 < bound and err <= bound
+        err, bound, label = factorization_error(state, m, site, [0.1, 0.2])
+        assert 0 < bound and err <= bound and label == "correlated_bound"
 
 
 def test_identity_channel_moment_is_the_product_moment_at_large_m():
@@ -352,7 +352,7 @@ def test_channel_moment_and_bound_match_dense_oracle(seed, L, n, extra,
     times = list(rng.uniform(0, 2, size=n))
     moment = multitime_moment(state, m, site, times)
     assert abs(moment - dense_moment(state, m, site, times)) < 1e-12
-    _, bound = factorization_error(state, m, site, times)
+    _, bound, _ = factorization_error(state, m, site, times)
     c_n = dense_max_tuple_moment(state, m, site, times)
     assert abs(bound - n * L * c_n / (m - L + 1)) < 1e-12
 
@@ -395,8 +395,9 @@ def test_moment_work_past_the_cap_is_refused_before_it_is_done():
 
 def test_factorization_error_single_time_zero():
     site = qubit_site(SZ.data, SX.data)
-    err, bound = factorization_error(ProductState(PLUS), 3, site, [0.7])
-    assert err < 1e-14 and bound is None
+    # one time without a block has no reference
+    err, ref, label = factorization_error(ProductState(PLUS), 3, site, [0.7])
+    assert err < 1e-14 and ref is None and label is None
 
 
 def test_factorization_error_two_time_closed_form():
@@ -409,8 +410,11 @@ def test_factorization_error_two_time_closed_form():
     w2 = np.trace(PLUS.data @ v2)
     w12 = np.trace(PLUS.data @ v1 @ v2)
     for m in (1, 2, 7, 40):
-        err, _ = factorization_error(ProductState(PLUS), m, site, [t1, t2])
+        err, ref, label = factorization_error(ProductState(PLUS), m, site,
+                                              [t1, t2])
         assert abs(err - abs(w12 - w1 * w2) / m) < 1e-12
+        assert abs(ref - abs(w12 - w1 * w2) / m) < 1e-12
+        assert label == "pair_factorization"
 
 
 def test_factorized_product_is_the_limit_signal():
@@ -423,7 +427,7 @@ def test_factorized_product_is_the_limit_signal():
     for times in ([0.4], [0.25, 1.45], [0.1, 0.9, 0.5]):
         factorized = math.prod(signal.evaluate(np.array(times)).tolist())
         moment = multitime_moment(state, 3, site, times)
-        err, _ = factorization_error(state, 3, site, times)
+        err, _, _ = factorization_error(state, 3, site, times)
         assert err == abs(moment - factorized)
         for t in times:
             assert site_expectation(reference_site_state(state), site,
@@ -441,8 +445,9 @@ def test_factorization_error_halves_when_sites_double():
         rho = DensityMatrix(rho_mat / np.trace(rho_mat).real, (2,))
         times = sorted(rng.uniform(0, 2, size=2))
         for m in (2, 5, 16):
-            e1, _ = factorization_error(ProductState(rho), m, site, times)
-            e2, _ = factorization_error(ProductState(rho), 2 * m, site, times)
+            e1, _, _ = factorization_error(ProductState(rho), m, site, times)
+            e2, _, _ = factorization_error(ProductState(rho), 2 * m, site,
+                                           times)
             if e2 > 1e-13:
                 assert 1.9 <= e1 / e2 <= 2.1
 
@@ -451,7 +456,7 @@ def test_bell_channel_error_within_stated_bound():
     site = qubit_site(SZ.data, SX.data)
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     for m in (4, 5, 6):
-        err, bound = factorization_error(state, m, site, [0.3, 1.1])
+        err, bound, _ = factorization_error(state, m, site, [0.3, 1.1])
         assert err <= bound + 1e-12
         assert bound > 0
 
