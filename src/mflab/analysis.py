@@ -1,8 +1,8 @@
 """Metrics, convergence sweeps, spectral studies, and overlap decay.
 
-Entanglement is measured by negativity (general bipartitions).
-finite_and_limit produces the limit trajectory and the finite-size ones
-over a list of reservoir sizes, mapped over worker threads; every
+Entanglement is measured by negativity (general bipartitions). sweep
+takes finite-size runs of one model and gives the limit trajectory, each
+run's trajectory, mapped over worker threads, and their gap rows; every
 propagation experiment and convergence sweep starts from it, each
 coupling's interaction on one site or on nu. The spectral half runs
 second-order finite differences on one ladder of nested grids, each halving the
@@ -141,54 +141,55 @@ def _check_m_list(m_list) -> list[int]:
     return m_list
 
 
-def finite_and_limit(sys: SystemModel, site: SiteModel, reservoir_state,
-                     rho0: DensityMatrix, grid, m_list, threads: int = 1,
-                     step_target: float = DEFAULT_STEP_TARGET
-                     ) -> tuple[PropagationResult, list[PropagationResult]]:
-    """(limit trajectory, [finite-size trajectory per M]) on one grid, the
-    finite-size runs mapped over that many worker threads.
+def sweep(runs, threads: int = 1, step_target: float = DEFAULT_STEP_TARGET
+          ) -> tuple[PropagationResult, list[PropagationResult],
+                     list[SweepRow]]:
+    """(limit, finite, rows) for runs sharing one model and grid, else refused:
+    the limit trajectory of their model, states and grid; each run's
+    trajectory, the runs mapped over that many worker threads; and per run, the
+    trace distance of its trajectory to the limit one at each grid point
+    (gaps), its max over the grid (gap), the ratio of that max to the previous
+    row's and a copy of the diagnostics the run reports.
 
     A coupling whose interaction acts on nu sites averages it over ordered
     nu-tuples of distinct sites; in the limit such a tuple meets the nu-fold
     product of a limit atom, which reservoir.site_signals builds its signal
     from, whatever the other couplings' nu.
     """
-    m_list = _check_m_list(m_list)
+    if not runs:
+        raise ValidationError("sweep needs at least one run")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
-    grid = np.asarray(grid, dtype=float)
-    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
-            for m in m_list]
-    limit = effective_trajectory(sys, reservoir_state, site, rho0, grid,
+    first = runs[0]
+    if any(any(getattr(r, a) is not getattr(first, a) for a in
+               ("sys", "site", "reservoir_state", "rho_s0"))
+           or not np.array_equal(r.grid, first.grid) for r in runs[1:]):
+        raise ValidationError("sweep's runs must share one model and grid")
+    limit = effective_trajectory(first.sys, first.reservoir_state, first.site,
+                                 first.rho_s0, first.grid,
                                  step_target=step_target)
     if threads == 1:
-        return limit, [propagate_exact(run) for run in runs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return limit, list(pool.map(propagate_exact, runs))
-
-
-def sweep_rows(m_list, limit: PropagationResult,
-               finite: list[PropagationResult]) -> list[SweepRow]:
-    """Per reservoir size, the trace distance of its finite trajectory to the
-    limit one at each grid point (gaps) and its max over the grid (gap), the
-    ratio of that max to the previous row's, and a copy of the diagnostics
-    its finite-size run reports."""
+        finite = [propagate_exact(run) for run in runs]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            finite = list(pool.map(propagate_exact, runs))
     dists = [trace_distance(r.stack, limit.stack) for r in finite]
     gaps = [d.max() for d in dists]
     ratios = [math.nan] + [b / a for a, b in zip(gaps, gaps[1:])]
-    return [SweepRow(m_count=int(m), gap=float(g), ratio=float(q),
+    rows = [SweepRow(m_count=int(run.m_count), gap=float(g), ratio=float(q),
                      diagnostics=dict(r.diagnostics), gaps=d)
-            for m, g, q, r, d in zip(m_list, gaps, ratios, finite, dists)]
+            for run, g, q, r, d in zip(runs, gaps, ratios, finite, dists)]
+    return limit, finite, rows
 
 
 def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
             rho0: DensityMatrix, grid, m_list, threads: int = 1,
             step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table over reservoir sizes against the limit trajectory
-    of the reservoir ensemble (see sweep_rows for the columns)."""
-    return sweep_rows(m_list, *finite_and_limit(
-        sys, site, reservoir_state, rho0, grid, m_list, threads=threads,
-        step_target=step_target))
+    of the reservoir ensemble: sweep's rows, one run per M."""
+    runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
+            for m in _check_m_list(m_list)]
+    return sweep(runs, threads=threads, step_target=step_target)[2]
 
 
 def negativity_trajectory(result: PropagationResult, transpose) -> np.ndarray:

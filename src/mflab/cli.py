@@ -69,13 +69,11 @@ def render_csv(header, rows) -> str:
 # table builder in _TRAJECTORY_TABLES.
 
 def _run_trajectory(cfg: ExperimentConfig, threads: int):
-    """One finite_and_limit call and its sweep rows; the kind's table builder
+    """One analysis.sweep over the config's runs; the kind's table builder
     adds its columns and notes to the common ones: limit (the limit run's
     diagnostics), finite_m (each run's, by M) and max_gap_by_m."""
-    limit, finite = analysis.finite_and_limit(
-        cfg.system, cfg.site, cfg.reservoir, cfg.initial_state, cfg.grid,
-        cfg.m_list, threads=threads, step_target=cfg.step_target)
-    sweep = analysis.sweep_rows(cfg.m_list, limit, finite)
+    limit, finite, sweep = analysis.sweep(cfg.runs, threads=threads,
+                                          step_target=cfg.step_target)
     header, rows, notes = _TRAJECTORY_TABLES[cfg.kind](cfg, limit, finite,
                                                       sweep)
     notes.update(limit=limit.diagnostics,
@@ -96,13 +94,13 @@ def _convergence_table(cfg, limit, finite, sweep):
 def _entanglement_table(cfg, limit, finite, sweep):
     columns = [analysis.negativity_trajectory(r, (0,))
                for r in [limit, *finite]]
-    header = ["t", "negativity_limit"] + [f"negativity_m{m}"
-                                          for m in cfg.m_list]
+    header = ["t", "negativity_limit"] + [f"negativity_m{r.m_count}"
+                                          for r in sweep]
     rows = [[t] + [col[k] for col in columns]
             for k, t in enumerate(cfg.grid)]
-    devs = [float(np.max(np.abs(col - columns[0]))) for col in columns[1:]]
-    return header, rows, {"max_deviation_by_m": dict(zip(map(str, cfg.m_list),
-                                                         devs))}
+    return header, rows, {"max_deviation_by_m": {
+        str(r.m_count): float(np.max(np.abs(col - columns[0])))
+        for r, col in zip(sweep, columns[1:])}}
 
 
 def _purities(stack: np.ndarray) -> np.ndarray:

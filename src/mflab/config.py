@@ -14,9 +14,10 @@ Every reservoir size a run will use is checked by building that run's
 the moments' own input check, `reservoir.moment_input`, for moment checks),
 so a config is refused here exactly when running it would be, before any
 work. Size keys and stepper audits past their caps are refused as resource
-limits. Well problems, overlap specs and the series oracle's runs are built
-here once, and the run uses them; the propagation runs and the Stark
-problem are built here only to be checked.
+limits. Well problems, overlap specs and every finite-size run (one per M
+of a trajectory kind, and each series oracle check's) are built here once,
+and the run uses them; the Stark problem alone is built here just to be
+checked, and the run builds it again.
 
 What the ensemble and the state already say is not asked for: a
 `factorization` check takes its reference from the ensemble (a
@@ -545,7 +546,7 @@ class ExperimentConfig:
     reservoir: object | None = None
     initial_state: DensityMatrix | None = None
     grid: np.ndarray | None = None
-    m_list: tuple[int, ...] = ()
+    runs: tuple[FiniteMRun, ...] = ()  # what a trajectory kind propagates
     step_target: float = DEFAULT_STEP_TARGET
     audit: dict | None = None
     checks: tuple[dict, ...] = ()
@@ -641,12 +642,11 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     if kind == "definetti" and not isinstance(reservoir, DeFinettiMixture):
         raise ConfigError(f"{where}.reservoir: definetti runs need "
                           f"kind: definetti")
-    for m in m_list:
-        _build(f"{where}.run.m_list", FiniteMRun, system, site, m, reservoir,
-               initial, grid)
+    runs = tuple(_build(f"{where}.run.m_list", FiniteMRun, system, site, m,
+                        reservoir, initial, grid) for m in m_list)
     return ExperimentConfig(**head, system=system, site=site,
                             reservoir=reservoir, initial_state=initial,
-                            grid=grid, m_list=m_list, step_target=step_target)
+                            grid=grid, runs=runs, step_target=step_target)
 
 
 def load_config(path) -> ExperimentConfig:

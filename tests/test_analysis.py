@@ -22,12 +22,12 @@ from mflab.analysis import (
     SpectralProblem,
     bound_state_count,
     field_overlap_decay,
-    finite_and_limit,
     m_sweep,
     negativity,
     negativity_trajectory,
     stark_halfline_spectrum,
     stark_problem,
+    sweep,
     trace_distance,
 )
 from oracles import concurrence, summary_report, write_summary
@@ -345,6 +345,9 @@ class TestFiniteAndLimit:
     GRID = np.linspace(0.0, 1.0, 11)
     M_LIST = (2, 3)
 
+    def runs(self, sys, site, res, rho0, m_list=M_LIST):
+        return [FiniteMRun(sys, site, m, res, rho0, self.GRID) for m in m_list]
+
     @staticmethod
     def assert_same_stacks(got, want):
         assert len(got) == len(want)
@@ -355,15 +358,13 @@ class TestFiniteAndLimit:
     def test_stacks_are_those_of_the_direct_calls(self, kind):
         sys, site, _, rho0 = sweep_fixture()
         res = ENSEMBLES[kind]
-        limit, finite = finite_and_limit(sys, site, res, rho0, self.GRID,
-                                         self.M_LIST)
+        limit, finite, _ = sweep(self.runs(sys, site, res, rho0))
         self.assert_same_stacks(
             [limit], [effective_trajectory(sys, res, site, rho0, self.GRID)])
         self.assert_same_stacks(finite, [
             propagate_exact(FiniteMRun(sys, site, m, res, rho0, self.GRID))
             for m in self.M_LIST])
-        threaded = finite_and_limit(sys, site, res, rho0, self.GRID,
-                                    self.M_LIST, threads=2)
+        threaded = sweep(self.runs(sys, site, res, rho0), threads=2)
         self.assert_same_stacks([limit, *finite], [threaded[0], *threaded[1]])
 
     def test_cluster_limit_is_the_pair_block_orbit(self):
@@ -371,8 +372,7 @@ class TestFiniteAndLimit:
         # under the pair Hamiltonian h (x) 1 + 1 (x) h, coupled by X (x) X
         sys, site, res, rho0 = sweep_fixture()
         site = SiteModel(h=SZ, interactions=(PAIR,))
-        limit, finite = finite_and_limit(sys, site, res, rho0, self.GRID,
-                                         self.M_LIST)
+        limit, finite, _ = sweep(self.runs(sys, site, res, rho0))
         pair_site = SiteModel(
             h=Operator(np.kron(SZ.data, np.eye(2)) + np.kron(np.eye(2), SZ.data),
                        (4,), hermitian=True),
@@ -383,14 +383,28 @@ class TestFiniteAndLimit:
         self.assert_same_stacks(finite, [
             propagate_exact(FiniteMRun(sys, site, m, res, rho0, self.GRID))
             for m in self.M_LIST])
-        threaded = finite_and_limit(sys, site, res, rho0, self.GRID,
-                                    self.M_LIST, threads=2)
+        threaded = sweep(self.runs(sys, site, res, rho0), threads=2)
         self.assert_same_stacks([limit, *finite], [threaded[0], *threaded[1]])
 
     def test_threads_must_be_positive(self):
         sys, site, res, rho0 = sweep_fixture()
         with pytest.raises(ValidationError, match="threads"):
-            finite_and_limit(sys, site, res, rho0, self.GRID, (1,), threads=0)
+            sweep(self.runs(sys, site, res, rho0, (1,)), threads=0)
+
+    def test_an_empty_run_list_is_refused(self):
+        with pytest.raises(ValidationError, match="at least one run"):
+            sweep([])
+
+    def test_runs_of_different_models_or_grids_are_refused(self):
+        # the limit is the first run's; a run of another model or grid
+        # would be compared with it cell by cell
+        sys, site, res, rho0 = sweep_fixture()
+        first = FiniteMRun(sys, site, 2, res, rho0, self.GRID)
+        other_site = SiteModel(h=site.h, interactions=site.interactions)
+        for run in (FiniteMRun(sys, other_site, 3, res, rho0, self.GRID),
+                    FiniteMRun(sys, site, 3, res, rho0, self.GRID[:-1])):
+            with pytest.raises(ValidationError, match="share one model and grid"):
+                sweep([first, run])
 
 
 class TestMSweep:

@@ -153,7 +153,8 @@ class TestConfigParsing:
                            match=r"run\.m_list: need at least 2 sites"):
             load_config(write_config(tmp_path, bad))
         ok = bad.replace("[1, 2]", "[2, 3]")
-        assert load_config(write_config(tmp_path, ok)).m_list == (2, 3)
+        runs = load_config(write_config(tmp_path, ok)).runs
+        assert [r.m_count for r in runs] == [2, 3]
 
     def test_series_ratio_needs_initial_state(self):
         doc = {
@@ -392,13 +393,13 @@ class TestRunVerb:
 
     def test_cluster_run_honours_threads(self, tmp_path, monkeypatch):
         seen = []
-        produce = analysis.finite_and_limit
+        produce = analysis.sweep
 
         def spy(*args, **kwargs):
             seen.append(kwargs["threads"])
             return produce(*args, **kwargs)
 
-        monkeypatch.setattr(analysis, "finite_and_limit", spy)
+        monkeypatch.setattr(analysis, "sweep", spy)
         for threads in (1, 2):
             out = tmp_path / f"t{threads}"
             assert cli.main(["run", "cluster_pair", "--out", str(out),
@@ -418,15 +419,19 @@ class TestRunVerb:
         # implementation anywhere shows up as extra calls; the limit steps
         # each atom of a mixture once, a single atom (atoms 0) once. Each M
         # takes one trace distance to the limit, the sweep's, which a de
-        # Finetti run's mixture gap reads, plus one to each atom's orbit
+        # Finetti run's mixture gap reads, plus one to each atom's orbit.
+        # The runs config builds to check them are the runs propagated, so
+        # each M's FiniteMRun is built once over the whole command
+        runs = load_config(cli.resolve_config(name)).runs
         calls = {"propagate_exact": 0, "effective_trajectory": 0,
-                 "propagate_effective": 0, "trace_distance": 0}
+                 "propagate_effective": 0, "trace_distance": 0,
+                 "FiniteMRun": 0}
 
-        def count(module, fname):
+        def count(module, fname, key=None):
             real = getattr(module, fname)
 
             def counting(*args, **kwargs):
-                calls[fname] += 1
+                calls[key or fname] += 1
                 return real(*args, **kwargs)
             monkeypatch.setattr(module, fname, counting)
 
@@ -437,35 +442,44 @@ class TestRunVerb:
         for module in (cli, effective):
             count(module, "propagate_effective")
         count(analysis, "trace_distance")
+        count(exact.FiniteMRun, "__post_init__", "FiniteMRun")
         assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
-        m_list = load_config(cli.resolve_config(name)).m_list
-        assert calls == {"propagate_exact": len(m_list),
+        assert calls == {"propagate_exact": len(runs),
                          "effective_trajectory": 1,
                          "propagate_effective": max(atoms, 1),
-                         "trace_distance": len(m_list) * (1 + atoms)}
+                         "trace_distance": len(runs) * (1 + atoms),
+                         "FiniteMRun": len(runs)}
 
-    @pytest.mark.parametrize("name", ["bell_pair_protection",
-                                      "definetti_two_atom"])
+    @pytest.mark.parametrize("name", [
+        "bell_pair_protection", "definetti_two_atom", "qubit_convergence",
+        "cluster_pair", "macroscopic_two_part", "oscillator_scattering"])
     def test_finite_m_runs_honour_threads(self, tmp_path, monkeypatch, name):
-        # entanglement and definetti runs map their M list over the same
-        # worker pool as the convergence sweeps
-        pools = []
+        # every trajectory kind maps its M list over the same worker pool;
+        # one parsed config serves a serial and a threaded run, as a caller
+        # that runs it many times does: the runs it holds are the runs
+        # propagated, each pass to the same bytes
+        pools, propagated, real = [], [], analysis.propagate_exact
 
         class Pool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
+        def spy(run):
+            propagated.append(id(run))
+            return real(run)
+
         monkeypatch.setattr(analysis, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(analysis, "propagate_exact", spy)
+        cfg = load_config(cli.resolve_config(name))
+        tables = []
         for threads in (1, 2):
             out = tmp_path / f"t{threads}"
-            assert cli.main(["run", name, "--out", str(out),
-                             "--threads", str(threads)]) == 0
+            cli.run_experiment(cfg, out, name, threads=threads)
+            tables.append((out / cfg.table).read_bytes())
         assert pools == [2]
-        table = load_config(cli.resolve_config(name)).table
-        a = (tmp_path / "t1" / name / table).read_bytes()
-        b = (tmp_path / "t2" / name / table).read_bytes()
-        assert a == b
+        assert tables[0] == tables[1]
+        assert sorted(propagated) == sorted(2 * [id(r) for r in cfg.runs])
 
     def test_cluster_run_on_a_definetti_reservoir(self, tmp_path):
         text = """
@@ -503,7 +517,8 @@ outputs: {table: gap.csv}
         assert [v.dims for v in cfg.site.interactions] == [(2, 2)]
         summary = cli.run_experiment(cfg, tmp_path / "o", name)
         assert summary["rows"] > 0
-        gaps = [summary["notes"]["max_gap_by_m"][str(m)] for m in cfg.m_list]
+        gaps = [summary["notes"]["max_gap_by_m"][str(r.m_count)]
+                for r in cfg.runs]
         assert all(b < 0.6 * a for a, b in zip(gaps, gaps[1:]))
 
     def test_csv_cells_roundtrip_full_precision(self, tmp_path):
@@ -787,7 +802,7 @@ def test_trajectory_kinds_write_common_notes(tmp_path, monkeypatch, name):
         (tmp_path / name / "summary.json").read_text())["notes"]
     (limit,) = seen["effective_trajectory"]
     finite = seen["propagate_exact"]
-    m_list = load_config(cli.resolve_config(name)).m_list
+    m_list = [r.m_count for r in load_config(cli.resolve_config(name)).runs]
     # the limit result's diagnostics are those effective._limit_result
     # assembles, the finite runs' those propagate_exact reports
     assert notes["limit"] == json.loads(json.dumps(limit.diagnostics))
@@ -1306,9 +1321,12 @@ def test_site_mixes_one_and_two_site_interactions(tmp_path):
     assert [v.dims for v in cfg.site.interactions] == [(2,), (2, 2)]
     flip = Operator(np.eye(4, dtype=complex)[::-1], (2, 2), hermitian=True)
     site = SiteModel(h=pauli("z"), interactions=(pauli("x"), flip))
+    # the runs are what a run propagates, so the Python site's are rebuilt
+    python = dataclasses.replace(cfg, site=site, runs=tuple(
+        exact.FiniteMRun(cfg.system, site, r.m_count, cfg.reservoir,
+                         cfg.initial_state, cfg.grid) for r in cfg.runs))
     tables = []
-    for out, c in (("cfg", cfg), ("python", dataclasses.replace(cfg,
-                                                                site=site))):
+    for out, c in (("cfg", cfg), ("python", python)):
         summary = cli.run_experiment(c, tmp_path / out, "exp")
         assert summary["rows"] == 21
         tables.append((tmp_path / out / "negativity.csv").read_bytes())
@@ -1512,7 +1530,7 @@ def test_unusable_output_directory_is_refused_before_the_run(tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setattr(analysis, "finite_and_limit", never)
+    monkeypatch.setattr(analysis, "sweep", never)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert cli.main(["run", "qubit_convergence", "--out",

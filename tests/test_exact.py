@@ -23,8 +23,7 @@ from mflab.reservoir import (
     ProductState,
     bell_channel_kraus,
 )
-from mflab.analysis import (cluster_sweep, finite_and_limit, m_sweep,
-                            trace_distance)
+from mflab.analysis import cluster_sweep, m_sweep, sweep, trace_distance
 from mflab.cli import resolve_config
 from mflab.config import load_config
 from mflab.effective import effective_potential
@@ -261,8 +260,8 @@ class TestConservation:
 def limit_gap(sys, site, reservoir_state, m_count, rho0, grid):
     """Per grid point, the trace distance of the size-m_count trajectory to
     the limit one."""
-    limit, (finite,) = finite_and_limit(sys, site, reservoir_state, rho0,
-                                        grid, [m_count])
+    limit, (finite,), _ = sweep([FiniteMRun(sys, site, m_count,
+                                            reservoir_state, rho0, grid)])
     return trace_distance(finite.stack, limit.stack)
 
 
@@ -639,6 +638,17 @@ class TestReducedStateContractions:
             total = total + eig
         norms = np.trace(total, axis1=1, axis2=2).real
         assert np.abs(norms - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("state", [PLUS, tilted_mixed_site()])
+    def test_a_run_propagates_to_the_same_bytes_twice(self, state):
+        # _sectors forms its columns from the plan on every call and keeps
+        # none, so a run a config holds may be propagated again: a pure
+        # product on the amplitudes, a rank-2 one through spin blocks
+        run = FiniteMRun(qubit_sys(), qubit_site(), 8, ProductState(state),
+                         PLUS, np.linspace(0.0, 2.0, 51))
+        first, second = propagate_exact(run), propagate_exact(run)
+        assert first.stack.tobytes() == second.stack.tobytes()
+        assert first.diagnostics == second.diagnostics
 
     def test_time_chunks_change_nothing(self, monkeypatch):
         run = FiniteMRun(qubit_sys(), qubit_site(), 6,
