@@ -127,29 +127,16 @@ class SweepRow:
     gaps: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _check_m_list(m_list) -> list[int]:
-    if not all(isinstance(m, (int, np.integer)) and not isinstance(m, bool)
-               for m in m_list):
-        raise ValidationError(f"M list entries must be integers: {m_list}")
-    m_list = [int(m) for m in m_list]
-    if not m_list:
-        raise ValidationError("M list is empty")
-    if any(m < 1 for m in m_list):
-        raise ValidationError("M list entries must be positive")
-    if any(a >= b for a, b in zip(m_list, m_list[1:])):
-        raise ValidationError("M list must be strictly increasing")
-    return m_list
-
-
 def sweep(runs, threads: int = 1, step_target: float = DEFAULT_STEP_TARGET
           ) -> tuple[PropagationResult, list[PropagationResult],
                      list[SweepRow]]:
-    """(limit, finite, rows) for runs sharing one model and grid, else refused:
-    the limit trajectory of their model, states and grid; each run's
-    trajectory, the runs mapped over that many worker threads; and per run, the
-    trace distance of its trajectory to the limit one at each grid point
-    (gaps), its max over the grid (gap), the ratio of that max to the previous
-    row's and a copy of the diagnostics the run reports.
+    """(limit, finite, rows) for runs sharing one model and grid, their M
+    strictly increasing, else refused: the limit trajectory of their model,
+    states and grid; each run's trajectory, the runs mapped over that many
+    worker threads; and per run, the trace distance of its trajectory to the
+    limit one at each grid point (gaps), its max over the grid (gap), the
+    ratio of that max to the previous row's and a copy of the diagnostics the
+    run reports.
 
     A coupling whose interaction acts on nu sites averages it over ordered
     nu-tuples of distinct sites; in the limit such a tuple meets the nu-fold
@@ -165,6 +152,8 @@ def sweep(runs, threads: int = 1, step_target: float = DEFAULT_STEP_TARGET
                ("sys", "site", "reservoir_state", "rho_s0"))
            or not np.array_equal(r.grid, first.grid) for r in runs[1:]):
         raise ValidationError("sweep's runs must share one model and grid")
+    if any(a.m_count >= b.m_count for a, b in zip(runs, runs[1:])):
+        raise ValidationError("sweep's runs must have strictly increasing M")
     limit = effective_trajectory(first.sys, first.reservoir_state, first.site,
                                  first.rho_s0, first.grid,
                                  step_target=step_target)
@@ -176,7 +165,7 @@ def sweep(runs, threads: int = 1, step_target: float = DEFAULT_STEP_TARGET
     dists = [trace_distance(r.stack, limit.stack) for r in finite]
     gaps = [d.max() for d in dists]
     ratios = [math.nan] + [b / a for a, b in zip(gaps, gaps[1:])]
-    rows = [SweepRow(m_count=int(run.m_count), gap=float(g), ratio=float(q),
+    rows = [SweepRow(m_count=run.m_count, gap=float(g), ratio=float(q),
                      diagnostics=dict(r.diagnostics), gaps=d)
             for run, g, q, r, d in zip(runs, gaps, ratios, finite, dists)]
     return limit, finite, rows
@@ -186,9 +175,10 @@ def m_sweep(sys: SystemModel, site: SiteModel, reservoir_state,
             rho0: DensityMatrix, grid, m_list, threads: int = 1,
             step_target: float = DEFAULT_STEP_TARGET) -> list[SweepRow]:
     """Convergence table over reservoir sizes against the limit trajectory
-    of the reservoir ensemble: sweep's rows, one run per M."""
+    of the reservoir ensemble: sweep's rows, one run per M, each M checked
+    by FiniteMRun and their order by sweep."""
     runs = [FiniteMRun(sys, site, m, reservoir_state, rho0, grid)
-            for m in _check_m_list(m_list)]
+            for m in m_list]
     return sweep(runs, threads=threads, step_target=step_target)[2]
 
 

@@ -7,16 +7,19 @@ strict; unknown keys, keys repeated within one mapping and non-finite
 numbers are rejected at every level so a typo cannot silently change an
 experiment. Each key is read once, by a typed reader on `_Block` that checks
 its type and bounds and names the key in any error. A rule that a model,
-state, ensemble or run constructor enforces is left to it: `_build` reports
-its refusal under the key path at fault, a resource limit still as one.
-Every reservoir size a run will use is checked by building that run's
+state, ensemble, run or solver check enforces is left to it (a literal
+ket's norm to `DensityMatrix.pure`, a series order to
+`exact.check_series_block`, an audit's caps to
+`effective.check_stepper_audit`): `_build` reports its refusal under the
+key of the argument it names, a resource limit still as one. Every
+reservoir size a run will use is checked by building that run's
 `exact.FiniteMRun`, which plans its sectors and refuses their work (or by
 the moments' own input check, `reservoir.moment_input`, for moment checks),
 so a config is refused here exactly when running it would be, before any
-work. Size keys and stepper audits past their caps are refused as resource
-limits. Well problems, overlap specs and every finite-size run (one per M
-of a trajectory kind, and each series oracle check's) are built here once,
-and the run uses them; the Stark problem alone is built here just to be
+work. Size keys past numpy's largest array are refused as resource limits.
+Well problems, overlap specs and every finite-size run (one per M of a
+trajectory kind, and each series oracle check's) are built here once, and
+the run uses them; the Stark problem alone is built here just to be
 checked, and the run builds it again.
 
 What the ensemble and the state already say is not asked for: a
@@ -42,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .effective import (DEFAULT_STEP_TARGET, MAX_AUDIT_SUBSTEPS,
-                        MAX_SUBSTEPS)
+from .effective import DEFAULT_STEP_TARGET, check_stepper_audit
 from .errors import ConfigError, ResourceLimitError
-from .exact import SERIES_MAX_ORDER, FiniteMRun, check_series_block
+from .exact import FiniteMRun, check_series_block
 from .model import (Coupling, SiteModel, SystemModel, check_couplings,
                     coherent_ket, oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
@@ -304,10 +306,7 @@ def parse_state(node, where: str, dims):
     if form == "ket":
         vec = np.array([_entry(e, f"{where}.ket") for e in block.items("ket")],
                        dtype=complex)
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            raise ConfigError(f"{where}.ket: vector has zero norm")
-        out = _build(f"{where}.ket", DensityMatrix.pure, vec / norm, dims)
+        out = _build(f"{where}.ket", DensityMatrix.pure, vec, dims)
     elif form == "matrix":
         mat = parse_matrix(block.get("matrix"), f"{where}.matrix")
         out = _build(f"{where}.matrix", DensityMatrix, mat, dims)
@@ -414,8 +413,12 @@ def _build_run(block: _Block, sys_dim: int):
     return m_list, np.linspace(0.0, t_max, n_times), step_target
 
 
-def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
-    """Check specs; a moment bound carries the coherent amplitude alpha."""
+def _build_checks(listed: _Block, site: SiteModel, reservoir,
+                  system: SystemModel | None, initial: DensityMatrix | None,
+                  alpha) -> tuple[dict, ...]:
+    """Check specs, each finished where it is read: a moment bound carries
+    the coherent amplitude alpha, a series check its FiniteMRun, and each M
+    of an m_list is checked through the moments' own moment_input."""
     out = []
     for k in listed.node:
         blk = listed.sub(k)
@@ -425,6 +428,9 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
             spec["m_list"] = blk.sizes("m_list")
             spec["times"] = blk.numbers("times")
         elif name == "moment_bound":
+            if alpha is None:
+                raise ConfigError(f"{blk.where}: coherent moment bounds need "
+                                  f"a coherent reservoir site state")
             spec["bound"] = blk.string("bound",
                                        choices=("coherent", "coherent_safe"))
             spec["orders"] = tuple(_integer(n, f"{blk.where}.orders", minimum=1)
@@ -440,11 +446,10 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
                                   f"leaves the float range past order {top}, "
                                   f"got {spec['max_order']}")
         else:
+            if system is None:
+                raise ConfigError(f"{blk.where}: series_ratio checks need a "
+                                  f"model.system block")
             spec["order"] = blk.integer("order", minimum=1)
-            if spec["order"] > SERIES_MAX_ORDER:
-                raise ConfigError(f"{blk.where}.order: series comparison is "
-                                  f"implemented through order "
-                                  f"{SERIES_MAX_ORDER}")
             spec["t"] = blk.positive("t")
             spec["m_count"] = blk.integer("m_count", minimum=1)
             if blk.get("ratio_window", None) is not None:
@@ -452,7 +457,24 @@ def _build_checks(listed: _Block, alpha) -> tuple[dict, ...]:
                 if not lo < hi:
                     raise ConfigError(f"{blk.where}.ratio_window: need lo < hi")
                 spec["ratio_window"] = (lo, hi)
+            spec["run"] = _build(f"{blk.where}.m_count", FiniteMRun, system,
+                                 site, spec["m_count"], reservoir, initial,
+                                 np.array([spec["t"] / 2, spec["t"]]))
+            _build(blk.where, check_series_block, spec["run"], spec["order"],
+                   keys={"run": "m_count", "order": "order"})
         blk.done()
+        for m in spec.get("m_list", ()):
+            # the moments' own input check, M, the ensemble on M sites and
+            # the work; only a factorization check has a size bound
+            _, parts, _ = _build(f"{blk.where}.m_list", moment_input,
+                                 reservoir, m, site, spec["times"],
+                                 name == "factorization")
+            # without a block the reference is the exact two-time error
+            if (name == "factorization" and len(spec["times"]) != 2
+                    and all(b is None for _, _, b in parts)):
+                raise ConfigError(f"{blk.where}.times: expected a list of 2 "
+                                  f"numbers without a correlation block, "
+                                  f"got {len(spec['times'])}")
         out.append(spec)
     return tuple(out)
 
@@ -519,17 +541,8 @@ def _build_audit(block: _Block) -> dict:
         "seed": block.integer("seed", minimum=0),
         "substeps": block.integer("substeps", 48, minimum=4),
     }
-    if 32 * out["substeps"] > MAX_SUBSTEPS:
-        raise ResourceLimitError(
-            f"{block.where}.substeps: the finest audit pass, 32 x "
-            f"{out['substeps']} substeps, exceeds the cap of {MAX_SUBSTEPS}")
-    # each draw steps s, 2s and 32s substeps
-    total = out["count"] * 35 * out["substeps"]
-    if total > MAX_AUDIT_SUBSTEPS:
-        raise ResourceLimitError(
-            f"{block.where}.count: {out['count']} draws of 35 x "
-            f"{out['substeps']} substeps step {total}, past the cap of "
-            f"{MAX_AUDIT_SUBSTEPS}")
+    _build(block.where, check_stepper_audit, out["count"], out["substeps"],
+           keys={"count": "count", "substeps": "substeps"})
     block.done()
     return out
 
@@ -599,36 +612,10 @@ def parse_config(doc, where: str = "config") -> ExperimentConfig:
     reservoir, alpha = _build_reservoir(top.sub("reservoir"), site.dim)
 
     if kind == "moments":
-        checks = _build_checks(top.each("checks"), alpha)
+        listed = top.each("checks")
         top.done()
         _build(f"{where}.model.site", check_moment_site, site)
-        if system is None and any(c["check"] == "series_ratio"
-                                  for c in checks):
-            raise ConfigError(f"{where}: series_ratio checks need a "
-                              f"model.system block")
-        if alpha is None and any(c["check"] == "moment_bound" for c in checks):
-            raise ConfigError(f"{where}: coherent moment bounds need a "
-                              f"coherent reservoir site state")
-        for j, c in enumerate(checks):
-            at = f"{where}.checks[{j}]"
-            if c["check"] == "series_ratio":
-                c["run"] = _build(f"{at}.m_count", FiniteMRun, system, site,
-                                  c["m_count"], reservoir, initial,
-                                  np.array([c["t"] / 2, c["t"]]))
-                _build(f"{at}.m_count", check_series_block, c["run"],
-                       c["order"])
-            for m in c.get("m_list", ()):
-                # the moments' own input check, M, the ensemble on M sites
-                # and the work; only a factorization check has a size bound
-                _, parts, _ = _build(f"{at}.m_list", moment_input, reservoir,
-                                     m, site, c["times"],
-                                     c["check"] == "factorization")
-                # without a block the reference is the exact two-time error
-                if (c["check"] == "factorization" and len(c["times"]) != 2
-                        and all(b is None for _, _, b in parts)):
-                    raise ConfigError(f"{at}.times: expected a list of 2 "
-                                      f"numbers without a correlation block, "
-                                      f"got {len(c['times'])}")
+        checks = _build_checks(listed, site, reservoir, system, initial, alpha)
         return ExperimentConfig(**head, system=system, site=site,
                                 reservoir=reservoir, initial_state=initial,
                                 checks=checks)

@@ -55,6 +55,23 @@ MAX_AUDIT_SUBSTEPS = 2 ** 24
 STEP_CHUNK = 4096
 
 
+def check_stepper_audit(count: int, substeps: int) -> None:
+    """Refuse a stepper audit of count draws at the given substeps whose
+    finest pass, 32 x substeps, passes MAX_SUBSTEPS, or whose draws step
+    more than MAX_AUDIT_SUBSTEPS qubit substeps in all; each refusal names
+    its argument."""
+    if 32 * substeps > MAX_SUBSTEPS:
+        raise ResourceLimitError(
+            f"the finest audit pass, 32 x {substeps} substeps, exceeds the "
+            f"cap of {MAX_SUBSTEPS}", arg="substeps")
+    # each draw steps s, 2s and 32s substeps
+    total = count * 35 * substeps
+    if total > MAX_AUDIT_SUBSTEPS:
+        raise ResourceLimitError(
+            f"{count} draws of 35 x {substeps} substeps step {total}, past "
+            f"the cap of {MAX_AUDIT_SUBSTEPS}", arg="count")
+
+
 @dataclass(frozen=True)
 class EffectivePotential:
     """One scalar signal per site interaction operator, by index."""

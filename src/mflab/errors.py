@@ -2,16 +2,16 @@
 
 
 class MFLabError(Exception):
-    """Base class for all package errors."""
-
-
-class ValidationError(MFLabError):
-    """An input violates a documented precondition or invariant; arg names
-    the one argument at fault, when a single argument is."""
+    """Base class for all package errors; arg names the one argument at
+    fault, when a single argument is."""
 
     def __init__(self, *args, arg: str | None = None):
         super().__init__(*args)
         self.arg = arg
+
+
+class ValidationError(MFLabError):
+    """An input violates a documented precondition or invariant."""
 
 
 class ToleranceError(MFLabError):

@@ -77,8 +77,9 @@ AMPLITUDE_CHUNK = 1 << 20
 class FiniteMRun:
     """One finite-size propagation problem.
 
-    Every coupling's site interaction is checked to exist and to act on no
-    more than m_count sites. components holds reservoir.decompose of the
+    m_count, the site count, must be a positive integer and is kept as an
+    int. Every coupling's site interaction is checked to exist and to act on
+    no more than m_count sites. components holds reservoir.decompose of the
     reservoir state and sectors its _plan, both made and checked here.
     """
 
@@ -92,6 +93,12 @@ class FiniteMRun:
     sectors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        m = self.m_count
+        if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+                or m < 1):
+            raise ValidationError(
+                f"site count must be a positive integer, got {m!r}")
+        object.__setattr__(self, "m_count", int(m))
         grid = time_grid(self.grid)
         if self.rho_s0.dim != self.sys.dim:
             raise ValidationError(
@@ -490,14 +497,20 @@ def propagate_exact(run: FiniteMRun) -> PropagationResult:
 # Truncated interaction-picture series.
 
 def check_series_block(run: FiniteMRun, order: int) -> None:
-    """Refuse a series of the given order whose block matrix on the run's
-    largest sector, (order + 1) x system dim x sector dim, passes the dense
-    cutoff; the dimensions are read from the run's plan."""
+    """The series oracle's rules, checked by dyson_truncated and by a config
+    before any work: an order outside 0..SERIES_MAX_ORDER is refused, and
+    then a series whose block matrix on the run's largest sector,
+    (order + 1) x system dim x sector dim, passes the dense cutoff, the
+    dimensions read from the run's plan. Each refusal names its argument."""
+    if not 0 <= order <= SERIES_MAX_ORDER:
+        raise ValidationError(
+            f"series order must be between 0 and {SERIES_MAX_ORDER}",
+            arg="order")
     n = run.sys.dim * max(dim for dim, _ in run.sectors.values())
     if (order + 1) * n > DENSE_CUTOFF:
         raise ResourceLimitError(
             f"series oracle is dense only; block dimension {(order + 1) * n} "
-            f"= (order {order} + 1) x {n} > {DENSE_CUTOFF}")
+            f"= (order {order} + 1) x {n} > {DENSE_CUTOFF}", arg="run")
 
 
 def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
@@ -520,16 +533,13 @@ def dyson_truncated(run: FiniteMRun, order: int) -> np.ndarray:
     sum_{k+l<=order} S_k rho0 S_l^dagger in the lab frame, and its partial
     trace over the reservoir, summed over sectors, is returned. The result
     is not renormalized, so its trace distance to the true state reflects
-    the truncation error honestly. A run check_series_block refuses is
-    refused before any sector is formed.
+    the truncation error honestly. An order or a run check_series_block
+    refuses is refused before any sector is formed.
     """
     from scipy.linalg import expm  # lazy: scipy is slow to import
-    if not 0 <= order <= SERIES_MAX_ORDER:
-        raise ValidationError(
-            f"series order must be between 0 and {SERIES_MAX_ORDER}")
+    check_series_block(run, order)
     if run.grid[0] < 0:
         raise ValidationError("time must be nonnegative")
-    check_series_block(run, order)
     columns, _, hamiltonian = _sectors(run)
     d_sys = run.sys.dim
     red = np.zeros((run.grid.size, d_sys, d_sys), dtype=complex)

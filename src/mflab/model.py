@@ -25,7 +25,6 @@ from .operators import (
     HERMITIAN_RTOL,
     Operator,
     add_embedded,
-    embed_at_site,
     hermitian_defect,
 )
 
@@ -169,8 +168,9 @@ def assemble_total(sys: SystemModel, site: SiteModel, m_count: int) -> Operator:
             f"{DENSE_CUTOFF}")
     d_r = site.dim ** m_count
     h_res = np.zeros((d_r, d_r), dtype=complex)
-    for m in range(1, m_count + 1):
-        h_res += embed_at_site(site.h, m, m_count).data
+    for m in range(m_count):
+        add_embedded(h_res, site.h.data, site.dim ** m,
+                     site.dim ** (m_count - 1 - m))
     out = np.kron(sys.h_full(), np.eye(d_r)) + np.kron(np.eye(sys.dim), h_res)
     for c in sys.couplings:
         g = Operator(sys.coupling_full(c), sys.subsystem_dims)

@@ -126,22 +126,6 @@ def add_embedded(out: np.ndarray, mat: np.ndarray, left: int,
     return out
 
 
-def embed_at_site(x: Operator, m: int, n_sites: int) -> Operator:
-    """Place a single-site operator at site m (1-based) of n_sites factors.
-
-    The result acts as x on factor m and as the identity elsewhere.
-    """
-    if len(x.dims) != 1:
-        raise ValidationError(f"embed_at_site expects a single-factor operator, dims={x.dims}")
-    if not 1 <= m <= n_sites:
-        raise ValidationError(f"site index {m} outside 1..{n_sites}")
-    d = x.dims[0]
-    left = np.eye(d ** (m - 1), dtype=complex)
-    right = np.eye(d ** (n_sites - m), dtype=complex)
-    data = np.kron(np.kron(left, x.data), right)
-    return Operator(data, (d,) * n_sites, hermitian=x.hermitian)
-
-
 def trace_norm(x: "Operator | np.ndarray"):
     """Tr sqrt(X†X), the sum of singular values: a float for one matrix,
     an array of one norm per matrix for a (T, d, d) stack."""

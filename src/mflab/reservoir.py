@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .model import SiteModel
-from .operators import DensityMatrix, embed_at_site
+from .operators import DensityMatrix, add_embedded
 
 WEIGHT_ATOL = 1e-12
 KRAUS_ATOL = 1e-10
@@ -348,24 +348,28 @@ def check_moment_site(site: SiteModel) -> None:
 def _site_signals(rho: DensityMatrix, site: SiteModel):
     """Yield the signal of each site interaction in order, built as it is
     asked for; the rules are checked before the first one. An interaction on
-    nu > 1 sites sees rho^{(x)nu} under the site Hamiltonian summed over
-    them."""
+    nu sites sees rho^{(x)nu} under the site Hamiltonian summed over them,
+    each term written in place by operators.add_embedded; nu = 1 takes the
+    same path and gives rho and the site Hamiltonian themselves."""
     if rho.dim != site.dim:
         raise ValidationError(
             f"state dim {rho.dim} does not match site dim {site.dim}")
     check_interacting(site)
+    d = site.dim
     for v in site.interactions:
         nu = len(v.dims)
-        state, h = (rho.data, site.h.data) if nu == 1 else (
-            kron_power(rho.data, nu),
-            sum(embed_at_site(site.h, j, nu).data for j in range(1, nu + 1)))
-        yield QuasiPeriodicSignal(*site_signal_terms(state, h, v.data))
+        h = np.zeros((v.dim, v.dim), dtype=complex)
+        for j in range(nu):
+            add_embedded(h, site.h.data, d ** j, d ** (nu - 1 - j))
+        yield QuasiPeriodicSignal(*site_signal_terms(kron_power(rho.data, nu),
+                                                     h, v.data))
 
 
 def site_signals(rho: DensityMatrix, site: SiteModel) -> tuple:
     """One QuasiPeriodicSignal t -> Tr(rho^{(x)nu} e^{ith} v e^{-ith}) per
     site interaction v on nu sites, in order, h the site Hamiltonian summed
-    over them, for a state of the site's dimension."""
+    over them (operators.add_embedded, the package's one tensor embedding),
+    for a state of the site's dimension."""
     return tuple(_site_signals(rho, site))
 
 

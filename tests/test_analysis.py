@@ -406,6 +406,12 @@ class TestFiniteAndLimit:
             with pytest.raises(ValidationError, match="share one model and grid"):
                 sweep([first, run])
 
+    def test_runs_must_increase_in_m(self):
+        # each row's ratio is to the previous row's gap, at a smaller M
+        sys, site, res, rho0 = sweep_fixture()
+        with pytest.raises(ValidationError, match="strictly increasing M"):
+            sweep(self.runs(sys, site, res, rho0, (3, 2)))
+
 
 class TestMSweep:
     def test_rows_and_ratios(self):
@@ -445,11 +451,11 @@ class TestMSweep:
             m_sweep(sys, site, res, rho0, grid, (3, 2))
         with pytest.raises(ValidationError, match="positive"):
             m_sweep(sys, site, res, rho0, grid, (0, 2))
-        with pytest.raises(ValidationError, match="empty"):
+        with pytest.raises(ValidationError, match="at least one run"):
             m_sweep(sys, site, res, rho0, grid, ())
         # sizes are integers, never rounded to one
         for bad in ([2.7, 3], [2.0, 3], [True, 2]):
-            with pytest.raises(ValidationError, match="integers"):
+            with pytest.raises(ValidationError, match="integer"):
                 m_sweep(sys, site, res, rho0, grid, bad)
         rows = m_sweep(sys, site, res, rho0, grid, np.array([1, 3]))
         assert [r.m_count for r in rows] == [1, 3]

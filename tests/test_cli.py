@@ -50,6 +50,11 @@ outputs: {table: gap.csv}
 """
 
 
+# a series_ratio check placed first in a moments config's check list
+SERIES_CHECK = ("checks:\n"
+                "  - {check: series_ratio, order: 2, t: 0.4, m_count: 2}\n")
+
+
 class TestConfigParsing:
     def test_m_list_must_increase(self, tmp_path):
         bad = SMALL_CONVERGENCE.replace("[1, 2]", "[3, 2]")
@@ -106,6 +111,22 @@ class TestConfigParsing:
         cfg = parse_config(doc)
         assert np.allclose(cfg.reservoir.site_state.data,
                            0.5 * np.ones((2, 2)))
+        # DensityMatrix.pure alone normalizes: a tiny nonzero ket is a state
+        doc["reservoir"]["site_state"]["ket"] = [1e-13, 1e-13]
+        assert np.allclose(parse_config(doc).reservoir.site_state.data,
+                           0.5 * np.ones((2, 2)))
+
+    def test_build_reports_any_errors_arg_under_its_key(self):
+        from mflab import config
+
+        def make(kind):
+            raise kind("refused", arg="n")
+        for kind, want in ((ResourceLimitError, ResourceLimitError),
+                           (ValidationError, ConfigError)):
+            with pytest.raises(MFLabError) as info:
+                config._build("where", make, kind, keys={"n": "k"})
+            assert type(info.value) is want
+            assert str(info.value) == "where.k: refused"
 
     def test_non_hermitian_hamiltonian_rejected(self, tmp_path):
         bad = SMALL_CONVERGENCE.replace(
@@ -230,11 +251,24 @@ class TestConfigParsing:
         ("cluster_pair", "- [0, 0, 0, 1]", "- [0, 0, 0, 2]",
          "exp.yaml.model.site.interaction: matrix flagged Hermitian has "
          "defect "
-         "5.00e-01")],
+         "5.00e-01"),
+        (None, "initial_state: zero", "initial_state: {ket: [0, 0]}",
+         "exp.yaml.initial_state.ket: cannot normalize the zero vector"),
+        ("dyson_ratio", "order: 4", "order: 5",
+         "exp.yaml.checks[0].order: series order must be between 0 and 4"),
+        ("moments_product_qubit", "checks:\n", SERIES_CHECK,
+         "exp.yaml.checks[0]: series_ratio checks need a model.system "
+         "block"),
+        ("oscillator_coherent", "site_state:\n    coherent: 0.5",
+         "site_state: {fock: 1}",
+         "exp.yaml.checks[0]: coherent moment bounds need a coherent "
+         "reservoir site state")],
         ids=["number", "positive", "integer", "string", "flag", "numbers",
              "sizes", "operator", "state", "state-matrix-guard",
              "system-inline", "system-subsystems", "site-guard",
-             "system-guard", "reservoir-guard", "cluster-guard"])
+             "system-guard", "reservoir-guard", "cluster-guard",
+             "zero-ket", "series-order", "series-without-system",
+             "moment-bound-without-coherent-state"])
     def test_error_messages_are_pinned(self, tmp_path, base, old, new,
                                        message):
         text = (SMALL_CONVERGENCE if base is None
@@ -1116,7 +1150,13 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
     ("moments_product_qubit", "    interaction: pauli_x\n", PAIR_INTERACTION,
      "model.site"),
     ("oscillator_scattering", "interaction: field\n",
-     "interaction: field\n      strength: 7.5\n", "model.site.oscillator")],
+     "interaction: field\n      strength: 7.5\n", "model.site.oscillator"),
+    ("dyson_ratio", "order: 4", "order: 5", "checks[0].order"),
+    ("qubit_convergence", "initial_state: zero",
+     "initial_state: {ket: [0, 0]}", "initial_state.ket"),
+    ("moments_product_qubit", "checks:\n", SERIES_CHECK, "checks[0]"),
+    ("oscillator_coherent", "site_state:\n    coherent: 0.5",
+     "site_state: {fock: 1}", "checks[0]")],
     ids=["correlated-bound-without-block", "pair-factorization-with-block",
          "correlated-bound-name",
          "cluster-without-coupling", "stark-levels-above-grid-points",
@@ -1127,7 +1167,9 @@ def test_validate_refuses_through_the_run_constructors(tmp_path, capsys, base,
          "decay-time-past-float-range",
          "supermultiplicative-past-float-range",
          "moments-site-without-interaction", "cluster-interaction-index",
-         "moments-with-cluster", "field-oscillator-strength"])
+         "moments-with-cluster", "field-oscillator-strength",
+         "series-order", "zero-ket", "series-without-system",
+         "moment-bound-without-coherent-state"])
 def test_validate_refuses_what_run_refuses(tmp_path, capsys, name, old, new,
                                            key):
     text = cli.resolve_config(name).read_text()

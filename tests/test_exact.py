@@ -862,6 +862,18 @@ class TestRunValidation:
             FiniteMRun(qubit_sys(), qubit_site(), 1, chan, PLUS,
                        np.array([0.0, 1.0]))
 
+    def test_site_count_is_a_positive_integer(self):
+        res = ProductState(tilted_mixed_site())
+        grid = np.array([0.0, 1.0])
+        # a count is never rounded to one, and a bool is not a count
+        for bad in (2.0, True, 0, -1):
+            with pytest.raises(ValidationError,
+                               match="site count must be a positive integer"):
+                FiniteMRun(qubit_sys(), qubit_site(), bad, res, PLUS, grid)
+        run = FiniteMRun(qubit_sys(), qubit_site(), np.int64(3), res, PLUS,
+                         grid)
+        assert type(run.m_count) is int and run.m_count == 3
+
     def test_cluster_checked_against_sites(self):
         res = ProductState(tilted_mixed_site())
         grid = np.array([0.0, 1.0])

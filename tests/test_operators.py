@@ -17,9 +17,9 @@ from mflab.operators import (
     PAULI_X,
     PAULI_Z,
     PSD_ATOL,
+    add_embedded,
     bell_ket,
     check_density_stack,
-    embed_at_site,
     hermitian_defect,
     hermitian_spectrum,
     ket,
@@ -35,28 +35,19 @@ def random_density(rng, d):
     return rho / rho.trace()
 
 
-def test_embed_first_site():
-    out = embed_at_site(pauli("z"), 1, 2)
-    np.testing.assert_array_equal(out.data, np.kron(PAULI_Z, np.eye(2)))
-    assert out.dims == (2, 2)
-
-
-def test_embed_second_site():
-    out = embed_at_site(pauli("x"), 2, 2)
-    np.testing.assert_array_equal(out.data, np.kron(np.eye(2), PAULI_X))
-
-
-def test_embed_identity_any_site():
-    for m in (1, 2, 3):
-        out = embed_at_site(Operator(np.eye(2), (2,)), m, 3)
-        np.testing.assert_array_equal(out.data, np.eye(8))
-
-
-def test_embed_index_errors():
-    with pytest.raises(ValidationError):
-        embed_at_site(pauli("x"), 0, 2)
-    with pytest.raises(ValidationError):
-        embed_at_site(pauli("x"), 3, 2)
+@pytest.mark.parametrize("left,right", [(1, 2), (2, 1), (1, 1), (2, 4),
+                                        (4, 2)])
+def test_add_embedded_adds_the_kronecker_embedding(left, right):
+    # written through a strided view onto a nonzero array, it must add
+    # exactly 1_left (x) x (x) 1_right and leave every other entry alone
+    rng = np.random.default_rng(left + 10 * right)
+    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    n = 3 * left * right
+    base = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    out = base.copy()
+    assert add_embedded(out, x, left, right) is out
+    want = base + np.kron(np.kron(np.eye(left), x), np.eye(right))
+    np.testing.assert_array_equal(out, want)
 
 
 def test_partial_trace_product():
