@@ -28,8 +28,8 @@ import numpy as np
 
 from . import analysis, exact
 from .config import ExperimentConfig, load_config
-from .effective import (EffectivePotential, QuasiPeriodicSignal,
-                        propagate_effective)
+from .effective import (AUDIT_PASSES, EffectivePotential,
+                        QuasiPeriodicSignal, propagate_effective)
 from .errors import (ConfigError, MFLabError, ResourceLimitError,
                      ToleranceError, ValidationError)
 from .matio import atomic_write_text
@@ -162,17 +162,17 @@ def _run_stepper_audit(audit: dict, seed):
         sys_model = SystemModel.single(h0, [(g, 0)])
         potential = EffectivePotential((signal,))
         u1, u2, u_ref = (propagate_effective(sys_model, potential, grid,
-                                             n_substeps=n).unitaries[-1]
-                         for n in (s, 2 * s, 32 * s))
-        e1 = float(np.linalg.norm(u1 - u_ref))
-        e2 = float(np.linalg.norm(u2 - u_ref))
-        # the 32 s-step reference is itself only exact to about 32 s eps
-        floor = 32 * s * np.finfo(float).eps
+                                             n_substeps=k * s).unitaries[-1]
+                         for k in AUDIT_PASSES)
+        e1, e2 = (float(np.linalg.norm(u - u_ref)) for u in (u1, u2))
+        # the finest pass is itself only exact to about its substeps x eps
+        finest = AUDIT_PASSES[-1]
+        floor = finest * s * np.finfo(float).eps
         if e2 < floor:
             raise ToleranceError(
                 f"draw {j}: step-halving error e2 = {e2:.3e} at t_max "
-                f"{audit['t_max']:g} is below the rounding floor 32 x {s} "
-                f"substeps x eps = {floor:.3e}; no order to measure")
+                f"{audit['t_max']:g} is below the rounding floor {finest} x "
+                f"{s} substeps x eps = {floor:.3e}; no order to measure")
         defect = max(float(np.linalg.norm(u.conj().T @ u - np.eye(2)))
                      for u in (u1, u2, u_ref))
         rows.append([j, e1 / e2, defect])
@@ -182,20 +182,19 @@ def _run_stepper_audit(audit: dict, seed):
     return header, rows, notes
 
 
-def _moment_rows(cfg: ExperimentConfig, check: dict):
-    site, state = cfg.site, cfg.reservoir
+def _moment_rows(check: dict):
     name = check["check"]
     rows = []
     if name == "factorization":
-        times = check["times"]
+        times = check["runs"][0].times
         label = "t=" + "|".join(f"{t:g}" for t in times)
-        for m in check["m_list"]:
-            err, ref, kind = factorization_error(state, m, site, times)
+        for run in check["runs"]:
+            err, ref, kind = factorization_error(run)
             # a bound holds the error; the exact error must match it to a
             # millionth, so a value that cannot resolve it reads 0
             within = (err <= ref + 1e-12 if kind == "correlated_bound"
                       else abs(err - ref) <= 1e-6 * ref)
-            rows.append([kind, label, m, len(times), err, ref,
+            rows.append([kind, label, run.m_count, len(times), err, ref,
                          _safe_ratio(err, ref), within])
     elif name == "moment_bound":
         alpha = check["alpha"]
@@ -203,11 +202,10 @@ def _moment_rows(cfg: ExperimentConfig, check: dict):
                     "coherent_safe": coherent_bound_safe}[check["bound"]]
         label = f"alpha={abs(alpha):g}"
         for n in check["orders"]:
-            times = check["times"][:n]
             bound = bound_fn(n, alpha)
-            for m in check["m_list"]:
-                mom = abs(multitime_moment(state, m, site, times))
-                rows.append([check["bound"], label, m, n, mom, bound,
+            for run in check["runs"]:
+                mom = abs(multitime_moment(run, n))
+                rows.append([check["bound"], label, run.m_count, n, mom, bound,
                              _safe_ratio(mom, bound), mom <= bound + 1e-12])
     elif name == "supermultiplicative":
         top = check["max_order"]
@@ -238,9 +236,7 @@ def _safe_ratio(a: float, b: float) -> float:
 def _run_moments(cfg: ExperimentConfig):
     header = ["check", "label", "m_count", "order", "value", "reference",
               "ratio", "within"]
-    rows = []
-    for check in cfg.checks:
-        rows.extend(_moment_rows(cfg, check))
+    rows = [row for check in cfg.checks for row in _moment_rows(check)]
     notes = {"all_within": bool(all(r[-1] for r in rows))}
     return header, rows, notes
 

@@ -1,38 +1,27 @@
 """Declarative experiment configs.
 
 A config file is a YAML mapping that names one experiment kind and the
-blocks it needs: which model to build, which reservoir ensemble to prepare,
-what sizes and times to run, and where the output table goes. Parsing is
-strict; unknown keys, keys repeated within one mapping and non-finite
-numbers are rejected at every level so a typo cannot silently change an
-experiment. Each key is read once, by a typed reader on `_Block` that checks
-its type and bounds and names the key in any error. A rule that a model,
-state, ensemble, run or solver check enforces is left to it (a literal
-ket's norm to `DensityMatrix.pure`, a series order to
-`exact.check_series_block`, an audit's caps to
-`effective.check_stepper_audit`): `_build` reports its refusal under the
-key of the argument it names, a resource limit still as one. Every
-reservoir size a run will use is checked by building that run's
-`exact.FiniteMRun`, which plans its sectors and refuses their work (or by
-the moments' own input check, `reservoir.moment_input`, for moment checks),
-so a config is refused here exactly when running it would be, before any
-work. Size keys past numpy's largest array are refused as resource limits.
-Well problems, overlap specs and every finite-size run (one per M of a
-trajectory kind, and each series oracle check's) are built here once, and
-the run uses them; the Stark problem alone is built here just to be
-checked, and the run builds it again.
+blocks it needs: model, reservoir ensemble, sizes and times, and the output
+table. Parsing is strict: unknown keys, keys repeated within one mapping
+and non-finite numbers are refused at every level, and each key is read
+once by a typed reader on `_Block` that names it in any error. A rule that
+a model, state, ensemble, run or solver check owns is left to it; `_build`
+reports its refusal under the key of the argument it names, a resource
+limit still as one. Each reservoir size is checked by building its run,
+an `exact.FiniteMRun` (sectors and their work) or, for a moment check, a
+`reservoir.MomentRun` (moment work), so a config is refused here exactly
+when running it would be, before any work; size keys past numpy's largest
+array are resource limits. Well problems, overlap specs and every run are
+built here once and the run uses them; the Stark problem alone is built
+just to be checked and built again by the run.
 
 What the ensemble and the state already say is not asked for: a
-`factorization` check takes its reference from the ensemble (a
-correlation block's size bound, else the exact two-time error),
-`kind: channel` is the Bell channel, and a coherent ket has the dimension
-of the state it fills. A `model.system`, in every kind, needs a coupling
-and an `initial_state`.
-
-No code is ever executed from a config. Operators are named presets
-(pauli_x, ...) or literal matrices whose entries are numbers or [re, im]
-pairs; states are named kets, literal vectors, Fock indices, or coherent
-amplitudes.
+`factorization` check takes its reference from the ensemble, `kind:
+channel` is the Bell channel, and a coherent ket has the dimension of the
+state it fills. A `model.system`, in every kind, needs a coupling and an
+`initial_state`. No code is ever executed from a config: operators are
+named presets or literal matrices of numbers or [re, im] pairs, states
+named kets, literal vectors, Fock indices or coherent amplitudes.
 """
 
 from __future__ import annotations
@@ -52,8 +41,8 @@ from .model import (Coupling, SiteModel, SystemModel, check_couplings,
                     coherent_ket, oscillator_site)
 from .operators import DensityMatrix, Operator, bell_ket, ket, pauli
 from .reservoir import (ChannelCorrelated, DeFinettiMixture, MacroscopicParts,
-                        ProductState, bell_channel_kraus, check_moment_site,
-                        moment_input, supermultiplicative_order_limit)
+                        MomentRun, ProductState, bell_channel_kraus,
+                        check_moment_site, supermultiplicative_order_limit)
 
 KINDS = ("convergence", "entanglement", "moments", "spectrum", "definetti",
          "decay")
@@ -417,16 +406,17 @@ def _build_checks(listed: _Block, site: SiteModel, reservoir,
                   system: SystemModel | None, initial: DensityMatrix | None,
                   alpha) -> tuple[dict, ...]:
     """Check specs, each finished where it is read: a moment bound carries
-    the coherent amplitude alpha, a series check its FiniteMRun, and each M
-    of an m_list is checked through the moments' own moment_input."""
+    the coherent amplitude alpha, a series check its FiniteMRun, and a moment
+    check its runs, one MomentRun per M of its m_list on its full times."""
     out = []
     for k in listed.node:
         blk = listed.sub(k)
         name = blk.string("check", choices=CHECK_NAMES)
         spec: dict = {"check": name}
+        m_list = times = ()
         if name == "factorization":
-            spec["m_list"] = blk.sizes("m_list")
-            spec["times"] = blk.numbers("times")
+            m_list = blk.sizes("m_list")
+            times = blk.numbers("times")
         elif name == "moment_bound":
             if alpha is None:
                 raise ConfigError(f"{blk.where}: coherent moment bounds need "
@@ -435,8 +425,8 @@ def _build_checks(listed: _Block, site: SiteModel, reservoir,
                                        choices=("coherent", "coherent_safe"))
             spec["orders"] = tuple(_integer(n, f"{blk.where}.orders", minimum=1)
                                    for n in blk.items("orders"))
-            spec["m_list"] = blk.sizes("m_list")
-            spec["times"] = blk.numbers("times", length=max(spec["orders"]))
+            m_list = blk.sizes("m_list")
+            times = blk.numbers("times", length=max(spec["orders"]))
             spec["alpha"] = alpha
         elif name == "supermultiplicative":
             spec["max_order"] = blk.integer("max_order", minimum=2)
@@ -463,18 +453,17 @@ def _build_checks(listed: _Block, site: SiteModel, reservoir,
             _build(blk.where, check_series_block, spec["run"], spec["order"],
                    keys={"run": "m_count", "order": "order"})
         blk.done()
-        for m in spec.get("m_list", ()):
-            # the moments' own input check, M, the ensemble on M sites and
-            # the work; only a factorization check has a size bound
-            _, parts, _ = _build(f"{blk.where}.m_list", moment_input,
-                                 reservoir, m, site, spec["times"],
-                                 name == "factorization")
+        for m in m_list:
+            # only a factorization check has a size bound
+            run = _build(f"{blk.where}.m_list", MomentRun, reservoir, m, site,
+                         times, name == "factorization")
+            spec["runs"] = (*spec.get("runs", ()), run)
             # without a block the reference is the exact two-time error
-            if (name == "factorization" and len(spec["times"]) != 2
-                    and all(b is None for _, _, b in parts)):
+            if (name == "factorization" and len(times) != 2
+                    and all(b is None for _, _, b in run.components)):
                 raise ConfigError(f"{blk.where}.times: expected a list of 2 "
                                   f"numbers without a correlation block, "
-                                  f"got {len(spec['times'])}")
+                                  f"got {len(times)}")
         out.append(spec)
     return tuple(out)
 

@@ -47,8 +47,11 @@ PROPAGATOR_UNITARY_ATOL = 1e-8
 DEFAULT_STEP_TARGET = 1e-7
 # Substeps per grid interval, picked or fixed.
 MAX_SUBSTEPS = 2 ** 16
-# Qubit substeps of a whole stepper audit: count draws x (1 + 2 + 32) passes
-# x substeps. At the 1.1-1.2 ms a draw measured on a 2-core host it bounds an
+# A stepper audit draw's passes, in multiples of substeps; the last, finest,
+# is the reference.
+AUDIT_PASSES = (1, 2, 32)
+# Qubit substeps of a whole stepper audit, count x sum(AUDIT_PASSES) x
+# substeps. At the 1.1-1.2 ms a draw measured on a 2-core host it bounds an
 # audit to about 12 s at 48 substeps and about 2 min at the smallest, 4.
 MAX_AUDIT_SUBSTEPS = 2 ** 24
 # Complex entries of steps formed at once: 2 per qubit step, d^2 otherwise.
@@ -57,19 +60,19 @@ STEP_CHUNK = 4096
 
 def check_stepper_audit(count: int, substeps: int) -> None:
     """Refuse a stepper audit of count draws at the given substeps whose
-    finest pass, 32 x substeps, passes MAX_SUBSTEPS, or whose draws step
-    more than MAX_AUDIT_SUBSTEPS qubit substeps in all; each refusal names
-    its argument."""
-    if 32 * substeps > MAX_SUBSTEPS:
+    finest pass, AUDIT_PASSES[-1] x substeps, passes MAX_SUBSTEPS, or whose
+    draws step more than MAX_AUDIT_SUBSTEPS qubit substeps in all; each
+    refusal names its argument."""
+    finest, per_draw = AUDIT_PASSES[-1], sum(AUDIT_PASSES)
+    if finest * substeps > MAX_SUBSTEPS:
         raise ResourceLimitError(
-            f"the finest audit pass, 32 x {substeps} substeps, exceeds the "
-            f"cap of {MAX_SUBSTEPS}", arg="substeps")
-    # each draw steps s, 2s and 32s substeps
-    total = count * 35 * substeps
+            f"the finest audit pass, {finest} x {substeps} substeps, exceeds "
+            f"the cap of {MAX_SUBSTEPS}", arg="substeps")
+    total = count * per_draw * substeps
     if total > MAX_AUDIT_SUBSTEPS:
         raise ResourceLimitError(
-            f"{count} draws of 35 x {substeps} substeps step {total}, past "
-            f"the cap of {MAX_AUDIT_SUBSTEPS}", arg="count")
+            f"{count} draws of {per_draw} x {substeps} substeps step {total}, "
+            f"past the cap of {MAX_AUDIT_SUBSTEPS}", arg="count")
 
 
 @dataclass(frozen=True)

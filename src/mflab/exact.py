@@ -59,7 +59,7 @@ import numpy as np
 from .errors import ResourceLimitError, ToleranceError, ValidationError
 from .model import SiteModel, SystemModel, check_couplings
 from .operators import DENSE_CUTOFF, DensityMatrix, add_embedded
-from .reservoir import decompose
+from .reservoir import check_site_count, decompose
 # neither is called here: perfbench's self-test pins exact.assemble_total
 # and exact.effective_trajectory as bindings its tracer patches
 from .model import assemble_total
@@ -77,10 +77,11 @@ AMPLITUDE_CHUNK = 1 << 20
 class FiniteMRun:
     """One finite-size propagation problem.
 
-    m_count, the site count, must be a positive integer and is kept as an
-    int. Every coupling's site interaction is checked to exist and to act on
-    no more than m_count sites. components holds reservoir.decompose of the
-    reservoir state and sectors its _plan, both made and checked here.
+    m_count, the site count, is checked first by reservoir.check_site_count
+    and kept as an int. Every coupling's site interaction is checked to exist
+    and to act on no more than m_count sites. components holds
+    reservoir.decompose of the reservoir state and sectors its _plan, both
+    made and checked here.
     """
 
     sys: SystemModel
@@ -93,12 +94,7 @@ class FiniteMRun:
     sectors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.m_count
-        if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
-                or m < 1):
-            raise ValidationError(
-                f"site count must be a positive integer, got {m!r}")
-        object.__setattr__(self, "m_count", int(m))
+        object.__setattr__(self, "m_count", check_site_count(self.m_count))
         grid = time_grid(self.grid)
         if self.rho_s0.dim != self.sys.dim:
             raise ValidationError(

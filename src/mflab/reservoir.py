@@ -5,17 +5,18 @@ states built by averaging a local channel over all placements, finite
 exchangeable mixtures of products, and block ensembles whose site fractions
 are prescribed. Each is a weighted mixture of products of independent sites:
 decompose gives that mixture on M sites, limit_atoms the (weight, site state)
-pairs left as M -> infinity. Moments of the site-averaged interaction and
-the factorization bound are exact sums over index partitions of local
-contractions on that mixture, at any M. The expectation Tr(rho^{(x)nu}
-e^{ith} V e^{-ith}) of an interaction V on nu sites, h the site
-Hamiltonian summed over them, is the scalar signal of the limit dynamics,
-and for nu = 1 of the factorized product: a QuasiPeriodicSignal of exact
-mirror pairs, real by construction and checked exactly per |f| slot. The
-moments take a first interaction on one site and an M whose n-th power is
-a float for n times (check_moment_count); they, and the bound, count the
-cases they would visit and refuse past MOMENT_WORK_CAP before doing any,
-in moment_input, which the config calls too.
+pairs left as M -> infinity; check_site_count, which decompose calls first,
+is the one raise site for an M that is not a positive integer. Moments of
+the site-averaged interaction and the factorization bound are exact sums
+over index partitions of local contractions on that mixture, at any M. The
+expectation Tr(rho^{(x)nu} e^{ith} V e^{-ith}) of an interaction V on nu
+sites, h the site Hamiltonian summed over them, is the scalar signal of the
+limit dynamics, and for nu = 1 of the factorized product: a
+QuasiPeriodicSignal of exact mirror pairs, real by construction and checked
+exactly per |f| slot. A MomentRun, built once per check and M by the
+config and read by the run, checks and prepares the moments' input: a
+one-site first interaction, an M^n in the float range for n times, and
+work within MOMENT_WORK_CAP, counted before any is done.
 
 The bound helpers at the bottom give per-order moment constants for
 coherent oscillator ensembles.
@@ -27,7 +28,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -210,14 +211,23 @@ def largest_remainder_counts(fractions: Sequence[float], m_count: int) -> list[i
     return [math.floor(r) + (k in extra) for k, r in enumerate(raw)]
 
 
+def check_site_count(m_count) -> int:
+    """m_count as an int; the one raise site for a site count that is not a
+    positive integer: a bool, a float, 0 or a negative number."""
+    if (isinstance(m_count, bool) or not isinstance(m_count, (int, np.integer))
+            or m_count < 1):
+        raise ValidationError(f"site count must be a positive integer, got "
+                              f"{m_count!r}", arg="m_count")
+    return int(m_count)
+
+
 def decompose(state, m_count: int, site_dim: int):
     """The ensemble on m_count sites as the weighted sum over components
     (weight, parts, block) of block (x) s_1^{(x)n_1} (x) ..., where parts
     holds (n, s) pairs with n > 0 and block is None or an explicit state on
     the first sites: the channel block, or an explicit DensityMatrix
-    reservoir on all m_count sites."""
-    if m_count < 1:
-        raise ValidationError("need at least one site")
+    reservoir on all m_count sites, which check_site_count checks first."""
+    m_count = check_site_count(m_count)
     if isinstance(state, DensityMatrix):
         if state.dims != (site_dim,) * m_count:
             raise ValidationError(
@@ -395,23 +405,6 @@ def set_partitions(items: Sequence[int]):
         yield [[first]] + part
 
 
-def _slot_products(site: SiteModel, times: Sequence[float]):
-    """The site Hamiltonian's eigenvectors and, per tuple of time slots,
-    the ordered single-site product of the evolved first interaction at
-    their times, in that eigenbasis."""
-    evals, vecs = np.linalg.eigh(site.h.data)
-    v_e = vecs.conj().T @ site.interactions[0].data @ vecs
-
-    @functools.cache
-    def product(slots: tuple[int, ...]) -> np.ndarray:
-        prod = np.eye(len(evals), dtype=complex)
-        for i in slots:
-            ph = np.exp(1j * evals * times[i])
-            prod = prod @ ((ph[:, None] * v_e) * ph.conj()[None, :])
-        return prod
-    return vecs, product
-
-
 def _block_contraction(block: DensityMatrix, vecs: np.ndarray):
     """ops {position l: X_l} -> Tr(block (x)_l X_l), the X_l in the site
     eigenbasis vecs; the block's other positions are traced out."""
@@ -427,19 +420,6 @@ def _block_contraction(block: DensityMatrix, vecs: np.ndarray):
     return contract
 
 
-def check_moment_count(m_count: int, n: int) -> None:
-    """Refuse an M whose n-th power leaves the float range: the moment of n
-    times weighs by falling factorials of M's parts and divides by M^n, M
-    counting every site, a block's included."""
-    try:
-        power = float(m_count) ** n
-    except OverflowError:
-        power = math.inf
-    if not power < math.inf:
-        raise ValidationError(f"M = {m_count} has an M^{n} past the float "
-                              f"range for {n} times", arg="m_count")
-
-
 def _touchard(n: int, x: int) -> int:
     """sum_k S(n, k) x^k over the Stirling numbers S(n, k) of the second
     kind: the maps of the set partitions of n items into x labels."""
@@ -450,8 +430,7 @@ def _touchard(n: int, x: int) -> int:
     return sum(c * x ** k for k, c in enumerate(row))
 
 
-def _check_moment_work(components, m_count: int, n: int,
-                       bound: bool = False) -> None:
+def _check_moment_work(components, m_count: int, n: int, bound: bool):
     """Refuse, before any is done, n-time moment work on the components of
     decompose past MOMENT_WORK_CAP: a component visits the _touchard(n,
     parts + L) index assignments of its moment and, when bound is set, a
@@ -481,7 +460,7 @@ def _component_moment(parts, block, vecs: np.ndarray, product,
     coincident indices is a single-site ordered product. The blocks landing
     on distinct positions of the explicit block give one contraction of it;
     the others land on distinct outside sites, counted by falling factorials
-    per part. vecs and product are _slot_products' of the n times.
+    per part. vecs and product are a MomentRun's.
     """
     L = 0 if block is None else len(block.dims)
     counts = [int(c) for c, _ in parts]
@@ -507,35 +486,69 @@ def _component_moment(parts, block, vecs: np.ndarray, product,
     return total / (sum(counts) + L) ** n
 
 
-def moment_input(state, m_count: int, site: SiteModel,
-                 times: Sequence[float], bound: bool = False):
-    """times as floats, the components of decompose and _slot_products of
-    the times, refusing no or non-finite times, a site check_moment_site
-    refuses, an M check_moment_count refuses and, before any is done, work
-    _check_moment_work refuses. The config calls it on every check and M."""
-    times = [float(t) for t in times]
-    if not times:
-        raise ValidationError("need at least one time")
-    if not all(math.isfinite(t) for t in times):
-        raise ValidationError(f"moment times must be finite, got {times}")
-    check_moment_site(site)
-    check_moment_count(m_count, len(times))
-    components = decompose(state, m_count, site.dim)
-    _check_moment_work(components, m_count, len(times), bound)
-    return times, components, _slot_products(site, times)
+@dataclass(frozen=True)
+class MomentRun:
+    """The moments' input on m_count sites at the given times, checked in
+    the order below and prepared once: m_count as an int, decompose's
+    components, the site eigenvectors vecs and product(slots), the ordered
+    product of the evolved first interaction at those time slots in that
+    basis. A slot tuple's product reads only its own times, so one run
+    serves the moment of each leading run of them."""
+
+    state: object
+    m_count: int
+    site: SiteModel
+    times: tuple[float, ...]
+    bound: bool = False
+    components: list = field(init=False, repr=False, compare=False)
+    vecs: np.ndarray = field(init=False, repr=False, compare=False)
+    product: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        times = tuple(float(t) for t in self.times)
+        if not times:
+            raise ValidationError("need at least one time")
+        if not all(math.isfinite(t) for t in times):
+            raise ValidationError(f"moment times must be finite, got "
+                                  f"{list(times)}")
+        check_moment_site(self.site)
+        m, n = self.m_count, len(times)  # the moment divides by M^n
+        try:
+            power = float(m) ** n
+        except OverflowError:
+            power = math.inf
+        if not power < math.inf:
+            raise ValidationError(f"M = {m} has an M^{n} past the float "
+                                  f"range for {n} times", arg="m_count")
+        components = decompose(self.state, m, self.site.dim)
+        _check_moment_work(components, int(m), n, self.bound)
+        evals, vecs = np.linalg.eigh(self.site.h.data)
+        v_e = vecs.conj().T @ self.site.interactions[0].data @ vecs
+
+        @functools.cache
+        def product(slots: tuple[int, ...]) -> np.ndarray:
+            prod = np.eye(len(evals), dtype=complex)
+            for i in slots:
+                ph = np.exp(1j * evals * times[i])
+                prod = prod @ ((ph[:, None] * v_e) * ph.conj()[None, :])
+            return prod
+        self.__dict__.update(times=times, m_count=int(m), vecs=vecs,
+                             components=components, product=product)
 
 
-def multitime_moment(state, m_count: int, site: SiteModel,
-                     times: Sequence[float]) -> complex:
+def multitime_moment(run: MomentRun, n: int | None = None) -> complex:
     """Ensemble moment of the site-averaged evolved first interaction at
-    the given times, in the given order, summed over the components of
-    decompose. A block is contracted locally at its one placement, which
-    gives the same site-averaged moment as every other, so no d^M object
-    is built. The input is refused as moment_input says."""
-    times, components, (vecs, product) = moment_input(state, m_count, site,
-                                                      times)
-    return sum(w * _component_moment(parts, block, vecs, product, len(times))
-               for w, parts, block in components)
+    the run's first n times (all by default), in order, summed over the
+    components of decompose. A block is contracted locally at its one
+    placement, which gives the same site-averaged moment as every other, so
+    no d^M object is built."""
+    n = len(run.times) if n is None else n
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or not 1 <= n <= len(run.times)):
+        raise ValidationError(f"moment order must be an integer in "
+                              f"1..{len(run.times)}, got {n!r}", arg="n")
+    return sum(w * _component_moment(parts, block, run.vecs, run.product, n)
+               for w, parts, block in run.components)
 
 
 def _max_tuple_moment(parts, block: DensityMatrix, m_count: int,
@@ -584,12 +597,12 @@ def _covariance(rho_e: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> complex:
     return complex(np.trace(rho_e @ c1 @ c2))
 
 
-def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
-                        times: Sequence[float]):
+def factorization_error(run: MomentRun):
     """(error, reference, label): the distance between the joint moment and
     the factorized product of the expectations B_k in the reference state
-    rho, and the reference it is judged against, from one decomposition and
-    one _slot_products eigenbasis, the work counted first.
+    rho, and the reference it is judged against, from the run's one
+    decomposition and eigenbasis; the run must be built with bound set, so
+    the bound's work was counted before any was done.
 
     With an explicit block of L sites (a channel) that is the size bound
     n L C(n) / (M - L + 1), C(n) the largest fixed-site moment modulus,
@@ -601,10 +614,12 @@ def factorization_error(state: ReservoirState, m_count: int, site: SiteModel,
     less rho's, weights subtracted in exact rationals: no O(1) moment is
     subtracted. Other time counts without a block have (None, None).
     """
-    times, components, (vecs, product) = moment_input(
-        state, m_count, site, times, bound=True)
-    n = len(times)
-    means = site_expectation(reference_site_state(state), site, times)
+    if not run.bound:
+        raise ValidationError("factorization_error needs a MomentRun built "
+                              "with bound=True", arg="run")
+    state, m_count, components = run.state, run.m_count, run.components
+    vecs, product, n = run.vecs, run.product, len(run.times)
+    means = site_expectation(reference_site_state(state), run.site, run.times)
     moment = sum(w * _component_moment(parts, block, vecs, product, n)
                  for w, parts, block in components)
     error = abs(moment - math.prod(means.tolist()))

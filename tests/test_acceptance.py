@@ -24,6 +24,7 @@ from mflab.model import Coupling, SiteModel, SystemModel, coherent_ket, oscillat
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
+    MomentRun,
     ProductState,
     bell_channel_kraus,
     coherent_bound,
@@ -153,17 +154,19 @@ def test_a3_factorization_error():
     times = (0.3, 0.7)
     plus = pure("+")
     product = ProductState(plus)
-    joint1 = multitime_moment(product, 1, site, list(times))
+    joint1 = multitime_moment(MomentRun(product, 1, site, times))
     single = [site_expectation(plus, site, t) for t in times]
     worst = 0.0
     for m in (2, 10, 100, 10_000):
-        err, _, _ = factorization_error(product, m, site, list(times))
+        err, _, _ = factorization_error(MomentRun(product, m, site, times,
+                                                  bound=True))
         closed = abs(joint1 - single[0] * single[1]) / m
         worst = max(worst, abs(err - closed))
     channel = ChannelCorrelated(pure("0"), 2, bell_channel_kraus())
     bounded = True
     for m in range(3, 9):
-        err, bound, _ = factorization_error(channel, m, site, list(times))
+        err, bound, _ = factorization_error(MomentRun(channel, m, site, times,
+                                                      bound=True))
         bounded = bounded and err <= bound
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and bounded
@@ -218,7 +221,8 @@ def test_a5_moment_bound_grid():
         for n in range(1, 7):
             cap = coherent_bound(n, alpha)
             for m in (1, 2, 3):
-                worst = max(abs(multitime_moment(state, m, site, list(ts)))
+                worst = max(abs(multitime_moment(MomentRun(state, m, site,
+                                                           ts)))
                             for ts in moment_tuples(n))
                 if worst > cap + 1e-9:
                     violations.append(f"alpha={alpha} n={n} M={m}: "

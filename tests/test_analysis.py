@@ -10,8 +10,8 @@ from mflab.operators import (DensityMatrix, Operator, bell_ket, ket, pauli,
                              trace_norm)
 from mflab.model import Coupling, SiteModel, SystemModel
 from mflab.reservoir import (ChannelCorrelated, DeFinettiMixture,
-                             MacroscopicParts, ProductState, bell_channel_kraus,
-                             factorization_error)
+                             MacroscopicParts, MomentRun, ProductState,
+                             bell_channel_kraus, factorization_error)
 from mflab.exact import FiniteMRun, propagate_exact
 from mflab.effective import (effective_potential, effective_trajectory,
                              evolve_state, propagate_definetti,
@@ -227,7 +227,8 @@ def test_explicit_reservoir_state_has_no_limit():
     grid = np.linspace(0.0, 1.0, 5)
     for call in (lambda: m_sweep(sys, site, explicit, rho0, grid, [2]),
                  lambda: effective_trajectory(sys, explicit, site, rho0, grid),
-                 lambda: factorization_error(explicit, 2, site, [0.1, 0.3])):
+                 lambda: factorization_error(MomentRun(
+                     explicit, 2, site, [0.1, 0.3], bound=True))):
         with pytest.raises(ValidationError, match="explicit 2-site"):
             call()
 

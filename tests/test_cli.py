@@ -15,16 +15,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import mflab
-from mflab import analysis, cli, effective, exact
+from mflab import analysis, cli, effective, exact, reservoir
 from mflab.config import KINDS, load_config, parse_config
 from mflab.errors import (ConfigError, MFLabError, ResourceLimitError,
                           ValidationError)
 from mflab.model import SiteModel, coherent_ket
 from mflab.operators import DensityMatrix, Operator, pauli
-from mflab.reservoir import factorization_error, limit_atoms
+from mflab.reservoir import MomentRun, factorization_error, limit_atoms
 import oracles
 
 
@@ -483,6 +484,47 @@ class TestRunVerb:
                          "propagate_effective": max(atoms, 1),
                          "trace_distance": len(runs) * (1 + atoms),
                          "FiniteMRun": len(runs)}
+
+    @pytest.mark.parametrize("name", [
+        name for name in cli.bundled_names() if yaml.safe_load(
+            cli.resolve_config(name).read_text())["kind"] == "moments"])
+    def test_moment_checks_build_each_run_once(self, tmp_path, monkeypatch,
+                                               name):
+        # the config builds one MomentRun per (check, M) on the check's full
+        # times, and the run reads those very objects: every order of a
+        # moment bound from one run, and nothing built again
+        doc = yaml.safe_load(cli.resolve_config(name).read_text())
+        want = sum(len(check.get("m_list", ())) for check in doc["checks"])
+        built, read, loaded = [], [], []
+        load, post_init = cli.load_config, reservoir.MomentRun.__post_init__
+
+        def counting_load(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        def counting_post_init(run):
+            built.append(run)
+            post_init(run)
+
+        def reading(fname):
+            real = getattr(cli, fname)
+
+            def spy(run, *args):
+                read.append(run)
+                return real(run, *args)
+            monkeypatch.setattr(cli, fname, spy)
+
+        monkeypatch.setattr(cli, "load_config", counting_load)
+        monkeypatch.setattr(reservoir.MomentRun, "__post_init__",
+                            counting_post_init)
+        reading("multitime_moment")
+        reading("factorization_error")
+        assert cli.main(["run", name, "--out", str(tmp_path)]) == 0
+        (cfg,) = loaded
+        runs = [run for check in cfg.checks for run in check.get("runs", ())]
+        assert len(built) == len(runs) == want
+        assert {id(run) for run in built} == {id(run) for run in runs}
+        assert {id(run) for run in read} == {id(run) for run in runs}
 
     @pytest.mark.parametrize("name", [
         "bell_pair_protection", "definetti_two_atom", "qubit_convergence",
@@ -1291,7 +1333,8 @@ def test_factorization_reference_follows_the_ensemble(tmp_path, reservoir,
         [label, "t=" + "|".join(f"{t:g}" for t in times), str(m),
          str(len(times))] for m in (2, 5)]
     for row, m in zip(rows, (2, 5)):
-        err, ref, kind = factorization_error(cfg.reservoir, m, cfg.site, times)
+        err, ref, kind = factorization_error(
+            MomentRun(cfg.reservoir, m, cfg.site, times, bound=True))
         assert float(row[4]) == err and float(row[5]) == ref and kind == label
         assert row[7] == "1"
         if label == "pair_factorization":

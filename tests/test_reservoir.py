@@ -8,12 +8,15 @@ from scipy.linalg import expm
 import mflab.reservoir as reservoir
 from mflab.effective import effective_potential
 from mflab.errors import ResourceLimitError, ValidationError
-from mflab.model import SiteModel, coherent_ket, number_op, oscillator_site
+from mflab.exact import FiniteMRun
+from mflab.model import (SiteModel, SystemModel, coherent_ket, number_op,
+                         oscillator_site)
 from mflab.operators import DensityMatrix, Operator, pauli
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
     MacroscopicParts,
+    MomentRun,
     ProductState,
     bell_channel_kraus,
     coherent_bound,
@@ -48,6 +51,14 @@ def expectation_oracle(rho, h, v, t):
 
 def dm(mat):
     return DensityMatrix(np.asarray(mat, complex), (2,))
+
+
+def moment_of(state, m, site, times):
+    return multitime_moment(MomentRun(state, m, site, times))
+
+
+def error_of(state, m, site, times):
+    return factorization_error(MomentRun(state, m, site, times, bound=True))
 
 
 GROUND = dm([[1, 0], [0, 0]])
@@ -127,9 +138,8 @@ def test_site_without_interaction_has_no_signal():
     for call in (lambda: site_signals(PLUS, site),
                  lambda: site_expectation(PLUS, site, 0.1),
                  lambda: effective_potential(PLUS, site),
-                 lambda: multitime_moment(ProductState(PLUS), 2, site, [0.1]),
-                 lambda: factorization_error(ProductState(PLUS), 2, site,
-                                             [0.1, 0.2])):
+                 lambda: moment_of(ProductState(PLUS), 2, site, [0.1]),
+                 lambda: error_of(ProductState(PLUS), 2, site, [0.1, 0.2])):
         with pytest.raises(ValidationError, match="no interaction"):
             call()
 
@@ -216,7 +226,7 @@ def random_state(rng, d):
 def test_single_time_moment_is_site_expectation():
     site = qubit_site(SZ.data, SX.data)
     for m in (1, 2, 5, 100):
-        mom = multitime_moment(ProductState(PLUS), m, site, [0.8])
+        mom = moment_of(ProductState(PLUS), m, site, [0.8])
         assert abs(mom - site_expectation(PLUS, site, 0.8)) < 1e-14
 
 
@@ -232,7 +242,7 @@ def test_two_time_moment_closed_form():
     w12 = np.trace(PLUS.data @ v1 @ v2)
     for m in (1, 2, 3, 10, 1000):
         expected = (1 - 1 / m) * w1 * w2 + (1 / m) * w12
-        mom = multitime_moment(ProductState(PLUS), m, site, [t1, t2])
+        mom = moment_of(ProductState(PLUS), m, site, [t1, t2])
         assert abs(mom - expected) < 1e-12
 
 
@@ -246,7 +256,7 @@ def test_moment_partition_path_matches_dense():
     site = qubit_site((h + h.conj().T) / 2, (v + v.conj().T) / 2)
     times = [0.2, 0.9, 1.4]
     for m in (1, 2, 3, 4):
-        fast = multitime_moment(ProductState(rho), m, site, times)
+        fast = moment_of(ProductState(rho), m, site, times)
         dense = dense_moment(ProductState(rho), m, site, times)
         assert abs(fast - dense) < 1e-12
 
@@ -256,11 +266,11 @@ def test_definetti_moment_is_weighted_sum_of_atoms():
     mixture = DeFinettiMixture(((0.3, GROUND), (0.7, PLUS)))
     times = [0.1, 0.5]
     m = 3
-    expected = (0.3 * multitime_moment(ProductState(GROUND), m, site, times)
-                + 0.7 * multitime_moment(ProductState(PLUS), m, site, times))
-    assert abs(multitime_moment(mixture, m, site, times) - expected) < 1e-14
+    expected = (0.3 * moment_of(ProductState(GROUND), m, site, times)
+                + 0.7 * moment_of(ProductState(PLUS), m, site, times))
+    assert abs(moment_of(mixture, m, site, times) - expected) < 1e-14
     dense = dense_moment(mixture, m, site, times)
-    assert abs(multitime_moment(mixture, m, site, times) - dense) < 1e-13
+    assert abs(moment_of(mixture, m, site, times) - dense) < 1e-13
 
 
 def test_macroscopic_moment_matches_dense():
@@ -268,7 +278,7 @@ def test_macroscopic_moment_matches_dense():
     state = MacroscopicParts(((2 / 3, PLUS), (1 / 3, EXCITED)))
     times = [0.4, 1.2]
     for m in (3, 4):
-        fast = multitime_moment(state, m, site, times)
+        fast = moment_of(state, m, site, times)
         dense = dense_moment(state, m, site, times)
         assert abs(fast - dense) < 1e-12
 
@@ -279,7 +289,7 @@ def test_moment_site_label_permutation_invariance():
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     m = 3
     times = [0.3, 0.8]
-    base = multitime_moment(state, m, site, times)
+    base = moment_of(state, m, site, times)
     rho = materialize(state, m)
     for perm in ((1, 0, 2), (2, 1, 0), (1, 2, 0)):
         permuted, dims = permute_factors(rho.data, rho.dims, list(perm))
@@ -301,15 +311,15 @@ def test_moment_site_label_permutation_invariance():
 def test_moment_requires_time_and_matching_dims():
     site = qubit_site(SZ.data, SX.data)
     with pytest.raises(ValidationError):
-        multitime_moment(ProductState(PLUS), 2, site, [])
+        moment_of(ProductState(PLUS), 2, site, [])
     rho3 = DensityMatrix(np.eye(3, dtype=complex) / 3, (3,))
     with pytest.raises(ValidationError):
-        multitime_moment(ProductState(rho3), 2, site, [0.1])
+        moment_of(ProductState(rho3), 2, site, [0.1])
     for times in ([np.nan], [0.1, np.nan], [np.inf], [0.2, -np.inf]):
         with pytest.raises(ValidationError, match="must be finite"):
-            multitime_moment(ProductState(PLUS), 3, site, times)
+            moment_of(ProductState(PLUS), 3, site, times)
         with pytest.raises(ValidationError, match="must be finite"):
-            factorization_error(ProductState(PLUS), 3, site, times)
+            error_of(ProductState(PLUS), 3, site, times)
 
 
 def test_channel_moment_and_bound_run_at_large_m():
@@ -317,8 +327,8 @@ def test_channel_moment_and_bound_run_at_large_m():
     site = qubit_site(SZ.data, SX.data)
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     for m in (16, 64):
-        assert np.isfinite(multitime_moment(state, m, site, [0.1, 0.2]))
-        err, bound, label = factorization_error(state, m, site, [0.1, 0.2])
+        assert np.isfinite(moment_of(state, m, site, [0.1, 0.2]))
+        err, bound, label = error_of(state, m, site, [0.1, 0.2])
         assert 0 < bound and err <= bound and label == "correlated_bound"
 
 
@@ -332,8 +342,8 @@ def test_identity_channel_moment_is_the_product_moment_at_large_m():
     for L in (1, 2, 3):
         ident = ChannelCorrelated(rho, L, (np.eye(2 ** L),))
         for times in ([0.4], [0.2, 1.1], [0.3, 0.9, 1.6]):
-            want = multitime_moment(ProductState(rho), 64, site, times)
-            assert abs(multitime_moment(ident, 64, site, times) - want) < 1e-12
+            want = moment_of(ProductState(rho), 64, site, times)
+            assert abs(moment_of(ident, 64, site, times) - want) < 1e-12
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -350,9 +360,9 @@ def test_channel_moment_and_bound_match_dense_oracle(seed, L, n, extra,
     kraus = tuple(np.sqrt(w) * random_unitary(rng, 2 ** L) for w in p)
     state = ChannelCorrelated(random_state(rng, 2), L, kraus)
     times = list(rng.uniform(0, 2, size=n))
-    moment = multitime_moment(state, m, site, times)
+    moment = moment_of(state, m, site, times)
     assert abs(moment - dense_moment(state, m, site, times)) < 1e-12
-    _, bound, _ = factorization_error(state, m, site, times)
+    _, bound, _ = error_of(state, m, site, times)
     c_n = dense_max_tuple_moment(state, m, site, times)
     assert abs(bound - n * L * c_n / (m - L + 1)) < 1e-12
 
@@ -368,14 +378,14 @@ def test_touchard_counts_the_assignments_of_the_partition_sum(n, x):
 def test_moment_of_an_m_past_the_float_range_is_refused():
     site = qubit_site(SZ.data, SX.data)
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
-    assert np.isfinite(multitime_moment(ProductState(PLUS), 10 ** 150, site,
-                                        [0.1, 0.2]))
+    assert np.isfinite(moment_of(ProductState(PLUS), 10 ** 150, site,
+                                 [0.1, 0.2]))
     for s in (ProductState(PLUS), state):
-        for call in (multitime_moment, factorization_error):
+        for call in (moment_of, error_of):
             with pytest.raises(ValidationError, match="past the float range"):
                 call(s, 10 ** 160, site, [0.1, 0.2])
     with pytest.raises(ValidationError, match="past the float range"):
-        multitime_moment(ProductState(PLUS), 10 ** 80, site, [0.1] * 4)
+        moment_of(ProductState(PLUS), 10 ** 80, site, [0.1] * 4)
 
 
 def test_moment_work_past_the_cap_is_refused_before_it_is_done():
@@ -383,12 +393,12 @@ def test_moment_work_past_the_cap_is_refused_before_it_is_done():
     site = oscillator_site(n_levels=12)
     state = ProductState(DensityMatrix.pure(coherent_ket(0.5, 12), (12,)))
     with pytest.raises(ResourceLimitError, match="115975 cases"):
-        multitime_moment(state, 3, site, np.linspace(0.1, 1.0, 10))
+        moment_of(state, 3, site, np.linspace(0.1, 1.0, 10))
     # T_8(3) = 681870 assignments over the Bell channel's three labels
     channel = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     with pytest.raises(ResourceLimitError, match="681870 cases"):
-        multitime_moment(channel, 3, qubit_site(SZ.data, SX.data),
-                         np.linspace(0.1, 1.0, 8))
+        moment_of(channel, 3, qubit_site(SZ.data, SX.data),
+                  np.linspace(0.1, 1.0, 8))
 
 
 # factorization_error
@@ -396,7 +406,7 @@ def test_moment_work_past_the_cap_is_refused_before_it_is_done():
 def test_factorization_error_single_time_zero():
     site = qubit_site(SZ.data, SX.data)
     # one time without a block has no reference
-    err, ref, label = factorization_error(ProductState(PLUS), 3, site, [0.7])
+    err, ref, label = error_of(ProductState(PLUS), 3, site, [0.7])
     assert err < 1e-14 and ref is None and label is None
 
 
@@ -410,8 +420,7 @@ def test_factorization_error_two_time_closed_form():
     w2 = np.trace(PLUS.data @ v2)
     w12 = np.trace(PLUS.data @ v1 @ v2)
     for m in (1, 2, 7, 40):
-        err, ref, label = factorization_error(ProductState(PLUS), m, site,
-                                              [t1, t2])
+        err, ref, label = error_of(ProductState(PLUS), m, site, [t1, t2])
         assert abs(err - abs(w12 - w1 * w2) / m) < 1e-12
         assert abs(ref - abs(w12 - w1 * w2) / m) < 1e-12
         assert label == "pair_factorization"
@@ -426,8 +435,8 @@ def test_factorized_product_is_the_limit_signal():
                                  site).signals[0]
     for times in ([0.4], [0.25, 1.45], [0.1, 0.9, 0.5]):
         factorized = math.prod(signal.evaluate(np.array(times)).tolist())
-        moment = multitime_moment(state, 3, site, times)
-        err, _, _ = factorization_error(state, 3, site, times)
+        moment = moment_of(state, 3, site, times)
+        err, _, _ = error_of(state, 3, site, times)
         assert err == abs(moment - factorized)
         for t in times:
             assert site_expectation(reference_site_state(state), site,
@@ -445,9 +454,8 @@ def test_factorization_error_halves_when_sites_double():
         rho = DensityMatrix(rho_mat / np.trace(rho_mat).real, (2,))
         times = sorted(rng.uniform(0, 2, size=2))
         for m in (2, 5, 16):
-            e1, _, _ = factorization_error(ProductState(rho), m, site, times)
-            e2, _, _ = factorization_error(ProductState(rho), 2 * m, site,
-                                           times)
+            e1, _, _ = error_of(ProductState(rho), m, site, times)
+            e2, _, _ = error_of(ProductState(rho), 2 * m, site, times)
             if e2 > 1e-13:
                 assert 1.9 <= e1 / e2 <= 2.1
 
@@ -456,7 +464,7 @@ def test_bell_channel_error_within_stated_bound():
     site = qubit_site(SZ.data, SX.data)
     state = ChannelCorrelated(GROUND, 2, bell_channel_kraus())
     for m in (4, 5, 6):
-        err, bound, _ = factorization_error(state, m, site, [0.3, 1.1])
+        err, bound, _ = error_of(state, m, site, [0.3, 1.1])
         assert err <= bound + 1e-12
         assert bound > 0
 
@@ -624,12 +632,72 @@ def test_decomposition_is_the_materialized_state(family):
 def test_decomposition_checks_site_dim_and_explicit_factors():
     with pytest.raises(ValidationError, match="does not match site dim 3"):
         decompose(ProductState(PLUS), 4, 3)
-    with pytest.raises(ValidationError, match="need at least one site"):
+    with pytest.raises(ValidationError, match="site count must be a positive"):
         decompose(ProductState(PLUS), 0, 2)
     explicit = materialize(ProductState(PLUS), 3)
     assert decompose(explicit, 3, 2) == [(1.0, (), explicit)]
     with pytest.raises(ValidationError, match="factors"):
         decompose(explicit, 2, 2)
+
+
+def test_site_count_has_one_owner():
+    # the moments, through decompose, and the finite-M engine refuse a
+    # count that is not a positive integer at one raise site
+    site = qubit_site(SZ.data, SX.data)
+    sys = SystemModel.single(SZ, [(SX, 0)])
+    builds = (lambda m: MomentRun(ProductState(PLUS), m, site, (0.1, 0.2)),
+              lambda m: MomentRun(ProductState(PLUS), m, site, (0.1, 0.2),
+                                  bound=True),
+              lambda m: FiniteMRun(sys, site, m, ProductState(PLUS), GROUND,
+                                   np.array([0.0, 1.0])))
+    for bad in (2.5, True, 0, -1):
+        for build in builds:
+            with pytest.raises(ValidationError) as info:
+                build(bad)
+            assert str(info.value) == (f"site count must be a positive "
+                                       f"integer, got {bad!r}")
+            assert info.value.arg == "m_count"
+            assert info.traceback[-1].name == "check_site_count"
+    for build in builds:
+        run = build(np.int64(3))
+        assert type(run.m_count) is int and run.m_count == 3
+
+
+def test_moment_order_and_bound_are_checked_on_the_run():
+    site = qubit_site(SZ.data, SX.data)
+    run = MomentRun(ProductState(PLUS), 3, site, [0.1, 0.2, 0.4])
+    assert run.times == (0.1, 0.2, 0.4)
+    for bad in (0, 4, True, 1.0):
+        with pytest.raises(ValidationError, match="moment order"):
+            multitime_moment(run, bad)
+    with pytest.raises(ValidationError, match="bound=True"):
+        factorization_error(run)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       family=st.sampled_from(["product", "definetti", "macroscopic",
+                               "channel"]),
+       n_times=st.integers(1, 4), m=st.integers(2, 7))
+def test_one_run_gives_the_moment_of_each_leading_run_of_times(
+        seed, family, n_times, m):
+    # a slot tuple's product reads only its own times, so the run on all
+    # the times gives each shorter moment bit for bit
+    rng = np.random.default_rng(seed)
+    site = qubit_site(random_hermitian(rng, 2), random_hermitian(rng, 2))
+    a, b = random_state(rng, 2), random_state(rng, 2)
+    w = float(rng.uniform(0.1, 0.9))
+    state = {"product": ProductState(a),
+             "definetti": DeFinettiMixture(((w, a), (1 - w, b))),
+             "macroscopic": MacroscopicParts(((w, a), (1 - w, b))),
+             "channel": ChannelCorrelated(a, 2, (random_unitary(rng, 4),)),
+             }[family]
+    times = tuple(rng.uniform(0, 2, size=n_times))
+    run = MomentRun(state, m, site, times)
+    assert multitime_moment(run) == multitime_moment(run, n_times)
+    for n in range(1, n_times + 1):
+        fresh = MomentRun(state, m, site, times[:n])
+        assert multitime_moment(run, n) == multitime_moment(fresh)
 
 
 # bound constants
@@ -697,7 +765,7 @@ def test_truncated_moments_respect_coherent_envelopes():
         state = ProductState(rho)
         for n in range(1, 7):
             for m in (1, 2, 3):
-                mom = abs(multitime_moment(state, m, site, times[:n]))
+                mom = abs(moment_of(state, m, site, times[:n]))
                 assert mom <= coherent_bound_safe(n, alpha) + 1e-9
                 if m >= 3:
                     assert mom <= coherent_bound(n, alpha) + 1e-9
