@@ -13,11 +13,15 @@ single atom. One assembly builds it for evolve_state, propagate_definetti
 and effective_trajectory alike: it checks rho0's dimension, keeps each
 orbit, and reports the same diagnostics for any atom count.
 
-The stepper works on whole arrays: for a chunk of grid intervals it
-evaluates every midpoint signal at once, forms every step at once and
-multiplies each interval's steps by a pairwise tree; a log-depth scan chains
-the interval products to the grid points. A qubit step is a U(1) phase times
-an SU(2) matrix [[a, b], [-b*, a*]]: its Cayley-Klein pair (a, b) is
+The stepper works on whole arrays, a chunk of grid intervals at a time. A
+coupling's signal at the chunk's midpoints comes by angle addition
+(QuasiPeriodicSignal.lattice): one phase per interval start times a table of
+substep cosines and sines per distinct substep length, built once per pass,
+so the transcendental work per point goes away on grids of few distinct
+interval lengths. Every step of the chunk is formed at once and each
+interval's steps multiplied by a pairwise tree; a log-depth scan chains the
+interval products to the grid points. A qubit step is a U(1) phase times an
+SU(2) matrix [[a, b], [-b*, a*]]: its Cayley-Klein pair (a, b) is
 multiplied as a pair and its phase angle summed, and the two are joined into
 unitaries at the grid points only. Other factors step by one stacked eigh.
 
@@ -51,11 +55,15 @@ MAX_SUBSTEPS = 2 ** 16
 # is the reference.
 AUDIT_PASSES = (1, 2, 32)
 # Qubit substeps of a whole stepper audit, count x sum(AUDIT_PASSES) x
-# substeps. At the 1.1-1.2 ms a draw measured on a 2-core host it bounds an
-# audit to about 12 s at 48 substeps and about 2 min at the smallest, 4.
+# substeps. A draw's three calls cost about 1.0 ms at 4 substeps and 1.3 ms
+# at 48 on a 2-core host, mostly per-call cost, so the cap bounds an audit
+# to about 2 min at the smallest, 4, and about 13 s at 48.
 MAX_AUDIT_SUBSTEPS = 2 ** 24
 # Complex entries of steps formed at once: 2 per qubit step, d^2 otherwise.
-STEP_CHUNK = 4096
+# Sized for throughput: at 8192 qubit steps a chunk numpy's per-call cost is
+# small beside the work; on a 2-core host a limit_dynamics pass took 32, 26,
+# 24, 24 and 29 ms at 4096, 8192, 16384, 32768 and 65536.
+STEP_CHUNK = 16384
 
 
 def check_stepper_audit(count: int, substeps: int) -> None:
@@ -145,31 +153,34 @@ def _pauli_coords(h: np.ndarray) -> np.ndarray:
                      0.5 * (h[0, 0].real - h[1, 1].real)])
 
 
-def _cayley_klein_steps(h_s: np.ndarray, terms, mids: np.ndarray,
-                        dt: np.ndarray):
+def _cayley_klein_steps(h_s: np.ndarray, terms, values, dt: np.ndarray):
     """exp(-i dt H(t)) = exp(-i dt mu) [[a, b], [-b*, a*]] at every qubit
     midpoint t, H = h_s + sum of w(t) g = mu I + v.sigma: the rows [a, b],
-    shape mids.shape + (1, 2), and each interval's summed angle dt mu.
-    mids has shape (intervals, substeps) and dt broadcasts against it."""
-    coords = np.full((4,) + mids.shape, _pauli_coords(h_s)[:, None, None])
-    for sig, g in terms:
-        coords = coords + _pauli_coords(g)[:, None, None] * sig.evaluate(mids)
-    mu, vx, vy, vz = coords
+    shape dt.shape + (1, 2), and each interval's summed angle dt mu. values
+    holds each coupling's signal at the midpoints, of dt's shape
+    (intervals, substeps)."""
+    mu, vx, vy, vz = _pauli_coords(h_s)
+    for (_, g), w in zip(terms, values):
+        gm, gx, gy, gz = _pauli_coords(g)
+        mu, vx, vy, vz = mu + gm * w, vx + gx * w, vy + gy * w, vz + gz * w
     r = np.sqrt(vx * vx + vy * vy + vz * vz)
     angle = dt * r
     # r = 0 leaves a = 1 and b = 0: exactly a pure phase
-    sr = -np.divide(np.sin(angle), r, out=np.zeros(mids.shape),
-                    where=r != 0.0)
-    parts = np.stack([np.cos(angle), sr * vz, sr * vy, sr * vx], axis=-1)
-    return parts.view(complex)[..., None, :], (dt * mu).sum(axis=1)
+    sr = -np.divide(np.sin(angle), r, out=np.zeros(dt.shape), where=r != 0.0)
+    rows = np.empty(dt.shape + (4,))
+    np.cos(angle, out=rows[..., 0])
+    for j, v in enumerate((vz, vy, vx), 1):
+        np.multiply(sr, v, out=rows[..., j])
+    return rows.view(complex)[..., None, :], (dt * mu).sum(axis=1)
 
 
-def _eigh_steps(h_s: np.ndarray, terms, mids: np.ndarray, dt: np.ndarray):
+def _eigh_steps(h_s: np.ndarray, terms, values, dt: np.ndarray):
     """exp(-i dt H(t)) at every midpoint t by one stacked eigh, shape
-    mids.shape + (d, d), with no angle split off."""
-    h = np.broadcast_to(h_s, mids.shape + h_s.shape).copy()
-    for sig, g in terms:
-        h += sig.evaluate(mids)[..., None, None] * g
+    dt.shape + (d, d), with no angle split off; values as for
+    _cayley_klein_steps."""
+    h = np.broadcast_to(h_s, dt.shape + h_s.shape).copy()
+    for (_, g), w in zip(terms, values):
+        h += w[..., None, None] * g
     evals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * (dt[..., None] * evals))
     steps = (vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
@@ -185,11 +196,14 @@ def _su2_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+_QUBIT_STEPPER = ("cayley-klein", _cayley_klein_steps, _su2_product,
+                  np.eye(1, 2))
+
+
 def _stepper(d: int):
     """(name, steps, element product, identity element) for dimension d."""
-    if d == 2:
-        return "cayley-klein", _cayley_klein_steps, _su2_product, np.eye(1, 2)
-    return "eigh", _eigh_steps, np.matmul, np.eye(d)
+    return _QUBIT_STEPPER if d == 2 else ("eigh", _eigh_steps, np.matmul,
+                                          np.eye(d))
 
 
 def _ordered_product(steps: np.ndarray, product) -> np.ndarray:
@@ -216,30 +230,50 @@ def _prefix_products(steps: np.ndarray, product) -> np.ndarray:
     return out
 
 
-def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray,
+def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray, dts: np.ndarray,
               n_sub: int) -> np.ndarray:
-    """Unitaries from time zero to each grid point, stacked on axis 0.
+    """Unitaries from time zero to each grid point, stacked on axis 0; dts
+    are the grid's interval lengths.
 
-    terms pairs each coupling's signal with its full-space operator. The
-    chunks, the tree and the scan multiply the stepper's elements; qubit
-    angles are summed apart and joined to the SU(2) rows at the grid points.
+    terms pairs each coupling's signal with its full-space operator. A
+    signal's substep tables are built once per distinct substep length,
+    compared exactly, and reused by every chunk and substep piece; with more
+    distinct lengths than a chunk has rows, as on an uneven grid, each chunk
+    builds one table per interval instead, so the tables never outgrow a
+    chunk. The chunks, the tree and the scan multiply the stepper's
+    elements; qubit angles are summed apart and joined to the SU(2) rows at
+    the grid points.
     """
     _, steps, product, unit = _stepper(h_s.shape[0])
-    n_int = len(grid) - 1
+    n_int = len(dts)
     span = max(1, STEP_CHUNK // unit.size)   # steps formed at once
     sub = min(n_sub, span)                   # substeps per chunk
     rows = max(1, span // n_sub)             # grid intervals per chunk
-    dts = np.diff(grid) / n_sub
+    hs = dts / n_sub
+    # a lone interval has nothing to share
+    lengths, which = (np.unique(hs, return_inverse=True) if n_int > 1
+                      else (hs, np.zeros(1, dtype=int)))
+    shared = len(lengths) <= rows
+    if shared:
+        tables = [sig.substep_tables(lengths, sub) for sig, _ in terms]
     out = np.empty((len(grid),) + unit.shape, dtype=complex)
     out[0] = unit
     angles = np.zeros(len(grid))
     for k0 in range(0, n_int, rows):
         k1 = min(k0 + rows, n_int)
-        dt = dts[k0:k1, None]
+        h = hs[k0:k1]
+        if shared:
+            index = which[k0:k1]
+        else:
+            tables = [sig.substep_tables(h, sub) for sig, _ in terms]
+            index = slice(None)
+        dt = np.repeat(h[:, None], sub, axis=1)
         for j0 in range(0, n_sub, sub):
-            mids = grid[k0:k1, None] + (np.arange(j0, min(j0 + sub, n_sub))
-                                        + 0.5) * dt
-            elements, angle = steps(h_s, terms, mids, dt)
+            count = min(sub, n_sub - j0)
+            starts = grid[k0:k1] + j0 * h
+            values = [sig.lattice(starts, table, index, count)
+                      for (sig, _), table in zip(terms, tables)]
+            elements, angle = steps(h_s, terms, values, dt[:, :count])
             part = _ordered_product(elements, product)
             angles[k0 + 1:k1 + 1] += angle
             out[k0 + 1:k1 + 1] = part if j0 == 0 else product(
@@ -248,7 +282,9 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray,
     if product is not _su2_product:
         return out
     a, b = out[:, 0, 0], out[:, 0, 1]
-    su2 = np.stack([a, b, -b.conj(), a.conj()], axis=1).reshape(-1, 2, 2)
+    su2 = np.empty((len(grid), 2, 2), dtype=complex)
+    su2[:, 0, 0], su2[:, 0, 1] = a, b
+    su2[:, 1, 0], su2[:, 1, 1] = -b.conj(), a.conj()
     return np.exp(-1j * np.cumsum(angles))[:, None, None] * su2
 
 
@@ -276,8 +312,9 @@ def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
             pairs - np.swapaxes(pairs, 0, 1)).reshape((-1,) + h_s.shape)])
         norms = (np.abs(hermitian_spectrum(mats)).max(axis=-1)
                  if np.isfinite(mats).all() else np.full(len(mats), np.inf))
-        g_norm, h_comm, g_comm = np.split(norms, [len(gs), 2 * len(gs)])
-        commutator = s1 @ h_comm + s0 @ g_comm.reshape(len(gs), -1) @ s1
+        m = len(gs)
+        g_norm, h_comm, g_comm = norms[:m], norms[m:2 * m], norms[2 * m:]
+        commutator = s1 @ h_comm + s0 @ g_comm.reshape(m, -1) @ s1
         c = float(commutator / 12 + s2 @ g_norm / 24)
         d = float((s1 @ g_norm) ** 2 / 12)
     if not math.isfinite(c + d):
@@ -296,7 +333,7 @@ def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
                 f"of {MAX_SUBSTEPS}")
         n = max(1, math.ceil(want))
     bound = float(np.sum(dt ** 3 * (c + dt * d / (2 * n)))) / (n * n)
-    return _run_grid(h_s, terms, grid, n), bound, n
+    return _run_grid(h_s, terms, grid, dt, n), bound, n
 
 
 def propagate_effective(sys: SystemModel, potential: EffectivePotential,
@@ -310,8 +347,10 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
     Hamiltonian and the same couplings share one pass; the step error still
     counts each of the n factors. Midpoint-exponential stepping:
     U(t+d) = exp(-i d H(t+d/2)) U(t), each step unitary by construction and
-    formed in batches of at most STEP_CHUNK complex entries; n_substeps per
-    interval, or else _step_factor's a priori count, at most MAX_SUBSTEPS.
+    formed in batches of at most STEP_CHUNK complex entries, the signals at
+    a batch's midpoints by angle addition from per-interval phases and
+    per-substep tables; n_substeps per interval, or else _step_factor's a
+    priori count, at most MAX_SUBSTEPS.
     The step error, the sum of the factor bounds, bounds the product's error
     in operator norm and so in max-abs. The grid obeys results.time_grid,
     has at least two points and starts at 0; step_target is a positive

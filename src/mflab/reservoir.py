@@ -294,7 +294,9 @@ def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray):
 class QuasiPeriodicSignal:
     """Finite sum of complex exponentials with a real-valued total, evaluated
     as sum_f A_f cos(f t) - B_f sin(f t) over the |f| folded at construction;
-    the total is real exactly when each slot's Im c and sign(f) Re c sum to 0."""
+    the total is real exactly when each slot's Im c and sign(f) Re c sum to 0.
+    evaluate takes any times; substep_tables and lattice take the midpoint
+    lattices of the limit stepper by angle addition."""
 
     freqs: np.ndarray
     coeffs: np.ndarray
@@ -320,6 +322,9 @@ class QuasiPeriodicSignal:
             raise ValidationError(
                 f"signal has imaginary residue {worst:.2e}; terms not conjugate-paired")
         object.__setattr__(self, "_folded", (folded, cos_amps, sin_amps))
+        # lattice's e^{-i f T} rates and conjugated amplitudes A_f - i B_f
+        object.__setattr__(self, "_phasors",
+                           (-1j * folded, cos_amps - 1j * sin_amps))
 
     def evaluate(self, t):
         """The signal at t, a float for scalar t, else an array of t's shape."""
@@ -327,6 +332,30 @@ class QuasiPeriodicSignal:
         phase = np.multiply.outer(np.asarray(t, dtype=float), freqs)
         vals = np.cos(phase) @ cos_amps - np.sin(phase) @ sin_amps
         return float(vals) if vals.ndim == 0 else vals
+
+    def substep_tables(self, lengths, count: int) -> np.ndarray:
+        """cos(f tau) and sin(f tau) at tau = (r + 1/2) h for each substep
+        length h in lengths, r < count and each folded |f|, interleaved on
+        the last axis, shape (len(lengths), count, 2 slots): the per-substep
+        factors that lattice reuses across interval starts."""
+        tau = np.multiply.outer(np.multiply.outer(
+            lengths, np.arange(count) + 0.5), self._folded[0])
+        tables = np.empty(tau.shape + (2,))
+        np.cos(tau, out=tables[..., 0])
+        np.sin(tau, out=tables[..., 1])
+        return tables.reshape(tau.shape[:2] + (-1,))
+
+    def lattice(self, starts, tables: np.ndarray, which, count: int):
+        """The signal at starts[k] + (r + 1/2) h_k for r < count, shape
+        (len(starts), count), h_k the length of row k of tables[which]
+        (tables built by substep_tables). By angle addition, s(T + tau) =
+        sum_f Re(z_f e^{i f tau}) with z_f = (A_f + i B_f) e^{i f T}, so the
+        sines and cosines are taken once per start and once per table
+        entry, not once per point."""
+        rates, amps = self._phasors
+        z = np.exp(np.multiply.outer(starts, rates))
+        z *= amps   # conj(z_f), so that it pairs with (cos, sin)
+        return (tables[which, :count] @ z.view(float)[..., None])[..., 0]
 
     def derivative_bounds(self) -> np.ndarray:
         """Upper bounds on sup|s|, sup|s'| and sup|s''| over all t: the j-th

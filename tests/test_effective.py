@@ -335,10 +335,12 @@ def sequential_midpoint_oracle(h0, g, signal, grid, n):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 3, 48])
-@pytest.mark.parametrize("chunk", [eff.STEP_CHUNK, 64])
+@pytest.mark.parametrize("chunk", [eff.STEP_CHUNK, 4096, 1024, 64])
 def test_batched_stepper_matches_sequential_expm(monkeypatch, d, n, chunk):
-    # 40 uneven intervals cross a chunk boundary at n = 48 with the default
-    # chunk; the small chunk also splits single intervals into pieces
+    # at n = 48 the 40 uneven intervals, each with its own substep table,
+    # cross a chunk boundary at every chunk for d = 3, but for d = 2 only at
+    # 1024 (10 intervals a chunk) and below: the default chunk and 4096 hold
+    # all 40; chunk 64 also splits single intervals
     monkeypatch.setattr(eff, "STEP_CHUNK", chunk)
     rng = np.random.default_rng(29 + d)
     h0, g = random_hermitian(rng, d), random_hermitian(rng, d)
@@ -351,6 +353,87 @@ def test_batched_stepper_matches_sequential_expm(monkeypatch, d, n, chunk):
                                n_substeps=n)
     oracle = sequential_midpoint_oracle(h0, g, signal, grid, n)
     assert np.max(np.abs(prop.unitaries - np.array(oracle))) < 1e-12
+
+
+def lattice_cases():
+    """(name, system, potential, grid, substeps, chunk) of stepper passes
+    whose signal lattices the spy checks."""
+    rng = np.random.default_rng(71)
+    paired = QuasiPeriodicSignal(np.array([1.3, -1.3, 0.4, -0.4]),
+                                 np.array([0.5, 0.5, 0.3j, -0.3j]))
+    zero_slot = QuasiPeriodicSignal(np.array([-1.7, 0.0, 1.7]),
+                                    np.array([0.3 - 0.2j, -0.8, 0.3 + 0.2j]))
+    h0, g = (Operator(random_hermitian(rng, 2), (2,), hermitian=True)
+             for _ in range(2))
+    one = SystemModel.single(h0, [(g, 0)])
+    two = SystemModel.single(h0, [(g, 0), (SZ, 1)])
+    uneven = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.08, 40))])
+    linspace = np.linspace(0.0, 5.0, 251)
+    yield ("linspace", one, EffectivePotential((paired,)), linspace, 7,
+           eff.STEP_CHUNK)
+    yield ("uneven", one, EffectivePotential((paired,)), uneven, 5, 256)
+    yield ("split-interval", one, EffectivePotential((paired,)), uneven, 48,
+           64)
+    yield ("zero-frequency", one, EffectivePotential((zero_slot,)), linspace,
+           3, 512)
+    yield ("two-couplings", two, EffectivePotential((paired, zero_slot)),
+           linspace, 7, 512)
+
+
+@pytest.mark.parametrize("case", list(lattice_cases()), ids=lambda c: c[0])
+def test_stepper_signals_match_evaluate_at_the_midpoints(monkeypatch, case):
+    # a spy checks each lattice the stepper asks for against evaluate at
+    # the same midpoints; the stepper itself never calls evaluate
+    name, sys, pot, grid, n, chunk = case
+    monkeypatch.setattr(eff, "STEP_CHUNK", chunk)
+    evaluate = QuasiPeriodicSignal.evaluate
+    make_tables = QuasiPeriodicSignal.substep_tables
+    lattice = QuasiPeriodicSignal.lattice
+    built, seen, evaluated = [], [], []
+
+    def substep_tables(self, lengths, count):
+        tables = make_tables(self, lengths, count)
+        built.append((tables, np.array(lengths)))
+        return tables
+
+    def checked_lattice(self, starts, tables, which, count):
+        got = lattice(self, starts, tables, which, count)
+        lengths = next(h for t, h in built if t is tables)
+        assert len(np.unique(lengths)) == len(lengths)   # one table each
+        mids = (starts[:, None]
+                + (np.arange(count) + 0.5) * lengths[which][:, None])
+        want = evaluate(self, mids)
+        assert got.shape == want.shape == (len(starts), count)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.abs(self.coeffs).sum()
+        seen.append({"tables": len(lengths), "rows": len(starts),
+                     "count": count, "signal": id(self),
+                     "offset": not np.isin(starts, grid).all()})
+        return got
+
+    def recorded_evaluate(self, t):
+        evaluated.append(t)
+        return evaluate(self, t)
+    monkeypatch.setattr(QuasiPeriodicSignal, "substep_tables", substep_tables)
+    monkeypatch.setattr(QuasiPeriodicSignal, "lattice", checked_lattice)
+    monkeypatch.setattr(QuasiPeriodicSignal, "evaluate", recorded_evaluate)
+    propagate_effective(sys, pot, grid, n_substeps=n)
+    assert not evaluated
+    assert {c["signal"] for c in seen} == {id(sig) for sig in pot.signals}
+    if name == "uneven":
+        # more distinct lengths than a chunk's rows: a table per interval
+        assert all(c["tables"] == c["rows"] for c in seen)
+        assert max(c["rows"] for c in seen) > 1
+    elif name == "split-interval":
+        # one interval a chunk, its table reused at substep offsets j0 > 0
+        assert {c["rows"] for c in seen} == {1} and len(seen) > len(built)
+        assert any(c["offset"] for c in seen)
+        assert {c["count"] for c in seen} == {32, 16}
+    else:
+        # several distinct lengths, fewer than a chunk's rows: each signal's
+        # tables are built once and reused by every chunk
+        assert all(1 < c["tables"] < c["rows"] for c in seen)
+        assert len(built) == len(pot.signals)
+        assert len(seen) > len(built) or chunk == eff.STEP_CHUNK
 
 
 def test_scalar_generator_step_is_pure_phase():
@@ -381,11 +464,12 @@ def traced_generators(kind, rng):
 
 @pytest.mark.parametrize("kind", ["offset", "identity-coupling"])
 @pytest.mark.parametrize("n", [1, 3, 48])
-@pytest.mark.parametrize("chunk", [eff.STEP_CHUNK, 64])
+@pytest.mark.parametrize("chunk", [eff.STEP_CHUNK, 4096, 1024, 64])
 def test_qubit_phase_path_matches_sequential_expm(monkeypatch, kind, n,
                                                   chunk):
-    # the small chunk splits single intervals, so angles of one interval
-    # are summed over several chunks
+    # chunk 1024 takes 10 intervals a chunk at n = 48, so angles are summed
+    # over several multi-interval chunks; chunk 64 splits single intervals,
+    # so angles of one interval are summed over several chunks
     monkeypatch.setattr(eff, "STEP_CHUNK", chunk)
     rng = np.random.default_rng(53)
     h0, g = traced_generators(kind, rng)
@@ -798,9 +882,9 @@ def logged_passes(monkeypatch):
     passes = []
     run_grid = eff._run_grid
 
-    def logged(h_s, terms, grid, n_sub):
+    def logged(h_s, terms, grid, dts, n_sub):
         passes.append(n_sub)
-        return run_grid(h_s, terms, grid, n_sub)
+        return run_grid(h_s, terms, grid, dts, n_sub)
     monkeypatch.setattr(eff, "_run_grid", logged)
     return passes
 
