@@ -24,6 +24,8 @@ interval products to the grid points. A qubit step is a U(1) phase times an
 SU(2) matrix [[a, b], [-b*, a*]]: its Cayley-Klein pair (a, b) is
 multiplied as a pair and its phase angle summed, and the two are joined into
 unitaries at the grid points only. Other factors step by one stacked eigh.
+A qubit factor's bound constants come from Pauli coordinates, and a qubit
+propagator's unitarity check and orbits from 2x2 formulas, entry by entry.
 
 Couplings are local to one system factor, so propagate_effective, through
 which every limit trajectory goes, steps each distinct factor in one pass
@@ -36,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .errors import ResourceLimitError, ToleranceError, ValidationError
 from .model import SiteModel, SystemModel
-from .operators import DensityMatrix, hermitian_spectrum
+from .operators import DensityMatrix, factor_dims, hermitian_spectrum
 # QuasiPeriodicSignal is re-exported: callers build potentials from here
 from .reservoir import (QuasiPeriodicSignal, ReservoirState, check_weights,
                         limit_atoms, site_signals)
@@ -55,9 +58,9 @@ MAX_SUBSTEPS = 2 ** 16
 # is the reference.
 AUDIT_PASSES = (1, 2, 32)
 # Qubit substeps of a whole stepper audit, count x sum(AUDIT_PASSES) x
-# substeps. A draw's three calls cost about 1.0 ms at 4 substeps and 1.3 ms
-# at 48 on a 2-core host, mostly per-call cost, so the cap bounds an audit
-# to about 2 min at the smallest, 4, and about 13 s at 48.
+# substeps. A draw costs about 0.8 ms at 4 substeps and 1.1 ms at 48 on a
+# 2-core host, still mostly fixed cost per call and per draw, so the cap
+# bounds an audit to about 95 s at the smallest, 4, and about 11 s at 48.
 MAX_AUDIT_SUBSTEPS = 2 ** 24
 # Complex entries of steps formed at once: 2 per qubit step, d^2 otherwise.
 # Sized for throughput: at 8192 qubit steps a chunk numpy's per-call cost is
@@ -124,19 +127,19 @@ class EffectivePropagator:
         unitaries = np.asarray(self.unitaries, dtype=complex)
         if len(times) != len(unitaries):
             raise ValidationError("grid and unitary counts differ")
-        object.__setattr__(self, "dims", tuple(self.dims))
-        finite = np.isfinite(unitaries).all(axis=(-2, -1))
-        if not finite.all():
+        object.__setattr__(self, "dims",
+                           factor_dims(self.dims, unitaries.shape[-1]))
+        if not np.isfinite(unitaries).all():
+            finite = np.isfinite(unitaries).all(axis=(-2, -1))
             raise ToleranceError(f"unitary at grid point {int(np.argmin(finite))} "
                                  f"has non-finite entries")
-        eye = np.eye(math.prod(self.dims))
-        if np.max(np.abs(unitaries[0] - eye)) > 1e-12:
+        eye = np.eye(unitaries.shape[-1])
+        if np.abs(unitaries[0] - eye).max() > 1e-12:
             raise ValidationError("propagator must start from the identity")
-        gram = np.swapaxes(unitaries.conj(), -1, -2) @ unitaries
-        defects = np.abs(gram - eye).max(axis=(-2, -1))
-        bad = np.flatnonzero(defects > PROPAGATOR_UNITARY_ATOL)
-        if bad.size:
-            k = int(bad[0])
+        deviations = _unitarity_deviations(unitaries, eye)
+        if deviations.max() > PROPAGATOR_UNITARY_ATOL:
+            defects = deviations.max(axis=1)
+            k = int(np.flatnonzero(defects > PROPAGATOR_UNITARY_ATOL)[0])
             raise ToleranceError(
                 f"unitary defect {defects[k]:.2e} at grid point {k} exceeds "
                 f"{PROPAGATOR_UNITARY_ATOL}")
@@ -146,40 +149,81 @@ class EffectivePropagator:
         object.__setattr__(self, "unitaries", unitaries)
 
 
-def _pauli_coords(h: np.ndarray) -> np.ndarray:
-    """(mu, vx, vy, vz) with h = mu I + vx X + vy Y + vz Z, h Hermitian 2x2."""
-    c = 0.5 * (h[0, 1] + np.conj(h[1, 0]))
-    return np.array([0.5 * (h[0, 0].real + h[1, 1].real), c.real, -c.imag,
-                     0.5 * (h[0, 0].real - h[1, 1].real)])
+def _unitarity_deviations(u: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """The entries |U^dagger U - I| of each unitary of a (T, d, d) stack,
+    one row per unitary; its largest is the unitary's defect. For qubits
+    the Gram matrix is summed elementwise over the two rows, in place of a
+    stacked matmul of 2x2 matrices."""
+    if u.shape[-1] == 2:
+        c = u.conj()
+        gram = c[:, 0, :, None] * u[:, 0, None, :]
+        gram += c[:, 1, :, None] * u[:, 1, None, :]
+        gram -= eye
+    else:
+        gram = np.swapaxes(u.conj(), -1, -2) @ u - eye
+    return np.abs(gram).reshape(len(u), -1)
 
 
-def _cayley_klein_steps(h_s: np.ndarray, terms, values, dt: np.ndarray):
+def _orbit(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """U rho U^dagger for each unitary of a (T, d, d) stack; for qubits
+    both products are summed elementwise over the two columns, in place of
+    stacked matmuls of 2x2 matrices."""
+    if u.shape[-1] != 2:
+        return u @ rho @ np.swapaxes(u.conj(), -1, -2)
+    m = u[:, :, 0, None] * rho[0] + u[:, :, 1, None] * rho[1]
+    c = u.conj()
+    return (m[:, :, None, 0] * c[:, None, :, 0]
+            + m[:, :, None, 1] * c[:, None, :, 1])
+
+
+def _pauli_coords(h: np.ndarray) -> tuple:
+    """(mu, vx, vy, vz), floats, with h = mu I + vx X + vy Y + vz Z, h
+    Hermitian 2x2."""
+    (h00, h01), (h10, h11) = h.tolist()
+    return (0.5 * (h00.real + h11.real), 0.5 * (h01.real + h10.real),
+            -0.5 * (h01.imag - h10.imag), 0.5 * (h00.real - h11.real))
+
+
+def _pauli_stack(h_s: np.ndarray, terms) -> np.ndarray:
+    """The Pauli coordinates of -h_s and of each -g, shape (1 + couplings,
+    4, 1, 1): a qubit pass's generator, formed once for all its chunks and
+    negated once here rather than on every step."""
+    return -np.array([_pauli_coords(h_s)]
+                     + [_pauli_coords(g) for _, g in terms])[..., None, None]
+
+
+def _cayley_klein_steps(coords: np.ndarray, values, dt: np.ndarray):
     """exp(-i dt H(t)) = exp(-i dt mu) [[a, b], [-b*, a*]] at every qubit
     midpoint t, H = h_s + sum of w(t) g = mu I + v.sigma: the rows [a, b],
-    shape dt.shape + (1, 2), and each interval's summed angle dt mu. values
-    holds each coupling's signal at the midpoints, of dt's shape
-    (intervals, substeps)."""
-    mu, vx, vy, vz = _pauli_coords(h_s)
-    for (_, g), w in zip(terms, values):
-        gm, gx, gy, gz = _pauli_coords(g)
-        mu, vx, vy, vz = mu + gm * w, vx + gx * w, vy + gy * w, vz + gz * w
-    r = np.sqrt(vx * vx + vy * vy + vz * vz)
+    shape dt.shape + (1, 2), and each interval's summed angle -dt mu. coords
+    are _pauli_stack's, so the sum is -(mu, v); values holds each coupling's
+    signal at the midpoints, of dt's shape (intervals, substeps)."""
+    v = coords[0]
+    for p, w in zip(coords[1:], values):
+        v = v + p * w
+    r = np.sqrt(np.square(v[1:]).sum(axis=0))
     angle = dt * r
     # r = 0 leaves a = 1 and b = 0: exactly a pure phase
-    sr = -np.divide(np.sin(angle), r, out=np.zeros(dt.shape), where=r != 0.0)
+    sr = np.sin(angle)
+    np.divide(sr, r, out=sr, where=r != 0.0)
     rows = np.empty(dt.shape + (4,))
     np.cos(angle, out=rows[..., 0])
-    for j, v in enumerate((vz, vy, vx), 1):
-        np.multiply(sr, v, out=rows[..., j])
-    return rows.view(complex)[..., None, :], (dt * mu).sum(axis=1)
+    np.multiply(sr, v[:0:-1], out=rows[..., 1:].transpose(2, 0, 1))
+    return rows.view(complex)[..., None, :], (dt * v[0]).sum(axis=1)
 
 
-def _eigh_steps(h_s: np.ndarray, terms, values, dt: np.ndarray):
+def _operator_stack(h_s: np.ndarray, terms) -> tuple:
+    """h_s and the coupling operators: the generator of a pass by eigh."""
+    return h_s, [g for _, g in terms]
+
+
+def _eigh_steps(operators: tuple, values, dt: np.ndarray):
     """exp(-i dt H(t)) at every midpoint t by one stacked eigh, shape
-    dt.shape + (d, d), with no angle split off; values as for
-    _cayley_klein_steps."""
+    dt.shape + (d, d), with no angle split off; operators are
+    _operator_stack's and values as for _cayley_klein_steps."""
+    h_s, gs = operators
     h = np.broadcast_to(h_s, dt.shape + h_s.shape).copy()
-    for (_, g), w in zip(terms, values):
+    for g, w in zip(gs, values):
         h += w[..., None, None] * g
     evals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * (dt[..., None] * evals))
@@ -196,14 +240,15 @@ def _su2_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-_QUBIT_STEPPER = ("cayley-klein", _cayley_klein_steps, _su2_product,
-                  np.eye(1, 2))
+_QUBIT_STEPPER = ("cayley-klein", _pauli_stack, _cayley_klein_steps,
+                  _su2_product, np.eye(1, 2))
 
 
 def _stepper(d: int):
-    """(name, steps, element product, identity element) for dimension d."""
-    return _QUBIT_STEPPER if d == 2 else ("eigh", _eigh_steps, np.matmul,
-                                          np.eye(d))
+    """(name, generator, steps, element product, identity element) for
+    dimension d."""
+    return _QUBIT_STEPPER if d == 2 else (
+        "eigh", _operator_stack, _eigh_steps, np.matmul, np.eye(d))
 
 
 def _ordered_product(steps: np.ndarray, product) -> np.ndarray:
@@ -219,15 +264,13 @@ def _ordered_product(steps: np.ndarray, product) -> np.ndarray:
     return steps[..., 0, :, :]
 
 
-def _prefix_products(steps: np.ndarray, product) -> np.ndarray:
-    """out[k] = steps[k] ... steps[0], by a log-depth scan: log2(n)
-    batched products in place of n - 1 single ones."""
-    out = steps.copy()
+def _prefix_products(steps: np.ndarray, product) -> None:
+    """steps[k] <- steps[k] ... steps[0], in place, by a log-depth scan:
+    log2(n) batched products in place of n - 1 single ones."""
     shift = 1
-    while shift < len(out):
-        out[shift:] = product(out[shift:], out[:-shift])
+    while shift < len(steps):
+        steps[shift:] = product(steps[shift:], steps[:-shift])
         shift *= 2
-    return out
 
 
 def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray, dts: np.ndarray,
@@ -244,20 +287,24 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray, dts: np.ndarray,
     elements; qubit angles are summed apart and joined to the SU(2) rows at
     the grid points.
     """
-    _, steps, product, unit = _stepper(h_s.shape[0])
+    _, generator, steps, product, unit = _stepper(h_s.shape[0])
+    ops = generator(h_s, terms)
     n_int = len(dts)
     span = max(1, STEP_CHUNK // unit.size)   # steps formed at once
     sub = min(n_sub, span)                   # substeps per chunk
     rows = max(1, span // n_sub)             # grid intervals per chunk
     hs = dts / n_sub
-    # a lone interval has nothing to share
-    lengths, which = (np.unique(hs, return_inverse=True) if n_int > 1
-                      else (hs, np.zeros(1, dtype=int)))
-    shared = len(lengths) <= rows
+    # a lone interval has nothing to share: its one chunk builds its table
+    shared = n_int > 1
+    if shared:
+        lengths, which = np.unique(hs, return_inverse=True)
+        shared = len(lengths) <= rows
     if shared:
         tables = [sig.substep_tables(lengths, sub) for sig, _ in terms]
-    out = np.empty((len(grid),) + unit.shape, dtype=complex)
-    out[0] = unit
+    d = h_s.shape[0]
+    out = np.empty((len(grid), d, d), dtype=complex)
+    elements = out[:, :len(unit)]   # a qubit's SU(2) rows [a, b]
+    elements[0] = unit
     angles = np.zeros(len(grid))
     for k0 in range(0, n_int, rows):
         k1 = min(k0 + rows, n_int)
@@ -267,25 +314,77 @@ def _run_grid(h_s: np.ndarray, terms, grid: np.ndarray, dts: np.ndarray,
         else:
             tables = [sig.substep_tables(h, sub) for sig, _ in terms]
             index = slice(None)
-        dt = np.repeat(h[:, None], sub, axis=1)
+        dt = np.empty((len(h), sub))
+        dt[:] = h[:, None]
         for j0 in range(0, n_sub, sub):
             count = min(sub, n_sub - j0)
-            starts = grid[k0:k1] + j0 * h
+            starts = grid[k0:k1] + j0 * h if j0 else grid[k0:k1]
             values = [sig.lattice(starts, table, index, count)
                       for (sig, _), table in zip(terms, tables)]
-            elements, angle = steps(h_s, terms, values, dt[:, :count])
-            part = _ordered_product(elements, product)
+            stepped, angle = steps(ops, values, dt[:, :count])
+            part = _ordered_product(stepped, product)
             angles[k0 + 1:k1 + 1] += angle
-            out[k0 + 1:k1 + 1] = part if j0 == 0 else product(
-                part, out[k0 + 1:k1 + 1])
-    out[1:] = _prefix_products(out[1:], product)
+            elements[k0 + 1:k1 + 1] = part if j0 == 0 else product(
+                part, elements[k0 + 1:k1 + 1])
+    _prefix_products(elements[1:], product)
     if product is not _su2_product:
         return out
-    a, b = out[:, 0, 0], out[:, 0, 1]
-    su2 = np.empty((len(grid), 2, 2), dtype=complex)
-    su2[:, 0, 0], su2[:, 0, 1] = a, b
-    su2[:, 1, 0], su2[:, 1, 1] = -b.conj(), a.conj()
-    return np.exp(-1j * np.cumsum(angles))[:, None, None] * su2
+    np.conjugate(out[:, 0], out=out[:, 1, ::-1])   # [b*, a*]
+    np.negative(out[:, 1, 0], out=out[:, 1, 0])
+    return np.multiply(np.exp(1j * angles.cumsum())[:, None, None], out,
+                       out=out)
+
+
+def _qubit_norms(h_s: np.ndarray, gs) -> tuple:
+    """The norms of g_c, i[h_s, g_c] and i[g_c, g_c'] on a qubit from Pauli
+    coordinates: |mu I + v.sigma| = |mu| + |v| and |i[a.sigma, b.sigma]| =
+    2 |a x b|. As with the matrix products they replace, every norm is
+    infinite once the products of two generator norms overflow."""
+    def cross(p, q):
+        return 2 * math.hypot(p[2] * q[3] - p[3] * q[2],
+                              p[3] * q[1] - p[1] * q[3],
+                              p[1] * q[2] - p[2] * q[1])
+    h = _pauli_coords(h_s)
+    coords = [_pauli_coords(g) for g in gs]
+    g_norm = [abs(p[0]) + math.hypot(p[1], p[2], p[3]) for p in coords]
+    total = sum(g_norm)
+    if not math.isfinite((abs(h[0]) + math.hypot(h[1], h[2], h[3]) + total)
+                         * total):
+        inf = [math.inf] * len(gs)
+        return inf, inf, [inf] * len(gs)
+    return (g_norm, [cross(h, p) for p in coords],
+            [[cross(p, q) for q in coords] for p in coords])
+
+
+def _matrix_norms(h_s: np.ndarray, gs) -> tuple:
+    """The norms of g_c, i[h_s, g_c] and i[g_c, g_c'] from one stacked
+    hermitian_spectrum, all infinite if a matrix product overflows."""
+    gs = np.array(gs)
+    m = len(gs)
+    pairs = gs[:, None] @ gs[None]
+    mats = np.concatenate([gs, 1j * (h_s @ gs - gs @ h_s), 1j * (
+        pairs - np.swapaxes(pairs, 0, 1)).reshape((-1,) + h_s.shape)])
+    norms = (np.abs(hermitian_spectrum(mats)).max(axis=-1)
+             if np.isfinite(mats).all() else np.full(len(mats), np.inf))
+    return (norms[:m].tolist(), norms[m:2 * m].tolist(),
+            norms[2 * m:].reshape(m, m).tolist())
+
+
+def _bound_constants(h_s: np.ndarray, terms) -> tuple[float, float]:
+    """(C, D) of _step_factor's bound, from the signals' derivative bounds
+    s0, s1, s2 and the norms: C = (s1 . |[h_s, g]| + s0 . |[g, g']| s1) / 12
+    + s2 . |g| / 24 and D = (s1 . |g|)^2 / 12, summed in floats."""
+    if not terms:
+        return 0.0, 0.0
+    s0, s1, s2 = zip(*(sig.derivative_bounds().tolist() for sig, _ in terms))
+    g_norm, h_comm, g_comm = (_qubit_norms if h_s.shape[0] == 2
+                              else _matrix_norms)(h_s, [g for _, g in terms])
+    commutator = drift = curvature = 0.0
+    for j, row in enumerate(g_comm):
+        commutator += s1[j] * h_comm[j] + s0[j] * sum(map(mul, row, s1))
+        drift += s1[j] * g_norm[j]
+        curvature += s2[j] * g_norm[j]
+    return commutator / 12 + curvature / 24, drift * drift / 12
 
 
 @np.errstate(over="ignore", invalid="ignore")   # overflow: refused below
@@ -297,42 +396,31 @@ def _step_factor(h_s: np.ndarray, terms, grid: np.ndarray,
     By Duhamel's formula, a substep of length h about midpoint m errs by at
     most h^3 (|[H_m, H'_m]|/12 + (h/2) sup|H'| |H'_m|/12 + sup|H''|/24)
     <= h^3 (C + h D / 2), C and D from the signals' derivative bounds and
-    the norms of g_c, [h_s, g_c] and [g_c, g_c']. The flows are unitary, so
-    on intervals dt the errors add up to at most the reported bound
-    sum(dt^3 (C + dt D / (2n))) / n^2, and n1 = sqrt(sum(dt^3) C / target),
-    n = ceil(sqrt(sum(dt^3) (C + max(dt) D / (2 n1)) / target)) meets the
-    target. A non-finite bound, or a count past MAX_SUBSTEPS, is refused.
+    the norms of g_c, [h_s, g_c] and [g_c, g_c'] (_bound_constants). The
+    flows are unitary, so on intervals dt the errors add up to at most the
+    reported bound (C sum(dt^3) + D sum(dt^4) / (2n)) / n^2, and n1 =
+    sqrt(sum(dt^3) C / target), n = ceil(sqrt(sum(dt^3) (C + max(dt) D /
+    (2 n1)) / target)) meets the target. A non-finite bound, or a count
+    past MAX_SUBSTEPS, is refused.
     """
-    c = d = 0.0
-    if terms:
-        gs = np.array([g for _, g in terms])
-        s0, s1, s2 = np.array([sig.derivative_bounds() for sig, _ in terms]).T
-        pairs = gs[:, None] @ gs[None]
-        mats = np.concatenate([gs, 1j * (h_s @ gs - gs @ h_s), 1j * (
-            pairs - np.swapaxes(pairs, 0, 1)).reshape((-1,) + h_s.shape)])
-        norms = (np.abs(hermitian_spectrum(mats)).max(axis=-1)
-                 if np.isfinite(mats).all() else np.full(len(mats), np.inf))
-        m = len(gs)
-        g_norm, h_comm, g_comm = norms[:m], norms[m:2 * m], norms[2 * m:]
-        commutator = s1 @ h_comm + s0 @ g_comm.reshape(m, -1) @ s1
-        c = float(commutator / 12 + s2 @ g_norm / 24)
-        d = float((s1 @ g_norm) ** 2 / 12)
+    c, d = _bound_constants(h_s, terms)
     if not math.isfinite(c + d):
         raise ToleranceError(f"midpoint step error bound is {c + d}; the "
                              f"limit generator overflows")
-    dt = np.diff(grid)
+    dt = grid[1:] - grid[:-1]
+    cubes = dt ** 3
+    total = float(cubes.sum())
     n = n_substeps
     if n is None:
-        cubes = float(np.sum(dt ** 3))
-        n1 = max(1.0, math.sqrt(cubes * c / step_target))
-        want = math.sqrt(cubes * (c + dt.max() * d / (2 * n1)) / step_target)
+        n1 = max(1.0, math.sqrt(total * c / step_target))
+        want = math.sqrt(total * (c + dt.max() * d / (2 * n1)) / step_target)
         if not want <= MAX_SUBSTEPS:
             raise ToleranceError(
                 f"midpoint step error bound needs {want:.3g} substeps per "
                 f"interval to meet target {step_target:.1e}, past the cap "
                 f"of {MAX_SUBSTEPS}")
         n = max(1, math.ceil(want))
-    bound = float(np.sum(dt ** 3 * (c + dt * d / (2 * n)))) / (n * n)
+    bound = (total * c + float(cubes @ dt) * d / (2 * n)) / (n * n)
     return _run_grid(h_s, terms, grid, dt, n), bound, n
 
 
@@ -370,11 +458,17 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
             raise ValidationError(
                 f"coupling wants potential signal {c.v_index}, "
                 f"have {len(potential.signals)}")
-    if n_substeps is not None and n_substeps < 1:
-        raise ValidationError("substep count must be positive")
-    if n_substeps is not None and n_substeps > MAX_SUBSTEPS:
-        raise ResourceLimitError(f"{n_substeps} substeps per interval exceed "
-                                 f"the cap of {MAX_SUBSTEPS}")
+    if n_substeps is not None:
+        if (isinstance(n_substeps, bool)
+                or not isinstance(n_substeps, (int, np.integer))):
+            raise ValidationError(f"substep count must be an integer, got "
+                                  f"{n_substeps!r}")
+        n_substeps = int(n_substeps)
+        if n_substeps < 1:
+            raise ValidationError("substep count must be positive")
+        if n_substeps > MAX_SUBSTEPS:
+            raise ResourceLimitError(f"{n_substeps} substeps per interval "
+                                     f"exceed the cap of {MAX_SUBSTEPS}")
     n = sys.n_subsystems
     runs, factors = {}, []
     for j, h in enumerate(sys.local_h):
@@ -387,17 +481,18 @@ def propagate_effective(sys: SystemModel, potential: EffectivePotential,
                 h.data, [(potential.signals[v], g) for v, g in couplings],
                 grid, step_target / n, n_substeps)
         factors.append(runs[key])
-    unitaries = factors[0][0]
-    for part, *_ in factors[1:]:
+    parts, bounds, counts = zip(*factors)
+    unitaries = parts[0]
+    for part in parts[1:]:
         a, b = unitaries.shape[-1], part.shape[-1]
         unitaries = (unitaries[:, :, None, :, None]
                      * part[:, None, :, None, :]
                      ).reshape(len(grid), a * b, a * b)
+    distinct = runs.values()
     return EffectivePropagator(
-        grid, unitaries, sys.subsystem_dims, sum(f[1] for f in factors),
-        max(f[2] for f in factors),
-        sum(r[2] for r in runs.values()) * (len(grid) - 1),
-        tuple(_stepper(r[0].shape[-1])[0] for r in runs.values()))
+        grid, unitaries, sys.subsystem_dims, sum(bounds), max(counts),
+        sum(n for _, _, n in distinct) * (len(grid) - 1),
+        tuple(_stepper(u.shape[-1])[0] for u, _, _ in distinct))
 
 
 def _check_initial_state(rho0: DensityMatrix, dim: int) -> None:
@@ -415,8 +510,7 @@ def _limit_result(runs, weights, rho0: DensityMatrix) -> PropagationResult:
     stepping of the runs (largest step error and substep count, factors,
     summed steps computed, steppers). Callers have checked rho0's dimension
     with _check_initial_state."""
-    orbits = [r.unitaries @ rho0.data @ np.swapaxes(r.unitaries.conj(), -1, -2)
-              for r in runs]
+    orbits = [_orbit(r.unitaries, rho0.data) for r in runs]
     stack = orbits[0] if len(runs) == 1 else sum(
         w * orbit for w, orbit in zip(weights, orbits))
     drift = np.trace(stack, axis1=1, axis2=2) - 1

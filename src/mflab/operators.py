@@ -48,6 +48,16 @@ def _frozen_square(data) -> np.ndarray:
     return data
 
 
+def factor_dims(dims, size: int) -> tuple[int, ...]:
+    """dims as a tuple of ints, refused unless they multiply to size, the
+    matrix size of the operators or states they describe."""
+    dims = tuple(map(int, dims))
+    if math.prod(dims) != size:
+        raise ValidationError(
+            f"dims {dims} do not multiply to matrix size {size}")
+    return dims
+
+
 def hermitian_defect(a: np.ndarray, scale: float | None = None) -> float:
     """Max-abs deviation from Hermiticity of a matrix or a (T, d, d) stack,
     relative to scale, by default its largest entry; infinite for an array
@@ -97,10 +107,7 @@ class Operator:
 
     def __post_init__(self):
         arr = _frozen_square(self.data)
-        dims = tuple(map(int, self.dims))
-        if math.prod(dims) != arr.shape[0]:
-            raise ValidationError(
-                f"dims {dims} do not multiply to matrix size {arr.shape[0]}")
+        dims = factor_dims(self.dims, arr.shape[0])
         if any(d < 1 for d in dims):
             raise ValidationError(f"factor dimensions must be positive: {dims}")
         if self.hermitian and hermitian_defect(arr) > HERMITIAN_RTOL:
@@ -134,15 +141,31 @@ def trace_norm(x: "Operator | np.ndarray"):
     return float(norms) if arr.ndim == 2 else norms
 
 
+def _psd_by_cholesky(stack: np.ndarray) -> bool:
+    """True when every matrix of the stack, shifted by PSD_ATOL/2 on its
+    diagonal, has a Cholesky factor: then no eigenvalue is below
+    -PSD_ATOL/2 up to rounding."""
+    try:
+        np.linalg.cholesky(stack + 0.5 * PSD_ATOL * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def check_density_stack(stack: np.ndarray) -> None:
     """Check every matrix of a (T, d, d) stack as a density matrix.
 
     Each state must be Hermitian relative to its own scale, have unit trace
-    and no eigenvalue below -PSD_ATOL; the eigenvalues come from
-    hermitian_spectrum, in closed form for qubits, so a qubit stack makes
-    no LAPACK call. A stack with a non-finite entry is refused before any
-    of these; otherwise the first failing state raises the ValidationError
-    of the first check it fails.
+    and no eigenvalue below -PSD_ATOL. A qubit stack takes the closed-form
+    spectrum of hermitian_spectrum and makes no LAPACK call. A larger stack
+    first tries one stacked Cholesky factorization of stack + PSD_ATOL/2 I,
+    which reads the lower triangle as eigvalsh does: if it succeeds, every
+    lowest eigenvalue is at least -PSD_ATOL/2 up to rounding, so no state
+    fails that check; if it fails, the eigenvalues come from one stacked
+    eigvalsh, so the decisions and messages are eigvalsh's either way. A
+    stack with a non-finite entry is refused before any of these; otherwise
+    the first failing state raises the ValidationError of the first check
+    it fails.
     """
     if not np.isfinite(stack).all():
         raise ValidationError("density matrix has non-finite entries")
@@ -150,9 +173,11 @@ def check_density_stack(stack: np.ndarray) -> None:
     herm = (np.abs(stack - np.swapaxes(stack.conj(), -1, -2)).max(axis=(-2, -1))
             / scale)
     tr = np.trace(stack, axis1=-2, axis2=-1)
-    low = hermitian_spectrum(stack)[:, 0]
-    bad = np.flatnonzero((herm > HERMITIAN_RTOL) | (abs(tr - 1.0) > TRACE_ATOL)
-                         | (low < -PSD_ATOL))
+    bad = (herm > HERMITIAN_RTOL) | (abs(tr - 1.0) > TRACE_ATOL)
+    if stack.shape[-1] == 2 or not _psd_by_cholesky(stack):
+        low = hermitian_spectrum(stack)[:, 0]
+        bad |= low < -PSD_ATOL
+    bad = np.flatnonzero(bad)
     if not bad.size:
         return
     k = bad[0]
@@ -174,10 +199,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         arr = _frozen_square(self.data)
-        dims = tuple(map(int, self.dims))
-        if math.prod(dims) != arr.shape[0]:
-            raise ValidationError(
-                f"dims {dims} do not multiply to matrix size {arr.shape[0]}")
+        dims = factor_dims(self.dims, arr.shape[0])
         if self.validate:
             check_density_stack(arr[None])
         object.__setattr__(self, "data", arr)

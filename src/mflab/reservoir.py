@@ -290,6 +290,10 @@ def site_signal_terms(rho: np.ndarray, h: np.ndarray, v: np.ndarray):
             np.concatenate([2 * z[:1].real, z[1:], z[1:].conj()]))
 
 
+# derivative orders 0, 1, 2 of QuasiPeriodicSignal.derivative_bounds
+_DERIVATIVE_ORDERS = np.arange(3.0)[:, None]
+
+
 @dataclass(frozen=True)
 class QuasiPeriodicSignal:
     """Finite sum of complex exponentials with a real-valued total, evaluated
@@ -339,7 +343,7 @@ class QuasiPeriodicSignal:
         the last axis, shape (len(lengths), count, 2 slots): the per-substep
         factors that lattice reuses across interval starts."""
         tau = np.multiply.outer(np.multiply.outer(
-            lengths, np.arange(count) + 0.5), self._folded[0])
+            lengths, np.arange(0.5, count)), self._folded[0])
         tables = np.empty(tau.shape + (2,))
         np.cos(tau, out=tables[..., 0])
         np.sin(tau, out=tables[..., 1])
@@ -361,7 +365,7 @@ class QuasiPeriodicSignal:
         """Upper bounds on sup|s|, sup|s'| and sup|s''| over all t: the j-th
         derivative of a slot has amplitude |f|^j hypot(A_f, B_f)."""
         freqs, cos_amps, sin_amps = self._folded
-        return (freqs ** np.arange(3)[:, None]) @ np.hypot(cos_amps, sin_amps)
+        return (freqs ** _DERIVATIVE_ORDERS) @ np.hypot(cos_amps, sin_amps)
 
     @classmethod
     def constant(cls, value: float) -> "QuasiPeriodicSignal":

@@ -11,12 +11,13 @@ both solvers' time grids obey.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .operators import DensityMatrix, check_density_stack
+from .operators import DensityMatrix, check_density_stack, factor_dims
 
 
 def time_grid(grid) -> np.ndarray:
@@ -25,12 +26,14 @@ def time_grid(grid) -> np.ndarray:
     grid = np.array(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise ValidationError("time grid must be a nonempty 1d array")
+    # a strictly increasing grid holds no NaN: only its ends can be infinite
+    if ((grid[1:] > grid[:-1]).all() and math.isfinite(grid[0])
+            and math.isfinite(grid[-1])):
+        return grid
     if not np.isfinite(grid).all():
         raise ValidationError("time grid has a non-finite time "
                               f"{grid[~np.isfinite(grid)][0]}")
-    if np.any(np.diff(grid) <= 0):
-        raise ValidationError("time grid must be strictly increasing")
-    return grid
+    raise ValidationError("time grid must be strictly increasing")
 
 
 class PropagationResult:
@@ -50,9 +53,10 @@ class PropagationResult:
             raise ValidationError(f"{len(times)} times for {len(stack)} states")
         if len(stack) == 0:
             raise ValidationError("empty trajectory")
+        dims = factor_dims(dims, stack.shape[-1])
         times.setflags(write=False)
         stack.setflags(write=False)
-        self.times, self.stack, self.dims = times, stack, tuple(dims)
+        self.times, self.stack, self.dims = times, stack, dims
         self.diagnostics = {} if diagnostics is None else diagnostics
 
     @cached_property

@@ -12,6 +12,9 @@ them (test_cli's guard refuses them during every bundled run).
 - materialize builds an ensemble's density matrix on M sites;
 - joint_trajectory propagates the full joint state, and full_space_series
   is the truncated interaction-picture series on the full space;
+- stacked_bound_constants forms the limit stepper's bound constants by
+  matrix products and one stacked spectrum, the reference for the qubit
+  closed forms;
 - concurrence is the two-qubit closed form that negativity is checked
   against;
 - summary_report and write_summary write acceptance_summary.json for
@@ -31,7 +34,8 @@ from mflab.errors import ResourceLimitError, ToleranceError, ValidationError
 from mflab.exact import FiniteMRun
 from mflab.matio import atomic_write_text
 from mflab.model import SystemModel, assemble_total
-from mflab.operators import DENSE_CUTOFF, DensityMatrix, Operator
+from mflab.operators import (DENSE_CUTOFF, DensityMatrix, Operator,
+                             hermitian_spectrum)
 from mflab.reservoir import (
     ChannelCorrelated,
     DeFinettiMixture,
@@ -216,6 +220,29 @@ def full_space_series(sys, site, res, m, rho_s0, max_order, t):
         out.append(np.einsum("irkr->ik",
                              joint.reshape(sys.dim, d_res, sys.dim, d_res)))
     return out
+
+
+# The limit stepper's bound constants, by matrix products.
+
+def stacked_bound_constants(h_s: np.ndarray, terms) -> tuple[float, float]:
+    """(C, D) of the limit stepper's a priori error bound, as the general-d
+    path forms them: the norms of g_c, i[h_s, g_c] and i[g_c, g_c'] from one
+    stacked hermitian_spectrum, all infinite if a matrix product overflows,
+    and the sums as matrix products. The reference for the qubit closed
+    forms; terms pairs each coupling's signal with its operator."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gs = np.array([g for _, g in terms])
+        s0, s1, s2 = np.array([sig.derivative_bounds() for sig, _ in terms]).T
+        pairs = gs[:, None] @ gs[None]
+        mats = np.concatenate([gs, 1j * (h_s @ gs - gs @ h_s), 1j * (
+            pairs - np.swapaxes(pairs, 0, 1)).reshape((-1,) + h_s.shape)])
+        norms = (np.abs(hermitian_spectrum(mats)).max(axis=-1)
+                 if np.isfinite(mats).all() else np.full(len(mats), np.inf))
+        m = len(gs)
+        g_norm, h_comm, g_comm = norms[:m], norms[m:2 * m], norms[2 * m:]
+        commutator = s1 @ h_comm + s0 @ g_comm.reshape(m, -1) @ s1
+        return (float(commutator / 12 + s2 @ g_norm / 24),
+                float((s1 @ g_norm) ** 2 / 12))
 
 
 # Two-qubit entanglement and the acceptance report.

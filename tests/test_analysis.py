@@ -267,8 +267,10 @@ class TestTrajectoryStacks:
         assert few == many
         assert max(many) <= 2
 
-    def test_two_qubit_producers_validate_in_one_eigvalsh_call_each(
+    def test_two_qubit_producers_validate_in_one_cholesky_call_each(
             self, monkeypatch):
+        # a valid stack passes the PSD check on one stacked Cholesky
+        # factorization and never reaches eigvalsh
         sys = SystemModel(local_h=(SZ, SZ),
                           couplings=(Coupling(g=SX, subsystem=0),
                                      Coupling(g=SX, subsystem=1)))
@@ -276,14 +278,18 @@ class TestTrajectoryStacks:
         rho0 = dm(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
         atoms = [(0.5, effective_potential(DensityMatrix.pure(ket(k), (2,)),
                                            site)) for k in ("+", "0")]
-        real = np.linalg.eigvalsh
+        real = np.linalg.cholesky
         shapes = []
 
         def counting(a, *args, **kwargs):
             shapes.append(a.shape)
             return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a valid stack")
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         for n in (3, 201):
             grid = np.linspace(0.0, 1.0, n)
             run = FiniteMRun(sys, site, 3, res, rho0, grid)

@@ -27,7 +27,7 @@ from mflab.reservoir import (
     limit_atoms,
     site_signal_terms,
 )
-from oracles import partial_trace
+from oracles import partial_trace, stacked_bound_constants
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 PLUS = DensityMatrix(np.full((2, 2), 0.5, dtype=complex), (2,))
@@ -226,6 +226,163 @@ def test_overflowing_generator_is_refused_without_warnings(n_substeps,
         propagate_effective(sys, pot, np.linspace(0.0, 1.0, 3),
                             n_substeps=n_substeps)
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(2), True])
+def test_substep_count_must_be_an_integer(bad):
+    sys = qubit_sys(SZ.data, SX.data)
+    with pytest.raises(ValidationError) as refused:
+        propagate_effective(sys, ZERO_POTENTIAL, np.linspace(0.0, 1.0, 3),
+                            n_substeps=bad)
+    assert str(refused.value) == (f"substep count must be an integer, got "
+                                  f"{bad!r}")
+
+
+def test_numpy_integer_substep_count_is_an_int():
+    sys = qubit_sys(SZ.data, SX.data)
+    grid = np.linspace(0.0, 1.0, 3)
+    prop = propagate_effective(sys, ZERO_POTENTIAL, grid,
+                               n_substeps=np.int64(3))
+    assert type(prop.n_substeps) is int and prop.n_substeps == 3
+    assert type(prop.steps_computed) is int and prop.steps_computed == 6
+    same = propagate_effective(sys, ZERO_POTENTIAL, grid, n_substeps=3)
+    assert np.array_equal(prop.unitaries, same.unitaries)
+
+
+def test_propagator_refuses_dims_that_miss_the_matrix_size():
+    unitaries = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    with pytest.raises(ValidationError) as refused:
+        eff.EffectivePropagator(np.array([0.0, 1.0]), unitaries, (3,), 0.0,
+                                1, 1, ("cayley-klein",))
+    assert str(refused.value) == "dims (3,) do not multiply to matrix size 2"
+
+
+# the qubit closed forms against the matrix products they replace
+
+def drawn_qubit_terms(seed, n_couplings, scale):
+    """(h_s, terms) of a qubit factor: a random Hermitian h_s times scale
+    and n_couplings random Hermitian couplings, each with a random real
+    quasi-periodic signal of one to three slots."""
+    rng = np.random.default_rng(seed)
+    h_s = scale * random_hermitian(rng, 2)
+    terms = []
+    for _ in range(n_couplings):
+        k = rng.integers(1, 4)
+        freqs = rng.uniform(0.0, 3.0, k)
+        coeffs = 0.5 * rng.uniform(0.1, 1.5, k) * np.exp(
+            1j * rng.uniform(0.0, 2 * np.pi, k))
+        signal = QuasiPeriodicSignal(np.concatenate([freqs, -freqs]),
+                                     np.concatenate([coeffs, coeffs.conj()]))
+        terms.append((signal, random_hermitian(rng, 2)))
+    return h_s, terms
+
+
+def step_factor_outcome(h_s, terms, grid, target, n_substeps):
+    """(bound, substeps) that _step_factor reports, or its refusal text;
+    the stepping itself is skipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eff, "_run_grid", lambda *args: None)
+        try:
+            _, bound, n = eff._step_factor(h_s, terms, grid, target,
+                                           n_substeps)
+        except ToleranceError as exc:
+            return str(exc)
+    return bound, n
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_couplings=st.integers(1, 3),
+       scale=st.floats(0.0, 3.0), span=st.floats(0.05, 3.0),
+       points=st.integers(2, 6), exponent=st.floats(3.0, 9.0))
+def test_qubit_bound_constants_match_the_matrix_products(seed, n_couplings,
+                                                         scale, span, points,
+                                                         exponent):
+    h_s, terms = drawn_qubit_terms(seed, n_couplings, scale)
+    c, d = eff._bound_constants(h_s, terms)
+    c_ref, d_ref = stacked_bound_constants(h_s, terms)
+    # D squares a sum, so its rounding doubles
+    assert abs(c - c_ref) <= 8 * np.spacing(c_ref)
+    assert abs(d - d_ref) <= 16 * np.spacing(d_ref)
+    grid = np.linspace(0.0, span, points)
+    got = step_factor_outcome(h_s, terms, grid, 10.0 ** -exponent, None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eff, "_bound_constants", stacked_bound_constants)
+        want = step_factor_outcome(h_s, terms, grid, 10.0 ** -exponent, None)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n_substeps", [None, 4])
+@pytest.mark.parametrize("signal", ["constant", "cosine"])
+def test_qubit_bound_constants_overflow_as_the_matrix_products_do(
+        n_substeps, signal, recwarn):
+    sig = (QuasiPeriodicSignal.constant(1.0) if signal == "constant" else
+           QuasiPeriodicSignal(np.array([1.0, -1.0]), np.array([0.5, 0.5])))
+    terms = [(sig, 1.0e300 * SX.data)]
+    grid = np.linspace(0.0, 1.0, 3)
+    got = step_factor_outcome(SZ.data, terms, grid, 1e-7, n_substeps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eff, "_bound_constants", stacked_bound_constants)
+        want = step_factor_outcome(SZ.data, terms, grid, 1e-7, n_substeps)
+    assert got == want
+    assert got.endswith("; the limit generator overflows")
+    assert len(recwarn) == 0
+
+
+def matmul_defects(u):
+    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(2)).max(
+        axis=(-2, -1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_qubit_unitary_defect_refuses_where_the_matmul_form_does(seed):
+    rng = np.random.default_rng(seed)
+    h0, g = random_hermitian(rng, 2), random_hermitian(rng, 2)
+    grid = np.linspace(0.0, 2.0, 21)
+    prop = propagate_effective(qubit_sys(h0, g), effective_potential(
+        PLUS, qubit_site(SZ.data, SX.data)), grid, n_substeps=3)
+    # a column stretched by 1 + size/2, or sheared by size times the other
+    # column, has a defect of about size: 2e-8 is refused, 5e-9 is not
+    for size, refused in ((5e-9, False), (2e-8, True)):
+        unitaries = np.array(prop.unitaries)
+        points = rng.choice(np.arange(1, len(grid)), size=3, replace=False)
+        for k in points:
+            j = rng.integers(0, 2)
+            if rng.integers(0, 2):
+                unitaries[k, :, j] *= 1 + size / 2
+            else:
+                unitaries[k, :, j] += size * unitaries[k, :, 1 - j]
+        defects = matmul_defects(unitaries)
+        bad = np.flatnonzero(defects > eff.PROPAGATOR_UNITARY_ATOL)
+        rebuild = lambda: eff.EffectivePropagator(
+            grid, unitaries, (2,), prop.step_error, 3, prop.steps_computed,
+            prop.steppers)
+        if not refused:
+            assert not bad.size
+            rebuild()
+            continue
+        assert bad[0] == min(points)
+        with pytest.raises(ToleranceError) as refusal:
+            rebuild()
+        assert str(refusal.value) == (
+            f"unitary defect {defects[bad[0]]:.2e} at grid point {bad[0]} "
+            f"exceeds {eff.PROPAGATOR_UNITARY_ATOL}")
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(1, 40),
+       low=st.floats(0.0, 0.5))
+def test_qubit_orbits_match_the_matrix_products(seed, points, low):
+    rng = np.random.default_rng(seed)
+    unitaries = np.linalg.qr(rng.normal(size=(points, 2, 2))
+                             + 1j * rng.normal(size=(points, 2, 2)))[0]
+    basis = np.linalg.qr(random_hermitian(rng, 2))[0]
+    rho = basis @ np.diag([low, 1.0 - low]) @ basis.conj().T
+    want = unitaries @ rho @ np.swapaxes(unitaries.conj(), -1, -2)
+    assert np.abs(eff._orbit(unitaries, rho) - want).max() <= 1e-15
 
 
 def test_zero_potential_free_evolution():

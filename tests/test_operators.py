@@ -347,6 +347,50 @@ def test_density_checks_refuse_what_eigvalsh_refuses(states):
         assert got is None
 
 
+@st.composite
+def density_stack(draw):
+    """A stack of one to four d x d unit-trace matrices, d in {3, 4, 8}:
+    U diag(low, rest) U^dagger with low drawn inside [0, 1] or near
+    -PSD_ATOL and the rest positive, some copies with a trace or
+    Hermiticity defect."""
+    d = draw(st.sampled_from([3, 4, 8]))
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        low = draw(st.sampled_from(sorted(PSD_EDGE)).flatmap(PSD_EDGE.get))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        rest = rng.uniform(0.1, 1.0, d - 1)
+        spectrum = np.concatenate([[low], (1.0 - low) * rest / rest.sum()])
+        u = np.linalg.qr(rng.normal(size=(d, d))
+                         + 1j * rng.normal(size=(d, d)))[0]
+        rho = u @ np.diag(spectrum) @ u.conj().T
+        defect = draw(st.sampled_from(["none", "none", "trace",
+                                       "hermiticity"]))
+        if defect == "trace":
+            rho[-1, -1] += 1e-6
+        elif defect == "hermiticity":
+            rho[0, -1] += 1e-6
+        states.append(rho)
+    return np.array(states)
+
+
+@PROPERTY
+@given(density_stack())
+def test_density_checks_past_qubits_refuse_what_eigvalsh_refuses(stack):
+    # the Cholesky pre-check decides nothing that eigvalsh alone would not
+    got = density_stack_refusal(stack)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_psd_by_cholesky", lambda stack: False)
+        mp.setattr(operators, "hermitian_spectrum", np.linalg.eigvalsh)
+        assert got == density_stack_refusal(stack)
+    for rho in stack:
+        alone = density_stack_refusal(rho[None])
+        if alone is not None:
+            assert got == alone
+            break
+    else:
+        assert got is None
+
+
 def test_state_just_past_the_psd_tolerance_is_refused():
     low = -PSD_ATOL * 1.001
     c, s = math.cos(0.3), math.sin(0.3)

@@ -131,3 +131,10 @@ def test_from_stack_shape_checks():
     with pytest.raises(ValidationError, match="3 times for 5 states"):
         PropagationResult.from_stack(np.linspace(0.0, 1.0, 3), good_stack(),
                                      (2,))
+
+
+def test_from_stack_refuses_dims_that_miss_the_matrix_size():
+    with pytest.raises(ValidationError) as refused:
+        PropagationResult.from_stack(np.linspace(0.0, 1.0, 5), good_stack(),
+                                     (3,))
+    assert str(refused.value) == "dims (3,) do not multiply to matrix size 2"
